@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fuzz-smoke trace-smoke bench-cache bench-build bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
+.PHONY: build test check benchmark-test fuzz-smoke trace-smoke bench-cache bench-build bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,11 @@ check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -race ./...
 	$(GO) test ./internal/bench/ ./internal/fmindex/
+	$(MAKE) benchmark-test
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-cache
+	$(MAKE) bench-serve
 	$(MAKE) bench-multi
 	$(MAKE) bench-sharded
 	$(MAKE) bench-planner
@@ -29,6 +32,14 @@ check:
 	$(MAKE) bench-adaptive
 	$(MAKE) benchgate
 	$(MAKE) vulncheck
+
+# benchmark-test vets and tests the wall-clock benchmark. benchmark/
+# is a module of its own that imports rottnest/internal/..., so the
+# root "go build ./... && go test ./..." never compiles it: without
+# this target an internal signature change first fails in the
+# benchmark pipeline instead of here.
+benchmark-test:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must
@@ -41,7 +52,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageDecode -run '^FuzzPageDecode$$' -fuzztime=10s ./internal/parquet/
 	$(GO) test -fuzz=FuzzFMIndexOpen -run '^FuzzFMIndexOpen$$' -fuzztime=10s ./internal/fmindex/
 	$(GO) test -fuzz=FuzzSuffixArray -run '^FuzzSuffixArray$$' -fuzztime=10s ./internal/fmindex/
-	$(GO) test -fuzz=FuzzObjCache -run '^FuzzObjCache$$' -fuzztime=10s ./internal/objcache/
+	$(GO) test -fuzz=FuzzCache -run '^FuzzCache$$' -fuzztime=10s ./internal/cache/
 	$(GO) test -fuzz=FuzzPredicateParser -run '^FuzzPredicateParser$$' -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzShardMerge -run '^FuzzShardMerge$$' -fuzztime=10s ./internal/shard/
 	$(GO) test -fuzz=FuzzFMSuperwalk -run '^FuzzFMSuperwalk$$' -fuzztime=10s ./internal/fmindex/
@@ -59,7 +70,8 @@ trace-smoke:
 	if [ $$rc -ne 0 ]; then echo "trace-smoke failed"; exit $$rc; fi; \
 	echo "trace-smoke ok"
 
-# bench-cache records the read-cache warm-vs-cold experiment.
+# bench-cache records the read-cache warm-vs-cold experiment. With
+# bench-serve it pins "warm = 0 GETs" and the cache hit counts.
 bench-cache:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_cache.json cache
 

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"container/list"
 	"context"
+	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
+	"rottnest/internal/cache"
 	"rottnest/internal/obs"
 	"rottnest/internal/simtime"
 )
@@ -16,62 +15,37 @@ import (
 const DefaultProbeBatchBytes = 8 << 20
 
 // probeBatcher coalesces identical index probes across concurrent
-// queries (singleflight) and memoizes their results in a small
-// byte-budgeted LRU. Keys combine the index object key with the
-// normalized probe (predicate pattern plus bound), so N clients
-// walking the same FM checkpoint or trie root for the same pattern
-// pay one walk whose result fans out to all waiters — the collision
-// pattern the Zipf serve workload generates.
+// queries and memoizes their results: the probe tier of the shared
+// cache engine (internal/cache). Keys combine the index object key
+// with the normalized probe (predicate pattern plus bound), so N
+// clients walking the same FM checkpoint or trie root for the same
+// pattern pay one walk whose result fans out to all waiters — the
+// collision pattern the Zipf serve workload generates.
 //
 // Memoization is safe for the same reason the decoded-object cache
 // is: an index object is immutable under its key, so a probe result
 // (a posting list) can only go stale by deletion of the index object
-// — and the deleting paths (vacuum's physical removal, the search
-// replan on a vanished index) call invalidateIndex. Snapshot version
-// does not enter the key: postings are positions within the immutable
-// index file, and stale physical locations are filtered against the
-// snapshot after the probe, exactly as for an uncoalesced probe.
+// — and every entry is tagged with that key, which Client.objectGone
+// invalidates. Snapshot version does not enter the key: postings are
+// positions within the immutable index file, and stale physical
+// locations are filtered against the snapshot after the probe,
+// exactly as for an uncoalesced probe.
 type probeBatcher struct {
-	maxBytes int64
-	gen      atomic.Int64
+	memo *cache.Cache[probeKey, any]
 
 	// coalesced counts probes answered without an index walk (joined
 	// an in-flight probe or hit the memo); runs is owned by the
 	// executor (it counts walks actually performed).
 	coalesced *obs.Counter
 
-	fmu     sync.Mutex
-	flights map[string]*probeFlight
-
 	// qmu guards fqueues, the per-index wave queues of the FM group
-	// path (doFMBatch).
+	// path (doFMBatch), and each queue's users count. A queue lives
+	// only while some caller is inside doFMBatch for its index.
 	qmu     sync.Mutex
 	fqueues map[string]*fmQueue
-
-	mu      sync.Mutex
-	lru     *list.List
-	items   map[string]*list.Element
-	byIndex map[string]map[string]*list.Element
-	bytes   int64
 }
 
-type probeFlight struct {
-	wg    sync.WaitGroup
-	val   any
-	err   error
-	vcost time.Duration
-	// runner is the session that executed the probe; a caller whose
-	// flight another session ran charges vcost instead (it did no store
-	// reads of its own).
-	runner *simtime.Session
-}
-
-type probeEntry struct {
-	key      string
-	indexKey string
-	val      any
-	cost     int64
-}
+type probeKey struct{ index, probe string }
 
 // newProbeBatcher returns a batcher with the given memo budget (<= 0
 // means the default).
@@ -80,73 +54,23 @@ func newProbeBatcher(maxBytes int64, coalesced *obs.Counter) *probeBatcher {
 		maxBytes = DefaultProbeBatchBytes
 	}
 	return &probeBatcher{
-		maxBytes:  maxBytes,
+		memo:      cache.New[probeKey, any](maxBytes, cache.Metrics{Hits: coalesced, Coalesced: coalesced}),
 		coalesced: coalesced,
-		flights:   make(map[string]*probeFlight),
 		fqueues:   make(map[string]*fmQueue),
-		lru:       list.New(),
-		items:     make(map[string]*list.Element),
-		byIndex:   make(map[string]map[string]*list.Element),
 	}
 }
 
-// do returns the probe result for (indexKey, probeKey), running the
+// do returns the probe result for (indexKey, probe), running the
 // probe at most once across concurrent identical callers and serving
 // repeats from the memo. run returns the result and a memo cost
 // estimate in bytes. Nil-safe: a nil (disabled) batcher just runs.
-//
-// Virtual-time accounting follows the decoded-object cache: the
-// leader's store reads charge its own session; a follower that joined
-// the in-flight probe is charged the leader's virtual probe duration;
-// a memo hit charges nothing.
-func (b *probeBatcher) do(ctx context.Context, indexKey, probeKey string, run func(ctx context.Context) (any, int64, error)) (any, error) {
+func (b *probeBatcher) do(ctx context.Context, indexKey, probe string, run func(ctx context.Context) (any, int64, error)) (any, error) {
 	if b == nil {
 		v, _, err := run(ctx)
 		return v, err
 	}
-	key := indexKey + "\x00" + probeKey
-	if v, ok := b.lookup(key); ok {
-		b.coalesced.Inc()
-		return v, nil
-	}
-
-	b.fmu.Lock()
-	if f, ok := b.flights[key]; ok {
-		b.fmu.Unlock()
-		f.wg.Wait()
-		if f.err != nil {
-			return nil, f.err
-		}
-		b.coalesced.Inc()
-		simtime.Charge(ctx, f.vcost)
-		return f.val, nil
-	}
-	f := &probeFlight{}
-	f.wg.Add(1)
-	b.flights[key] = f
-	b.fmu.Unlock()
-
-	startGen := b.gen.Load()
-	session := simtime.From(ctx)
-	startElapsed := session.Elapsed()
-	val, cost, err := run(ctx)
-	f.val, f.err = val, err
-	f.vcost = session.Elapsed() - startElapsed
-
-	b.fmu.Lock()
-	delete(b.flights, key)
-	b.fmu.Unlock()
-	f.wg.Done()
-
-	if err != nil {
-		return nil, err
-	}
-	// An invalidation that landed mid-probe may target exactly this
-	// index; skipping the insert keeps invalidation race-free.
-	if b.gen.Load() == startGen {
-		b.insert(key, indexKey, val, cost)
-	}
-	return val, nil
+	v, _, err := b.memo.Do(ctx, probeKey{indexKey, probe}, indexKey, run)
+	return v, err
 }
 
 // fmReq is one FM probe inside a doFMBatch group: the normalized
@@ -157,6 +81,10 @@ type fmReq struct {
 	maxRows  int
 }
 
+// fmRunMany executes one multi-pattern superwalk, returning one
+// result and memo cost per request.
+type fmRunMany func(ctx context.Context, reqs []fmReq) ([]any, []int64, error)
+
 // fmQueue is the per-index wave queue of the FM group path. Callers
 // enqueue their unmemoized probes into pending, then contend on
 // walkMu; whoever acquires it drains everything pending at that
@@ -165,21 +93,20 @@ type fmReq struct {
 // therefore chain into waves: non-identical probes arriving during a
 // walk coalesce into the next one instead of walking independently.
 type fmQueue struct {
+	users   int // callers between acquire and release; under qmu
 	mu      sync.Mutex
 	pending []*fmWaiter
 	walkMu  sync.Mutex
 }
 
-// fmWaiter is one enqueued FM probe awaiting a wave.
+// fmWaiter is one FM probe of a doFMBatch call awaiting its flight.
 type fmWaiter struct {
-	key     string // full memo key (index + probe)
-	req     fmReq
-	flight  *probeFlight
-	cost    int64
-	reqsIdx int // position in the caller's reqs slice
+	req    fmReq
+	flight *cache.Flight[probeKey, any]
+	idx    int // position in the caller's reqs slice
 }
 
-func (b *probeBatcher) fmQueueFor(indexKey string) *fmQueue {
+func (b *probeBatcher) acquireQueue(indexKey string) *fmQueue {
 	b.qmu.Lock()
 	defer b.qmu.Unlock()
 	q := b.fqueues[indexKey]
@@ -187,248 +114,124 @@ func (b *probeBatcher) fmQueueFor(indexKey string) *fmQueue {
 		q = &fmQueue{}
 		b.fqueues[indexKey] = q
 	}
+	q.users++
 	return q
+}
+
+func (b *probeBatcher) releaseQueue(indexKey string, q *fmQueue) {
+	b.qmu.Lock()
+	defer b.qmu.Unlock()
+	if q.users--; q.users == 0 {
+		delete(b.fqueues, indexKey)
+	}
 }
 
 // doFMBatch resolves a group of FM probes against one index object,
 // running at most one multi-pattern superwalk for every probe the memo
-// and in-flight probes cannot answer. runMany executes the walk: it
-// receives the distinct patterns and per-pattern bounds, and returns
-// one result and memo-cost per pattern.
+// and in-flight probes cannot answer.
 //
 // Cross-call coalescing happens two ways: identical probes join the
 // existing flight exactly as in do, and distinct probes chain into
 // waves through the per-index queue — a probe arriving while another
 // caller's superwalk is in flight parks in pending and rides the next
 // wave together with every other parked probe, whichever query issued
-// it. Nil-safe: a disabled batcher runs the group as one walk with no
-// memoization.
-func (b *probeBatcher) doFMBatch(ctx context.Context, indexKey string, reqs []fmReq,
-	runMany func(ctx context.Context, patterns [][]byte, maxRows []int) ([]any, []int64, error)) ([]any, error) {
+// it. Every flight goes through the memo's singleflight, so a wave
+// completes many flights from one walk. Nil-safe: a disabled batcher
+// runs the group as one walk with no memoization.
+func (b *probeBatcher) doFMBatch(ctx context.Context, indexKey string, reqs []fmReq, runMany fmRunMany) ([]any, error) {
 	if b == nil {
-		patterns := make([][]byte, len(reqs))
-		bounds := make([]int, len(reqs))
-		for i, r := range reqs {
-			patterns[i] = r.pattern
-			bounds[i] = r.maxRows
-		}
-		vals, _, err := runMany(ctx, patterns, bounds)
+		vals, _, err := runMany(ctx, reqs)
 		return vals, err
 	}
 	out := make([]any, len(reqs))
-	type joined struct {
-		idx    int
-		flight *probeFlight
-	}
-	var joins []joined
-	var mine []*fmWaiter
+	var mine, joined []*fmWaiter
 	for i, req := range reqs {
-		key := indexKey + "\x00" + req.probeKey
-		if v, ok := b.lookup(key); ok {
-			b.coalesced.Inc()
+		v, f, lead := b.memo.Begin(probeKey{indexKey, req.probeKey}, indexKey)
+		switch {
+		case f == nil:
 			out[i] = v
-			continue
+		case lead:
+			mine = append(mine, &fmWaiter{req: req, flight: f, idx: i})
+		default:
+			joined = append(joined, &fmWaiter{flight: f, idx: i})
 		}
-		b.fmu.Lock()
-		if f, ok := b.flights[key]; ok {
-			b.fmu.Unlock()
-			// Joined flights are collected after our own wave runs:
-			// waiting here would deadlock on a duplicate key whose
-			// flight our own wave completes.
-			joins = append(joins, joined{idx: i, flight: f})
-			continue
-		}
-		f := &probeFlight{}
-		f.wg.Add(1)
-		b.flights[key] = f
-		b.fmu.Unlock()
-		mine = append(mine, &fmWaiter{key: key, req: req, flight: f, reqsIdx: i})
 	}
 
-	session := simtime.From(ctx)
+	// ranMine: our probes walked in a wave we ran ourselves. All of
+	// mine enter pending in one append and every drain takes all of
+	// pending, so either a previous holder of walkMu drained (and
+	// completed) every one of them, or we drain them all now.
+	ranMine := false
 	if len(mine) > 0 {
-		q := b.fmQueueFor(indexKey)
+		q := b.acquireQueue(indexKey)
 		q.mu.Lock()
 		q.pending = append(q.pending, mine...)
 		q.mu.Unlock()
-		// By the time walkMu is ours, our waiters either are still
-		// pending (we drain and run them) or were drained by a previous
-		// holder — which completed them before releasing.
 		q.walkMu.Lock()
 		q.mu.Lock()
 		wave := q.pending
 		q.pending = nil
 		q.mu.Unlock()
-		ranByMe := make(map[*fmWaiter]bool, len(wave))
 		if len(wave) > 0 {
-			b.runWave(ctx, indexKey, wave, runMany)
-			for _, w := range wave {
-				ranByMe[w] = true
-			}
+			b.runWave(ctx, wave, runMany)
+			ranMine = slices.Contains(wave, mine[0])
 		}
 		q.walkMu.Unlock()
-		for _, w := range mine {
-			w.flight.wg.Wait()
-			if w.flight.err != nil {
-				return nil, w.flight.err
-			}
-			if !ranByMe[w] {
-				// Another caller's wave carried this probe: no store
-				// reads of our own, so charge the wave's virtual cost.
-				b.coalesced.Inc()
-				simtime.Charge(ctx, w.flight.vcost)
-			}
-			out[w.reqsIdx] = w.flight.val
-		}
+		b.releaseQueue(indexKey, q)
 	}
-	for _, j := range joins {
-		j.flight.wg.Wait()
-		if j.flight.err != nil {
-			return nil, j.flight.err
+	// Joined flights are collected after our own wave ran: waiting
+	// earlier would deadlock on a duplicate key whose flight our own
+	// wave completes. Wait charges the walk's virtual cost to every
+	// caller whose session did not run it.
+	for i, w := range append(mine, joined...) {
+		v, err := b.memo.Wait(ctx, w.flight)
+		if err != nil {
+			return nil, err
 		}
-		b.coalesced.Inc()
-		if j.flight.runner != session {
-			simtime.Charge(ctx, j.flight.vcost)
+		if i >= len(mine) || !ranMine {
+			b.coalesced.Inc()
 		}
-		out[j.idx] = j.flight.val
+		out[w.idx] = v
 	}
 	return out, nil
 }
 
 // runWave executes one superwalk over every waiter in the wave,
-// completing their flights and memoizing the results.
-func (b *probeBatcher) runWave(ctx context.Context, indexKey string, wave []*fmWaiter,
-	runMany func(ctx context.Context, patterns [][]byte, maxRows []int) ([]any, []int64, error)) {
-	startGen := b.gen.Load()
-	session := simtime.From(ctx)
-	startElapsed := session.Elapsed()
-	patterns := make([][]byte, len(wave))
-	bounds := make([]int, len(wave))
+// completing their flights (which memoizes the results).
+func (b *probeBatcher) runWave(ctx context.Context, wave []*fmWaiter, runMany fmRunMany) {
+	started := simtime.From(ctx).Elapsed()
+	reqs := make([]fmReq, len(wave))
 	for i, w := range wave {
-		patterns[i] = w.req.pattern
-		bounds[i] = w.req.maxRows
+		reqs[i] = w.req
 	}
-	vals, costs, err := runMany(ctx, patterns, bounds)
-	vcost := session.Elapsed() - startElapsed
+	vals, costs, err := runMany(ctx, reqs)
 	for i, w := range wave {
-		w.flight.runner = session
-		w.flight.vcost = vcost
-		if err != nil {
-			w.flight.err = err
-		} else {
-			w.flight.val = vals[i]
-			w.cost = costs[i]
+		var v any
+		var cost int64
+		if err == nil {
+			v, cost = vals[i], costs[i]
 		}
-	}
-	b.fmu.Lock()
-	for _, w := range wave {
-		delete(b.flights, w.key)
-	}
-	b.fmu.Unlock()
-	for _, w := range wave {
-		w.flight.wg.Done()
-	}
-	if err == nil && b.gen.Load() == startGen {
-		for _, w := range wave {
-			b.insert(w.key, indexKey, w.flight.val, w.cost)
-		}
+		b.memo.Finish(ctx, w.flight, started, v, cost, err)
 	}
 }
 
-// peek reports whether (indexKey, probeKey) is memoized, without
+// peek reports whether (indexKey, probe) is memoized, without
 // touching LRU order — the planner's cost model asks, it does not
 // consume. Nil-safe.
-func (b *probeBatcher) peek(indexKey, probeKey string) bool {
+func (b *probeBatcher) peek(indexKey, probe string) bool {
 	if b == nil {
 		return false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.items[indexKey+"\x00"+probeKey]
+	_, ok := b.memo.Peek(probeKey{indexKey, probe})
 	return ok
 }
 
-func (b *probeBatcher) lookup(key string) (any, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	elem, ok := b.items[key]
-	if !ok {
-		return nil, false
-	}
-	b.lru.MoveToFront(elem)
-	return elem.Value.(*probeEntry).val, true
-}
-
-func (b *probeBatcher) insert(key, indexKey string, val any, cost int64) {
-	if cost < 0 {
-		cost = 0
-	}
-	if cost > b.maxBytes/4 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.items[key]; ok {
-		return
-	}
-	elem := b.lru.PushFront(&probeEntry{key: key, indexKey: indexKey, val: val, cost: cost})
-	b.items[key] = elem
-	forKey := b.byIndex[indexKey]
-	if forKey == nil {
-		forKey = make(map[string]*list.Element)
-		b.byIndex[indexKey] = forKey
-	}
-	forKey[key] = elem
-	b.bytes += cost
-	for b.bytes > b.maxBytes {
-		back := b.lru.Back()
-		if back == nil {
-			break
-		}
-		b.removeLocked(back)
-	}
-}
-
-func (b *probeBatcher) removeLocked(elem *list.Element) {
-	e := elem.Value.(*probeEntry)
-	b.lru.Remove(elem)
-	delete(b.items, e.key)
-	if forKey := b.byIndex[e.indexKey]; forKey != nil {
-		delete(forKey, e.key)
-		if len(forKey) == 0 {
-			delete(b.byIndex, e.indexKey)
-		}
-	}
-	b.bytes -= e.cost
-}
-
 // invalidateIndex drops every memoized probe of the index object and
-// bumps the generation (suppressing inserts of probes in flight).
-// The deleting paths call it: vacuum's physical removal and the
-// search replan on a vanished index. Nil-safe.
-func (b *probeBatcher) invalidateIndex(indexKey string) {
-	if b == nil {
-		return
-	}
-	b.gen.Add(1)
-	b.mu.Lock()
-	forKey := b.byIndex[indexKey]
-	dropped := make([]*list.Element, 0, len(forKey))
-	for _, elem := range forKey {
-		dropped = append(dropped, elem)
-	}
-	for _, elem := range dropped {
-		b.removeLocked(elem)
-	}
-	b.mu.Unlock()
-}
-
-// entries returns the resident memo count (tests).
-func (b *probeBatcher) entries() int {
+// keeps probes of it in flight from being memoized, returning the
+// number dropped. Nil-safe.
+func (b *probeBatcher) invalidateIndex(indexKey string) int {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.items)
+	return b.memo.Invalidate(indexKey)
 }

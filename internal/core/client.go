@@ -276,19 +276,15 @@ func NewClient(table *lake.Table, cfg Config) *Client {
 	}
 	// Lake hooks keep the warm caches exact under mutation through
 	// this table handle: commits advance the plan cache's latest
-	// version, and lake vacuum drops decoded deletion vectors for the
-	// files it physically deleted.
-	if plans != nil {
-		table.OnCommit(plans.noteCommit)
-	}
-	if objc != nil {
-		root := table.Root()
-		table.OnVacuum(func(removed []string) {
-			for _, rel := range removed {
-				objc.Invalidate(root + rel)
-			}
-		})
-	}
+	// version, and lake vacuum reports the data files and deletion
+	// vectors it physically deleted.
+	table.OnCommit(plans.noteCommit)
+	root := table.Root()
+	table.OnVacuum(func(removed []string) {
+		for _, rel := range removed {
+			c.objectGone(root + rel)
+		}
+	})
 	return c
 }
 
@@ -301,12 +297,12 @@ func (c *Client) Table() *lake.Table { return c.table }
 // Metrics returns one merged snapshot of every metrics registry on
 // the client's store chain plus the client's own search counters:
 // "store.*" (request/byte totals), "cache.*" (hit/miss/eviction),
-// "retry.*" (recovery work), "objcache.*" (decoded-object cache,
-// aggregate and per-kind), and "search.*" (query counts, pages
-// probed, plan-cache activity, latency histogram), plus any attached
-// registries ("ingest.*" when a writer/scheduler is wired in). The
-// legacy per-layer stats structs (objectstore.CacheStatsFrom,
-// RetryStatsFrom) are views derived from this snapshot.
+// "retry.*" (recovery work), "objcache.*" (decoded-object cache), and
+// "search.*" (query counts, pages probed, plan-cache activity,
+// latency histogram), plus any attached registries ("ingest.*" when a
+// writer/scheduler is wired in). The legacy per-layer stats structs
+// (objectstore.CacheStatsFrom, RetryStatsFrom) are views derived from
+// this snapshot.
 func (c *Client) Metrics() obs.Snapshot {
 	var snaps []obs.Snapshot
 	if c.retry != nil {

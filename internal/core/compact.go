@@ -210,7 +210,7 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	}
 	// The metadata table changed without a lake commit; cached plans
 	// must replan to pick up the new index file.
-	c.plans.invalidateAll()
+	c.metaChanged()
 	commitSpan.End()
 	// Post-commit timeout re-check, mirroring IndexAt: if the clock
 	// passed the deadline between the check above and the insert, a
@@ -221,7 +221,7 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 		if err := c.meta.Delete(rctx, entry.IndexKey); err != nil {
 			return nil, err
 		}
-		c.plans.invalidateAll()
+		c.metaChanged()
 		return nil, fmt.Errorf("core: compact of %d index files overran commit: %w", len(bin), ErrTimeout)
 	}
 	entry.CreatedAt = c.clock.Now()

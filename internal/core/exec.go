@@ -191,11 +191,10 @@ func (c *Client) searchTree(ctx context.Context, cq CompoundQuery, shape *planSh
 			excluded = make(map[string]bool)
 		}
 		excluded[stale.key] = true
-		// The stale plan, any decoded forms of the vanished index, and
-		// any memoized probes of it must not serve again.
-		c.plans.invalidateAll()
-		c.objc.Invalidate(stale.key)
-		c.batch.invalidateIndex(stale.key)
+		// The stale plan and everything cached from the vanished
+		// index must not serve again.
+		c.metaChanged()
+		c.objectGone(stale.key)
 	}
 	if err != nil {
 		return nil, err
@@ -267,27 +266,18 @@ func (c *Client) attempt(ctx context.Context, cq CompoundQuery, shape *planShape
 
 	units := planUnits(shape)
 	// Plan. The lake snapshot and the metadata listings are
-	// independent logs; a repeat of the same normalized tree at a
-	// version the plan cache has seen reuses the whole round, and a
-	// different tree over already-listed (column, kind) pairs reuses
-	// the listings. Replans (excluded non-empty) always go to the
-	// store: the cached plan is what referenced the vanished index.
-	var snap *lake.Snapshot
-	listings := make([][]meta.IndexEntry, len(units))
-	planCached := false
-	if len(excluded) == 0 {
-		if e, ok := c.plans.getCompound(snapVersion, shape.key, len(units)); ok {
-			snap, listings = e.snap, e.listings
-			planCached = true
-			planSpan.SetAttr("plan_cache", true)
-		}
-	}
-	if !planCached {
-		// Try serving every unit from per-(column, kind) listings
-		// cached by other trees at the resolved version.
-		type pair = probeUnit
-		uniq := make([]pair, 0, len(units))
-		seen := make(map[pair]int)
+	// independent logs; any tree whose (column, kind) pairs the plan
+	// cache has all listed at the version reuses the whole round.
+	// Replans (excluded non-empty) always go to the store: the cached
+	// plan is what referenced the vanished index.
+	replan := len(excluded) > 0
+	snap, listings, planCached := c.plans.lookup(snapVersion, units, replan)
+	if planCached {
+		planSpan.SetAttr("plan_cache", true)
+	} else {
+		// One listing per distinct pair, fanned beside the snapshot.
+		uniq := make([]probeUnit, 0, len(units))
+		seen := make(map[probeUnit]int)
 		for _, u := range units {
 			if _, ok := seen[u]; !ok {
 				seen[u] = len(uniq)
@@ -295,82 +285,52 @@ func (c *Client) attempt(ctx context.Context, cq CompoundQuery, shape *planShape
 			}
 		}
 		byPair := make([][]meta.IndexEntry, len(uniq))
-		served := false
-		if len(excluded) == 0 {
-			if v := c.plans.resolveVersion(snapVersion); v > 0 {
-				served = true
-				for i, u := range uniq {
-					e, ok := c.plans.peek(v, u.column, u.kind)
-					if !ok {
-						served = false
-						break
-					}
-					byPair[i] = e.entries
-					if snap == nil {
-						snap = e.snap
-					}
-				}
+		errs := make([]error, len(uniq)+1)
+		branches := make([]func(*simtime.Session), 0, len(uniq)+1)
+		branches = append(branches, func(s *simtime.Session) {
+			bctx := pctx
+			if s != nil {
+				bctx = simtime.With(pctx, s)
 			}
-		}
-		if !served || snap == nil {
-			snap = nil
-			errs := make([]error, len(uniq)+1)
-			branches := make([]func(*simtime.Session), 0, len(uniq)+1)
+			snap, errs[0] = c.table.SnapshotAt(bctx, snapVersion)
+		})
+		for i := range uniq {
+			u := uniq[i]
+			idx := i
 			branches = append(branches, func(s *simtime.Session) {
 				bctx := pctx
 				if s != nil {
 					bctx = simtime.With(pctx, s)
 				}
-				snap, errs[0] = c.table.SnapshotAt(bctx, snapVersion)
+				byPair[idx], errs[idx+1] = c.meta.ListFor(bctx, u.column, u.kind)
 			})
-			for i := range uniq {
-				u := uniq[i]
-				idx := i
-				branches = append(branches, func(s *simtime.Session) {
-					bctx := pctx
-					if s != nil {
-						bctx = simtime.With(pctx, s)
-					}
-					byPair[idx], errs[idx+1] = c.meta.ListFor(bctx, u.column, u.kind)
-				})
-			}
-			session.Parallel(branches...)
-			if errs[0] != nil {
-				return nil, errs[0]
-			}
-			var metaErr error
-			for _, err := range errs[1:] {
-				if err != nil {
-					metaErr = err
-					break
-				}
-			}
-			if metaErr != nil {
-				// Surface a schema error over the listing failure, as
-				// the single-predicate path always has.
-				if err := c.validateColumns(snap, shape); err != nil {
-					return nil, err
-				}
-				return nil, metaErr
-			}
-			if len(excluded) == 0 {
-				for i, u := range uniq {
-					c.plans.put(snap.Version, u.column, u.kind, snap, byPair[i])
-				}
-			}
-			c.plans.noteMiss()
-		} else {
-			c.plans.noteHit()
-			planSpan.SetAttr("plan_cache", true)
 		}
+		session.Parallel(branches...)
+		if errs[0] != nil {
+			return nil, errs[0]
+		}
+		var metaErr error
+		for _, err := range errs[1:] {
+			if err != nil {
+				metaErr = err
+				break
+			}
+		}
+		if metaErr != nil {
+			// Surface a schema error over the listing failure, as
+			// the single-predicate path always has.
+			if err := c.validateColumns(snap, shape); err != nil {
+				return nil, err
+			}
+			return nil, metaErr
+		}
+		listings = make([][]meta.IndexEntry, len(units))
 		for i, u := range units {
 			listings[i] = byPair[seen[u]]
 		}
-		if len(excluded) == 0 {
-			c.plans.putCompound(snap.Version, shape.key, snap, listings)
+		if !replan {
+			c.plans.put(snap, units, listings)
 		}
-	} else {
-		c.plans.noteHit()
 	}
 	if err := c.validateColumns(snap, shape); err != nil {
 		return nil, err
@@ -676,12 +636,17 @@ func (c *Client) probeExactEntry(ctx context.Context, le *leafExec, entry meta.I
 // fmRunner returns the batcher's runMany closure for the FM index
 // behind r: one multi-pattern superwalk resolving every pattern in the
 // wave, with checkpoint-block fetches deduplicated across them.
-func (c *Client) fmRunner(r *component.Reader) func(context.Context, [][]byte, []int) ([]any, []int64, error) {
-	return func(bctx context.Context, patterns [][]byte, bounds []int) ([]any, []int64, error) {
+func (c *Client) fmRunner(r *component.Reader) fmRunMany {
+	return func(bctx context.Context, reqs []fmReq) ([]any, []int64, error) {
 		c.probeRuns.Inc()
 		ix, err := c.openFM(bctx, r)
 		if err != nil {
 			return nil, nil, err
+		}
+		patterns := make([][]byte, len(reqs))
+		bounds := make([]int, len(reqs))
+		for i, req := range reqs {
+			patterns[i], bounds[i] = req.pattern, req.maxRows
 		}
 		refs, trunc, stats, err := ix.LookupManyBounded(bctx, patterns, bounds)
 		if err != nil {
@@ -689,9 +654,9 @@ func (c *Client) fmRunner(r *component.Reader) func(context.Context, [][]byte, [
 		}
 		c.occFetched.Add(int64(stats.OccFetched))
 		c.occReused.Add(int64(stats.OccReused))
-		vals := make([]any, len(patterns))
-		costs := make([]int64, len(patterns))
-		for i := range patterns {
+		vals := make([]any, len(reqs))
+		costs := make([]int64, len(reqs))
+		for i := range reqs {
 			vals[i] = exactProbe{refs: refs[i], truncated: trunc[i]}
 			costs[i] = int64(len(refs[i])*8 + 96)
 		}

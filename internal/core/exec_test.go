@@ -342,10 +342,13 @@ func TestProbeCoalescingMemoAndSingleflight(t *testing.T) {
 	}
 }
 
-// TestCompoundPlanCacheKeysOnFullTree is the ride-along: two
-// different compound trees over the same column must not collide in
-// the plan cache — and repeats of each must hit it.
-func TestCompoundPlanCacheKeysOnFullTree(t *testing.T) {
+// TestCompoundPlansShareUnitListings pins the single plan keyspace:
+// AND, OR and single-leaf trees over the same columns at one version
+// each return their own correct rows (the cached listings are aligned
+// per tree, never shared by position), repeats hit the plan cache, and
+// a tree never seen before plans without touching the store when its
+// (column, kind) pairs are already listed.
+func TestCompoundPlansShareUnitListings(t *testing.T) {
 	ctx := context.Background()
 	e := newEnv(t, uuidSchema, Config{})
 	gen := workload.NewUUIDGen(35)
@@ -357,31 +360,10 @@ func TestCompoundPlanCacheKeysOnFullTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	and := CompoundQuery{
-		Expr:     And(PredUUID("id", keys[50]), PredSubstring("payload", []byte("xyzneedle"))),
-		Snapshot: -1, Output: "id",
-	}
-	or := CompoundQuery{
-		Expr:     Or(PredUUID("id", keys[50]), PredSubstring("payload", []byte("xyzneedle"))),
-		Snapshot: -1, Output: "id",
-	}
-	single := CompoundQuery{
-		Expr:     PredSubstring("payload", []byte("xyzneedle")),
-		Snapshot: -1,
-	}
-	// Same leaves, different ops — the trees must produce different
-	// cache keys.
-	sa, err := compileShape(and)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, err := compileShape(or)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.key == so.key {
-		t.Fatalf("AND and OR trees share plan key %q", sa.key)
-	}
+	needle := PredSubstring("payload", []byte("xyzneedle"))
+	and := CompoundQuery{Expr: And(PredUUID("id", keys[50]), needle), Snapshot: -1, Output: "id"}
+	or := CompoundQuery{Expr: Or(PredUUID("id", keys[50]), needle), Snapshot: -1, Output: "id"}
+	single := CompoundQuery{Expr: needle, Snapshot: -1}
 
 	run := func(cq CompoundQuery) int {
 		t.Helper()
@@ -401,9 +383,8 @@ func TestCompoundPlanCacheKeysOnFullTree(t *testing.T) {
 		t.Fatalf("OR = %d, single = %d, want %d", orN, singleN, want)
 	}
 
-	// Repeats (now warm) must return identical counts — a collision
-	// would misalign cached listings and corrupt one of them — and the
-	// identical-tree repeat must count a plan-cache hit.
+	// Repeats (now warm) must return identical counts, and count
+	// plan-cache hits.
 	hitsBefore := e.cli.plans.hits.Value()
 	if got := run(and); got != andN {
 		t.Fatalf("warm AND = %d, cold %d", got, andN)
@@ -414,20 +395,31 @@ func TestCompoundPlanCacheKeysOnFullTree(t *testing.T) {
 	if got := run(single); got != singleN {
 		t.Fatalf("warm single = %d, cold %d", got, singleN)
 	}
-	if e.cli.plans.hits.Value() == hitsBefore {
-		t.Fatal("warm repeats never hit the plan cache")
+	if got := e.cli.plans.hits.Value() - hitsBefore; got != 3 {
+		t.Fatalf("warm repeats counted %d plan-cache hits, want 3", got)
 	}
-	// Commutative trees share one normalized form: swapping AND's
-	// children is a cache hit, not a new entry.
-	sb, err := compileShape(CompoundQuery{
-		Expr:     And(PredSubstring("payload", []byte("xyzneedle")), PredUUID("id", keys[50])),
+
+	// The converse: a second, different tree over the same two pairs
+	// needs no planning LIST, and its plan phase issues no GET.
+	novel := CompoundQuery{
+		Expr:     And(PredUUID("id", keys[100]), Or(needle, PredSubstring("payload", []byte("payload-1")))),
 		Snapshot: -1, Output: "id",
-	})
+	}
+	before := e.store.Metrics().Snapshot()
+	missesBefore := e.cli.plans.misses.Value()
+	_, tr, err := e.cli.TraceCompound(ctx, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.key != sa.key {
-		t.Fatalf("commuted AND has different key:\n%q\n%q", sb.key, sa.key)
+	if lists := e.store.Metrics().Snapshot().Sub(before).Lists; lists != 0 {
+		t.Fatalf("novel tree over listed pairs issued %d LISTs, want 0", lists)
+	}
+	if e.cli.plans.misses.Value() != missesBefore {
+		t.Fatal("novel tree over listed pairs missed the plan cache")
+	}
+	plan := tr.Find("search.plan")
+	if plan == nil || plan.Attrs["plan_cache"] != true || len(plan.Children) != 0 {
+		t.Fatalf("plan span = %+v, want plan_cache with no store requests under it", plan)
 	}
 }
 

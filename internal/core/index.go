@@ -256,7 +256,7 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 	}
 	// The metadata table changed without a lake commit; cached plans
 	// must replan to pick up the new index file.
-	c.plans.invalidateAll()
+	c.metaChanged()
 	commitSpan.End()
 	// Re-check the timeout after commit: the clock can pass the
 	// deadline between the check above and the insert, and a vacuum
@@ -271,7 +271,7 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 		if err := c.meta.Delete(rctx, entry.IndexKey); err != nil {
 			return nil, err
 		}
-		c.plans.invalidateAll()
+		c.metaChanged()
 		return nil, fmt.Errorf("core: index of %d files overran commit: %w", len(newFiles), ErrTimeout)
 	}
 	entry.CreatedAt = c.clock.Now()

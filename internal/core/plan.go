@@ -214,10 +214,9 @@ func opName(op Op) string {
 }
 
 // exprKey renders a tree to its canonical string form. Equal keys
-// mean equivalent normalized trees; the plan cache keys compound
-// plans on it (two different trees over the same column must never
-// collide), and probe batching derives per-leaf probe keys from the
-// same encoding.
+// mean equivalent normalized trees: normalization sorts and
+// deduplicates children by it, and probe batching derives per-leaf
+// probe keys from the same encoding.
 func exprKey(e *Expr) string {
 	var b strings.Builder
 	writeExprKey(&b, e)
@@ -282,9 +281,6 @@ type planShape struct {
 	vector *Pred
 	// output is the column whose value populates Match.Value.
 	output string
-	// key is the canonical tree key (plan-cache keying); it includes
-	// the partition filter and bound so distinct plans never collide.
-	key string
 }
 
 // leafPlan is one exact predicate leaf compiled for execution.
@@ -432,17 +428,6 @@ func compileShape(cq CompoundQuery) (*planShape, error) {
 		return nil, fmt.Errorf("core: output column %q is not referenced by any predicate", output)
 	}
 	shape.output = output
-
-	// Plan-cache key: the full normalized tree plus everything else
-	// that shapes the plan.
-	key := exprKey(root)
-	if cq.Partition != nil {
-		key += fmt.Sprintf("|p:%s:%d:%d", hex.EncodeToString([]byte(cq.Partition.Column)), cq.Partition.Min, cq.Partition.Max)
-	}
-	if cq.FileRange != nil {
-		key += fmt.Sprintf("|fr:%s:%s", hex.EncodeToString([]byte(cq.FileRange.Start)), hex.EncodeToString([]byte(cq.FileRange.End)))
-	}
-	shape.key = key
 	return shape, nil
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"rottnest/internal/component"
 	"rottnest/internal/lake"
@@ -14,64 +13,47 @@ import (
 // known commit a cached plan may trail before it is pruned.
 const defaultPlanTTLVersions = 8
 
-// planKey identifies one resolved search plan: the lake version it
-// was planned against plus the (column, kind) pair that selected the
-// metadata listing.
+// planKey identifies one cached metadata listing: the lake version it
+// was planned against plus the (column, kind) pair that selected it.
 type planKey struct {
 	version int64
 	column  string
 	kind    component.Kind
 }
 
-// planEntry is a cached planning round: the snapshot and the metadata
-// listing that together cost the search its LIST round. Both are
-// treated as immutable by the search path (filters copy before
-// trimming), so one entry serves any number of concurrent queries.
+// planEntry is one listing of a cached planning round, with the
+// snapshot it was planned against: together they cost the search its
+// LIST round. Both are treated as immutable by the search path
+// (filters copy before trimming), so one entry serves any number of
+// concurrent queries.
 type planEntry struct {
 	snap    *lake.Snapshot
 	entries []meta.IndexEntry
 }
 
-// compoundKey identifies one compound plan: the lake version plus the
-// full canonical expression key (planShape.key). Keying on the whole
-// normalized tree is load-bearing: the cached listings are aligned to
-// the tree's probe units, so two different trees over the same columns
-// must never share an entry.
-type compoundKey struct {
-	version int64
-	expr    string
-}
-
-// compoundEntry is one compound planning round: the snapshot plus one
-// metadata listing per probe unit, in planUnits order.
-type compoundEntry struct {
-	snap     *lake.Snapshot
-	listings [][]meta.IndexEntry
-}
-
 // planCache memoizes planning rounds keyed by resolved snapshot
-// version. Safety comes from version keying, not freshness: a pinned
-// version's snapshot is immutable, and a stale metadata listing can
-// only under-use indices (files fall to the scan path) or reference a
-// vacuumed index file — which the search already self-heals via
-// staleIndexError, and every replan bypasses this cache. The latest
-// version is advanced by lake commit hooks (forward-only: commits may
-// report out of order, and versions are monotone, so max is correct),
-// letting repeat latest-snapshot queries skip the planning LIST
-// entirely.
+// version, one entry per (column, kind) listing — a compound plan is
+// the listings of its probe units, so any tree over already-listed
+// pairs plans without touching the store. Safety comes from version
+// keying, not freshness: a pinned version's snapshot is immutable,
+// and a stale metadata listing can only under-use indices (files fall
+// to the scan path) or reference a vacuumed index file — which the
+// search already self-heals via staleIndexError, and every replan
+// bypasses this cache. The latest version is advanced by lake commit
+// hooks (forward-only: commits may report out of order, and versions
+// are monotone, so max is correct), letting repeat latest-snapshot
+// queries skip the planning LIST entirely.
 type planCache struct {
 	ttl int64
-	gen atomic.Int64
 
 	hits          *obs.Counter
 	misses        *obs.Counter
 	invalidations *obs.Counter
 	entries       *obs.Gauge
 
-	mu        sync.Mutex
-	latest    int64
-	plans     map[planKey]planEntry
-	compounds map[compoundKey]compoundEntry
+	mu     sync.Mutex
+	latest int64
+	plans  map[planKey]planEntry
 }
 
 // newPlanCache returns a plan cache keeping entries within ttl
@@ -88,196 +70,89 @@ func newPlanCache(ttl int, reg *obs.Registry) *planCache {
 		invalidations: reg.Counter("search.plan_cache_invalidations"),
 		entries:       reg.Gauge("search.plan_cache_entries"),
 		plans:         make(map[planKey]planEntry),
-		compounds:     make(map[compoundKey]compoundEntry),
 	}
 }
 
-// get returns the cached plan for the key; version < 0 resolves to
-// the latest hook-reported version (a miss when no commit has been
-// observed yet). Nil-safe.
-func (p *planCache) get(version int64, column string, kind component.Kind) (planEntry, bool) {
+// lookup resolves one planning round: the snapshot plus one listing
+// per probe unit, served only when every unit is cached at the
+// version. version < 0 resolves to the latest hook-reported version
+// (a miss when no commit has been observed yet). A replan always
+// misses: the cached plan is what referenced the vanished index. The
+// round counts as one hit or one miss. Nil-safe.
+func (p *planCache) lookup(version int64, units []probeUnit, replan bool) (*lake.Snapshot, [][]meta.IndexEntry, bool) {
 	if p == nil {
-		return planEntry{}, false
+		return nil, nil, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if version < 0 {
-		if p.latest <= 0 {
-			p.misses.Inc()
-			return planEntry{}, false
-		}
 		version = p.latest
 	}
-	e, ok := p.plans[planKey{version, column, kind}]
-	if ok {
-		p.hits.Inc()
-	} else {
+	var snap *lake.Snapshot
+	listings := make([][]meta.IndexEntry, len(units))
+	ok := !replan && version > 0
+	for i := 0; ok && i < len(units); i++ {
+		var e planEntry
+		e, ok = p.plans[planKey{version, units[i].column, units[i].kind}]
+		listings[i], snap = e.entries, e.snap
+	}
+	if !ok || snap == nil {
 		p.misses.Inc()
-	}
-	return e, ok
-}
-
-// put stores a resolved plan and advances the latest pointer to its
-// version if newer. Nil-safe.
-func (p *planCache) put(version int64, column string, kind component.Kind, snap *lake.Snapshot, entries []meta.IndexEntry) {
-	if p == nil || version <= 0 {
-		return
-	}
-	p.mu.Lock()
-	if version > p.latest {
-		p.latest = version
-	}
-	p.plans[planKey{version, column, kind}] = planEntry{snap: snap, entries: entries}
-	p.pruneLocked()
-	p.mu.Unlock()
-}
-
-// peek is get without hit/miss accounting or version resolution: the
-// compound planner resolves the version once, then peeks every probe
-// unit's listing, counting one hit or miss for the whole round.
-// Nil-safe.
-func (p *planCache) peek(version int64, column string, kind component.Kind) (planEntry, bool) {
-	if p == nil {
-		return planEntry{}, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.plans[planKey{version, column, kind}]
-	return e, ok
-}
-
-// resolveVersion maps the caller's requested version to a cache key:
-// negative (latest) resolves through the hook-maintained pointer,
-// returning 0 when no commit has been observed. Nil-safe.
-func (p *planCache) resolveVersion(version int64) int64 {
-	if p == nil {
-		return 0
-	}
-	if version >= 0 {
-		return version
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.latest
-}
-
-// getCompound returns the cached compound plan for (version, expr).
-// The entry must carry exactly units listings (a defensive check: a
-// shape change across processes cannot happen under one key, but a
-// mismatched entry must never misalign probe units). Non-counting;
-// nil-safe.
-func (p *planCache) getCompound(version int64, expr string, units int) (compoundEntry, bool) {
-	if p == nil {
-		return compoundEntry{}, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if version < 0 {
-		if p.latest <= 0 {
-			return compoundEntry{}, false
-		}
-		version = p.latest
-	}
-	e, ok := p.compounds[compoundKey{version, expr}]
-	if ok && len(e.listings) != units {
-		return compoundEntry{}, false
-	}
-	return e, ok
-}
-
-// putCompound stores a compound planning round and advances the latest
-// pointer to its version if newer. Nil-safe.
-func (p *planCache) putCompound(version int64, expr string, snap *lake.Snapshot, listings [][]meta.IndexEntry) {
-	if p == nil || version <= 0 {
-		return
-	}
-	p.mu.Lock()
-	if version > p.latest {
-		p.latest = version
-	}
-	p.compounds[compoundKey{version, expr}] = compoundEntry{snap: snap, listings: listings}
-	p.pruneLocked()
-	p.mu.Unlock()
-}
-
-// noteHit and noteMiss record one planning round's cache outcome (the
-// compound planner counts per round, not per listing). Nil-safe.
-func (p *planCache) noteHit() {
-	if p == nil {
-		return
+		return nil, nil, false
 	}
 	p.hits.Inc()
+	return snap, listings, true
 }
 
-func (p *planCache) noteMiss() {
-	if p == nil {
+// put stores a planning round's listings and advances the latest
+// pointer to its version if newer. Nil-safe.
+func (p *planCache) put(snap *lake.Snapshot, units []probeUnit, listings [][]meta.IndexEntry) {
+	if p == nil || snap.Version <= 0 {
 		return
 	}
-	p.misses.Inc()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, u := range units {
+		p.plans[planKey{snap.Version, u.column, u.kind}] = planEntry{snap: snap, entries: listings[i]}
+	}
+	p.advanceLocked(snap.Version)
 }
 
-// noteCommit advances the latest pointer (forward-only) from a lake
-// commit hook and prunes plans that fell out of the TTL window.
+// noteCommit advances the latest pointer from a lake commit hook.
 // Nil-safe.
 func (p *planCache) noteCommit(version int64) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.advanceLocked(version)
+}
+
+// advanceLocked moves the latest pointer forward-only and prunes
+// plans that fell out of the TTL window.
+func (p *planCache) advanceLocked(version int64) {
 	if version > p.latest {
 		p.latest = version
 	}
-	p.pruneLocked()
-	p.mu.Unlock()
-}
-
-func (p *planCache) pruneLocked() {
 	for k := range p.plans {
 		if k.version < p.latest-p.ttl {
 			delete(p.plans, k)
 		}
 	}
-	for k := range p.compounds {
-		if k.version < p.latest-p.ttl {
-			delete(p.compounds, k)
-		}
-	}
-	p.entries.Set(int64(len(p.plans) + len(p.compounds)))
+	p.entries.Set(int64(len(p.plans)))
 }
 
-// invalidateAll drops every cached plan and bumps the generation.
-// Metadata-table writers (index commit, compact commit, vacuum) call
-// it: the meta table is a separate log from the lake, so its changes
-// do not move the version key. Nil-safe.
+// invalidateAll drops every cached plan. Client.metaChanged calls it:
+// the meta table is a separate log from the lake, so its changes do
+// not move the version key. Nil-safe.
 func (p *planCache) invalidateAll() {
 	if p == nil {
 		return
 	}
-	p.gen.Add(1)
 	p.invalidations.Inc()
 	p.mu.Lock()
 	p.plans = make(map[planKey]planEntry)
-	p.compounds = make(map[compoundKey]compoundEntry)
 	p.entries.Set(0)
 	p.mu.Unlock()
-}
-
-// generation returns the invalidation count (tests assert hooks fire
-// by watching it). Nil-safe.
-func (p *planCache) generation() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.gen.Load()
-}
-
-// latestVersion returns the hook-maintained latest commit version (0
-// when none observed). Nil-safe.
-func (p *planCache) latestVersion() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.latest
 }

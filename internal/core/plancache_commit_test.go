@@ -74,9 +74,9 @@ func TestPlanCacheBoundedUnderRapidCommits(t *testing.T) {
 	if entries <= 0 {
 		t.Fatalf("plan_cache_entries = %d, want > 0", entries)
 	}
-	// At most two entries per version in the TTL window (one per
-	// planner path); the bound is the window size, not the commit count.
-	if max := int64(2 * (defaultPlanTTLVersions + 1)); entries > max {
+	// One (column, kind) listing per version in the TTL window; the
+	// bound is the window size, not the commit count.
+	if max := int64(defaultPlanTTLVersions + 1); entries > max {
 		t.Fatalf("plan_cache_entries = %d after %d rapid commits, want <= %d (TTL pruning)",
 			entries, rounds, max)
 	}

@@ -115,7 +115,7 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 	if err := c.meta.Delete(cctx, indexKey); err != nil {
 		return nil, err
 	}
-	c.plans.invalidateAll()
+	c.metaChanged()
 	commitSpan.End()
 	if c.clock.Now().Sub(start) > c.cfg.Timeout {
 		// Same post-commit re-check as Index: a vacuum judging the new
@@ -130,7 +130,7 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 		if err := c.meta.Delete(rctx, newKey); err != nil {
 			return nil, err
 		}
-		c.plans.invalidateAll()
+		c.metaChanged()
 		return nil, fmt.Errorf("core: refine of %s overran commit: %w", indexKey, ErrTimeout)
 	}
 	entry.CreatedAt = c.clock.Now()
@@ -168,7 +168,7 @@ func (c *Client) DropIndex(ctx context.Context, column string, kind component.Ki
 	// path. The objects themselves stay valid until vacuum removes
 	// them, so decoded-object and probe caches need no invalidation
 	// here — vacuum's remove phase handles that when it collects them.
-	c.plans.invalidateAll()
+	c.metaChanged()
 	span.SetAttr("column", column)
 	span.SetAttr("dropped", len(keys))
 	return len(keys), nil

@@ -120,7 +120,7 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 		// The metadata table changed without a lake commit, so cached
 		// plans would keep probing the dropped entries until their
 		// index objects vanish; drop the plans now.
-		c.plans.invalidateAll()
+		c.metaChanged()
 		commitSpan.End()
 	}
 	report.DroppedEntries = dropped
@@ -152,11 +152,7 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 		if err := c.store.Delete(rctx, info.Key); err != nil {
 			return nil, err
 		}
-		// Every decoded form of the deleted object (reader, manifest,
-		// index open result) and every memoized probe of it must not
-		// serve again.
-		c.objc.Invalidate(info.Key)
-		c.batch.invalidateIndex(info.Key)
+		c.objectGone(info.Key)
 		report.RemovedObjects = append(report.RemovedObjects, info.Key)
 	}
 	removeSpan.SetAttr("removed", len(report.RemovedObjects))

@@ -13,58 +13,74 @@ import (
 // This file is the client's warm serving path: every decoded object a
 // search reconstructs per query — component reader directories,
 // manifests, index open results, deletion vectors — is fetched
-// through the decoded-object cache when one is configured. Each
-// helper degrades to the direct decode when the cache is off, so the
-// cold path is byte-identical to the pre-cache client.
+// through the decoded-object cache when one is configured, and the
+// two invalidation events every cache tier hangs off live here.
 //
 // All cached values are immutable under their id: index files,
 // manifests (component 0 of the index file), and deletion vectors all
 // live at crypto-random object keys that are never overwritten, so an
-// id can only go stale by deletion — and the deleting operations
-// (core vacuum, lake vacuum) invalidate exactly those ids.
+// id can only go stale by deletion — which is objectGone.
+
+// objectGone is raised by whoever deletes the object at key or finds
+// it deleted (core vacuum, the lake-vacuum hook, the stale-index
+// replan). It drops the key's tag from every tier — cached byte
+// ranges, decoded forms, memoized probes — and keeps loads of it that
+// are in flight from becoming resident.
+func (c *Client) objectGone(key string) {
+	if c.cache != nil {
+		c.cache.Invalidate(key)
+	}
+	c.objc.Invalidate(key)
+	c.batch.invalidateIndex(key)
+}
+
+// metaChanged is raised by every metadata-table write (index,
+// compact, refine, drop and vacuum commits, their rollbacks) and by
+// the stale-index replan: cached plans list rows that no longer match
+// the table.
+func (c *Client) metaChanged() { c.plans.invalidateAll() }
+
+// cached returns the decoded form kind of the object id through the
+// decoded-object cache, degrading to the direct decode when the cache
+// is off so the cold path is byte-identical to the pre-cache client.
+func cached[T interface{ Footprint() int64 }](ctx context.Context, c *Client, kind, id string, decode func(context.Context) (T, error)) (T, error) {
+	if c.objc == nil {
+		return decode(ctx)
+	}
+	v, err := c.objc.Do(ctx, kind, id, func(ctx context.Context) (any, int64, error) {
+		t, err := decode(ctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		return t, t.Footprint(), nil
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
 
 // openReader returns a (possibly shared) component reader for the
 // index object at key. Shared readers are opened with NoRetain so
 // posting payloads read through them do not accumulate; repeat-read
 // savings for payload bytes belong to the byte-level CachedStore.
 func (c *Client) openReader(ctx context.Context, key string) (*component.Reader, error) {
-	if c.objc == nil {
-		return component.Open(ctx, c.store, key, component.OpenOptions{})
-	}
-	v, err := c.objc.Do(ctx, "reader", key, func(ctx context.Context) (any, int64, error) {
-		r, err := component.Open(ctx, c.store, key, component.OpenOptions{NoRetain: true})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, r.Footprint(), nil
+	return cached(ctx, c, "reader", key, func(ctx context.Context) (*component.Reader, error) {
+		return component.Open(ctx, c.store, key, component.OpenOptions{NoRetain: c.objc != nil})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*component.Reader), nil
 }
 
 // manifest returns the (possibly shared) decoded manifest of the
 // index file behind r.
 func (c *Client) manifest(ctx context.Context, r *component.Reader) (*Manifest, error) {
-	if c.objc == nil {
+	return cached(ctx, c, "manifest", r.Key(), func(ctx context.Context) (*Manifest, error) {
 		return readManifest(ctx, r)
-	}
-	v, err := c.objc.Do(ctx, "manifest", r.Key(), func(ctx context.Context) (any, int64, error) {
-		m, err := readManifest(ctx, r)
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, manifestFootprint(m), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Manifest), nil
 }
 
-// manifestFootprint estimates a decoded manifest's resident bytes.
-func manifestFootprint(m *Manifest) int64 {
+// Footprint estimates a decoded manifest's resident bytes.
+func (m *Manifest) Footprint() int64 {
 	total := int64(128)
 	for _, f := range m.Files {
 		total += int64(len(f.Path)) + 48*int64(len(f.Pages)) + 64
@@ -75,60 +91,27 @@ func manifestFootprint(m *Manifest) int64 {
 // openTrie returns the (possibly shared) open result of the trie
 // index behind r — its root bucket table; node payloads stay lazy.
 func (c *Client) openTrie(ctx context.Context, r *component.Reader) (*trie.Index, error) {
-	if c.objc == nil {
+	return cached(ctx, c, "trie", r.Key(), func(ctx context.Context) (*trie.Index, error) {
 		return trie.Open(ctx, r)
-	}
-	v, err := c.objc.Do(ctx, "trie", r.Key(), func(ctx context.Context) (any, int64, error) {
-		ix, err := trie.Open(ctx, r)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ix, ix.Footprint(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trie.Index), nil
 }
 
 // openFM returns the (possibly shared) open result of the FM-index
 // behind r — page starts, refs, and occ checkpoints; BWT blocks stay
 // lazy.
 func (c *Client) openFM(ctx context.Context, r *component.Reader) (*fmindex.Index, error) {
-	if c.objc == nil {
+	return cached(ctx, c, "fm", r.Key(), func(ctx context.Context) (*fmindex.Index, error) {
 		return fmindex.Open(ctx, r)
-	}
-	v, err := c.objc.Do(ctx, "fm", r.Key(), func(ctx context.Context) (any, int64, error) {
-		ix, err := fmindex.Open(ctx, r)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ix, ix.Footprint(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*fmindex.Index), nil
 }
 
 // openIVF returns the (possibly shared) open result of the IVF-PQ
 // index behind r — centroids, codebooks, and list descriptors;
 // posting lists stay lazy.
 func (c *Client) openIVF(ctx context.Context, r *component.Reader) (*ivfpq.Index, error) {
-	if c.objc == nil {
+	return cached(ctx, c, "ivfpq", r.Key(), func(ctx context.Context) (*ivfpq.Index, error) {
 		return ivfpq.Open(ctx, r)
-	}
-	v, err := c.objc.Do(ctx, "ivfpq", r.Key(), func(ctx context.Context) (any, int64, error) {
-		ix, err := ivfpq.Open(ctx, r)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ix, ix.Footprint(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ivfpq.Index), nil
 }
 
 // readDV returns the (possibly shared) decoded deletion vector of f.
@@ -136,18 +119,10 @@ func (c *Client) openIVF(ctx context.Context, r *component.Reader) (*ivfpq.Index
 // new vector to a fresh random path, so the id doubles as the DV
 // version and a cached entry can never serve a superseded vector.
 func (c *Client) readDV(ctx context.Context, f lake.DataFile) (*lake.DeletionVector, error) {
-	if c.objc == nil || f.DVPath == "" {
+	if f.DVPath == "" {
 		return c.table.ReadDeletionVector(ctx, f)
 	}
-	v, err := c.objc.Do(ctx, "dv", c.table.Root()+f.DVPath, func(ctx context.Context) (any, int64, error) {
-		dv, err := c.table.ReadDeletionVector(ctx, f)
-		if err != nil {
-			return nil, 0, err
-		}
-		return dv, dv.Footprint(), nil
+	return cached(ctx, c, "dv", c.table.Root()+f.DVPath, func(ctx context.Context) (*lake.DeletionVector, error) {
+		return c.table.ReadDeletionVector(ctx, f)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*lake.DeletionVector), nil
 }

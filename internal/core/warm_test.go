@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/workload"
@@ -88,106 +87,29 @@ func assertWarmZeroGETs(t *testing.T, e *env, q Query) {
 	}
 }
 
-// TestInvalidationHooksFire asserts that every mutation path actually
-// reaches the caches, via their generation counters: metadata-table
-// writers (index commit, compact commit, vacuum commit, rollbacks are
-// exercised elsewhere) must bump the plan cache's generation, lake
-// commits must advance its latest-version pointer, and physical
-// deletions (core vacuum, lake vacuum) must bump the decoded cache's
-// generation.
-func TestInvalidationHooksFire(t *testing.T) {
+// TestLakeCommitsAdvancePlanVersion pins the lake commit hook: every
+// commit through the table handle (appends, DeleteRows) moves the plan
+// cache's latest-version pointer, which is what lets a latest-snapshot
+// query resolve its version without a LIST.
+func TestLakeCommitsAdvancePlanVersion(t *testing.T) {
 	ctx := context.Background()
 	e := newEnv(t, uuidSchema, Config{})
+	latest := func() int64 {
+		e.cli.plans.mu.Lock()
+		defer e.cli.plans.mu.Unlock()
+		return e.cli.plans.latest
+	}
 	gen := workload.NewUUIDGen(3)
-	_, path := e.appendUUIDs(t, gen, 800)
-	e.appendUUIDs(t, gen, 800)
-
-	planGen := func() int64 { return e.cli.plans.generation() }
-	objGen := func() int64 { return e.cli.objc.Generation() }
-
-	// Lake commit hook: Append advanced the plan cache's latest
-	// pointer (versions 2 and 3 after the two appends above).
-	if got := e.cli.plans.latestVersion(); got != 3 {
-		t.Fatalf("latest version after appends = %d, want 3", got)
+	_, path := e.appendUUIDs(t, gen, 100)
+	e.appendUUIDs(t, gen, 100)
+	if got := latest(); got != 3 {
+		t.Fatalf("latest version after two appends = %d, want 3", got)
 	}
-
-	// Index commit invalidates plans.
-	g := planGen()
-	if _, err := e.cli.Index(ctx, "id", component.KindTrie); err != nil {
-		t.Fatal(err)
-	}
-	if planGen() <= g {
-		t.Fatal("index commit did not invalidate the plan cache")
-	}
-
-	// DeleteRows is a lake commit: the latest pointer advances.
-	v := e.cli.plans.latestVersion()
 	if err := e.table.DeleteRows(ctx, path, []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.cli.plans.latestVersion(); got != v+1 {
-		t.Fatalf("latest version after DeleteRows = %d, want %d", got, v+1)
-	}
-
-	// Compact commit invalidates plans. Two more small indexed
-	// batches give it bins to merge.
-	e.appendUUIDs(t, gen, 800)
-	if _, err := e.cli.Index(ctx, "id", component.KindTrie); err != nil {
-		t.Fatal(err)
-	}
-	g = planGen()
-	merged, err := e.cli.Compact(ctx, "id", component.KindTrie, CompactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) == 0 {
-		t.Fatal("compact merged nothing; scenario not exercised")
-	}
-	if planGen() <= g {
-		t.Fatal("compact commit did not invalidate the plan cache")
-	}
-
-	// Core vacuum: the metadata delete invalidates plans, and every
-	// physically removed index object invalidates its decoded forms.
-	e.clock.Advance(2 * time.Hour)
-	g, og := planGen(), objGen()
-	report, err := e.cli.Vacuum(ctx, VacuumOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.DroppedEntries) == 0 || len(report.RemovedObjects) == 0 {
-		t.Fatalf("vacuum dropped %d entries, removed %d objects; scenario not exercised",
-			len(report.DroppedEntries), len(report.RemovedObjects))
-	}
-	if planGen() <= g {
-		t.Fatal("vacuum commit did not invalidate the plan cache")
-	}
-	if objGen() < og+int64(len(report.RemovedObjects)) {
-		t.Fatalf("vacuum removed %d objects but decoded-cache generation moved %d",
-			len(report.RemovedObjects), objGen()-og)
-	}
-
-	// Lake vacuum hook: physically deleted lake files (the pre-delete
-	// data file version and superseded DVs) invalidate decoded forms.
-	if err := e.table.DeleteRows(ctx, path, []uint32{9}); err != nil {
-		t.Fatal(err)
-	}
-	e.clock.Advance(2 * time.Hour)
-	og = objGen()
-	latest, err := e.table.Version(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := e.table.Vacuum(ctx, latest, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) == 0 {
-		t.Fatal("lake vacuum removed nothing; scenario not exercised")
-	}
-	if objGen() < og+int64(len(removed)) {
-		t.Fatalf("lake vacuum removed %d files but decoded-cache generation moved %d",
-			len(removed), objGen()-og)
+	if got := latest(); got != 4 {
+		t.Fatalf("latest version after DeleteRows = %d, want 4", got)
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package objcache is Rottnest's decoded-object cache: a
-// byte-budgeted, generation-aware LRU over values that are expensive
-// to reconstruct per query — parsed component directories, inflated
-// manifests, FM-index/trie/IVF-PQ open results, deletion vectors.
+// Package objcache is Rottnest's decoded-object cache: the tier of
+// the shared cache engine (internal/cache) that holds values which
+// are expensive to reconstruct per query — parsed component
+// directories, inflated manifests, FM-index/trie/IVF-PQ open results,
+// deletion vectors.
 //
 // The byte-level CachedStore (objectstore) removes repeat GETs; this
 // layer removes the decode CPU and the request fan above them, which
@@ -15,23 +16,17 @@
 // keys die and call Invalidate.
 //
 // Entries are keyed by (kind, id): kind names the decoded type
-// ("reader", "manifest", "fm", ...), id is the underlying object key.
-// Invalidation is by id alone, dropping every decoded form of the
-// object at once. Each Invalidate call bumps a generation counter —
-// whether or not anything was resident — so tests can assert that
-// every invalidation hook actually fires, and so decodes that were
-// in flight when the invalidation landed are not inserted afterwards.
+// ("reader", "manifest", "fm", ...), id is the underlying object key
+// and the entry's tag, so Invalidate(id) drops every decoded form of
+// the object at once and keeps decodes of it that are in flight from
+// being inserted afterwards.
 package objcache
 
 import (
-	"container/list"
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
+	"rottnest/internal/cache"
 	"rottnest/internal/obs"
-	"rottnest/internal/simtime"
 )
 
 // DefaultMaxBytes is the cache's default cost budget.
@@ -40,51 +35,12 @@ const DefaultMaxBytes = 64 << 20
 // Cache is a concurrency-safe decoded-object cache with singleflight
 // on decode and LRU eviction on a caller-supplied cost estimate.
 type Cache struct {
-	maxBytes int64
-	gen      atomic.Int64
-
-	// Aggregate counters plus a lazily-built per-kind set, all under
-	// "objcache.*" names in one registry.
-	reg           *obs.Registry
-	hits          *obs.Counter
-	misses        *obs.Counter
-	evictions     *obs.Counter
-	invalidations *obs.Counter
-	coalesced     *obs.Counter
-	resident      *obs.Gauge
-	kmu           sync.Mutex
-	kinds         map[string]*kindCounters
-
-	fmu     sync.Mutex
-	flights map[string]*flight
-
-	mu    sync.Mutex
-	lru   *list.List               // front = most recently used
-	items map[string]*list.Element // composite (kind, id) key -> element
-	byID  map[string]map[string]*list.Element
-	bytes int64
+	c   *cache.Cache[formKey, any]
+	reg *obs.Registry
 }
 
-type kindCounters struct {
-	hits, misses, evictions, invalidations *obs.Counter
-}
-
-type entry struct {
-	ckey string
-	id   string
-	kind string
-	val  any
-	cost int64
-}
-
-// flight is one in-flight decode; followers wait on it and are
-// charged the leader's virtual decode cost.
-type flight struct {
-	wg    sync.WaitGroup
-	val   any
-	err   error
-	vcost time.Duration
-}
+// formKey names one decoded form of one object.
+type formKey struct{ kind, id string }
 
 // New returns a cache with the given cost budget (<= 0 means
 // DefaultMaxBytes).
@@ -94,19 +50,15 @@ func New(maxBytes int64) *Cache {
 	}
 	reg := obs.NewRegistry()
 	return &Cache{
-		maxBytes:      maxBytes,
-		reg:           reg,
-		hits:          reg.Counter("objcache.hits"),
-		misses:        reg.Counter("objcache.misses"),
-		evictions:     reg.Counter("objcache.evictions"),
-		invalidations: reg.Counter("objcache.invalidations"),
-		coalesced:     reg.Counter("objcache.coalesced"),
-		resident:      reg.Gauge("objcache.bytes"),
-		kinds:         make(map[string]*kindCounters),
-		flights:       make(map[string]*flight),
-		lru:           list.New(),
-		items:         make(map[string]*list.Element),
-		byID:          make(map[string]map[string]*list.Element),
+		c: cache.New[formKey, any](maxBytes, cache.Metrics{
+			Hits:          reg.Counter("objcache.hits"),
+			Misses:        reg.Counter("objcache.misses"),
+			Coalesced:     reg.Counter("objcache.coalesced"),
+			Evictions:     reg.Counter("objcache.evictions"),
+			Invalidations: reg.Counter("objcache.invalidations"),
+			Resident:      reg.Gauge("objcache.bytes"),
+		}),
+		reg: reg,
 	}
 }
 
@@ -120,23 +72,12 @@ func (c *Cache) Registry() *obs.Registry {
 	return c.reg
 }
 
-// Generation returns the invalidation generation: the number of
-// Invalidate calls so far. Tests assert hooks fired by watching it.
-func (c *Cache) Generation() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.gen.Load()
-}
-
 // Bytes returns the current resident cost total.
 func (c *Cache) Bytes() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
+	return c.c.Bytes()
 }
 
 // Len returns the number of resident entries.
@@ -144,192 +85,35 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
+	return c.c.Len()
 }
-
-// forKind returns the per-kind counter set, creating it on first use.
-func (c *Cache) forKind(kind string) *kindCounters {
-	c.kmu.Lock()
-	defer c.kmu.Unlock()
-	k := c.kinds[kind]
-	if k == nil {
-		k = &kindCounters{
-			hits:          c.reg.Counter("objcache.hits." + kind),
-			misses:        c.reg.Counter("objcache.misses." + kind),
-			evictions:     c.reg.Counter("objcache.evictions." + kind),
-			invalidations: c.reg.Counter("objcache.invalidations." + kind),
-		}
-		c.kinds[kind] = k
-	}
-	return k
-}
-
-func compositeKey(kind, id string) string { return kind + "\x00" + id }
 
 // Do returns the cached value for (kind, id), decoding it at most
 // once across concurrent callers. decode returns the value and a cost
-// estimate in bytes for the LRU budget. Nil-safe: a nil cache just
-// runs decode.
-//
-// Virtual-time accounting: the decode leader's store reads charge its
-// own session as usual; a follower that rode the leader's in-flight
-// decode is charged the leader's virtual decode duration (it waited
-// exactly that long in model time, conservatively from the start). A
-// hit charges nothing — the point of the cache.
+// estimate in bytes for the LRU budget. A hit charges no virtual
+// time; a caller that rode another's decode is charged what that
+// decode cost. Nil-safe: a nil cache just runs decode.
 func (c *Cache) Do(ctx context.Context, kind, id string, decode func(ctx context.Context) (any, int64, error)) (any, error) {
 	if c == nil {
 		v, _, err := decode(ctx)
 		return v, err
 	}
-	ckey := compositeKey(kind, id)
-	if v, ok := c.lookup(ckey); ok {
-		c.hits.Inc()
-		c.forKind(kind).hits.Inc()
-		return v, nil
-	}
-
-	c.fmu.Lock()
-	if f, ok := c.flights[ckey]; ok {
-		c.fmu.Unlock()
-		f.wg.Wait()
-		if f.err != nil {
-			return nil, f.err
-		}
-		c.coalesced.Inc()
-		simtime.Charge(ctx, f.vcost)
-		return f.val, nil
-	}
-	f := &flight{}
-	f.wg.Add(1)
-	c.flights[ckey] = f
-	c.fmu.Unlock()
-
-	startGen := c.gen.Load()
-	session := simtime.From(ctx)
-	startElapsed := session.Elapsed()
-	val, cost, err := decode(ctx)
-	f.val, f.err = val, err
-	f.vcost = session.Elapsed() - startElapsed
-
-	c.fmu.Lock()
-	delete(c.flights, ckey)
-	c.fmu.Unlock()
-	f.wg.Done()
-
-	if err != nil {
-		return nil, err
-	}
-	c.misses.Inc()
-	c.forKind(kind).misses.Inc()
-	// An invalidation that landed while the decode was in flight may
-	// target exactly this id; skipping the insert keeps the delete-only
-	// invalidation contract race-free.
-	if c.gen.Load() == startGen {
-		c.insert(kind, id, ckey, val, cost)
-	}
-	return val, nil
+	v, _, err := c.c.Do(ctx, formKey{kind, id}, id, decode)
+	return v, err
 }
 
-// lookup promotes and returns a resident entry.
-func (c *Cache) lookup(ckey string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elem, ok := c.items[ckey]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(elem)
-	return elem.Value.(*entry).val, true
-}
-
-// insert stores the value, evicting LRU entries to stay within the
-// budget. Values costing more than a quarter of the budget are not
-// cached (one oversized decode must not wipe the cache).
-func (c *Cache) insert(kind, id, ckey string, val any, cost int64) {
-	if cost < 0 {
-		cost = 0
-	}
-	if cost > c.maxBytes/4 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[ckey]; ok {
-		return // raced with another inserter; keep the resident copy
-	}
-	elem := c.lru.PushFront(&entry{ckey: ckey, id: id, kind: kind, val: val, cost: cost})
-	c.items[ckey] = elem
-	forms := c.byID[id]
-	if forms == nil {
-		forms = make(map[string]*list.Element)
-		c.byID[id] = forms
-	}
-	forms[ckey] = elem
-	c.bytes += cost
-	for c.bytes > c.maxBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		c.removeLocked(back)
-		c.evictions.Inc()
-		c.forKind(e.kind).evictions.Inc()
-	}
-	c.resident.Set(c.bytes)
-}
-
-func (c *Cache) removeLocked(elem *list.Element) {
-	e := elem.Value.(*entry)
-	c.lru.Remove(elem)
-	delete(c.items, e.ckey)
-	if forms := c.byID[e.id]; forms != nil {
-		delete(forms, e.ckey)
-		if len(forms) == 0 {
-			delete(c.byID, e.id)
-		}
-	}
-	c.bytes -= e.cost
-}
-
-// Invalidate drops every decoded form of the object id and bumps the
-// generation counter (even when nothing was resident: the generation
-// records that the hook fired, and suppresses insertion of decodes
-// already in flight). It returns the number of entries dropped.
-// Nil-safe.
+// Invalidate drops every decoded form of the object id and returns
+// how many there were. Nil-safe.
 func (c *Cache) Invalidate(id string) int {
 	if c == nil {
 		return 0
 	}
-	c.gen.Add(1)
-	c.invalidations.Inc()
-	c.mu.Lock()
-	forms := c.byID[id]
-	dropped := make([]*list.Element, 0, len(forms))
-	for _, elem := range forms {
-		dropped = append(dropped, elem)
-	}
-	for _, elem := range dropped {
-		c.forKind(elem.Value.(*entry).kind).invalidations.Inc()
-		c.removeLocked(elem)
-	}
-	c.resident.Set(c.bytes)
-	c.mu.Unlock()
-	return len(dropped)
+	return c.c.Invalidate(id)
 }
 
-// Flush drops every entry (counters and generation are kept).
+// Flush drops every entry (counters are kept).
 func (c *Cache) Flush() {
-	if c == nil {
-		return
+	if c != nil {
+		c.c.Flush()
 	}
-	c.mu.Lock()
-	c.lru.Init()
-	c.items = make(map[string]*list.Element)
-	c.byID = make(map[string]map[string]*list.Element)
-	c.bytes = 0
-	c.resident.Set(0)
-	c.mu.Unlock()
 }

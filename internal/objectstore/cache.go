@@ -1,13 +1,10 @@
 package objectstore
 
 import (
-	"container/list"
 	"context"
-	"fmt"
-	"sync"
 
+	"rottnest/internal/cache"
 	"rottnest/internal/obs"
-	"rottnest/internal/simtime"
 )
 
 // Cache sizing defaults.
@@ -70,7 +67,9 @@ type CacheOptions struct {
 
 // CachedStore wraps a Store with a concurrency-safe, size-bounded LRU
 // read cache keyed on (key, offset, length), plus singleflight
-// coalescing of concurrent identical reads.
+// coalescing of concurrent identical reads. It is the byte tier of
+// the shared cache engine (internal/cache): every range is tagged
+// with its object key.
 //
 // The wrapper exploits the lake's immutability invariant: objects are
 // written once and never overwritten — data files, deletion vectors,
@@ -78,49 +77,37 @@ type CacheOptions struct {
 // commit with PutIfAbsent — so a cached range can only go stale by
 // deletion, and invalidation is delete-only. Writes and deletes
 // through the wrapper invalidate the key's entries as belt and
-// braces.
+// braces; a read in flight across that invalidation is served but
+// not kept, so a deleted object's bytes never become resident.
 //
 // Virtual-time accounting: a cache hit bypasses the wrapped store
 // entirely, so an Instrumented store underneath charges it zero
 // latency — the simtime model sees exactly the requests that would
-// hit S3. A singleflight follower still rides an in-flight GET, so it
-// is charged the full modelled GET latency (conservative: it may join
-// partway through) while saving the request itself.
+// hit S3. A singleflight follower saves the request but still rides
+// the in-flight GET, so it is charged what the leader's GET cost
+// (conservative: it may join partway through).
 //
 // Callers must treat returned byte slices as read-only: hits alias
 // the cached buffer.
 type CachedStore struct {
 	inner       Store
-	model       *LatencyModel // latency model of the wrapped chain, if instrumented
-	maxBytes    int64
 	coalesceGap int64
-
-	flights flightGroup
+	c           *cache.Cache[rangeKey, []byte]
 
 	// Counters live in the registry ("cache.*" names); CacheStats is a
 	// view derived from its snapshot.
 	reg                        *obs.Registry
-	hits, misses, bytesSaved   *obs.Counter
-	evictions, coalesced       *obs.Counter
+	bytesSaved                 *obs.Counter
 	upstreamGets, upstreamByts *obs.Counter
-	residentBytes              *obs.Gauge
-
-	mu    sync.Mutex
-	lru   *list.List               // front = most recently used
-	items map[string]*list.Element // composite range key -> element
-	byObj map[string]map[string]*list.Element
-	bytes int64
 }
 
-type cacheEntry struct {
-	ckey   string // composite (key, offset, length) cache key
-	objKey string // object key, for delete-time invalidation
-	data   []byte
+// rangeKey is one cached read: Get is (key, 0, -1).
+type rangeKey struct {
+	key         string
+	off, length int64
 }
 
-// NewCachedStore wraps inner with a read cache. If inner (or a store
-// it wraps) is an Instrumented store, its latency model is used to
-// charge singleflight followers.
+// NewCachedStore wraps inner with a read cache.
 func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 	maxBytes := opts.MaxBytes
 	if maxBytes <= 0 {
@@ -131,28 +118,21 @@ func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 		gap = DefaultCoalesceGap
 	}
 	reg := obs.NewRegistry()
-	c := &CachedStore{
-		inner:         inner,
-		maxBytes:      maxBytes,
-		coalesceGap:   gap,
-		reg:           reg,
-		hits:          reg.Counter("cache.hits"),
-		misses:        reg.Counter("cache.misses"),
-		bytesSaved:    reg.Counter("cache.bytes_saved"),
-		evictions:     reg.Counter("cache.evictions"),
-		coalesced:     reg.Counter("cache.coalesced_gets"),
-		upstreamGets:  reg.Counter("cache.upstream_gets"),
-		upstreamByts:  reg.Counter("cache.upstream_bytes"),
-		residentBytes: reg.Gauge("cache.bytes"),
-		lru:           list.New(),
-		items:         make(map[string]*list.Element),
-		byObj:         make(map[string]map[string]*list.Element),
+	return &CachedStore{
+		inner:       inner,
+		coalesceGap: gap,
+		c: cache.New[rangeKey, []byte](maxBytes, cache.Metrics{
+			Hits:      reg.Counter("cache.hits"),
+			Misses:    reg.Counter("cache.misses"),
+			Coalesced: reg.Counter("cache.coalesced_gets"),
+			Evictions: reg.Counter("cache.evictions"),
+			Resident:  reg.Gauge("cache.bytes"),
+		}),
+		reg:          reg,
+		bytesSaved:   reg.Counter("cache.bytes_saved"),
+		upstreamGets: reg.Counter("cache.upstream_gets"),
+		upstreamByts: reg.Counter("cache.upstream_bytes"),
 	}
-	if inst := FindInstrumented(inner); inst != nil {
-		m := inst.Model()
-		c.model = &m
-	}
-	return c
 }
 
 // Inner returns the wrapped store.
@@ -186,135 +166,41 @@ func CacheStatsFrom(s obs.Snapshot) CacheStats {
 }
 
 // Flush drops every cached entry (counters are kept).
-func (c *CachedStore) Flush() {
-	c.mu.Lock()
-	c.lru.Init()
-	c.items = make(map[string]*list.Element)
-	c.byObj = make(map[string]map[string]*list.Element)
-	c.bytes = 0
-	c.residentBytes.Set(0)
-	c.mu.Unlock()
-}
+func (c *CachedStore) Flush() { c.c.Flush() }
 
-func cacheKey(key string, offset, length int64) string {
-	return fmt.Sprintf("%s\x00%d\x00%d", key, offset, length)
-}
-
-// lookup returns the cached bytes for the composite key, promoting
-// the entry to most-recently-used.
-func (c *CachedStore) lookup(ckey string) ([]byte, bool) {
-	c.mu.Lock()
-	elem, ok := c.items[ckey]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.lru.MoveToFront(elem)
-	data := elem.Value.(*cacheEntry).data
-	c.mu.Unlock()
-	return data, true
-}
-
-// insert stores data under the composite key, evicting LRU entries to
-// stay within the byte budget. Entries larger than a quarter of the
-// budget are not cached (one oversized read must not wipe the cache).
-func (c *CachedStore) insert(objKey, ckey string, data []byte) {
-	size := int64(len(data))
-	if size > c.maxBytes/4 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[ckey]; ok {
-		return // raced with another inserter; keep the resident copy
-	}
-	elem := c.lru.PushFront(&cacheEntry{ckey: ckey, objKey: objKey, data: data})
-	c.items[ckey] = elem
-	ranges := c.byObj[objKey]
-	if ranges == nil {
-		ranges = make(map[string]*list.Element)
-		c.byObj[objKey] = ranges
-	}
-	ranges[ckey] = elem
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions.Inc()
-	}
-	c.residentBytes.Set(c.bytes)
-}
-
-func (c *CachedStore) removeLocked(elem *list.Element) {
-	e := elem.Value.(*cacheEntry)
-	c.lru.Remove(elem)
-	delete(c.items, e.ckey)
-	if ranges := c.byObj[e.objKey]; ranges != nil {
-		delete(ranges, e.ckey)
-		if len(ranges) == 0 {
-			delete(c.byObj, e.objKey)
-		}
-	}
-	c.bytes -= int64(len(e.data))
-}
-
-// invalidate drops every cached range of the object key.
-func (c *CachedStore) invalidate(objKey string) {
-	c.mu.Lock()
-	for _, elem := range c.byObj[objKey] {
-		c.removeLocked(elem)
-	}
-	c.residentBytes.Set(c.bytes)
-	c.mu.Unlock()
-}
+// Invalidate drops every cached range of the object key and returns
+// how many there were. Put and Delete call it; so does whoever learns
+// that the object was deleted behind the wrapper's back.
+func (c *CachedStore) Invalidate(key string) int { return c.c.Invalidate(key) }
 
 // cachedGet is the shared hit/singleflight/fill path of Get and
 // GetRange.
-func (c *CachedStore) cachedGet(ctx context.Context, key, ckey string, fetch func() ([]byte, error)) ([]byte, error) {
-	if data, ok := c.lookup(ckey); ok {
-		c.hits.Inc()
-		c.bytesSaved.Add(int64(len(data)))
-		return data, nil
-	}
-	data, err, shared := c.flights.Do(ckey, func() ([]byte, error) {
-		d, err := fetch()
+func (c *CachedStore) cachedGet(ctx context.Context, k rangeKey, fetch func(context.Context) ([]byte, error)) ([]byte, error) {
+	data, hit, err := c.c.Do(ctx, k, k.key, func(ctx context.Context) ([]byte, int64, error) {
+		d, err := fetch(ctx)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		c.upstreamGets.Inc()
 		c.upstreamByts.Add(int64(len(d)))
-		c.insert(key, ckey, d)
-		return d, nil
+		return d, int64(len(d)), nil
 	})
-	if err != nil {
-		return nil, err
+	if hit {
+		c.bytesSaved.Add(int64(len(data)))
 	}
-	if shared {
-		// The follower saved a request but still waited for the
-		// leader's in-flight GET; charge the full modelled latency.
-		c.coalesced.Inc()
-		if c.model != nil {
-			simtime.Charge(ctx, c.model.GetLatency(int64(len(data))))
-		}
-	} else {
-		c.misses.Inc()
-	}
-	return data, nil
+	return data, err
 }
 
 // Get implements Store.
 func (c *CachedStore) Get(ctx context.Context, key string) ([]byte, error) {
-	return c.cachedGet(ctx, key, cacheKey(key, 0, -1), func() ([]byte, error) {
+	return c.cachedGet(ctx, rangeKey{key, 0, -1}, func(ctx context.Context) ([]byte, error) {
 		return c.inner.Get(ctx, key)
 	})
 }
 
 // GetRange implements Store.
 func (c *CachedStore) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
-	return c.cachedGet(ctx, key, cacheKey(key, offset, length), func() ([]byte, error) {
+	return c.cachedGet(ctx, rangeKey{key, offset, length}, func(ctx context.Context) ([]byte, error) {
 		return c.inner.GetRange(ctx, key, offset, length)
 	})
 }
@@ -324,7 +210,7 @@ func (c *CachedStore) Put(ctx context.Context, key string, data []byte) error {
 	if err := c.inner.Put(ctx, key, data); err != nil {
 		return err
 	}
-	c.invalidate(key)
+	c.Invalidate(key)
 	return nil
 }
 
@@ -353,7 +239,7 @@ func (c *CachedStore) Delete(ctx context.Context, key string) error {
 	if err := c.inner.Delete(ctx, key); err != nil {
 		return err
 	}
-	c.invalidate(key)
+	c.Invalidate(key)
 	return nil
 }
 
@@ -361,34 +247,25 @@ func (c *CachedStore) Delete(ctx context.Context, key string) error {
 // they wrap.
 type InnerStore interface{ Inner() Store }
 
-// FindInstrumented walks a chain of store wrappers and returns the
-// first Instrumented store found, or nil.
-func FindInstrumented(s Store) *Instrumented {
+// findLayer walks a chain of store wrappers and returns the first
+// layer of type T, or the zero T.
+func findLayer[T Store](s Store) (zero T) {
 	for s != nil {
-		if inst, ok := s.(*Instrumented); ok {
-			return inst
+		if t, ok := s.(T); ok {
+			return t
 		}
 		w, ok := s.(InnerStore)
 		if !ok {
-			return nil
+			break
 		}
 		s = w.Inner()
 	}
-	return nil
+	return zero
 }
 
-// FindCached walks a chain of store wrappers and returns the first
-// CachedStore found, or nil.
-func FindCached(s Store) *CachedStore {
-	for s != nil {
-		if c, ok := s.(*CachedStore); ok {
-			return c
-		}
-		w, ok := s.(InnerStore)
-		if !ok {
-			return nil
-		}
-		s = w.Inner()
-	}
-	return nil
-}
+// FindInstrumented returns the first Instrumented store on the chain,
+// or nil.
+func FindInstrumented(s Store) *Instrumented { return findLayer[*Instrumented](s) }
+
+// FindCached returns the first CachedStore on the chain, or nil.
+func FindCached(s Store) *CachedStore { return findLayer[*CachedStore](s) }

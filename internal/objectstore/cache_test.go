@@ -3,6 +3,7 @@ package objectstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -115,23 +116,6 @@ func TestCachedStoreLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCachedStoreOversizedEntryNotCached(t *testing.T) {
-	ctx := context.Background()
-	cached, _, _ := newCachedWorld(t, CacheOptions{MaxBytes: 1024})
-	big := bytes.Repeat([]byte("y"), 600) // > 1024/4
-	if err := cached.Put(ctx, "big", big); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if got, err := cached.Get(ctx, "big"); err != nil || len(got) != 600 {
-			t.Fatalf("read %d = %d bytes, %v", i, len(got), err)
-		}
-	}
-	if st := cached.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("oversized entry was cached: %+v", st)
-	}
-}
-
 func TestCachedStoreDeleteInvalidates(t *testing.T) {
 	ctx := context.Background()
 	cached, _, _ := newCachedWorld(t, CacheOptions{})
@@ -173,6 +157,57 @@ func TestCachedStorePutInvalidates(t *testing.T) {
 	}
 	if got, _ := cached.GetRange(ctx, "a", 0, 3); string(got) != "new" {
 		t.Fatalf("stale read after overwrite: %q", got)
+	}
+}
+
+// gateStore holds every GetRange after its bytes were read, so a test
+// can land another operation while the read is still in flight.
+type gateStore struct {
+	Store
+	read    chan struct{} // receives once per GetRange that has its bytes
+	release chan struct{}
+}
+
+func (g *gateStore) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
+	data, err := g.Store.GetRange(ctx, key, offset, length)
+	g.read <- struct{}{}
+	<-g.release
+	return data, err
+}
+
+// TestCachedStoreReadAcrossDeleteIsNotKept is the stale-insert
+// regression: a GetRange that fetched its bytes before a Delete landed
+// must not make them resident afterwards, or every later read of the
+// deleted key is served from cache instead of ErrNotFound — hiding
+// vacuumed index files from the stale-index replan.
+func TestCachedStoreReadAcrossDeleteIsNotKept(t *testing.T) {
+	ctx := context.Background()
+	mem := NewMemStore(simtime.NewVirtualClock())
+	if err := mem.Put(ctx, "a", []byte("doomed-bytes")); err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateStore{Store: mem, read: make(chan struct{}, 2), release: make(chan struct{})}
+	cached := NewCachedStore(gate, CacheOptions{})
+
+	inFlight := make(chan error, 1)
+	go func() {
+		got, err := cached.GetRange(ctx, "a", 0, 6)
+		if err == nil && string(got) != "doomed" {
+			err = fmt.Errorf("in-flight read = %q", got)
+		}
+		inFlight <- err
+	}()
+	<-gate.read
+	if err := cached.Delete(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	// The read that raced the delete is still served its bytes.
+	if err := <-inFlight; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cached.GetRange(ctx, "a", 0, 6); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read after delete = %v (stats %+v), want ErrNotFound", err, cached.Stats())
 	}
 }
 

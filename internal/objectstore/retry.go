@@ -195,21 +195,8 @@ func RetryStatsFrom(s obs.Snapshot) RetryStats {
 	}
 }
 
-// FindRetry walks a store chain (via InnerStore) and returns the first
-// RetryStore, or nil.
-func FindRetry(s Store) *RetryStore {
-	for s != nil {
-		if r, ok := s.(*RetryStore); ok {
-			return r
-		}
-		inner, ok := s.(InnerStore)
-		if !ok {
-			return nil
-		}
-		s = inner.Inner()
-	}
-	return nil
-}
+// FindRetry returns the first RetryStore on the chain, or nil.
+func FindRetry(s Store) *RetryStore { return findLayer[*RetryStore](s) }
 
 // backoff returns the jittered delay before retry number attempt
 // (0-based), with the throttle floor applied when throttled.
