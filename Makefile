@@ -24,6 +24,7 @@ check:
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-cache
+	$(MAKE) bench-build
 	$(MAKE) bench-serve
 	$(MAKE) bench-multi
 	$(MAKE) bench-sharded

@@ -275,46 +275,29 @@ func (c *Client) attempt(ctx context.Context, cq CompoundQuery, shape *planShape
 	if planCached {
 		planSpan.SetAttr("plan_cache", true)
 	} else {
-		// One listing per distinct pair, fanned beside the snapshot.
-		uniq := make([]probeUnit, 0, len(units))
-		seen := make(map[probeUnit]int)
-		for _, u := range units {
-			if _, ok := seen[u]; !ok {
-				seen[u] = len(uniq)
-				uniq = append(uniq, u)
-			}
-		}
-		byPair := make([][]meta.IndexEntry, len(uniq))
-		errs := make([]error, len(uniq)+1)
-		branches := make([]func(*simtime.Session), 0, len(uniq)+1)
-		branches = append(branches, func(s *simtime.Session) {
-			bctx := pctx
-			if s != nil {
-				bctx = simtime.With(pctx, s)
-			}
-			snap, errs[0] = c.table.SnapshotAt(bctx, snapVersion)
-		})
-		for i := range uniq {
-			u := uniq[i]
-			idx := i
-			branches = append(branches, func(s *simtime.Session) {
+		// The snapshot and the metadata table are independent logs:
+		// replay each once, side by side, and split the meta entries
+		// per unit in memory.
+		var all []meta.IndexEntry
+		var snapErr, metaErr error
+		branch := func(fn func(ctx context.Context)) func(*simtime.Session) {
+			return func(s *simtime.Session) {
 				bctx := pctx
 				if s != nil {
 					bctx = simtime.With(pctx, s)
 				}
-				byPair[idx], errs[idx+1] = c.meta.ListFor(bctx, u.column, u.kind)
-			})
+				fn(bctx)
+			}
+		}
+		branches := []func(*simtime.Session){
+			branch(func(ctx context.Context) { snap, snapErr = c.table.SnapshotAt(ctx, snapVersion) }),
+		}
+		if len(units) > 0 {
+			branches = append(branches, branch(func(ctx context.Context) { all, metaErr = c.meta.List(ctx) }))
 		}
 		session.Parallel(branches...)
-		if errs[0] != nil {
-			return nil, errs[0]
-		}
-		var metaErr error
-		for _, err := range errs[1:] {
-			if err != nil {
-				metaErr = err
-				break
-			}
+		if snapErr != nil {
+			return nil, snapErr
 		}
 		if metaErr != nil {
 			// Surface a schema error over the listing failure, as
@@ -326,7 +309,7 @@ func (c *Client) attempt(ctx context.Context, cq CompoundQuery, shape *planShape
 		}
 		listings = make([][]meta.IndexEntry, len(units))
 		for i, u := range units {
-			listings[i] = byPair[seen[u]]
+			listings[i] = meta.EntriesFor(all, u.column, u.kind)
 		}
 		if !replan {
 			c.plans.put(snap, units, listings)

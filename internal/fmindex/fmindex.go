@@ -12,14 +12,18 @@
 //     what lets matches resolve to (file, page) posting refs without
 //     storing the raw suffix array.
 //   - Root component (appended last, so the open's suffix read usually
-//     captures it): text length, symbol counts, per-block checkpoint
-//     deltas, and the page table (text start offset and PageRef of
-//     every indexed page).
+//     captures it): text length, symbol counts, the page table (text
+//     start offset and PageRef of every indexed page), per-block
+//     checkpoint deltas, and a sparse bigram table — how often every
+//     adjacent symbol pair occurs in the text.
 //
 // Backward search walks one BWT block access per pattern character —
 // an inherently depth-bound access pattern; componentization keeps
 // each step to a single ranged GET, which is why substring search
-// lands at a few seconds of object-store latency in the paper.
+// lands at a few seconds of object-store latency in the paper. The
+// first two steps need no block at all: suffixes sort by their first
+// two symbols, so the rows matching a pattern's last two characters
+// are a running sum over the root's bigram table.
 package fmindex
 
 import (
@@ -27,6 +31,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"rottnest/internal/component"
 	"rottnest/internal/parallel"
@@ -172,9 +177,20 @@ func appendIndexComponents(b *component.Builder, full []byte, sa []int32, pageSt
 	b.AddAll(pmBlocks)
 
 	// Root.
-	root := encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs)
+	root := encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs, countPairs(full))
 	b.Add(root)
 	return nil
+}
+
+// countPairs counts every adjacent symbol pair of the sentinel-
+// terminated text, indexed x<<8|y. The sentinel only ever appears as
+// the final y.
+func countPairs(full []byte) []uint32 {
+	pairs := make([]uint32, 1<<16)
+	for i := 1; i < len(full); i++ {
+		pairs[int(full[i-1])<<8|int(full[i])]++
+	}
+	return pairs
 }
 
 // buildPosPageTable maps every text position in [0, n) to the page
@@ -196,7 +212,10 @@ func buildPosPageTable(n int, pageStarts []int64) []uint32 {
 	return table
 }
 
-func encodeRoot(n, base int, opts BuildOptions, numBlocks, numPMBlocks int, checkDeltas [][256]uint32, pageStarts []int64, refs []postings.PageRef) []byte {
+// encodeRoot serializes the root component. The bigram section comes
+// last, so a root that ends after the checkpoint deltas is a root
+// written before the section existed.
+func encodeRoot(n, base int, opts BuildOptions, numBlocks, numPMBlocks int, checkDeltas [][256]uint32, pageStarts []int64, refs []postings.PageRef, pairs []uint32) []byte {
 	root := binary.AppendUvarint(nil, uint64(base))
 	root = binary.AppendUvarint(root, uint64(n))
 	root = binary.AppendUvarint(root, uint64(opts.BlockSize))
@@ -218,6 +237,27 @@ func encodeRoot(n, base int, opts BuildOptions, numBlocks, numPMBlocks int, chec
 			root = binary.AppendUvarint(root, uint64(checkDeltas[blk][c]))
 		}
 	}
+	return appendPairs(root, pairs)
+}
+
+// appendPairs encodes the bigram section: the number of non-zero
+// pairs, then each as (key delta, count), keys ascending from -1.
+func appendPairs(root []byte, pairs []uint32) []byte {
+	nonZero := 0
+	for _, cnt := range pairs {
+		if cnt != 0 {
+			nonZero++
+		}
+	}
+	root = binary.AppendUvarint(root, uint64(nonZero))
+	prevKey := -1
+	for key, cnt := range pairs {
+		if cnt != 0 {
+			root = binary.AppendUvarint(root, uint64(key-prevKey))
+			root = binary.AppendUvarint(root, uint64(cnt))
+			prevKey = key
+		}
+	}
 	return root
 }
 
@@ -235,6 +275,14 @@ type Index struct {
 	c            [257]int64   // c[b] = rows whose first symbol < b
 	checkpoints  [][256]int64 // occ at each block start
 	totalSymbols [256]int64
+	// The bigram table: pairKeys holds the text's adjacent symbol
+	// pairs x<<8|y in ascending order and pairRows[i] the first BWT row
+	// whose suffix starts with pair i, with one closing entry (n). Rows
+	// sort by their first two symbols, so pair i owns exactly
+	// [pairRows[i], pairRows[i+1]). pairRows is nil for a root written
+	// without the table.
+	pairKeys []uint16
+	pairRows []int64
 }
 
 // Footprint estimates the decoded index's resident bytes — page
@@ -245,6 +293,7 @@ func (ix *Index) Footprint() int64 {
 	return 8*int64(len(ix.pageStarts)) +
 		48*int64(len(ix.refs)) +
 		256*8*int64(len(ix.checkpoints)) +
+		2*int64(len(ix.pairKeys)) + 8*int64(len(ix.pairRows)) +
 		257*8 + 256*8 + 128
 }
 
@@ -349,7 +398,57 @@ func Open(ctx context.Context, r *component.Reader) (*Index, error) {
 	if sum != int64(ix.n) {
 		return nil, fmt.Errorf("fmindex: root symbol counts sum to %d, want %d", sum, ix.n)
 	}
+	if pos == len(root) {
+		return ix, nil // written before the bigram table existed
+	}
+	numPairs, err := next()
+	if err != nil {
+		return nil, err
+	}
+	if numPairs > 1<<16 || numPairs > uint64(len(root)-pos) {
+		return nil, fmt.Errorf("fmindex: root claims %d bigrams in %d bytes", numPairs, len(root)-pos)
+	}
+	// A pair's rows follow the sentinel row and every smaller pair's,
+	// which is only true of counts that add up: each symbol is followed
+	// by something exactly as often as it occurs.
+	ix.pairKeys = make([]uint16, numPairs)
+	ix.pairRows = make([]int64, numPairs+1)
+	var rowSums [256]int64
+	key, row := int64(-1), int64(1)
+	for i := range ix.pairKeys {
+		d, err := next()
+		if err != nil {
+			return nil, err
+		}
+		cnt, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if d == 0 || d > 1<<16 || key+int64(d) >= 1<<16 || cnt > uint64(ix.n) {
+			return nil, fmt.Errorf("fmindex: corrupt root bigram %d", i)
+		}
+		key += int64(d)
+		ix.pairKeys[i], ix.pairRows[i] = uint16(key), row
+		rowSums[key>>8] += int64(cnt)
+		row += int64(cnt)
+	}
+	ix.pairRows[numPairs] = row
+	rowSums[Sentinel] += ix.totalSymbols[Sentinel] // the sentinel is followed by nothing
+	if rowSums != ix.totalSymbols || row != int64(ix.n) || pos != len(root) {
+		return nil, fmt.Errorf("fmindex: root bigram counts do not match the symbol counts")
+	}
 	return ix, nil
+}
+
+// pairRange returns the BWT rows whose suffixes start with xy, from
+// the root's bigram table alone; an absent pair is the empty range.
+func (ix *Index) pairRange(x, y byte) (sp, ep int64) {
+	key := uint16(x)<<8 | uint16(y)
+	i := sort.Search(len(ix.pairKeys), func(i int) bool { return ix.pairKeys[i] >= key })
+	if i == len(ix.pairKeys) || ix.pairKeys[i] != key {
+		return 0, 0
+	}
+	return ix.pairRows[i], ix.pairRows[i+1]
 }
 
 // TextLen returns the indexed text length including the sentinel.
@@ -363,75 +462,14 @@ func (ix *Index) PageStartsAndRefs() ([]int64, []postings.PageRef) {
 	return ix.pageStarts, ix.refs
 }
 
-// occ returns the number of occurrences of c in BWT[0:i).
-func (ix *Index) occ(ctx context.Context, c byte, i int64) (int64, error) {
-	if i <= 0 {
-		return 0, nil
-	}
-	if i >= int64(ix.n) {
-		i = int64(ix.n)
-	}
-	blk := int((i - 1) / int64(ix.blockSize))
-	base := ix.checkpoints[blk][c]
-	block, err := ix.r.Component(ctx, ix.base+blk)
-	if err != nil {
-		return 0, err
-	}
-	within := i - int64(blk)*int64(ix.blockSize)
-	if within > int64(len(block)) {
-		// A corrupt file can ship a block shorter than the root's
-		// geometry claims; counting what exists keeps this total.
-		within = int64(len(block))
-	}
-	var count int64
-	for _, b := range block[:within] {
-		if b == c {
-			count++
-		}
-	}
-	return base + count, nil
-}
-
 // Count performs backward search and returns the number of
 // occurrences of pattern in the indexed text.
 func (ix *Index) Count(ctx context.Context, pattern []byte) (int64, error) {
-	sp, ep, err := ix.backward(ctx, pattern)
+	counts, _, err := ix.CountMany(ctx, [][]byte{pattern})
 	if err != nil {
 		return 0, err
 	}
-	return ep - sp, nil
-}
-
-// backward runs FM backward search, returning the matching BWT row
-// interval [sp, ep).
-func (ix *Index) backward(ctx context.Context, pattern []byte) (int64, int64, error) {
-	if len(pattern) == 0 {
-		return 0, int64(ix.n), nil
-	}
-	if bytes.IndexByte(pattern, Sentinel) >= 0 {
-		return 0, 0, fmt.Errorf("fmindex: pattern contains the sentinel byte")
-	}
-	sp, ep := int64(0), int64(ix.n)
-	for i := len(pattern) - 1; i >= 0; i-- {
-		c := pattern[i]
-		if ix.totalSymbols[c] == 0 {
-			return 0, 0, nil
-		}
-		oSp, err := ix.occ(ctx, c, sp)
-		if err != nil {
-			return 0, 0, err
-		}
-		oEp, err := ix.occ(ctx, c, ep)
-		if err != nil {
-			return 0, 0, err
-		}
-		sp = ix.c[c] + oSp
-		ep = ix.c[c] + oEp
-		if sp >= ep {
-			return 0, 0, nil
-		}
-	}
-	return sp, ep, nil
+	return counts[0], nil
 }
 
 // Lookup returns the distinct pages containing occurrences of
@@ -448,48 +486,11 @@ func (ix *Index) Lookup(ctx context.Context, pattern []byte, maxRows int) ([]pos
 // retry unbounded when a truncated result under-fills K (deleted rows
 // or page-level false positives may have eaten the bounded sample).
 func (ix *Index) LookupBounded(ctx context.Context, pattern []byte, maxRows int) ([]postings.PageRef, bool, error) {
-	sp, ep, err := ix.backward(ctx, pattern)
+	refs, truncated, _, err := ix.LookupManyBounded(ctx, [][]byte{pattern}, []int{maxRows})
 	if err != nil {
 		return nil, false, err
 	}
-	if sp >= ep {
-		return nil, false, nil
-	}
-	truncated := false
-	if maxRows > 0 && ep-sp > int64(maxRows) {
-		ep = sp + int64(maxRows)
-		truncated = true
-	}
-	// Fetch the page-map blocks covering [sp, ep) in one fan.
-	firstBlk := int(sp) / ix.pmBlock
-	lastBlk := int(ep-1) / ix.pmBlock
-	ids := make([]int, 0, lastBlk-firstBlk+1)
-	for blk := firstBlk; blk <= lastBlk; blk++ {
-		ids = append(ids, ix.base+ix.numBlocks+blk)
-	}
-	blocks, err := ix.r.Components(ctx, ids)
-	if err != nil {
-		return nil, false, err
-	}
-	bits := bitsFor(uint32(len(ix.refs)))
-	seen := make(map[uint32]bool)
-	var out []postings.PageRef
-	for i := sp; i < ep; i++ {
-		blk := int(i) / ix.pmBlock
-		data := blocks[blk-firstBlk]
-		page, err := unpackBit(data, int(i)-blk*ix.pmBlock, bits)
-		if err != nil {
-			return nil, false, fmt.Errorf("fmindex: page map block %d: %w", blk, err)
-		}
-		if !seen[page] {
-			seen[page] = true
-			if int(page) < len(ix.refs) && ix.refs[page].File != ^uint32(0) {
-				out = append(out, ix.refs[page])
-			}
-		}
-	}
-	postings.Sort(out)
-	return out, truncated, nil
+	return refs[0], truncated[0], nil
 }
 
 // ReconstructText inverts the BWT to recover the indexed text

@@ -26,6 +26,11 @@ func FuzzFMIndexOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// Bigram sections whose counts do not sum, whose keys go backwards
+	// and whose length overruns the root: each must error at Open.
+	for _, corrupt := range corruptBigramRoots(f, text, valid) {
+		f.Add(corrupt)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("RCF1"))
 	// A plausible trailer with an oversized directory length.

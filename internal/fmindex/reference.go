@@ -85,7 +85,7 @@ func referenceBuildInto(b *component.Builder, text []byte, pageStarts []int64, r
 		b.Add(packBits(entries, bits))
 	}
 
-	b.Add(encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs))
+	b.Add(encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs, countPairs(full)))
 	return nil
 }
 

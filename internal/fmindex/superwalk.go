@@ -15,11 +15,13 @@ import (
 // occ checkpoint blocks every still-active pattern needs at a step are
 // deduplicated and fetched in a single parallel fan, then kept in a
 // per-walk memo so later steps touching the same block pay nothing.
-// Backward searches converge toward the same C-table regions (every
-// walk's first step needs only the final block; subsequent steps for
-// patterns sharing trailing characters need the same blocks), so a
-// batch of N patterns fetches each hot block once instead of once per
-// pattern — the probe-side analogue of page-set intersection.
+// Backward searches converge toward the same C-table regions (patterns
+// sharing trailing characters need the same blocks), so a batch of N
+// patterns fetches each hot block once instead of once per pattern —
+// the probe-side analogue of page-set intersection. A pattern's last
+// two characters are answered from the root's bigram table, so each
+// state starts where that leaves it and the first fetched step is the
+// third character from the end.
 //
 // Results are exactly those of N independent Count/Lookup calls: the
 // walk only changes which request fetches a block, never what any
@@ -49,31 +51,35 @@ func (s *WalkStats) Add(other WalkStats) {
 // walkState is one pattern's progress through the coordinated walk.
 type walkState struct {
 	pattern []byte
+	rem     int // characters of pattern not yet walked, from the front
 	sp, ep  int64
 	dead    bool // interval emptied: the pattern has no matches
 }
 
+func (s *walkState) kill() {
+	s.dead = true
+	s.sp, s.ep = 0, 0
+}
+
 // occBlockOf returns the checkpoint block occ(c, i) needs, or -1 when
-// the evaluation needs no block (i <= 0).
+// the root answers it: nothing precedes row 0, and the whole BWT holds
+// totalSymbols[c].
 func (ix *Index) occBlockOf(i int64) int {
-	if i <= 0 {
+	if i <= 0 || i >= int64(ix.n) {
 		return -1
-	}
-	if i >= int64(ix.n) {
-		i = int64(ix.n)
 	}
 	return int((i - 1) / int64(ix.blockSize))
 }
 
-// occFrom evaluates occ(c, i) from an already-fetched block. blk must
-// be occBlockOf(i) and block its decompressed payload; i <= 0 needs no
-// block and returns 0.
+// occFrom evaluates occ(c, i) from an already-fetched block, which
+// must be the decompressed payload of occBlockOf(i) (unused when that
+// is -1).
 func (ix *Index) occFrom(block []byte, c byte, i int64) int64 {
 	if i <= 0 {
 		return 0
 	}
 	if i >= int64(ix.n) {
-		i = int64(ix.n)
+		return ix.totalSymbols[c]
 	}
 	blk := int((i - 1) / int64(ix.blockSize))
 	base := ix.checkpoints[blk][c]
@@ -124,33 +130,39 @@ func (ix *Index) fetchInto(ctx context.Context, memo map[int][]byte, need map[in
 // coordinated walk, returning each pattern's [sp, ep) interval. The
 // memo is shared across the whole walk: a block fetched at any step
 // serves every later evaluation.
-func (ix *Index) backwardMany(ctx context.Context, patterns [][]byte) ([]walkState, map[int][]byte, WalkStats, error) {
+func (ix *Index) backwardMany(ctx context.Context, patterns [][]byte) ([]walkState, WalkStats, error) {
 	var stats WalkStats
 	states := make([]walkState, len(patterns))
-	maxLen := 0
+	steps := 0
 	for i, p := range patterns {
 		if bytes.IndexByte(p, Sentinel) >= 0 {
-			return nil, nil, stats, fmt.Errorf("fmindex: pattern contains the sentinel byte")
+			return nil, stats, fmt.Errorf("fmindex: pattern contains the sentinel byte")
 		}
-		states[i] = walkState{pattern: p, sp: 0, ep: int64(ix.n)}
-		if len(p) > maxLen {
-			maxLen = len(p)
+		s := &states[i]
+		*s = walkState{pattern: p, rem: len(p), sp: 0, ep: int64(ix.n)}
+		if ix.pairRows != nil && len(p) >= 2 {
+			s.rem -= 2
+			if s.sp, s.ep = ix.pairRange(p[s.rem], p[s.rem+1]); s.sp >= s.ep {
+				s.kill()
+			}
+		}
+		if !s.dead && s.rem > steps {
+			steps = s.rem
 		}
 	}
 	memo := make(map[int][]byte)
 	need := make(map[int]bool)
-	for step := 0; step < maxLen; step++ {
+	for ; steps > 0; steps-- {
 		// Gather the blocks every still-active pattern needs this step.
 		clear(need)
 		for i := range states {
 			s := &states[i]
-			if s.dead || step >= len(s.pattern) {
+			if s.dead || s.rem == 0 {
 				continue
 			}
-			c := s.pattern[len(s.pattern)-1-step]
+			c := s.pattern[s.rem-1]
 			if ix.totalSymbols[c] == 0 {
-				s.dead = true
-				s.sp, s.ep = 0, 0
+				s.kill()
 				continue
 			}
 			for _, i64 := range [2]int64{s.sp, s.ep} {
@@ -164,27 +176,27 @@ func (ix *Index) backwardMany(ctx context.Context, patterns [][]byte) ([]walkSta
 		}
 		fetched, err := ix.fetchInto(ctx, memo, need, func(blk int) int { return ix.base + blk })
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 		stats.OccFetched += fetched
 		// Advance every active pattern from the memo.
 		for i := range states {
 			s := &states[i]
-			if s.dead || step >= len(s.pattern) {
+			if s.dead || s.rem == 0 {
 				continue
 			}
-			c := s.pattern[len(s.pattern)-1-step]
+			s.rem--
+			c := s.pattern[s.rem]
 			oSp := ix.occFrom(memo[ix.occBlockOf(s.sp)], c, s.sp)
 			oEp := ix.occFrom(memo[ix.occBlockOf(s.ep)], c, s.ep)
 			s.sp = ix.c[c] + oSp
 			s.ep = ix.c[c] + oEp
 			if s.sp >= s.ep {
-				s.dead = true
-				s.sp, s.ep = 0, 0
+				s.kill()
 			}
 		}
 	}
-	return states, memo, stats, nil
+	return states, stats, nil
 }
 
 // CountMany returns the number of occurrences of each pattern, walking
@@ -192,7 +204,7 @@ func (ix *Index) backwardMany(ctx context.Context, patterns [][]byte) ([]walkSta
 // independent Count calls; checkpoint blocks shared between patterns
 // (or between a pattern's own sp/ep bounds) are fetched once.
 func (ix *Index) CountMany(ctx context.Context, patterns [][]byte) ([]int64, WalkStats, error) {
-	states, _, stats, err := ix.backwardMany(ctx, patterns)
+	states, stats, err := ix.backwardMany(ctx, patterns)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -213,7 +225,7 @@ func (ix *Index) LookupManyBounded(ctx context.Context, patterns [][]byte, maxRo
 	if maxRows != nil && len(maxRows) != len(patterns) {
 		return nil, nil, WalkStats{}, fmt.Errorf("fmindex: %d patterns but %d bounds", len(patterns), len(maxRows))
 	}
-	states, _, stats, err := ix.backwardMany(ctx, patterns)
+	states, stats, err := ix.backwardMany(ctx, patterns)
 	if err != nil {
 		return nil, nil, stats, err
 	}

@@ -67,30 +67,15 @@ func (t *Table) maybeCheckpoint(ctx context.Context, version int64) {
 	_ = t.store.Put(ctx, checkpointKey(t.root, version), data)
 }
 
-// loadCheckpoint returns the newest parseable checkpoint at or below
-// maxVersion (maxVersion < 0 means any), or nil.
-func loadCheckpoint(ctx context.Context, store objectstore.Store, root string, infos []objectstore.ObjectInfo, maxVersion int64) *checkpointState {
-	best := int64(-1)
-	var bestKey string
+// newestCheckpoint names the newest checkpoint at or below maxVersion
+// (maxVersion < 0 means any) among the listed log objects, or "".
+func newestCheckpoint(root string, infos []objectstore.ObjectInfo, maxVersion int64) (int64, string) {
+	best, bestKey := int64(0), ""
 	for _, info := range infos {
 		v, ok := checkpointVersionFromKey(root, info.Key)
-		if !ok {
-			continue
-		}
-		if (maxVersion < 0 || v <= maxVersion) && v > best {
+		if ok && (maxVersion < 0 || v <= maxVersion) && v > best {
 			best, bestKey = v, info.Key
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	data, err := store.Get(ctx, bestKey)
-	if err != nil {
-		return nil // fall back to full replay
-	}
-	var state checkpointState
-	if err := json.Unmarshal(data, &state); err != nil {
-		return nil // corrupted checkpoint: fall back to full replay
-	}
-	return &state
+	return best, bestKey
 }

@@ -2,8 +2,11 @@ package lake
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
@@ -104,5 +107,87 @@ func TestCheckpointKeysDoNotConfuseVersioning(t *testing.T) {
 	}
 	if _, ok := versionFromKey("tbl/", checkpointKey("tbl/", 32)); ok {
 		t.Fatal("checkpoint key parsed as commit")
+	}
+}
+
+// TestSnapshotIsListPlusOneFan pins the depth of a log replay past a
+// checkpoint: the LIST names the checkpoint and the entries above it,
+// so they arrive in one fan — 60 ms + 30 ms on the S3 model, where
+// fetching the checkpoint first made it 120. A checkpoint that does
+// not parse costs a second fan and yields the identical snapshot.
+func TestSnapshotIsListPlusOneFan(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	mem := objectstore.NewMemStore(clock)
+	store, metrics := objectstore.Instrument(mem, objectstore.DefaultS3Model())
+	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 39; i++ { // 40 commits with the create
+		if _, err := tbl.Append(ctx, msgBatch(fmt.Sprintf("row-%d", i)), parquet.WriterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() (*Snapshot, objectstore.Snapshot, time.Duration) {
+		t.Helper()
+		session := simtime.NewSession()
+		before := metrics.Snapshot()
+		snap, err := tbl.Snapshot(simtime.With(ctx, session))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, metrics.Snapshot().Sub(before), session.Elapsed()
+	}
+	want, reqs, elapsed := snapshot()
+	if want.Version != 40 || want.LiveRows() != 39 {
+		t.Fatalf("snapshot = v%d, %d rows", want.Version, want.LiveRows())
+	}
+	// The checkpoint at 32 and entries 33..40, one round trip (plus the
+	// model's per-prefix queueing of a 9-wide fan, under 2 ms).
+	if reqs.Lists != 1 || reqs.Gets != 9 || reqs.Heads != 0 {
+		t.Fatalf("snapshot issued %+v, want 1 LIST + 9 GETs", reqs)
+	}
+	if elapsed < 90*time.Millisecond || elapsed >= 95*time.Millisecond {
+		t.Fatalf("snapshot took %v of virtual time, want LIST + one fan (90 ms)", elapsed)
+	}
+
+	if err := mem.Put(ctx, checkpointKey("tbl/", 32), []byte("not json")); err != nil {
+		t.Fatal(err)
+	}
+	got, reqs, _ := snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback snapshot differs:\n got %+v\nwant %+v", got, want)
+	}
+	if reqs.Lists != 1 || reqs.Gets != 9+40 {
+		t.Fatalf("fallback issued %+v, want 1 LIST + the failed fan + all 40 entries", reqs)
+	}
+}
+
+// TestOpenIssuesNoRequest: the handle is free, and a root with no log
+// says so from the first call that lists it.
+func TestOpenIssuesNoRequest(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	store, metrics := objectstore.Instrument(objectstore.NewMemStore(clock), objectstore.DefaultS3Model())
+	tbl, err := OpenWith(ctx, store, "empty", OpenOptions{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.Snapshot(); got != (objectstore.Snapshot{}) {
+		t.Fatalf("OpenWith issued %+v", got)
+	}
+	if _, err := tbl.Snapshot(ctx); !errors.Is(err, ErrNoTable) {
+		t.Errorf("Snapshot on an empty root: %v", err)
+	}
+	if _, err := tbl.Version(ctx); !errors.Is(err, ErrNoTable) {
+		t.Errorf("Version on an empty root: %v", err)
+	}
+	if _, err := tbl.Append(ctx, msgBatch("x"), parquet.WriterOptions{}); !errors.Is(err, ErrNoTable) {
+		t.Errorf("Append on an empty root: %v", err)
+	}
+	// An explicit version that does not exist stays ErrNoSnapshot.
+	if _, err := tbl.SnapshotAt(ctx, 3); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("SnapshotAt(3) on an empty root: %v", err)
 	}
 }

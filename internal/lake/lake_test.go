@@ -57,8 +57,13 @@ func TestCreateOpenAppendSnapshot(t *testing.T) {
 	if reopened.Root() != "tbl/" {
 		t.Fatalf("root = %q", reopened.Root())
 	}
-	if _, err := OpenWith(ctx, store, "nope", OpenOptions{Clock: clock}); !errors.Is(err, ErrNoTable) {
+	// Existence is reported by the first read, not by the open.
+	missing, err := OpenWith(ctx, store, "nope", OpenOptions{Clock: clock})
+	if err != nil {
 		t.Fatalf("open missing: %v", err)
+	}
+	if _, err := missing.Snapshot(ctx); !errors.Is(err, ErrNoTable) {
+		t.Fatalf("snapshot of a missing table: %v", err)
 	}
 
 	p1, err := tbl.Append(ctx, msgBatch("a", "b", "c"), parquet.WriterOptions{})

@@ -129,26 +129,38 @@ func versionFromKey(root, key string) (int64, bool) {
 
 // readLog returns the newest usable checkpoint at or below maxVersion
 // plus all commits after it (in version order, up to maxVersion; < 0
-// means all). Log objects are fetched with one parallel fan and the
-// checkpoint bounds the replayed suffix, keeping snapshot
-// construction cost flat as the log grows.
+// means all). The checkpoint and the entries above it are named by the
+// same LIST, so they are fetched in one parallel fan: snapshot
+// construction costs LIST + one round trip however long the log grows.
+// A checkpoint that is missing or does not parse costs a second fan
+// over the whole log instead.
 func readLog(ctx context.Context, store objectstore.Store, root string, maxVersion int64) (*checkpointState, []Commit, error) {
 	infos, err := store.List(ctx, root+logDir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("lake: list log: %w", err)
 	}
-	base := loadCheckpoint(ctx, store, root, infos, maxVersion)
-	minExclusive := int64(0)
-	if base != nil {
-		minExclusive = base.Version
+	if v, key := newestCheckpoint(root, infos, maxVersion); key != "" {
+		if base, commits, err := fanLog(ctx, store, root, infos, key, v, maxVersion); err == nil {
+			return base, commits, nil
+		}
 	}
+	return fanLog(ctx, store, root, infos, "", 0, maxVersion)
+}
+
+// fanLog fetches the checkpoint at cpKey (version cpVersion; "" means
+// replay from the start) and every log entry in (cpVersion,
+// maxVersion] in one fan and parses them.
+func fanLog(ctx context.Context, store objectstore.Store, root string, infos []objectstore.ObjectInfo, cpKey string, cpVersion, maxVersion int64) (*checkpointState, []Commit, error) {
 	var keys []string
+	if cpKey != "" {
+		keys = append(keys, cpKey)
+	}
 	for _, info := range infos {
 		v, ok := versionFromKey(root, info.Key)
 		if !ok {
 			continue
 		}
-		if v <= minExclusive || (maxVersion >= 0 && v > maxVersion) {
+		if v <= cpVersion || (maxVersion >= 0 && v > maxVersion) {
 			continue
 		}
 		keys = append(keys, info.Key)
@@ -160,6 +172,14 @@ func readLog(ctx context.Context, store objectstore.Store, root string, maxVersi
 	bodies, err := objectstore.FanGet(ctx, store, reqs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("lake: read log: %w", err)
+	}
+	var base *checkpointState
+	if cpKey != "" {
+		base = new(checkpointState)
+		if err := json.Unmarshal(bodies[0], base); err != nil || base.Version != cpVersion {
+			return nil, nil, fmt.Errorf("lake: unusable checkpoint %s", cpKey)
+		}
+		keys, bodies = keys[1:], bodies[1:]
 	}
 	commits := make([]Commit, 0, len(keys))
 	for i, data := range bodies {

@@ -176,20 +176,16 @@ func CreateWith(ctx context.Context, store objectstore.Store, root string, schem
 	return t, nil
 }
 
-// OpenWith returns a handle to an existing table at root.
+// OpenWith returns a handle to the table at root. It issues no
+// request: the log LIST of the first Snapshot, Version or commit is
+// the existence check, and a root with no log surfaces there as
+// ErrNoTable.
 func OpenWith(ctx context.Context, store objectstore.Store, root string, opts OpenOptions) (*Table, error) {
 	clock := opts.Clock
 	if clock == nil {
 		clock = simtime.RealClock{}
 	}
-	t := &Table{store: store, clock: clock, root: normalizeRoot(root)}
-	if _, err := t.store.Head(ctx, logKey(t.root, 1)); err != nil {
-		if errors.Is(err, objectstore.ErrNotFound) {
-			return nil, ErrNoTable
-		}
-		return nil, err
-	}
-	return t, nil
+	return &Table{store: store, clock: clock, root: normalizeRoot(root)}, nil
 }
 
 func normalizeRoot(root string) string {
@@ -236,6 +232,9 @@ func (t *Table) SnapshotAt(ctx context.Context, version int64) (*Snapshot, error
 		return nil, err
 	}
 	if base == nil && len(commits) == 0 {
+		if version < 0 {
+			return nil, ErrNoTable
+		}
 		return nil, ErrNoSnapshot
 	}
 	latest := int64(0)

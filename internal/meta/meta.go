@@ -145,47 +145,46 @@ func (t *Table) maybeCheckpoint(ctx context.Context, version int64) {
 }
 
 // readAll replays the log and returns the live entries plus the
-// latest version. The newest usable checkpoint bounds the replayed
-// suffix, and log objects are fetched with one parallel fan (the way
-// delta-rs reads Delta logs), so replay cost stays flat as the log
-// grows.
+// latest version. The newest checkpoint bounds the replayed suffix and
+// is fetched in the same parallel fan as the records above it (the
+// LIST names both), so a replay is LIST + one round trip however long
+// the log grows. A checkpoint that is missing or does not parse costs
+// a second fan over the whole log instead.
 func (t *Table) readAll(ctx context.Context) (map[string]IndexEntry, int64, error) {
 	infos, err := t.store.List(ctx, t.root)
 	if err != nil {
 		return nil, 0, fmt.Errorf("meta: list log: %w", err)
 	}
-	// Newest parseable checkpoint.
-	var base *metaCheckpoint
-	bestV, bestKey := int64(-1), ""
+	cpVersion, cpKey := int64(0), ""
 	for _, info := range infos {
-		if v, ok := t.parseCheckpointVersion(info.Key); ok && v > bestV {
-			bestV, bestKey = v, info.Key
+		if v, ok := t.parseCheckpointVersion(info.Key); ok && v > cpVersion {
+			cpVersion, cpKey = v, info.Key
 		}
 	}
-	if bestV >= 0 {
-		if data, err := t.store.Get(ctx, bestKey); err == nil {
-			var cp metaCheckpoint
-			if json.Unmarshal(data, &cp) == nil {
-				base = &cp
-			}
+	if cpKey != "" {
+		if entries, latest, err := t.fanLog(ctx, infos, cpKey, cpVersion); err == nil {
+			return entries, latest, nil
 		}
 	}
-	minExclusive := int64(0)
-	if base != nil {
-		minExclusive = base.Version
-	}
+	return t.fanLog(ctx, infos, "", 0)
+}
+
+// fanLog fetches the checkpoint at cpKey (version cpVersion; "" means
+// replay from the start) and every record above it in one fan and
+// applies them.
+func (t *Table) fanLog(ctx context.Context, infos []objectstore.ObjectInfo, cpKey string, cpVersion int64) (map[string]IndexEntry, int64, error) {
 	var keys []string
-	latest := minExclusive
+	if cpKey != "" {
+		keys = append(keys, cpKey)
+	}
+	latest := cpVersion
 	for _, info := range infos {
 		v, ok := t.parseVersion(info.Key)
-		if !ok {
+		if !ok || v <= cpVersion {
 			continue
 		}
 		if v > latest {
 			latest = v
-		}
-		if v <= minExclusive {
-			continue
 		}
 		keys = append(keys, info.Key)
 	}
@@ -198,10 +197,15 @@ func (t *Table) readAll(ctx context.Context) (map[string]IndexEntry, int64, erro
 		return nil, 0, fmt.Errorf("meta: read log: %w", err)
 	}
 	entries := make(map[string]IndexEntry)
-	if base != nil {
-		for _, e := range base.Entries {
+	if cpKey != "" {
+		var cp metaCheckpoint
+		if err := json.Unmarshal(bodies[0], &cp); err != nil || cp.Version != cpVersion {
+			return nil, 0, fmt.Errorf("meta: unusable checkpoint %s", cpKey)
+		}
+		for _, e := range cp.Entries {
 			entries[e.IndexKey] = e
 		}
+		keys, bodies = keys[1:], bodies[1:]
 	}
 	for i, data := range bodies {
 		var rec record
@@ -238,13 +242,20 @@ func (t *Table) ListFor(ctx context.Context, column string, kind component.Kind)
 	if err != nil {
 		return nil, err
 	}
-	out := all[:0]
+	return EntriesFor(all, column, kind), nil
+}
+
+// EntriesFor returns the entries of one (column, kind) index among
+// all, in order — what ListFor returns, for a caller that has already
+// listed the table.
+func EntriesFor(all []IndexEntry, column string, kind component.Kind) []IndexEntry {
+	var out []IndexEntry
 	for _, e := range all {
 		if e.Column == column && e.Kind == kind {
 			out = append(out, e)
 		}
 	}
-	return out, nil
+	return out
 }
 
 func sortEntries(entries []IndexEntry) {

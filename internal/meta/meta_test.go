@@ -3,8 +3,10 @@ package meta
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/objectstore"
@@ -189,5 +191,59 @@ func TestMetaConcurrentCommitsAroundCheckpoint(t *testing.T) {
 	got, err := tbl.List(ctx)
 	if err != nil || len(got) != checkpointInterval-4+racers {
 		t.Fatalf("list = %d, %v", len(got), err)
+	}
+}
+
+// TestListIsListPlusOneFan pins the depth of a meta-log replay past a
+// checkpoint: the checkpoint rides the same fan as the records above
+// it (LIST 60 ms + one round trip 30 ms on the S3 model; fetching the
+// checkpoint first made it 120), and a checkpoint overwritten by
+// garbage yields the identical listing from a full replay.
+func TestListIsListPlusOneFan(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	mem := objectstore.NewMemStore(clock)
+	store, metrics := objectstore.Instrument(mem, objectstore.DefaultS3Model())
+	tbl := New(store, clock, "ix/_meta")
+	for i := 0; i < 40; i++ {
+		if err := tbl.Insert(ctx, entry(fmt.Sprintf("%03d.index", i), "id", component.KindTrie, "f")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Delete(ctx, "007.index"); err != nil { // a delete above the checkpoint
+		t.Fatal(err)
+	}
+	list := func() ([]IndexEntry, objectstore.Snapshot, time.Duration) {
+		t.Helper()
+		session := simtime.NewSession()
+		before := metrics.Snapshot()
+		got, err := tbl.List(simtime.With(ctx, session))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, metrics.Snapshot().Sub(before), session.Elapsed()
+	}
+	want, reqs, elapsed := list()
+	if len(want) != 39 {
+		t.Fatalf("list = %d entries, want 39", len(want))
+	}
+	// The checkpoint at 32 and records 33..41, one round trip (plus the
+	// model's per-prefix queueing of a 10-wide fan, under 2 ms).
+	if reqs.Lists != 1 || reqs.Gets != 10 {
+		t.Fatalf("list issued %+v, want 1 LIST + 10 GETs", reqs)
+	}
+	if elapsed < 90*time.Millisecond || elapsed >= 95*time.Millisecond {
+		t.Fatalf("list took %v of virtual time, want LIST + one fan (90 ms)", elapsed)
+	}
+
+	if err := mem.Put(ctx, tbl.checkpointKey(32), []byte("junk")); err != nil {
+		t.Fatal(err)
+	}
+	got, reqs, _ := list()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback list differs:\n got %v\nwant %v", got, want)
+	}
+	if reqs.Lists != 1 || reqs.Gets != 10+41 {
+		t.Fatalf("fallback issued %+v, want 1 LIST + the failed fan + all 41 records", reqs)
 	}
 }

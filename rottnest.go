@@ -452,7 +452,11 @@ func CreateTableWith(ctx context.Context, store Store, root string, schema *Sche
 	return lake.CreateWith(ctx, store, root, schema, opts)
 }
 
-// OpenTable opens an existing lake table at root.
+// OpenTable returns a handle to the lake table at root. It issues no
+// request: existence is reported by the first read or commit through
+// the handle (Snapshot, Version, Append, Client.Search, Client.Status
+// ...), which fails with the lake's "table not found" error when root
+// holds no table.
 func OpenTable(ctx context.Context, store Store, root string) (*Table, error) {
 	return lake.OpenWith(ctx, store, root, lake.OpenOptions{})
 }
