@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check benchmark-test fuzz-smoke trace-smoke bench-cache bench-build bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
+.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-cache bench-build bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test ./internal/bench/ ./internal/fmindex/
 	$(MAKE) benchmark-test
+	$(MAKE) bench-alloc
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-cache
@@ -41,6 +42,14 @@ check:
 # benchmark pipeline instead of here.
 benchmark-test:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# bench-alloc compiles and runs the allocation benchmarks (the only
+# ones reporting allocs/op): warm queries per class, the set algebra
+# and read planner on synthetic candidate sets, and the range
+# operations. Nothing is gated; a PR that claims an allocation change
+# quotes these numbers at its parent and at its head.
+bench-alloc:
+	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges' -benchtime 50x ./internal/core ./internal/postings
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must

@@ -89,119 +89,9 @@ type Report struct {
 // every file are returned; top-K truncation is the caller's concern
 // (a scoring query must see everything anyway).
 func (c *Cluster) Scan(ctx context.Context, snapshotVersion int64, column string, pred insitu.Predicate) ([]insitu.Match, *Report, error) {
-	session := simtime.From(ctx)
-	start := session.Elapsed()
-
-	snap, err := c.table.SnapshotAt(ctx, snapshotVersion)
-	if err != nil {
-		return nil, nil, err
-	}
-	ci := snap.Schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, nil, fmt.Errorf("bruteforce: column %q not in schema", column)
-	}
-
-	// Spin-up: driver scheduling plus per-worker task launch.
-	spinUp := c.cfg.SpinUpBase + time.Duration(c.cfg.Workers)*c.cfg.SpinUpPerWorker
-	session.Add(spinUp)
-
-	report := &Report{FilesScanned: len(snap.Files)}
-	files := snap.Files
-	var totalBytes int64
-	for _, f := range files {
-		totalBytes += f.Size
-	}
-	report.BytesScanned = totalBytes
-
-	// Planning wave: fetch footers and deletion vectors, and split
-	// every file into row-group scan units — the task granularity
-	// Spark uses for Parquet, which is what lets a scan of few large
-	// files still occupy many workers.
-	metas := make([]*parquet.FileMeta, len(files))
-	dvs := make([]*lake.DeletionVector, len(files))
-	planErrs := make([]error, len(files))
-	session.ParallelN(len(files), c.cfg.Workers, func(i int, s *simtime.Session) {
-		bctx := ctx
-		if s != nil {
-			bctx = simtime.With(ctx, s)
-		}
-		metas[i], planErrs[i] = parquet.ReadFileMeta(bctx, c.table.Store(), c.table.Root()+files[i].Path)
-		if planErrs[i] != nil {
-			return
-		}
-		dvs[i], planErrs[i] = c.table.ReadDeletionVector(bctx, files[i])
+	return c.ScanColumns(ctx, snapshotVersion, []string{column}, 0, func(vals [][]byte) (bool, float64) {
+		return pred(vals[0])
 	})
-	for _, err := range planErrs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	type unit struct {
-		file     int
-		group    int
-		firstRow int64
-	}
-	var units []unit
-	for fi, meta := range metas {
-		var row int64
-		for gi, g := range meta.RowGroups {
-			units = append(units, unit{file: fi, group: gi, firstRow: row})
-			row += g.NumRows
-		}
-	}
-
-	outs := make([][]insitu.Match, len(units))
-	errs := make([]error, len(units))
-	scanOne := func(i int, s *simtime.Session) {
-		bctx := ctx
-		if s != nil {
-			bctx = simtime.With(ctx, s)
-		}
-		u := units[i]
-		f := files[u.file]
-		vals, err := parquet.ReadColumnChunk(bctx, c.table.Store(), c.table.Root()+f.Path, metas[u.file], u.group, ci)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		chunk := metas[u.file].RowGroups[u.group].Chunks[ci]
-		var ms []insitu.Match
-		for r, v := range vals.Bytes {
-			row := u.firstRow + int64(r)
-			if dvs[u.file].Contains(uint32(row)) {
-				continue
-			}
-			if keep, score := pred(v); keep {
-				ms = append(ms, insitu.Match{Path: f.Path, Row: row, Value: v, Score: score})
-			}
-		}
-		outs[i] = ms
-		// Decode/compute cost on top of the store's transfer time.
-		s.Add(time.Duration(float64(chunk.Size) / c.cfg.DecodeBps * float64(time.Second)))
-	}
-
-	// Session methods are nil-safe: with no session the scan still
-	// runs in parallel, just without virtual-time accounting.
-	session.ParallelN(len(units), c.cfg.Workers, scanOne)
-	// Straggler skew: the critical path is a bit worse than the
-	// ideal even partition.
-	work := session.Elapsed() - start - spinUp
-	if work > 0 && c.cfg.StragglerFactor > 1 {
-		session.Add(time.Duration(float64(work) * (c.cfg.StragglerFactor - 1)))
-	}
-
-	var matches []insitu.Match
-	for i := range units {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		matches = append(matches, outs[i]...)
-	}
-	insitu.SortMatches(matches)
-
-	report.Latency = session.Elapsed() - start
-	report.WorkerSeconds = report.Latency.Seconds() * float64(c.cfg.Workers)
-	return matches, report, nil
 }
 
 // ScanColumns scans several columns of every file at once and applies
@@ -242,24 +132,21 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 	}
 	report.BytesScanned = totalBytes
 
+	// Planning wave: fetch footers and deletion vectors, and split
+	// every file into row-group scan units — the task granularity
+	// Spark uses for Parquet, which is what lets a scan of few large
+	// files still occupy many workers.
 	metas := make([]*parquet.FileMeta, len(files))
 	dvs := make([]*lake.DeletionVector, len(files))
-	planErrs := make([]error, len(files))
-	session.ParallelN(len(files), c.cfg.Workers, func(i int, s *simtime.Session) {
-		bctx := ctx
-		if s != nil {
-			bctx = simtime.With(ctx, s)
+	err = simtime.Fan(ctx, len(files), c.cfg.Workers, func(ctx context.Context, i int) (err error) {
+		metas[i], err = parquet.ReadFileMeta(ctx, c.table.Store(), c.table.Root()+files[i].Path)
+		if err == nil {
+			dvs[i], err = c.table.ReadDeletionVector(ctx, files[i])
 		}
-		metas[i], planErrs[i] = parquet.ReadFileMeta(bctx, c.table.Store(), c.table.Root()+files[i].Path)
-		if planErrs[i] != nil {
-			return
-		}
-		dvs[i], planErrs[i] = c.table.ReadDeletionVector(bctx, files[i])
+		return err
 	})
-	for _, err := range planErrs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	type unit struct {
 		file     int
@@ -276,21 +163,17 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 	}
 
 	outs := make([][]insitu.Match, len(units))
-	errs := make([]error, len(units))
-	scanOne := func(i int, s *simtime.Session) {
-		bctx := ctx
-		if s != nil {
-			bctx = simtime.With(ctx, s)
-		}
+	// With no session the scan still runs in parallel, just without
+	// virtual-time accounting.
+	err = simtime.Fan(ctx, len(units), c.cfg.Workers, func(ctx context.Context, i int) error {
 		u := units[i]
 		f := files[u.file]
 		cols := make([][][]byte, len(cis))
 		var chunkBytes int64
 		for k, ci := range cis {
-			vals, err := parquet.ReadColumnChunk(bctx, c.table.Store(), c.table.Root()+f.Path, metas[u.file], u.group, ci)
+			vals, err := parquet.ReadColumnChunk(ctx, c.table.Store(), c.table.Root()+f.Path, metas[u.file], u.group, ci)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			cols[k] = vals.Bytes
 			chunkBytes += metas[u.file].RowGroups[u.group].Chunks[ci].Size
@@ -315,21 +198,23 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 			}
 		}
 		outs[i] = ms
-		s.Add(time.Duration(float64(chunkBytes) / c.cfg.DecodeBps * float64(time.Second)))
+		// Decode/compute cost on top of the store's transfer time.
+		simtime.Charge(ctx, time.Duration(float64(chunkBytes)/c.cfg.DecodeBps*float64(time.Second)))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	session.ParallelN(len(units), c.cfg.Workers, scanOne)
+	// Straggler skew: the critical path is a bit worse than the
+	// ideal even partition.
 	work := session.Elapsed() - start - spinUp
 	if work > 0 && c.cfg.StragglerFactor > 1 {
 		session.Add(time.Duration(float64(work) * (c.cfg.StragglerFactor - 1)))
 	}
 
 	var matches []insitu.Match
-	for i := range units {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		matches = append(matches, outs[i]...)
+	for _, ms := range outs {
+		matches = append(matches, ms...)
 	}
 	insitu.SortMatches(matches)
 

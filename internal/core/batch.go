@@ -73,9 +73,10 @@ func (b *probeBatcher) do(ctx context.Context, indexKey, probe string, run func(
 	return v, err
 }
 
-// fmReq is one FM probe inside a doFMBatch group: the normalized
-// probe key plus the raw pattern and lookup bound the superwalk needs.
-type fmReq struct {
+// probeReq is one exact leaf's probe of one index file: the
+// normalized probe key (pattern plus bound) the batcher memoizes
+// under, and the raw pattern and lookup bound the walk needs.
+type probeReq struct {
 	probeKey string
 	pattern  []byte
 	maxRows  int
@@ -83,7 +84,7 @@ type fmReq struct {
 
 // fmRunMany executes one multi-pattern superwalk, returning one
 // result and memo cost per request.
-type fmRunMany func(ctx context.Context, reqs []fmReq) ([]any, []int64, error)
+type fmRunMany func(ctx context.Context, reqs []probeReq) ([]any, []int64, error)
 
 // fmQueue is the per-index wave queue of the FM group path. Callers
 // enqueue their unmemoized probes into pending, then contend on
@@ -101,7 +102,7 @@ type fmQueue struct {
 
 // fmWaiter is one FM probe of a doFMBatch call awaiting its flight.
 type fmWaiter struct {
-	req    fmReq
+	req    probeReq
 	flight *cache.Flight[probeKey, any]
 	idx    int // position in the caller's reqs slice
 }
@@ -138,7 +139,7 @@ func (b *probeBatcher) releaseQueue(indexKey string, q *fmQueue) {
 // it. Every flight goes through the memo's singleflight, so a wave
 // completes many flights from one walk. Nil-safe: a disabled batcher
 // runs the group as one walk with no memoization.
-func (b *probeBatcher) doFMBatch(ctx context.Context, indexKey string, reqs []fmReq, runMany fmRunMany) ([]any, error) {
+func (b *probeBatcher) doFMBatch(ctx context.Context, indexKey string, reqs []probeReq, runMany fmRunMany) ([]any, error) {
 	if b == nil {
 		vals, _, err := runMany(ctx, reqs)
 		return vals, err
@@ -200,7 +201,7 @@ func (b *probeBatcher) doFMBatch(ctx context.Context, indexKey string, reqs []fm
 // completing their flights (which memoizes the results).
 func (b *probeBatcher) runWave(ctx context.Context, wave []*fmWaiter, runMany fmRunMany) {
 	started := simtime.From(ctx).Elapsed()
-	reqs := make([]fmReq, len(wave))
+	reqs := make([]probeReq, len(wave))
 	for i, w := range wave {
 		reqs[i] = w.req
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -100,15 +99,14 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	mctx, mergeSpan := obs.Start(ctx, "compact.merge")
 	defer mergeSpan.End()
 	mergeSpan.SetAttr("sources", len(bin))
-	ctx = mctx
 	readers := make([]*component.Reader, len(bin))
 	manifests := make([]*Manifest, len(bin))
 	for i, e := range bin {
-		r, err := c.openReader(ctx, e.IndexKey)
+		r, err := c.openReader(mctx, e.IndexKey)
 		if err != nil {
 			return nil, fmt.Errorf("core: compact open %s: %w", e.IndexKey, err)
 		}
-		m, err := c.manifest(ctx, r)
+		m, err := c.manifest(mctx, r)
 		if err != nil {
 			return nil, err
 		}
@@ -117,113 +115,57 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	}
 
 	// Merged file table + per-source rebasing maps.
-	var mergedFiles []ManifestFile
+	merged := &Manifest{Column: column, Kind: kind}
 	byPath := make(map[string]uint32)
 	fileMaps := make([]map[uint32]uint32, len(bin))
-	var totalRows int64
 	for i, m := range manifests {
 		fileMaps[i] = make(map[uint32]uint32, len(m.Files))
 		for j, mf := range m.Files {
 			id, ok := byPath[mf.Path]
 			if !ok {
-				id = uint32(len(mergedFiles))
+				id = uint32(len(merged.Files))
 				byPath[mf.Path] = id
-				mergedFiles = append(mergedFiles, mf)
-				totalRows += mf.Rows
+				merged.Files = append(merged.Files, mf)
 			}
 			fileMaps[i][uint32(j)] = id
 		}
 	}
-
-	builder := component.NewBuilder(kind)
-	manifestJSON, err := json.Marshal(&Manifest{Column: column, Kind: kind, Files: mergedFiles})
-	if err != nil {
-		return nil, fmt.Errorf("core: encode merged manifest: %w", err)
-	}
-	builder.Add(manifestJSON) // component 0
-
-	switch kind {
-	case component.KindTrie:
-		sources := make([]*trie.Index, len(readers))
-		for i, r := range readers {
-			if sources[i], err = trie.Open(ctx, r); err != nil {
-				return nil, err
-			}
-		}
-		if err := trie.MergeInto(ctx, builder, sources, fileMaps, c.cfg.Trie); err != nil {
-			return nil, err
-		}
-	case component.KindFM:
-		sources := make([]*fmindex.Index, len(readers))
-		for i, r := range readers {
-			if sources[i], err = fmindex.Open(ctx, r); err != nil {
-				return nil, err
-			}
-		}
-		if err := fmindex.MergeInto(ctx, builder, sources, fileMaps, c.cfg.FM); err != nil {
-			return nil, err
-		}
-	case component.KindIVFPQ:
-		sources := make([]*ivfpq.Index, len(readers))
-		for i, r := range readers {
-			if sources[i], err = ivfpq.Open(ctx, r); err != nil {
-				return nil, err
-			}
-		}
-		if err := ivfpq.MergeInto(ctx, builder, sources, fileMaps, c.cfg.IVF); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown index kind %d", kind)
-	}
-
-	data, err := builder.Finish()
-	if err != nil {
-		return nil, err
-	}
-	indexKey := c.cfg.IndexDir + indexFilePrefix + randomName() + ".index"
-	mergeSpan.SetAttr("key", indexKey)
-	mergeSpan.SetAttr("bytes", len(data))
-	if err := c.store.Put(ctx, indexKey, data); err != nil {
-		return nil, err
-	}
 	mergeSpan.End()
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		return nil, fmt.Errorf("core: compact of %d index files: %w", len(bin), ErrTimeout)
-	}
-	paths := make([]string, len(mergedFiles))
-	for i, mf := range mergedFiles {
-		paths[i] = mf.Path
-	}
-	entry := meta.IndexEntry{
-		IndexKey:  indexKey,
-		Kind:      kind,
-		Column:    column,
-		Files:     paths,
-		Rows:      totalRows,
-		SizeBytes: int64(len(data)),
-	}
-	cctx, commitSpan := obs.Start(ctx, "compact.commit")
-	defer commitSpan.End()
-	if err := c.meta.Insert(cctx, entry); err != nil {
-		return nil, err
-	}
-	// The metadata table changed without a lake commit; cached plans
-	// must replan to pick up the new index file.
-	c.metaChanged()
-	commitSpan.End()
-	// Post-commit timeout re-check, mirroring IndexAt: if the clock
-	// passed the deadline between the check above and the insert, a
-	// vacuum may have collected the upload as an orphan — roll back.
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		rctx, rollbackSpan := obs.Start(ctx, "compact.rollback")
-		defer rollbackSpan.End()
-		if err := c.meta.Delete(rctx, entry.IndexKey); err != nil {
+
+	return c.publish(ctx, "compact", start, merged, func(ctx context.Context, b *component.Builder) error {
+		switch kind {
+		case component.KindTrie:
+			sources, err := openAll(ctx, readers, trie.Open)
+			if err != nil {
+				return err
+			}
+			return trie.MergeInto(ctx, b, sources, fileMaps, c.cfg.Trie)
+		case component.KindFM:
+			sources, err := openAll(ctx, readers, fmindex.Open)
+			if err != nil {
+				return err
+			}
+			return fmindex.MergeInto(ctx, b, sources, fileMaps, c.cfg.FM)
+		case component.KindIVFPQ:
+			sources, err := openAll(ctx, readers, ivfpq.Open)
+			if err != nil {
+				return err
+			}
+			return ivfpq.MergeInto(ctx, b, sources, fileMaps, c.cfg.IVF)
+		default:
+			return fmt.Errorf("core: unknown index kind %d", kind)
+		}
+	}, nil)
+}
+
+// openAll opens every source index of a merge.
+func openAll[T any](ctx context.Context, readers []*component.Reader, open func(context.Context, *component.Reader) (T, error)) ([]T, error) {
+	sources := make([]T, len(readers))
+	for i, r := range readers {
+		var err error
+		if sources[i], err = open(ctx, r); err != nil {
 			return nil, err
 		}
-		c.metaChanged()
-		return nil, fmt.Errorf("core: compact of %d index files overran commit: %w", len(bin), ErrTimeout)
 	}
-	entry.CreatedAt = c.clock.Now()
-	return &entry, nil
+	return sources, nil
 }

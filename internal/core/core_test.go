@@ -538,72 +538,6 @@ func TestVacuumDropsRedundantAndOrphans(t *testing.T) {
 	}
 }
 
-// advancingStore advances the virtual clock on every operation,
-// modelling wall time passing during IO.
-type advancingStore struct {
-	objectstore.Store
-	clock *simtime.VirtualClock
-	step  time.Duration
-}
-
-func (s *advancingStore) Put(ctx context.Context, key string, data []byte) error {
-	s.clock.Advance(s.step)
-	return s.Store.Put(ctx, key, data)
-}
-
-func (s *advancingStore) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	s.clock.Advance(s.step)
-	return s.Store.GetRange(ctx, key, off, n)
-}
-
-func TestIndexTimeoutWithAdvancingClock(t *testing.T) {
-	ctx := context.Background()
-	clock := simtime.NewVirtualClock()
-	mem := objectstore.NewMemStore(clock)
-	slow := &advancingStore{Store: mem, clock: clock, step: 10 * time.Minute}
-	table, err := lake.CreateWith(ctx, slow, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(table, Config{Clock: clock, IndexDir: "rottnest", Timeout: time.Hour})
-
-	gen := workload.NewUUIDGen(15)
-	keys := gen.Batch(100)
-	b := parquet.NewBatch(uuidSchema)
-	ids := make([][]byte, len(keys))
-	pay := make([][]byte, len(keys))
-	for i := range keys {
-		k := keys[i]
-		ids[i] = k[:]
-		pay[i] = []byte("x")
-	}
-	b.Cols[0] = parquet.ColumnValues{Bytes: ids}
-	b.Cols[1] = parquet.ColumnValues{Bytes: pay}
-	if _, err := table.Append(ctx, b, parquet.WriterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Each IO advances 10 minutes; indexing needs several, blowing a
-	// 1-hour... not quite: scan+put is ~3 ops = 30min < 1h. Tighten.
-	cli.cfg.Timeout = 15 * time.Minute
-	_, err = cli.Index(ctx, "id", component.KindTrie)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	// Nothing was committed: the metadata table is empty and a fresh
-	// retry (with a sane timeout) succeeds.
-	entries, err := cli.Meta().List(ctx)
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("entries after abort = %v, %v", entries, err)
-	}
-	cli.cfg.Timeout = 24 * time.Hour
-	if _, err := cli.Index(ctx, "id", component.KindTrie); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.CheckExistence(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIndexAbortsWhenInputVanishes(t *testing.T) {
 	ctx := context.Background()
 	e := newEnv(t, uuidSchema, Config{})

@@ -431,8 +431,10 @@ func TestVectorWithFilterPredicates(t *testing.T) {
 	schema := parquet.MustSchema(
 		parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * 8},
 		parquet.Column{Name: "tag", Type: parquet.TypeByteArray},
+		parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
 	)
 	e := newEnv(t, schema, Config{})
+	uuids := workload.NewUUIDGen(36)
 	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 36, Dim: 8, Clusters: 8, Spread: 0.2})
 	const n = 2000
 	vecs := gen.Batch(n)
@@ -443,7 +445,10 @@ func TestVectorWithFilterPredicates(t *testing.T) {
 	b := parquet.NewBatch(schema)
 	embs := make([][]byte, n)
 	tags := make([][]byte, n)
+	ids := make([][]byte, n)
 	for i, v := range vecs {
+		id := uuids.Next()
+		ids[i] = id[:]
 		embs[i] = workload.Float32sToBytes(v)
 		if i%7 == 0 || i == n-1 {
 			tags[i] = []byte(fmt.Sprintf("tag red %d", i))
@@ -453,36 +458,69 @@ func TestVectorWithFilterPredicates(t *testing.T) {
 	}
 	b.Cols[0] = parquet.ColumnValues{Bytes: embs}
 	b.Cols[1] = parquet.ColumnValues{Bytes: tags}
+	b.Cols[2] = parquet.ColumnValues{Bytes: ids}
 	if _, err := e.table.Append(ctx, b, parquet.WriterOptions{RowGroupRows: 512, PageBytes: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.cli.Index(ctx, "emb", component.KindIVFPQ); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.cli.Index(ctx, "tag", component.KindFM); err != nil {
-		t.Fatal(err)
+	for col, kind := range map[string]component.Kind{"emb": component.KindIVFPQ, "tag": component.KindFM, "id": component.KindTrie} {
+		if _, err := e.cli.Index(ctx, col, kind); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	res, err := e.cli.SearchCompound(ctx, CompoundQuery{
-		Expr: And(
-			PredVector("emb", q, 8, 40),
-			PredSubstring("tag", []byte("red")),
-		),
-		K: 5, Snapshot: -1, Output: "tag",
+	// redTop5 runs a ranked query and checks it against the planted
+	// data: five rows, all red, the exact red vector first.
+	redTop5 := func(cli *Client, filter ...*Expr) *Result {
+		t.Helper()
+		res, err := cli.SearchCompound(ctx, CompoundQuery{
+			Expr: And(append([]*Expr{PredVector("emb", q, 8, 40)}, filter...)...),
+			K:    5, Snapshot: -1, Output: "tag",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 5 {
+			t.Fatalf("matches = %d", len(res.Matches))
+		}
+		for _, m := range res.Matches {
+			if !bytes.Contains(m.Value, []byte("red")) {
+				t.Fatalf("filter violated: %q at row %d", m.Value, m.Row)
+			}
+		}
+		if res.Matches[0].Row != n-1 || res.Matches[0].Score != 0 {
+			t.Fatalf("planted exact red vector lost: %+v", res.Matches[0])
+		}
+		return res
+	}
+	redTop5(e.cli, PredSubstring("tag", []byte("red")))
+
+	// The ranked path shares the one probe phase. On a cold batcher, two
+	// substring filters over the one FM index file ride one superwalk
+	// beside the IVF-PQ probe: two walks, not one per leaf.
+	coldClient := func() (*Client, func() int64) {
+		cli := NewClient(e.table, Config{Clock: e.clock, IndexDir: "rottnest"})
+		return cli, func() int64 { return cli.Metrics().Counter("search.probe_runs") }
+	}
+	cli, probeRuns := coldClient()
+	redTop5(cli, PredSubstring("tag", []byte("red")), PredSubstring("tag", []byte("tag r")))
+	if got := probeRuns(); got != 2 {
+		t.Errorf("vector AND(substring, substring) ran %d index walks, want 2 (one IVF-PQ probe, one FM superwalk)", got)
+	}
+	// ...and a top-level AND filter is cost-staged: the trie lookup of
+	// an absent key empties every file, so the FM index is never walked.
+	cli, probeRuns = coldClient()
+	res, err := cli.SearchCompound(ctx, CompoundQuery{
+		Expr: And(PredVector("emb", q, 8, 40), PredUUID("id", uuids.Next()), PredSubstring("tag", []byte("red"))),
+		K:    5, Snapshot: -1, Output: "tag",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) != 5 {
-		t.Fatalf("matches = %d", len(res.Matches))
+	if !res.Stats.OrderedAND || !res.Stats.ShortCircuited || res.Stats.LeavesSkipped != 1 || len(res.Matches) != 0 {
+		t.Fatalf("vector AND(absent uuid, substring): stats %+v, %d matches; want ordered, short-circuited, 1 leaf skipped, no rows", res.Stats, len(res.Matches))
 	}
-	for _, m := range res.Matches {
-		if !bytes.Contains(m.Value, []byte("red")) {
-			t.Fatalf("filter violated: %q at row %d", m.Value, m.Row)
-		}
-	}
-	if res.Matches[0].Row != n-1 || res.Matches[0].Score != 0 {
-		t.Fatalf("planted exact red vector lost: %+v", res.Matches[0])
+	if got := probeRuns(); got != 2 {
+		t.Fatalf("short-circuited ranked query ran %d index walks, want 2 (IVF-PQ probe and trie lookup, no FM walk)", got)
 	}
 
 	// Vector leaves are rejected under OR and below the top level.

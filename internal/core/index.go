@@ -3,10 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -22,8 +19,6 @@ import (
 	"rottnest/internal/simtime"
 	"rottnest/internal/trie"
 )
-
-func float32frombits(u uint32) float32 { return math.Float32frombits(u) }
 
 // Index brings the (column, kind) index up to date with the latest
 // lake snapshot, following the protocol of Section IV-A:
@@ -132,11 +127,7 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 	// later scans are still in flight. Each file's column is released
 	// right after assembly, bounding peak memory to in-flight scans
 	// plus the growing input.
-	builder := component.NewBuilder(kind)
-	manifest := &Manifest{Column: column, Kind: kind, Files: newFiles}
-	var totalRows int64
 	columns := make([]parquet.ColumnValues, len(newFiles))
-	scanErrs := make([]error, len(newFiles))
 	scanned := make([]chan struct{}, len(newFiles))
 	for i := range scanned {
 		scanned[i] = make(chan struct{})
@@ -147,41 +138,34 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 		defer close(asmDone)
 		for i := range newFiles {
 			<-scanned[i]
-			if scanErrs[i] != nil {
-				return // the error check below reports it
-			}
+			// A failed scan left no pages and no values, so it adds
+			// nothing; its error discards the inputs below.
 			asm.addFile(i, newFiles[i], columns[i])
 			columns[i] = parquet.ColumnValues{} // release the scanned values
 		}
 	}()
 	scanCtx, scanSpan := obs.Start(ctx, "index.scan")
 	scanSpan.SetAttr("files", len(newFiles))
-	session := simtime.From(ctx)
-	session.ParallelN(len(newFiles), c.cfg.SearchWidth, func(i int, s *simtime.Session) {
+	err = simtime.Fan(scanCtx, len(newFiles), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
 		defer close(scanned[i])
-		bctx := scanCtx
-		if s != nil {
-			bctx = simtime.With(scanCtx, s)
+		vals, pages, _, err := parquet.ScanColumn(ctx, c.store, c.table.Root()+newFiles[i].Path, ci)
+		if errors.Is(err, objectstore.ErrNotFound) {
+			return fmt.Errorf("core: input %s vanished during indexing: %w", newFiles[i].Path, ErrAborted)
 		}
-		vals, pages, _, err := parquet.ScanColumn(bctx, c.store, c.table.Root()+newFiles[i].Path, ci)
 		if err != nil {
-			scanErrs[i] = err
-			return
+			return err
 		}
 		newFiles[i].Pages = pages
 		newFiles[i].Rows = pages.TotalRows()
 		columns[i] = vals
+		return nil
 	})
 	<-asmDone
 	scanSpan.End()
-	for i, err := range scanErrs {
-		if err != nil {
-			if errors.Is(err, objectstore.ErrNotFound) {
-				return nil, fmt.Errorf("core: input %s vanished during indexing: %w", newFiles[i].Path, ErrAborted)
-			}
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
+	var totalRows int64
 	for i := range newFiles {
 		totalRows += newFiles[i].Rows
 	}
@@ -189,102 +173,21 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 		return nil, fmt.Errorf("core: %d new rows < %d: %w", totalRows, c.cfg.MinVectorRows, ErrBelowMinRows)
 	}
 
-	_, buildSpan := obs.Start(ctx, "index.build")
-	defer buildSpan.End()
-	manifestJSON, err := json.Marshal(manifest)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode manifest: %w", err)
-	}
-	builder.Add(manifestJSON) // component 0
-
-	switch kind {
-	case component.KindTrie:
-		if err := trie.BuildInto(builder, asm.keys, asm.pageRefs, c.cfg.Trie); err != nil {
-			return nil, err
+	manifest := &Manifest{Column: column, Kind: kind, Files: newFiles}
+	return c.publish(ctx, "index", start, manifest, func(_ context.Context, b *component.Builder) error {
+		switch kind {
+		case component.KindTrie:
+			return trie.BuildInto(b, asm.keys, asm.pageRefs, c.cfg.Trie)
+		case component.KindFM:
+			return fmindex.BuildInto(b, asm.text, asm.starts, asm.pageRefs, c.cfg.FM)
+		default:
+			ivfOpts := c.cfg.IVF
+			if opts.IVF != nil {
+				ivfOpts = *opts.IVF
+			}
+			return ivfpq.BuildInto(b, asm.vecs, asm.rowRefs, ivfOpts)
 		}
-	case component.KindFM:
-		if err := fmindex.BuildInto(builder, asm.text, asm.starts, asm.pageRefs, c.cfg.FM); err != nil {
-			return nil, err
-		}
-	case component.KindIVFPQ:
-		ivfOpts := c.cfg.IVF
-		if opts.IVF != nil {
-			ivfOpts = *opts.IVF
-		}
-		if err := ivfpq.BuildInto(builder, asm.vecs, asm.rowRefs, ivfOpts); err != nil {
-			return nil, err
-		}
-	}
-	data, err := builder.Finish()
-	if err != nil {
-		return nil, err
-	}
-	buildSpan.SetAttr("rows", totalRows)
-	buildSpan.SetAttr("bytes", len(data))
-	buildSpan.End()
-
-	// Upload.
-	uctx, uploadSpan := obs.Start(ctx, "index.upload")
-	defer uploadSpan.End()
-	indexKey := c.cfg.IndexDir + indexFilePrefix + randomName() + ".index"
-	uploadSpan.SetAttr("key", indexKey)
-	if err := c.store.Put(uctx, indexKey, data); err != nil {
-		return nil, err
-	}
-	uploadSpan.End()
-
-	// Timeout check, then commit.
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		return nil, fmt.Errorf("core: index of %d files: %w", len(newFiles), ErrTimeout)
-	}
-	paths := make([]string, len(newFiles))
-	for i, f := range newFiles {
-		paths[i] = f.Path
-	}
-	entry := meta.IndexEntry{
-		IndexKey:  indexKey,
-		Kind:      kind,
-		Column:    column,
-		Files:     paths,
-		Rows:      totalRows,
-		SizeBytes: int64(len(data)),
-	}
-	cctx, commitSpan := obs.Start(ctx, "index.commit")
-	defer commitSpan.End()
-	if err := c.meta.Insert(cctx, entry); err != nil {
-		return nil, err
-	}
-	// The metadata table changed without a lake commit; cached plans
-	// must replan to pick up the new index file.
-	c.metaChanged()
-	commitSpan.End()
-	// Re-check the timeout after commit: the clock can pass the
-	// deadline between the check above and the insert, and a vacuum
-	// judging object age by that same clock may already have collected
-	// the upload as an orphan. Any such vacuum ran after the deadline
-	// passed, so the overshoot is always visible here; rolling the
-	// commit back restores the Existence invariant and the caller
-	// retries cleanly.
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		rctx, rollbackSpan := obs.Start(ctx, "index.rollback")
-		defer rollbackSpan.End()
-		if err := c.meta.Delete(rctx, entry.IndexKey); err != nil {
-			return nil, err
-		}
-		c.metaChanged()
-		return nil, fmt.Errorf("core: index of %d files overran commit: %w", len(newFiles), ErrTimeout)
-	}
-	entry.CreatedAt = c.clock.Now()
-	return &entry, nil
-}
-
-// randomName returns a fresh hex name for an index file.
-func randomName() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand does not fail on supported platforms
-	}
-	return hex.EncodeToString(b[:])
+	}, nil)
 }
 
 // inputAssembler incrementally flattens scanned columns into the
@@ -352,7 +255,7 @@ func decodeVector(v []byte, dim int) []float32 {
 	}
 	out := make([]float32, dim)
 	for i := range out {
-		out[i] = float32frombits(binary.LittleEndian.Uint32(v[4*i:]))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[4*i:]))
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +17,22 @@ import (
 
 // commitHookStore runs hook once, right after the next metadata-table
 // commit lands — the window between an operation's pre-commit timeout
-// check and its post-commit re-check.
+// check and its post-commit re-check — and uploadHook once, right
+// after the next index file upload lands, before that first check.
 type commitHookStore struct {
 	objectstore.Store
-	hook func()
+	hook       func()
+	uploadHook func()
+}
+
+func (s *commitHookStore) Put(ctx context.Context, key string, data []byte) error {
+	err := s.Store.Put(ctx, key, data)
+	if err == nil && s.uploadHook != nil && strings.HasSuffix(key, ".index") {
+		hook := s.uploadHook
+		s.uploadHook = nil
+		hook()
+	}
+	return err
 }
 
 func (s *commitHookStore) PutIfAbsent(ctx context.Context, key string, data []byte) error {
@@ -48,6 +59,11 @@ type invWorld struct {
 // overrunNextCommit makes the next metadata commit take two hours.
 func (w *invWorld) overrunNextCommit() {
 	w.hooked.hook = func() { w.clock.Advance(2 * time.Hour) }
+}
+
+// overrunNextUpload makes the next index file upload take two hours.
+func (w *invWorld) overrunNextUpload() {
+	w.hooked.uploadHook = func() { w.clock.Advance(2 * time.Hour) }
 }
 
 func newInvWorld(t *testing.T, schema *parquet.Schema) *invWorld {
@@ -148,17 +164,11 @@ func (w *invWorld) indexKeys(t *testing.T, column string, kind component.Kind) [
 	return keys
 }
 
-func wantTimeout(t *testing.T, err error) {
-	t.Helper()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout from the post-commit re-check", err)
-	}
-}
-
 // TestInvalidationEvents drives every source of a cache invalidation
 // and checks which of the client's two invalidation functions it
 // raised: metaChanged (counted by search.plan_cache_invalidations)
-// exactly wantMeta times, objectGone (counted by
+// exactly wantMeta times (a rollback's second call is pinned by
+// TestPublishTimeouts), objectGone (counted by
 // objcache.invalidations) exactly once per dead object key — and
 // that afterwards no tier holds an entry tagged with a dead key.
 func TestInvalidationEvents(t *testing.T) {
@@ -182,30 +192,11 @@ func TestInvalidationEvents(t *testing.T) {
 			},
 		},
 		{
-			name: "index rollback", world: uuidWorld, wantMeta: 2,
-			event: func(t *testing.T, w *invWorld) []string {
-				w.appendUUIDs(t, workload.NewUUIDGen(4), 100)
-				w.overrunNextCommit()
-				_, err := w.cli.Index(ctx, "id", component.KindTrie)
-				wantTimeout(t, err)
-				return nil
-			},
-		},
-		{
 			name: "compact commit", world: uuidWorld, wantMeta: 1,
 			event: func(t *testing.T, w *invWorld) []string {
 				if merged, err := w.cli.Compact(ctx, "id", component.KindTrie, CompactOptions{}); err != nil || len(merged) == 0 {
 					t.Fatalf("compact = %v, %v", merged, err)
 				}
-				return nil
-			},
-		},
-		{
-			name: "compact rollback", world: uuidWorld, wantMeta: 2,
-			event: func(t *testing.T, w *invWorld) []string {
-				w.overrunNextCommit()
-				_, err := w.cli.Compact(ctx, "id", component.KindTrie, CompactOptions{})
-				wantTimeout(t, err)
 				return nil
 			},
 		},
@@ -216,16 +207,6 @@ func TestInvalidationEvents(t *testing.T) {
 				if e, err := w.cli.RefineVectorIndex(ctx, "emb", old, w.vecs, 4, ivfpq.RefineOptions{MaxCells: 4, Seed: 1}); err != nil || e == nil {
 					t.Fatalf("refine = %v, %v", e, err)
 				}
-				return nil
-			},
-		},
-		{
-			name: "refine rollback", world: vectorWorld, wantMeta: 2,
-			event: func(t *testing.T, w *invWorld) []string {
-				old := w.indexKeys(t, "emb", component.KindIVFPQ)[0]
-				w.overrunNextCommit()
-				_, err := w.cli.RefineVectorIndex(ctx, "emb", old, w.vecs, 4, ivfpq.RefineOptions{MaxCells: 4, Seed: 1})
-				wantTimeout(t, err)
 				return nil
 			},
 		},

@@ -277,19 +277,45 @@ type planShape struct {
 	// leaves are the exact predicate leaves of filter, in canonical
 	// (normalized tree) order, each compiled for residual evaluation.
 	leaves []*leafPlan
-	// vector is the ranker leaf, nil for pure-filter trees.
-	vector *Pred
+	// vector is the ranker leaf, nil for pure-filter trees. nprobe,
+	// refine and maxCands are its knobs with defaults resolved: lists
+	// probed per index file, candidates kept for exact re-ranking, and
+	// candidates generated per index file.
+	vector                   *Pred
+	nprobe, refine, maxCands int
+	// vecProbe is the batcher key of the normalized vector probe.
+	vecProbe string
+	// units names the metadata listings the plan needs: one per exact
+	// leaf, then one for the vector leaf, so cached listings align.
+	units []probeUnit
 	// output is the column whose value populates Match.Value.
 	output string
+}
+
+// probeUnit names one metadata listing a plan needs.
+type probeUnit struct {
+	column string
+	kind   component.Kind
+}
+
+// defaultNProbe resolves the IVF-PQ probe width: the number of coarse
+// lists probed per index file when the query does not say.
+func defaultNProbe(nprobe int) int {
+	if nprobe <= 0 {
+		nprobe = 8
+	}
+	return nprobe
 }
 
 // leafPlan is one exact predicate leaf compiled for execution.
 type leafPlan struct {
 	pred *Pred
 	kind component.Kind
-	// fmPattern drives FM lookups: the substring itself or the
-	// regex's required literal.
-	fmPattern []byte
+	// pattern drives the index lookup: the UUID, the substring itself
+	// or the regex's required literal. probe is its batcher-key form
+	// (hex, so no input forges a separator).
+	pattern []byte
+	probe   string
 	// indexable is false when no index can serve the leaf (regex with
 	// no usable literal): the leaf admits every row and is checked
 	// purely in situ.
@@ -411,8 +437,27 @@ func compileShape(cq CompoundQuery) (*planShape, error) {
 			return nil, err
 		}
 	}
+	for _, lp := range shape.leaves {
+		shape.units = append(shape.units, probeUnit{column: lp.pred.Column, kind: lp.kind})
+	}
 	if vector != nil {
 		colSet[vector.Column] = true
+		shape.units = append(shape.units, probeUnit{column: vector.Column, kind: component.KindIVFPQ})
+		shape.nprobe = defaultNProbe(vector.NProbe)
+		shape.refine = vector.Refine
+		if shape.refine <= 0 {
+			shape.refine = 4 * cq.K
+		}
+		if shape.refine < cq.K {
+			shape.refine = cq.K
+		}
+		shape.maxCands = shape.refine
+		if filter != nil {
+			// The filter discards candidates before refinement; generate
+			// proportionally more so a selective filter still fills K.
+			shape.maxCands = shape.refine * 4
+		}
+		shape.vecProbe = vectorProbeKey(vector.Vector, shape.nprobe, shape.maxCands)
 	}
 
 	// Resolve the output column.
@@ -441,10 +486,11 @@ func compileLeaf(p *Pred) (*leafPlan, error) {
 	switch {
 	case p.UUID != nil:
 		key := *p.UUID
+		lp.pattern = key[:]
 		lp.match = func(v []byte) bool { return bytes.Equal(v, key[:]) }
 	case p.Substring != nil:
 		pat := p.Substring
-		lp.fmPattern = pat
+		lp.pattern = pat
 		lp.match = func(v []byte) bool { return bytes.Contains(v, pat) }
 	case p.Regex != "":
 		lit, err := requiredLiteral(p.Regex)
@@ -455,11 +501,22 @@ func compileLeaf(p *Pred) (*leafPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: bad regex: %w", err)
 		}
-		lp.fmPattern = lit
+		lp.pattern = lit
 		lp.indexable = len(lit) >= minRegexLiteral
 		lp.match = re.Match
 	default:
 		return nil, fmt.Errorf("core: vector predicate %q cannot be a filter leaf", p.Column)
 	}
+	lp.probe = kind.String() + ":" + hex.EncodeToString(lp.pattern)
 	return lp, nil
+}
+
+// vectorProbeKey is the batcher key of one normalized vector probe.
+func vectorProbeKey(vec []float32, nprobe, maxCands int) string {
+	var b []byte
+	b = append(b, fmt.Sprintf("v:%d:%d:", nprobe, maxCands)...)
+	for _, f := range vec {
+		b = append(b, fmt.Sprintf("%08x", math.Float32bits(f))...)
+	}
+	return string(b)
 }

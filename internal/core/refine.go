@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 
 	"rottnest/internal/component"
 	"rottnest/internal/ivfpq"
@@ -13,11 +11,10 @@ import (
 
 // RefineVectorIndex progressively deepens the vector index file at
 // indexKey: it re-clusters the cells the observed probe traffic hits
-// hardest (see ivfpq.RefineInto) and commits the result as a
-// compact-style replacement — upload the refined file, insert its
-// metadata row, delete the old row in the same breath, leaving the old
-// object an orphan for vacuum. The replacement covers exactly the same
-// data files, so the Consistency invariant holds throughout; a search
+// hardest (see ivfpq.RefineInto) and publishes the result as a
+// replacement of the old row (see publish), leaving the old object an
+// orphan for vacuum. The replacement covers exactly the same data
+// files, so the Consistency invariant holds throughout; a search
 // planning against either row sees identical coverage.
 //
 // probes are the recent query embeddings driving cell selection;
@@ -54,87 +51,16 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 	if err != nil {
 		return nil, err
 	}
-	if nprobe <= 0 {
-		nprobe = 8
-	}
-	cells := ivfpq.HotCells(ix, probes, nprobe, opts.MaxCells)
+	cells := ivfpq.HotCells(ix, probes, defaultNProbe(nprobe), opts.MaxCells)
 	planSpan.SetAttr("column", column)
 	planSpan.SetAttr("cells", len(cells))
 	planSpan.End()
 	if len(cells) == 0 {
 		return nil, nil
 	}
-
-	bctx, buildSpan := obs.Start(ctx, "refine.build")
-	defer buildSpan.End()
-	builder := component.NewBuilder(component.KindIVFPQ)
-	manifestJSON, err := json.Marshal(man)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode manifest: %w", err)
-	}
-	builder.Add(manifestJSON) // component 0, same as every index file
-	if err := ivfpq.RefineInto(bctx, builder, ix, cells, opts); err != nil {
-		return nil, err
-	}
-	data, err := builder.Finish()
-	if err != nil {
-		return nil, err
-	}
-	buildSpan.SetAttr("bytes", len(data))
-	buildSpan.End()
-
-	uctx, uploadSpan := obs.Start(ctx, "refine.upload")
-	defer uploadSpan.End()
-	newKey := c.cfg.IndexDir + indexFilePrefix + randomName() + ".index"
-	uploadSpan.SetAttr("key", newKey)
-	if err := c.store.Put(uctx, newKey, data); err != nil {
-		return nil, err
-	}
-	uploadSpan.End()
-
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		return nil, fmt.Errorf("core: refine of %s: %w", indexKey, ErrTimeout)
-	}
-	entry := meta.IndexEntry{
-		IndexKey:  newKey,
-		Kind:      component.KindIVFPQ,
-		Column:    column,
-		Files:     append([]string(nil), old.Files...),
-		Rows:      old.Rows,
-		SizeBytes: int64(len(data)),
-	}
-	cctx, commitSpan := obs.Start(ctx, "refine.commit")
-	defer commitSpan.End()
-	// Insert-then-delete: both orders keep every file covered, but the
-	// old row must go — greedy cover selection breaks ties toward the
-	// earlier-listed entry, so leaving it would keep serving the
-	// unrefined index forever.
-	if err := c.meta.Insert(cctx, entry); err != nil {
-		return nil, err
-	}
-	if err := c.meta.Delete(cctx, indexKey); err != nil {
-		return nil, err
-	}
-	c.metaChanged()
-	commitSpan.End()
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		// Same post-commit re-check as Index: a vacuum judging the new
-		// upload's age by this clock may already have collected it.
-		// Roll back to the old row, whose object a vacuum only deletes
-		// after its metadata row is gone — and it wasn't until now.
-		rctx, rollbackSpan := obs.Start(ctx, "refine.rollback")
-		defer rollbackSpan.End()
-		if err := c.meta.Insert(rctx, *old); err != nil {
-			return nil, err
-		}
-		if err := c.meta.Delete(rctx, newKey); err != nil {
-			return nil, err
-		}
-		c.metaChanged()
-		return nil, fmt.Errorf("core: refine of %s overran commit: %w", indexKey, ErrTimeout)
-	}
-	entry.CreatedAt = c.clock.Now()
-	return &entry, nil
+	return c.publish(ctx, "refine", start, man, func(ctx context.Context, b *component.Builder) error {
+		return ivfpq.RefineInto(ctx, b, ix, cells, opts)
+	}, old)
 }
 
 // ListIndexes returns the committed metadata rows of the (column,

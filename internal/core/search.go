@@ -2,14 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/insitu"
-	"rottnest/internal/lake"
-	"rottnest/internal/parquet"
+	"rottnest/internal/objectstore"
+	"rottnest/internal/obs"
 	"rottnest/internal/simtime"
 )
 
@@ -151,7 +151,9 @@ type Stats struct {
 	// OrderedAND reports that the probe phase staged this plan's
 	// top-level AND children by estimated cost: cheap children (trie
 	// walks, memoized probes, unindexed leaves) probed first, expensive
-	// ones only if the cheap intersection left any file alive.
+	// ones only if the cheap intersection left any file alive. Ranked
+	// plans share the probe phase, so a vector query whose filter is an
+	// AND may set OrderedAND, ShortCircuited and LeavesSkipped too.
 	OrderedAND bool
 	// ShortCircuited reports that the cheap stage emptied the page-set
 	// intersection for every searched file, so the expensive AND
@@ -210,37 +212,178 @@ func (c *Client) Search(ctx context.Context, q Query) (*Result, error) {
 	return c.SearchCompound(ctx, cq)
 }
 
-// runBranches executes branches in parallel on the session in waves
-// of at most width (a Rottnest search runs on one instance, so its
-// request concurrency is bounded). Session methods are nil-safe: with
-// no session the branches still run concurrently, just without
-// virtual-time accounting.
-func runBranches(session *simtime.Session, width int, branches []func(*simtime.Session)) {
-	if len(branches) == 0 {
-		return
+// SearchCompound executes a compound boolean query as one plan: every
+// referenced index is probed once, candidate page sets are converted
+// to row ranges and intersected/unioned in memory, and the in-situ
+// phase fetches each surviving page at most once, evaluating all
+// residual predicates in a single pass over the decoded values. A
+// vector leaf (root, or direct child of a root AND) ranks: IVF-PQ
+// candidate generation runs first, the sibling filter's row set is
+// applied before refinement, and exact-distance reads touch only
+// admitted rows.
+//
+// A plan runs as five stages, one file each: resolve (resolve.go)
+// reads the snapshot and metadata listings, bind (bind.go) chooses
+// files, covers and columns, probe (probe.go) asks the index files,
+// the set algebra (algebra.go) intersects what they answered, and
+// read/rank (read.go) fetches, re-checks, scans and cuts. Only
+// resolve, probe and read touch the store.
+func (c *Client) SearchCompound(ctx context.Context, cq CompoundQuery) (*Result, error) {
+	shape, err := compileShape(cq)
+	if err != nil {
+		return nil, err
 	}
-	session.ParallelN(len(branches), width, func(i int, s *simtime.Session) {
-		branches[i](s)
-	})
+	return c.searchTree(ctx, cq, shape)
 }
 
-// vecCandidate is one vector candidate resolved to a physical
-// location.
-type vecCandidate struct {
-	file   lake.DataFile
-	page   parquet.PageInfo
-	row    int64 // file-global row
-	approx float32
+// TraceCompound is Trace for compound queries: SearchCompound with a
+// trace attached, returning the finished span tree.
+func (c *Client) TraceCompound(ctx context.Context, cq CompoundQuery) (*Result, *obs.Node, error) {
+	if simtime.From(ctx) == nil {
+		ctx = simtime.With(ctx, simtime.NewSession())
+	}
+	ctx, root := obs.WithTrace(ctx, "search")
+	res, err := c.SearchCompound(ctx, cq)
+	root.End()
+	return res, root.Tree(), err
 }
 
-func sortVecCandidates(cands []vecCandidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].approx != cands[j].approx {
-			return cands[i].approx < cands[j].approx
+// searchTree is the executor behind Search and SearchCompound: the
+// metrics prologue/epilogue around the vacuumed-index replan loop.
+func (c *Client) searchTree(ctx context.Context, cq CompoundQuery, shape *planShape) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	session := simtime.From(ctx)
+	startElapsed := session.Elapsed()
+	var startMetrics objectstore.Snapshot
+	if c.inst != nil {
+		startMetrics = c.inst.Metrics().Snapshot()
+	}
+	var startCache objectstore.CacheStats
+	if c.cache != nil {
+		startCache = c.cache.Stats()
+	}
+	var startRetry objectstore.RetryStats
+	if c.retry != nil {
+		startRetry = c.retry.Stats()
+	}
+	startCoalesced := c.probeCoalesced.Value()
+
+	snapVersion := cq.Snapshot
+	if snapVersion == 0 {
+		snapVersion = -1
+	}
+
+	// A vacuum may physically delete an index object after this search
+	// planned against it (commit-then-delete: the metadata row goes
+	// first, so by the time the object is gone the plan is stale).
+	// Replan rather than failing the query, excluding the vanished
+	// index so files it covered fall to another index or to the scan
+	// path — either way the results stay exact.
+	var result *Result
+	var err error
+	var excluded map[string]bool
+	for tries := 0; ; tries++ {
+		result, err = c.round(ctx, cq, shape, snapVersion, excluded)
+		var stale *staleIndexError
+		if err == nil || tries >= searchMaxReplans || !errors.As(err, &stale) {
+			break
 		}
-		if cands[i].file.Path != cands[j].file.Path {
-			return cands[i].file.Path < cands[j].file.Path
+		if excluded == nil {
+			excluded = make(map[string]bool)
 		}
-		return cands[i].row < cands[j].row
-	})
+		excluded[stale.key] = true
+		// The stale plan and everything cached from the vanished
+		// index must not serve again.
+		c.metaChanged()
+		c.objectGone(stale.key)
+	}
+	if err != nil {
+		return nil, err
+	}
+	result.Stats.Latency = session.Elapsed() - startElapsed
+	var cacheDelta objectstore.CacheStats
+	if c.cache != nil {
+		cacheDelta = c.cache.Stats().Sub(startCache)
+		result.Stats.CacheHits = cacheDelta.Hits
+		result.Stats.CacheMisses = cacheDelta.Misses
+		result.Stats.CacheBytesSaved = cacheDelta.BytesSaved
+	}
+	switch {
+	case c.inst != nil:
+		m := c.inst.Metrics().Snapshot().Sub(startMetrics)
+		result.Stats.GETs = m.Gets
+		result.Stats.BytesRead = m.BytesRead
+	case c.cache != nil:
+		// No instrumented store underneath (e.g. a bare directory
+		// store): meter requests at the cache boundary instead.
+		result.Stats.GETs = cacheDelta.UpstreamGets
+		result.Stats.BytesRead = cacheDelta.UpstreamBytes
+	}
+	if c.retry != nil {
+		r := c.retry.Stats().Sub(startRetry)
+		result.Stats.Retries = r.Retries
+		result.Stats.ThrottleWaits = r.ThrottleWaits
+	}
+	result.Stats.ProbesCoalesced = c.probeCoalesced.Value() - startCoalesced
+	c.searches.Inc()
+	c.pagesProbed.Add(int64(result.Stats.PagesProbed))
+	c.scannedFull.Add(int64(result.Stats.FilesScanned))
+	c.pagesCandidate.Add(int64(result.Stats.PagesCandidate))
+	c.pagesPruned.Add(int64(result.Stats.PagesPruned))
+	c.latencyHist.Observe(int64(result.Stats.Latency))
+	if h := c.heatObserver(); h != nil && result.heat != nil {
+		h.ObserveSearch(SearchHeat{Units: result.heat, Latency: result.Stats.Latency})
+	}
+	return result, nil
+}
+
+// round runs one plan round through the five stages. Planning — resolve
+// then bind — is one "search.plan" span on the root session: its
+// virtual duration is exactly the session time the round's planning
+// costs, so sibling phase durations sum to the search latency.
+func (c *Client) round(ctx context.Context, cq CompoundQuery, shape *planShape, version int64, excluded map[string]bool) (*Result, error) {
+	pctx, planSpan := obs.Start(ctx, "search.plan")
+	defer planSpan.End()
+	snap, listings, fromCache, err := c.resolve(pctx, shape, version, len(excluded) > 0)
+	if err != nil {
+		return nil, err
+	}
+	if fromCache {
+		planSpan.SetAttr("plan_cache", true)
+	}
+	env, err := bind(cq, shape, snap, listings, excluded)
+	if err != nil {
+		return nil, err
+	}
+	planSpan.SetAttr("snapshot", snap.Version)
+	planSpan.SetAttr("index_files", env.stats.IndexFiles)
+	planSpan.SetAttr("covered_files", env.stats.CoveredFiles)
+	planSpan.SetAttr("unindexed_files", env.stats.UnindexedFiles)
+	planSpan.SetAttr("pruned_files", env.stats.PrunedFiles)
+	planSpan.SetAttr("leaves", len(shape.leaves))
+	planSpan.End() // idempotent: the defer covers the early error returns
+
+	// Heat tap: record how this plan resolved files per probe unit, and
+	// surface vector probe traffic, before execution so the observer
+	// sees the plan even if execution fails downstream.
+	var heat []QueryHeat
+	if h := c.heatObserver(); h != nil {
+		heat = heatUnits(env)
+		if shape.vector != nil {
+			h.ObserveVectorQuery(shape.vector.Column, shape.vector.Vector, shape.nprobe)
+		}
+	}
+
+	var result *Result
+	if shape.vector != nil {
+		result, err = c.execVector(ctx, env)
+	} else {
+		result, err = c.execExact(ctx, env)
+	}
+	if result != nil {
+		result.heat = heat
+	}
+	return result, err
 }

@@ -524,7 +524,13 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 	for _, st := range statuses {
 		if st.StaleRefs > 0 || st.RedundantEntries > 0 {
 			return func(ctx context.Context) error {
-				_, err := s.cli.Vacuum(ctx, policy.Vacuum)
+				report, err := s.cli.Vacuum(ctx, policy.Vacuum)
+				if err == nil && len(report.DroppedEntries) == 0 && len(report.RemovedObjects) == 0 {
+					// Stale refs under an index file that still covers
+					// live data outlast every vacuum: not progress, or
+					// Quiesce would step forever.
+					return errNoProgress
+				}
 				return err
 			}, s.jobsVacuum
 		}

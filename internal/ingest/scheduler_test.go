@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -383,6 +384,53 @@ func TestSchedulerJobPriorities(t *testing.T) {
 	// Quiescence means full coverage: nothing unindexed, empty ledger.
 	if got := reg.Gauge("ingest.rows_unindexed"); got != 0 {
 		t.Fatalf("rows_unindexed = %d after quiesce", got)
+	}
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSchedulerQuiesceEndsWithPartlyStaleIndexFile pins the bound on
+// Quiesce: an index file that names both dead and live data files (the
+// lake compacted some of what it covers) keeps StaleRefs above zero for
+// as long as its live files exist, and no vacuum can change that — so a
+// vacuum that dropped and removed nothing must count as no progress,
+// or Quiesce steps forever.
+func TestSchedulerQuiesceEndsWithPartlyStaleIndexFile(t *testing.T) {
+	ctx := context.Background()
+	w, s, clock := schedWorld(t, SchedulerOptions{})
+	// One large data file and two small ones, under one index file.
+	var sb strings.Builder
+	for x := uint32(1); sb.Len() < 1<<15; x = x*1664525 + 1013904223 {
+		fmt.Fprintf(&sb, "%08x", x) // does not compress away
+	}
+	large := sb.String()
+	ingestRows(t, ctx, w, large, 2)
+	ingestRows(t, ctx, w, "small", 4)
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The lake merges the two small files away.
+	if merged, err := s.cli.Table().Compact(ctx, 1<<13, 1000); err != nil || len(merged) == 0 {
+		t.Fatalf("lake compaction = %v, %v", merged, err)
+	}
+	clock.Advance(time.Minute)
+	done := make(chan error, 1)
+	go func() { done <- s.Quiesce(ctx) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Quiesce is still stepping: a vacuum that can change nothing counts as progress")
+	}
+	statuses, err := s.cli.Status(ctx)
+	if err != nil || len(statuses) != 1 {
+		t.Fatalf("status = %+v, %v", statuses, err)
+	}
+	if st := statuses[0]; st.StaleRefs == 0 || st.UnindexedFiles != 0 || st.RedundantEntries != 0 {
+		t.Fatalf("status = %+v, want stale refs left under full coverage and no redundant entry", st)
 	}
 	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)

@@ -103,81 +103,61 @@ func EvalPages(ctx context.Context, store objectstore.Store, key, path string, c
 	// (insitu.scan). Columns fan in parallel on the session: they are
 	// independent ranged GETs of the same file.
 	vals := make([]*colValues, len(cols))
-	errs := make([]error, len(cols))
 	fetched := make([]int, len(cols))
-	session := simtime.From(ctx)
-	branches := make([]func(*simtime.Session), len(cols))
-	for i := range cols {
+	err = simtime.Fan(ctx, len(cols), 0, func(ctx context.Context, i int) error {
 		cr := cols[i]
-		idx := i
-		branches[i] = func(s *simtime.Session) {
-			bctx := ctx
-			if s != nil {
-				bctx = simtime.With(ctx, s)
-			}
-			if cr.Scan {
-				sctx, span := obs.Start(bctx, "insitu.scan")
-				defer span.End()
-				span.SetAttr("path", path)
-				span.SetAttr("column", cr.Name)
-				v, _, _, err := parquet.ScanColumn(sctx, store, key, cr.ColIdx)
-				if err != nil {
-					errs[idx] = fmt.Errorf("insitu: scan %s: %w", path, err)
-					return
-				}
-				if v.Bytes == nil && v.Len() > 0 {
-					errs[idx] = fmt.Errorf("insitu: column %s of %s is not byte-typed", cr.Name, path)
-					return
-				}
-				vals[idx] = &colValues{scan: v}
-				return
-			}
-			pctx, span := obs.Start(bctx, "insitu.probe")
+		if cr.Scan {
+			sctx, span := obs.Start(ctx, "insitu.scan")
 			defer span.End()
 			span.SetAttr("path", path)
 			span.SetAttr("column", cr.Name)
-			// Dedup by ordinal on a copy: the caller's slice is often a
-			// shared page table and must not be reordered.
-			pages := append([]parquet.PageInfo(nil), cr.Pages...)
-			sort.Slice(pages, func(a, b int) bool { return pages[a].Ordinal < pages[b].Ordinal })
-			uniq := pages[:0]
-			for _, p := range pages {
-				if len(uniq) == 0 || p.Ordinal != uniq[len(uniq)-1].Ordinal {
-					uniq = append(uniq, p)
-				}
-			}
-			span.SetAttr("pages", len(uniq))
-			fetched[idx] = len(uniq)
-			if len(uniq) == 0 {
-				vals[idx] = &colValues{pages: []parquet.Page{}}
-				return
-			}
-			decoded, err := parquet.ReadPages(pctx, store, key, cr.Col, uniq)
+			v, _, _, err := parquet.ScanColumn(sctx, store, key, cr.ColIdx)
 			if err != nil {
-				errs[idx] = fmt.Errorf("insitu: probe %s: %w", path, err)
-				return
+				return fmt.Errorf("insitu: scan %s: %w", path, err)
 			}
-			for _, p := range decoded {
-				if p.Values.Bytes == nil && p.Values.Len() > 0 {
-					errs[idx] = fmt.Errorf("insitu: column %s of %s is not byte-typed", cr.Name, path)
-					return
-				}
+			if v.Bytes == nil && v.Len() > 0 {
+				return fmt.Errorf("insitu: column %s of %s is not byte-typed", cr.Name, path)
 			}
-			vals[idx] = &colValues{pages: decoded}
+			vals[i] = &colValues{scan: v}
+			return nil
 		}
+		pctx, span := obs.Start(ctx, "insitu.probe")
+		defer span.End()
+		span.SetAttr("path", path)
+		span.SetAttr("column", cr.Name)
+		// Dedup by ordinal on a copy: the caller's slice is often a
+		// shared page table and must not be reordered.
+		pages := append([]parquet.PageInfo(nil), cr.Pages...)
+		sort.Slice(pages, func(a, b int) bool { return pages[a].Ordinal < pages[b].Ordinal })
+		uniq := pages[:0]
+		for _, p := range pages {
+			if len(uniq) == 0 || p.Ordinal != uniq[len(uniq)-1].Ordinal {
+				uniq = append(uniq, p)
+			}
+		}
+		span.SetAttr("pages", len(uniq))
+		fetched[i] = len(uniq)
+		if len(uniq) == 0 {
+			vals[i] = &colValues{pages: []parquet.Page{}}
+			return nil
+		}
+		decoded, err := parquet.ReadPages(pctx, store, key, cr.Col, uniq)
+		if err != nil {
+			return fmt.Errorf("insitu: probe %s: %w", path, err)
+		}
+		for _, p := range decoded {
+			if p.Values.Bytes == nil && p.Values.Len() > 0 {
+				return fmt.Errorf("insitu: column %s of %s is not byte-typed", cr.Name, path)
+			}
+		}
+		vals[i] = &colValues{pages: decoded}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	if session == nil {
-		for _, b := range branches {
-			b(nil)
-		}
-	} else {
-		session.Parallel(branches...)
-	}
-	for i := range cols {
-		if errs[i] != nil {
-			return nil, 0, errs[i]
-		}
-		pagesFetched += fetched[i]
+	for _, n := range fetched {
+		pagesFetched += n
 	}
 
 	// Single pass over the surviving rows: deletion vector, then the

@@ -68,10 +68,29 @@ func IntersectRanges(a, b []RowRange) []RowRange {
 // UnionRanges returns the union of two normalized range sets, itself
 // normalized.
 func UnionRanges(a, b []RowRange) []RowRange {
-	merged := make([]RowRange, 0, len(a)+len(b))
-	merged = append(merged, a...)
-	merged = append(merged, b...)
-	return NormalizeRanges(merged)
+	// Both inputs ascend, so the union is one two-pointer merge that
+	// coalesces as it goes; no sort.
+	out := make([]RowRange, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var r RowRange
+		if j == len(b) || (i < len(a) && a[i].Lo <= b[j].Lo) {
+			r, i = a[i], i+1
+		} else {
+			r, j = b[j], j+1
+		}
+		if r.Hi <= r.Lo {
+			continue // the whole-file range of an empty file
+		}
+		if n := len(out); n > 0 && r.Lo <= out[n-1].Hi {
+			if r.Hi > out[n-1].Hi {
+				out[n-1].Hi = r.Hi
+			}
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // RangesLen returns the total number of rows covered by a normalized

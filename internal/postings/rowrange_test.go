@@ -163,3 +163,80 @@ func TestRangeOpsAgainstBitmap(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionRangesMatchesNormalize checks the merge against the
+// definition, NormalizeRanges(append(a, b...)), on random normalized
+// inputs: empty sides, touching ranges (a.Hi == b.Lo), nested ranges
+// and equal starts all occur, and neither input may be modified.
+func TestUnionRangesMatchesNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randSet := func() []RowRange {
+		var rs []RowRange
+		for i, n := 0, rng.Intn(9); i < n; i++ {
+			lo := rng.Int63n(60)
+			rs = append(rs, RowRange{Lo: lo, Hi: lo + 1 + rng.Int63n(12)})
+		}
+		return NormalizeRanges(rs)
+	}
+	fixed := [][2][]RowRange{
+		{nil, nil},
+		{nil, {{3, 7}}},
+		{{{0, 5}}, {{5, 9}}},                   // touching
+		{{{0, 5}, {9, 12}}, {{5, 9}}},          // touching on both sides
+		{{{0, 100}}, {{10, 20}, {30, 40}}},     // nested
+		{{{4, 8}}, {{4, 6}}},                   // equal starts
+		{{{0, 2}, {4, 6}}, {{1, 5}, {20, 21}}}, // bridge
+		{{{0, 0}}, {{0, 0}}},                   // an empty file's whole-file range
+		{{{0, 0}}, {{2, 3}}},                   //
+	}
+	check := func(a, b []RowRange) {
+		t.Helper()
+		ac, bc := append([]RowRange(nil), a...), append([]RowRange(nil), b...)
+		want := NormalizeRanges(append(append([]RowRange(nil), a...), b...))
+		for _, got := range [][]RowRange{UnionRanges(a, b), UnionRanges(b, a)} {
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("UnionRanges(%v, %v) = %v, want %v", a, b, got, want)
+			}
+		}
+		if !reflect.DeepEqual(a, ac) || !reflect.DeepEqual(b, bc) {
+			t.Fatalf("UnionRanges modified its inputs: %v %v, were %v %v", a, b, ac, bc)
+		}
+	}
+	for _, f := range fixed {
+		check(f[0], f[1])
+	}
+	for trial := 0; trial < 2000; trial++ {
+		check(randSet(), randSet())
+	}
+}
+
+// benchRanges returns two normalized 1,024-range lists whose ranges
+// interleave and partly overlap, the shape two FM leaves' candidate
+// pages take over one file.
+func benchRanges() (a, b []RowRange) {
+	for i := int64(0); i < 1024; i++ {
+		a = append(a, RowRange{Lo: i * 100, Hi: i*100 + 40})
+		b = append(b, RowRange{Lo: i*100 + 30, Hi: i*100 + 70})
+	}
+	return a, b
+}
+
+var rangesSink []RowRange
+
+func BenchmarkUnionRanges(b *testing.B) {
+	x, y := benchRanges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rangesSink = UnionRanges(x, y)
+	}
+}
+
+func BenchmarkIntersectRanges(b *testing.B) {
+	x, y := benchRanges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rangesSink = IntersectRanges(x, y)
+	}
+}

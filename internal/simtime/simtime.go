@@ -177,6 +177,34 @@ func (s *Session) ParallelN(n, width int, fn func(int, *Session)) {
 	}
 }
 
+// Fan runs fn(ctx, i) for i in [0, n) on the session ctx carries, at
+// most width at a time (ParallelN; width <= 0 means n), each call's
+// context carrying its own branch session, and returns the error of
+// the lowest failing index — the order a caller looping over
+// per-branch errors would find it. A fan of one runs on the caller's
+// goroutine, on a branch session like any other. Without a session
+// the branches still run concurrently, just without virtual-time
+// accounting.
+func Fan(ctx context.Context, n, width int, fn func(ctx context.Context, i int) error) error {
+	if n == 1 {
+		s := From(ctx)
+		child := &Session{elapsed: s.Elapsed()}
+		err := fn(With(ctx, child), 0)
+		s.advanceTo(child.Elapsed())
+		return err
+	}
+	errs := make([]error, n)
+	From(ctx).ParallelN(n, width, func(i int, child *Session) {
+		errs[i] = fn(With(ctx, child), i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 type sessionKey struct{}
 
 // With returns a context carrying the session. Store instrumentation

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -135,4 +136,55 @@ func TestContextPlumbing(t *testing.T) {
 		t.Fatal("From on empty context should be nil")
 	}
 	Charge(context.Background(), time.Second) // must not panic
+}
+
+func TestFanWavesBranchSessionsAndLowestError(t *testing.T) {
+	s := NewSession()
+	ctx := With(context.Background(), s)
+	errA, errB := errors.New("a"), errors.New("b")
+	// 5 branches of 10ms on width 2: three waves. Every branch charges
+	// the session its own context carries, never the parent directly.
+	err := Fan(ctx, 5, 2, func(ctx context.Context, i int) error {
+		if From(ctx) == s {
+			t.Errorf("branch %d runs on the parent session", i)
+		}
+		Charge(ctx, 10*time.Millisecond)
+		switch i {
+		case 3:
+			return errB
+		case 1:
+			return errA
+		}
+		return nil
+	})
+	if err != errA {
+		t.Fatalf("err = %v, want the lowest-index error %v", err, errA)
+	}
+	if got := s.Elapsed(); got != 30*time.Millisecond {
+		t.Fatalf("Elapsed = %v, want 30ms", got)
+	}
+
+	// A fan of one runs on the caller's goroutine, on a branch session
+	// like any other.
+	if err := Fan(ctx, 1, 8, func(ctx context.Context, i int) error {
+		if From(ctx) == s || From(ctx) == nil || i != 0 {
+			t.Errorf("single branch got session %p index %d", From(ctx), i)
+		}
+		Charge(ctx, 5*time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Elapsed(); got != 35*time.Millisecond {
+		t.Fatalf("Elapsed = %v, want 35ms", got)
+	}
+
+	// No session, no branches: still runs (or not) without panicking.
+	ran := make([]bool, 3)
+	if err := Fan(context.Background(), 3, 0, func(_ context.Context, i int) error { ran[i] = true; return nil }); err != nil || !ran[0] || !ran[1] || !ran[2] {
+		t.Fatalf("sessionless fan: err=%v ran=%v", err, ran)
+	}
+	if err := Fan(ctx, 0, 4, func(context.Context, int) error { t.Error("must not run"); return nil }); err != nil {
+		t.Fatal(err)
+	}
 }
