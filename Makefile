@@ -45,11 +45,11 @@ benchmark-test:
 
 # bench-alloc compiles and runs the allocation benchmarks (the only
 # ones reporting allocs/op): warm queries per class, the set algebra
-# and read planner on synthetic candidate sets, and the range
-# operations. Nothing is gated; a PR that claims an allocation change
+# and read planner on synthetic candidate sets, the range operations,
+# and one 64 KiB page through the page decoder per codec and shape. Nothing is gated; a PR that claims an allocation change
 # quotes these numbers at its parent and at its head.
 bench-alloc:
-	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges' -benchtime 50x ./internal/core ./internal/postings
+	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges|DecodePage' -benchtime 50x ./internal/core ./internal/postings ./internal/parquet
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must

@@ -7,6 +7,13 @@
 // (core.probeBatcher) are typed instances that differ only in key,
 // value, budget and metric names.
 //
+// Eviction has one fixed rule beyond recency: an entry whose key the
+// tier declared yielding (New's yields) is evicted before any entry
+// that is not. A tier can thus keep a bulky, cheap-to-rebuild class
+// (decoded data pages) in whatever its other entries leave free: the
+// resident set of the non-yielding entries is exactly what it would be
+// if the yielding ones were never inserted.
+//
 // The engine relies on the lake's immutability (Section IV of the
 // paper): data files, deletion vectors and index files all live under
 // fresh random keys that are never overwritten, so a cached value can
@@ -40,11 +47,14 @@ type Metrics struct {
 // Cache is a concurrency-safe LRU over values of caller-estimated
 // cost, bounded by a byte budget.
 type Cache[K comparable, V any] struct {
-	max int64
-	m   Metrics
+	max    int64
+	m      Metrics
+	yields func(K) bool // nil: no entry yields
 
-	mu      sync.Mutex
-	lru     list.List // of *entry[K, V]; front = most recently used
+	mu sync.Mutex
+	// lru[0] orders the ordinary entries, lru[1] the yielding ones; both
+	// hold *entry[K, V], front = most recently used.
+	lru     [2]list.List
 	items   map[K]*list.Element
 	tags    map[string]map[K]*list.Element
 	flights map[K]*Flight[K, V]
@@ -52,10 +62,11 @@ type Cache[K comparable, V any] struct {
 }
 
 type entry[K comparable, V any] struct {
-	key  K
-	tag  string
-	val  V
-	cost int64
+	key   K
+	tag   string
+	val   V
+	cost  int64
+	class int // index into Cache.lru: 0 ordinary, 1 yielding
 }
 
 // Flight is one load in progress. The caller that Begin made its
@@ -77,10 +88,13 @@ type Flight[K comparable, V any] struct {
 }
 
 // New returns a cache holding at most maxBytes of summed entry cost.
-func New[K comparable, V any](maxBytes int64, m Metrics) *Cache[K, V] {
+// yields names the keys whose entries are evicted before all others;
+// nil means none.
+func New[K comparable, V any](maxBytes int64, m Metrics, yields func(K) bool) *Cache[K, V] {
 	return &Cache[K, V]{
 		max:     maxBytes,
 		m:       m,
+		yields:  yields,
 		items:   make(map[K]*list.Element),
 		tags:    make(map[string]map[K]*list.Element),
 		flights: make(map[K]*Flight[K, V]),
@@ -170,7 +184,10 @@ func (c *Cache[K, V]) Wait(ctx context.Context, f *Flight[K, V]) (V, error) {
 }
 
 func (c *Cache[K, V]) insertLocked(e *entry[K, V]) {
-	elem := c.lru.PushFront(e)
+	if c.yields != nil && c.yields(e.key) {
+		e.class = 1
+	}
+	elem := c.lru[e.class].PushFront(e)
 	c.items[e.key] = elem
 	tagged := c.tags[e.tag]
 	if tagged == nil {
@@ -180,14 +197,19 @@ func (c *Cache[K, V]) insertLocked(e *entry[K, V]) {
 	tagged[e.key] = elem
 	c.bytes += e.cost
 	for c.bytes > c.max {
-		c.removeLocked(c.lru.Back())
+		victim := c.lru[1].Back()
+		if victim == nil {
+			victim = c.lru[0].Back()
+		}
+		c.removeLocked(victim)
 		c.m.Evictions.Inc()
 	}
 	c.m.Resident.Set(c.bytes)
 }
 
 func (c *Cache[K, V]) removeLocked(elem *list.Element) {
-	e := c.lru.Remove(elem).(*entry[K, V])
+	e := elem.Value.(*entry[K, V])
+	c.lru[e.class].Remove(elem)
 	delete(c.items, e.key)
 	tagged := c.tags[e.tag]
 	delete(tagged, e.key)
@@ -218,11 +240,12 @@ func (c *Cache[K, V]) lookupLocked(k K, promote bool) (v V, ok bool) {
 	if !ok {
 		return v, false
 	}
+	e := elem.Value.(*entry[K, V])
 	if promote {
-		c.lru.MoveToFront(elem)
+		c.lru[e.class].MoveToFront(elem)
 		c.m.Hits.Inc()
 	}
-	return elem.Value.(*entry[K, V]).val, true
+	return e.val, true
 }
 
 // Invalidate drops every entry tagged with the object key and marks
@@ -254,7 +277,8 @@ func (c *Cache[K, V]) Flush() {
 	for _, f := range c.flights {
 		f.stale = true
 	}
-	c.lru.Init()
+	c.lru[0].Init()
+	c.lru[1].Init()
 	c.items = make(map[K]*list.Element)
 	c.tags = make(map[string]map[K]*list.Element)
 	c.bytes = 0

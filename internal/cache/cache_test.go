@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,10 +23,11 @@ type model struct {
 }
 
 type modelEntry struct {
-	key  int
-	tag  string
-	val  int
-	cost int64
+	key   int
+	tag   string
+	val   int
+	cost  int64
+	yield bool
 }
 
 func (m *model) find(k int) int {
@@ -50,18 +52,36 @@ func (m *model) bytes() (sum int64) {
 	return sum
 }
 
-// insert keeps e unless it is oversized, then evicts from the back.
-// It returns the number of evictions.
+// insert keeps e unless it is oversized, then evicts the least
+// recently used yielding entry while there is one, else the least
+// recently used entry. It returns the number of evictions.
 func (m *model) insert(e modelEntry) (evicted int) {
 	if e.cost > m.max/4 {
 		return 0
 	}
 	m.entries = append([]modelEntry{e}, m.entries...)
 	for m.bytes() > m.max {
-		m.entries = m.entries[:len(m.entries)-1]
+		victim := len(m.entries) - 1
+		for i := victim; i >= 0; i-- {
+			if m.entries[i].yield {
+				victim = i
+				break
+			}
+		}
+		m.entries = append(m.entries[:victim], m.entries[victim+1:]...)
 		evicted++
 	}
 	return evicted
+}
+
+// class returns the model's keys of one class in recency order.
+func (m *model) class(yield bool) (keys []int) {
+	for _, e := range m.entries {
+		if e.yield == yield {
+			keys = append(keys, e.key)
+		}
+	}
+	return keys
 }
 
 func (m *model) invalidate(tag string) (dropped int) {
@@ -78,6 +98,23 @@ func (m *model) invalidate(tag string) (dropped int) {
 }
 
 const modelKeys = 16
+
+// rig is an engine beside its model. The class of the next insert is
+// whatever yield holds when the load finishes, so a script can draw it
+// per operation.
+type rig struct {
+	c         *Cache[int, int]
+	m         *model
+	evictions *obs.Counter
+	next      int
+	yield     bool
+}
+
+func newRig(max int64) *rig {
+	r := &rig{m: &model{max: max}, evictions: &obs.Counter{}}
+	r.c = New[int, int](max, Metrics{Evictions: r.evictions}, func(int) bool { return r.yield })
+	return r
+}
 
 func tagOf(k int) string { return fmt.Sprintf("obj%d", k%5) }
 
@@ -102,15 +139,19 @@ func checkAgainst(t *testing.T, c *Cache[int, int], m *model) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, tagged := 0, 0
-	for elem := c.lru.Front(); elem != nil; elem = elem.Next() {
-		e := elem.Value.(*entry[int, int])
-		if i >= len(m.entries) || e.key != m.entries[i].key {
-			t.Fatalf("recency position %d holds key %d, model order %+v", i, e.key, m.entries)
+	for class, want := range [][]int{m.class(false), m.class(true)} {
+		pos := 0
+		for elem := c.lru[class].Front(); elem != nil; elem = elem.Next() {
+			e := elem.Value.(*entry[int, int])
+			if pos >= len(want) || e.key != want[pos] || e.class != class {
+				t.Fatalf("class %d position %d holds key %d, model order %v", class, pos, e.key, want)
+			}
+			if c.items[e.key] != elem || c.tags[e.tag][e.key] != elem {
+				t.Fatalf("key %d: items/tags do not point at its LRU element", e.key)
+			}
+			pos++
+			i++
 		}
-		if c.items[e.key] != elem || c.tags[e.tag][e.key] != elem {
-			t.Fatalf("key %d: items/tags do not point at its LRU element", e.key)
-		}
-		i++
 	}
 	for tag, bucket := range c.tags {
 		if len(bucket) == 0 {
@@ -124,15 +165,18 @@ func checkAgainst(t *testing.T, c *Cache[int, int], m *model) {
 }
 
 // step applies one scripted operation to both the engine and the
-// model. op selects the operation, k the key, cost the load's cost.
-func step(t *testing.T, c *Cache[int, int], m *model, evictions *obs.Counter, next *int, op, k int, cost int64) {
+// model. op selects the operation, k the key, cost the load's cost,
+// yield the class a load's result is inserted under.
+func step(t *testing.T, r *rig, op, k int, cost int64, yield bool) {
 	t.Helper()
+	c, m, evictions := r.c, r.m, r.evictions
+	r.yield = yield
 	ctx := context.Background()
 	boom := errors.New("boom")
 	switch op {
 	case 0, 1, 2, 3: // Do; variant 2 fails, variant 3 is invalidated mid-load
-		*next++
-		val, ran := *next, false
+		r.next++
+		val, ran := r.next, false
 		evBefore := evictions.Value()
 		v, hit, err := c.Do(ctx, k, tagOf(k), func(context.Context) (int, int64, error) {
 			ran = true
@@ -166,7 +210,7 @@ func step(t *testing.T, c *Cache[int, int], m *model, evictions *obs.Counter, ne
 				t.Fatalf("Do(%d) = %d, %v, want %d", k, v, err, val)
 			}
 			if op != 3 {
-				wantEvicted = m.insert(modelEntry{key: k, tag: tagOf(k), val: val, cost: cost})
+				wantEvicted = m.insert(modelEntry{key: k, tag: tagOf(k), val: val, cost: cost, yield: yield})
 			}
 		}
 		if got := evictions.Value() - evBefore; got != int64(wantEvicted) {
@@ -201,16 +245,90 @@ func step(t *testing.T, c *Cache[int, int], m *model, evictions *obs.Counter, ne
 // least-recently-used, tag invalidation drops all and only the tagged
 // entries, an invalidation during a load suppresses that insert,
 // oversized and failed loads are served but not kept, and Peek does
-// not promote.
+// not promote. A third of the loads insert as yielding, so all of the
+// above is checked for that class too, and with it the one rule that
+// sets it apart: no ordinary entry is evicted while a yielding one is
+// resident.
 func TestEngineMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		evictions := &obs.Counter{}
-		c := New[int, int](256, Metrics{Evictions: evictions})
-		m := &model{max: 256}
-		next := 0
+		r := newRig(256)
 		for i := 0; i < 2000; i++ {
-			step(t, c, m, evictions, &next, rng.Intn(8), rng.Intn(modelKeys), int64(rng.Intn(97)))
+			step(t, r, rng.Intn(8), rng.Intn(modelKeys), int64(rng.Intn(97)), rng.Intn(3) == 0)
+		}
+	}
+}
+
+// TestYieldingEntriesDisplaceNothing is the differential form of the
+// yielding rule: two engines get the same operations on ordinary keys,
+// one of them also gets loads, hits and tag invalidations of yielding
+// keys in between, and after every step both hold the same ordinary
+// entries in the same recency order and answered the shared operation
+// alike.
+func TestYieldingEntriesDisplaceNothing(t *testing.T) {
+	yields := func(k int) bool { return k >= modelKeys }
+	ordinary := func(c *Cache[int, int]) (keys []int) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for elem := c.lru[0].Front(); elem != nil; elem = elem.Next() {
+			keys = append(keys, elem.Value.(*entry[int, int]).key)
+		}
+		return keys
+	}
+	ctx := context.Background()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		plain := New[int, int](256, Metrics{}, yields)
+		mixed := New[int, int](256, Metrics{}, yields)
+		yielded := 0
+		for i := 0; i < 3000; i++ {
+			op, k, cost := rng.Intn(8), rng.Intn(modelKeys), int64(rng.Intn(97))
+			if rng.Intn(2) == 0 {
+				// Yielding traffic, seen by one engine only. Its tags
+				// are its own: an invalidation here must not be what
+				// keeps the two engines apart or together.
+				yk := modelKeys + k
+				switch op {
+				case 0, 1, 2, 3:
+					mixed.Do(ctx, yk, "pages", func(context.Context) (int, int64, error) { return i, cost, nil })
+				case 4, 5:
+					if _, ok := mixed.Get(yk); ok {
+						yielded++
+					}
+				case 6:
+					mixed.Invalidate("pages")
+				}
+				if got := mixed.Bytes(); got > 256 {
+					t.Fatalf("seed %d step %d: %d bytes resident, budget 256", seed, i, got)
+				}
+				continue
+			}
+			var results [2][3]any
+			for j, c := range []*Cache[int, int]{plain, mixed} {
+				switch op {
+				case 0, 1, 2, 3:
+					v, hit, err := c.Do(ctx, k, tagOf(k), func(context.Context) (int, int64, error) { return i, cost, nil })
+					results[j] = [3]any{v, hit, err}
+				case 4, 5:
+					v, ok := c.Get(k)
+					results[j] = [3]any{v, ok}
+				case 6:
+					results[j] = [3]any{c.Invalidate(tagOf(k))}
+				case 7:
+					if k == 0 {
+						c.Flush()
+					}
+				}
+			}
+			if results[0] != results[1] {
+				t.Fatalf("seed %d step %d op %d key %d: %v without yielding traffic, %v with", seed, i, op, k, results[0], results[1])
+			}
+			if a, b := ordinary(plain), ordinary(mixed); !slices.Equal(a, b) {
+				t.Fatalf("seed %d step %d: ordinary entries %v without yielding traffic, %v with", seed, i, a, b)
+			}
+		}
+		if yielded == 0 {
+			t.Fatalf("seed %d: no yielding entry was ever hit; the rule was not exercised", seed)
 		}
 	}
 }
@@ -227,7 +345,7 @@ func TestFlightsChargeTheLeadersCost(t *testing.T) {
 
 	t.Run("begin-wait-finish", func(t *testing.T) {
 		coalesced := &obs.Counter{}
-		c := New[string, string](1<<20, Metrics{Coalesced: coalesced})
+		c := New[string, string](1<<20, Metrics{Coalesced: coalesced}, nil)
 		leadCtx, leadSession := newCtx()
 		_, f, lead := c.Begin("k", "obj")
 		if f == nil || !lead {
@@ -271,7 +389,7 @@ func TestFlightsChargeTheLeadersCost(t *testing.T) {
 
 	t.Run("concurrent Do", func(t *testing.T) {
 		hits, coalesced := &obs.Counter{}, &obs.Counter{}
-		c := New[string, string](1<<20, Metrics{Hits: hits, Coalesced: coalesced})
+		c := New[string, string](1<<20, Metrics{Hits: hits, Coalesced: coalesced}, nil)
 		var loads atomic.Int64
 		entered, release := make(chan struct{}), make(chan struct{})
 		const workers = 8

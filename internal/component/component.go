@@ -22,13 +22,12 @@ package component
 
 import (
 	"bytes"
-	"compress/flate"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 
+	"rottnest/internal/deflate"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parallel"
 )
@@ -92,7 +91,7 @@ func (b *Builder) Add(data []byte) int {
 	if b.err != nil {
 		return id
 	}
-	compressed, err := deflate(data)
+	compressed, err := deflate.Compress(data)
 	if err != nil {
 		b.err = err
 		return id
@@ -115,7 +114,7 @@ func (b *Builder) AddAll(datas [][]byte) int {
 	compressed := make([][]byte, len(datas))
 	errs := make([]error, len(datas))
 	parallel.ForEach(len(datas), func(i int) {
-		compressed[i], errs[i] = deflate(datas[i])
+		compressed[i], errs[i] = deflate.Compress(datas[i])
 	})
 	for i, c := range compressed {
 		if errs[i] != nil {
@@ -162,37 +161,6 @@ func (b *Builder) Finish() ([]byte, error) {
 
 // NumComponents returns the number of components added so far.
 func (b *Builder) NumComponents() int { return len(b.dir) }
-
-func deflate(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("component: flate: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, fmt.Errorf("component: flate: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("component: flate: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func inflate(data []byte, rawSize int64) ([]byte, error) {
-	// rawSize comes from the file's directory; cap the preallocation
-	// so a corrupted directory cannot force a giant allocation.
-	prealloc := rawSize
-	if prealloc < 0 || prealloc > 64<<20 {
-		prealloc = 64 << 20
-	}
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	buf := bytes.NewBuffer(make([]byte, 0, prealloc))
-	if _, err := io.Copy(buf, r); err != nil {
-		return nil, fmt.Errorf("component: inflate: %w", err)
-	}
-	return buf.Bytes(), nil
-}
 
 // Reader provides lazy access to a component file on an object store.
 // Opening performs one suffix-range GET; each Component call fetches
@@ -330,7 +298,18 @@ func (r *Reader) Component(ctx context.Context, id int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return inflate(raw, r.dir[id].rawSize)
+	return r.inflate(id, raw)
+}
+
+// inflate decompresses component id's stored bytes; the directory's
+// rawSize bounds the result, so a corrupt entry cannot inflate without
+// limit.
+func (r *Reader) inflate(id int, raw []byte) ([]byte, error) {
+	data, err := deflate.Decompress(raw, r.dir[id].rawSize)
+	if err != nil {
+		return nil, fmt.Errorf("component: %s: component %d: %w", r.key, id, err)
+	}
+	return data, nil
 }
 
 func (r *Reader) rawComponent(ctx context.Context, id int) ([]byte, error) {
@@ -413,7 +392,7 @@ func (r *Reader) Components(ctx context.Context, ids []int) ([][]byte, error) {
 	}
 	for i, id := range ids {
 		if raw, ok := fetched[id]; ok {
-			data, err := inflate(raw, r.dir[id].rawSize)
+			data, err := r.inflate(id, raw)
 			if err != nil {
 				return nil, err
 			}

@@ -54,7 +54,7 @@ func newProbeBatcher(maxBytes int64, coalesced *obs.Counter) *probeBatcher {
 		maxBytes = DefaultProbeBatchBytes
 	}
 	return &probeBatcher{
-		memo:      cache.New[probeKey, any](maxBytes, cache.Metrics{Hits: coalesced, Coalesced: coalesced}),
+		memo:      cache.New[probeKey, any](maxBytes, cache.Metrics{Hits: coalesced, Coalesced: coalesced}, nil),
 		coalesced: coalesced,
 		fqueues:   make(map[string]*fmQueue),
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
+	"rottnest/internal/simtime"
 	"rottnest/internal/workload"
 )
 
@@ -331,4 +333,109 @@ func appendKeys(ctx context.Context, e *env, keys [][16]byte) (string, error) {
 	b.Cols[0] = parquet.ColumnValues{Bytes: ids}
 	b.Cols[1] = parquet.ColumnValues{Bytes: pay}
 	return e.table.Append(ctx, b, parquet.WriterOptions{RowGroupRows: 64, PageBytes: 1024})
+}
+
+// getHookStore runs hook once, right after the next successful ranged
+// read of key returns from the store below — while the reader above
+// still holds the bytes and has not decoded them yet.
+type getHookStore struct {
+	objectstore.Store
+	mu   sync.Mutex
+	key  string
+	hook func()
+}
+
+func (s *getHookStore) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
+	data, err := s.Store.GetRange(ctx, key, off, n)
+	s.mu.Lock()
+	hook := s.hook
+	if err == nil && key == s.key && hook != nil {
+		s.hook = nil
+	} else {
+		hook = nil
+	}
+	s.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return data, err
+}
+
+// TestLakeVacuumDropsDataFilePages: decoded pages are tagged with
+// their data file's key, so the lake-vacuum hook that reports a removed
+// data file drops its resident pages with everything else cached of
+// it, and a page of it being decoded across the delete is served to
+// the query that asked but never becomes resident.
+func TestLakeVacuumDropsDataFilePages(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	hooked := &getHookStore{Store: objectstore.NewMemStore(clock)}
+	store, _ := objectstore.Instrument(hooked, objectstore.DefaultS3Model())
+	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &env{clock: clock, store: store, table: table,
+		cli: NewClient(table, Config{Clock: clock, IndexDir: "rottnest", Timeout: time.Hour})}
+	gen := workload.NewUUIDGen(41)
+	inFlight, inFlightPath := e.appendUUIDs(t, gen, 400)
+	resident, residentPath := e.appendUUIDs(t, gen, 400)
+	if _, err := e.cli.Index(ctx, "id", component.KindTrie); err != nil {
+		t.Fatal(err)
+	}
+	// Queries are pinned to the version that names the two small files;
+	// lake compaction rewrites them and vacuum then deletes them.
+	pinned, err := table.Version(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(k [16]byte) Query {
+		q := uuidQuery(k)
+		q.Snapshot = pinned
+		return q
+	}
+	for i := 0; i < 2; i++ {
+		before := e.cli.Metrics()
+		res, err := e.cli.Search(ctx, at(resident[7]))
+		if err != nil || len(res.Matches) != 1 || res.Stats.PagesProbed == 0 {
+			t.Fatalf("priming search %d: %+v, %v", i, res, err)
+		}
+		if d := e.cli.Metrics().Sub(before); i == 1 && d.Counter("objcache.misses") != 0 {
+			t.Fatalf("repeat decoded %d objects; the page is not resident and the scenario not exercised", d.Counter("objcache.misses"))
+		}
+	}
+
+	var removed []string
+	hooked.key = table.Root() + inFlightPath
+	hooked.hook = func() {
+		if _, err := table.Compact(ctx, 1<<30, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		clock.Advance(2 * time.Hour)
+		latest, err := table.Version(ctx)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if removed, err = table.Vacuum(ctx, latest, time.Hour); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := e.cli.Search(ctx, at(inFlight[5]))
+	if err != nil || len(res.Matches) != 1 {
+		t.Fatalf("search whose page read straddles the vacuum: %+v, %v", res, err)
+	}
+	for _, path := range []string{inFlightPath, residentPath} {
+		if !slices.Contains(removed, path) {
+			t.Fatalf("lake vacuum removed %v, not %s; scenario not exercised", removed, path)
+		}
+		key := table.Root() + path
+		if n := e.cli.objc.Invalidate(key); n != 0 {
+			t.Errorf("%d decoded pages of vacuumed %s are resident", n, path)
+		}
+		if n := e.cli.cache.Invalidate(key); n != 0 {
+			t.Errorf("%d byte ranges of vacuumed %s are resident", n, path)
+		}
+	}
 }

@@ -101,9 +101,11 @@ type Config struct {
 	// per-query reconstruction results across queries: component
 	// reader directories, manifests, FM/trie/IVF-PQ open results
 	// (headers, checkpoints, centroids, codebooks — not posting
-	// payloads), and deletion vectors. Where CacheBytes removes the
-	// repeat GET, this removes the repeat decode CPU and the request
-	// fan above it. 0 means the 64 MiB default; negative disables.
+	// payloads), deletion vectors, and decoded data pages, which use
+	// whatever the others leave free (they are evicted first). Where
+	// CacheBytes removes the repeat GET, this removes the repeat decode
+	// CPU and the request fan above it. 0 means the 64 MiB default;
+	// negative disables.
 	// Invalidation is exact (vacuum/compact/append hooks), never
 	// TTL-based, so results are identical with the cache on or off.
 	DecodedCacheBytes int64

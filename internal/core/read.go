@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 
 	"rottnest/internal/insitu"
 	"rottnest/internal/ivfpq"
 	"rottnest/internal/lake"
+	"rottnest/internal/objcache"
+	"rottnest/internal/objectstore"
 	"rottnest/internal/obs"
 	"rottnest/internal/parquet"
 	"rottnest/internal/postings"
@@ -116,6 +119,48 @@ func (e *execEnv) rowEval() insitu.RowEval {
 	}
 }
 
+// readPages is how a search turns page locations into values: every
+// page is looked up in the decoded-object cache under (page, data
+// file key, offset), and the ones that are neither resident nor being
+// decoded by another query go to one parquet.ReadPages call — so a
+// cold read is the same single fan over the same coalesced ranges as
+// without the cache, and a warm one inflates nothing. Deletion vectors
+// are applied after decode, so a resident page does not depend on
+// them; the file's key is the entry's tag, so objectGone drops its
+// pages with its other decoded forms. The values are shared: read-only.
+func (c *Client) readPages(ctx context.Context, store objectstore.Store, key string, col parquet.Column, infos []parquet.PageInfo) ([]parquet.Page, error) {
+	if c.objc == nil {
+		return parquet.ReadPages(ctx, store, key, col, infos)
+	}
+	offs := make([]int64, len(infos))
+	for i, info := range infos {
+		offs[i] = info.Offset
+	}
+	vals, err := c.objc.DoMany(ctx, objcache.KindPage, key, offs, func(ctx context.Context, missing []int) ([]any, []int64, error) {
+		miss := make([]parquet.PageInfo, len(missing))
+		for j, i := range missing {
+			miss[j] = infos[i]
+		}
+		pages, err := parquet.ReadPages(ctx, store, key, col, miss)
+		if err != nil {
+			return nil, nil, err
+		}
+		vals, costs := make([]any, len(pages)), make([]int64, len(pages))
+		for j, p := range pages {
+			vals[j], costs[j] = p.Values, p.Values.Footprint()
+		}
+		return vals, costs, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pages := make([]parquet.Page, len(infos))
+	for i, v := range vals {
+		pages[i] = parquet.Page{Info: infos[i], Values: v.(parquet.ColumnValues)}
+	}
+	return pages, nil
+}
+
 // evalTargets reads and evaluates targets in parallel under the named
 // phase span, one EvalPages pass per file.
 func (c *Client) evalTargets(ctx context.Context, env *execEnv, phase string, targets []*fileTarget, eval insitu.RowEval) ([]insitu.Match, error) {
@@ -135,7 +180,7 @@ func (c *Client) evalTargets(ctx context.Context, env *execEnv, phase string, ta
 		if err != nil {
 			return err
 		}
-		outs[i], fetched[i], err = insitu.EvalPages(ctx, c.store, c.table.Root()+t.file.Path, t.file.Path, t.cols, t.surviving, dv, eval, env.output)
+		outs[i], fetched[i], err = insitu.EvalPagesWith(ctx, c.readPages, c.store, c.table.Root()+t.file.Path, t.file.Path, t.cols, t.surviving, dv, eval, env.output)
 		return err
 	})
 	if err != nil {
@@ -170,6 +215,12 @@ func (c *Client) finish(ctx context.Context, env *execEnv, matches []insitu.Matc
 	}
 	if env.cq.K > 0 && len(matches) > env.cq.K {
 		matches = matches[:env.cq.K]
+	}
+	// Values are views into decoded pages that later queries share:
+	// what leaves the client is a copy, so a caller can neither change
+	// a resident page nor keep one alive through a single value.
+	for i := range matches {
+		matches[i].Value = bytes.Clone(matches[i].Value)
 	}
 	return &Result{Matches: matches, Stats: *env.stats}, nil
 }

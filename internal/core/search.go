@@ -129,7 +129,9 @@ type Stats struct {
 	// CoveredFiles and UnindexedFiles partition the snapshot.
 	CoveredFiles   int
 	UnindexedFiles int
-	// PagesProbed counts data pages fetched for in-situ probing.
+	// PagesProbed counts data pages selected for in-situ probing,
+	// whether they were fetched or found decoded in the decoded-object
+	// cache.
 	PagesProbed int
 	// PagesCandidate counts pages (or vector candidates) the indices
 	// nominated before the plan's set algebra ran; PagesPruned is how
@@ -171,9 +173,12 @@ type Stats struct {
 	// other's deltas.
 	GETs      int64
 	BytesRead int64
-	// CacheHits, CacheMisses, and CacheBytesSaved report the read
+	// CacheHits, CacheMisses, and CacheBytesSaved report the byte
 	// cache's activity during this search (all zero when the cache is
-	// disabled).
+	// disabled). A data page served decoded from the decoded-object
+	// cache never reaches the byte cache, so it is counted in none of
+	// them (it shows as an "objcache.hits" increment in
+	// Client.Metrics); only pages that had to be decoded are.
 	CacheHits       int64
 	CacheMisses     int64
 	CacheBytesSaved int64

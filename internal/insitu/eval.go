@@ -38,12 +38,19 @@ type ColumnRead struct {
 // page-driven columns whose page set does not cover the row).
 type RowEval func(row int64, vals [][]byte) (keep bool, score float64)
 
+// PageReader turns page locations of one file's column into decoded
+// pages, in the order asked; parquet.ReadPages is the direct one. The
+// values it returns are read-only (they may be shared with a cache).
+type PageReader func(ctx context.Context, store objectstore.Store, key string, col parquet.Column, infos []parquet.PageInfo) ([]parquet.Page, error)
+
 // colValues resolves row numbers to one column's values.
 type colValues struct {
 	// scan holds the whole column when scanned.
 	scan parquet.ColumnValues
 	// pages holds decoded pages sorted by FirstRow when page-driven.
 	pages []parquet.Page
+	// cur is the first page that ends after the last row asked for.
+	cur int
 }
 
 func (c *colValues) at(row int64) []byte {
@@ -53,14 +60,21 @@ func (c *colValues) at(row int64) []byte {
 		}
 		return c.scan.Bytes[row]
 	}
-	i := sort.Search(len(c.pages), func(i int) bool {
-		p := c.pages[i].Info
-		return p.FirstRow+int64(p.NumValues) > row
-	})
-	if i >= len(c.pages) {
+	// The row loop asks in ascending order, so the page is the
+	// cursor's or a later one; a row inside an earlier page (out of
+	// order) restarts the walk.
+	i := c.cur
+	if i > 0 && row < pageEnd(&c.pages[i-1]) {
+		i = 0
+	}
+	for i < len(c.pages) && row >= pageEnd(&c.pages[i]) {
+		i++
+	}
+	c.cur = i
+	if i == len(c.pages) {
 		return nil
 	}
-	p := c.pages[i]
+	p := &c.pages[i]
 	off := row - p.Info.FirstRow
 	if off < 0 || off >= int64(len(p.Values.Bytes)) {
 		return nil
@@ -68,19 +82,27 @@ func (c *colValues) at(row int64) []byte {
 	return p.Values.Bytes[off]
 }
 
-// EvalPages is the compound in-situ evaluator: it reads each listed
+func pageEnd(p *parquet.Page) int64 { return p.Info.FirstRow + int64(p.Info.NumValues) }
+
+// EvalPages is EvalPagesWith reading pages straight from the store.
+func EvalPages(ctx context.Context, store objectstore.Store, key, path string, cols []ColumnRead, rows []postings.RowRange, dv *lake.DeletionVector, eval RowEval, output int) (matches []Match, pagesFetched int, err error) {
+	return EvalPagesWith(ctx, parquet.ReadPages, store, key, path, cols, rows, dv, eval, output)
+}
+
+// EvalPagesWith is the compound in-situ evaluator: it reads each listed
 // column of one file — page-driven columns with one parallel fan of
 // ranged GETs, scan columns in full — then makes a single pass over
 // the surviving row ranges, applying the deletion vector and the
 // compound predicate once per row. It returns the matching rows (with
-// Value taken from cols[output]) and the number of pages fetched on
-// page-driven columns.
+// Value taken from cols[output], a read-only view of the decoded
+// page) and the number of pages selected on page-driven columns,
+// whether read fetched them or already held them.
 //
 // Each page appears in at most one fetch regardless of how many
 // predicates selected it: the caller is expected to pass the plan's
 // already-intersected page sets, and duplicate ordinals within one
 // ColumnRead are deduplicated here.
-func EvalPages(ctx context.Context, store objectstore.Store, key, path string, cols []ColumnRead, rows []postings.RowRange, dv *lake.DeletionVector, eval RowEval, output int) (matches []Match, pagesFetched int, err error) {
+func EvalPagesWith(ctx context.Context, read PageReader, store objectstore.Store, key, path string, cols []ColumnRead, rows []postings.RowRange, dv *lake.DeletionVector, eval RowEval, output int) (matches []Match, pagesFetched int, err error) {
 	if len(cols) == 0 || output < 0 || output >= len(cols) {
 		return nil, 0, fmt.Errorf("insitu: eval %s: bad column set", path)
 	}
@@ -141,7 +163,7 @@ func EvalPages(ctx context.Context, store objectstore.Store, key, path string, c
 			vals[i] = &colValues{pages: []parquet.Page{}}
 			return nil
 		}
-		decoded, err := parquet.ReadPages(pctx, store, key, cr.Col, uniq)
+		decoded, err := read(pctx, store, key, cr.Col, uniq)
 		if err != nil {
 			return fmt.Errorf("insitu: probe %s: %w", path, err)
 		}

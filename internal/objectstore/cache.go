@@ -127,7 +127,7 @@ func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 			Coalesced: reg.Counter("cache.coalesced_gets"),
 			Evictions: reg.Counter("cache.evictions"),
 			Resident:  reg.Gauge("cache.bytes"),
-		}),
+		}, nil),
 		reg:          reg,
 		bytesSaved:   reg.Counter("cache.bytes_saved"),
 		upstreamGets: reg.Counter("cache.upstream_gets"),

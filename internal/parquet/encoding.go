@@ -1,12 +1,11 @@
 package parquet
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+
+	"rottnest/internal/deflate"
 )
 
 func doubleBits(f float64) uint64     { return math.Float64bits(f) }
@@ -34,6 +33,10 @@ func encodeValues(dst []byte, col Column, enc Encoding, v ColumnValues) ([]byte,
 }
 
 // decodeValues parses count values of the given column from data.
+// Byte-array values are capacity-limited views into data, not copies:
+// data is either a freshly inflated page body or, for CodecNone, the
+// fetched range itself (which a byte cache may share), so decoded
+// values are read-only and an append to one reallocates.
 func decodeValues(col Column, enc Encoding, data []byte, count int) (ColumnValues, error) {
 	switch enc {
 	case EncodingPlain:
@@ -138,9 +141,7 @@ func decodePlain(col Column, data []byte, count int) (ColumnValues, error) {
 			if pos+n > len(data) {
 				return ColumnValues{}, fmt.Errorf("parquet: byte-array page truncated at value %d", i)
 			}
-			val := make([]byte, n)
-			copy(val, data[pos:pos+n])
-			out = append(out, val)
+			out = append(out, data[pos:pos+n:pos+n])
 			pos += n
 		}
 		return ColumnValues{Bytes: out}, nil
@@ -150,9 +151,8 @@ func decodePlain(col Column, data []byte, count int) (ColumnValues, error) {
 		}
 		out := make([][]byte, count)
 		for i := range out {
-			val := make([]byte, col.TypeLen)
-			copy(val, data[i*col.TypeLen:])
-			out[i] = val
+			lo, hi := i*col.TypeLen, (i+1)*col.TypeLen
+			out[i] = data[lo:hi:hi]
 		}
 		return ColumnValues{Bytes: out}, nil
 	default:
@@ -206,9 +206,7 @@ func decodeDict(data []byte, count int) ([][]byte, error) {
 		if pos+n > len(data) {
 			return nil, fmt.Errorf("parquet: dict page truncated in dictionary")
 		}
-		e := make([]byte, n)
-		copy(e, data[pos:pos+n])
-		dict[i] = e
+		dict[i] = data[pos : pos+n : pos+n]
 		pos += n
 	}
 	// Every index needs at least one varint byte.
@@ -263,48 +261,32 @@ func compressPage(codec Codec, data []byte) ([]byte, error) {
 	case CodecNone:
 		return data, nil
 	case CodecFlate:
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
+		out, err := deflate.Compress(data)
 		if err != nil {
-			return nil, fmt.Errorf("parquet: flate: %w", err)
+			return nil, fmt.Errorf("parquet: %w", err)
 		}
-		if _, err := w.Write(data); err != nil {
-			return nil, fmt.Errorf("parquet: flate: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("parquet: flate: %w", err)
-		}
-		return buf.Bytes(), nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("parquet: unknown codec %d", codec)
 	}
 }
 
-// decompressPage reverses compressPage; size is the expected
-// uncompressed length.
+// decompressPage reverses compressPage; size is the uncompressed
+// length the page header declares, and a body of any other length is
+// corrupt.
 func decompressPage(codec Codec, data []byte, size int) ([]byte, error) {
 	switch codec {
 	case CodecNone:
+		if len(data) != size {
+			return nil, fmt.Errorf("parquet: page body of %d bytes, header declares %d", len(data), size)
+		}
 		return data, nil
 	case CodecFlate:
-		r := flate.NewReader(bytes.NewReader(data))
-		defer r.Close()
-		// size comes from the page header; cap the preallocation and
-		// bound the copy so a corrupt header (or a flate bomb) cannot
-		// force a giant allocation.
-		prealloc := size
-		if prealloc < 0 || prealloc > 64<<20 {
-			prealloc = 64 << 20
-		}
-		buf := bytes.NewBuffer(make([]byte, 0, prealloc))
-		n, err := io.Copy(buf, io.LimitReader(r, int64(size)+1))
+		out, err := deflate.Decompress(data, int64(size))
 		if err != nil {
-			return nil, fmt.Errorf("parquet: inflate: %w", err)
+			return nil, fmt.Errorf("parquet: %w", err)
 		}
-		if n > int64(size) {
-			return nil, fmt.Errorf("parquet: page inflates past declared size %d", size)
-		}
-		return buf.Bytes(), nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("parquet: unknown codec %d", codec)
 	}

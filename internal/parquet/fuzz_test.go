@@ -21,22 +21,7 @@ func FuzzPageDecode(f *testing.F) {
 	// Well-formed pages for each type seed the corpus so mutation
 	// starts from deep inside the decoders.
 	seed := func(col Column, enc Encoding, codec Codec, v ColumnValues) {
-		body, err := encodeValues(nil, col, enc, v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		compressed, err := compressPage(codec, body)
-		if err != nil {
-			f.Fatal(err)
-		}
-		h := pageHeader{
-			NumValues:        uint32(v.Len()),
-			UncompressedSize: uint32(len(body)),
-			CompressedSize:   uint32(len(compressed)),
-			Encoding:         enc,
-			Codec:            codec,
-		}
-		f.Add(append(h.append(nil), compressed...))
+		f.Add(rawPage(f, col, enc, codec, v, nil))
 	}
 	seed(fuzzColumns[1], EncodingPlain, CodecNone, ColumnValues{Ints: []int64{1, 2, 3, -7}})
 	seed(fuzzColumns[1], EncodingDelta, CodecFlate, ColumnValues{Ints: []int64{10, 11, 12}})
@@ -46,6 +31,14 @@ func FuzzPageDecode(f *testing.F) {
 	}})
 	f.Add([]byte{})
 	f.Add(make([]byte, pageHeaderFixedSize))
+	// Streams that disagree with their header: ending before the
+	// declared size, inflating past it (a bomb), and followed by
+	// garbage that the header counts as part of the body.
+	texts := ColumnValues{Bytes: [][]byte{[]byte("alpha"), []byte("beta"), []byte("alpha")}}
+	f.Add(rawPage(f, fuzzColumns[3], EncodingPlain, CodecFlate, texts, func(h *pageHeader) { h.UncompressedSize += 9 }))
+	f.Add(rawPage(f, fuzzColumns[3], EncodingPlain, CodecFlate, texts, func(h *pageHeader) { h.UncompressedSize = 4 }))
+	garbage := rawPage(f, fuzzColumns[3], EncodingPlain, CodecFlate, texts, func(h *pageHeader) { h.CompressedSize += 5 })
+	f.Add(append(garbage, 0xde, 0xad, 0xbe, 0xef, 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, col := range fuzzColumns {

@@ -61,7 +61,9 @@ type Page struct {
 // page locations from an externally stored PageTable, it fetches
 // exactly those pages with parallel ranged GETs — no footer read, no
 // chunk read — and decodes them. Pages are returned in the order of
-// the infos argument.
+// the infos argument. Byte-array values are read-only views of the
+// page bodies (see decodeValues), as are those of ScanColumn and
+// ReadColumnChunk.
 func ReadPages(ctx context.Context, store objectstore.Store, key string, col Column, infos []PageInfo) ([]Page, error) {
 	if len(infos) == 0 {
 		return nil, nil

@@ -185,6 +185,16 @@ func (v ColumnValues) Len() int {
 	return 0
 }
 
+// Footprint estimates the values' resident bytes for cache cost
+// accounting: the value bytes plus a slice header per byte-array value.
+func (v ColumnValues) Footprint() int64 {
+	n := int64(len(v.Bools)) + 8*int64(len(v.Ints)+len(v.Doubles)) + 24*int64(len(v.Bytes))
+	for _, b := range v.Bytes {
+		n += int64(len(b))
+	}
+	return n
+}
+
 // Slice returns the sub-range [from, to) of the values.
 func (v ColumnValues) Slice(from, to int) ColumnValues {
 	switch {
