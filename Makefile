@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-cache bench-build bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
+.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-cache bench-build bench-fig13 bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,7 @@ check:
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-cache
 	$(MAKE) bench-build
+	$(MAKE) bench-fig13
 	$(MAKE) bench-serve
 	$(MAKE) bench-multi
 	$(MAKE) bench-sharded
@@ -86,9 +87,18 @@ bench-cache:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_cache.json cache
 
 # bench-build records the index-build fast-path experiment: SA-IS vs
-# the prefix-doubling oracle and per-kind build throughput.
+# the prefix-doubling oracle, per-kind build throughput, and how deep
+# maintenance is — the GETs and dependent round trips of one Index call
+# and of an FM Compact of three sources, which benchgate holds to "may
+# not grow".
 bench-build:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_build.json build
+
+# bench-fig13 records the Figure 13 series: search latency before and
+# after compaction as the index file count grows, and the virtual
+# latency of the Compact call that merged them.
+bench-fig13:
+	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_fig13.json fig13
 
 # bench-serve records the warm-serving-path experiment: concurrent
 # clients over a Zipf query mix, cold vs warm p50/p99, GETs/query, QPS.
@@ -129,7 +139,8 @@ bench-adaptive:
 
 # benchgate fails check when a regenerated benchmark record regresses
 # a virtual-time QPS field by more than 20% against the committed
-# baseline (untracked files are skipped).
+# baseline, or grows a maintenance request or round-trip count at all
+# (untracked files are skipped).
 benchgate:
 	$(GO) run ./cmd/benchgate BENCH_*.json
 

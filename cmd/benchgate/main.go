@@ -13,6 +13,9 @@
 //   - keys containing "adaptive_hot_lag" — lower is better; the gate
 //     fails when the adaptive regime's hot-partition searchable lag
 //     grows more than the threshold above the baseline.
+//   - keys starting "maint_" — request and round-trip counts of one
+//     maintenance call, exact for a seed; they may not grow at all,
+//     whatever the threshold.
 //
 // Only virtual-time quantities are gated: they are deterministic for
 // a fixed seed, unlike wall-clock rates, which would flake on shared
@@ -79,16 +82,20 @@ func main() {
 				continue
 			}
 			checked++
+			allowed := *threshold
+			if was.exact {
+				allowed = 0
+			}
 			if was.higherBetter {
-				if now.value < was.value*(1-*threshold) {
+				if now.value < was.value*(1-allowed) {
 					fmt.Fprintf(os.Stderr, "benchgate: %s: %s regressed %.1f -> %.1f (%.0f%% < -%.0f%% allowed)\n",
-						path, k, was.value, now.value, (now.value/was.value-1)*100, *threshold*100)
+						path, k, was.value, now.value, (now.value/was.value-1)*100, allowed*100)
 					failed = true
 				}
 			} else {
-				if now.value > was.value*(1+*threshold) {
+				if now.value > was.value*(1+allowed) {
 					fmt.Fprintf(os.Stderr, "benchgate: %s: %s regressed %.1f -> %.1f (+%.0f%% > +%.0f%% allowed)\n",
-						path, k, was.value, now.value, (now.value/was.value-1)*100, *threshold*100)
+						path, k, was.value, now.value, (now.value/was.value-1)*100, allowed*100)
 					failed = true
 				}
 			}
@@ -100,10 +107,12 @@ func main() {
 	}
 }
 
-// gated is one gated numeric field and its direction.
+// gated is one gated numeric field, its direction, and whether it is
+// an exact count that may not regress at all.
 type gated struct {
 	value        float64
 	higherBetter bool
+	exact        bool
 }
 
 // gatedFields flattens a JSON document to path -> gated value for
@@ -131,6 +140,8 @@ func gatedFields(data []byte) (map[string]gated, error) {
 						out[p] = gated{value: f, higherBetter: true}
 					case strings.Contains(lk, "adaptive_hot_lag"):
 						out[p] = gated{value: f, higherBetter: false}
+					case strings.HasPrefix(lk, "maint_"):
+						out[p] = gated{value: f, exact: true}
 					}
 					continue
 				}

@@ -85,13 +85,18 @@ type world struct {
 // experiments can interpose fault injection or retry layers that both
 // the lake and the client traverse.
 func newWorld(schema *parquet.Schema, cfg core.Config, wraps ...func(objectstore.Store) objectstore.Store) (*world, error) {
+	return newWorldOn(objectstore.DefaultS3Model(), schema, cfg, wraps...)
+}
+
+// newWorldOn is newWorld under a latency model other than the paper's
+// S3 measurements.
+func newWorldOn(model objectstore.LatencyModel, schema *parquet.Schema, cfg core.Config, wraps ...func(objectstore.Store) objectstore.Store) (*world, error) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	// Every layer — the metered latency model at the bottom, fault and
 	// retry wraps in the middle, any shared cache on top — composes
 	// through objectstore.NewStack, the one canonical code path for
 	// store chains (per-shard budgets in internal/shard use it too).
-	model := objectstore.DefaultS3Model()
 	base := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{
 		Latency:    &model,
 		CacheBytes: -1,
@@ -204,10 +209,17 @@ func (w *world) searchLatency(ctx context.Context, queries []core.Query) (time.D
 // real compute time (index builds are CPU-heavy: suffix arrays,
 // k-means).
 func timedOp(ctx context.Context, fn func(context.Context) error) (time.Duration, error) {
-	session := simtime.NewSession()
 	start := time.Now()
+	virtual, err := virtualOp(ctx, fn)
+	return virtual + time.Since(start), err
+}
+
+// virtualOp runs an operation on a fresh session and returns its
+// virtual IO latency alone, which is exact for a seed.
+func virtualOp(ctx context.Context, fn func(context.Context) error) (time.Duration, error) {
+	session := simtime.NewSession()
 	err := fn(simtime.With(ctx, session))
-	return session.Elapsed() + time.Since(start), err
+	return session.Elapsed(), err
 }
 
 // uuidWorld builds a UUID-search deployment: batches of 16-byte keys.

@@ -9,6 +9,8 @@ import (
 	"rottnest/internal/core"
 	"rottnest/internal/fmindex"
 	"rottnest/internal/ivfpq"
+	"rottnest/internal/objectstore"
+	"rottnest/internal/parquet"
 	"rottnest/internal/postings"
 	"rottnest/internal/trie"
 	"rottnest/internal/workload"
@@ -51,14 +53,26 @@ type EndToEndResult struct {
 	RowsPerSec float64 `json:"rows_per_sec"`
 }
 
+// MaintenanceDepth is the request shape of one maintenance call, as
+// counts only: the GETs it issues and the dependent round trips it
+// waits through — its virtual time on a store where every request
+// costs one unit. Both are exact for a seed, so benchgate holds them
+// to "may not grow".
+type MaintenanceDepth struct {
+	Call   string `json:"call"`
+	Gets   int64  `json:"maint_gets"`
+	Levels int64  `json:"maint_levels"`
+}
+
 // BuildResult aggregates the build-path experiment, written to
 // BENCH_build.json by `rottnest-bench build`.
 type BuildResult struct {
-	SuffixArray SAStageResult    `json:"suffix_array"`
-	FM          FMStageResult    `json:"fm"`
-	Trie        KindThroughput   `json:"trie"`
-	IVFPQ       KindThroughput   `json:"ivfpq"`
-	EndToEnd    []EndToEndResult `json:"end_to_end"`
+	SuffixArray SAStageResult      `json:"suffix_array"`
+	FM          FMStageResult      `json:"fm"`
+	Trie        KindThroughput     `json:"trie"`
+	IVFPQ       KindThroughput     `json:"ivfpq"`
+	EndToEnd    []EndToEndResult   `json:"end_to_end"`
+	Maintenance []MaintenanceDepth `json:"maintenance"`
 }
 
 // buildText generates ~size bytes of separator-joined workload text
@@ -220,5 +234,64 @@ func IndexBuild(opts Options) (*BuildResult, error) {
 	}); err != nil {
 		return nil, err
 	}
+
+	// Stage 5: how deep maintenance is, in requests and round trips.
+	if res.Maintenance, err = maintenanceDepths(ctx, opts.Seed+6); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "# build: maintenance depth (GETs, dependent round trips)\n")
+	for _, d := range res.Maintenance {
+		fmt.Fprintf(out, "%-14s %3d GETs  %2d levels\n", d.Call, d.Gets, d.Levels)
+	}
 	return res, nil
+}
+
+// depthUnit is what every request costs on the depth world's store.
+const depthUnit = time.Millisecond
+
+// maintenanceDepths measures one Index call and one FM Compact of
+// three sources on a store whose every request costs depthUnit of
+// virtual time and moves bytes for free, so a call's virtual latency
+// over the unit is the number of round trips it could not overlap.
+func maintenanceDepths(ctx context.Context, seed int64) ([]MaintenanceDepth, error) {
+	w, err := newWorldOn(objectstore.LatencyModel{GetTTFB: depthUnit, PutTTFB: depthUnit, ListTTFB: depthUnit}, textSchema, core.Config{})
+	if err != nil {
+		return nil, err
+	}
+	gen := workload.NewTextGen(workload.DefaultTextConfig(seed))
+	// Three batches, each indexed on its own: three sources to merge,
+	// and the last Index call — one new file beside two covered ones —
+	// is the one recorded.
+	var index MaintenanceDepth
+	for i := 0; i < 3; i++ {
+		batch := parquet.NewBatch(textSchema)
+		for _, d := range gen.Docs(1500) {
+			batch.Cols[0].Bytes = append(batch.Cols[0].Bytes, []byte(d))
+		}
+		if _, err := w.table.Append(ctx, batch, parquet.WriterOptions{RowGroupRows: 256, PageBytes: 32 << 10}); err != nil {
+			return nil, err
+		}
+		if index, err = w.depthOf(ctx, "index", func(ctx context.Context) error {
+			_, err := w.client.Index(ctx, "body", component.KindFM)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+	}
+	compact, err := w.depthOf(ctx, "compact_fm_3", func(ctx context.Context) error {
+		_, err := w.client.Compact(ctx, "body", component.KindFM, core.CompactOptions{})
+		return err
+	})
+	return []MaintenanceDepth{index, compact}, err
+}
+
+// depthOf runs one call on a fresh session and returns its shape.
+func (w *world) depthOf(ctx context.Context, call string, fn func(context.Context) error) (MaintenanceDepth, error) {
+	before := w.metrics.Snapshot()
+	virtual, err := virtualOp(ctx, fn)
+	return MaintenanceDepth{
+		Call:   call,
+		Gets:   w.metrics.Snapshot().Sub(before).Gets,
+		Levels: int64(virtual / depthUnit),
+	}, err
 }

@@ -50,8 +50,12 @@ func TestCacheSurvivesCompactAndVacuum(t *testing.T) {
 			t.Fatalf("key matched %d times before compact", len(res.Matches))
 		}
 	}
-	if s := objectstore.CacheStatsFrom(e.cli.Metrics()); s.Hits == 0 {
-		t.Fatalf("priming produced no cache hits: %+v", s)
+	// What must hold is residency — bytes of objects about to be
+	// deleted sitting in the cache. (Hits there were came from the
+	// Index calls re-reading the metadata log, which a handle no longer
+	// does.)
+	if s := objectstore.CacheStatsFrom(e.cli.Metrics()); s.Misses == 0 || s.Evictions != 0 {
+		t.Fatalf("priming left nothing resident in the cache: %+v", s)
 	}
 
 	// Remember the small index files that compaction will supersede.

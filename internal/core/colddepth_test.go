@@ -27,57 +27,77 @@ type coldWorld struct {
 	needle  string
 	// needleRow is a row of the first file holding the needle.
 	needleRow int
+
+	// The generators and the handle files are appended through; the
+	// maintenance depth tests grow the lake with more of the same.
+	table  *lake.Table
+	ids    *workload.UUIDGen
+	text   *workload.TextGen
+	vecGen *workload.VectorGen
 }
 
-const coldDim = 32
+const (
+	coldDim  = 32
+	coldRows = 2048
+)
+
+var coldSchema = parquet.MustSchema(
+	parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
+	parquet.Column{Name: "body", Type: parquet.TypeByteArray},
+	parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * coldDim},
+)
 
 func newColdWorld(t *testing.T) *coldWorld {
 	t.Helper()
 	ctx := context.Background()
-	schema := parquet.MustSchema(
-		parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
-		parquet.Column{Name: "body", Type: parquet.TypeByteArray},
-		parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * coldDim},
-	)
-	w := &coldWorld{clock: simtime.NewVirtualClock(), needle: "Ndl0Xq"}
+	w := &coldWorld{
+		clock:     simtime.NewVirtualClock(),
+		needle:    "Ndl0Xq",
+		needleRow: coldRows / 3,
+		ids:       workload.NewUUIDGen(7),
+		text:      workload.NewTextGen(workload.DefaultTextConfig(1)),
+		vecGen:    workload.NewVectorGen(workload.VectorConfig{Seed: 7, Dim: coldDim, Clusters: 64, Spread: 0.18}),
+	}
 	w.store, w.metrics = objectstore.Instrument(objectstore.NewMemStore(w.clock), objectstore.DefaultS3Model())
-	table, err := lake.CreateWith(ctx, w.store, "lake", schema, lake.OpenOptions{Clock: w.clock})
-	if err != nil {
+	var err error
+	if w.table, err = lake.CreateWith(ctx, w.store, "lake", coldSchema, lake.OpenOptions{Clock: w.clock}); err != nil {
 		t.Fatal(err)
 	}
-	const files, rows = 2, 2048
-	ids := workload.NewUUIDGen(7)
-	text := workload.NewTextGen(workload.DefaultTextConfig(1))
-	vecs := workload.NewVectorGen(workload.VectorConfig{Seed: 7, Dim: coldDim, Clusters: 64, Spread: 0.18})
-	w.needleRow = rows / 3
-	for f := 0; f < files; f++ {
-		keys, embs := ids.Batch(rows), vecs.Batch(rows)
-		docs := text.Docs(rows)
-		if f == 0 {
-			docs = workload.PlantNeedle(docs, w.needle, []int{w.needleRow, 2 * rows / 3})
-			w.keys, w.vecs = keys, embs
-		}
-		b := parquet.NewBatch(schema)
-		cols := [3][][]byte{}
-		for i := 0; i < rows; i++ {
-			cols[0] = append(cols[0], keys[i][:])
-			cols[1] = append(cols[1], []byte(docs[i]))
-			cols[2] = append(cols[2], workload.Float32sToBytes(embs[i]))
-		}
-		for c := range cols {
-			b.Cols[c] = parquet.ColumnValues{Bytes: cols[c]}
-		}
-		if _, err := table.Append(ctx, b, parquet.WriterOptions{RowGroupRows: 2048, PageBytes: 64 << 10}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cli := NewClient(table, Config{IndexDir: "rottnest", Clock: w.clock})
+	w.appendFile(t)
+	w.appendFile(t)
+	cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock})
 	for _, spec := range []IndexSpec{{"id", component.KindTrie}, {"body", component.KindFM}, {"emb", component.KindIVFPQ}} {
 		if _, err := cli.Index(ctx, spec.Column, spec.Kind); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return w
+}
+
+// appendFile appends the generators' next coldRows rows as one data
+// file; the first file carries the needle and keeps its keys and
+// vectors for the queries.
+func (w *coldWorld) appendFile(t *testing.T) {
+	t.Helper()
+	keys, embs := w.ids.Batch(coldRows), w.vecGen.Batch(coldRows)
+	docs := w.text.Docs(coldRows)
+	if w.keys == nil {
+		docs = workload.PlantNeedle(docs, w.needle, []int{w.needleRow, 2 * coldRows / 3})
+		w.keys, w.vecs = keys, embs
+	}
+	b := parquet.NewBatch(coldSchema)
+	cols := [3][][]byte{}
+	for i := 0; i < coldRows; i++ {
+		cols[0] = append(cols[0], keys[i][:])
+		cols[1] = append(cols[1], []byte(docs[i]))
+		cols[2] = append(cols[2], workload.Float32sToBytes(embs[i]))
+	}
+	for c := range cols {
+		b.Cols[c] = parquet.ColumnValues{Bytes: cols[c]}
+	}
+	if _, err := w.table.Append(context.Background(), b, parquet.WriterOptions{RowGroupRows: 2048, PageBytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // cold runs one query the way a stateless searcher does — a fresh

@@ -12,6 +12,7 @@ import (
 	"rottnest/internal/meta"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/obs"
+	"rottnest/internal/simtime"
 	"rottnest/internal/trie"
 )
 
@@ -99,19 +100,18 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	mctx, mergeSpan := obs.Start(ctx, "compact.merge")
 	defer mergeSpan.End()
 	mergeSpan.SetAttr("sources", len(bin))
+	// The sources are independent files: open them side by side.
 	readers := make([]*component.Reader, len(bin))
 	manifests := make([]*Manifest, len(bin))
-	for i, e := range bin {
-		r, err := c.openReader(mctx, e.IndexKey)
-		if err != nil {
-			return nil, fmt.Errorf("core: compact open %s: %w", e.IndexKey, err)
+	err := simtime.Fan(mctx, len(bin), c.cfg.SearchWidth, func(ctx context.Context, i int) (err error) {
+		if readers[i], err = c.openReader(ctx, bin[i].IndexKey); err != nil {
+			return fmt.Errorf("core: compact open %s: %w", bin[i].IndexKey, err)
 		}
-		m, err := c.manifest(mctx, r)
-		if err != nil {
-			return nil, err
-		}
-		readers[i] = r
-		manifests[i] = m
+		manifests[i], err = c.manifest(ctx, readers[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Merged file table + per-source rebasing maps.
@@ -158,14 +158,13 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	}, nil)
 }
 
-// openAll opens every source index of a merge.
+// openAll opens every source index of a merge, side by side: a root
+// the open-time tail did not capture is one more read per source.
 func openAll[T any](ctx context.Context, readers []*component.Reader, open func(context.Context, *component.Reader) (T, error)) ([]T, error) {
 	sources := make([]T, len(readers))
-	for i, r := range readers {
-		var err error
-		if sources[i], err = open(ctx, r); err != nil {
-			return nil, err
-		}
-	}
-	return sources, nil
+	err := simtime.Fan(ctx, len(readers), 0, func(ctx context.Context, i int) (err error) {
+		sources[i], err = open(ctx, readers[i])
+		return err
+	})
+	return sources, err
 }

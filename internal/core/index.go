@@ -75,23 +75,24 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 		version = -1
 	}
 
-	// Plan.
+	// Plan: the snapshot and the metadata table side by side, from the
+	// store — what has been indexed is exactly what a cached plan may
+	// not know.
 	pctx, planSpan := obs.Start(ctx, "index.plan")
 	defer planSpan.End()
-	snap, err := c.table.SnapshotAt(pctx, version)
-	if err != nil {
+	snap, entries, err := c.readPlanInputs(pctx, version)
+	if snap == nil {
 		return nil, err
 	}
-	ci, col, err := kindForColumn(snap.Schema, column, kind)
-	if err != nil {
-		return nil, err
+	ci, col, kerr := kindForColumn(snap.Schema, column, kind)
+	if kerr != nil {
+		return nil, kerr
 	}
-	existing, err := c.meta.ListFor(pctx, column, kind)
 	if err != nil {
 		return nil, err
 	}
 	covered := make(map[string]bool)
-	for _, e := range existing {
+	for _, e := range meta.EntriesFor(entries, column, kind) {
 		for _, f := range e.Files {
 			covered[f] = true
 		}

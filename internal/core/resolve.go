@@ -23,15 +23,7 @@ func (c *Client) resolve(ctx context.Context, shape *planShape, version int64, r
 	if snap, listings, fromCache = c.plans.lookup(version, shape.units, replan); fromCache {
 		return snap, listings, true, nil
 	}
-	var all []meta.IndexEntry
-	err = simtime.Fan(ctx, 2, 0, func(ctx context.Context, i int) (ferr error) {
-		if i == 0 {
-			snap, ferr = c.table.SnapshotAt(ctx, version)
-		} else {
-			all, ferr = c.meta.List(ctx)
-		}
-		return ferr
-	})
+	snap, all, err := c.readPlanInputs(ctx, version)
 	if err != nil {
 		if snap != nil {
 			// The listing failed: surface a schema error over it, as
@@ -50,4 +42,21 @@ func (c *Client) resolve(ctx context.Context, shape *planShape, version int64, r
 		c.plans.put(snap, shape.units, listings)
 	}
 	return snap, listings, false, nil
+}
+
+// readPlanInputs replays the lake log at version and the metadata log
+// from the store, side by side: they are independent logs, so planning
+// — a search's, and every maintenance call's — is as deep as one of
+// them. A failed listing still returns the snapshot when that half
+// succeeded, for the caller that reports a schema error first.
+func (c *Client) readPlanInputs(ctx context.Context, version int64) (snap *lake.Snapshot, entries []meta.IndexEntry, err error) {
+	err = simtime.Fan(ctx, 2, 0, func(ctx context.Context, i int) (ferr error) {
+		if i == 0 {
+			snap, ferr = c.table.SnapshotAt(ctx, version)
+		} else {
+			entries, ferr = c.meta.List(ctx)
+		}
+		return ferr
+	})
+	return snap, entries, err
 }

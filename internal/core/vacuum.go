@@ -7,7 +7,9 @@ import (
 
 	"rottnest/internal/lake"
 	"rottnest/internal/meta"
+	"rottnest/internal/objectstore"
 	"rottnest/internal/obs"
+	"rottnest/internal/simtime"
 )
 
 // VacuumOptions tune garbage collection.
@@ -57,25 +59,36 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 	// metadata read and the object sweep.
 	cutoff := c.clock.Now().Add(-c.cfg.Timeout)
 
-	// Plan: active paths across retained snapshots.
+	// Plan: the latest snapshot beside the metadata table, then — only
+	// when older snapshots are retained — those, side by side, so the
+	// plan is as deep as one log replay however many are kept.
 	pctx, planSpan := obs.Start(ctx, "vacuum.plan")
 	defer planSpan.End()
-	latest, err := c.table.Version(pctx)
+	latest, entries, err := c.readPlanInputs(pctx, -1)
 	if err != nil {
 		return nil, err
 	}
 	keep := opts.KeepSnapshot
-	if keep < 1 || keep > latest {
-		keep = latest
+	if keep < 1 || keep > latest.Version {
+		keep = latest.Version
+	}
+	retained := make([]*lake.Snapshot, latest.Version-keep+1)
+	retained[len(retained)-1] = latest
+	err = simtime.Fan(pctx, len(retained)-1, c.cfg.SearchWidth, func(ctx context.Context, i int) error {
+		snap, err := c.table.SnapshotAt(ctx, keep+int64(i))
+		if err != nil && !errors.Is(err, lake.ErrNoSnapshot) {
+			return err
+		}
+		retained[i] = snap
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	active := make(map[string]bool)
-	for v := keep; v <= latest; v++ {
-		snap, err := c.table.SnapshotAt(pctx, v)
-		if err != nil {
-			if errors.Is(err, lake.ErrNoSnapshot) {
-				continue
-			}
-			return nil, err
+	for _, snap := range retained {
+		if snap == nil {
+			continue // no snapshot at that version
 		}
 		for _, f := range snap.Files {
 			active[f.Path] = true
@@ -83,10 +96,6 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 	}
 
 	// Greedy cover per (column, kind) group.
-	entries, err := c.meta.List(pctx)
-	if err != nil {
-		return nil, err
-	}
 	groups := make(map[string][]meta.IndexEntry)
 	for _, e := range entries {
 		key := e.Column + "\x00" + string(rune(e.Kind))
@@ -126,11 +135,24 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 	report.DroppedEntries = dropped
 	report.KeptEntries = len(kept)
 
-	// Remove: LIST the index directory (acceptable because vacuum is
-	// infrequent) and delete unreferenced, out-of-timeout objects.
+	// Remove: re-read the metadata table beside a LIST of the index
+	// directory (acceptable because vacuum is infrequent), then delete
+	// the unreferenced, out-of-timeout objects side by side. The cutoff
+	// was pinned before either read, so their order does not matter: an
+	// object old enough to go that neither read shows referenced stays
+	// unreferenced.
 	rctx, removeSpan := obs.Start(ctx, "vacuum.remove")
 	defer removeSpan.End()
-	live, err := c.meta.List(rctx)
+	var live []meta.IndexEntry
+	var infos []objectstore.ObjectInfo
+	err = simtime.Fan(rctx, 2, 0, func(ctx context.Context, i int) (err error) {
+		if i == 0 {
+			live, err = c.meta.List(ctx)
+		} else {
+			infos, err = c.store.List(ctx, c.cfg.IndexDir+indexFilePrefix)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -138,10 +160,7 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 	for _, e := range live {
 		referenced[e.IndexKey] = true
 	}
-	infos, err := c.store.List(rctx, c.cfg.IndexDir+indexFilePrefix)
-	if err != nil {
-		return nil, err
-	}
+	var doomed []string
 	for _, info := range infos {
 		if referenced[info.Key] || !strings.HasSuffix(info.Key, ".index") {
 			continue
@@ -149,12 +168,19 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 		if info.Created.After(cutoff) {
 			continue // may belong to an in-flight indexer
 		}
-		if err := c.store.Delete(rctx, info.Key); err != nil {
-			return nil, err
-		}
-		c.objectGone(info.Key)
-		report.RemovedObjects = append(report.RemovedObjects, info.Key)
+		doomed = append(doomed, info.Key)
 	}
-	removeSpan.SetAttr("removed", len(report.RemovedObjects))
+	err = simtime.Fan(rctx, len(doomed), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
+		if err := c.store.Delete(ctx, doomed[i]); err != nil {
+			return err
+		}
+		c.objectGone(doomed[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	report.RemovedObjects = doomed
+	removeSpan.SetAttr("removed", len(doomed))
 	return report, nil
 }

@@ -31,11 +31,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"rottnest/internal/component"
 	"rottnest/internal/parallel"
 	"rottnest/internal/postings"
+	"rottnest/internal/simtime"
 )
 
 // Sentinel is the terminator byte appended to the indexed text. Text
@@ -494,21 +496,41 @@ func (ix *Index) LookupBounded(ctx context.Context, pattern []byte, maxRows int)
 }
 
 // ReconstructText inverts the BWT to recover the indexed text
-// (without the sentinel). Merging uses it; queries never do.
+// (without the sentinel): every BWT block in one fan, then the LF
+// walk. MergeInto runs the same two steps per source, with the walks
+// taking turns; queries never do.
 func (ix *Index) ReconstructText(ctx context.Context) ([]byte, error) {
+	bwt, err := ix.readBWT(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return textOf(bwt), nil
+}
+
+// textOf inverts a BWT and drops the sentinel.
+func textOf(bwt []byte) []byte {
+	full := invertBWT(bwt)
+	return full[:len(full)-1]
+}
+
+// readBWT fetches every BWT block in one fan and joins them.
+func (ix *Index) readBWT(ctx context.Context) ([]byte, error) {
+	ids := make([]int, ix.numBlocks)
+	for blk := range ids {
+		ids[blk] = ix.base + blk
+	}
+	blocks, err := ix.r.Components(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
 	bwt := make([]byte, 0, ix.n)
-	for blk := 0; blk < ix.numBlocks; blk++ {
-		data, err := ix.r.Component(ctx, ix.base+blk)
-		if err != nil {
-			return nil, err
-		}
+	for _, data := range blocks {
 		bwt = append(bwt, data...)
 	}
 	if len(bwt) != ix.n {
 		return nil, fmt.Errorf("fmindex: BWT blocks sum to %d bytes, want %d", len(bwt), ix.n)
 	}
-	full := invertBWT(bwt)
-	return full[:len(full)-1], nil // drop sentinel
+	return bwt, nil
 }
 
 // Merge combines several FM-indices into one file by reconstructing
@@ -531,14 +553,32 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 	if len(sources) != len(fileMaps) {
 		return fmt.Errorf("fmindex: %d sources but %d file maps", len(sources), len(fileMaps))
 	}
-	var text []byte
-	var pageStarts []int64
-	var refs []postings.PageRef
-	for i, src := range sources {
-		part, err := src.ReconstructText(ctx)
+	// Every source's blocks are fetched side by side; the inversions,
+	// each holding 4 bytes of LF mapping per text byte, take turns on
+	// the worker pool while later fetches are still in flight.
+	parts := make([][]byte, len(sources))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	err := simtime.Fan(ctx, len(sources), 0, func(ctx context.Context, i int) error {
+		bwt, err := sources[i].readBWT(ctx)
 		if err != nil {
 			return err
 		}
+		slots <- struct{}{}
+		defer func() { <-slots }()
+		parts[i] = textOf(bwt)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	size := len(sources)
+	for _, part := range parts {
+		size += len(part)
+	}
+	text := make([]byte, 0, size)
+	var pageStarts []int64
+	var refs []postings.PageRef
+	for i, src := range sources {
 		starts, srcRefs := src.PageStartsAndRefs()
 		base := int64(len(text))
 		for j, s := range starts {
@@ -549,7 +589,8 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 			pageStarts = append(pageStarts, base+s)
 			refs = append(refs, postings.PageRef{File: mapped, Page: srcRefs[j].Page})
 		}
-		text = append(text, part...)
+		text = append(text, parts[i]...)
+		parts[i] = nil
 		// Separate sources so patterns cannot span them.
 		text = append(text, Separator)
 	}

@@ -2,11 +2,14 @@ package fmindex
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"rottnest/internal/objectstore"
 	"rottnest/internal/postings"
 	"rottnest/internal/workload"
 )
@@ -111,5 +114,31 @@ func TestPosPageTableMatchesSearch(t *testing.T) {
 				t.Fatalf("case %d: table[%d] = %d, want %d", ci, pos, table[pos], want)
 			}
 		}
+	}
+}
+
+// fmMergedGoldenHash is the SHA-256 of the file Merge emits for the
+// golden input split into three sources. Pinned before the merge read
+// its sources in one fan, and unchanged by it: how a merge fetches its
+// sources must not show in the bytes it writes.
+const fmMergedGoldenHash = "5e7f7408138900dabff379f4628821bbe500b1d2eed6d2823a8e6e88ffe89c26"
+
+func TestMergeGoldenBytes(t *testing.T) {
+	ctx := context.Background()
+	store := objectstore.NewMemStore(nil)
+	docs := workload.NewTextGen(workload.DefaultTextConfig(42)).Docs(300)
+	opts := BuildOptions{BlockSize: 4096, PageMapBlock: 4096}
+	var sources []*Index
+	for i := 0; i < 3; i++ {
+		ix, _, _ := buildTestIndex(t, store, fmt.Sprintf("%d.index", i), docs[i*100:(i+1)*100], 10, opts)
+		sources = append(sources, ix)
+	}
+	data, err := Merge(ctx, sources, []map[uint32]uint32{{0: 0}, {0: 1}, {0: 2}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(data)
+	if got := hex.EncodeToString(h[:]); got != fmMergedGoldenHash {
+		t.Fatalf("merged FM index bytes diverged:\n got %s\nwant %s", got, fmMergedGoldenHash)
 	}
 }

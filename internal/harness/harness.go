@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"sync"
 	"time"
 
@@ -151,6 +152,40 @@ type Summary struct {
 	// LagObservations counts the searchable-lag measurements the
 	// scheduler's freshness ledger recorded (ModeIngest only).
 	LagObservations int64
+	// PeakGoroutines is the most goroutines alive in the process at
+	// any sample taken while the run was in flight; a run that crosses
+	// goroutineCeiling fails.
+	PeakGoroutines int
+}
+
+// goroutineCeiling bounds the goroutines alive in the process while a
+// run is in flight. A run's own concurrency is its workers times the
+// widest request fan: the suite peaks at about 250 with several runs
+// sharing the process under t.Parallel. The runaway this guards
+// against (a retry or maintenance loop that keeps spawning fans) is in
+// the hundreds of thousands within a second.
+const goroutineCeiling = 4_000
+
+// watchGoroutines samples the goroutine count until stop closes and
+// returns the peak. Crossing the ceiling cancels the run, so a runaway
+// fails in milliseconds with its cause instead of spinning to the test
+// timeout.
+func watchGoroutines(stop <-chan struct{}, cancel context.CancelCauseFunc) int {
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	peak := 0
+	for {
+		if n := runtime.NumGoroutine(); n > peak {
+			if peak = n; n > goroutineCeiling {
+				cancel(fmt.Errorf("harness: %d goroutines alive, ceiling %d", n, goroutineCeiling))
+			}
+		}
+		select {
+		case <-stop:
+			return peak
+		case <-tick.C:
+		}
+	}
 }
 
 // world is the shared state of one run.
@@ -251,8 +286,14 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	}
 	w.specs = append([]core.IndexSpec{{Column: w.column, Kind: w.kind}}, w.specs...)
 
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	stop, peak := make(chan struct{}), make(chan int)
+	go func() { peak <- watchGoroutines(stop, cancel) }()
 	err := w.run(ctx, chain)
+	close(stop)
 	sum := &Summary{
+		PeakGoroutines:  <-peak,
 		Appends:         w.appends,
 		Deletes:         w.deletes,
 		Maintenance:     w.maintenance,
@@ -269,6 +310,9 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 		sum.GroupCommits = ws.Counter("ingest.group_commits")
 		sum.BatchesCommitted = ws.Counter("ingest.batches_committed")
 		sum.LagObservations = w.sched.Registry().Snapshot().Histograms["ingest.searchable_lag_ns"].Count
+	}
+	if sum.PeakGoroutines > goroutineCeiling {
+		err = context.Cause(ctx) // over the cancellation it surfaced as
 	}
 	if err == nil {
 		err = w.checkStoreDrift()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,5 +299,20 @@ func TestHarnessFaultFree(t *testing.T) {
 				t.Fatalf("nothing compared: %+v", sum)
 			}
 		})
+	}
+}
+
+// TestGoroutineCeilingFailsTheRun: a process already over the ceiling
+// (parked goroutines stand in for a runaway fan) fails the run at once,
+// naming the count, instead of letting it spin.
+func TestGoroutineCeilingFailsTheRun(t *testing.T) {
+	park := make(chan struct{})
+	defer close(park)
+	for i := 0; i <= goroutineCeiling; i++ {
+		go func() { <-park }()
+	}
+	sum, err := Run(context.Background(), Options{Seed: 1234, Mode: ModeUUID})
+	if err == nil || !strings.Contains(err.Error(), "goroutines alive") || sum.PeakGoroutines <= goroutineCeiling {
+		t.Fatalf("run over the ceiling: err %v, peak %d", err, sum.PeakGoroutines)
 	}
 }

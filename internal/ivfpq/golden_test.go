@@ -2,11 +2,14 @@ package ivfpq
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"rottnest/internal/objectstore"
 	"rottnest/internal/postings"
 	"rottnest/internal/workload"
 )
@@ -71,5 +74,36 @@ func TestL2sqBoundedMatchesFull(t *testing.T) {
 	b := []float32{4, 5, 6}
 	if got := l2sq(a, b); got != 27 {
 		t.Fatalf("l2sq tail = %v, want 27", got)
+	}
+}
+
+// ivfpqMergedGoldenHash is the SHA-256 of the file Merge emits for the
+// golden input split into three sources. Pinned before a merge read
+// each source's lists in one fan through the one list decoder, and
+// unchanged by it.
+const ivfpqMergedGoldenHash = "6f2058d93c34425b75eb6c59a6f3fe0b73bdd0b8c4757f83f672b6015e1144df"
+
+func TestMergeGoldenBytes(t *testing.T) {
+	ctx := context.Background()
+	store := objectstore.NewMemStore(nil)
+	vecs, refs := goldenIVFPQInput()
+	opts := BuildOptions{Seed: 7, NList: 32, KMeansIters: 6, TrainSample: 1500}
+	var sources []*Index
+	third := len(vecs) / 3
+	for i := 0; i < 3; i++ {
+		lo, hi := i*third, (i+1)*third
+		if i == 2 {
+			hi = len(vecs)
+		}
+		sources = append(sources, buildAndOpen(t, store, fmt.Sprintf("%d.index", i), vecs[lo:hi], refs[lo:hi], opts))
+	}
+	same := map[uint32]uint32{0: 0, 1: 1, 2: 2}
+	data, err := Merge(ctx, sources, []map[uint32]uint32{same, same, same}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(data)
+	if got := hex.EncodeToString(h[:]); got != ivfpqMergedGoldenHash {
+		t.Fatalf("merged IVF-PQ index bytes diverged:\n got %s\nwant %s", got, ivfpqMergedGoldenHash)
 	}
 }

@@ -445,27 +445,13 @@ func (ix *Index) Search(ctx context.Context, q []float32, nprobe, maxCandidates 
 	probes := cds[:nprobe]
 
 	// Fetch the probed lists' components in one fan.
-	compSet := make(map[int]bool)
-	var compIDs []int
-	for _, p := range probes {
-		if ix.lists[p.list].Count == 0 {
-			continue
-		}
-		id := ix.lists[p.list].ComponentID
-		if !compSet[id] {
-			compSet[id] = true
-			compIDs = append(compIDs, id)
-		}
+	lists := make([]int, len(probes))
+	for i, p := range probes {
+		lists[i] = p.list
 	}
-	comps := make(map[int][]byte, len(compIDs))
-	if len(compIDs) > 0 {
-		data, err := ix.r.Components(ctx, compIDs)
-		if err != nil {
-			return nil, err
-		}
-		for i, id := range compIDs {
-			comps[id] = data[i]
-		}
+	comps, err := ix.listComponents(ctx, lists)
+	if err != nil {
+		return nil, err
 	}
 
 	var cands []Candidate
@@ -554,44 +540,6 @@ func sortCandidates(cands []Candidate) {
 		}
 		return cands[a].Ref.Row < cands[b].Ref.Row
 	})
-}
-
-// Entries decodes every (ref, approximate vector) pair in the index
-// by decoding PQ codes. Used for diagnostics and size accounting.
-func (ix *Index) Entries(ctx context.Context) ([]postings.RowRef, error) {
-	var refs []postings.RowRef
-	for li, d := range ix.lists {
-		if d.Count == 0 {
-			continue
-		}
-		data, err := ix.r.Component(ctx, d.ComponentID)
-		if err != nil {
-			return nil, err
-		}
-		listData, err := listBytes(data, d)
-		if err != nil {
-			return nil, err
-		}
-		_, n := binary.Uvarint(listData)
-		if n <= 0 {
-			return nil, fmt.Errorf("ivfpq: corrupt list %d header", li)
-		}
-		lpos := n
-		for i := 0; i < d.Count; i++ {
-			file, n := binary.Uvarint(listData[lpos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("ivfpq: corrupt list %d", li)
-			}
-			lpos += n
-			row, n := binary.Varint(listData[lpos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("ivfpq: corrupt list %d", li)
-			}
-			lpos += n + ix.m
-			refs = append(refs, postings.RowRef{File: uint32(file), Row: row})
-		}
-	}
-	return refs, nil
 }
 
 // ExactRerank reorders candidate refs by exact distance to q given

@@ -35,6 +35,22 @@ func buildAndOpen(t testing.TB, store objectstore.Store, key string, vecs [][]fl
 	return ix
 }
 
+// Entries returns the ref of every indexed vector, list by list,
+// through the index's one list decoder.
+func (ix *Index) Entries(ctx context.Context) ([]postings.RowRef, error) {
+	lists, err := ix.decodeLists(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var refs []postings.RowRef
+	for _, members := range lists {
+		for _, mb := range members {
+			refs = append(refs, mb.ref)
+		}
+	}
+	return refs, nil
+}
+
 func seqRefs(n int) []postings.RowRef {
 	refs := make([]postings.RowRef, n)
 	for i := range refs {

@@ -2,60 +2,26 @@ package ivfpq
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"rottnest/internal/component"
 	"rottnest/internal/postings"
+	"rottnest/internal/simtime"
 )
 
 // decodeAll reconstructs every (ref, approximate vector) pair of the
 // index by decoding PQ codes against the coarse centroids.
 func (ix *Index) decodeAll(ctx context.Context) ([]postings.RowRef, [][]float32, error) {
+	lists, err := ix.decodeLists(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
 	var refs []postings.RowRef
 	var vecs [][]float32
-	for li, d := range ix.lists {
-		if d.Count == 0 {
-			continue
-		}
-		data, err := ix.r.Component(ctx, d.ComponentID)
-		if err != nil {
-			return nil, nil, err
-		}
-		listData, err := listBytes(data, d)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ivfpq: list %d: %w", li, err)
-		}
-		_, n := binary.Uvarint(listData)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("ivfpq: corrupt list %d", li)
-		}
-		lpos := n
-		cent := ix.centroids[li]
-		for i := 0; i < d.Count; i++ {
-			file, n := binary.Uvarint(listData[lpos:])
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("ivfpq: corrupt list %d", li)
-			}
-			lpos += n
-			row, n := binary.Varint(listData[lpos:])
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("ivfpq: corrupt list %d", li)
-			}
-			lpos += n
-			if lpos+ix.m > len(listData) {
-				return nil, nil, fmt.Errorf("ivfpq: corrupt list %d codes", li)
-			}
-			v := make([]float32, ix.dim)
-			for m := 0; m < ix.m; m++ {
-				cb := ix.codebooks[m][listData[lpos+m]]
-				for j, x := range cb {
-					v[m*ix.subdim+j] = cent[m*ix.subdim+j] + x
-				}
-			}
-			lpos += ix.m
-			refs = append(refs, postings.RowRef{File: uint32(file), Row: row})
-			vecs = append(vecs, v)
+	for li, members := range lists {
+		for _, mb := range members {
+			refs = append(refs, mb.ref)
+			vecs = append(vecs, ix.reconstruct(li, mb.code))
 		}
 	}
 	return refs, vecs, nil
@@ -82,26 +48,31 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 	if len(sources) != len(fileMaps) {
 		return fmt.Errorf("ivfpq: %d sources but %d file maps", len(sources), len(fileMaps))
 	}
+	for i, src := range sources {
+		if src.dim != sources[0].dim {
+			return fmt.Errorf("ivfpq: source %d has dim %d, want %d", i, src.dim, sources[0].dim)
+		}
+	}
+	// The sources are independent files: read them side by side.
+	refs := make([][]postings.RowRef, len(sources))
+	vecs := make([][][]float32, len(sources))
+	err := simtime.Fan(ctx, len(sources), 0, func(ctx context.Context, i int) (err error) {
+		refs[i], vecs[i], err = sources[i].decodeAll(ctx)
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	var allRefs []postings.RowRef
 	var allVecs [][]float32
-	dim := -1
-	for i, src := range sources {
-		if dim == -1 {
-			dim = src.dim
-		} else if src.dim != dim {
-			return fmt.Errorf("ivfpq: source %d has dim %d, want %d", i, src.dim, dim)
-		}
-		refs, vecs, err := src.decodeAll(ctx)
-		if err != nil {
-			return err
-		}
-		for j, r := range refs {
+	for i := range sources {
+		for j, r := range refs[i] {
 			mapped, ok := fileMaps[i][r.File]
 			if !ok {
 				continue
 			}
 			allRefs = append(allRefs, postings.RowRef{File: mapped, Row: r.Row})
-			allVecs = append(allVecs, vecs[j])
+			allVecs = append(allVecs, vecs[i][j])
 		}
 	}
 	if len(allRefs) == 0 {

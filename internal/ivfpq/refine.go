@@ -120,19 +120,59 @@ type listMember struct {
 	code []byte
 }
 
-// decodeList decodes every member of list li.
-func (ix *Index) decodeList(ctx context.Context, li int) ([]listMember, error) {
+// listComponents fetches the components holding the given lists in
+// one fan, keyed by component id, so a component shared by several
+// lists is read and inflated once.
+func (ix *Index) listComponents(ctx context.Context, lists []int) (map[int][]byte, error) {
+	comps := make(map[int][]byte)
+	var ids []int
+	for _, li := range lists {
+		d := ix.lists[li]
+		if _, ok := comps[d.ComponentID]; !ok && d.Count > 0 {
+			comps[d.ComponentID] = nil
+			ids = append(ids, d.ComponentID)
+		}
+	}
+	data, err := ix.r.Components(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range ids {
+		comps[id] = data[i]
+	}
+	return comps, nil
+}
+
+// decodeLists decodes every inverted list of the index.
+func (ix *Index) decodeLists(ctx context.Context) ([][]listMember, error) {
+	all := make([]int, len(ix.lists))
+	for li := range all {
+		all[li] = li
+	}
+	comps, err := ix.listComponents(ctx, all)
+	if err != nil {
+		return nil, err
+	}
+	lists := make([][]listMember, len(ix.lists))
+	for li, d := range ix.lists {
+		if lists[li], err = ix.decodeList(comps[d.ComponentID], li); err != nil {
+			return nil, err
+		}
+	}
+	return lists, nil
+}
+
+// decodeList decodes every member of list li out of its component's
+// bytes — the one decoder of the list format besides the ADC scan in
+// Search, which scores codes in place.
+func (ix *Index) decodeList(comp []byte, li int) ([]listMember, error) {
 	d := ix.lists[li]
 	if d.Count == 0 {
 		return nil, nil
 	}
-	data, err := ix.r.Component(ctx, d.ComponentID)
+	listData, err := listBytes(comp, d)
 	if err != nil {
-		return nil, err
-	}
-	listData, err := listBytes(data, d)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ivfpq: list %d: %w", li, err)
 	}
 	count, n := binary.Uvarint(listData)
 	if n <= 0 || int(count) != d.Count {
@@ -196,14 +236,14 @@ func RefineInto(ctx context.Context, b *component.Builder, ix *Index, split []in
 	// over verbatim, split cells fan out into sub-centroids trained on
 	// their members' reconstructed vectors, with residual codes
 	// recomputed against the new centers using the existing codebooks.
+	lists, err := ix.decodeLists(ctx)
+	if err != nil {
+		return err
+	}
 	var centroids [][]float32
 	var newLists [][]listMember
 	total := 0
-	for li := range ix.lists {
-		members, err := ix.decodeList(ctx, li)
-		if err != nil {
-			return err
-		}
+	for li, members := range lists {
 		total += len(members)
 		if !splitSet[li] || len(members) < 2 {
 			centroids = append(centroids, ix.centroids[li])

@@ -614,6 +614,10 @@ func (t *Table) DeleteRows(ctx context.Context, path string, rows []uint32) erro
 	return err
 }
 
+// vacuumReplayWidth bounds how many retained snapshots a vacuum
+// replays at a time: each holds a whole file table while it is read.
+const vacuumReplayWidth = 32
+
 // Vacuum physically deletes data and deletion-vector files that are
 // not referenced by any snapshot at or after keepVersion and whose age
 // exceeds minAge (protecting in-flight writers). It returns the keys
@@ -629,14 +633,24 @@ func (t *Table) Vacuum(ctx context.Context, keepVersion int64, minAge time.Durat
 	if keepVersion > latest {
 		keepVersion = latest
 	}
+	// The retained snapshots are replayed side by side, so the plan is
+	// as deep as one replay however many versions are kept.
+	retained := make([]*Snapshot, latest-keepVersion+1)
+	err = simtime.Fan(ctx, len(retained), vacuumReplayWidth, func(ctx context.Context, i int) error {
+		snap, err := t.SnapshotAt(ctx, keepVersion+int64(i))
+		if err != nil && !errors.Is(err, ErrNoSnapshot) {
+			return err
+		}
+		retained[i] = snap
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	referenced := make(map[string]bool)
-	for v := keepVersion; v <= latest; v++ {
-		snap, err := t.SnapshotAt(ctx, v)
-		if err != nil {
-			if errors.Is(err, ErrNoSnapshot) {
-				continue
-			}
-			return nil, err
+	for _, snap := range retained {
+		if snap == nil {
+			continue // no snapshot at that version
 		}
 		for _, f := range snap.Files {
 			referenced[f.Path] = true

@@ -12,7 +12,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"rottnest/internal/component"
@@ -53,6 +55,33 @@ type Table struct {
 	store objectstore.Store
 	clock simtime.Clock
 	root  string
+	// The handle's memory of the log, which is append-only, never
+	// truncated, and immutable record by record. seen is the newest
+	// version the handle has read or written: seen+1 is either the next
+	// free slot or one a concurrent writer took — never a gap — so a
+	// commit tries it without listing the log first. replayed is the
+	// live entry set as of the newest version the handle has replayed,
+	// so the next replay fetches only the records above it.
+	seen     atomic.Int64
+	replayed atomic.Pointer[logState]
+}
+
+// logState is the live entry set as of one log version. A published
+// state is never modified: a replay copies the map before applying
+// records to it.
+type logState struct {
+	version int64
+	entries map[string]IndexEntry
+}
+
+// raise moves v forward to at least to.
+func raise(v *atomic.Int64, to int64) {
+	for {
+		cur := v.Load()
+		if to <= cur || v.CompareAndSwap(cur, to) {
+			return
+		}
+	}
 }
 
 // New returns a handle to the metadata table rooted at prefix
@@ -145,10 +174,13 @@ func (t *Table) maybeCheckpoint(ctx context.Context, version int64) {
 }
 
 // readAll replays the log and returns the live entries plus the
-// latest version. The newest checkpoint bounds the replayed suffix and
-// is fetched in the same parallel fan as the records above it (the
-// LIST names both), so a replay is LIST + one round trip however long
-// the log grows. A checkpoint that is missing or does not parse costs
+// latest version. A replay starts from the newest state it can: what
+// this handle replayed last, or the newest checkpoint when that is
+// newer (or the handle has replayed nothing). A checkpoint is fetched
+// in the same parallel fan as the records above it (the LIST names
+// both), so a replay is LIST + at most one round trip however long the
+// log grows, and LIST alone when nothing was committed since the
+// handle's last. A checkpoint that is missing or does not parse costs
 // a second fan over the whole log instead.
 func (t *Table) readAll(ctx context.Context) (map[string]IndexEntry, int64, error) {
 	infos, err := t.store.List(ctx, t.root)
@@ -161,26 +193,52 @@ func (t *Table) readAll(ctx context.Context) (map[string]IndexEntry, int64, erro
 			cpVersion, cpKey = v, info.Key
 		}
 	}
-	if cpKey != "" {
-		if entries, latest, err := t.fanLog(ctx, infos, cpKey, cpVersion); err == nil {
-			return entries, latest, nil
+	var state logState
+	if base := t.replayed.Load(); base != nil && base.version >= cpVersion && t.listed(infos, base.version) {
+		state, err = t.fanLog(ctx, infos, "", *base)
+	} else {
+		if cpKey != "" {
+			state, err = t.fanLog(ctx, infos, cpKey, logState{version: cpVersion})
+		}
+		if cpKey == "" || err != nil {
+			state, err = t.fanLog(ctx, infos, "", logState{})
 		}
 	}
-	return t.fanLog(ctx, infos, "", 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	raise(&t.seen, state.version)
+	for {
+		cur := t.replayed.Load()
+		if (cur != nil && cur.version >= state.version) || t.replayed.CompareAndSwap(cur, &state) {
+			return state.entries, state.version, nil
+		}
+	}
 }
 
-// fanLog fetches the checkpoint at cpKey (version cpVersion; "" means
-// replay from the start) and every record above it in one fan and
-// applies them.
-func (t *Table) fanLog(ctx context.Context, infos []objectstore.ObjectInfo, cpKey string, cpVersion int64) (map[string]IndexEntry, int64, error) {
+// listed reports whether the listing still holds the record at
+// version: a handle's memory is only as good as the log it was read
+// from, and a log that lost that record is not that log.
+func (t *Table) listed(infos []objectstore.ObjectInfo, version int64) bool {
+	key := t.key(version)
+	i := sort.Search(len(infos), func(i int) bool { return infos[i].Key >= key })
+	return i < len(infos) && infos[i].Key == key
+}
+
+// fanLog replays the records above base in one fan and returns the
+// state they lead to. With cpKey set, base's entries are the
+// checkpoint there (of base's version), fetched in the same fan;
+// otherwise they are what the caller holds (none, from the start of
+// the log), and are not modified.
+func (t *Table) fanLog(ctx context.Context, infos []objectstore.ObjectInfo, cpKey string, base logState) (logState, error) {
 	var keys []string
 	if cpKey != "" {
 		keys = append(keys, cpKey)
 	}
-	latest := cpVersion
+	latest := base.version
 	for _, info := range infos {
 		v, ok := t.parseVersion(info.Key)
-		if !ok || v <= cpVersion {
+		if !ok || v <= base.version {
 			continue
 		}
 		if v > latest {
@@ -188,19 +246,25 @@ func (t *Table) fanLog(ctx context.Context, infos []objectstore.ObjectInfo, cpKe
 		}
 		keys = append(keys, info.Key)
 	}
+	if len(keys) == 0 && base.entries != nil {
+		return base, nil
+	}
 	reqs := make([]objectstore.RangeRequest, len(keys))
 	for i, k := range keys {
 		reqs[i] = objectstore.RangeRequest{Key: k, Offset: 0, Length: -1}
 	}
 	bodies, err := objectstore.FanGet(ctx, t.store, reqs)
 	if err != nil {
-		return nil, 0, fmt.Errorf("meta: read log: %w", err)
+		return logState{}, fmt.Errorf("meta: read log: %w", err)
 	}
-	entries := make(map[string]IndexEntry)
+	entries := make(map[string]IndexEntry, len(base.entries))
+	for k, e := range base.entries {
+		entries[k] = e
+	}
 	if cpKey != "" {
 		var cp metaCheckpoint
-		if err := json.Unmarshal(bodies[0], &cp); err != nil || cp.Version != cpVersion {
-			return nil, 0, fmt.Errorf("meta: unusable checkpoint %s", cpKey)
+		if err := json.Unmarshal(bodies[0], &cp); err != nil || cp.Version != base.version {
+			return logState{}, fmt.Errorf("meta: unusable checkpoint %s", cpKey)
 		}
 		for _, e := range cp.Entries {
 			entries[e.IndexKey] = e
@@ -210,7 +274,7 @@ func (t *Table) fanLog(ctx context.Context, infos []objectstore.ObjectInfo, cpKe
 	for i, data := range bodies {
 		var rec record
 		if err := json.Unmarshal(data, &rec); err != nil {
-			return nil, 0, fmt.Errorf("meta: parse %s: %w", keys[i], err)
+			return logState{}, fmt.Errorf("meta: parse %s: %w", keys[i], err)
 		}
 		for _, k := range rec.Deletes {
 			delete(entries, k)
@@ -219,7 +283,7 @@ func (t *Table) fanLog(ctx context.Context, infos []objectstore.ObjectInfo, cpKe
 			entries[e.IndexKey] = e
 		}
 	}
-	return entries, latest, nil
+	return logState{version: latest, entries: entries}, nil
 }
 
 // List returns every live entry of the table.
@@ -266,24 +330,30 @@ func sortEntries(entries []IndexEntry) {
 	}
 }
 
-// commit appends a record with optimistic concurrency.
+// commit appends a record with optimistic concurrency. A record says
+// what to insert and delete, not what the table held, so the only
+// thing a commit needs from the log is the next version number — and
+// the handle's last read or commit already told it that. It tries that
+// slot directly; only when another writer got there first does it read
+// the log to find where the end moved to.
 func (t *Table) commit(ctx context.Context, inserts []IndexEntry, deletes []string) error {
 	for attempt := 0; attempt < 32; attempt++ {
-		_, latest, err := t.readAll(ctx)
-		if err != nil {
-			return err
-		}
-		rec := record{Version: latest + 1, Inserts: inserts, Deletes: deletes}
+		next := t.seen.Load() + 1
+		rec := record{Version: next, Inserts: inserts, Deletes: deletes}
 		data, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("meta: encode record: %w", err)
 		}
-		err = t.store.PutIfAbsent(ctx, t.key(latest+1), data)
+		err = t.store.PutIfAbsent(ctx, t.key(next), data)
 		if err == nil {
-			t.maybeCheckpoint(ctx, latest+1)
+			raise(&t.seen, next)
+			t.maybeCheckpoint(ctx, next)
 			return nil
 		}
 		if !errors.Is(err, objectstore.ErrExists) {
+			return err
+		}
+		if _, _, err := t.readAll(ctx); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
@@ -194,8 +195,8 @@ func TestMetaConcurrentCommitsAroundCheckpoint(t *testing.T) {
 	}
 }
 
-// TestListIsListPlusOneFan pins the depth of a meta-log replay past a
-// checkpoint: the checkpoint rides the same fan as the records above
+// TestListIsListPlusOneFan pins the depth of a cold meta-log replay
+// past a checkpoint: the checkpoint rides the same fan as the records above
 // it (LIST 60 ms + one round trip 30 ms on the S3 model; fetching the
 // checkpoint first made it 120), and a checkpoint overwritten by
 // garbage yields the identical listing from a full replay.
@@ -213,11 +214,13 @@ func TestListIsListPlusOneFan(t *testing.T) {
 	if err := tbl.Delete(ctx, "007.index"); err != nil { // a delete above the checkpoint
 		t.Fatal(err)
 	}
+	// list replays the log through a fresh handle, which remembers
+	// nothing of it.
 	list := func() ([]IndexEntry, objectstore.Snapshot, time.Duration) {
 		t.Helper()
 		session := simtime.NewSession()
 		before := metrics.Snapshot()
-		got, err := tbl.List(simtime.With(ctx, session))
+		got, err := New(store, clock, "ix/_meta").List(simtime.With(ctx, session))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,4 +249,166 @@ func TestListIsListPlusOneFan(t *testing.T) {
 	if reqs.Lists != 1 || reqs.Gets != 10+41 {
 		t.Fatalf("fallback issued %+v, want 1 LIST + the failed fan + all 41 records", reqs)
 	}
+}
+
+// TestCommitTriesTheSlotAfterTheNewestSeen: a handle that has read or
+// written the log commits into the next slot with one conditional PUT
+// and no listing; a handle whose memory went stale behind another
+// writer finds the slot taken, re-reads, and lands on the new end. The
+// log stays contiguous and nothing in it is overwritten either way.
+func TestCommitTriesTheSlotAfterTheNewestSeen(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	mem := objectstore.NewMemStore(clock)
+	store, metrics := objectstore.Instrument(mem, objectstore.LatencyModel{})
+	a, b := New(store, clock, "ix/_meta"), New(store, clock, "ix/_meta")
+	insert := func(tbl *Table, key string) objectstore.Snapshot {
+		t.Helper()
+		before := metrics.Snapshot()
+		if err := tbl.Insert(ctx, entry(key, "id", component.KindTrie, "f")); err != nil {
+			t.Fatal(err)
+		}
+		return metrics.Snapshot().Sub(before)
+	}
+	direct := objectstore.Snapshot{Puts: 1}
+	for _, step := range []struct {
+		name string
+		tbl  *Table
+		key  string
+		want objectstore.Snapshot
+	}{
+		{"first commit of an empty log", a, "1.index", direct},
+		// b has seen nothing: slot 1 is taken, one read finds the end.
+		{"fresh handle behind one commit", b, "2.index", objectstore.Snapshot{Puts: 2, Lists: 1, Gets: 1}},
+		{"handle that just committed", b, "3.index", direct},
+		// a still remembers version 1.
+		{"stale handle", a, "4.index", objectstore.Snapshot{Puts: 2, Lists: 1, Gets: 3}},
+		{"handle that just re-read", a, "5.index", direct},
+	} {
+		got := insert(step.tbl, step.key)
+		got.BytesRead, got.BytesWritten = 0, 0
+		if got != step.want {
+			t.Fatalf("%s: issued %+v, want %+v", step.name, got, step.want)
+		}
+	}
+	// A listing also moves the remembered end.
+	if _, err := b.List(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := insert(b, "6.index"); got.Puts != 1 || got.Lists != 0 {
+		t.Fatalf("commit after a listing issued %+v, want one PUT", got)
+	}
+
+	// Contiguous, in commit order, each record holding what its writer
+	// put there.
+	infos, err := mem.List(ctx, "ix/_meta/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 6 {
+		t.Fatalf("log holds %d objects, want 6", len(infos))
+	}
+	for i, info := range infos {
+		if info.Key != a.key(int64(i+1)) {
+			t.Fatalf("log object %d is %s, want %s", i, info.Key, a.key(int64(i+1)))
+		}
+		data, err := mem.Get(ctx, info.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%d.index", i+1); rec.Version != int64(i+1) || len(rec.Inserts) != 1 || rec.Inserts[0].IndexKey != want {
+			t.Fatalf("record %d = %+v, want the insert of %s", i+1, rec, want)
+		}
+	}
+	if got, err := New(store, clock, "ix/_meta").List(ctx); err != nil || len(got) != 6 {
+		t.Fatalf("list = %d entries, %v; want 6", len(got), err)
+	}
+}
+
+// alwaysTaken refuses every conditional PUT as if another writer had
+// just taken the slot.
+type alwaysTaken struct {
+	objectstore.Store
+	puts int
+}
+
+func (s *alwaysTaken) PutIfAbsent(ctx context.Context, key string, data []byte) error {
+	s.puts++
+	return objectstore.ErrExists
+}
+
+// TestCommitGivesUpAfter32Attempts: a writer that loses every race
+// stops, as it always has.
+func TestCommitGivesUpAfter32Attempts(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	store := &alwaysTaken{Store: objectstore.NewMemStore(clock)}
+	err := New(store, clock, "ix/_meta").Insert(ctx, entry("a.index", "id", component.KindTrie, "f"))
+	if err == nil || store.puts != 32 {
+		t.Fatalf("insert = %v after %d conditional PUTs, want an error after 32", err, store.puts)
+	}
+}
+
+// TestReplayFetchesOnlyWhatTheHandleHasNotSeen: the log is append-only
+// and its records immutable, so a handle that has replayed it fetches
+// the records above where it stopped — none when nothing was committed
+// since — and lists what a fresh handle lists. A log that lost the
+// record the handle stopped at is replayed from the start.
+func TestReplayFetchesOnlyWhatTheHandleHasNotSeen(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	mem := objectstore.NewMemStore(clock)
+	store, metrics := objectstore.Instrument(mem, objectstore.LatencyModel{})
+	writer, reader := New(store, clock, "ix/_meta"), New(store, clock, "ix/_meta")
+	list := func(want int, wantGets int64) {
+		t.Helper()
+		before := metrics.Snapshot()
+		got, err := reader.List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(mem, clock, "ix/_meta").List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) || len(got) != want {
+			t.Fatalf("list = %d entries, a fresh handle's %d, want %d", len(got), len(fresh), want)
+		}
+		if reqs := metrics.Snapshot().Sub(before); reqs.Lists != 1 || reqs.Gets != wantGets {
+			t.Fatalf("list issued %d LISTs and %d GETs, want 1 and %d", reqs.Lists, reqs.Gets, wantGets)
+		}
+	}
+	insert := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := writer.Insert(ctx, entry(fmt.Sprintf("%03d.index", i), "id", component.KindTrie, "f")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(0, 5)
+	list(5, 5)
+	list(5, 0)
+	insert(5, 7)
+	if err := writer.Delete(ctx, "001.index"); err != nil {
+		t.Fatal(err)
+	}
+	list(6, 3)
+	// Past a checkpoint the handle is behind of, the checkpoint is the
+	// nearer start: it and the two records above it.
+	insert(7, 33)
+	list(32, 3)
+	list(32, 0)
+
+	if err := mem.Delete(ctx, reader.key(34)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Delete(ctx, reader.checkpointKey(32)); err != nil {
+		t.Fatal(err)
+	}
+	list(31, 33)
 }

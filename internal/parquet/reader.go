@@ -105,12 +105,18 @@ func ScanColumn(ctx context.Context, store objectstore.Store, key string, column
 	var table PageTable
 	var fileRow int64
 	ordinal := 0
+	// The footer names every row group's chunk, so they are one fan.
+	reqs := make([]objectstore.RangeRequest, len(meta.RowGroups))
 	for gi, group := range meta.RowGroups {
-		chunk := group.Chunks[column]
-		raw, err := store.GetRange(ctx, key, chunk.Offset, chunk.Size)
-		if err != nil {
-			return ColumnValues{}, nil, nil, fmt.Errorf("parquet: scan %s group %d: %w", key, gi, err)
-		}
+		reqs[gi] = objectstore.RangeRequest{Key: key, Offset: group.Chunks[column].Offset, Length: group.Chunks[column].Size}
+	}
+	raws, err := objectstore.FanGet(ctx, store, reqs)
+	if err != nil {
+		return ColumnValues{}, nil, nil, fmt.Errorf("parquet: scan %s: %w", key, err)
+	}
+	for gi, group := range meta.RowGroups {
+		chunk, raw := group.Chunks[column], raws[gi]
+		raws[gi] = nil
 		pos := 0
 		for p := 0; p < chunk.NumPages; p++ {
 			h, n, err := parsePageHeader(raw[pos:])

@@ -24,6 +24,7 @@ import (
 	"rottnest/internal/component"
 	"rottnest/internal/parallel"
 	"rottnest/internal/postings"
+	"rottnest/internal/simtime"
 )
 
 // KeyLen is the fixed key width in bytes.
@@ -442,19 +443,28 @@ func (ix *Index) Lookup(ctx context.Context, key [16]byte) ([]postings.PageRef, 
 	return postings.Dedup(out), nil
 }
 
-// Entries decodes every leaf of the trie (all components read).
-// Merging uses it; queries never do.
+// Entries decodes every leaf of the trie. Merging uses it; queries
+// never do. The leaf components are read in one fan and each is
+// inflated once, however many buckets it holds.
 func (ix *Index) Entries(ctx context.Context) ([]*Entry, error) {
+	var ids []int
+	slot := make(map[int]int) // component id -> position in ids
+	for _, bd := range ix.buckets {
+		if _, ok := slot[bd.ComponentID]; !ok && bd.Count > 0 {
+			slot[bd.ComponentID] = len(ids)
+			ids = append(ids, bd.ComponentID)
+		}
+	}
+	comps, err := ix.r.Components(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
 	var out []*Entry
-	for bk := 0; bk < 256; bk++ {
-		bd := ix.buckets[bk]
+	for bk, bd := range ix.buckets {
 		if bd.Count == 0 {
 			continue
 		}
-		comp, err := ix.r.Component(ctx, bd.ComponentID)
-		if err != nil {
-			return nil, err
-		}
+		comp := comps[slot[bd.ComponentID]]
 		if bd.ByteOffset < 0 || bd.ByteLen < 0 || bd.ByteOffset+bd.ByteLen > len(comp) {
 			return nil, fmt.Errorf("trie: bucket %d extent out of range", bk)
 		}
@@ -492,12 +502,17 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 		return fmt.Errorf("trie: %d sources but %d file maps", len(sources), len(fileMaps))
 	}
 	opts = opts.withDefaults()
+	// The sources are independent files: read them side by side.
+	perSource := make([][]*Entry, len(sources))
+	err := simtime.Fan(ctx, len(sources), 0, func(ctx context.Context, i int) (err error) {
+		perSource[i], err = sources[i].Entries(ctx)
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	var all []*Entry
-	for i, src := range sources {
-		entries, err := src.Entries(ctx)
-		if err != nil {
-			return err
-		}
+	for i, entries := range perSource {
 		for _, e := range entries {
 			refs := postings.Remap(append([]postings.PageRef(nil), e.Refs...), fileMaps[i])
 			if len(refs) == 0 {
