@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardMerge -run '^FuzzShardMerge$$' -fuzztime=10s ./internal/shard/
 	$(GO) test -fuzz=FuzzFMSuperwalk -run '^FuzzFMSuperwalk$$' -fuzztime=10s ./internal/fmindex/
 	$(GO) test -fuzz=FuzzHeatLedger -run '^FuzzHeatLedger$$' -fuzztime=10s ./internal/adaptive/
+	$(GO) test -fuzz=FuzzTxlogReplay -run '^FuzzTxlogReplay$$' -fuzztime=10s ./internal/txlog/
 
 # trace-smoke proves the observability path end to end: quickstart
 # runs every lookup through Client.Trace, writes the span trees as
@@ -114,7 +115,9 @@ bench-multi:
 
 # bench-sharded records the scatter-gather serving experiment:
 # aggregate QPS vs shard count, and hedged-request p50/p99 against a
-# latency-spiked replica at the same N x M x K point.
+# latency-spiked replica at the same N x M x K point — and the requests
+# of one hot routed query's plan (router_plan_*), which benchgate holds
+# to "may not grow".
 bench-sharded:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_sharded.json sharded
 
@@ -126,7 +129,9 @@ bench-planner:
 
 # bench-ingest records the continuous-ingestion experiment: the
 # group-commit writer's conditional-PUT amortization over per-batch
-# appends and searchable-lag percentiles under the budgeted scheduler.
+# appends, the store requests per acked batch (ack_lists, ack_gets,
+# ack_puts: benchgate holds them to "may not grow") and searchable-lag
+# percentiles under the budgeted scheduler.
 bench-ingest:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_ingest.json ingest
 

@@ -13,9 +13,11 @@
 //   - keys containing "adaptive_hot_lag" — lower is better; the gate
 //     fails when the adaptive regime's hot-partition searchable lag
 //     grows more than the threshold above the baseline.
-//   - keys starting "maint_" — request and round-trip counts of one
-//     maintenance call, exact for a seed; they may not grow at all,
-//     whatever the threshold.
+//   - keys starting "maint_", "ack_" or "router_plan_" — request and
+//     round-trip counts of one maintenance call, of one acked ingest
+//     batch, and of one hot routed query's plan, exact for a seed; they
+//     may not grow at all, whatever the threshold, and a count of zero
+//     must stay zero.
 //
 // Only virtual-time quantities are gated: they are deterministic for
 // a fixed seed, unlike wall-clock rates, which would flake on shared
@@ -78,7 +80,7 @@ func main() {
 		for _, k := range keys {
 			was := oldF[k]
 			now, ok := curF[k]
-			if !ok || was.value <= 0 {
+			if !ok || was.value < 0 || (was.value == 0 && !was.exact) {
 				continue
 			}
 			checked++
@@ -94,8 +96,8 @@ func main() {
 				}
 			} else {
 				if now.value > was.value*(1+allowed) {
-					fmt.Fprintf(os.Stderr, "benchgate: %s: %s regressed %.1f -> %.1f (+%.0f%% > +%.0f%% allowed)\n",
-						path, k, was.value, now.value, (now.value/was.value-1)*100, allowed*100)
+					fmt.Fprintf(os.Stderr, "benchgate: %s: %s regressed %.3g -> %.3g (+%.0f%% allowed)\n",
+						path, k, was.value, now.value, allowed*100)
 					failed = true
 				}
 			}
@@ -140,7 +142,7 @@ func gatedFields(data []byte) (map[string]gated, error) {
 						out[p] = gated{value: f, higherBetter: true}
 					case strings.Contains(lk, "adaptive_hot_lag"):
 						out[p] = gated{value: f, higherBetter: false}
-					case strings.HasPrefix(lk, "maint_"):
+					case strings.HasPrefix(lk, "maint_") || strings.HasPrefix(lk, "ack_") || strings.HasPrefix(lk, "router_plan_"):
 						out[p] = gated{value: f, exact: true}
 					}
 					continue

@@ -46,10 +46,11 @@ func TestBuildBenchShapes(t *testing.T) {
 			t.Errorf("%s: non-positive end-to-end rate", e.Kind)
 		}
 	}
-	// Maintenance is as deep as its data dependencies: plan (LIST, log
-	// fans), read (footer, chunks — or tails, manifests, every source's
-	// blocks), upload, commit. It was one level per GET: 15 and 56.
-	for i, want := range []MaintenanceDepth{{Call: "index", Levels: 6}, {Call: "compact_fm_3", Levels: 7}} {
+	// Maintenance is as deep as its data dependencies: plan (LIST — the
+	// world's long-lived handles remember the logs, so no log fan), read
+	// (footer, chunks — or tails, manifests, every source's blocks),
+	// upload, commit. It was one level per GET: 15 and 56.
+	for i, want := range []MaintenanceDepth{{Call: "index", Levels: 5}, {Call: "compact_fm_3", Levels: 6}} {
 		if got := res.Maintenance[i]; got.Call != want.Call || got.Levels != want.Levels || got.Gets < got.Levels {
 			t.Errorf("maintenance depth %d = %+v, want %s at %d levels", i, got, want.Call, want.Levels)
 		}

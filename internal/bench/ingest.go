@@ -42,6 +42,14 @@ type IngestResult struct {
 	BaselineIngestQPS float64 `json:"baseline_ingest_qps"`
 	GroupedIngestQPS  float64 `json:"grouped_ingest_qps"`
 
+	// Store requests per acked batch of the grouped stream, through the
+	// writer's long-lived table handle: the group's file PUTs and one
+	// conditional PUT, and no read of the log. benchgate holds the
+	// three to "may not grow".
+	AckLists float64 `json:"ack_lists"`
+	AckGets  float64 `json:"ack_gets"`
+	AckPuts  float64 `json:"ack_puts"`
+
 	// Freshness under concurrent maintenance (phase B).
 	RowsIngested int64         `json:"rows_ingested"`
 	LagSamples   int           `json:"lag_samples"`
@@ -118,6 +126,7 @@ func Ingest(o Options) (*IngestResult, error) {
 		return nil, err
 	}
 	var groupTime time.Duration
+	ackBefore := grouped.metrics.Snapshot()
 	for round := 0; round < res.BatchesPerProducer; round++ {
 		session := simtime.NewSession()
 		sctx := simtime.With(ctx, session)
@@ -132,6 +141,10 @@ func Ingest(o Options) (*IngestResult, error) {
 		}
 		groupTime += session.Elapsed()
 	}
+	acked := grouped.metrics.Snapshot().Sub(ackBefore)
+	res.AckLists = float64(acked.Lists) / float64(totalBatches)
+	res.AckGets = float64(acked.Gets) / float64(totalBatches)
+	res.AckPuts = float64(acked.Puts) / float64(totalBatches)
 	after, err = grouped.table.Version(ctx)
 	if err != nil {
 		return nil, err
@@ -232,6 +245,7 @@ func Ingest(o Options) (*IngestResult, error) {
 	fmt.Fprintf(out, "%-22s %14d %14d\n", "commit rounds (PUTs)", res.BaselineCommitRounds, res.GroupedCommitRounds)
 	fmt.Fprintf(out, "%-22s %14.1f %14.1f\n", "ingest batches/s", res.BaselineIngestQPS, res.GroupedIngestQPS)
 	fmt.Fprintf(out, "conditional-PUT reduction: %.1fx\n", res.PutReduction)
+	fmt.Fprintf(out, "requests per acked batch: %.3f LIST, %.3f GET, %.3f PUT\n", res.AckLists, res.AckGets, res.AckPuts)
 	fmt.Fprintf(out, "searchable lag over %d files: p50 %v, p99 %v (query QPS %.1f)\n",
 		res.LagSamples, res.LagP50.Round(time.Millisecond), res.LagP99.Round(time.Millisecond), res.QueryQPS)
 	return res, nil

@@ -49,6 +49,12 @@ type ShardedResult struct {
 	// replica 1 pays a latency spike; hedging should claw back the p99.
 	HedgeOff ShardedPoint `json:"hedge_off"`
 	HedgeOn  ShardedPoint `json:"hedge_on"`
+	// RouterPlanLists and RouterPlanGets are the requests of one hot
+	// routed query's router.plan phase: the router's handle remembers
+	// the log, so its plan is one LIST and no GET. benchgate holds both
+	// to "may not grow".
+	RouterPlanLists int `json:"router_plan_lists"`
+	RouterPlanGets  int `json:"router_plan_gets"`
 }
 
 // shardedWorld ingests `batches` UUID files and indexes each one into
@@ -191,6 +197,15 @@ func Sharded(o Options) (*ShardedResult, error) {
 			return nil, err
 		}
 		res.Scaling = append(res.Scaling, pt)
+		if n == 1 {
+			// The pass made the router hot; trace one more query's plan.
+			_, tree, err := r.Trace(ctx, universe[0])
+			if err != nil {
+				return nil, err
+			}
+			plan := tree.Find("router.plan")
+			res.RouterPlanLists, res.RouterPlanGets = len(plan.FindAll("store.list")), len(plan.FindAll("store.get"))
+		}
 	}
 
 	// Hedging: replica 1 of both shards pays a spike on every request;
@@ -258,6 +273,7 @@ func Sharded(o Options) (*ShardedResult, error) {
 	for _, p := range res.Scaling {
 		row(fmt.Sprintf("%d shards x %d replica", p.Shards, p.Replicas), p)
 	}
+	fmt.Fprintf(out, "hot router plan: %d LIST, %d GET\n", res.RouterPlanLists, res.RouterPlanGets)
 	row("2x2 slow replica", res.HedgeOff)
 	row("2x2 slow + hedging", res.HedgeOn)
 	return res, nil

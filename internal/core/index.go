@@ -80,7 +80,7 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 	// not know.
 	pctx, planSpan := obs.Start(ctx, "index.plan")
 	defer planSpan.End()
-	snap, entries, err := c.readPlanInputs(pctx, version)
+	snap, entries, err := c.PlanInputs(pctx, version)
 	if snap == nil {
 		return nil, err
 	}

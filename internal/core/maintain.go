@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"rottnest/internal/component"
+	"rottnest/internal/lake"
 	"rottnest/internal/meta"
 )
 
@@ -33,14 +34,16 @@ type IndexStatus struct {
 // snapshot. Operators use it to decide when to run Index, Compact,
 // and Vacuum; Maintain automates exactly that.
 func (c *Client) Status(ctx context.Context) ([]IndexStatus, error) {
-	snap, err := c.table.Snapshot(ctx)
+	snap, entries, err := c.PlanInputs(ctx, -1)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := c.meta.List(ctx)
-	if err != nil {
-		return nil, err
-	}
+	return StatusOf(snap, entries), nil
+}
+
+// StatusOf is Status for a caller that has already read the snapshot
+// and the metadata entries (PlanInputs).
+func StatusOf(snap *lake.Snapshot, entries []meta.IndexEntry) []IndexStatus {
 	active := snap.Paths()
 
 	type groupKey struct {
@@ -75,7 +78,7 @@ func (c *Client) Status(ctx context.Context) ([]IndexStatus, error) {
 		out = append(out, st)
 	}
 	sortStatuses(out)
-	return out, nil
+	return out
 }
 
 func sortStatuses(sts []IndexStatus) {

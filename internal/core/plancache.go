@@ -51,9 +51,11 @@ type planCache struct {
 	invalidations *obs.Counter
 	entries       *obs.Gauge
 
-	mu     sync.Mutex
-	latest int64
-	plans  map[planKey]planEntry
+	mu sync.Mutex
+	// latest is the newest version known, from a commit hook or a plan
+	// read from the store; committed the newest a commit hook reported.
+	latest, committed int64
+	plans             map[planKey]planEntry
 }
 
 // newPlanCache returns a plan cache keeping entries within ttl
@@ -75,18 +77,28 @@ func newPlanCache(ttl int, reg *obs.Registry) *planCache {
 
 // lookup resolves one planning round: the snapshot plus one listing
 // per probe unit, served only when every unit is cached at the
-// version. version < 0 resolves to the latest hook-reported version
-// (a miss when no commit has been observed yet). A replan always
-// misses: the cached plan is what referenced the vanished index. The
+// version (a nil snapshot is a miss). version < 0 resolves to the
+// latest known version (a miss when none is known yet). The third
+// result is the version a miss should read: the one asked for, except
+// that "latest" is the latest known version when a commit through this
+// table handle reported it — the handle remembers that snapshot, so the
+// miss costs the lake log nothing — and stays < 0 when the newest
+// version known came from the store, where only a LIST can say whether
+// another writer has moved on. A replan always misses, at the version
+// as given: the cached plan is what referenced the vanished index. The
 // round counts as one hit or one miss. Nil-safe.
-func (p *planCache) lookup(version int64, units []probeUnit, replan bool) (*lake.Snapshot, [][]meta.IndexEntry, bool) {
+func (p *planCache) lookup(version int64, units []probeUnit, replan bool) (*lake.Snapshot, [][]meta.IndexEntry, int64) {
 	if p == nil {
-		return nil, nil, false
+		return nil, nil, version
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	onMiss := version
 	if version < 0 {
 		version = p.latest
+		if !replan && p.latest > 0 && p.latest == p.committed {
+			onMiss = p.latest
+		}
 	}
 	var snap *lake.Snapshot
 	listings := make([][]meta.IndexEntry, len(units))
@@ -98,10 +110,10 @@ func (p *planCache) lookup(version int64, units []probeUnit, replan bool) (*lake
 	}
 	if !ok || snap == nil {
 		p.misses.Inc()
-		return nil, nil, false
+		return nil, nil, onMiss
 	}
 	p.hits.Inc()
-	return snap, listings, true
+	return snap, listings, version
 }
 
 // put stores a planning round's listings and advances the latest
@@ -126,6 +138,9 @@ func (p *planCache) noteCommit(version int64) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if version > p.committed {
+		p.committed = version
+	}
 	p.advanceLocked(version)
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
+	"math"
 	"strings"
 
 	"rottnest/internal/lake"
@@ -59,37 +59,24 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 	// metadata read and the object sweep.
 	cutoff := c.clock.Now().Add(-c.cfg.Timeout)
 
-	// Plan: the latest snapshot beside the metadata table, then — only
-	// when older snapshots are retained — those, side by side, so the
-	// plan is as deep as one log replay however many are kept.
+	// Plan: the retained snapshots — one listing and one fan however
+	// many are kept — beside the metadata table.
 	pctx, planSpan := obs.Start(ctx, "vacuum.plan")
 	defer planSpan.End()
-	latest, entries, err := c.readPlanInputs(pctx, -1)
-	if err != nil {
-		return nil, err
-	}
 	keep := opts.KeepSnapshot
-	if keep < 1 || keep > latest.Version {
-		keep = latest.Version
+	if keep < 1 {
+		keep = math.MaxInt64 // latest only
 	}
-	retained := make([]*lake.Snapshot, latest.Version-keep+1)
-	retained[len(retained)-1] = latest
-	err = simtime.Fan(pctx, len(retained)-1, c.cfg.SearchWidth, func(ctx context.Context, i int) error {
-		snap, err := c.table.SnapshotAt(ctx, keep+int64(i))
-		if err != nil && !errors.Is(err, lake.ErrNoSnapshot) {
-			return err
-		}
-		retained[i] = snap
-		return nil
+	var retained []*lake.Snapshot
+	entries, err := c.besideMeta(pctx, func(ctx context.Context) (err error) {
+		retained, err = c.table.SnapshotsSince(ctx, keep)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	active := make(map[string]bool)
 	for _, snap := range retained {
-		if snap == nil {
-			continue // no snapshot at that version
-		}
 		for _, f := range snap.Files {
 			active[f.Path] = true
 		}

@@ -9,6 +9,7 @@ import (
 	"rottnest/internal/adaptive"
 	"rottnest/internal/core"
 	"rottnest/internal/lake"
+	"rottnest/internal/meta"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/obs"
 	"rottnest/internal/simtime"
@@ -85,10 +86,23 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	return o
 }
 
+// indexEvery is the least time Run leaves between the starts of two
+// index jobs of one spec: files committed in between ride the next job,
+// so a steady stream makes one index file per spec per indexEvery
+// however fast a job runs. Without it the daemon indexes as often as
+// its planning is quick, and every query opens that many more, smaller
+// index files — the wall-clock ingest benchmark's opened IVF-PQ indexes
+// stopped fitting its decoded-object cache when planning lost its log
+// replays (DESIGN.md §20). Step and Quiesce do not wait for it.
+const indexEvery = 1500 * time.Millisecond
+
 // ledgerEntry tracks one committed-but-not-yet-covered data file.
 type ledgerEntry struct {
 	rows    int64
 	ackedAt time.Time
+	// version is the log version the file became visible at: a snapshot
+	// older than that says nothing about the file.
+	version int64
 }
 
 // Scheduler is the background maintenance daemon: it watches commit
@@ -107,7 +121,6 @@ type ledgerEntry struct {
 // budget plus the pause watermark.
 type Scheduler struct {
 	cli   *core.Client
-	table *lake.Table
 	opts  SchedulerOptions
 	clock simtime.Clock
 	reg   *obs.Registry
@@ -116,7 +129,8 @@ type Scheduler struct {
 
 	mu         sync.Mutex
 	ledger     map[string]ledgerEntry
-	stalled    map[int]int64 // spec index → snapshot version it stalled at
+	stalled    map[int]int64     // spec index → snapshot version it stalled at
+	indexedAt  map[int]time.Time // spec index → start of its last index job
 	tokens     float64
 	lastRefill time.Time
 	lastSeen   int64 // store requests observed at last refill
@@ -151,15 +165,15 @@ func NewScheduler(table *lake.Table, opts SchedulerOptions) *Scheduler {
 	}
 	reg := obs.NewRegistry()
 	s := &Scheduler{
-		cli:     cli,
-		table:   table,
-		opts:    opts,
-		clock:   opts.Clock,
-		reg:     reg,
-		commits: make(chan struct{}, 1),
-		ledger:  make(map[string]ledgerEntry),
-		stalled: make(map[int]int64),
-		tokens:  opts.RequestsPerSec, // start with one second of burst
+		cli:       cli,
+		opts:      opts,
+		clock:     opts.Clock,
+		reg:       reg,
+		commits:   make(chan struct{}, 1),
+		ledger:    make(map[string]ledgerEntry),
+		stalled:   make(map[int]int64),
+		indexedAt: make(map[int]time.Time),
+		tokens:    opts.RequestsPerSec, // start with one second of burst
 
 		lagHist:       reg.Histogram("ingest.searchable_lag_ns"),
 		rowsUnindexed: reg.Gauge("ingest.rows_unindexed"),
@@ -205,7 +219,7 @@ func (s *Scheduler) Client() *core.Client { return s.cli }
 func (s *Scheduler) NoteCommitted(files []CommittedFile) {
 	s.mu.Lock()
 	for _, f := range files {
-		s.ledger[f.Path] = ledgerEntry{rows: f.Rows, ackedAt: f.AckedAt}
+		s.ledger[f.Path] = ledgerEntry{rows: f.Rows, ackedAt: f.AckedAt, version: f.Version}
 	}
 	s.mu.Unlock()
 }
@@ -221,14 +235,15 @@ func (s *Scheduler) unindexedRowsLocked() int64 {
 
 // coverage describes what one Step observed before picking a job.
 type coverage struct {
+	// snap and entries are the plan inputs the step read, once. The
+	// snapshot's file list is in path order, so backlog candidates
+	// handed to an adaptive policy are deterministic.
+	snap    *lake.Snapshot
+	entries []meta.IndexEntry
 	// perSpec maps spec index → covered paths; snapPaths is the
-	// active file set of the observed snapshot; version its version.
+	// active file set of the observed snapshot.
 	perSpec   []map[string]bool
 	snapPaths map[string]bool
-	version   int64
-	// files is the snapshot's file list in snapshot order, so backlog
-	// candidates handed to an adaptive policy are deterministic.
-	files []lake.DataFile
 	// demoted marks specs the adaptive policy routed to the scan
 	// path; they take no index jobs and do not hold up the freshness
 	// ledger.
@@ -240,20 +255,16 @@ type coverage struct {
 // reports no work so converging loops terminate.
 var errNoProgress = errors.New("ingest: job made no progress")
 
-// observe reads the snapshot and meta entries once and resolves the
-// freshness ledger: files now covered by every spec record their
-// searchable lag, files gone from the snapshot (compacted away) are
-// dropped, and the rows_unindexed gauge updates.
+// observe reads the snapshot and meta entries once, side by side, and
+// resolves the freshness ledger: files now covered by every spec record
+// their searchable lag, files gone from the snapshot (compacted away)
+// are dropped, and the rows_unindexed gauge updates.
 func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
-	snap, err := s.table.Snapshot(ctx)
+	snap, entries, err := s.cli.PlanInputs(ctx, -1)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := s.cli.Meta().List(ctx)
-	if err != nil {
-		return nil, err
-	}
-	cov := &coverage{snapPaths: snap.Paths(), version: snap.Version, files: snap.Files}
+	cov := &coverage{snap: snap, entries: entries, snapPaths: snap.Paths()}
 	cov.perSpec = make([]map[string]bool, len(s.opts.Specs))
 	cov.demoted = make([]bool, len(s.opts.Specs))
 	if s.opts.Adaptive != nil {
@@ -288,7 +299,11 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 		if !cov.snapPaths[p] {
 			// Compacted or removed: its surviving rows are tracked
 			// via the rewritten file's coverage, not this ledger row.
-			delete(s.ledger, p)
+			// A file committed after the snapshot was read is neither:
+			// it stays for the next observation.
+			if e.version <= snap.Version {
+				delete(s.ledger, p)
+			}
 			continue
 		}
 		if s.coveredByAll(cov, p) {
@@ -387,6 +402,11 @@ func (s *Scheduler) refill() {
 // reports whether a job ran. Tests and deterministic drivers call
 // Step directly; Run loops it.
 func (s *Scheduler) Step(ctx context.Context) (bool, error) {
+	return s.step(ctx, false)
+}
+
+// step is Step; paced holds each spec's index jobs indexEvery apart.
+func (s *Scheduler) step(ctx context.Context, paced bool) (bool, error) {
 	s.steps.Inc()
 	cov, err := s.observe(ctx)
 	if err != nil {
@@ -419,11 +439,7 @@ func (s *Scheduler) Step(ctx context.Context) (bool, error) {
 		}
 	}
 
-	statuses, err := s.cli.Status(ctx)
-	if err != nil {
-		return false, err
-	}
-	job, counter := s.pickJob(ctx, cov, statuses)
+	job, counter := s.pickJob(ctx, cov, core.StatusOf(cov.snap, cov.entries), paced)
 	if job == nil {
 		return false, nil
 	}
@@ -458,7 +474,7 @@ func (s *Scheduler) Step(ctx context.Context) (bool, error) {
 // triggers on the index's *effective* entry count (entries the greedy
 // cover would keep), so a just-compacted index waits for vacuum to
 // sweep the superseded entries instead of re-compacting them.
-func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.IndexStatus) (func(context.Context) error, *obs.Counter) {
+func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.IndexStatus, paced bool) (func(context.Context) error, *obs.Counter) {
 	policy := s.opts.Policy
 	if policy.CompactWhenEntries <= 0 {
 		policy.CompactWhenEntries = 8
@@ -475,16 +491,13 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 	// uncovered. Specs that stalled below the index's minimum row
 	// count wait for the snapshot to change before being retried.
 	if s.opts.Adaptive != nil {
-		if job, counter := s.pickAdaptiveIndex(ctx, cov); job != nil {
+		if job, counter := s.pickAdaptiveIndex(ctx, cov, paced); job != nil {
 			return job, counter
 		}
 	} else {
 		best, bestGap := -1, 0
 		for i := range s.opts.Specs {
-			s.mu.Lock()
-			stalledAt, stalled := s.stalled[i]
-			s.mu.Unlock()
-			if stalled && stalledAt == cov.version {
+			if s.waits(i, cov, paced) {
 				continue
 			}
 			gap := len(cov.snapPaths) - len(cov.perSpec[i])
@@ -495,12 +508,13 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 		if best >= 0 {
 			i, spec := best, s.opts.Specs[best]
 			return func(ctx context.Context) error {
+				s.noteIndexing(i)
 				_, err := s.cli.Index(ctx, spec.Column, spec.Kind)
 				if errors.Is(err, core.ErrBelowMinRows) {
 					// Not enough new rows to justify an index file yet;
 					// scans cover the tail until more data commits.
 					s.mu.Lock()
-					s.stalled[i] = cov.version
+					s.stalled[i] = cov.snap.Version
 					s.mu.Unlock()
 					return errNoProgress
 				}
@@ -552,22 +566,33 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 	return nil, nil
 }
 
+// waits reports whether spec i takes no index job at this step: it
+// stalled below the index's minimum row count at this snapshot, or —
+// paced, under Run — its last index job started less than indexEvery
+// ago.
+func (s *Scheduler) waits(i int, cov *coverage, paced bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stalledAt, stalled := s.stalled[i]
+	return (stalled && stalledAt == cov.snap.Version) || (paced && s.clock.Now().Sub(s.indexedAt[i]) < indexEvery)
+}
+
+func (s *Scheduler) noteIndexing(i int) {
+	s.mu.Lock()
+	s.indexedAt[i] = s.clock.Now()
+	s.mu.Unlock()
+}
+
 // pickAdaptiveIndex consults the adaptive policy for the next index
 // or refine job over the non-demoted backlog.
-func (s *Scheduler) pickAdaptiveIndex(ctx context.Context, cov *coverage) (func(context.Context) error, *obs.Counter) {
+func (s *Scheduler) pickAdaptiveIndex(ctx context.Context, cov *coverage, paced bool) (func(context.Context) error, *obs.Counter) {
 	var cands []adaptive.IndexCandidate
 	for i, spec := range s.opts.Specs {
-		if cov.demoted[i] {
-			continue
-		}
-		s.mu.Lock()
-		stalledAt, stalled := s.stalled[i]
-		s.mu.Unlock()
-		if stalled && stalledAt == cov.version {
+		if cov.demoted[i] || s.waits(i, cov, paced) {
 			continue
 		}
 		var uncovered []adaptive.BacklogFile
-		for _, f := range cov.files {
+		for _, f := range cov.snap.Files {
 			if !cov.perSpec[i][f.Path] {
 				uncovered = append(uncovered, adaptive.BacklogFile{Path: f.Path, Rows: f.Rows})
 			}
@@ -581,12 +606,13 @@ func (s *Scheduler) pickAdaptiveIndex(ctx context.Context, cov *coverage) (func(
 		if dec, ok := s.opts.Adaptive.PlanIndex(cands); ok {
 			i := dec.Spec
 			spec := s.opts.Specs[i]
-			opts := core.IndexOptions{Version: cov.version, Only: dec.Paths, IVF: dec.IVF}
+			opts := core.IndexOptions{Version: cov.snap.Version, Only: dec.Paths, IVF: dec.IVF}
 			return func(ctx context.Context) error {
+				s.noteIndexing(i)
 				_, err := s.cli.IndexWithOptions(ctx, spec.Column, spec.Kind, opts)
 				if errors.Is(err, core.ErrBelowMinRows) {
 					s.mu.Lock()
-					s.stalled[i] = cov.version
+					s.stalled[i] = cov.snap.Version
 					s.mu.Unlock()
 					return errNoProgress
 				}
@@ -655,7 +681,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			}
 		}
 		for {
-			worked, err := s.Step(ctx)
+			worked, err := s.step(ctx, true)
 			if err != nil {
 				return err
 			}

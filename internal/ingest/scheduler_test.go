@@ -436,3 +436,50 @@ func TestSchedulerQuiesceEndsWithPartlyStaleIndexFile(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunSpacesIndexJobsOfOneSpec: under Run a spec's index jobs start
+// at least indexEvery apart (by the scheduler's clock), so files
+// committed in between share one index file; Step and Quiesce do not
+// wait. Before, Run indexed as often as a job was quick.
+func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, s, clock := schedWorld(t, SchedulerOptions{TickEvery: time.Millisecond})
+	counter := func(name string) int64 { return s.Registry().Snapshot().Counter(name) }
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (jobs_index %d)", what, counter("ingest.jobs_index"))
+			}
+		}
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- s.Run(ctx) }()
+
+	ingestRows(t, ctx, w, "a", 2)
+	waitFor("the first index job", func() bool { return counter("ingest.jobs_index") == 1 })
+	ingestRows(t, ctx, w, "b", 2)
+	ingestRows(t, ctx, w, "c", 2)
+	steps := counter("ingest.sched_steps")
+	waitFor("ten more steps", func() bool { return counter("ingest.sched_steps") >= steps+10 })
+	if got := counter("ingest.jobs_index"); got != 1 {
+		t.Fatalf("jobs_index = %d within indexEvery of the first job, want 1", got)
+	}
+	clock.Advance(indexEvery)
+	waitFor("the second index job", func() bool {
+		return counter("ingest.jobs_index") == 2 && s.Registry().Snapshot().Gauge("ingest.rows_unindexed") == 0
+	})
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v", err)
+	}
+	// Step does not wait.
+	ingestRows(t, context.Background(), w, "d", 2)
+	if worked, err := s.Step(context.Background()); err != nil || !worked {
+		t.Fatalf("Step right after an index job: worked=%v err=%v", worked, err)
+	}
+	if err := w.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -578,25 +578,30 @@ func (w *Writer) commitGroup(ctx context.Context, group []*microBatch) {
 		totalRows += int64(mb.rows)
 	}
 
-	// Stage the files. Uploads are plain PUTs to unique keys —
-	// idempotent, so failures just retry; persistent failures fail
-	// the batch's acks and drop it from the group.
-	var files []lake.PendingFile
-	var committed []*microBatch
-	for _, mb := range group {
-		var pf lake.PendingFile
-		var err error
+	// Stage the files side by side: the group is acked two PUT levels
+	// after it was taken up — the uploads, then the commit — however
+	// many batches it holds. Uploads are plain PUTs to unique keys —
+	// idempotent, so failures just retry; persistent failures fail the
+	// batch's acks and drop it from the group.
+	staged := make([]lake.PendingFile, len(group))
+	stageErrs := make([]error, len(group))
+	_ = simtime.Fan(ctx, len(group), 0, func(ctx context.Context, i int) error { // errors are per batch: stageErrs
 		for attempt := 0; attempt < 4; attempt++ {
-			pf, err = w.table.WriteFile(ctx, mb.batch, w.opts.Parquet)
-			if err == nil {
+			staged[i], stageErrs[i] = w.table.WriteFile(ctx, group[i].batch, w.opts.Parquet)
+			if stageErrs[i] == nil {
 				break
 			}
 		}
-		if err != nil {
+		return nil
+	})
+	var files []lake.PendingFile
+	var committed []*microBatch
+	for i, mb := range group {
+		if err := stageErrs[i]; err != nil {
 			w.finish(mb, 0, "", fmt.Errorf("ingest: stage batch: %w", err))
 			continue
 		}
-		files = append(files, pf)
+		files = append(files, staged[i])
 		committed = append(committed, mb)
 	}
 	if len(files) == 0 {

@@ -11,6 +11,7 @@ import (
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/txlog"
 )
 
 func TestCheckpointsBoundReplay(t *testing.T) {
@@ -30,15 +31,16 @@ func TestCheckpointsBoundReplay(t *testing.T) {
 	}
 	// Checkpoints exist at versions 32 and 64.
 	for _, v := range []int64{32, 64} {
-		if _, err := store.Head(ctx, checkpointKey("tbl/", v)); err != nil {
+		if _, err := store.Head(ctx, txlog.CheckpointKey("tbl/_log/", v)); err != nil {
 			t.Fatalf("checkpoint at %d missing: %v", v, err)
 		}
 	}
 
-	// A fresh snapshot replays only the post-checkpoint suffix: one
-	// LIST + one checkpoint GET + (71-64) commit GETs.
+	// A fresh handle's snapshot replays only the post-checkpoint suffix:
+	// one LIST + one checkpoint GET + (71-64) commit GETs.
+	fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
 	before := metrics.Snapshot()
-	snap, err := tbl.Snapshot(ctx)
+	snap, err := fresh.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +48,14 @@ func TestCheckpointsBoundReplay(t *testing.T) {
 	if snap.Version != appends+1 || snap.LiveRows() != appends {
 		t.Fatalf("snapshot = v%d, %d rows", snap.Version, snap.LiveRows())
 	}
-	if delta.Gets > 12 {
-		t.Fatalf("snapshot construction used %d GETs; checkpoint did not bound replay", delta.Gets)
+	if delta.Gets != 8 {
+		t.Fatalf("snapshot construction used %d GETs, want the checkpoint and 7 commits", delta.Gets)
+	}
+	// The handle that wrote the log remembers it: a LIST, nothing else.
+	before = metrics.Snapshot()
+	own, err := tbl.Snapshot(ctx)
+	if delta := metrics.Snapshot().Sub(before); err != nil || delta.Lists != 1 || delta.Gets != 0 || !reflect.DeepEqual(own, snap) {
+		t.Fatalf("writer's snapshot issued %+v (%v), equal to a fresh one: %v", delta, err, reflect.DeepEqual(own, snap))
 	}
 
 	// Time travel to a pre-checkpoint version still works (replays
@@ -78,10 +86,11 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 	}
 	// Corrupt the checkpoint: snapshots must fall back to full
 	// replay and still be correct.
-	if err := store.Put(ctx, checkpointKey("tbl/", 32), []byte("not json")); err != nil {
+	if err := store.Put(ctx, txlog.CheckpointKey("tbl/_log/", 32), []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := tbl.Snapshot(ctx)
+	fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+	snap, err := fresh.Snapshot(ctx)
 	if err != nil || snap.LiveRows() != 40 {
 		t.Fatalf("fallback snapshot: %v, %v", snap, err)
 	}
@@ -99,14 +108,11 @@ func TestCheckpointKeysDoNotConfuseVersioning(t *testing.T) {
 	if err != nil || v != int64(CheckpointInterval+3) {
 		t.Fatalf("Version = %d, %v", v, err)
 	}
-	if _, ok := checkpointVersionFromKey("tbl/", checkpointKey("tbl/", 32)); !ok {
+	if v, checkpoint, ok := txlog.ParseKey("tbl/_log/", txlog.CheckpointKey("tbl/_log/", 32)); !ok || !checkpoint || v != 32 {
 		t.Fatal("checkpoint key round trip")
 	}
-	if _, ok := checkpointVersionFromKey("tbl/", logKey("tbl/", 32)); ok {
+	if _, checkpoint, ok := txlog.ParseKey("tbl/_log/", txlog.RecordKey("tbl/_log/", 32)); !ok || checkpoint {
 		t.Fatal("commit key parsed as checkpoint")
-	}
-	if _, ok := versionFromKey("tbl/", checkpointKey("tbl/", 32)); ok {
-		t.Fatal("checkpoint key parsed as commit")
 	}
 }
 
@@ -129,11 +135,14 @@ func TestSnapshotIsListPlusOneFan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// snapshot replays the log through a fresh handle, which remembers
+	// nothing of it.
 	snapshot := func() (*Snapshot, objectstore.Snapshot, time.Duration) {
 		t.Helper()
 		session := simtime.NewSession()
 		before := metrics.Snapshot()
-		snap, err := tbl.Snapshot(simtime.With(ctx, session))
+		fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+		snap, err := fresh.Snapshot(simtime.With(ctx, session))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +161,7 @@ func TestSnapshotIsListPlusOneFan(t *testing.T) {
 		t.Fatalf("snapshot took %v of virtual time, want LIST + one fan (90 ms)", elapsed)
 	}
 
-	if err := mem.Put(ctx, checkpointKey("tbl/", 32), []byte("not json")); err != nil {
+	if err := mem.Put(ctx, txlog.CheckpointKey("tbl/_log/", 32), []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
 	got, reqs, _ := snapshot()

@@ -12,6 +12,7 @@ import (
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/txlog"
 )
 
 var tblSchema = parquet.MustSchema(
@@ -389,15 +390,16 @@ func TestCompactConflictWithConcurrentCompaction(t *testing.T) {
 }
 
 func TestLogVersionKeyRoundTrip(t *testing.T) {
-	key := logKey("tbl/", 42)
-	v, ok := versionFromKey("tbl/", key)
-	if !ok || v != 42 {
-		t.Fatalf("round trip: %d, %v", v, ok)
+	const dir = "tbl/" + logDir
+	key := txlog.RecordKey(dir, 42)
+	v, checkpoint, ok := txlog.ParseKey(dir, key)
+	if !ok || checkpoint || v != 42 {
+		t.Fatalf("round trip: %d, %v, %v", v, checkpoint, ok)
 	}
-	if _, ok := versionFromKey("tbl/", "tbl/_log/short.json"); ok {
+	if _, _, ok := txlog.ParseKey(dir, "tbl/_log/short.json"); ok {
 		t.Fatal("bad key parsed")
 	}
-	if _, ok := versionFromKey("tbl/", "tbl/_log/0000000000000000004x.json"); ok {
+	if _, _, ok := txlog.ParseKey(dir, "tbl/_log/0000000000000000004x.json"); ok {
 		t.Fatal("non-digit key parsed")
 	}
 }

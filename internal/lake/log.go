@@ -11,15 +11,14 @@
 package lake
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
+	"sort"
 	"time"
 
-	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
+	"rottnest/internal/txlog"
 )
 
 // Errors returned by table operations.
@@ -37,7 +36,7 @@ var (
 	// entry back: the commit may or may not have landed. Callers that
 	// must be exactly-once (the ingest writer) resolve it by checking
 	// a later snapshot for the commit's unique file paths.
-	ErrCommitAmbiguous = errors.New("lake: commit outcome ambiguous")
+	ErrCommitAmbiguous = txlog.ErrAmbiguous
 )
 
 // ColumnStats are file-level min/max statistics for one column,
@@ -102,92 +101,78 @@ type Commit struct {
 	Actions   []Action  `json:"actions"`
 }
 
+// logDir is the table's log directory, relative to its root.
 const logDir = "_log/"
 
-// logKey returns the log entry key for a version, zero-padded so
-// lexicographic listing equals version order.
-func logKey(root string, version int64) string {
-	return fmt.Sprintf("%s%s%020d.json", root, logDir, version)
+// CheckpointInterval is how many commits between automatic log
+// checkpoints. A checkpoint summarizes the table state at one version
+// so snapshot construction replays only the log suffix — the same
+// mechanism Delta Lake uses to keep log replay O(1) as tables age.
+const CheckpointInterval = 32
+
+// checkpointState is the serialized table state at one version.
+type checkpointState struct {
+	Version int64           `json:"version"`
+	Schema  *parquet.Schema `json:"schema"`
+	Files   []DataFile      `json:"files"`
 }
 
-// versionFromKey parses a log key back to its version.
-func versionFromKey(root, key string) (int64, bool) {
-	name := strings.TrimPrefix(key, root+logDir)
-	name = strings.TrimSuffix(name, ".json")
-	if len(name) != 20 {
-		return 0, false
-	}
-	var v int64
-	for _, c := range name {
-		if c < '0' || c > '9' {
-			return 0, false
+// logFormat makes the table's log (internal/txlog) a log of snapshots:
+// a record is a Commit, a checkpoint a checkpointState, and the state
+// of the empty log is the nil snapshot.
+var logFormat = txlog.Format[*Snapshot]{
+	Name:     "lake",
+	Interval: CheckpointInterval,
+	Apply:    applyCommits,
+	EncodeCheckpoint: func(version int64, snap *Snapshot) ([]byte, error) {
+		return json.Marshal(checkpointState{Version: version, Schema: snap.Schema, Files: snap.Files})
+	},
+	DecodeCheckpoint: func(data []byte) (int64, *Snapshot, error) {
+		var cp checkpointState
+		if err := json.Unmarshal(data, &cp); err != nil {
+			return 0, nil, err
 		}
-		v = v*10 + int64(c-'0')
-	}
-	return v, true
+		return cp.Version, &Snapshot{Version: cp.Version, Schema: cp.Schema, Files: cp.Files}, nil
+	},
 }
 
-// readLog returns the newest usable checkpoint at or below maxVersion
-// plus all commits after it (in version order, up to maxVersion; < 0
-// means all). The checkpoint and the entries above it are named by the
-// same LIST, so they are fetched in one parallel fan: snapshot
-// construction costs LIST + one round trip however long the log grows.
-// A checkpoint that is missing or does not parse costs a second fan
-// over the whole log instead.
-func readLog(ctx context.Context, store objectstore.Store, root string, maxVersion int64) (*checkpointState, []Commit, error) {
-	infos, err := store.List(ctx, root+logDir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lake: list log: %w", err)
-	}
-	if v, key := newestCheckpoint(root, infos, maxVersion); key != "" {
-		if base, commits, err := fanLog(ctx, store, root, infos, key, v, maxVersion); err == nil {
-			return base, commits, nil
+// applyCommits returns the snapshot at version: base with the commits
+// applied, oldest first. base is not modified — a snapshot, once
+// returned, is shared by the handle and every caller it was given to.
+func applyCommits(base *Snapshot, version int64, records [][]byte) (*Snapshot, error) {
+	snap := &Snapshot{Version: version}
+	files := make(map[string]*DataFile)
+	if base != nil {
+		snap.Schema = base.Schema
+		for _, f := range base.Files {
+			ff := f
+			files[f.Path] = &ff
 		}
 	}
-	return fanLog(ctx, store, root, infos, "", 0, maxVersion)
-}
-
-// fanLog fetches the checkpoint at cpKey (version cpVersion; "" means
-// replay from the start) and every log entry in (cpVersion,
-// maxVersion] in one fan and parses them.
-func fanLog(ctx context.Context, store objectstore.Store, root string, infos []objectstore.ObjectInfo, cpKey string, cpVersion, maxVersion int64) (*checkpointState, []Commit, error) {
-	var keys []string
-	if cpKey != "" {
-		keys = append(keys, cpKey)
-	}
-	for _, info := range infos {
-		v, ok := versionFromKey(root, info.Key)
-		if !ok {
-			continue
-		}
-		if v <= cpVersion || (maxVersion >= 0 && v > maxVersion) {
-			continue
-		}
-		keys = append(keys, info.Key)
-	}
-	reqs := make([]objectstore.RangeRequest, len(keys))
-	for i, k := range keys {
-		reqs[i] = objectstore.RangeRequest{Key: k, Offset: 0, Length: -1}
-	}
-	bodies, err := objectstore.FanGet(ctx, store, reqs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lake: read log: %w", err)
-	}
-	var base *checkpointState
-	if cpKey != "" {
-		base = new(checkpointState)
-		if err := json.Unmarshal(bodies[0], base); err != nil || base.Version != cpVersion {
-			return nil, nil, fmt.Errorf("lake: unusable checkpoint %s", cpKey)
-		}
-		keys, bodies = keys[1:], bodies[1:]
-	}
-	commits := make([]Commit, 0, len(keys))
-	for i, data := range bodies {
+	for _, data := range records {
 		var c Commit
 		if err := json.Unmarshal(data, &c); err != nil {
-			return nil, nil, fmt.Errorf("lake: parse log %s: %w", keys[i], err)
+			return nil, fmt.Errorf("parse commit: %w", err)
 		}
-		commits = append(commits, c)
+		for _, a := range c.Actions {
+			switch {
+			case a.Metadata != nil:
+				snap.Schema = a.Metadata.Schema
+			case a.Add != nil:
+				files[a.Add.Path] = &DataFile{Path: a.Add.Path, Rows: a.Add.Rows, Size: a.Add.Size, Stats: a.Add.Stats}
+			case a.Remove != nil:
+				delete(files, a.Remove.Path)
+			case a.DV != nil:
+				if f, ok := files[a.DV.File]; ok {
+					f.DVPath = a.DV.Path
+					f.Deleted = a.DV.Deleted
+				}
+			}
+		}
 	}
-	return base, commits, nil
+	for _, f := range files {
+		snap.Files = append(snap.Files, *f)
+	}
+	sort.Slice(snap.Files, func(i, j int) bool { return snap.Files[i].Path < snap.Files[j].Path })
+	return snap, nil
 }

@@ -8,13 +8,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/txlog"
 )
 
 // DataFile describes one active data file of a snapshot.
@@ -52,6 +52,9 @@ func (f DataFile) MayContainRange(column string, min, max []byte) bool {
 
 // Snapshot is a point-in-time view of the table: the manifest list of
 // data files (with their deletion vectors) that make up one version.
+// A snapshot is immutable: the table handle keeps the newest one it has
+// replayed and hands the same value to every caller, so nobody may
+// modify one (copy Files before sorting or trimming it).
 type Snapshot struct {
 	Version int64
 	Schema  *parquet.Schema
@@ -92,53 +95,47 @@ type Table struct {
 	store objectstore.Store
 	clock simtime.Clock
 	root  string
+	// log is the table's transaction log. It remembers what this handle
+	// has read and written of it (DESIGN.md §20), so a long-lived handle
+	// commits without listing and re-reads only what it has not seen.
+	log *txlog.Log[*Snapshot]
 
-	hookMu   sync.Mutex
-	onCommit []func(version int64)
-	onVacuum []func(removed []string)
+	onCommit hooks[int64]
+	onVacuum hooks[[]string]
+}
+
+// hooks is a set of callbacks, registered at any time, run in order.
+type hooks[T any] struct {
+	mu  sync.Mutex
+	fns []func(T)
+}
+
+func (h *hooks[T]) add(fn func(T)) {
+	h.mu.Lock()
+	h.fns = append(h.fns, fn)
+	h.mu.Unlock()
+}
+
+func (h *hooks[T]) fire(v T) {
+	h.mu.Lock()
+	fns := h.fns // append-only: what is read here never changes
+	h.mu.Unlock()
+	for _, fn := range fns {
+		fn(v)
+	}
 }
 
 // OnCommit registers fn to run after every successful commit through
 // this handle, with the committed version. Callers use it to advance
 // version-keyed caches; fn must be fast and must not call back into
 // the table.
-func (t *Table) OnCommit(fn func(version int64)) {
-	t.hookMu.Lock()
-	t.onCommit = append(t.onCommit, fn)
-	t.hookMu.Unlock()
-}
+func (t *Table) OnCommit(fn func(version int64)) { t.onCommit.add(fn) }
 
-// OnVacuum registers fn to run after every Vacuum through this handle,
-// with the removed keys relative to the table root. Callers use it to
-// drop cached decoded objects (deletion vectors) for deleted files.
-func (t *Table) OnVacuum(fn func(removed []string)) {
-	t.hookMu.Lock()
-	t.onVacuum = append(t.onVacuum, fn)
-	t.hookMu.Unlock()
-}
-
-func (t *Table) fireCommit(version int64) {
-	t.hookMu.Lock()
-	hooks := make([]func(int64), len(t.onCommit))
-	copy(hooks, t.onCommit)
-	t.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn(version)
-	}
-}
-
-func (t *Table) fireVacuum(removed []string) {
-	if len(removed) == 0 {
-		return
-	}
-	t.hookMu.Lock()
-	hooks := make([]func([]string), len(t.onVacuum))
-	copy(hooks, t.onVacuum)
-	t.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn(removed)
-	}
-}
+// OnVacuum registers fn to run after every Vacuum through this handle
+// that removed something, with the removed keys relative to the table
+// root. Callers use it to drop cached decoded objects (deletion
+// vectors) for deleted files.
+func (t *Table) OnVacuum(fn func(removed []string)) { t.onVacuum.add(fn) }
 
 // OpenOptions configure how a table handle is created or opened.
 type OpenOptions struct {
@@ -152,25 +149,15 @@ type OpenOptions struct {
 // committing version 1 with the table metadata. It fails if a table
 // already exists there.
 func CreateWith(ctx context.Context, store objectstore.Store, root string, schema *parquet.Schema, opts OpenOptions) (*Table, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = simtime.RealClock{}
-	}
-	t := &Table{store: store, clock: clock, root: normalizeRoot(root)}
-	commit := Commit{
-		Version:   1,
-		Timestamp: clock.Now(),
-		Operation: "CREATE",
-		Actions:   []Action{{Metadata: &TableMeta{Schema: schema}}},
-	}
-	data, err := json.Marshal(commit)
-	if err != nil {
-		return nil, fmt.Errorf("lake: encode create: %w", err)
-	}
-	if err := store.PutIfAbsent(ctx, logKey(t.root, 1), data); err != nil {
-		if errors.Is(err, objectstore.ErrExists) {
+	t, _ := OpenWith(ctx, store, root, opts)
+	_, err := t.log.Commit(ctx, func(version int64) ([]byte, error) {
+		if version != 1 {
 			return nil, fmt.Errorf("lake: table already exists at %s", root)
 		}
+		meta := Action{Metadata: &TableMeta{Schema: schema}}
+		return json.Marshal(Commit{Version: 1, Timestamp: t.clock.Now(), Operation: "CREATE", Actions: []Action{meta}})
+	}, nil)
+	if err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -185,14 +172,10 @@ func OpenWith(ctx context.Context, store objectstore.Store, root string, opts Op
 	if clock == nil {
 		clock = simtime.RealClock{}
 	}
-	return &Table{store: store, clock: clock, root: normalizeRoot(root)}, nil
-}
-
-func normalizeRoot(root string) string {
 	if root != "" && root[len(root)-1] != '/' {
-		return root + "/"
+		root += "/"
 	}
-	return root
+	return &Table{store: store, clock: clock, root: root, log: txlog.New(store, root+logDir, logFormat)}, nil
 }
 
 // Root returns the table's key prefix.
@@ -201,151 +184,75 @@ func (t *Table) Root() string { return t.root }
 // Store returns the table's object store.
 func (t *Table) Store() objectstore.Store { return t.store }
 
-// Version returns the latest committed version.
+// Version lists the log and returns the latest committed version.
 func (t *Table) Version(ctx context.Context) (int64, error) {
-	infos, err := t.store.List(ctx, t.root+logDir)
-	if err != nil {
-		return 0, err
+	v, err := t.log.Head(ctx)
+	if err == nil && v == 0 {
+		err = ErrNoTable
 	}
-	var max int64
-	for _, info := range infos {
-		if v, ok := versionFromKey(t.root, info.Key); ok && v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return 0, ErrNoTable
-	}
-	return max, nil
+	return v, err
 }
 
-// Snapshot returns the latest snapshot.
+// Snapshot returns the latest snapshot: a LIST of the log plus the
+// commits this handle has not seen.
 func (t *Table) Snapshot(ctx context.Context) (*Snapshot, error) {
 	return t.SnapshotAt(ctx, -1)
 }
 
 // SnapshotAt returns the snapshot at the given version (time travel);
-// version < 0 means latest.
+// version < 0 means latest. A version this handle knows of — one it
+// committed, or at or below one it has read — at or above the newest it
+// has replayed costs no LIST, and no request at all when it is that
+// one.
 func (t *Table) SnapshotAt(ctx context.Context, version int64) (*Snapshot, error) {
-	base, commits, err := readLog(ctx, t.store, t.root, version)
-	if err != nil {
-		return nil, err
-	}
-	if base == nil && len(commits) == 0 {
-		if version < 0 {
-			return nil, ErrNoTable
-		}
+	snap, _, err := t.log.Read(ctx, version)
+	switch {
+	case errors.Is(err, txlog.ErrNoVersion):
 		return nil, ErrNoSnapshot
+	case err == nil && snap == nil:
+		return nil, ErrNoTable
 	}
-	latest := int64(0)
-	if base != nil {
-		latest = base.Version
-	}
-	if len(commits) > 0 {
-		latest = commits[len(commits)-1].Version
-	}
-	if version >= 0 && latest != version {
-		return nil, ErrNoSnapshot
-	}
-	snap := &Snapshot{Version: latest}
-	files := make(map[string]*DataFile)
-	if base != nil {
-		snap.Schema = base.Schema
-		for _, f := range base.Files {
-			ff := f
-			files[f.Path] = &ff
-		}
-	}
-	for _, c := range commits {
-		for _, a := range c.Actions {
-			switch {
-			case a.Metadata != nil:
-				snap.Schema = a.Metadata.Schema
-			case a.Add != nil:
-				files[a.Add.Path] = &DataFile{Path: a.Add.Path, Rows: a.Add.Rows, Size: a.Add.Size, Stats: a.Add.Stats}
-			case a.Remove != nil:
-				delete(files, a.Remove.Path)
-			case a.DV != nil:
-				if f, ok := files[a.DV.File]; ok {
-					f.DVPath = a.DV.Path
-					f.Deleted = a.DV.Deleted
-				}
-			}
-		}
-	}
-	for _, f := range files {
-		snap.Files = append(snap.Files, *f)
-	}
-	sort.Slice(snap.Files, func(i, j int) bool { return snap.Files[i].Path < snap.Files[j].Path })
-	return snap, nil
+	return snap, err
 }
 
-// commit appends a log entry with optimistic concurrency: it
-// repeatedly attempts PutIfAbsent on the next version. The validate
-// callback (may be nil) re-checks the operation's plan against the
-// latest snapshot before each retry and may return ErrConflict to
-// abort.
+// SnapshotsSince returns the snapshot at every version from keepVersion
+// through the latest, oldest first, from one listing and one fan; a
+// keepVersion past the latest means the latest only.
+func (t *Table) SnapshotsSince(ctx context.Context, keepVersion int64) ([]*Snapshot, error) {
+	snaps, err := t.log.ReadFrom(ctx, keepVersion)
+	if err == nil && len(snaps) == 0 {
+		err = ErrNoTable
+	}
+	return snaps, err
+}
+
+// commit appends a log entry with optimistic concurrency: a conditional
+// PUT of the version after the newest this handle has seen, with no
+// LIST. The validate callback (may be nil) checks the operation's plan
+// against the snapshot at that version — the one the PUT proves nothing
+// intervened on — and again after every lost race; it may return
+// ErrConflict to abort. A handle that has read nothing reads first, so
+// a commit on a root with no log is ErrNoTable and writes nothing.
 func (t *Table) commit(ctx context.Context, op string, actions []Action, validate func(*Snapshot) error) (int64, error) {
-	for attempt := 0; attempt < 32; attempt++ {
-		version, err := t.Version(ctx)
-		if err != nil {
-			return 0, err
+	version, err := t.log.Commit(ctx, func(version int64) ([]byte, error) {
+		return json.Marshal(Commit{Version: version, Timestamp: t.clock.Now(), Operation: op, Actions: actions})
+	}, func(cur *Snapshot) error {
+		if cur == nil {
+			return ErrNoTable
 		}
-		if validate != nil {
-			snap, err := t.SnapshotAt(ctx, version)
-			if err != nil {
-				return 0, err
-			}
-			if err := validate(snap); err != nil {
-				return 0, err
-			}
+		if validate == nil {
+			return nil
 		}
-		c := Commit{Version: version + 1, Timestamp: t.clock.Now(), Operation: op, Actions: actions}
-		data, err := json.Marshal(c)
-		if err != nil {
-			return 0, fmt.Errorf("lake: encode commit: %w", err)
-		}
-		err = t.store.PutIfAbsent(ctx, logKey(t.root, version+1), data)
-		if err == nil {
-			t.maybeCheckpoint(ctx, version+1)
-			t.fireCommit(version + 1)
-			return version + 1, nil
-		}
-		if errors.Is(err, objectstore.ErrExists) {
-			// Lost the race: re-read and retry.
-			continue
-		}
-		// The conditional PUT failed with neither success nor a clean
-		// loss. On stores without a retry layer an ambiguous put (the
-		// write landed, the response was lost) surfaces here; resolve
-		// it by reading the log entry back and comparing payloads, so
-		// OnCommit fires exactly once per version that we committed.
-		switch landed, rerr := t.readBackCommit(ctx, version+1, data); {
-		case rerr == nil && landed:
-			t.maybeCheckpoint(ctx, version+1)
-			t.fireCommit(version + 1)
-			return version + 1, nil
-		case rerr == nil && !landed:
-			// Someone else's entry occupies the slot: lost the race.
-			continue
-		case errors.Is(rerr, objectstore.ErrNotFound):
-			// Nothing landed at all: the original error is accurate.
-			return 0, err
-		default:
-			return 0, fmt.Errorf("%w: put %v, read-back %v", ErrCommitAmbiguous, err, rerr)
-		}
+		return validate(cur)
+	})
+	if errors.Is(err, txlog.ErrContended) {
+		return 0, fmt.Errorf("%w: %w", err, ErrConflict)
 	}
-	return 0, fmt.Errorf("lake: commit retries exhausted: %w", ErrConflict)
-}
-
-// readBackCommit fetches the log entry at version and reports whether
-// it byte-matches the payload this handle just tried to write.
-func (t *Table) readBackCommit(ctx context.Context, version int64, payload []byte) (bool, error) {
-	got, err := t.store.Get(ctx, logKey(t.root, version))
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	return bytes.Equal(got, payload), nil
+	t.onCommit.fire(version)
+	return version, nil
 }
 
 // newFileName returns a fresh random data-file name, mirroring the
@@ -371,6 +278,11 @@ type PendingFile struct {
 	Size int64
 	// Stats holds per-column min/max recorded at write time.
 	Stats map[string]ColumnStats
+}
+
+// add is the log action that makes the staged file part of the table.
+func (f PendingFile) add() Action {
+	return Action{Add: &AddFile{Path: f.Path, Rows: f.Rows, Size: f.Size, Stats: f.Stats}}
 }
 
 // WriteFile stages the batch as a new data file without committing
@@ -403,7 +315,7 @@ func (t *Table) CommitFiles(ctx context.Context, files ...PendingFile) (int64, e
 	}
 	actions := make([]Action, len(files))
 	for i, f := range files {
-		actions[i] = Action{Add: &AddFile{Path: f.Path, Rows: f.Rows, Size: f.Size, Stats: f.Stats}}
+		actions[i] = f.add()
 	}
 	return t.commit(ctx, "APPEND", actions, nil)
 }
@@ -479,7 +391,7 @@ func (t *Table) Compact(ctx context.Context, smallBytes int64, targetRows int64)
 		if err != nil {
 			return nil, fmt.Errorf("lake: compact read %s: %w", f.Path, err)
 		}
-		dv, err := t.readDV(ctx, f)
+		dv, err := t.ReadDeletionVector(ctx, f)
 		if err != nil {
 			return nil, err
 		}
@@ -501,20 +413,12 @@ func (t *Table) Compact(ctx context.Context, smallBytes int64, targetRows int64)
 		for ci := range part.Cols {
 			part.Cols[ci] = merged.Cols[ci].Slice(start, end)
 		}
-		path := "data/" + newFileName(".rpq")
-		w := parquet.NewFileWriter(snap.Schema, parquet.WriterOptions{})
-		if err := w.Append(part); err != nil {
-			return nil, err
-		}
-		data, meta, err := w.Close()
+		pf, err := t.WriteFile(ctx, part, parquet.WriterOptions{})
 		if err != nil {
 			return nil, err
 		}
-		if err := t.store.Put(ctx, t.root+path, data); err != nil {
-			return nil, err
-		}
-		actions = append(actions, Action{Add: &AddFile{Path: path, Rows: meta.NumRows, Size: int64(len(data)), Stats: statsFromMeta(meta)}})
-		newPaths = append(newPaths, path)
+		actions = append(actions, pf.add())
+		newPaths = append(newPaths, pf.Path)
 	}
 	for _, f := range inputs {
 		actions = append(actions, Action{Remove: &RemoveFile{Path: f.Path}})
@@ -557,8 +461,10 @@ func filterDeleted(v parquet.ColumnValues, dv *DeletionVector) parquet.ColumnVal
 	return out
 }
 
-// readDV loads a file's deletion vector, or an empty one.
-func (t *Table) readDV(ctx context.Context, f DataFile) (*DeletionVector, error) {
+// ReadDeletionVector loads the deletion vector for a snapshot file,
+// returning an empty vector when none exists. Search paths use it to
+// mask deleted rows during in-situ probing.
+func (t *Table) ReadDeletionVector(ctx context.Context, f DataFile) (*DeletionVector, error) {
 	if f.DVPath == "" {
 		return NewDeletionVector(), nil
 	}
@@ -567,13 +473,6 @@ func (t *Table) readDV(ctx context.Context, f DataFile) (*DeletionVector, error)
 		return nil, fmt.Errorf("lake: read dv %s: %w", f.DVPath, err)
 	}
 	return ParseDeletionVector(data)
-}
-
-// ReadDeletionVector loads the deletion vector for a snapshot file,
-// returning an empty vector when none exists. Search paths use it to
-// mask deleted rows during in-situ probing.
-func (t *Table) ReadDeletionVector(ctx context.Context, f DataFile) (*DeletionVector, error) {
-	return t.readDV(ctx, f)
 }
 
 // DeleteRows marks file-local rows of one data file as deleted by
@@ -588,7 +487,7 @@ func (t *Table) DeleteRows(ctx context.Context, path string, rows []uint32) erro
 	if !ok {
 		return fmt.Errorf("lake: delete from inactive file %s: %w", path, ErrConflict)
 	}
-	dv, err := t.readDV(ctx, f)
+	dv, err := t.ReadDeletionVector(ctx, f)
 	if err != nil {
 		return err
 	}
@@ -614,44 +513,17 @@ func (t *Table) DeleteRows(ctx context.Context, path string, rows []uint32) erro
 	return err
 }
 
-// vacuumReplayWidth bounds how many retained snapshots a vacuum
-// replays at a time: each holds a whole file table while it is read.
-const vacuumReplayWidth = 32
-
 // Vacuum physically deletes data and deletion-vector files that are
 // not referenced by any snapshot at or after keepVersion and whose age
 // exceeds minAge (protecting in-flight writers). It returns the keys
 // removed.
 func (t *Table) Vacuum(ctx context.Context, keepVersion int64, minAge time.Duration) ([]string, error) {
-	latest, err := t.Version(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if keepVersion < 1 {
-		keepVersion = 1
-	}
-	if keepVersion > latest {
-		keepVersion = latest
-	}
-	// The retained snapshots are replayed side by side, so the plan is
-	// as deep as one replay however many versions are kept.
-	retained := make([]*Snapshot, latest-keepVersion+1)
-	err = simtime.Fan(ctx, len(retained), vacuumReplayWidth, func(ctx context.Context, i int) error {
-		snap, err := t.SnapshotAt(ctx, keepVersion+int64(i))
-		if err != nil && !errors.Is(err, ErrNoSnapshot) {
-			return err
-		}
-		retained[i] = snap
-		return nil
-	})
+	retained, err := t.SnapshotsSince(ctx, keepVersion)
 	if err != nil {
 		return nil, err
 	}
 	referenced := make(map[string]bool)
 	for _, snap := range retained {
-		if snap == nil {
-			continue // no snapshot at that version
-		}
 		for _, f := range snap.Files {
 			referenced[f.Path] = true
 			if f.DVPath != "" {
@@ -677,6 +549,8 @@ func (t *Table) Vacuum(ctx context.Context, keepVersion int64, minAge time.Durat
 			removed = append(removed, rel)
 		}
 	}
-	t.fireVacuum(removed)
+	if len(removed) > 0 {
+		t.onVacuum.fire(removed)
+	}
 	return removed, nil
 }

@@ -12,6 +12,7 @@ import (
 	"rottnest/internal/component"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/simtime"
+	"rottnest/internal/txlog"
 )
 
 func newTable(t *testing.T) (*Table, *objectstore.MemStore) {
@@ -135,7 +136,7 @@ func TestMetaCheckpointsBoundReplay(t *testing.T) {
 		}
 	}
 	// Checkpoints landed.
-	if _, err := store.Head(ctx, tbl.checkpointKey(64)); err != nil {
+	if _, err := store.Head(ctx, txlog.CheckpointKey(tbl.Root(), 64)); err != nil {
 		t.Fatalf("checkpoint missing: %v", err)
 	}
 	got, err := tbl.List(ctx)
@@ -143,9 +144,9 @@ func TestMetaCheckpointsBoundReplay(t *testing.T) {
 		t.Fatalf("list = %d, %v", len(got), err)
 	}
 	// Replay after a checkpoint reads only the suffix.
-	entriesMap, latest, err := tbl.readAll(ctx)
-	if err != nil || latest != commits || len(entriesMap) != commits {
-		t.Fatalf("readAll: %d entries at v%d, %v", len(entriesMap), latest, err)
+	entries, latest, err := tbl.log.Read(ctx, -1)
+	if err != nil || latest != commits || len(entries) != commits {
+		t.Fatalf("read: %d entries at v%d, %v", len(entries), latest, err)
 	}
 	// Deletes replayed over the checkpoint still apply.
 	if err := tbl.Delete(ctx, "000.index"); err != nil {
@@ -156,7 +157,7 @@ func TestMetaCheckpointsBoundReplay(t *testing.T) {
 		t.Fatalf("after delete: %d", len(got))
 	}
 	// Corrupted checkpoint falls back to full replay.
-	store.Put(ctx, tbl.checkpointKey(64), []byte("junk"))
+	store.Put(ctx, txlog.CheckpointKey(tbl.Root(), 64), []byte("junk"))
 	got, err = tbl.List(ctx)
 	if err != nil || len(got) != commits-1 {
 		t.Fatalf("fallback list = %d, %v", len(got), err)
@@ -168,7 +169,7 @@ func TestMetaConcurrentCommitsAroundCheckpoint(t *testing.T) {
 	// all land and replay correctly.
 	ctx := context.Background()
 	tbl, _ := newTable(t)
-	for i := 0; i < checkpointInterval-4; i++ {
+	for i := 0; i < CheckpointInterval-4; i++ {
 		if err := tbl.Insert(ctx, entry(fmt.Sprintf("pre-%03d.index", i), "id", component.KindTrie, "f")); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestMetaConcurrentCommitsAroundCheckpoint(t *testing.T) {
 		}
 	}
 	got, err := tbl.List(ctx)
-	if err != nil || len(got) != checkpointInterval-4+racers {
+	if err != nil || len(got) != CheckpointInterval-4+racers {
 		t.Fatalf("list = %d, %v", len(got), err)
 	}
 }
@@ -239,7 +240,7 @@ func TestListIsListPlusOneFan(t *testing.T) {
 		t.Fatalf("list took %v of virtual time, want LIST + one fan (90 ms)", elapsed)
 	}
 
-	if err := mem.Put(ctx, tbl.checkpointKey(32), []byte("junk")); err != nil {
+	if err := mem.Put(ctx, txlog.CheckpointKey(tbl.Root(), 32), []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 	got, reqs, _ := list()
@@ -281,8 +282,8 @@ func TestCommitTriesTheSlotAfterTheNewestSeen(t *testing.T) {
 		// b has seen nothing: slot 1 is taken, one read finds the end.
 		{"fresh handle behind one commit", b, "2.index", objectstore.Snapshot{Puts: 2, Lists: 1, Gets: 1}},
 		{"handle that just committed", b, "3.index", direct},
-		// a still remembers version 1.
-		{"stale handle", a, "4.index", objectstore.Snapshot{Puts: 2, Lists: 1, Gets: 3}},
+		// a still remembers version 1 — and what it put there.
+		{"stale handle", a, "4.index", objectstore.Snapshot{Puts: 2, Lists: 1, Gets: 2}},
 		{"handle that just re-read", a, "5.index", direct},
 	} {
 		got := insert(step.tbl, step.key)
@@ -309,8 +310,8 @@ func TestCommitTriesTheSlotAfterTheNewestSeen(t *testing.T) {
 		t.Fatalf("log holds %d objects, want 6", len(infos))
 	}
 	for i, info := range infos {
-		if info.Key != a.key(int64(i+1)) {
-			t.Fatalf("log object %d is %s, want %s", i, info.Key, a.key(int64(i+1)))
+		if info.Key != txlog.RecordKey(a.Root(), int64(i+1)) {
+			t.Fatalf("log object %d is %s, want %s", i, info.Key, txlog.RecordKey(a.Root(), int64(i+1)))
 		}
 		data, err := mem.Get(ctx, info.Key)
 		if err != nil {
@@ -404,10 +405,10 @@ func TestReplayFetchesOnlyWhatTheHandleHasNotSeen(t *testing.T) {
 	list(32, 3)
 	list(32, 0)
 
-	if err := mem.Delete(ctx, reader.key(34)); err != nil {
+	if err := mem.Delete(ctx, txlog.RecordKey(reader.Root(), 34)); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Delete(ctx, reader.checkpointKey(32)); err != nil {
+	if err := mem.Delete(ctx, txlog.CheckpointKey(reader.Root(), 32)); err != nil {
 		t.Fatal(err)
 	}
 	list(31, 33)

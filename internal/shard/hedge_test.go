@@ -146,6 +146,12 @@ func TestHedgeDeterminism(t *testing.T) {
 
 	k := keys[17]
 	q := core.Query{Column: "id", UUID: &k, Snapshot: -1}
+	// A worker's handles remember the logs they have read: read them
+	// once on the fast replica, past the hedger, so that its two
+	// attempts below repeat one request sequence.
+	if _, err := rt.Client(0, 0).Search(ctx, q); err != nil {
+		t.Fatal(err)
+	}
 
 	// Query 1: primary = replica 0 (fast), empty window, no hedge.
 	res1, tree1, err := rt.Trace(ctx, q)

@@ -210,26 +210,24 @@ func (r *Router) run(ctx context.Context, snapVer int64, isVector bool, k int, d
 	session := simtime.From(ctx)
 	start := session.Elapsed()
 
-	// Plan: resolve the version once so every shard searches the same
-	// snapshot, and partition its files into contiguous ranges.
+	// Plan: read the snapshot once — one LIST for the latest, and only
+	// the commits the router's handle has not seen — so every shard
+	// searches the same version, and partition its files into
+	// contiguous ranges.
 	pctx, planSpan := obs.Start(ctx, "router.plan")
-	ver := snapVer
-	var err error
-	if ver <= 0 {
-		ver, err = r.table.Version(pctx)
+	if snapVer <= 0 {
+		snapVer = -1
 	}
-	var snap *lake.Snapshot
-	if err == nil {
-		snap, err = r.table.SnapshotAt(pctx, ver)
-	}
-	planSpan.SetAttr("version", ver)
+	snap, err := r.table.SnapshotAt(pctx, snapVer)
 	if snap != nil {
+		planSpan.SetAttr("version", snap.Version)
 		planSpan.SetAttr("files", len(snap.Files))
 	}
 	planSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("shard: plan: %w", err)
 	}
+	ver := snap.Version
 	parts := Partition(snap.Files, r.opts.Shards)
 	var scattered []int
 	for i, p := range parts {
