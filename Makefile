@@ -47,15 +47,20 @@ benchmark-test:
 # bench-alloc compiles and runs the allocation benchmarks (the only
 # ones reporting allocs/op): warm queries per class, the set algebra
 # and read planner on synthetic candidate sets, the range operations,
-# and one 64 KiB page through the page decoder per codec and shape. Nothing is gated; a PR that claims an allocation change
-# quotes these numbers at its parent and at its head.
+# one 64 KiB page through the page decoder per codec and shape, and
+# IVF-PQ builds and a three-source merge at the wall-clock benchmark's
+# sizes (three iterations: the 18,000-vector ones take about a second
+# each). Nothing is gated; a PR that claims an allocation change quotes
+# these numbers at its parent and at its head.
 bench-alloc:
 	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges|DecodePage' -benchtime 50x ./internal/core ./internal/postings ./internal/parquet
+	$(GO) test -run '^$$' -bench 'IVFPQBuild|IVFPQMerge' -benchtime 3x ./internal/ivfpq
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must
-# error, never panic, and the SA-IS builder must agree with its
-# prefix-doubling oracle. -run pins each invocation to its own seed
+# error, never panic, the SA-IS builder must agree with its
+# prefix-doubling oracle, and the pruned nearest-centroid search with
+# the exhaustive scan. -run pins each invocation to its own seed
 # corpus: fuzz builds carry coverage instrumentation, which would skew
 # the timing-sensitive shape tests (they run uninstrumented above).
 fuzz-smoke:
@@ -69,6 +74,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFMSuperwalk -run '^FuzzFMSuperwalk$$' -fuzztime=10s ./internal/fmindex/
 	$(GO) test -fuzz=FuzzHeatLedger -run '^FuzzHeatLedger$$' -fuzztime=10s ./internal/adaptive/
 	$(GO) test -fuzz=FuzzTxlogReplay -run '^FuzzTxlogReplay$$' -fuzztime=10s ./internal/txlog/
+	$(GO) test -fuzz=FuzzKMeansAssign -run '^FuzzKMeansAssign$$' -fuzztime=10s ./internal/ivfpq/
+	$(GO) test -fuzz=FuzzIVFPQOpen -run '^FuzzIVFPQOpen$$' -fuzztime=10s ./internal/ivfpq/
 
 # trace-smoke proves the observability path end to end: quickstart
 # runs every lookup through Client.Trace, writes the span trees as

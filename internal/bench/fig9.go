@@ -110,6 +110,8 @@ func Fig9VectorPhases(opts Options) (*Fig9Result, error) {
 		fmt.Fprint(out, d.Render())
 		fmt.Fprintf(out, "rottnest window at 10 months: %.1e .. %.1e (%.1f orders of magnitude)\n",
 			lo, hi, math.Log10(hi/lo))
+		be, _ := p.BreakEvenMonths(3000)
+		fmt.Fprintf(out, "break-even at 100 queries/day: %.1f days\n", be*30)
 	}
 
 	// Cross-target comparisons.

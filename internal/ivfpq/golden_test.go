@@ -16,9 +16,13 @@ import (
 
 // ivfpqGoldenHash is the SHA-256 of the index file built by the
 // original serial implementation (pre-vectorized seed code) for
-// goldenIVFPQInput. The unrolled l2sq keeps a single accumulator and
-// the early-abandon nearest is exact, so k-means converges to the
-// bit-identical centroids and the file must not change.
+// goldenIVFPQInput. The unrolled l2sq keeps a single accumulator, so
+// every distance that is measured has the seed's bits; the pruned
+// nearest-centroid search skips only centroids that are provably not
+// the (distance, index) minimum, so every assignment is the seed's;
+// and the coordinate sums are accumulated serially in point order. So
+// k-means converges to the bit-identical centroids and the file must
+// not change.
 const ivfpqGoldenHash = "3105c0b77f72e25bf164274d7ee3b3e80b8fe32f0fa88928d584f7cf585549e4"
 
 func goldenIVFPQInput() ([][]float32, []postings.RowRef) {

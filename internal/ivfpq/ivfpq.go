@@ -112,96 +112,100 @@ func BuildInto(b *component.Builder, vectors [][]float32, refs []postings.RowRef
 	}
 	opts = opts.withDefaults(len(vectors), dim)
 	rng := rand.New(rand.NewSource(opts.Seed))
+	n := len(vectors)
+	var t assigner
 
-	// Training sample.
-	sample := vectors
-	if len(sample) > opts.TrainSample {
-		sample = make([][]float32, opts.TrainSample)
-		perm := rng.Perm(len(vectors))
-		for i := range sample {
-			sample[i] = vectors[perm[i]]
+	// Coarse quantizer, trained on a sample; every vector is then
+	// assigned from the reference training left it.
+	sampled := func() []int {
+		if n <= opts.TrainSample {
+			return nil
 		}
+		return rng.Perm(n)[:opts.TrainSample]
 	}
-
-	// Coarse quantizer.
-	centroids := kmeans(sample, opts.NList, opts.KMeansIters, rng)
+	assign := make([]int32, n)
+	centroids := t.train(vectors, sampled(), opts.NList, opts.KMeansIters, rng, assign)
 	nlist := len(centroids)
+	t.assign(vectors, centroids, assign)
 
-	// Assign vectors and collect residuals for PQ training (parallel:
-	// the assignment scan dominates build time at scale).
-	assign := make([]int, len(vectors))
-	residuals := make([][]float32, len(vectors))
-	parallel.For(len(vectors), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := vectors[i]
-			c, _ := nearest(centroids, v)
-			assign[i] = c
-			r := make([]float32, dim)
-			for j := range r {
-				r[j] = v[j] - centroids[c][j]
-			}
-			residuals[i] = r
-		}
-	})
-
-	// PQ codebooks per subspace, trained on (a sample of) residuals.
-	subdim := dim / opts.M
-	trainRes := residuals
-	if len(trainRes) > opts.TrainSample {
-		trainRes = make([][]float32, opts.TrainSample)
-		perm := rng.Perm(len(residuals))
-		for i := range trainRes {
-			trainRes[i] = residuals[perm[i]]
+	// Residuals, in one array.
+	resData := make([]float32, n*dim)
+	for i, v := range vectors {
+		r, c := resData[i*dim:(i+1)*dim], centroids[assign[i]]
+		for j, x := range v {
+			r[j] = x - c[j]
 		}
 	}
+
+	// PQ codebooks per subspace, trained on (a sample of) the
+	// residuals; each subspace is encoded as soon as it is trained.
+	subdim := dim / opts.M
+	picks := sampled()
 	codebooks := make([][][]float32, opts.M)
+	codes := make([]byte, n*opts.M)
+	sub := make([][]float32, n)
+	code := make([]int32, n)
 	for m := 0; m < opts.M; m++ {
-		sub := make([][]float32, len(trainRes))
-		for i, r := range trainRes {
-			sub[i] = r[m*subdim : (m+1)*subdim]
+		for i := range sub {
+			sub[i] = resData[i*dim+m*subdim : i*dim+(m+1)*subdim]
 		}
-		cb := kmeans(sub, pqCodebookSize, opts.KMeansIters, rng)
-		// Pad to exactly 256 entries so codes are always one byte.
+		cb := t.train(sub, picks, pqCodebookSize, opts.KMeansIters, rng, code)
+		// Pad to exactly 256 entries so codes are always one byte; a
+		// duplicate never wins the lowest-index tie-break.
 		for len(cb) < pqCodebookSize {
-			cb = append(cb, append([]float32(nil), cb[0]...))
+			cb = append(cb, cb[0])
 		}
 		codebooks[m] = cb
-	}
-
-	// Encode (parallel).
-	codes := make([][]byte, len(vectors))
-	parallel.For(len(residuals), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := residuals[i]
-			code := make([]byte, opts.M)
-			for m := 0; m < opts.M; m++ {
-				c, _ := nearest(codebooks[m], r[m*subdim:(m+1)*subdim])
-				code[m] = byte(c)
-			}
-			codes[i] = code
+		t.assign(sub, cb, code)
+		for i, c := range code {
+			codes[i*opts.M+m] = byte(c)
 		}
-	})
-
-	// Inverted lists.
-	lists := make([][]int, nlist)
-	for i, c := range assign {
-		lists[c] = append(lists[c], i)
 	}
 
-	// Serialize lists into components: each list's payload is encoded
-	// independently in parallel, then lists are grouped into components
-	// under the serial flush rule (close a component once it reaches
-	// TargetComponentBytes after a list completes) and the groups are
-	// deflated in parallel by AddAll. The emitted bytes match the old
-	// serial single-buffer encode exactly.
+	// Inverted lists: a counting sort of the members by cell.
+	ends := make([]int, nlist+1)
+	for _, c := range assign {
+		ends[c+1]++
+	}
+	for c := 0; c < nlist; c++ {
+		ends[c+1] += ends[c]
+	}
+	members := make([]listMember, n)
+	lists := make([][]listMember, nlist)
+	for c := range lists {
+		lists[c] = members[ends[c]:ends[c]:ends[c+1]]
+	}
+	for i, c := range assign {
+		lists[c] = append(lists[c], listMember{ref: refs[i], code: codes[i*opts.M : (i+1)*opts.M]})
+	}
+
+	descs := writeLists(b, lists, opts.TargetComponentBytes)
+	b.Add(encodeRoot(dim, opts.M, subdim, centroids, codebooks, descs, n))
+	return nil
+}
+
+// writeLists serialises inverted lists into components and returns
+// their directory. Each list's payload is encoded independently in
+// parallel, then lists are grouped into components under the serial
+// flush rule (close a component once it reaches target bytes after a
+// list completes) and the groups are deflated in parallel by AddAll.
+func writeLists(b *component.Builder, lists [][]listMember, target int) []listDesc {
+	nlist := len(lists)
 	listBufs := make([][]byte, nlist)
 	parallel.ForEach(nlist, func(li int) {
+		// One allocation per list, sized for the count and per member a
+		// file varint, a row varint and the code string.
 		members := lists[li]
-		buf := binary.AppendUvarint(nil, uint64(len(members)))
-		for _, vi := range members {
-			buf = binary.AppendUvarint(buf, uint64(refs[vi].File))
-			buf = binary.AppendVarint(buf, refs[vi].Row)
-			buf = append(buf, codes[vi]...)
+		entry := binary.MaxVarintLen32 + binary.MaxVarintLen64
+		if len(members) > 0 {
+			entry += len(members[0].code)
+		}
+		buf := make([]byte, 0, binary.MaxVarintLen64+len(members)*entry)
+		buf = binary.AppendUvarint(buf, uint64(len(members)))
+		for _, mb := range members {
+			buf = binary.AppendUvarint(buf, uint64(mb.ref.File))
+			buf = binary.AppendVarint(buf, mb.ref.Row)
+			buf = append(buf, mb.code...)
 		}
 		listBufs[li] = buf
 	})
@@ -226,7 +230,7 @@ func BuildInto(b *component.Builder, vectors [][]float32, refs []postings.RowRef
 	for li := 0; li < nlist; li++ {
 		descs[li] = listDesc{ByteOffset: curLen, ByteLen: len(listBufs[li]), Count: len(lists[li])}
 		curLen += len(listBufs[li])
-		if curLen >= opts.TargetComponentBytes {
+		if curLen >= target {
 			closeGroup(li + 1)
 		}
 	}
@@ -237,11 +241,7 @@ func BuildInto(b *component.Builder, vectors [][]float32, refs []postings.RowRef
 			descs[li].ComponentID = firstID + gi
 		}
 	}
-
-	// Root.
-	root := encodeRoot(dim, opts.M, subdim, centroids, codebooks, descs, len(vectors))
-	b.Add(root)
-	return nil
+	return descs
 }
 
 type listDesc struct {

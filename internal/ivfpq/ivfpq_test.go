@@ -67,7 +67,7 @@ func TestKMeansBasics(t *testing.T) {
 		pts = append(pts, []float32{float32(rng.NormFloat64() * 0.1), 0})
 		pts = append(pts, []float32{10 + float32(rng.NormFloat64()*0.1), 0})
 	}
-	cents := kmeans(pts, 2, 20, rng)
+	cents := new(assigner).kmeans(pts, 2, 20, rng, make([]int32, len(pts)))
 	if len(cents) != 2 {
 		t.Fatalf("centroids = %d", len(cents))
 	}
@@ -79,10 +79,10 @@ func TestKMeansBasics(t *testing.T) {
 		t.Fatalf("centroids at %v and %v, want ~0 and ~10", lo, hi)
 	}
 	// k > n clamps.
-	if got := kmeans(pts[:3], 10, 5, rng); len(got) != 3 {
+	if got := new(assigner).kmeans(pts[:3], 10, 5, rng, make([]int32, 3)); len(got) != 3 {
 		t.Fatalf("clamp: %d centroids", len(got))
 	}
-	if got := kmeans(nil, 5, 5, rng); got != nil {
+	if got := new(assigner).kmeans(nil, 5, 5, rng, nil); got != nil {
 		t.Fatal("empty points")
 	}
 }
@@ -277,17 +277,6 @@ func TestExactRerank(t *testing.T) {
 	top := ExactRerank(q, cands, vectors, 2)
 	if len(top) != 2 || top[0].Ref.Row != 2 || top[1].Ref.Row != 1 {
 		t.Fatalf("rerank = %+v", top)
-	}
-}
-
-func BenchmarkIVFPQBuild(b *testing.B) {
-	vecs := workload.NewVectorGen(workload.VectorConfig{Seed: 11, Dim: 32, Clusters: 32}).Batch(5000)
-	refs := seqRefs(len(vecs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(vecs, refs, BuildOptions{NList: 64, M: 8, Seed: 12}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

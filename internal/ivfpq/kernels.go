@@ -158,11 +158,15 @@ func (b *adcBound) add(d float32) {
 	}
 }
 
-// nearest returns the index of the centroid closest to v and the
-// squared distance. Early abandonment against the best distance so far
-// is exact (see l2sqBounded): an abandoned candidate's true distance
-// is at least the returned partial, which already exceeds bestD, so
-// the winner and its distance match the exhaustive scan bit for bit.
+// nearest is the exhaustive nearest-centroid scan: the index of the
+// centroid closest to v (lowest index among ties) and the squared
+// distance. The build path asks that question through assigner, which
+// skips centroids that provably cannot win; this scan is the oracle the
+// tests hold it to and its fallback for points whose reference
+// distance is not finite. Early abandonment against the best distance
+// so far is exact (see l2sqBounded): an abandoned candidate's true
+// distance is at least the returned partial, which already exceeds
+// bestD.
 func nearest(centroids [][]float32, v []float32) (int, float32) {
 	best, bestD := 0, float32(math.MaxFloat32)
 	for i, c := range centroids {
@@ -171,4 +175,35 @@ func nearest(centroids [][]float32, v []float32) (int, float32) {
 		}
 	}
 	return best, bestD
+}
+
+// pruneSlack returns the relative and absolute slack of pruneBound for
+// dim-dimensional vectors. Neither is a tunable: a computed l2sq is
+// within a factor (1-u)^-(dim+2), u = 2^-24, of the true squared
+// distance (one rounding for the difference, one for the square, at
+// most dim for the serial sum) plus at most dim·2^-149 of underflow,
+// and 8(dim+4)u and dim·2^-120 cover what the triangle inequality makes
+// of that, the float64 evaluation of the bound and its rounding to
+// float32 (proof: DESIGN.md §21). Past 2^20 dimensions the analysis
+// stops holding and the slack is infinite: nothing is pruned.
+func pruneSlack(dim int) (rel, abs float64) {
+	if dim > 1<<20 {
+		return math.Inf(1), 0
+	}
+	return float64(dim+4) / (1 << 21), math.Ldexp(float64(dim), -120)
+}
+
+// pruneBound is the one pruning rule of the build path. x is a point,
+// a its reference centroid, b the best centroid found so far, and dxa
+// and dxb their computed squared distances to x. A centroid c whose
+// computed squared distance to a exceeds the returned bound satisfies
+// l2sq(x, c) > l2sq(x, b) as computed, strictly, so it is not the
+// (distance, index) minimum and need not be measured: by the triangle
+// inequality d(x,c) >= d(a,c) - d(x,a) > d(x,b). Every operation here
+// is monotone, so a bound taken at a cluster's radius covers each of
+// its members. A non-finite argument gives a non-finite bound, which no
+// distance exceeds.
+func pruneBound(dxa, dxb float32, rel, abs float64) float32 {
+	s := math.Sqrt(float64(dxa)) + math.Sqrt(float64(dxb))
+	return float32(s*s*(1+rel) + abs)
 }

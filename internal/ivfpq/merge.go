@@ -16,12 +16,19 @@ func (ix *Index) decodeAll(ctx context.Context) ([]postings.RowRef, [][]float32,
 	if err != nil {
 		return nil, nil, err
 	}
-	var refs []postings.RowRef
-	var vecs [][]float32
+	n := 0
+	for _, members := range lists {
+		n += len(members)
+	}
+	refs := make([]postings.RowRef, 0, n)
+	vecs := make([][]float32, 0, n)
+	slab := make([]float32, n*ix.dim)
 	for li, members := range lists {
 		for _, mb := range members {
+			v := slab[len(vecs)*ix.dim : (len(vecs)+1)*ix.dim]
+			ix.reconstruct(v, li, mb.code)
 			refs = append(refs, mb.ref)
-			vecs = append(vecs, ix.reconstruct(li, mb.code))
+			vecs = append(vecs, v)
 		}
 	}
 	return refs, vecs, nil

@@ -113,8 +113,9 @@ func HotCells(ix *Index, probes [][]float32, nprobe, max int) []int {
 	return out
 }
 
-// listMember is one decoded inverted-list entry: its row ref plus its
-// PQ code string.
+// listMember is one inverted-list entry: its row ref plus its PQ code
+// string, a sub-slice of the build's code array or of the decoded
+// component.
 type listMember struct {
 	ref  postings.RowRef
 	code []byte
@@ -194,24 +195,22 @@ func (ix *Index) decodeList(comp []byte, li int) ([]listMember, error) {
 		if lpos+ix.m > len(listData) {
 			return nil, fmt.Errorf("ivfpq: corrupt list %d codes", li)
 		}
-		code := append([]byte(nil), listData[lpos:lpos+ix.m]...)
+		members = append(members, listMember{ref: postings.RowRef{File: uint32(file), Row: row}, code: listData[lpos : lpos+ix.m : lpos+ix.m]})
 		lpos += ix.m
-		members = append(members, listMember{ref: postings.RowRef{File: uint32(file), Row: row}, code: code})
 	}
 	return members, nil
 }
 
-// reconstruct returns the member's approximate vector: its cell
-// centroid plus the PQ-decoded residual.
-func (ix *Index) reconstruct(li int, code []byte) []float32 {
-	v := append([]float32(nil), ix.centroids[li]...)
+// reconstruct writes the member's approximate vector — its cell
+// centroid plus the PQ-decoded residual — into v.
+func (ix *Index) reconstruct(v []float32, li int, code []byte) {
+	copy(v, ix.centroids[li])
 	for m := 0; m < ix.m; m++ {
 		cw := ix.codebooks[m][code[m]]
 		for j, x := range cw {
 			v[m*ix.subdim+j] += x
 		}
 	}
-	return v
 }
 
 // RefineInto rewrites ix with the cells in split re-clustered into
@@ -240,6 +239,7 @@ func RefineInto(ctx context.Context, b *component.Builder, ix *Index, split []in
 	if err != nil {
 		return err
 	}
+	var t assigner
 	var centroids [][]float32
 	var newLists [][]listMember
 	total := 0
@@ -250,81 +250,43 @@ func RefineInto(ctx context.Context, b *component.Builder, ix *Index, split []in
 			newLists = append(newLists, members)
 			continue
 		}
-		approx := make([][]float32, len(members))
+		n := len(members)
+		vecs := make([]float32, n*ix.dim)
+		approx := make([][]float32, n)
 		for i, mb := range members {
-			approx[i] = ix.reconstruct(li, mb.code)
+			approx[i] = vecs[i*ix.dim : (i+1)*ix.dim]
+			ix.reconstruct(approx[i], li, mb.code)
 		}
-		subCents := kmeans(approx, opts.SplitFactor, opts.KMeansIters, rng)
-		if len(subCents) == 0 {
-			centroids = append(centroids, ix.centroids[li])
-			newLists = append(newLists, members)
-			continue
+		cell := make([]int32, n)
+		subCents := t.kmeans(approx, opts.SplitFactor, opts.KMeansIters, rng, cell)
+		t.assign(approx, subCents, cell)
+		// Residuals against the new centers (in place), re-encoded with
+		// the existing codebooks from each member's old code as reference.
+		for i, v := range approx {
+			for j, x := range subCents[cell[i]] {
+				v[j] -= x
+			}
+		}
+		codes := make([]byte, n*ix.m)
+		sub, code := make([][]float32, n), make([]int32, n)
+		for m := 0; m < ix.m; m++ {
+			for i, mb := range members {
+				sub[i], code[i] = approx[i][m*ix.subdim:(m+1)*ix.subdim], int32(mb.code[m])
+			}
+			t.assign(sub, ix.codebooks[m], code)
+			for i, c := range code {
+				codes[i*ix.m+m] = byte(c)
+			}
 		}
 		subMembers := make([][]listMember, len(subCents))
-		res := make([]float32, ix.dim)
 		for i, mb := range members {
-			c, _ := nearest(subCents, approx[i])
-			for j := range res {
-				res[j] = approx[i][j] - subCents[c][j]
-			}
-			code := make([]byte, ix.m)
-			for m := 0; m < ix.m; m++ {
-				cw, _ := nearest(ix.codebooks[m], res[m*ix.subdim:(m+1)*ix.subdim])
-				code[m] = byte(cw)
-			}
-			subMembers[c] = append(subMembers[c], listMember{ref: mb.ref, code: code})
+			subMembers[cell[i]] = append(subMembers[cell[i]], listMember{ref: mb.ref, code: codes[i*ix.m : (i+1)*ix.m]})
 		}
-		for c := range subCents {
-			centroids = append(centroids, subCents[c])
-			newLists = append(newLists, subMembers[c])
-		}
+		centroids = append(centroids, subCents...)
+		newLists = append(newLists, subMembers...)
 	}
 
-	// Serialize with the same layout rules as BuildInto: per-list
-	// payloads grouped into components under the flush threshold, then
-	// the root.
-	nlist := len(newLists)
-	listBufs := make([][]byte, nlist)
-	for li, members := range newLists {
-		buf := binary.AppendUvarint(nil, uint64(len(members)))
-		for _, mb := range members {
-			buf = binary.AppendUvarint(buf, uint64(mb.ref.File))
-			buf = binary.AppendVarint(buf, mb.ref.Row)
-			buf = append(buf, mb.code...)
-		}
-		listBufs[li] = buf
-	}
-	descs := make([]listDesc, nlist)
-	type group struct{ first, end int }
-	var groups []group
-	var payloads [][]byte
-	curFirst, curLen := 0, 0
-	closeGroup := func(end int) {
-		if end == curFirst {
-			return
-		}
-		payload := make([]byte, 0, curLen)
-		for li := curFirst; li < end; li++ {
-			payload = append(payload, listBufs[li]...)
-		}
-		groups = append(groups, group{first: curFirst, end: end})
-		payloads = append(payloads, payload)
-		curFirst, curLen = end, 0
-	}
-	for li := 0; li < nlist; li++ {
-		descs[li] = listDesc{ByteOffset: curLen, ByteLen: len(listBufs[li]), Count: len(newLists[li])}
-		curLen += len(listBufs[li])
-		if curLen >= opts.TargetComponentBytes {
-			closeGroup(li + 1)
-		}
-	}
-	closeGroup(nlist)
-	firstID := b.AddAll(payloads)
-	for gi, g := range groups {
-		for li := g.first; li < g.end; li++ {
-			descs[li].ComponentID = firstID + gi
-		}
-	}
+	descs := writeLists(b, newLists, opts.TargetComponentBytes)
 	b.Add(encodeRoot(ix.dim, ix.m, ix.subdim, centroids, ix.codebooks, descs, total))
 	return nil
 }
