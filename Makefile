@@ -10,10 +10,11 @@ test:
 
 # check is the PR gate: vet, formatting, the race detector over every
 # package, and a short fuzz pass over the byte-level decoders. The
-# experiment shape tests in internal/bench and the build-speed shape
-# tests in internal/fmindex skip themselves under -race (their
-# thresholds mix in real wall-clock CPU time, which race
-# instrumentation inflates), so they get a separate plain run.
+# experiment shape tests in internal/bench skip themselves under -race
+# (their thresholds mix in real wall-clock CPU time, which race
+# instrumentation inflates) and so does the FM allocation budget in
+# internal/fmindex (race builds empty sync.Pool at random), so they
+# get a separate plain run.
 check:
 	$(GO) vet ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -48,13 +49,16 @@ benchmark-test:
 # ones reporting allocs/op): warm queries per class, the set algebra
 # and read planner on synthetic candidate sets, the range operations,
 # one 64 KiB page through the page decoder per codec and shape, and
-# IVF-PQ builds and a three-source merge at the wall-clock benchmark's
-# sizes (three iterations: the 18,000-vector ones take about a second
-# each). Nothing is gated; a PR that claims an allocation change quotes
-# these numbers at its parent and at its head.
+# IVF-PQ and FM builds and three-source merges at the wall-clock
+# benchmark's sizes, with SA-IS beside its oracle (three iterations:
+# the large ones take a second or two each). Nothing is gated here —
+# the FM build's bytes per text byte are, by TestFMAllocBudget; a PR
+# that claims an allocation change quotes these numbers at its parent
+# and at its head.
 bench-alloc:
 	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges|DecodePage' -benchtime 50x ./internal/core ./internal/postings ./internal/parquet
 	$(GO) test -run '^$$' -bench 'IVFPQBuild|IVFPQMerge' -benchtime 3x ./internal/ivfpq
+	$(GO) test -run '^$$' -bench 'FMBuild|FMMerge|SuffixArray' -benchtime 3x ./internal/fmindex
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must
@@ -76,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTxlogReplay -run '^FuzzTxlogReplay$$' -fuzztime=10s ./internal/txlog/
 	$(GO) test -fuzz=FuzzKMeansAssign -run '^FuzzKMeansAssign$$' -fuzztime=10s ./internal/ivfpq/
 	$(GO) test -fuzz=FuzzIVFPQOpen -run '^FuzzIVFPQOpen$$' -fuzztime=10s ./internal/ivfpq/
+	$(GO) test -fuzz=FuzzComponentOpen -run '^FuzzComponentOpen$$' -fuzztime=10s ./internal/component/
 
 # trace-smoke proves the observability path end to end: quickstart
 # runs every lookup through Client.Trace, writes the span trees as

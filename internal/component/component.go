@@ -25,6 +25,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"rottnest/internal/deflate"
@@ -66,11 +67,15 @@ func (k Kind) String() string {
 // order: components added later sit nearer the directory and are
 // captured by the reader's single suffix read, so builders append the
 // root component last.
+//
+// The builder holds each component's compressed bytes once and nothing
+// else of it: the file is allocated in Finish, at its final size.
 type Builder struct {
-	kind Kind
-	buf  []byte
-	dir  []dirEntry
-	err  error
+	kind   Kind
+	chunks [][]byte // compressed components in file order, one slice per batch
+	size   int64    // bytes in chunks
+	dir    []dirEntry
+	err    error
 }
 
 type dirEntry struct {
@@ -87,76 +92,98 @@ func NewBuilder(kind Kind) *Builder {
 // Add compresses data and appends it as the next component, returning
 // its component ID. Errors are deferred to Finish.
 func (b *Builder) Add(data []byte) int {
-	id := len(b.dir)
-	if b.err != nil {
-		return id
-	}
-	compressed, err := deflate.Compress(data)
-	if err != nil {
-		b.err = err
-		return id
-	}
-	b.append(compressed, int64(len(data)))
-	return id
+	return b.AddEach(1, func(int, []byte) []byte { return data })
 }
 
-// AddAll compresses the given components on all cores and appends
-// them in input order, returning the ID of the first (IDs are
-// consecutive, exactly as if Add had been called for each). deflate is
-// deterministic for a given input, so a file built with AddAll is
-// byte-identical to one built with serial Add calls — the index build
-// pipelines depend on this. Errors are deferred to Finish.
+// AddAll is AddEach over components the caller already holds.
 func (b *Builder) AddAll(datas [][]byte) int {
+	return b.AddEach(len(datas), func(i int, _ []byte) []byte { return datas[i] })
+}
+
+// slotsPerWorker sizes AddEach's batches: enough blocks per worker to
+// even out their compression times, few enough that a batch's raw and
+// compressed blocks stay a small multiple of GOMAXPROCS blocks.
+const slotsPerWorker = 4
+
+// AddEach appends n components, compressing them on all cores, and
+// returns the ID of the first (IDs are consecutive, exactly as if Add
+// had been called for each). produce(i, buf) returns component i's
+// bytes: it may append them to buf — empty, with the capacity an
+// earlier call on the same slot left it — or return a slice of its
+// own, which is only read; one producer does not mix the two. produce
+// runs concurrently for different i. Components are produced and
+// compressed a batch at a time and each batch is appended in index
+// order, so no more than a batch of raw or compressed blocks is live
+// beside the output; deflate is deterministic for a given input, so
+// the file is byte-identical to one built with serial Add calls — the
+// index build pipelines depend on this. Errors are deferred to Finish.
+func (b *Builder) AddEach(n int, produce func(i int, buf []byte) []byte) int {
 	first := len(b.dir)
-	if b.err != nil || len(datas) == 0 {
+	if b.err != nil {
 		return first
 	}
-	compressed := make([][]byte, len(datas))
-	errs := make([]error, len(datas))
-	parallel.ForEach(len(datas), func(i int) {
-		compressed[i], errs[i] = deflate.Compress(datas[i])
-	})
-	for i, c := range compressed {
-		if errs[i] != nil {
-			b.err = errs[i]
-			return first
+	type slot struct {
+		raw []byte
+		out bytes.Buffer
+		err error
+	}
+	slots := make([]slot, min(n, slotsPerWorker*runtime.GOMAXPROCS(0)))
+	for lo := 0; lo < n; lo += len(slots) {
+		batch := slots[:min(len(slots), n-lo)]
+		parallel.ForEach(len(batch), func(j int) {
+			s := &batch[j]
+			s.raw = produce(lo+j, s.raw[:0])
+			s.out.Reset()
+			s.err = deflate.CompressTo(&s.out, s.raw)
+		})
+		total := 0
+		for j := range batch {
+			if batch[j].err != nil {
+				b.err = batch[j].err
+				return first
+			}
+			total += batch[j].out.Len()
 		}
-		b.append(c, int64(len(datas[i])))
+		chunk := make([]byte, 0, total)
+		for j := range batch {
+			b.dir = append(b.dir, dirEntry{
+				offset:  b.size + int64(len(chunk)),
+				size:    int64(batch[j].out.Len()),
+				rawSize: int64(len(batch[j].raw)),
+			})
+			chunk = append(chunk, batch[j].out.Bytes()...)
+		}
+		b.chunks = append(b.chunks, chunk)
+		b.size += int64(total)
 	}
 	return first
 }
 
-// append records one already-compressed component.
-func (b *Builder) append(compressed []byte, rawSize int64) {
-	b.dir = append(b.dir, dirEntry{
-		offset:  int64(len(b.buf)),
-		size:    int64(len(compressed)),
-		rawSize: rawSize,
-	})
-	b.buf = append(b.buf, compressed...)
-}
-
 // Finish appends the directory and trailer and returns the complete
-// file bytes.
+// file bytes; the builder is spent.
 func (b *Builder) Finish() ([]byte, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	dirStart := len(b.buf)
+	var dir []byte
 	for _, e := range b.dir {
-		b.buf = binary.AppendUvarint(b.buf, uint64(e.offset))
-		b.buf = binary.AppendUvarint(b.buf, uint64(e.size))
-		b.buf = binary.AppendUvarint(b.buf, uint64(e.rawSize))
+		dir = binary.AppendUvarint(dir, uint64(e.offset))
+		dir = binary.AppendUvarint(dir, uint64(e.size))
+		dir = binary.AppendUvarint(dir, uint64(e.rawSize))
 	}
-	b.buf = append(b.buf, byte(b.kind))
-	dirLen := len(b.buf) - dirStart
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(dirLen))
-	// Total size including this trailer: dirLen bytes of directory
-	// already appended + 4 (dirLen) + 8 (size) + 4 (magic).
-	total := uint64(len(b.buf) + 8 + 4)
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, total)
-	b.buf = append(b.buf, magic...)
-	return b.buf, nil
+	dir = append(dir, byte(b.kind))
+	// Total size: components, directory, then the trailer's 4 (dirLen)
+	// + 8 (size) + 4 (magic).
+	total := b.size + int64(len(dir)) + 4 + 8 + 4
+	out := make([]byte, 0, total)
+	for i, chunk := range b.chunks {
+		out = append(out, chunk...)
+		b.chunks[i] = nil
+	}
+	out = append(out, dir...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(dir)))
+	out = binary.LittleEndian.AppendUint64(out, uint64(total))
+	return append(out, magic...), nil
 }
 
 // NumComponents returns the number of components added so far.
@@ -312,34 +339,48 @@ func (r *Reader) inflate(id int, raw []byte) ([]byte, error) {
 	return data, nil
 }
 
-func (r *Reader) rawComponent(ctx context.Context, id int) ([]byte, error) {
+// entry returns component id's directory entry once its extent is
+// known to lie inside the file; the directory is not trusted.
+func (r *Reader) entry(id int) (dirEntry, error) {
 	if id < 0 || id >= len(r.dir) {
-		return nil, fmt.Errorf("component: %s: component %d out of range", r.key, id)
+		return dirEntry{}, fmt.Errorf("component: %s: component %d out of range", r.key, id)
 	}
+	e := r.dir[id]
+	if e.offset < 0 || e.size < 0 || e.offset+e.size < 0 || e.offset+e.size > r.size {
+		return dirEntry{}, fmt.Errorf("component: %s: component %d extent [%d,%d) outside file of %d bytes",
+			r.key, id, e.offset, e.offset+e.size, r.size)
+	}
+	return e, nil
+}
+
+// local returns component id's stored bytes when they need no request:
+// read before and retained, or inside the open-time tail.
+func (r *Reader) local(id int, e dirEntry) ([]byte, bool, error) {
 	r.mu.Lock()
 	cached, ok := r.cache[id]
 	r.mu.Unlock()
-	if ok {
-		return cached, nil
+	if ok || e.offset < r.tailOff {
+		return cached, ok, nil
 	}
-	e := r.dir[id]
-	if e.offset < 0 || e.size < 0 || e.offset+e.size > r.size {
-		return nil, fmt.Errorf("component: %s: component %d extent [%d,%d) outside file of %d bytes",
-			r.key, id, e.offset, e.offset+e.size, r.size)
+	lo := e.offset - r.tailOff
+	if lo+e.size > int64(len(r.tail)) {
+		return nil, false, fmt.Errorf("component: %s: component %d extent exceeds cached tail", r.key, id)
 	}
-	var raw []byte
-	if e.offset >= r.tailOff {
-		lo := e.offset - r.tailOff
-		if lo+e.size > int64(len(r.tail)) {
-			return nil, fmt.Errorf("component: %s: component %d extent exceeds cached tail", r.key, id)
-		}
-		raw = r.tail[lo : lo+e.size]
-	} else {
-		var err error
-		raw, err = r.store.GetRange(ctx, r.key, e.offset, e.size)
-		if err != nil {
-			return nil, fmt.Errorf("component: %s: read component %d: %w", r.key, id, err)
-		}
+	return r.tail[lo : lo+e.size], true, nil
+}
+
+func (r *Reader) rawComponent(ctx context.Context, id int) ([]byte, error) {
+	e, err := r.entry(id)
+	if err != nil {
+		return nil, err
+	}
+	raw, ok, err := r.local(id, e)
+	if ok || err != nil {
+		return raw, err
+	}
+	raw, err = r.store.GetRange(ctx, r.key, e.offset, e.size)
+	if err != nil {
+		return nil, fmt.Errorf("component: %s: read component %d: %w", r.key, id, err)
 	}
 	if r.retain {
 		r.mu.Lock()
@@ -349,63 +390,86 @@ func (r *Reader) rawComponent(ctx context.Context, id int) ([]byte, error) {
 	return raw, nil
 }
 
-// Components fetches several components concurrently (one parallel
-// request fan) and returns them decompressed, in the order of ids.
-func (r *Reader) Components(ctx context.Context, ids []int) ([][]byte, error) {
+// rawComponents returns the stored bytes of several components, in
+// the order of ids, fetching those not held locally in one parallel
+// request fan.
+func (r *Reader) rawComponents(ctx context.Context, ids []int) ([][]byte, error) {
 	out := make([][]byte, len(ids))
-
-	// Partition into cached/tail hits and remote fetches.
 	var reqs []objectstore.RangeRequest
 	var fetchIdx []int
 	for i, id := range ids {
-		if id < 0 || id >= len(r.dir) {
-			return nil, fmt.Errorf("component: %s: component %d out of range", r.key, id)
+		e, err := r.entry(id)
+		if err != nil {
+			return nil, err
 		}
-		e := r.dir[id]
-		r.mu.Lock()
-		_, cached := r.cache[id]
-		r.mu.Unlock()
-		if cached || e.offset >= r.tailOff {
+		raw, ok, err := r.local(id, e)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out[i] = raw
 			continue
 		}
 		reqs = append(reqs, objectstore.RangeRequest{Key: r.key, Offset: e.offset, Length: e.size})
 		fetchIdx = append(fetchIdx, i)
 	}
-	// The fan's raws are held locally so the call works identically
-	// with NoRetain readers, which never store fetched bytes in r.cache.
-	fetched := make(map[int][]byte, len(reqs))
-	if len(reqs) > 0 {
-		raws, err := objectstore.FanGet(ctx, r.store, reqs)
-		if err != nil {
-			return nil, fmt.Errorf("component: %s: fan read: %w", r.key, err)
-		}
-		for j, raw := range raws {
-			fetched[ids[fetchIdx[j]]] = raw
-		}
-		if r.retain {
-			r.mu.Lock()
-			for id, raw := range fetched {
-				r.cache[id] = raw
-			}
-			r.mu.Unlock()
-		}
+	if len(reqs) == 0 {
+		return out, nil
 	}
-	for i, id := range ids {
-		if raw, ok := fetched[id]; ok {
-			data, err := r.inflate(id, raw)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = data
-			continue
+	raws, err := objectstore.FanGet(ctx, r.store, reqs)
+	if err != nil {
+		return nil, fmt.Errorf("component: %s: read %d components: %w", r.key, len(reqs), err)
+	}
+	for j, raw := range raws {
+		out[fetchIdx[j]] = raw
+	}
+	if r.retain {
+		r.mu.Lock()
+		for j, raw := range raws {
+			r.cache[ids[fetchIdx[j]]] = raw
 		}
-		data, err := r.Component(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = data
+		r.mu.Unlock()
 	}
 	return out, nil
+}
+
+// Components fetches several components concurrently (one parallel
+// request fan) and returns them decompressed, in the order of ids.
+func (r *Reader) Components(ctx context.Context, ids []int) ([][]byte, error) {
+	raws, err := r.rawComponents(ctx, ids)
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range ids {
+		if raws[i], err = r.inflate(id, raws[i]); err != nil {
+			return nil, err
+		}
+	}
+	return raws, nil
+}
+
+// ComponentsInto is Components inflating straight into dst, one
+// component after the other; together they must fill it exactly.
+func (r *Reader) ComponentsInto(ctx context.Context, ids []int, dst []byte) error {
+	raws, err := r.rawComponents(ctx, ids)
+	if err != nil {
+		return err
+	}
+	want := len(dst)
+	for i, id := range ids {
+		size := r.dir[id].rawSize
+		if size < 0 || size > int64(len(dst)) {
+			return fmt.Errorf("component: %s: components %v hold more than %d bytes", r.key, ids, want)
+		}
+		if err := deflate.DecompressInto(dst[:size], raws[i]); err != nil {
+			return fmt.Errorf("component: %s: component %d: %w", r.key, id, err)
+		}
+		dst = dst[size:]
+	}
+	if len(dst) != 0 {
+		return fmt.Errorf("component: %s: components %v hold %d bytes, want %d", r.key, ids, want-len(dst), want)
+	}
+	return nil
 }
 
 // ReadKind returns the kind of the component file at key with a single

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rottnest/internal/component"
 	"rottnest/internal/fmindex"
@@ -176,17 +177,21 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 
 	manifest := &Manifest{Column: column, Kind: kind, Files: newFiles}
 	return c.publish(ctx, "index", start, manifest, func(_ context.Context, b *component.Builder) error {
+		// The assembled inputs are the build's to drop: nothing of them
+		// is held through the upload and commit that follow.
+		in := *asm
+		*asm = inputAssembler{}
 		switch kind {
 		case component.KindTrie:
-			return trie.BuildInto(b, asm.keys, asm.pageRefs, c.cfg.Trie)
+			return trie.BuildInto(b, in.keys, in.pageRefs, c.cfg.Trie)
 		case component.KindFM:
-			return fmindex.BuildInto(b, asm.text, asm.starts, asm.pageRefs, c.cfg.FM)
+			return fmindex.BuildTerminatedInto(b, append(in.text, fmindex.Sentinel), in.starts, in.pageRefs, c.cfg.FM)
 		default:
 			ivfOpts := c.cfg.IVF
 			if opts.IVF != nil {
 				ivfOpts = *opts.IVF
 			}
-			return ivfpq.BuildInto(b, asm.vecs, asm.rowRefs, ivfOpts)
+			return ivfpq.BuildInto(b, in.vecs, in.rowRefs, ivfOpts)
 		}
 	}, nil)
 }
@@ -229,6 +234,13 @@ func (a *inputAssembler) addFile(fi int, f ManifestFile, col parquet.ColumnValue
 		}
 	case component.KindFM:
 		vals := col.Bytes
+		// One growth per file, to what its values, their separators and
+		// the build's sentinel need.
+		size := len(vals) + 1
+		for _, v := range vals {
+			size += len(v)
+		}
+		a.text = slices.Grow(a.text, size)
 		for _, p := range f.Pages {
 			a.starts = append(a.starts, int64(len(a.text)))
 			a.pageRefs = append(a.pageRefs, postings.PageRef{File: uint32(fi), Page: uint32(p.Ordinal)})
@@ -242,8 +254,12 @@ func (a *inputAssembler) addFile(fi int, f ManifestFile, col parquet.ColumnValue
 			}
 		}
 	case component.KindIVFPQ:
+		// One slab per file, sub-sliced per row.
+		slab := make([]float32, len(col.Bytes)*a.vecDim)
+		a.vecs = slices.Grow(a.vecs, len(col.Bytes))
+		a.rowRefs = slices.Grow(a.rowRefs, len(col.Bytes))
 		for row, v := range col.Bytes {
-			a.vecs = append(a.vecs, decodeVector(v, a.vecDim))
+			a.vecs = append(a.vecs, decodeVectorInto(slab[row*a.vecDim:][:a.vecDim:a.vecDim], v))
 			a.rowRefs = append(a.rowRefs, postings.RowRef{File: uint32(fi), Row: int64(row)})
 		}
 	}
@@ -251,10 +267,12 @@ func (a *inputAssembler) addFile(fi int, f ManifestFile, col parquet.ColumnValue
 
 // decodeVector unpacks a little-endian float32 column value.
 func decodeVector(v []byte, dim int) []float32 {
-	if dim > len(v)/4 {
-		dim = len(v) / 4
-	}
-	out := make([]float32, dim)
+	return decodeVectorInto(make([]float32, dim), v)
+}
+
+// decodeVectorInto is decodeVector into out, cut to the floats v holds.
+func decodeVectorInto(out []float32, v []byte) []float32 {
+	out = out[:min(len(out), len(v)/4)]
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[4*i:]))
 	}

@@ -77,7 +77,10 @@ func TestDecompressHoldsTheStreamToItsDeclaredSize(t *testing.T) {
 		// end marker should be.
 		{"error at the end", stream[:len(stream)-2], size, "inflate:"},
 		{"garbage", []byte{0xff, 0xff, 0xff, 0xff}, 4, "inflate:"},
-		{"huge declared size", stream, 1 << 40, "stream ends at"},
+		// More than the stream could inflate to is refused unread; less
+		// than that is read, in steps, until the stream ends.
+		{"impossible declared size", stream, 1 << 40, "declared size"},
+		{"huge declared size", stream, 1032 * int64(len(stream)), "stream ends at"},
 	}
 	for _, tc := range cases {
 		if _, err := Decompress(tc.stream, tc.size); err == nil || !strings.Contains(err.Error(), tc.want) {

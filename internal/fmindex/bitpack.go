@@ -1,6 +1,9 @@
 package fmindex
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // bitsFor returns the number of bits needed to represent values in
 // [0, n), at least 1.
@@ -12,24 +15,26 @@ func bitsFor(n uint32) int {
 	return bits
 }
 
-// packBits encodes entries LSB-first at the given bit width. The page
-// map stores one entry per BWT row; bit-packing (plus the component
-// layer's compression) is what keeps the FM-index within the paper's
-// "almost as large as the compressed Parquets" envelope rather than
-// several times it.
+// packBits appends count entries, entry(0..count-1), LSB-first at the
+// given bit width to out[:0] and returns it. The page map stores one
+// entry per BWT row; bit-packing (plus the component layer's
+// compression) is what keeps the FM-index within the paper's "almost
+// as large as the compressed Parquets" envelope rather than several
+// times it.
 // The stream is LSB-first: entry i's bit b lands at absolute bit
 // position i*bits+b, stored in out[pos/8] at in-byte position pos%8.
 // The 64-bit accumulator below emits that exact stream (bits <= 32 and
 // at most 7 bits carry over, so it never overflows), one shift-or per
 // entry instead of one branch per bit.
-func packBits(entries []uint32, bits int) []byte {
-	out := make([]byte, (len(entries)*bits+7)/8)
+func packBits(out []byte, count, bits int, entry func(i int) uint32) []byte {
+	size := (count*bits + 7) / 8
+	out = slices.Grow(out[:0], size)[:size]
 	mask := uint64(1)<<bits - 1
 	var acc uint64
 	fill := 0
 	o := 0
-	for _, e := range entries {
-		acc |= (uint64(e) & mask) << fill
+	for i := 0; i < count; i++ {
+		acc |= (uint64(entry(i)) & mask) << fill
 		fill += bits
 		for fill >= 8 {
 			out[o] = byte(acc)

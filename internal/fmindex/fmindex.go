@@ -31,11 +31,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 
 	"rottnest/internal/component"
-	"rottnest/internal/parallel"
 	"rottnest/internal/postings"
 	"rottnest/internal/simtime"
 )
@@ -85,18 +84,35 @@ func Build(text []byte, pageStarts []int64, refs []postings.PageRef, opts BuildO
 // BuildInto appends the FM-index's components (root last) to an
 // existing builder, letting callers prepend their own components —
 // Rottnest's client stores its file-table manifest as component 0 of
-// every index file.
+// every index file. text is copied; a caller that assembles the text
+// itself appends the sentinel and calls BuildTerminatedInto.
 func BuildInto(b *component.Builder, text []byte, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) error {
+	full := make([]byte, len(text)+1) // full[len(text)] is the Sentinel
+	copy(full, text)
+	return BuildTerminatedInto(b, full, pageStarts, refs, opts)
+}
+
+// BuildTerminatedInto is BuildInto over text that already ends with
+// its Sentinel, which is read in place: a build keeps that buffer, its
+// suffix array (4 bytes per text byte), the suffix type bits and the
+// builder's output, and nothing else that grows with the text.
+func BuildTerminatedInto(b *component.Builder, full []byte, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) error {
+	return build(b, full, make([]int32, len(full)), pageStarts, refs, opts)
+}
+
+// build is the one build path: full is the text with its sentinel and
+// sa the len(full) slots its suffix array is computed into.
+func build(b *component.Builder, full []byte, sa []int32, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) error {
 	opts = opts.withDefaults()
-	if err := validateBuildInput(text, pageStarts, refs); err != nil {
+	if len(full) == 0 || full[len(full)-1] != Sentinel {
+		return fmt.Errorf("fmindex: text does not end with the sentinel byte 0x%02x", Sentinel)
+	}
+	if err := validateBuildInput(full[:len(full)-1], pageStarts, refs); err != nil {
 		return err
 	}
-
-	full := make([]byte, 0, len(text)+1)
-	full = append(full, text...)
-	full = append(full, Sentinel)
-	sa := buildSuffixArray(full)
-	return appendIndexComponents(b, full, sa, pageStarts, refs, opts)
+	sais(full, sa, 256, nil)
+	appendIndexComponents(b, full, sa, pageStarts, refs, opts)
+	return nil
 }
 
 // validateBuildInput checks the Build contract shared by the
@@ -121,67 +137,55 @@ func validateBuildInput(text []byte, pageStarts []int64, refs []postings.PageRef
 }
 
 // appendIndexComponents encodes the FM-index from a precomputed
-// suffix array: BWT blocks, page-map blocks, and the root. Every
-// per-block step (checkpoint counting, page-map bit-packing, and the
-// component compressor behind AddAll) fans out over the worker pool;
-// block payloads are computed independently and appended in block
-// order, so the emitted file is byte-identical to a serial build.
-func appendIndexComponents(b *component.Builder, full []byte, sa []int32, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) error {
-	bwt := bwtFromSA(full, sa)
+// suffix array: BWT blocks, page-map blocks, and the root. Blocks are
+// derived from the suffix array a batch at a time on the worker pool,
+// into the builder's per-slot scratch (neither the BWT nor the page
+// map exists whole), and appended in block order, so the emitted file
+// is byte-identical to a serial build.
+func appendIndexComponents(b *component.Builder, full []byte, sa []int32, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) {
 	n := len(full)
 
 	// base is the component ID of the first BWT block; components
 	// added by earlier callers (e.g. the client's manifest) shift it.
 	base := b.NumComponents()
 
-	// BWT blocks + checkpoint deltas, one parallel pass.
+	// BWT blocks — bwt[i] = text[sa[i]-1], wrapping to the sentinel —
+	// and the symbol counts within each block.
 	numBlocks := (n + opts.BlockSize - 1) / opts.BlockSize
-	checkDeltas := make([][256]uint32, numBlocks) // symbol counts within each block
-	blocks := make([][]byte, numBlocks)
-	parallel.ForEach(numBlocks, func(blk int) {
+	checkDeltas := make([][256]uint32, numBlocks)
+	b.AddEach(numBlocks, func(blk int, buf []byte) []byte {
 		lo := blk * opts.BlockSize
-		hi := lo + opts.BlockSize
-		if hi > n {
-			hi = n
-		}
-		for _, c := range bwt[lo:hi] {
+		rows := sa[lo:min(lo+opts.BlockSize, n)]
+		buf = slices.Grow(buf, len(rows))[:len(rows)]
+		for i, pos := range rows {
+			c := byte(Sentinel)
+			if pos > 0 {
+				c = full[pos-1]
+			}
+			buf[i] = c
 			checkDeltas[blk][c]++
 		}
-		blocks[blk] = bwt[lo:hi]
+		return buf
 	})
-	b.AddAll(blocks)
 
-	// Page-map blocks: page ordinal of SA[i], bit-packed. pageOf is a
-	// precomputed position→page table built in one O(n) walk over
-	// pageStarts, replacing a per-SA-entry binary search. The sentinel
+	// Page-map blocks: page ordinal of SA[i], bit-packed. The sentinel
 	// row maps to page 0 (harmless; patterns never match the
 	// sentinel).
-	pageOf := buildPosPageTable(n, pageStarts)
+	pages := newPageTable(n, pageStarts)
 	numPMBlocks := (n + opts.PageMapBlock - 1) / opts.PageMapBlock
 	bits := bitsFor(uint32(len(pageStarts)))
-	pmBlocks := make([][]byte, numPMBlocks)
-	parallel.ForEach(numPMBlocks, func(blk int) {
+	b.AddEach(numPMBlocks, func(blk int, buf []byte) []byte {
 		lo := blk * opts.PageMapBlock
-		hi := lo + opts.PageMapBlock
-		if hi > n {
-			hi = n
-		}
-		entries := make([]uint32, hi-lo)
-		for i := lo; i < hi; i++ {
-			pos := sa[i]
-			if int(pos) == n-1 {
-				pos = 0 // sentinel row; never queried
+		rows := sa[lo:min(lo+opts.PageMapBlock, n)]
+		return packBits(buf, len(rows), bits, func(i int) uint32 {
+			if int(rows[i]) == n-1 {
+				return 0 // sentinel row; never queried
 			}
-			entries[i-lo] = pageOf[pos]
-		}
-		pmBlocks[blk] = packBits(entries, bits)
+			return pages.pageOf(rows[i])
+		})
 	})
-	b.AddAll(pmBlocks)
 
-	// Root.
-	root := encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs, countPairs(full))
-	b.Add(root)
-	return nil
+	b.Add(encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs, countPairs(full)))
 }
 
 // countPairs counts every adjacent symbol pair of the sentinel-
@@ -195,23 +199,47 @@ func countPairs(full []byte) []uint32 {
 	return pairs
 }
 
-// buildPosPageTable maps every text position in [0, n) to the page
-// containing it — the largest j with pageStarts[j] <= pos — in one
-// O(n + pages) walk. pageStarts is validated (strictly increasing,
-// starting at 0) by BuildInto; entries beyond n cover no positions.
-func buildPosPageTable(n int, pageStarts []int64) []uint32 {
-	table := make([]uint32, n)
-	for j := range pageStarts {
-		lo := pageStarts[j]
-		hi := int64(n)
-		if j+1 < len(pageStarts) && pageStarts[j+1] < hi {
-			hi = pageStarts[j+1]
+// pageBucketShift sizes the position→page table's buckets: one entry
+// per KiB of text keeps the table cache-resident (4 KB per MB of text)
+// where one entry per position was four times the text.
+const pageBucketShift = 10
+
+// pageTable maps a text position to the page containing it — the
+// largest j with starts[j] <= pos. coarse[k] is the page containing
+// position k<<pageBucketShift, so a position's page lies between its
+// bucket's entry and the next: the same entry for data pages, which
+// span many buckets, and a short binary search when pages are tiny.
+type pageTable struct {
+	starts []int64
+	coarse []uint32
+}
+
+// newPageTable builds the table for positions [0, n), n >= 1, in one
+// O(n>>pageBucketShift + pages) walk. starts is validated (strictly
+// increasing from 0); entries beyond n cover no positions.
+func newPageTable(n int, starts []int64) pageTable {
+	coarse := make([]uint32, (n-1)>>pageBucketShift+2)
+	j := 0
+	for k := range coarse {
+		for j+1 < len(starts) && starts[j+1] <= int64(k)<<pageBucketShift {
+			j++
 		}
-		for pos := lo; pos < hi; pos++ {
-			table[pos] = uint32(j)
+		coarse[k] = uint32(j)
+	}
+	return pageTable{starts: starts, coarse: coarse}
+}
+
+func (t pageTable) pageOf(pos int32) uint32 {
+	lo, hi := t.coarse[pos>>pageBucketShift], t.coarse[pos>>pageBucketShift+1]
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if t.starts[mid] <= int64(pos) {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
 	}
-	return table
+	return lo
 }
 
 // encodeRoot serializes the root component. The bigram section comes
@@ -340,7 +368,7 @@ func Open(ctx context.Context, r *component.Reader) (*Index, error) {
 		ix.base+ix.numBlocks+ix.numPMBlocks+1 > r.NumComponents() {
 		return nil, fmt.Errorf("fmindex: root block counts exceed file components")
 	}
-	if ix.n < 0 || ix.blockSize <= 0 || ix.pmBlock <= 0 {
+	if ix.n < 1 || ix.blockSize <= 0 || ix.pmBlock <= 0 { // the sentinel is always indexed
 		return nil, fmt.Errorf("fmindex: corrupt root geometry")
 	}
 	// Every BWT position must land in a checkpointed block, or occ
@@ -496,41 +524,30 @@ func (ix *Index) LookupBounded(ctx context.Context, pattern []byte, maxRows int)
 }
 
 // ReconstructText inverts the BWT to recover the indexed text
-// (without the sentinel): every BWT block in one fan, then the LF
-// walk. MergeInto runs the same two steps per source, with the walks
-// taking turns; queries never do.
+// (without the sentinel). MergeInto does the same per source, into
+// its own buffers; queries never do.
 func (ix *Index) ReconstructText(ctx context.Context) ([]byte, error) {
-	bwt, err := ix.readBWT(ctx)
-	if err != nil {
+	full := make([]byte, ix.n)
+	if err := ix.reconstructInto(ctx, full, make([]int32, ix.n)); err != nil {
 		return nil, err
 	}
-	return textOf(bwt), nil
+	return full[:ix.n-1], nil
 }
 
-// textOf inverts a BWT and drops the sentinel.
-func textOf(bwt []byte) []byte {
-	full := invertBWT(bwt)
-	return full[:len(full)-1]
-}
-
-// readBWT fetches every BWT block in one fan and joins them.
-func (ix *Index) readBWT(ctx context.Context) ([]byte, error) {
+// reconstructInto fetches every BWT block in one fan, inflating each
+// into place, and inverts the transform into full — TextLen bytes,
+// the sentinel last — with lf as scratch of the same length.
+func (ix *Index) reconstructInto(ctx context.Context, full []byte, lf []int32) error {
 	ids := make([]int, ix.numBlocks)
 	for blk := range ids {
 		ids[blk] = ix.base + blk
 	}
-	blocks, err := ix.r.Components(ctx, ids)
-	if err != nil {
-		return nil, err
+	bwt := make([]byte, ix.n)
+	if err := ix.r.ComponentsInto(ctx, ids, bwt); err != nil {
+		return err
 	}
-	bwt := make([]byte, 0, ix.n)
-	for _, data := range blocks {
-		bwt = append(bwt, data...)
-	}
-	if len(bwt) != ix.n {
-		return nil, fmt.Errorf("fmindex: BWT blocks sum to %d bytes, want %d", len(bwt), ix.n)
-	}
-	return bwt, nil
+	invertBWT(full, bwt, lf)
+	return nil
 }
 
 // Merge combines several FM-indices into one file by reconstructing
@@ -553,54 +570,44 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 	if len(sources) != len(fileMaps) {
 		return fmt.Errorf("fmindex: %d sources but %d file maps", len(sources), len(fileMaps))
 	}
-	// Every source's blocks are fetched side by side; the inversions,
-	// each holding 4 bytes of LF mapping per text byte, take turns on
-	// the worker pool while later fetches are still in flight.
-	parts := make([][]byte, len(sources))
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	// The merged text is the sources' texts, each one's sentinel slot
+	// taken by the separator that keeps patterns from spanning two
+	// sources, and the last one's by the merged sentinel. Every source
+	// is fetched and inverted side by side, straight into its span,
+	// with its span of the suffix array to come as the inversion's
+	// scratch: a merge holds nothing a build of its text would not,
+	// but each source's BWT while it is inverted.
+	offs := make([]int, len(sources)+1)
+	for i, src := range sources {
+		offs[i+1] = offs[i] + src.n
+	}
+	n := max(offs[len(sources)], 1)
+	full, sa := make([]byte, n), make([]int32, n)
 	err := simtime.Fan(ctx, len(sources), 0, func(ctx context.Context, i int) error {
-		bwt, err := sources[i].readBWT(ctx)
-		if err != nil {
-			return err
-		}
-		slots <- struct{}{}
-		defer func() { <-slots }()
-		parts[i] = textOf(bwt)
-		return nil
+		return sources[i].reconstructInto(ctx, full[offs[i]:offs[i+1]], sa[offs[i]:offs[i+1]])
 	})
 	if err != nil {
 		return err
 	}
-	size := len(sources)
-	for _, part := range parts {
-		size += len(part)
-	}
-	text := make([]byte, 0, size)
 	var pageStarts []int64
 	var refs []postings.PageRef
 	for i, src := range sources {
 		starts, srcRefs := src.PageStartsAndRefs()
-		base := int64(len(text))
 		for j, s := range starts {
 			mapped, ok := fileMaps[i][srcRefs[j].File]
 			if !ok {
 				continue
 			}
-			pageStarts = append(pageStarts, base+s)
+			pageStarts = append(pageStarts, int64(offs[i])+s)
 			refs = append(refs, postings.PageRef{File: mapped, Page: srcRefs[j].Page})
 		}
-		text = append(text, parts[i]...)
-		parts[i] = nil
-		// Separate sources so patterns cannot span them.
-		text = append(text, Separator)
+		full[offs[i+1]-1] = Separator
 	}
-	if len(text) > 0 {
-		text = text[:len(text)-1]
-	}
+	full[n-1] = Sentinel
 	if len(pageStarts) == 0 || pageStarts[0] != 0 {
 		// Ensure a leading page entry so every position maps somewhere.
 		pageStarts = append([]int64{0}, pageStarts...)
 		refs = append([]postings.PageRef{{File: ^uint32(0), Page: 0}}, refs...)
 	}
-	return BuildInto(b, text, pageStarts, refs, opts)
+	return build(b, full, sa, pageStarts, refs, opts)
 }

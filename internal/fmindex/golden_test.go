@@ -90,30 +90,70 @@ func TestReferenceBuildMatchesProduction(t *testing.T) {
 	}
 }
 
+// TestPosPageTableMatchesSearch holds pageOf to its definition — the
+// largest j with starts[j] <= pos — at every position, whatever the
+// table keeps: one page, 1-byte pages (a bucket full of starts),
+// several starts inside one bucket and on bucket edges, starts at and
+// past n, and n on, just past and well off a bucket multiple.
 func TestPosPageTableMatchesSearch(t *testing.T) {
-	// The O(n) table must agree with the binary-search definition
-	// (largest j with pageStarts[j] <= pos) everywhere, including page
-	// starts past the end of the text.
-	cases := [][]int64{
-		{0},
-		{0, 1, 2, 3},
-		{0, 5, 9, 100},
-		{0, 7, 7 + 13},
+	const bucket = 1 << pageBucketShift
+	every := func(n, step int) []int64 {
+		var starts []int64
+		for s := 0; s < n; s += step {
+			starts = append(starts, int64(s))
+		}
+		return starts
 	}
-	const n = 40
-	for ci, starts := range cases {
-		table := buildPosPageTable(n, starts)
-		for pos := 0; pos < n; pos++ {
-			want := 0
-			for j, s := range starts {
-				if s <= int64(pos) {
-					want = j
-				}
+	cases := []struct {
+		n      int
+		starts []int64
+	}{
+		{1, []int64{0}},
+		{40, []int64{0}},
+		{40, []int64{0, 1, 2, 3}},
+		{40, []int64{0, 5, 9, 100}},
+		{40, []int64{0, 7, 7 + 13, 40, 41}},
+		{3*bucket + 17, every(3*bucket+17, 1)},
+		{2 * bucket, every(2*bucket, 1)},
+		{2*bucket + 1, []int64{0, bucket - 1, bucket, bucket + 1, 2 * bucket, 2*bucket + 1, 5 * bucket}},
+		{5 * bucket, []int64{0, 3, bucket + 5, bucket + 6, bucket + 900, 4*bucket - 1}},
+		{4*bucket + 3, every(4*bucket+3, 300)},
+		{10*bucket - 1, []int64{0, 7 * bucket}},
+	}
+	for ci, c := range cases {
+		table := newPageTable(c.n, c.starts)
+		want := 0
+		for pos := 0; pos < c.n; pos++ {
+			for want+1 < len(c.starts) && c.starts[want+1] <= int64(pos) {
+				want++
 			}
-			if table[pos] != uint32(want) {
-				t.Fatalf("case %d: table[%d] = %d, want %d", ci, pos, table[pos], want)
+			if got := table.pageOf(int32(pos)); got != uint32(want) {
+				t.Fatalf("case %d (n=%d): pageOf(%d) = %d, want %d", ci, c.n, pos, got, want)
 			}
 		}
+	}
+}
+
+// TestBuildLeavesCallerBytesAlone: Build and BuildInto copy their text
+// — the sentinel goes into the copy, not into the caller's array just
+// past the slice.
+func TestBuildLeavesCallerBytesAlone(t *testing.T) {
+	text, starts, refs := goldenFMInput()
+	const k = 5000
+	backing := append([]byte(nil), text...)
+	want, err := Build(append([]byte(nil), text[:k]...), starts[:1], refs[:1], BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Build(backing[:k], starts[:1], refs[:1], BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("building a prefix of a longer array changed the index bytes")
+	}
+	if !bytes.Equal(backing, text) {
+		t.Fatal("Build wrote to its caller's array")
 	}
 }
 

@@ -3,7 +3,7 @@
 package fmindex
 
 // raceEnabled reports whether the race detector is compiled in. The
-// build-speed shape tests skip under it: race instrumentation slows
-// the two builders by different factors, so speedup ratios measured
-// under it are meaningless.
+// allocation budget test skips under it: in race builds sync.Pool
+// drops a quarter of what is put back, so how many flate writers a
+// build allocates is left to chance.
 const raceEnabled = true

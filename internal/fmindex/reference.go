@@ -82,7 +82,7 @@ func referenceBuildInto(b *component.Builder, text []byte, pageStarts []int64, r
 			}
 			entries[i-lo] = pageOf(pos)
 		}
-		b.Add(packBits(entries, bits))
+		b.Add(packBits(nil, len(entries), bits, func(i int) uint32 { return entries[i] }))
 	}
 
 	b.Add(encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs, countPairs(full)))

@@ -71,6 +71,96 @@ func TestSAISMatchesReference(t *testing.T) {
 	}
 }
 
+// countLMS returns the number of LMS positions of a sentinel-
+// terminated text: S-type suffixes whose left neighbour is L-type.
+func countLMS(text []byte) int {
+	m := 0
+	nextS := true // the sentinel
+	for i := len(text) - 2; i >= 0; i-- {
+		isS := text[i] < text[i+1] || (text[i] == text[i+1] && nextS)
+		if !isS && nextS {
+			m++
+		}
+		nextS = isS
+	}
+	return m
+}
+
+// TestSAISInPlaceRecursion runs SA-IS, whose every recursion level
+// keeps its reduced string, LMS positions and bucket tables inside the
+// suffix array it is filling, against the prefix-doubling oracle on
+// the inputs that stress that layout: periodic strings and a Fibonacci
+// word (every level's LMS substrings repeat, so the recursion goes as
+// deep as the length allows, and the names leave no room between the
+// reduced string and the sorted LMS suffixes), strings with an LMS
+// position at every other byte (m = n/2, where the two halves of sa
+// meet), all-equal bytes (no LMS but the sentinel), and the benchmark
+// corpus (four levels, bucket tables in the gap).
+func TestSAISInPlaceRecursion(t *testing.T) {
+	periodic := func(unit string, n int) []byte {
+		return bytes.Repeat([]byte(unit), n/len(unit)+1)[:n]
+	}
+	fib := func(n int) []byte {
+		a, b := []byte("a"), []byte("ab")
+		for len(b) < n {
+			a, b = b, append(append([]byte(nil), b...), a...)
+		}
+		return b[:n]
+	}
+	text, _, _ := benchInput(13, 400)
+	cases := map[string][]byte{
+		"period-2":   periodic("ab", 20001),
+		"period-2b":  periodic("ba", 20000),
+		"period-3":   periodic("abc", 20000),
+		"period-3b":  periodic("bca", 19999),
+		"period-3c":  periodic("cab", 20001),
+		"fibonacci":  fib(30000),
+		"all-equal":  bytes.Repeat([]byte{'x'}, 9000),
+		"corpus":     text,
+		"corpus-x2":  append(append([]byte(nil), text[:50000]...), text[:50000]...),
+		"nested":     bytes.Repeat(append(periodic("ab", 64), periodic("abc", 63)...), 150),
+		"descending": bytes.Repeat([]byte("dcba"), 3000),
+	}
+	sawHalf := false
+	for label, body := range cases {
+		full := sentinelize(body)
+		checkSAISAgainstReference(t, label, full)
+		sawHalf = sawHalf || countLMS(full) == len(full)/2
+	}
+	// Every length near a small n, both phases: the halves of sa meet
+	// exactly (m = n/2) at some of them and miss by one at the others.
+	for n := 2; n < 70; n++ {
+		for _, unit := range []string{"ab", "ba"} {
+			full := sentinelize(periodic(unit, n))
+			checkSAISAgainstReference(t, unit, full)
+			sawHalf = sawHalf || countLMS(full) == len(full)/2
+		}
+	}
+	if !sawHalf {
+		t.Fatal("no input had an LMS position at every other byte (m = n/2)")
+	}
+}
+
+// BenchmarkSuffixArray reports SA-IS beside its prefix-doubling oracle
+// on 1 MB of the benchmark corpus, time and allocations. The ratio is
+// a property of the host and is read here, not asserted by a test.
+func BenchmarkSuffixArray(b *testing.B) {
+	text, _, _ := benchInput(13, 1672)
+	full := append(text, Sentinel)
+	for _, impl := range []struct {
+		name string
+		fn   func([]byte) []int32
+	}{{"sais", buildSuffixArray}, {"oracle", ReferenceSuffixArray}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(int64(len(full)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.fn(full)
+			}
+		})
+	}
+}
+
 // FuzzSuffixArray fuzzes SA-IS against the prefix-doubling oracle on
 // arbitrary byte strings.
 func FuzzSuffixArray(f *testing.F) {

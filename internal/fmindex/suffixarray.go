@@ -1,7 +1,5 @@
 package fmindex
 
-import "rottnest/internal/parallel"
-
 // buildSuffixArray computes the suffix array of text with SA-IS
 // (suffix array by induced sorting over LMS substrings), O(n) on the
 // byte alphabet. The text handed in already carries its unique
@@ -13,12 +11,8 @@ import "rottnest/internal/parallel"
 // ReferenceSuffixArray and serves as the differential-test and
 // benchmark oracle.
 func buildSuffixArray(text []byte) []int32 {
-	n := len(text)
-	sa := make([]int32, n)
-	if n == 0 {
-		return sa
-	}
-	sais(text, sa, 256)
+	sa := make([]int32, len(text))
+	sais(text, sa, 256, nil)
 	return sa
 }
 
@@ -52,7 +46,13 @@ func (b bitset) set(i int32)      { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
 // sentinel's LMS substring is unique and sorts first, so it is named
 // 0, and it is the last LMS in appearance order — the reduced string
 // therefore also ends with a unique minimum.
-func sais[T symbol](s []T, sa []int32, sigma int) {
+//
+// Beyond sa the only allocation that grows with n is the type bits
+// (n/8): the reduced string and the LMS positions of every recursion
+// level live in the unused tail of that level's sa, and its two bucket
+// tables in free, slots of sa the levels above have no use for —
+// allocated only when sigma is too large a share of n for them to fit.
+func sais[T symbol](s []T, sa []int32, sigma int, free []int32) {
 	n := len(s)
 	if n == 0 {
 		return
@@ -72,17 +72,20 @@ func sais[T symbol](s []T, sa []int32, sigma int) {
 		}
 	}
 
-	// Bucket geometry per symbol.
-	bkt := make([]int32, sigma)
+	// Bucket geometry per symbol: sizes, and one table for heads and
+	// tails, which are never live together.
+	if len(free) < 2*sigma {
+		free = make([]int32, 2*sigma)
+	}
+	bkt, ptr := free[:sigma], free[sigma:2*sigma]
+	clear(bkt)
 	for _, c := range s {
 		bkt[c]++
 	}
-	heads := make([]int32, sigma)
-	tails := make([]int32, sigma)
 	setHeads := func() {
 		var sum int32
 		for c, cnt := range bkt {
-			heads[c] = sum
+			ptr[c] = sum
 			sum += cnt
 		}
 	}
@@ -90,7 +93,7 @@ func sais[T symbol](s []T, sa []int32, sigma int) {
 		var sum int32
 		for c, cnt := range bkt {
 			sum += cnt
-			tails[c] = sum
+			ptr[c] = sum
 		}
 	}
 
@@ -103,16 +106,16 @@ func sais[T symbol](s []T, sa []int32, sigma int) {
 		for i := 0; i < n; i++ {
 			if j := sa[i]; j > 0 && !isS.get(j-1) {
 				c := s[j-1]
-				sa[heads[c]] = j - 1
-				heads[c]++
+				sa[ptr[c]] = j - 1
+				ptr[c]++
 			}
 		}
 		setTails()
 		for i := n - 1; i >= 0; i-- {
 			if j := sa[i]; j > 0 && isS.get(j-1) {
 				c := s[j-1]
-				tails[c]--
-				sa[tails[c]] = j - 1
+				ptr[c]--
+				sa[ptr[c]] = j - 1
 			}
 		}
 	}
@@ -128,8 +131,8 @@ func sais[T symbol](s []T, sa []int32, sigma int) {
 	for i := 1; i < n; i++ {
 		if isS.get(int32(i)) && !isS.get(int32(i-1)) {
 			c := s[i]
-			tails[c]--
-			sa[tails[c]] = int32(i)
+			ptr[c]--
+			sa[ptr[c]] = int32(i)
 			m++
 		}
 	}
@@ -165,21 +168,35 @@ func sais[T symbol](s []T, sa []int32, sigma int) {
 
 	if numNames < m {
 		// Duplicate substrings: recurse on the reduced string of LMS
-		// names in appearance order to rank the LMS suffixes.
-		s1 := make([]int32, m)
-		lmsPos := make([]int32, m)
+		// names in appearance order to rank the LMS suffixes. names holds
+		// them in that order already, with gaps; closing the gaps
+		// rightwards leaves the reduced string in sa[n-m:], clear of
+		// sa[:m] because LMS positions are never adjacent (2m <= n).
+		k = n
+		for i := n - 1; i >= m; i-- {
+			if sa[i] != saEmpty {
+				k--
+				sa[k] = sa[i]
+			}
+		}
+		s1, sa1 := sa[n-m:], sa[:m]
+		// The level below gets the larger of the two unused runs: what
+		// this level's tables left of free, or the gap sa[m:n-m].
+		if free = free[2*sigma:]; len(free) < n-2*m {
+			free = sa[m : n-m]
+		}
+		sais(s1, sa1, numNames, free)
+		// The reduced string has served; its slots now map rank to LMS
+		// position.
 		k = 0
 		for i := 1; i < n; i++ {
 			if isS.get(int32(i)) && !isS.get(int32(i-1)) {
-				lmsPos[k] = int32(i)
-				s1[k] = names[i>>1]
+				s1[k] = int32(i)
 				k++
 			}
 		}
-		sa1 := sa[:m]
-		sais(s1, sa1, numNames)
 		for i := 0; i < m; i++ {
-			sa1[i] = lmsPos[sa1[i]]
+			sa1[i] = s1[sa1[i]]
 		}
 	}
 	// else: all names unique, so LMS-substring order (already in
@@ -196,8 +213,8 @@ func sais[T symbol](s []T, sa []int32, sigma int) {
 		j := sa[i]
 		sa[i] = saEmpty
 		c := s[j]
-		tails[c]--
-		sa[tails[c]] = j
+		ptr[c]--
+		sa[ptr[c]] = j
 	}
 	induce()
 }
@@ -225,33 +242,13 @@ func lmsEqual[T symbol](s []T, isS bitset, a, b int32) bool {
 	}
 }
 
-// bwtFromSA derives the Burrows-Wheeler transform from the suffix
-// array: bwt[i] = text[sa[i]-1] (wrapping to the sentinel). The pass
-// is embarrassingly parallel; each output index depends only on its
-// own suffix-array entry.
-func bwtFromSA(text []byte, sa []int32) []byte {
-	n := len(text)
-	bwt := make([]byte, n)
-	parallel.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := sa[i]
-			if s == 0 {
-				bwt[i] = text[n-1]
-			} else {
-				bwt[i] = text[s-1]
-			}
-		}
-	})
-	return bwt
-}
-
-// invertBWT reconstructs the original text (sentinel included) from
-// its BWT. Used by index merging, which the paper notes may be
-// computationally intensive. The LF walk is a sequential pointer
-// chase and stays serial.
-func invertBWT(bwt []byte) []byte {
-	n := len(bwt)
-	// C[c] = number of symbols smaller than c.
+// invertBWT reconstructs the original text, sentinel last, from its
+// BWT into dst; lf is scratch for the LF mapping and both are as long
+// as bwt. Used by index merging, which the paper notes may be
+// computationally intensive. The LF walk is a sequential pointer chase
+// and stays serial.
+func invertBWT(dst, bwt []byte, lf []int32) {
+	// c0[c] = number of symbols smaller than c.
 	var counts [256]int
 	for _, c := range bwt {
 		counts[c]++
@@ -263,21 +260,18 @@ func invertBWT(bwt []byte) []byte {
 		sum += counts[c]
 	}
 	// LF mapping: lf[i] = C[bwt[i]] + occ(bwt[i], i).
-	lf := make([]int32, n)
 	var running [256]int
 	for i, c := range bwt {
 		lf[i] = int32(c0[c] + running[c])
 		running[c]++
 	}
-	// The sentinel (smallest, unique) sorts to row 0. Walk backwards
-	// from it.
-	out := make([]byte, n)
+	// The sentinel (smallest, unique) sorts to row 0, whose BWT symbol
+	// is the text's last: walk backwards from it, ending on the
+	// sentinel itself.
 	row := int32(0)
-	for i := n - 1; i >= 0; i-- {
-		out[i] = bwt[row]
+	for i := len(bwt) - 2; i >= 0; i-- {
+		dst[i] = bwt[row]
 		row = lf[row]
 	}
-	// The walk starting at row 0 yields the rotation that begins with
-	// the sentinel; rotate left by one to restore "text + sentinel".
-	return append(out[1:], out[0])
+	dst[len(bwt)-1] = bwt[row]
 }
