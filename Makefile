@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-cache bench-build bench-fig13 bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
+.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-build bench-fig13 bench-serve bench-multi bench-sharded bench-planner bench-ingest bench-adaptive benchgate vulncheck
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,6 @@ check:
 	$(MAKE) bench-alloc
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz-smoke
-	$(MAKE) bench-cache
 	$(MAKE) bench-build
 	$(MAKE) bench-fig13
 	$(MAKE) bench-serve
@@ -94,16 +93,10 @@ trace-smoke:
 	if [ $$rc -ne 0 ]; then echo "trace-smoke failed"; exit $$rc; fi; \
 	echo "trace-smoke ok"
 
-# bench-cache records the read-cache warm-vs-cold experiment. With
-# bench-serve it pins "warm = 0 GETs" and the cache hit counts.
-bench-cache:
-	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_cache.json cache
-
-# bench-build records the index-build fast-path experiment: SA-IS vs
-# the prefix-doubling oracle, per-kind build throughput, and how deep
-# maintenance is — the GETs and dependent round trips of one Index call
-# and of an FM Compact of three sources, which benchgate holds to "may
-# not grow".
+# bench-build records maintenance depth: the GETs and dependent round
+# trips of one Index call and of an FM Compact of three sources, which
+# benchgate holds to "may not grow". Build speed is wall-clock:
+# benchmark/'s build_compact and make bench-alloc measure it.
 bench-build:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_build.json build
 
@@ -113,8 +106,9 @@ bench-build:
 bench-fig13:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_fig13.json fig13
 
-# bench-serve records the warm-serving-path experiment: concurrent
-# clients over a Zipf query mix, cold vs warm p50/p99, GETs/query, QPS.
+# bench-serve records the serving experiment in requests: concurrent
+# clients over a Zipf query mix with every cache off, the byte cache
+# only, and every cache primed — GETs/query and cache hit counts.
 bench-serve:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_serve.json serve
 
@@ -134,16 +128,16 @@ bench-sharded:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_sharded.json sharded
 
 # bench-planner records the probe-side fast-path experiment: FM
-# superwalk occ-fetch dedup vs singleton walks, cost-based AND
-# short-circuit GET savings, and the ADC list-scan rate.
+# superwalk occ-fetch dedup vs singleton walks and cost-based AND
+# short-circuit GET savings (the ADC scan rate is BenchmarkPQScanADC's).
 bench-planner:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_planner.json planner
 
 # bench-ingest records the continuous-ingestion experiment: the
 # group-commit writer's conditional-PUT amortization over per-batch
-# appends, the store requests per acked batch (ack_lists, ack_gets,
-# ack_puts: benchgate holds them to "may not grow") and searchable-lag
-# percentiles under the budgeted scheduler.
+# appends and the store requests per acked batch (ack_lists, ack_gets,
+# ack_puts: benchgate holds them to "may not grow"). Ack and
+# searchable-lag latencies are benchmark/'s ingest_live.
 bench-ingest:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_ingest.json ingest
 
@@ -154,10 +148,11 @@ bench-ingest:
 bench-adaptive:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 21 -json BENCH_adaptive.json adaptive
 
-# benchgate fails check when a regenerated benchmark record regresses
-# a virtual-time QPS field by more than 20% against the committed
-# baseline, or grows a maintenance request or round-trip count at all
-# (untracked files are skipped).
+# benchgate fails check when a regenerated record regresses a field
+# its manifest (cmd/benchgate/main.go) names against the committed
+# baseline: a count that grows at all, or one of the few virtual figure
+# quantities that moves more than 20% the wrong way. A listed field
+# missing from either side fails; untracked files are skipped.
 benchgate:
 	$(GO) run ./cmd/benchgate BENCH_*.json
 

@@ -134,19 +134,9 @@ func BenchmarkDistributionSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchCacheWarm measures the read cache's warm-vs-cold
-// effect on repeated UUID/substring/vector query sets.
-func BenchmarkSearchCacheWarm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.CacheWarmth(benchOpts(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeColdVsWarm measures the warm serving path: concurrent
-// clients replaying a Zipf query mix cold (all caches off) versus warm
-// (plan + decoded-object + byte caches primed).
+// BenchmarkServeColdVsWarm runs the serving experiment: concurrent
+// clients replaying a Zipf query mix with caches off, the byte cache
+// only, and every cache primed.
 func BenchmarkServeColdVsWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Serve(benchOpts(i)); err != nil {

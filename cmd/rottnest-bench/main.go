@@ -10,8 +10,8 @@
 //	rottnest-bench [-quick] [-seed N] [-json FILE] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] <experiment|all>
 //
 // Experiments: fig7 fig8 fig9 fig10 fig11 fig12 fig13 latency lance
-// throughput ablation distribution cache serve multi chaos sharded
-// build planner ingest adaptive
+// throughput ablation distribution serve multi chaos sharded build
+// planner ingest adaptive
 //
 // With -trace, experiments collect one exemplar span tree per search
 // site ("EXPLAIN ANALYZE" for the measured queries) and the map
@@ -30,74 +30,36 @@ import (
 	"rottnest/internal/bench"
 )
 
+// experiment adapts a runner to the table's untyped signature.
+func experiment[R any](run func(bench.Options) (R, error)) func(bench.Options) (any, error) {
+	return func(o bench.Options) (any, error) { return run(o) }
+}
+
 var experiments = []struct {
 	name string
 	desc string
 	run  func(bench.Options) (any, error)
 }{
-	{"fig7", "TCO phase diagrams: substring and UUID search", func(o bench.Options) (any, error) {
-		return bench.Fig7PhaseDiagrams(o)
-	}},
-	{"fig8", "brute-force and Rottnest scaling with cluster size", func(o bench.Options) (any, error) {
-		return bench.Fig8Scaling(o)
-	}},
-	{"fig9", "vector phase diagrams at recall 0.87/0.92/0.97", func(o bench.Options) (any, error) {
-		return bench.Fig9VectorPhases(o)
-	}},
-	{"fig10", "read granularity and page-read overhead", func(o bench.Options) (any, error) {
-		return bench.Fig10ReadGranularity(o)
-	}},
-	{"fig11", "in-situ querying ablation", func(o bench.Options) (any, error) {
-		return bench.Fig11InSitu(o)
-	}},
-	{"fig12", "TCO parameter sensitivity", func(o bench.Options) (any, error) {
-		return bench.Fig12Sensitivity(o)
-	}},
-	{"fig13", "compaction vs search latency", func(o bench.Options) (any, error) {
-		return bench.Fig13Compaction(o)
-	}},
-	{"latency", "minimum latency thresholds (VII-A)", func(o bench.Options) (any, error) {
-		return bench.MinimumLatency(o)
-	}},
-	{"lance", "in-situ Parquet vs ideal custom format (VII-C)", func(o bench.Options) (any, error) {
-		return bench.CustomFormatComparison(o)
-	}},
-	{"throughput", "QPS caps from the per-prefix GET limit (VII-D3)", func(o bench.Options) (any, error) {
-		return bench.Throughput(o)
-	}},
-	{"ablation", "design-choice ablations (componentization, block/page sizes, PQ M)", func(o bench.Options) (any, error) {
-		return bench.Ablations(o)
-	}},
-	{"distribution", "data-distribution sensitivity: text entropy vs phase boundary (VII-D2)", func(o bench.Options) (any, error) {
-		return bench.DistributionSensitivity(o)
-	}},
-	{"cache", "read cache warm-vs-cold: repeated query latency and GET footprint", func(o bench.Options) (any, error) {
-		return bench.CacheWarmth(o)
-	}},
-	{"serve", "warm serving path: concurrent Zipf mix, cold vs warm p50/p99, GETs/query, QPS", func(o bench.Options) (any, error) {
-		return bench.Serve(o)
-	}},
-	{"multi", "multi-predicate plans: page-set intersection GETs vs separate searches, shared-probe batching", func(o bench.Options) (any, error) {
-		return bench.Multi(o)
-	}},
-	{"chaos", "search latency overhead under a fault storm with retries on", func(o bench.Options) (any, error) {
-		return bench.Chaos(o)
-	}},
-	{"sharded", "scatter-gather serving: QPS vs shard count, hedged-request p99 with a slow replica", func(o bench.Options) (any, error) {
-		return bench.Sharded(o)
-	}},
-	{"build", "index-build fast path: SA-IS vs oracle, FM/trie/IVF-PQ build rates", func(o bench.Options) (any, error) {
-		return bench.IndexBuild(o)
-	}},
-	{"planner", "probe-side fast path: FM superwalk occ-fetch dedup, cost-based AND short-circuit, ADC scan rate", func(o bench.Options) (any, error) {
-		return bench.Planner(o)
-	}},
-	{"ingest", "continuous ingestion: group-commit conditional-PUT amortization, searchable-lag p50/p99 under a budgeted scheduler", func(o bench.Options) (any, error) {
-		return bench.Ingest(o)
-	}},
-	{"adaptive", "workload-adaptive maintenance: heat-driven scheduling vs index-everything vs scan-only on a Zipf mix", func(o bench.Options) (any, error) {
-		return bench.Adaptive(o)
-	}},
+	{"fig7", "TCO phase diagrams: substring and UUID search", experiment(bench.Fig7PhaseDiagrams)},
+	{"fig8", "brute-force and Rottnest scaling with cluster size", experiment(bench.Fig8Scaling)},
+	{"fig9", "vector phase diagrams at recall 0.87/0.92/0.97", experiment(bench.Fig9VectorPhases)},
+	{"fig10", "read granularity and page-read overhead", experiment(bench.Fig10ReadGranularity)},
+	{"fig11", "in-situ querying ablation", experiment(bench.Fig11InSitu)},
+	{"fig12", "TCO parameter sensitivity", experiment(bench.Fig12Sensitivity)},
+	{"fig13", "compaction vs search latency", experiment(bench.Fig13Compaction)},
+	{"latency", "minimum latency thresholds (VII-A)", experiment(bench.MinimumLatency)},
+	{"lance", "in-situ Parquet vs ideal custom format (VII-C)", experiment(bench.CustomFormatComparison)},
+	{"throughput", "QPS caps from the per-prefix GET limit (VII-D3)", experiment(bench.Throughput)},
+	{"ablation", "design-choice ablations (componentization, block/page sizes, PQ M)", experiment(bench.Ablations)},
+	{"distribution", "data-distribution sensitivity: text entropy vs phase boundary (VII-D2)", experiment(bench.DistributionSensitivity)},
+	{"serve", "concurrent Zipf mix: GETs/query and cache hits with caches off, byte cache only, all caches", experiment(bench.Serve)},
+	{"multi", "multi-predicate plans: page-set intersection GETs vs separate searches, shared-probe batching", experiment(bench.Multi)},
+	{"chaos", "search latency overhead under a fault storm with retries on", experiment(bench.Chaos)},
+	{"sharded", "scatter-gather serving: QPS vs shard count, hedged-request p99 with a slow replica", experiment(bench.Sharded)},
+	{"build", "maintenance depth: GETs and dependent round trips of one Index and one FM Compact", experiment(bench.Maintenance)},
+	{"planner", "probe-side fast path: FM superwalk occ-fetch dedup, cost-based AND short-circuit", experiment(bench.Planner)},
+	{"ingest", "continuous ingestion: group-commit conditional-PUT amortization, requests per acked batch", experiment(bench.Ingest)},
+	{"adaptive", "workload-adaptive maintenance: heat-driven scheduling vs index-everything vs scan-only on a Zipf mix", experiment(bench.Adaptive)},
 }
 
 func main() {
@@ -108,10 +70,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the runs) to this file")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rottnest-bench [-quick] [-seed N] [-json FILE] [-cpuprofile FILE] [-memprofile FILE] <experiment|all>")
+		fmt.Fprintln(os.Stderr, "usage: rottnest-bench [-quick] [-seed N] [-json FILE] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] <experiment|all>")
 		fmt.Fprintln(os.Stderr, "\nexperiments:")
 		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.name, e.desc)
+			fmt.Fprintf(os.Stderr, "  %-12s %s\n", e.name, e.desc)
 		}
 	}
 	flag.Parse()

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"rottnest/internal/adaptive"
 	"rottnest/internal/component"
 	"rottnest/internal/core"
 	"rottnest/internal/ingest"
+	"rottnest/internal/obs"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
 	"rottnest/internal/workload"
@@ -335,7 +335,6 @@ func adaptivePass(o Options, rounds, partitions, rowsPerBatch, queriesPerRound i
 			res.hotLags = append(res.hotLags, lag)
 		}
 	}
-	sort.Slice(res.hotLags, func(i, j int) bool { return res.hotLags[i] < res.hotLags[j] })
 
 	for _, col := range adaptiveColdCols {
 		cold, err := w.client.ListIndexes(ctx, col, component.KindFM)
@@ -388,22 +387,18 @@ func Adaptive(o Options) (*AdaptiveResult, error) {
 	res.IndexAllTotalRequests = all.totalRequests
 	res.AdaptiveColdEntries = ad.coldEntries
 	res.IndexAllColdEntries = all.coldEntries
-	if n := len(ad.hotLags); n > 0 {
-		res.AdaptiveHotLagP50 = percentile(ad.hotLags, 0.50)
-		res.AdaptiveHotLagP99 = percentile(ad.hotLags, 0.99)
-	}
-	if n := len(all.hotLags); n > 0 {
-		res.IndexAllHotLagP50 = percentile(all.hotLags, 0.50)
-		res.IndexAllHotLagP99 = percentile(all.hotLags, 0.99)
-	}
-	res.AdaptiveQueryP50 = percentile(ad.steadyLats, 0.50)
-	res.AdaptiveQueryP99 = percentile(ad.steadyLats, 0.99)
-	res.IndexAllQueryP50 = percentile(all.steadyLats, 0.50)
-	res.IndexAllQueryP99 = percentile(all.steadyLats, 0.99)
-	res.ScanQueryP50 = percentile(scan.steadyLats, 0.50)
-	res.ScanQueryP99 = percentile(scan.steadyLats, 0.99)
-	res.AdaptiveStreamQueryP50 = percentile(ad.streamLats, 0.50)
-	res.IndexAllStreamQueryP50 = percentile(all.streamLats, 0.50)
+	res.AdaptiveHotLagP50 = obs.Quantile(ad.hotLags, 0.50)
+	res.AdaptiveHotLagP99 = obs.Quantile(ad.hotLags, 0.99)
+	res.IndexAllHotLagP50 = obs.Quantile(all.hotLags, 0.50)
+	res.IndexAllHotLagP99 = obs.Quantile(all.hotLags, 0.99)
+	res.AdaptiveQueryP50 = obs.Quantile(ad.steadyLats, 0.50)
+	res.AdaptiveQueryP99 = obs.Quantile(ad.steadyLats, 0.99)
+	res.IndexAllQueryP50 = obs.Quantile(all.steadyLats, 0.50)
+	res.IndexAllQueryP99 = obs.Quantile(all.steadyLats, 0.99)
+	res.ScanQueryP50 = obs.Quantile(scan.steadyLats, 0.50)
+	res.ScanQueryP99 = obs.Quantile(scan.steadyLats, 0.99)
+	res.AdaptiveStreamQueryP50 = obs.Quantile(ad.streamLats, 0.50)
+	res.IndexAllStreamQueryP50 = obs.Quantile(all.streamLats, 0.50)
 
 	fmt.Fprintf(out, "Workload-adaptive maintenance: %d rounds x %d partitions x %d rows, Zipf queries on partition 0\n",
 		res.Rounds, res.Partitions, res.RowsPerBatch)

@@ -13,8 +13,11 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"sync"
 	"time"
 
 	"rottnest/internal/bruteforce"
@@ -123,10 +126,9 @@ func newWorldOn(model objectstore.LatencyModel, schema *parquet.Schema, cfg core
 		cfg.IndexDir = "rottnest"
 	}
 	// Figure reproductions model the paper's uncached read path: every
-	// GET pays the Figure 10a latency. Keep the client's read cache off
-	// unless an experiment (e.g. CacheWarmth) asks for it explicitly —
-	// and likewise the decoded-object and plan caches, which the Serve
-	// experiment enables deliberately.
+	// GET pays the Figure 10a latency. Keep the client's read,
+	// decoded-object and plan caches off unless an experiment (Serve)
+	// asks for them explicitly.
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = -1
 	}
@@ -220,6 +222,29 @@ func virtualOp(ctx context.Context, fn func(context.Context) error) (time.Durati
 	session := simtime.NewSession()
 	err := fn(simtime.With(ctx, session))
 	return session.Elapsed(), err
+}
+
+// zipfStream replays a Zipf(1.2) query stream the way the serving
+// experiments model concurrent clients: `clients` goroutines share the
+// deployment, client c draws perClient ranks over [0, universe) from
+// its own source (seed + c·7919), and each query runs under a fresh
+// virtual-time session. do runs rank q for client c; a client stops
+// at its first error.
+func zipfStream(ctx context.Context, clients, perClient, universe int, seed int64, do func(ctx context.Context, c, q int) error) error {
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			zipf := rand.NewZipf(rand.New(rand.NewSource(seed+int64(c)*7919)), 1.2, 1, uint64(universe-1))
+			for i := 0; i < perClient && errs[c] == nil; i++ {
+				errs[c] = do(simtime.With(ctx, simtime.NewSession()), c, int(zipf.Uint64()))
+			}
+		}(c)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // uuidWorld builds a UUID-search deployment: batches of 16-byte keys.

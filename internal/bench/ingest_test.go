@@ -1,16 +1,13 @@
 package bench
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestIngestShapes asserts the continuous-ingestion acceptance shape:
 // with 8 producers the group-commit writer issues at least 4x fewer
 // conditional PUTs on the log than per-batch appends (the commit
 // counts are exact version deltas, not timings, so this holds under
-// the race detector too), and the scheduler records a searchable lag
-// for every committed file with sane percentiles.
+// the race detector too). Searchable-lag recording through OnCovered
+// is internal/ingest's to test.
 func TestIngestShapes(t *testing.T) {
 	res, err := Ingest(Options{Seed: 13, Quick: true})
 	if err != nil {
@@ -23,17 +20,5 @@ func TestIngestShapes(t *testing.T) {
 	if res.BaselineCommitRounds != int64(res.Producers*res.BatchesPerProducer) {
 		t.Errorf("baseline committed %d rounds, want one per batch (%d)",
 			res.BaselineCommitRounds, res.Producers*res.BatchesPerProducer)
-	}
-	if res.LagSamples == 0 {
-		t.Fatal("no searchable-lag samples collected")
-	}
-	if res.LagP50 <= 0 || res.LagP99 < res.LagP50 {
-		t.Errorf("lag percentiles out of order: p50 %v, p99 %v", res.LagP50, res.LagP99)
-	}
-	if res.LagP99 > time.Minute {
-		t.Errorf("searchable lag p99 %v, want bounded well under a virtual minute", res.LagP99)
-	}
-	if res.QueryQPS <= 0 {
-		t.Errorf("foreground query QPS %.2f, want > 0", res.QueryQPS)
 	}
 }

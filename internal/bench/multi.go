@@ -3,9 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
-	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/core"
@@ -31,9 +28,7 @@ type MultiIntersectResult struct {
 	PagesCandidate float64 `json:"pages_candidate"`
 	PagesPruned    float64 `json:"pages_pruned"`
 	// GETSavings is SeparateGETs/CompoundGETs — the headline win.
-	GETSavings      float64       `json:"get_savings"`
-	CompoundLatency time.Duration `json:"compound_latency_ns"`
-	SeparateLatency time.Duration `json:"separate_latency_ns"`
+	GETSavings float64 `json:"get_savings"`
 }
 
 // MultiBatchResult compares a concurrent Zipf stream of compound
@@ -51,9 +46,7 @@ type MultiBatchResult struct {
 	// probe memo instead of executing.
 	ProbesCoalesced int64 `json:"probes_coalesced"`
 	// ProbeSavings is IndependentProbeRuns/CoalescedProbeRuns.
-	ProbeSavings   float64       `json:"probe_savings"`
-	CoalescedP50   time.Duration `json:"coalesced_p50_ns"`
-	IndependentP50 time.Duration `json:"independent_p50_ns"`
+	ProbeSavings float64 `json:"probe_savings"`
 }
 
 // MultiResult aggregates the multi-predicate planner experiment.
@@ -172,7 +165,6 @@ func Multi(o Options) (*MultiResult, error) {
 		it.CompoundPages += float64(cres.Stats.PagesProbed)
 		it.PagesCandidate += float64(delta.Counter("search.pages_candidate"))
 		it.PagesPruned += float64(delta.Counter("search.pages_pruned"))
-		it.CompoundLatency += cres.Stats.Latency
 
 		before = mw.metrics.Snapshot()
 		for _, q := range []core.Query{
@@ -184,7 +176,6 @@ func Multi(o Options) (*MultiResult, error) {
 				return nil, err
 			}
 			it.SeparatePages += float64(sres.Stats.PagesProbed)
-			it.SeparateLatency += sres.Stats.Latency
 		}
 		it.SeparateGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
 	}
@@ -195,8 +186,6 @@ func Multi(o Options) (*MultiResult, error) {
 	it.SeparatePages /= n
 	it.PagesCandidate /= n
 	it.PagesPruned /= n
-	it.CompoundLatency /= time.Duration(nQueries)
-	it.SeparateLatency /= time.Duration(nQueries)
 	if it.CompoundGETs > 0 {
 		it.GETSavings = it.SeparateGETs / it.CompoundGETs
 	}
@@ -210,10 +199,12 @@ func Multi(o Options) (*MultiResult, error) {
 	bt.Queries = clients * perClient
 	bt.Universe = universe
 
-	run := func(batchBytes int64) ([]time.Duration, int64, int64, error) {
+	// run replays the stream with the batcher at batchBytes and returns
+	// the probe executions and coalesced probes it took.
+	run := func(batchBytes int64) (int64, int64, error) {
 		w, err := newMultiWorld(o.Seed, batches, rowsPerBatch, core.Config{ProbeBatchBytes: batchBytes})
 		if err != nil {
-			return nil, 0, 0, err
+			return 0, 0, err
 		}
 		qs := make([]core.CompoundQuery, universe)
 		for i := range qs {
@@ -228,47 +219,21 @@ func Multi(o Options) (*MultiResult, error) {
 			}
 		}
 		before := w.client.Metrics()
-		perClientLats := make([][]time.Duration, clients)
-		errs := make([]error, clients)
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(o.Seed + int64(c)*7919))
-				zipf := rand.NewZipf(rng, 1.2, 1, uint64(universe-1))
-				lats := make([]time.Duration, 0, perClient)
-				for i := 0; i < perClient; i++ {
-					q := qs[zipf.Uint64()]
-					r, err := w.client.SearchCompound(simtime.With(ctx, simtime.NewSession()), q)
-					if err != nil {
-						errs[c] = err
-						return
-					}
-					lats = append(lats, r.Stats.Latency)
-				}
-				perClientLats[c] = lats
-			}(c)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, 0, err
-			}
+		if err := zipfStream(ctx, clients, perClient, universe, o.Seed, func(ctx context.Context, _, q int) error {
+			_, err := w.client.SearchCompound(ctx, qs[q])
+			return err
+		}); err != nil {
+			return 0, 0, err
 		}
 		delta := w.client.Metrics().Sub(before)
-		var all []time.Duration
-		for _, lats := range perClientLats {
-			all = append(all, lats...)
-		}
-		return all, delta.Counter("search.probe_runs"), delta.Counter("search.probe_coalesced"), nil
+		return delta.Counter("search.probe_runs"), delta.Counter("search.probe_coalesced"), nil
 	}
 
-	onLats, onRuns, onCoalesced, err := run(core.DefaultProbeBatchBytes)
+	onRuns, onCoalesced, err := run(core.DefaultProbeBatchBytes)
 	if err != nil {
 		return nil, err
 	}
-	offLats, offRuns, _, err := run(-1)
+	offRuns, _, err := run(-1)
 	if err != nil {
 		return nil, err
 	}
@@ -278,21 +243,15 @@ func Multi(o Options) (*MultiResult, error) {
 	if onRuns > 0 {
 		bt.ProbeSavings = float64(offRuns) / float64(onRuns)
 	}
-	bt.CoalescedP50 = percentile(onLats, 0.50)
-	bt.IndependentP50 = percentile(offLats, 0.50)
 
 	fmt.Fprintf(out, "Compound AND plan vs separate searches (%d queries, cold):\n", it.Queries)
 	fmt.Fprintf(out, "  GETs/query      compound %.1f vs separate %.1f (%.2fx fewer)\n",
 		it.CompoundGETs, it.SeparateGETs, it.GETSavings)
 	fmt.Fprintf(out, "  pages/query     compound %.1f vs separate %.1f (candidate %.1f, pruned %.1f)\n",
 		it.CompoundPages, it.SeparatePages, it.PagesCandidate, it.PagesPruned)
-	fmt.Fprintf(out, "  latency/query   compound %v vs separate %v\n",
-		it.CompoundLatency.Round(time.Microsecond), it.SeparateLatency.Round(time.Microsecond))
 	fmt.Fprintf(out, "Shared-probe batching (%d clients x %d Zipf queries over %d distinct):\n",
 		bt.Clients, perClient, bt.Universe)
 	fmt.Fprintf(out, "  probe runs      batched %d vs independent %d (%.2fx fewer), %d coalesced\n",
 		bt.CoalescedProbeRuns, bt.IndependentProbeRuns, bt.ProbeSavings, bt.ProbesCoalesced)
-	fmt.Fprintf(out, "  p50 latency     batched %v vs independent %v\n",
-		bt.CoalescedP50.Round(time.Microsecond), bt.IndependentP50.Round(time.Microsecond))
 	return res, nil
 }

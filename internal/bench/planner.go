@@ -3,13 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"rottnest/internal/component"
 	"rottnest/internal/core"
-	"rottnest/internal/ivfpq"
-	"rottnest/internal/objectstore"
-	"rottnest/internal/postings"
 	"rottnest/internal/simtime"
 	"rottnest/internal/workload"
 )
@@ -32,10 +27,8 @@ type PlannerSuperwalkResult struct {
 	// headline win (>= 1.5x expected for an 8-pattern batch).
 	FetchSavings float64 `json:"fetch_savings"`
 	// Store GETs per query, for the end-to-end view.
-	BatchedGETs   float64       `json:"batched_gets"`
-	SingletonGETs float64       `json:"singleton_gets"`
-	BatchedP50    time.Duration `json:"batched_p50_ns"`
-	SingletonP50  time.Duration `json:"singleton_p50_ns"`
+	BatchedGETs   float64 `json:"batched_gets"`
+	SingletonGETs float64 `json:"singleton_gets"`
 }
 
 // PlannerOrderingResult measures cost-based AND staging on a
@@ -50,39 +43,20 @@ type PlannerOrderingResult struct {
 	OrderedGETs    float64 `json:"ordered_gets"`
 	UnorderedGETs  float64 `json:"unordered_gets"`
 	// GETSavings is UnorderedGETs/OrderedGETs.
-	GETSavings   float64       `json:"get_savings"`
-	OrderedP50   time.Duration `json:"ordered_p50_ns"`
-	UnorderedP50 time.Duration `json:"unordered_p50_ns"`
-	// Virtual-time throughput, gated against regression by benchgate.
-	OrderedQPS   float64 `json:"ordered_qps"`
-	UnorderedQPS float64 `json:"unordered_qps"`
-}
-
-// PlannerADCResult times the IVF-PQ list scan's ADC table-gather
-// kernel in isolation (in-memory store, wall clock). The ADC-versus-
-// decode comparison lives in BenchmarkPQScanADC; this records the
-// absolute scan rate so the JSON captures the kernel's ballpark.
-type PlannerADCResult struct {
-	Vectors int `json:"vectors"`
-	Queries int `json:"queries"`
-	// ScansPerSec is wall-clock Search calls per second (nprobe 16,
-	// 200 candidates); machine-dependent, so not regression-gated.
-	ScansPerSec float64       `json:"scans_per_sec"`
-	ScanP50     time.Duration `json:"scan_p50_ns"`
+	GETSavings float64 `json:"get_savings"`
 }
 
 // PlannerResult aggregates the probe-side fast-path experiment.
 type PlannerResult struct {
 	Superwalk PlannerSuperwalkResult `json:"superwalk"`
 	Ordering  PlannerOrderingResult  `json:"ordering"`
-	ADC       PlannerADCResult       `json:"adc"`
 }
 
 // Planner measures the probe-side fast path: (1) the multi-pattern FM
 // superwalk versus singleton walks — occ checkpoint-block fetches per
 // query; (2) cost-based AND ordering with short-circuit versus the
 // unordered executor — GETs and skipped probes on a lookup-miss
-// workload; (3) the ADC list-scan rate.
+// workload. The IVF-PQ list scan's speed is BenchmarkPQScanADC's.
 func Planner(o Options) (*PlannerResult, error) {
 	ctx := context.Background()
 	out := o.out()
@@ -106,7 +80,6 @@ func Planner(o Options) (*PlannerResult, error) {
 	for i, needle := range mw.needles {
 		preds[i] = core.PredSubstring("body", []byte(needle))
 	}
-	var batchedLats, singletonLats []time.Duration
 	for r := 0; r < rounds; r++ {
 		beforeReg := mw.client.Metrics()
 		before := mw.metrics.Snapshot()
@@ -123,24 +96,19 @@ func Planner(o Options) (*PlannerResult, error) {
 		sw.BatchedOccFetches += float64(delta.Counter("search.occ_fetched"))
 		sw.OccReused += float64(delta.Counter("search.occ_reused"))
 		sw.BatchedGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
-		batchedLats = append(batchedLats, cres.Stats.Latency)
 
 		beforeReg = mw.client.Metrics()
 		before = mw.metrics.Snapshot()
-		var total time.Duration
 		for _, needle := range mw.needles {
-			sres, err := mw.client.Search(simtime.With(ctx, simtime.NewSession()), core.Query{
+			if _, err := mw.client.Search(simtime.With(ctx, simtime.NewSession()), core.Query{
 				Column: "body", Substring: []byte(needle), K: 0, Snapshot: -1,
-			})
-			if err != nil {
+			}); err != nil {
 				return nil, err
 			}
-			total += sres.Stats.Latency
 		}
 		delta = mw.client.Metrics().Sub(beforeReg)
 		sw.SingletonOccFetches += float64(delta.Counter("search.occ_fetched"))
 		sw.SingletonGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
-		singletonLats = append(singletonLats, total)
 	}
 	n := float64(rounds)
 	sw.BatchedOccFetches /= n
@@ -151,8 +119,6 @@ func Planner(o Options) (*PlannerResult, error) {
 	if sw.BatchedOccFetches > 0 {
 		sw.FetchSavings = sw.SingletonOccFetches / sw.BatchedOccFetches
 	}
-	sw.BatchedP50 = percentile(batchedLats, 0.50)
-	sw.SingletonP50 = percentile(singletonLats, 0.50)
 
 	// --- Ordering: lookup-miss AND, staged vs unordered. ---
 	ow, err := newMultiWorld(o.Seed+1, patterns, rowsPerBatch, core.Config{})
@@ -167,8 +133,6 @@ func Planner(o Options) (*PlannerResult, error) {
 	or := &res.Ordering
 	or.Queries = rounds
 	missGen := workload.NewUUIDGen(o.Seed + 7919)
-	var orderedLats, unorderedLats []time.Duration
-	var orderedVirtual, unorderedVirtual time.Duration
 	for r := 0; r < rounds; r++ {
 		// A key the lake has never seen: the trie stage comes back
 		// empty and the FM walk should be skipped.
@@ -195,8 +159,6 @@ func Planner(o Options) (*PlannerResult, error) {
 		}
 		or.LeavesSkipped += float64(ow.client.Metrics().Sub(beforeReg).Counter("search.leaves_skipped"))
 		or.OrderedGETs += float64(ow.metrics.Snapshot().Sub(before).Gets)
-		orderedLats = append(orderedLats, cres.Stats.Latency)
-		orderedVirtual += cres.Stats.Latency
 
 		before = ow.metrics.Snapshot()
 		ures, err := unordered.SearchCompound(simtime.With(ctx, simtime.NewSession()), cq)
@@ -207,8 +169,6 @@ func Planner(o Options) (*PlannerResult, error) {
 			return nil, fmt.Errorf("bench planner: unordered miss query %d found matches", r)
 		}
 		or.UnorderedGETs += float64(ow.metrics.Snapshot().Sub(before).Gets)
-		unorderedLats = append(unorderedLats, ures.Stats.Latency)
-		unorderedVirtual += ures.Stats.Latency
 	}
 	or.LeavesSkipped /= n
 	or.OrderedGETs /= n
@@ -216,74 +176,15 @@ func Planner(o Options) (*PlannerResult, error) {
 	if or.OrderedGETs > 0 {
 		or.GETSavings = or.UnorderedGETs / or.OrderedGETs
 	}
-	or.OrderedP50 = percentile(orderedLats, 0.50)
-	or.UnorderedP50 = percentile(unorderedLats, 0.50)
-	if orderedVirtual > 0 {
-		or.OrderedQPS = float64(rounds) / orderedVirtual.Seconds()
-	}
-	if unorderedVirtual > 0 {
-		or.UnorderedQPS = float64(rounds) / unorderedVirtual.Seconds()
-	}
-
-	// --- ADC: list-scan rate on an in-memory index, wall clock. ---
-	nVec := o.scaleInt(20000, 5000)
-	nQ := o.scaleInt(64, 16)
-	gen := workload.NewVectorGen(workload.VectorConfig{Seed: o.Seed + 2, Dim: 64, Clusters: 32})
-	vecs := gen.Batch(nVec)
-	refs := make([]postings.RowRef, nVec)
-	for i := range refs {
-		refs[i] = postings.RowRef{File: 0, Row: int64(i)}
-	}
-	data, err := ivfpq.Build(vecs, refs, ivfpq.BuildOptions{NList: 64, M: 8, Seed: o.Seed + 3})
-	if err != nil {
-		return nil, err
-	}
-	store := objectstore.NewMemStore(nil)
-	if err := store.Put(ctx, "v.index", data); err != nil {
-		return nil, err
-	}
-	vr, err := component.Open(ctx, store, "v.index", component.OpenOptions{})
-	if err != nil {
-		return nil, err
-	}
-	ix, err := ivfpq.Open(ctx, vr)
-	if err != nil {
-		return nil, err
-	}
-	queries := gen.Queries(nQ)
-	adc := &res.ADC
-	adc.Vectors = nVec
-	adc.Queries = nQ
-	scanLats := make([]time.Duration, 0, nQ)
-	start := time.Now()
-	for _, q := range queries {
-		t0 := time.Now()
-		if _, err := ix.Search(ctx, q, 16, 200); err != nil {
-			return nil, err
-		}
-		scanLats = append(scanLats, time.Since(t0))
-	}
-	if wall := time.Since(start); wall > 0 {
-		adc.ScansPerSec = float64(nQ) / wall.Seconds()
-	}
-	adc.ScanP50 = percentile(scanLats, 0.50)
 
 	fmt.Fprintf(out, "FM superwalk (%d patterns x %d rounds):\n", sw.Patterns, sw.Queries)
 	fmt.Fprintf(out, "  occ fetches/query  batched %.1f vs singleton %.1f (%.2fx fewer), %.1f reused\n",
 		sw.BatchedOccFetches, sw.SingletonOccFetches, sw.FetchSavings, sw.OccReused)
 	fmt.Fprintf(out, "  GETs/query         batched %.1f vs singleton %.1f\n", sw.BatchedGETs, sw.SingletonGETs)
-	fmt.Fprintf(out, "  p50 latency        batched %v vs singleton %v\n",
-		sw.BatchedP50.Round(time.Microsecond), sw.SingletonP50.Round(time.Microsecond))
 	fmt.Fprintf(out, "Cost-based AND ordering (%d lookup-miss queries):\n", or.Queries)
 	fmt.Fprintf(out, "  short-circuited    %d/%d, %.1f leaves skipped/query\n",
 		or.ShortCircuited, or.Queries, or.LeavesSkipped)
 	fmt.Fprintf(out, "  GETs/query         ordered %.1f vs unordered %.1f (%.2fx fewer)\n",
 		or.OrderedGETs, or.UnorderedGETs, or.GETSavings)
-	fmt.Fprintf(out, "  p50 latency        ordered %v vs unordered %v (%.1f vs %.1f qps)\n",
-		or.OrderedP50.Round(time.Microsecond), or.UnorderedP50.Round(time.Microsecond),
-		or.OrderedQPS, or.UnorderedQPS)
-	fmt.Fprintf(out, "ADC list scan (%d vectors, nprobe 16):\n", adc.Vectors)
-	fmt.Fprintf(out, "  %.0f scans/sec, p50 %v (ADC-vs-decode: see BenchmarkPQScanADC)\n",
-		adc.ScansPerSec, adc.ScanP50.Round(time.Microsecond))
 	return res, nil
 }

@@ -3,23 +3,21 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
-	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/core"
 	"rottnest/internal/objcache"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/obs"
 	"rottnest/internal/simtime"
 )
 
-// ServeWorkloadResult reports one workload's concurrent-serving
-// comparison: N clients replaying a Zipf-distributed query stream
-// against a fully cold deployment (every cache off, the paper's read
-// path) and against a warm deployment (byte cache + decoded-object
-// cache + plan cache, primed by one pass over the query universe).
+// ServeWorkloadResult reports one workload's cold-versus-warm serving
+// comparison in requests: N clients replay a Zipf-distributed query
+// stream three times, on deployments with every cache off (the
+// paper's read path), with the byte cache only, and with every cache
+// (byte + decoded-object + plan), the cached ones primed by one pass
+// over the query universe.
 type ServeWorkloadResult struct {
 	Workload string `json:"workload"`
 	Clients  int    `json:"clients"`
@@ -27,23 +25,14 @@ type ServeWorkloadResult struct {
 	// Universe is the number of distinct queries it draws from.
 	Queries  int `json:"queries"`
 	Universe int `json:"universe"`
-	// Per-query virtual latency percentiles over the whole stream.
-	ColdP50 time.Duration `json:"cold_p50_ns"`
-	ColdP99 time.Duration `json:"cold_p99_ns"`
-	WarmP50 time.Duration `json:"warm_p50_ns"`
-	WarmP99 time.Duration `json:"warm_p99_ns"`
-	// SpeedupP50 is ColdP50/WarmP50 — the headline warm-over-cold win.
-	SpeedupP50 float64 `json:"speedup_p50"`
-	SpeedupP99 float64 `json:"speedup_p99"`
 	// GETs issued per query over each measured pass.
 	ColdGETsPerQuery float64 `json:"cold_gets_per_query"`
+	ByteGETsPerQuery float64 `json:"byte_gets_per_query"`
 	WarmGETsPerQuery float64 `json:"warm_gets_per_query"`
-	// QPS is queries / virtual makespan, where the makespan is the
-	// slowest client's summed latency (clients run concurrently).
-	ColdQPS float64 `json:"cold_qps"`
-	WarmQPS float64 `json:"warm_qps"`
-	// Decoded-cache and plan-cache activity over the measured warm
-	// pass.
+	// Byte-cache activity over the byte-cache-only pass.
+	ByteHits   int64 `json:"byte_hits"`
+	ByteMisses int64 `json:"byte_misses"`
+	// Decoded-cache and plan-cache activity over the all-caches pass.
 	DecodedHits   int64 `json:"decoded_hits"`
 	DecodedMisses int64 `json:"decoded_misses"`
 	PlanHits      int64 `json:"plan_hits"`
@@ -54,137 +43,68 @@ type ServeResult struct {
 	Workloads []ServeWorkloadResult `json:"workloads"`
 }
 
-// servePass replays a Zipf stream with `clients` concurrent goroutines
-// sharing one deployment. Each client draws its own deterministic Zipf
-// rank sequence over the universe, runs each query under a fresh
-// virtual-time session, and records its per-query latency. Returns all
-// latencies, the GETs issued across the pass, and the virtual makespan
-// (slowest client's summed latency).
-func servePass(ctx context.Context, w *world, universe []core.Query, clients, perClient int, seed int64) ([]time.Duration, int64, time.Duration, error) {
-	before := w.metrics.Snapshot()
-	perClientLats := make([][]time.Duration, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-			zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(universe)-1))
-			lats := make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				q := universe[zipf.Uint64()]
-				res, err := w.client.Search(simtime.With(ctx, simtime.NewSession()), q)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				lats = append(lats, res.Stats.Latency)
-			}
-			perClientLats[c] = lats
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	var all []time.Duration
-	var makespan time.Duration
-	for _, lats := range perClientLats {
-		var sum time.Duration
-		for _, l := range lats {
-			sum += l
-		}
-		if sum > makespan {
-			makespan = sum
-		}
-		all = append(all, lats...)
-	}
-	return all, w.metrics.Snapshot().Sub(before).Gets, makespan, nil
-}
-
-// percentile returns the p-th percentile (0..1) of the latencies.
-func percentile(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// serveWorkload runs one workload's cold and warm serving passes.
-// build constructs the deployment under the given config and returns
-// the distinct query universe.
+// serveWorkload runs one workload's three serving passes. build
+// constructs the deployment under the given config and returns the
+// distinct query universe.
 func serveWorkload(ctx context.Context, name string, o Options, clients, perClient int, build func(cfg core.Config) (*world, []core.Query, error)) (ServeWorkloadResult, error) {
 	r := ServeWorkloadResult{Workload: name, Clients: clients, Queries: clients * perClient}
+	// pass measures one deployment: optionally primed by one
+	// single-threaded pass over the universe, then the Zipf stream. It
+	// returns GETs per query and the client's metric delta over the
+	// stream.
+	pass := func(cfg core.Config, prime bool) (float64, obs.Snapshot, error) {
+		w, universe, err := build(cfg)
+		if err != nil {
+			return 0, obs.Snapshot{}, err
+		}
+		r.Universe = len(universe)
+		if prime {
+			for _, q := range universe {
+				if _, err := w.client.Search(simtime.With(ctx, simtime.NewSession()), q); err != nil {
+					return 0, obs.Snapshot{}, err
+				}
+			}
+		}
+		before, primed := w.metrics.Snapshot(), w.client.Metrics()
+		err = zipfStream(ctx, clients, perClient, len(universe), o.Seed, func(ctx context.Context, _, q int) error {
+			_, err := w.client.Search(ctx, universe[q])
+			return err
+		})
+		gets := w.metrics.Snapshot().Sub(before).Gets
+		return float64(gets) / float64(r.Queries), w.client.Metrics().Sub(primed), err
+	}
 
-	// Cold: every cache off — each query pays the full planning LIST,
-	// directory/manifest/header GETs, and page reads.
-	cold, universe, err := build(core.Config{CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1})
-	if err != nil {
+	var err error
+	if r.ColdGETsPerQuery, _, err = pass(core.Config{CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1}, false); err != nil {
 		return r, err
 	}
-	r.Universe = len(universe)
-	coldLats, coldGets, coldSpan, err := servePass(ctx, cold, universe, clients, perClient, o.Seed)
-	if err != nil {
+	var bytePass, warmPass obs.Snapshot
+	if r.ByteGETsPerQuery, bytePass, err = pass(core.Config{CacheBytes: objectstore.DefaultCacheBytes}, true); err != nil {
 		return r, err
 	}
-
-	// Warm: byte cache + decoded-object cache + plan cache, primed by
-	// one single-threaded pass over the universe.
-	warm, universe, err := build(core.Config{
+	if r.WarmGETsPerQuery, warmPass, err = pass(core.Config{
 		CacheBytes:           objectstore.DefaultCacheBytes,
 		DecodedCacheBytes:    objcache.DefaultMaxBytes,
 		PlanCacheTTLVersions: 8,
-	})
-	if err != nil {
+	}, true); err != nil {
 		return r, err
 	}
-	for _, q := range universe {
-		if _, err := warm.client.Search(simtime.With(ctx, simtime.NewSession()), q); err != nil {
-			return r, err
-		}
-	}
-	primed := warm.client.Metrics()
-	warmLats, warmGets, warmSpan, err := servePass(ctx, warm, universe, clients, perClient, o.Seed)
-	if err != nil {
-		return r, err
-	}
-	delta := warm.client.Metrics().Sub(primed)
-
-	// A fully warm query can cost exactly zero virtual time (pure
-	// in-memory plan + decoded-object + byte-cache hits). Floor the
-	// warm side at 1µs so ratios stay finite and JSON-encodable.
-	const floor = time.Microsecond
-	r.ColdP50 = percentile(coldLats, 0.50)
-	r.ColdP99 = percentile(coldLats, 0.99)
-	r.WarmP50 = percentile(warmLats, 0.50)
-	r.WarmP99 = percentile(warmLats, 0.99)
-	r.SpeedupP50 = float64(r.ColdP50) / float64(max(r.WarmP50, floor))
-	r.SpeedupP99 = float64(r.ColdP99) / float64(max(r.WarmP99, floor))
-	n := float64(len(coldLats))
-	r.ColdGETsPerQuery = float64(coldGets) / n
-	r.WarmGETsPerQuery = float64(warmGets) / n
-	r.ColdQPS = n * float64(time.Second) / float64(max(coldSpan, floor))
-	r.WarmQPS = n * float64(time.Second) / float64(max(warmSpan, floor))
-	r.DecodedHits = delta.Counter("objcache.hits")
-	r.DecodedMisses = delta.Counter("objcache.misses")
-	r.PlanHits = delta.Counter("search.plan_cache_hits")
+	r.ByteHits = bytePass.Counter("cache.hits")
+	r.ByteMisses = bytePass.Counter("cache.misses")
+	r.DecodedHits = warmPass.Counter("objcache.hits")
+	r.DecodedMisses = warmPass.Counter("objcache.misses")
+	r.PlanHits = warmPass.Counter("search.plan_cache_hits")
 	return r, nil
 }
 
-// Serve measures the warm serving path end to end: N concurrent
-// clients replay a Zipf-distributed query mix against one shared
-// deployment, cold (all caches off — the paper's read path, where
-// every query pays the planning LIST and every index open refetches
-// directories, manifests, and headers) versus warm (version-keyed
-// decoded-object cache + plan cache + byte cache, primed once). The
-// warm path should collapse repeat queries to pure in-memory plan +
-// decoded-object hits: zero GETs and near-zero virtual latency.
+// Serve measures what the caches buy a concurrent serving workload,
+// in requests: N clients replay a Zipf-distributed query mix against
+// one shared deployment with every cache off (each query pays the
+// planning LIST and refetches directories, manifests, headers and
+// pages), with the byte cache alone, and with the version-keyed
+// decoded-object and plan caches on top. Every measured query repeats
+// the primed universe, so the all-caches pass should issue no GET at
+// all: a repeat query is in-memory plan and decoded-object hits.
 func Serve(o Options) (*ServeResult, error) {
 	ctx := context.Background()
 	out := o.out()
@@ -242,15 +162,13 @@ func Serve(o Options) (*ServeResult, error) {
 	}
 	res.Workloads = append(res.Workloads, vector)
 
-	fmt.Fprintf(out, "Warm serving path: %d concurrent clients, Zipf query mix\n", clients)
-	fmt.Fprintf(out, "%-10s %8s %9s %9s %9s %9s %8s %8s %8s %9s %9s\n",
-		"workload", "queries", "cold_p50", "cold_p99", "warm_p50", "warm_p99", "spd_p50", "GETs/q_c", "GETs/q_w", "cold_QPS", "warm_QPS")
+	fmt.Fprintf(out, "Serving path: %d concurrent clients, Zipf query mix; GETs/query with caches off / byte cache / all caches\n", clients)
+	fmt.Fprintf(out, "%-10s %8s %8s %8s %8s %9s %9s %9s\n",
+		"workload", "queries", "cold", "byte", "warm", "byte_hits", "dec_hits", "plan_hits")
 	for _, w := range res.Workloads {
-		fmt.Fprintf(out, "%-10s %8d %9v %9v %9v %9v %7.1fx %8.1f %8.2f %9.1f %9.1f\n",
-			w.Workload, w.Queries,
-			w.ColdP50.Round(time.Microsecond), w.ColdP99.Round(time.Microsecond),
-			w.WarmP50.Round(time.Microsecond), w.WarmP99.Round(time.Microsecond),
-			w.SpeedupP50, w.ColdGETsPerQuery, w.WarmGETsPerQuery, w.ColdQPS, w.WarmQPS)
+		fmt.Fprintf(out, "%-10s %8d %8.2f %8.2f %8.2f %9d %9d %9d\n",
+			w.Workload, w.Queries, w.ColdGETsPerQuery, w.ByteGETsPerQuery, w.WarmGETsPerQuery,
+			w.ByteHits, w.DecodedHits, w.PlanHits)
 	}
 	return res, nil
 }

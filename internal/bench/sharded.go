@@ -3,13 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/core"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/obs"
 	"rottnest/internal/parquet"
 	"rottnest/internal/shard"
 	"rottnest/internal/simtime"
@@ -89,9 +89,8 @@ func shardedWorld(seed int64, batches, rows int) (*uuidWorld, error) {
 	return uw, nil
 }
 
-// shardedPass replays a Zipf stream through the router with `clients`
-// concurrent goroutines, exactly like servePass does for the
-// single-node client.
+// shardedPass replays the Zipf stream through the router and reports
+// its latency percentiles, virtual-time QPS and hedges.
 func shardedPass(ctx context.Context, r *shard.Router, universe []core.Query, clients, perClient int, seed int64) (ShardedPoint, error) {
 	pt := ShardedPoint{
 		Shards:   r.Shards(),
@@ -100,54 +99,34 @@ func shardedPass(ctx context.Context, r *shard.Router, universe []core.Query, cl
 		Queries:  clients * perClient,
 	}
 	perClientLats := make([][]time.Duration, clients)
-	hedges := make([]int64, clients)
-	hedgeWins := make([]int64, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-			zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(universe)-1))
-			lats := make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				q := universe[zipf.Uint64()]
-				res, err := r.Search(simtime.With(ctx, simtime.NewSession()), q)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				lats = append(lats, res.Stats.Latency)
-				hedges[c] += res.Stats.Hedges
-				hedgeWins[c] += res.Stats.HedgeWins
-			}
-			perClientLats[c] = lats
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	var hedges, hedgeWins atomic.Int64
+	err := zipfStream(ctx, clients, perClient, len(universe), seed, func(ctx context.Context, c, q int) error {
+		res, err := r.Search(ctx, universe[q])
 		if err != nil {
-			return pt, err
+			return err
 		}
+		perClientLats[c] = append(perClientLats[c], res.Stats.Latency)
+		hedges.Add(res.Stats.Hedges)
+		hedgeWins.Add(res.Stats.HedgeWins)
+		return nil
+	})
+	if err != nil {
+		return pt, err
 	}
+	pt.Hedges, pt.HedgeWins = hedges.Load(), hedgeWins.Load()
 	var all []time.Duration
 	var makespan time.Duration
-	for c, lats := range perClientLats {
+	for _, lats := range perClientLats {
 		var sum time.Duration
 		for _, l := range lats {
 			sum += l
 		}
-		if sum > makespan {
-			makespan = sum
-		}
+		makespan = max(makespan, sum)
 		all = append(all, lats...)
-		pt.Hedges += hedges[c]
-		pt.HedgeWins += hedgeWins[c]
 	}
 	const floor = time.Microsecond
-	pt.P50 = percentile(all, 0.50)
-	pt.P99 = percentile(all, 0.99)
+	pt.P50 = obs.Quantile(all, 0.50)
+	pt.P99 = obs.Quantile(all, 0.99)
 	pt.QPS = float64(len(all)) * float64(time.Second) / float64(max(makespan, floor))
 	return pt, nil
 }

@@ -62,6 +62,24 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestQuantileNearestRank(t *testing.T) {
+	sample := []time.Duration{50, 10, 40, 20, 30}
+	for _, c := range []struct {
+		p    float64
+		want time.Duration
+	}{{0, 10}, {0.25, 20}, {0.5, 30}, {0.74, 30}, {0.75, 40}, {0.99, 40}, {1, 50}} {
+		if got := Quantile(sample, c.p); got != c.want {
+			t.Errorf("Quantile(p=%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if sample[0] != 50 {
+		t.Fatal("Quantile sorted its argument")
+	}
+	if got := Quantile([]int64(nil), 0.5); got != 0 {
+		t.Fatalf("empty sample: %d, want 0", got)
+	}
+}
+
 func TestSnapshotSubAndMerge(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(10)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -136,6 +137,18 @@ func (s HistogramSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
+}
+
+// Quantile returns the nearest-rank p-quantile (0 ≤ p ≤ 1) of a
+// sample: element int(p·(len−1)) of a sorted copy, or zero for an
+// empty sample. The sample itself is left unsorted.
+func Quantile[T ~int64](sample []T, p float64) T {
+	if len(sample) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(sample)
+	slices.Sort(sorted)
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {

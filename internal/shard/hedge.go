@@ -2,9 +2,10 @@ package shard
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
+
+	"rottnest/internal/obs"
 )
 
 // hedger tracks one shard's recent primary-attempt latencies and
@@ -38,21 +39,13 @@ func (h *hedger) observe(d time.Duration) {
 	h.filled = true
 }
 
-// deadline returns the current hedge deadline. The percentile uses
-// the same nearest-rank rule as the bench reports: index
-// int(p·(len-1)) of the sorted window.
+// deadline returns the current hedge deadline: the window's
+// nearest-rank percentile (obs.Quantile), floored at MinDelay.
 func (h *hedger) deadline() time.Duration {
 	h.mu.Lock()
-	n := len(h.window)
-	lats := append([]time.Duration(nil), h.window...)
-	h.mu.Unlock()
-	if n == 0 {
+	defer h.mu.Unlock()
+	if len(h.window) == 0 {
 		return math.MaxInt64
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	d := lats[int(h.opts.Percentile*float64(n-1))]
-	if d < h.opts.MinDelay {
-		d = h.opts.MinDelay
-	}
-	return d
+	return max(obs.Quantile(h.window, h.opts.Percentile), h.opts.MinDelay)
 }
