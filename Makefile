@@ -80,6 +80,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzKMeansAssign -run '^FuzzKMeansAssign$$' -fuzztime=10s ./internal/ivfpq/
 	$(GO) test -fuzz=FuzzIVFPQOpen -run '^FuzzIVFPQOpen$$' -fuzztime=10s ./internal/ivfpq/
 	$(GO) test -fuzz=FuzzComponentOpen -run '^FuzzComponentOpen$$' -fuzztime=10s ./internal/component/
+	$(GO) test -fuzz=FuzzDeletionVector -run '^FuzzDeletionVector$$' -fuzztime=10s ./internal/lake/
+	$(GO) test -fuzz=FuzzFileMeta -run '^FuzzFileMeta$$' -fuzztime=10s ./internal/parquet/
 
 # trace-smoke proves the observability path end to end: quickstart
 # runs every lookup through Client.Trace, writes the span trees as

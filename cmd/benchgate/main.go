@@ -67,6 +67,7 @@ var manifest = []struct {
 	{"BENCH_planner.json", "ordering.ordered_gets", exact},
 	{"BENCH_serve.json", "workloads[*].cold_gets_per_query", exact},
 	{"BENCH_serve.json", "workloads[*].warm_gets_per_query", exact},
+	{"BENCH_serve.json", "workloads[*].byte_gets_per_query", exact},
 	{"BENCH_serve.json", "workloads[*].decoded_misses", exact},
 	{"BENCH_sharded.json", "router_plan_lists", exact},
 	{"BENCH_sharded.json", "router_plan_gets", exact},

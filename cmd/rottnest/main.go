@@ -127,14 +127,19 @@ func (c *common) parse(args []string) error {
 	return nil
 }
 
-func (c *common) open(ctx context.Context) (rottnest.Store, *rottnest.Table, *rottnest.Client, error) {
-	store, err := rottnest.NewDirStore(*c.storeDir)
+// open opens the table over the directory store, metered by a
+// zero-latency Instrumented layer so every request a search issues —
+// lake log, metadata, index and data reads alike — lands on its tally,
+// and the client over it.
+func (c *common) open(ctx context.Context) (*rottnest.Table, *rottnest.Client, error) {
+	dir, err := rottnest.NewDirStore(*c.storeDir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	store := rottnest.NewStack(dir, rottnest.StackOptions{Latency: &rottnest.LatencyModel{}, CacheBytes: -1}).Store
 	table, err := rottnest.OpenTable(ctx, store, *c.table)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cfg := rottnest.Config{
 		IndexDir: *c.indexDir,
@@ -146,7 +151,7 @@ func (c *common) open(ctx context.Context) (rottnest.Store, *rottnest.Table, *ro
 		cfg.PlanCacheTTLVersions = -1
 	}
 	client := rottnest.NewClient(table, cfg)
-	return store, table, client, nil
+	return table, client, nil
 }
 
 // parseSchema parses "name:type[,name:type...]" where type is one of
@@ -220,7 +225,7 @@ func cmdGen(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, table, _, err := c.open(ctx)
+	table, _, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -324,7 +329,7 @@ func cmdIngest(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, table, client, err := c.open(ctx)
+	table, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -454,7 +459,7 @@ func cmdIndex(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, _, client, err := c.open(ctx)
+	_, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -644,7 +649,7 @@ func printMatches(matches []rottnest.Match, scored bool) {
 // -explain), and prints the result summary and matches.
 func runSearch(c *common, explain, scored bool, do func(ctx context.Context, client *rottnest.Client, trace bool) (*rottnest.Result, *rottnest.TraceNode, error)) error {
 	ctx := context.Background()
-	_, _, client, err := c.open(ctx)
+	_, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -661,15 +666,18 @@ func runSearch(c *common, explain, scored bool, do func(ctx context.Context, cli
 	fmt.Printf("%d match(es) in %v (index files: %d, pages probed: %d, files scanned: %d)\n",
 		len(res.Matches), time.Since(start).Round(time.Millisecond),
 		res.Stats.IndexFiles, res.Stats.PagesProbed, res.Stats.FilesScanned)
+	// The process runs one search, so the client's cache, retry and
+	// coalescing totals are that search's.
+	m := client.Metrics()
 	fmt.Printf("reads: %d GETs, %.1f KB (cache: %d hits, %d misses, %.1f KB saved)\n",
 		res.Stats.GETs, float64(res.Stats.BytesRead)/1e3,
-		res.Stats.CacheHits, res.Stats.CacheMisses, float64(res.Stats.CacheBytesSaved)/1e3)
+		m.Counter("cache.hits"), m.Counter("cache.misses"), float64(m.Counter("cache.bytes_saved"))/1e3)
 	if explain {
 		// Planner savings: pages the probes nominated, pages the page-set
 		// intersection pruned before any fetch, and probes answered by a
 		// shared flight or the probe memo instead of executing.
 		fmt.Printf("plan: %d candidate pages, %d pruned by intersection, %d probes coalesced\n",
-			res.Stats.PagesCandidate, res.Stats.PagesPruned, res.Stats.ProbesCoalesced)
+			res.Stats.PagesCandidate, res.Stats.PagesPruned, m.Counter("search.probe_coalesced"))
 		// Cost-based AND staging: whether cheap leaves ran first, and
 		// whether their empty intersection let the executor skip the
 		// expensive probes entirely.
@@ -682,8 +690,8 @@ func runSearch(c *common, explain, scored bool, do func(ctx context.Context, cli
 			}
 		}
 	}
-	if res.Stats.Retries > 0 {
-		fmt.Printf("retries: %d (%d throttle waits)\n", res.Stats.Retries, res.Stats.ThrottleWaits)
+	if retries := m.Counter("retry.retries"); retries > 0 {
+		fmt.Printf("retries: %d (%d throttle waits)\n", retries, m.Counter("retry.throttle_waits"))
 	}
 	printMatches(res.Matches, scored)
 	return nil
@@ -705,7 +713,7 @@ func cmdCompact(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, _, client, err := c.open(ctx)
+	_, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -730,7 +738,7 @@ func cmdVacuum(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, _, client, err := c.open(ctx)
+	_, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -751,7 +759,7 @@ func cmdLakeCompact(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, table, _, err := c.open(ctx)
+	table, _, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -773,7 +781,7 @@ func cmdStatus(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, table, client, err := c.open(ctx)
+	table, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -822,7 +830,7 @@ func cmdMaintain(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	_, _, client, err := c.open(ctx)
+	_, client, err := c.open(ctx)
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,59 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rottnest"
 )
+
+// captureStdout returns what fn printed to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	fn()
+	w.Close()
+	return <-done
+}
+
+// metered runs one cold substring search on fresh handles over a
+// metered stack of the directory store and returns the GETs it served.
+func metered(t *testing.T, dir, column, substring string, k int) int64 {
+	t.Helper()
+	ctx := context.Background()
+	base, err := rottnest.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := rottnest.NewStack(base, rottnest.StackOptions{Latency: &rottnest.LatencyModel{}, CacheBytes: -1})
+	table, err := rottnest.OpenTable(ctx, stack.Store, "lake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := rottnest.NewClient(table, rottnest.Config{
+		IndexDir: "lake-index", CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1,
+	})
+	if _, err := client.Search(ctx, rottnest.Query{Column: column, Substring: []byte(substring), K: k, Snapshot: -1}); err != nil {
+		t.Fatal(err)
+	}
+	return stack.Metrics.Gets.Load()
+}
 
 func TestParseSchema(t *testing.T) {
 	schema, err := parseSchema("id:uuid, msg:text,ts:int,score:double,ok:bool,emb:vec:8")
@@ -62,6 +109,21 @@ func TestCLIWorkflow(t *testing.T) {
 	run(cmdIndex, "-store", dir, "-table", "lake", "-column", "msg", "-kind", "fm")
 	run(cmdSearch, "-store", dir, "-table", "lake", "-column", "msg", "-substring", "a", "-k", "3")
 	run(cmdSearch, "-store", dir, "-table", "lake", "-where", `msg~a AND (msg~e OR msg~"th")`, "-k", "3", "-explain")
+	// A cold search has no cache to meter at: it reports the GETs the
+	// metering layer under its table served, here the same search run
+	// over a stack of our own.
+	out := captureStdout(t, func() {
+		run(cmdSearch, "-store", dir, "-table", "lake", "-column", "msg", "-substring", "a", "-k", "3", "-cold")
+	})
+	var reported int64
+	if i := strings.Index(out, "reads: "); i < 0 {
+		t.Fatalf("no reads line in %q", out)
+	} else if _, err := fmt.Sscanf(out[i:], "reads: %d GETs", &reported); err != nil {
+		t.Fatal(err)
+	}
+	if served := metered(t, dir, "msg", "a", 3); reported == 0 || reported != served {
+		t.Fatalf("-cold reported %d GETs, the metering layer served %d", reported, served)
+	}
 	run(cmdCompact, "-store", dir, "-table", "lake", "-column", "id", "-kind", "trie")
 	run(cmdLakeCompact, "-store", dir, "-table", "lake")
 	run(cmdIndex, "-store", dir, "-table", "lake", "-column", "id", "-kind", "trie")

@@ -66,8 +66,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 		AmbiguousPut:  0.10,
 	}
 	policy := objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8, Seed: o.Seed}
-	var faults *objectstore.FaultStore
-	var retry *objectstore.RetryStore
+	var stack *objectstore.Stack
 	storm, err := newUUIDWorld(o.Seed, batches, rows, core.Config{},
 		func(s objectstore.Store) objectstore.Store {
 			// Retry above faults so ingest and indexing survive the
@@ -75,13 +74,12 @@ func Chaos(o Options) (*ChaosResult, error) {
 			// layers come from objectstore.NewStack — the canonical
 			// composition path — with the cache disabled (the storm
 			// must pay for every read).
-			st := objectstore.NewStack(s, objectstore.StackOptions{
+			stack = objectstore.NewStack(s, objectstore.StackOptions{
 				Faults:     &profile,
 				Retry:      policy,
 				CacheBytes: -1,
 			})
-			faults, retry = st.Fault, st.Retry
-			return st.Store
+			return stack.Store
 		})
 	if err != nil {
 		return nil, err
@@ -95,16 +93,16 @@ func Chaos(o Options) (*ChaosResult, error) {
 		return nil, err
 	}
 
+	recovery := stack.MetricsSnapshot()
 	res := &ChaosResult{
-		Queries:      nq,
-		CleanLatency: cleanLat,
-		StormLatency: stormLat,
-		Faults:       faults.Counts(),
+		Queries:           nq,
+		CleanLatency:      cleanLat,
+		StormLatency:      stormLat,
+		Retries:           recovery.Counter("retry.retries"),
+		ThrottleWaits:     recovery.Counter("retry.throttle_waits"),
+		AmbiguousResolved: recovery.Counter("retry.ambiguous_resolved"),
+		Faults:            stack.Fault.Counts(),
 	}
-	stats := retry.Stats()
-	res.Retries = stats.Retries
-	res.ThrottleWaits = stats.ThrottleWaits
-	res.AmbiguousResolved = stats.AmbiguousResolved
 	if cleanLat > 0 {
 		res.Overhead = float64(stormLat) / float64(cleanLat)
 	}

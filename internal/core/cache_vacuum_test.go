@@ -54,8 +54,8 @@ func TestCacheSurvivesCompactAndVacuum(t *testing.T) {
 	// deleted sitting in the cache. (Hits there were came from the
 	// Index calls re-reading the metadata log, which a handle no longer
 	// does.)
-	if s := objectstore.CacheStatsFrom(e.cli.Metrics()); s.Misses == 0 || s.Evictions != 0 {
-		t.Fatalf("priming left nothing resident in the cache: %+v", s)
+	if s := e.cli.Metrics(); s.Counter("cache.misses") == 0 || s.Counter("cache.evictions") != 0 {
+		t.Fatalf("priming left nothing resident in the cache: %v", s.Counters)
 	}
 
 	// Remember the small index files that compaction will supersede.
@@ -275,8 +275,8 @@ func TestConcurrentCacheVacuumInvariants(t *testing.T) {
 	if err := e.cli.CheckExistence(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if s := objectstore.CacheStatsFrom(e.cli.Metrics()); s.Hits == 0 {
-		t.Fatalf("storm produced no cache hits: %+v", s)
+	if s := e.cli.Metrics(); s.Counter("cache.hits") == 0 {
+		t.Fatalf("storm produced no cache hits: %v", s.Counters)
 	}
 
 	if _, err := e.cli.Index(ctx, "id", component.KindTrie); err != nil {

@@ -172,8 +172,7 @@ type Client struct {
 	meta  *meta.Table
 	// cache is the read cache on the client's store chain (nil when
 	// disabled); inst is the instrumented store underneath, if any;
-	// retry is the retry layer, if enabled. All three feed per-query
-	// request accounting in Stats.
+	// retry is the retry layer, if enabled. Metrics reports all three.
 	cache *objectstore.CachedStore
 	inst  *objectstore.Instrumented
 	retry *objectstore.RetryStore
@@ -296,30 +295,19 @@ func (c *Client) Meta() *meta.Table { return c.meta }
 // Table returns the underlying lake table.
 func (c *Client) Table() *lake.Table { return c.table }
 
-// Metrics returns one merged snapshot of every metrics registry on
-// the client's store chain plus the client's own search counters:
-// "store.*" (request/byte totals), "cache.*" (hit/miss/eviction),
-// "retry.*" (recovery work), "objcache.*" (decoded-object cache), and
-// "search.*" (query counts, pages probed, plan-cache activity,
-// latency histogram), plus any attached registries ("ingest.*" when a
-// writer/scheduler is wired in). The legacy per-layer stats structs
-// (objectstore.CacheStatsFrom, RetryStatsFrom) are views derived from
-// this snapshot.
+// Metrics returns one merged snapshot of every layer on the client's
+// store chain plus the client's own search counters: "store.*"
+// (request/byte totals), "cache.*" (hit/miss/eviction), "retry.*"
+// (recovery work), "objcache.*" (decoded-object cache), and "search.*"
+// (query counts, pages probed, plan-cache activity, latency
+// histogram), plus any attached registries ("ingest.*" when a
+// writer/scheduler is wired in).
 func (c *Client) Metrics() obs.Snapshot {
-	var snaps []obs.Snapshot
-	if c.retry != nil {
-		snaps = append(snaps, c.retry.Registry().Snapshot())
-	}
-	if c.inst != nil {
-		snaps = append(snaps, c.inst.Registry().Snapshot())
-	}
-	if c.cache != nil {
-		snaps = append(snaps, c.cache.Registry().Snapshot())
-	}
+	layers := objectstore.Stack{Retry: c.retry, Instrumented: c.inst, Cache: c.cache}
+	snaps := []obs.Snapshot{layers.MetricsSnapshot(), c.reg.Snapshot()}
 	if c.objc != nil {
 		snaps = append(snaps, c.objc.Registry().Snapshot())
 	}
-	snaps = append(snaps, c.reg.Snapshot())
 	c.extraMu.Lock()
 	extras := make([]*obs.Registry, len(c.extraRegs))
 	copy(extras, c.extraRegs)

@@ -294,8 +294,8 @@ func TestProbeCoalescingMemoAndSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.ProbesCoalesced != 0 {
-		t.Fatalf("first search coalesced %d probes", first.Stats.ProbesCoalesced)
+	if got := e.cli.probeCoalesced.Value(); got != 0 {
+		t.Fatalf("first search coalesced %d probes", got)
 	}
 	runsAfterFirst := e.cli.probeRuns.Value()
 	if runsAfterFirst == 0 {
@@ -306,7 +306,7 @@ func TestProbeCoalescingMemoAndSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Stats.ProbesCoalesced == 0 {
+	if e.cli.probeCoalesced.Value() == 0 {
 		t.Fatal("repeat search did not coalesce its probe")
 	}
 	if got := e.cli.probeRuns.Value(); got != runsAfterFirst {

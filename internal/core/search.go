@@ -144,12 +144,6 @@ type Stats struct {
 	// PrunedFiles counts snapshot files skipped by the partition
 	// filter.
 	PrunedFiles int
-	// ProbesCoalesced counts index probes this search answered from
-	// the shared-probe batcher (joined an identical in-flight probe or
-	// hit its memo) instead of walking the index. Like GETs the
-	// counter is client-global, so concurrent searches may bleed into
-	// each other's deltas.
-	ProbesCoalesced int64
 	// OrderedAND reports that the probe phase staged this plan's
 	// top-level AND children by estimated cost: cheap children (trie
 	// walks, memoized probes, unindexed leaves) probed first, expensive
@@ -166,28 +160,15 @@ type Stats struct {
 	// Latency is the virtual latency of the search when run inside a
 	// simtime session.
 	Latency time.Duration
-	// GETs and BytesRead are the search's object-store request
-	// footprint: GET requests issued and bytes fetched, after cache
-	// hits and range coalescing. Counters are store-global, so
-	// concurrent operations on the same store may bleed into each
-	// other's deltas.
+	// GETs and BytesRead are the GET requests this search issued and
+	// the bytes they fetched, counted on its own tally by the store
+	// chain's Instrumented layer (zero without one): reads served by a
+	// cache, or by another search's flight this one joined, are not
+	// among them. The cache, retry and probe-coalescing work behind a
+	// search is in Client.Metrics ("cache.*", "objcache.*", "retry.*",
+	// "search.probe_coalesced").
 	GETs      int64
 	BytesRead int64
-	// CacheHits, CacheMisses, and CacheBytesSaved report the byte
-	// cache's activity during this search (all zero when the cache is
-	// disabled). A data page served decoded from the decoded-object
-	// cache never reaches the byte cache, so it is counted in none of
-	// them (it shows as an "objcache.hits" increment in
-	// Client.Metrics); only pages that had to be decoded are.
-	CacheHits       int64
-	CacheMisses     int64
-	CacheBytesSaved int64
-	// Retries and ThrottleWaits report the retry layer's recovery work
-	// during this search (zero when retries are disabled; see
-	// Config.Retry). Like GETs, the counters are store-global, so
-	// concurrent operations may bleed into each other's deltas.
-	Retries       int64
-	ThrottleWaits int64
 }
 
 // Result is a search outcome.
@@ -254,26 +235,16 @@ func (c *Client) TraceCompound(ctx context.Context, cq CompoundQuery) (*Result, 
 }
 
 // searchTree is the executor behind Search and SearchCompound: the
-// metrics prologue/epilogue around the vacuumed-index replan loop.
+// vacuumed-index replan loop, run under the search's own request tally
+// and session clock.
 func (c *Client) searchTree(ctx context.Context, cq CompoundQuery, shape *planShape) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	session := simtime.From(ctx)
 	startElapsed := session.Elapsed()
-	var startMetrics objectstore.Snapshot
-	if c.inst != nil {
-		startMetrics = c.inst.Metrics().Snapshot()
-	}
-	var startCache objectstore.CacheStats
-	if c.cache != nil {
-		startCache = c.cache.Stats()
-	}
-	var startRetry objectstore.RetryStats
-	if c.retry != nil {
-		startRetry = c.retry.Stats()
-	}
-	startCoalesced := c.probeCoalesced.Value()
+	var tally objectstore.Metrics
+	ctx = objectstore.WithTally(ctx, &tally)
 
 	snapVersion := cq.Snapshot
 	if snapVersion == 0 {
@@ -308,30 +279,8 @@ func (c *Client) searchTree(ctx context.Context, cq CompoundQuery, shape *planSh
 		return nil, err
 	}
 	result.Stats.Latency = session.Elapsed() - startElapsed
-	var cacheDelta objectstore.CacheStats
-	if c.cache != nil {
-		cacheDelta = c.cache.Stats().Sub(startCache)
-		result.Stats.CacheHits = cacheDelta.Hits
-		result.Stats.CacheMisses = cacheDelta.Misses
-		result.Stats.CacheBytesSaved = cacheDelta.BytesSaved
-	}
-	switch {
-	case c.inst != nil:
-		m := c.inst.Metrics().Snapshot().Sub(startMetrics)
-		result.Stats.GETs = m.Gets
-		result.Stats.BytesRead = m.BytesRead
-	case c.cache != nil:
-		// No instrumented store underneath (e.g. a bare directory
-		// store): meter requests at the cache boundary instead.
-		result.Stats.GETs = cacheDelta.UpstreamGets
-		result.Stats.BytesRead = cacheDelta.UpstreamBytes
-	}
-	if c.retry != nil {
-		r := c.retry.Stats().Sub(startRetry)
-		result.Stats.Retries = r.Retries
-		result.Stats.ThrottleWaits = r.ThrottleWaits
-	}
-	result.Stats.ProbesCoalesced = c.probeCoalesced.Value() - startCoalesced
+	result.Stats.GETs = tally.Gets.Load()
+	result.Stats.BytesRead = tally.BytesRead.Load()
 	c.searches.Inc()
 	c.pagesProbed.Add(int64(result.Stats.PagesProbed))
 	c.scannedFull.Add(int64(result.Stats.FilesScanned))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rottnest/internal/component"
-	"rottnest/internal/objectstore"
 	"rottnest/internal/simtime"
 	"rottnest/internal/workload"
 )
@@ -179,9 +178,9 @@ func TestTraceTreeOnError(t *testing.T) {
 	}
 }
 
-// TestClientMetricsSnapshot checks the unified metrics surface: the
-// deprecated CacheStats/RetryStats views must agree with the embedded
-// obs.Snapshot, and search counters must advance.
+// TestClientMetricsSnapshot checks the unified metrics surface: search
+// counters advance, and "store.*" renders the Instrumented layer's one
+// count.
 func TestClientMetricsSnapshot(t *testing.T) {
 	ctx := context.Background()
 	e := newEnv(t, uuidSchema, Config{})
@@ -201,11 +200,8 @@ func TestClientMetricsSnapshot(t *testing.T) {
 	if snap.Counter("search.pages_probed") <= 0 {
 		t.Fatal("search.pages_probed did not advance")
 	}
-	// The legacy stats structs are pure views over the snapshot.
-	if cs := objectstore.CacheStatsFrom(snap); cs.Hits != snap.Counter("cache.hits") || cs.Misses != snap.Counter("cache.misses") {
-		t.Fatal("CacheStatsFrom deviates from the snapshot's cache.* counters")
-	}
-	if rs := objectstore.RetryStatsFrom(snap); rs.Retries != snap.Counter("retry.retries") {
-		t.Fatal("RetryStatsFrom deviates from the snapshot's retry.* counters")
+	m := e.store.Metrics().Snapshot()
+	if snap.Counter("store.gets") != m.Gets || snap.Counter("store.puts") != m.Puts || m.Gets == 0 {
+		t.Fatalf("store.* = %v, Instrumented counted %+v", snap.Counters, m)
 	}
 }

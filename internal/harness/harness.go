@@ -137,10 +137,12 @@ type Summary struct {
 	MatchesCompared int
 	// Faults is what the fault layer injected.
 	Faults objectstore.FaultCounts
-	// Retry is what the retry layer absorbed (zero when disabled).
-	Retry objectstore.RetryStats
-	// Store is the legacy atomic request/byte totals, checked for
-	// equality against the obs registry view at every quiescent point.
+	// Retries is how many repeated attempts the retry layer made (zero
+	// when disabled).
+	Retries int64
+	// Store is the metering layer's request/byte totals. At every
+	// quiescent point its delta since the storm began equals what the
+	// ops' own tallies counted (checkConservation).
 	Store objectstore.Snapshot
 	// FinalVersion is the lake version after the final maintenance.
 	FinalVersion int64
@@ -193,10 +195,7 @@ type world struct {
 	opts      Options
 	clock     *simtime.VirtualClock
 	base      *objectstore.MemStore
-	faulty    *objectstore.FaultStore
-	retry     *objectstore.RetryStore // nil when disabled
-	inst      *objectstore.Instrumented
-	metrics   *objectstore.Metrics
+	stack     *objectstore.Stack
 	table     *lake.Table
 	cli       *core.Client
 	unordered *core.Client // cost-based AND ordering off: differential baseline
@@ -220,6 +219,9 @@ type world struct {
 	removed map[string]bool // lake paths physically vacuumed
 
 	searches, compared, appends, deletes, maintenance int
+
+	// ops is the tally every storm and finale op runs under.
+	ops objectstore.Metrics
 
 	// budget bounds total virtual-clock advance during the storm so
 	// no object ages past the index timeout mid-run (physical garbage
@@ -261,19 +263,14 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	// The canonical stack, minus the cache (every read must traverse
 	// the fault layer so read-path recovery is exercised maximally).
 	// The zero latency model meters requests and bytes without
-	// charging virtual time, feeding the registry-vs-StoreMetrics
-	// drift assertion.
-	st := objectstore.NewStack(w.base, objectstore.StackOptions{
+	// charging virtual time, feeding the conservation check.
+	w.stack = objectstore.NewStack(w.base, objectstore.StackOptions{
 		Faults:     &opts.Profile,
 		Retry:      opts.Retry,
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	w.faulty = st.Fault
-	w.retry = st.Retry
-	w.inst = st.Instrumented
-	w.metrics = st.Metrics
-	chain := st.Store
+	chain := w.stack.Store
 
 	switch opts.Mode {
 	case ModeText:
@@ -299,12 +296,10 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 		Maintenance:     w.maintenance,
 		Searches:        w.searches,
 		MatchesCompared: w.compared,
-		Faults:          w.faulty.Counts(),
+		Faults:          w.stack.Fault.Counts(),
+		Retries:         w.stack.MetricsSnapshot().Counter("retry.retries"),
+		Store:           w.stack.Metrics.Snapshot(),
 	}
-	if w.retry != nil {
-		sum.Retry = w.retry.Stats()
-	}
-	sum.Store = w.metrics.Snapshot()
 	if w.writer != nil {
 		ws := w.writer.Registry().Snapshot()
 		sum.GroupCommits = ws.Counter("ingest.group_commits")
@@ -313,9 +308,6 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	}
 	if sum.PeakGoroutines > goroutineCeiling {
 		err = context.Cause(ctx) // over the cancellation it surfaced as
-	}
-	if err == nil {
-		err = w.checkStoreDrift()
 	}
 	if w.table != nil {
 		if v, verr := w.table.Version(octx(ctx)); verr == nil {
@@ -438,7 +430,9 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 		return err
 	}
 
-	// The storm: seeded workers interleaving every op type.
+	// The storm: seeded workers interleaving every op type, each op
+	// under the world's tally.
+	start := w.stack.Metrics.Snapshot()
 	errs := make([]error, w.opts.Workers)
 	var wg sync.WaitGroup
 	for i := 0; i < w.opts.Workers; i++ {
@@ -454,24 +448,31 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 			return fmt.Errorf("harness: worker %d: %w", i, err)
 		}
 	}
-	// The storm has quiesced: the registry mirror and the legacy
-	// atomic StoreMetrics must have counted exactly the same work.
-	if err := w.checkStoreDrift(); err != nil {
+	if err := w.checkConservation(start); err != nil {
 		return fmt.Errorf("harness: after storm: %w", err)
 	}
-	return w.finale(ctx)
+	if err := w.finale(objectstore.WithTally(ctx, &w.ops)); err != nil {
+		return err
+	}
+	if err := w.checkConservation(start); err != nil {
+		return fmt.Errorf("harness: after finale: %w", err)
+	}
+	return nil
 }
 
-// checkStoreDrift is the double-counting guard: the Instrumented
-// layer feeds both the legacy atomic Metrics and its obs registry,
-// and the two must agree request-for-request and byte-for-byte at
-// every quiescent point. Only call it when no ops are in flight —
-// the two counters are bumped non-atomically within each request.
-func (w *world) checkStoreDrift() error {
-	legacy := w.metrics.Snapshot()
-	view := objectstore.MetricsFromSnapshot(w.inst.Registry().Snapshot())
-	if legacy != view {
-		return fmt.Errorf("store metrics drift: registry %+v vs legacy %+v", view, legacy)
+// checkConservation is the one-count guard: every request the metering
+// layer served since start was issued by exactly one op and counted
+// once on its tally, so the ops' tallies sum to the layer's delta —
+// request for request and byte for byte. Only call it when no ops are
+// in flight. ModeIngest is exempt: its writer's background committer
+// runs on context.Background(), outside every op.
+func (w *world) checkConservation(start objectstore.Snapshot) error {
+	if w.opts.Mode == ModeIngest {
+		return nil
+	}
+	served, counted := w.stack.Metrics.Snapshot().Sub(start), w.ops.Snapshot()
+	if served != counted {
+		return fmt.Errorf("request conservation: metering layer served %+v, op tallies counted %+v", served, counted)
 	}
 	return nil
 }
@@ -484,7 +485,7 @@ func (w *world) worker(ctx context.Context, id int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		opCtx := octx(ctx)
+		opCtx := objectstore.WithTally(octx(ctx), &w.ops)
 		var err error
 		if w.opts.Mode == ModeIngest {
 			// Maintenance flows through the scheduler instead of

@@ -250,7 +250,7 @@ func TestHarnessFaultsActuallyFire(t *testing.T) {
 	if sum.Faults.Transient == 0 || sum.Faults.Throttles == 0 || sum.Faults.AmbiguousPuts == 0 {
 		t.Fatalf("fault kinds missing: %+v", sum.Faults)
 	}
-	if sum.Retry.Retries == 0 {
+	if sum.Retries == 0 {
 		t.Fatalf("retry layer did no work despite %d faults", sum.Faults.Total())
 	}
 }
@@ -292,7 +292,7 @@ func TestHarnessFaultFree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fault-free run failed: %v\nsummary: %+v", err, sum)
 			}
-			if sum.Faults.Total() != 0 || sum.Retry.Retries != 0 {
+			if sum.Faults.Total() != 0 || sum.Retries != 0 {
 				t.Fatalf("fault-free run injected faults: %+v", sum)
 			}
 			if sum.Searches == 0 || sum.MatchesCompared == 0 {

@@ -396,6 +396,22 @@ func (s *Scheduler) refill() {
 	s.budgetTokens.Set(int64(s.tokens))
 }
 
+// charge bills the store requests one piece of maintenance issued, as
+// counted on its own tally: foreground searches running beside it are
+// not among them. The cost may overdraw the bucket; the debt carries
+// over, delaying the next job (tokens go negative and must refill).
+// job_requests accumulates what maintenance itself spends against the
+// store, as opposed to the daemon's fixed-rate observation polling:
+// capacity planning and the adaptive bench compare regimes on it.
+func (s *Scheduler) charge(cost int64) {
+	s.mu.Lock()
+	s.tokens -= float64(cost)
+	s.ownCost += cost
+	s.budgetTokens.Set(int64(s.tokens))
+	s.mu.Unlock()
+	s.jobRequests.Add(cost)
+}
+
 // Step runs one scheduling decision: resolve coverage and freshness,
 // apply writer backpressure, and — budget permitting — run the
 // highest-priority maintenance job (index > compact > vacuum). It
@@ -422,18 +438,12 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (bool, error) {
 	}
 
 	// Adaptive policy housekeeping (autopilot refresh) is maintenance
-	// work: meter its store requests against the budget so its Status
-	// and snapshot reads don't masquerade as foreground traffic.
+	// work: its Status and snapshot reads are charged to the budget, not
+	// mistaken for foreground traffic.
 	if s.opts.Adaptive != nil {
-		before := storeRequests(s.cli.Metrics())
-		tickErr := s.opts.Adaptive.Tick(ctx)
-		cost := storeRequests(s.cli.Metrics()) - before
-		s.mu.Lock()
-		s.tokens -= float64(cost)
-		s.ownCost += cost
-		s.budgetTokens.Set(int64(s.tokens))
-		s.mu.Unlock()
-		s.jobRequests.Add(cost)
+		var tick objectstore.Metrics
+		tickErr := s.opts.Adaptive.Tick(objectstore.WithTally(ctx, &tick))
+		s.charge(tick.Snapshot().Requests())
 		if tickErr != nil {
 			return false, tickErr
 		}
@@ -443,21 +453,9 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (bool, error) {
 	if job == nil {
 		return false, nil
 	}
-	before := storeRequests(s.cli.Metrics())
-	jobErr := job(ctx)
-	cost := storeRequests(s.cli.Metrics()) - before
-	s.mu.Lock()
-	// The job's cost may overdraw the bucket; the debt carries over,
-	// delaying the next job (tokens go negative and must refill).
-	s.tokens -= float64(cost)
-	s.ownCost += cost
-	s.budgetTokens.Set(int64(s.tokens))
-	s.mu.Unlock()
-	// Cumulative job-issued request counter: what maintenance itself
-	// spends against the store, as opposed to the daemon's fixed-rate
-	// observation polling. Capacity planning and the adaptive bench
-	// compare regimes on this number.
-	s.jobRequests.Add(cost)
+	var spent objectstore.Metrics
+	jobErr := job(objectstore.WithTally(ctx, &spent))
+	s.charge(spent.Snapshot().Requests())
 	if errors.Is(jobErr, errNoProgress) {
 		return false, nil
 	}

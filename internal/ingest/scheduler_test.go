@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/core"
+	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/simtime"
 )
@@ -481,5 +483,88 @@ func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
 	}
 	if err := w.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// uploadGate holds the first index-file upload until release closes,
+// so a test can run foreground traffic while an index job is in flight.
+type uploadGate struct {
+	objectstore.Store
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (g *uploadGate) Put(ctx context.Context, key string, data []byte) error {
+	if strings.HasSuffix(key, ".index") {
+		g.once.Do(func() {
+			close(g.held)
+			<-g.release
+		})
+	}
+	return g.Store.Put(ctx, key, data)
+}
+
+// jobRequestsBeside runs one index job over a fresh metered world and
+// returns what the scheduler charged it; with foreground set, a cold
+// search on its own handles runs while the job is held at its upload.
+func jobRequestsBeside(t *testing.T, foreground bool) int64 {
+	t.Helper()
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	gate := &uploadGate{Store: objectstore.NewMemStore(clock), held: make(chan struct{}), release: make(chan struct{})}
+	stack := objectstore.NewStack(gate, objectstore.StackOptions{Latency: &objectstore.LatencyModel{}, CacheBytes: -1})
+	tbl := newTestTable(t, stack.Store, clock)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	s := NewScheduler(tbl, SchedulerOptions{
+		Writer: w,
+		Clock:  clock,
+		Config: core.Config{IndexDir: "idx", Clock: clock},
+		Specs:  []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
+	})
+	ingestRows(t, ctx, w, "fg", 4)
+
+	stepped := make(chan error, 1)
+	go func() {
+		worked, err := s.Step(ctx)
+		if err == nil && !worked {
+			err = errors.New("step ran no job")
+		}
+		stepped <- err
+	}()
+	<-gate.held
+	if foreground {
+		fgTable, err := lake.OpenWith(ctx, stack.Store, "tbl", lake.OpenOptions{Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fg := core.NewClient(fgTable, core.Config{
+			IndexDir: "idx", Clock: clock,
+			CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1, ProbeBatchBytes: -1,
+		})
+		var fgRequests objectstore.Metrics
+		res, err := fg.Search(objectstore.WithTally(ctx, &fgRequests), core.Query{Column: "msg", Substring: []byte("fg-1"), Snapshot: -1})
+		if err != nil || len(res.Matches) != 1 || fgRequests.Snapshot().Requests() == 0 {
+			t.Fatalf("foreground search: %v, %d requests", err, fgRequests.Snapshot().Requests())
+		}
+	}
+	close(gate.release)
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return s.Registry().Snapshot().Counter("ingest.job_requests")
+}
+
+// TestJobRequestsExcludeForegroundSearch: an index job is charged the
+// requests it issued itself. A foreground search that runs while the
+// job is in flight costs the job nothing; subtracting store-global
+// snapshots around the job billed the search to it.
+func TestJobRequestsExcludeForegroundSearch(t *testing.T) {
+	alone := jobRequestsBeside(t, false)
+	beside := jobRequestsBeside(t, true)
+	if alone == 0 || beside != alone {
+		t.Fatalf("index job charged %d requests beside a foreground search, %d alone", beside, alone)
 	}
 }

@@ -19,41 +19,6 @@ const (
 	DefaultCoalesceGap = 128 << 10
 )
 
-// CacheStats is a point-in-time snapshot of a CachedStore's counters.
-type CacheStats struct {
-	// Hits and Misses count cache lookups on the GET path.
-	Hits, Misses int64
-	// BytesSaved is the total size of reads served from the cache
-	// instead of the store.
-	BytesSaved int64
-	// Evictions counts entries dropped to stay within the byte
-	// budget.
-	Evictions int64
-	// CoalescedGets counts GETs absorbed by singleflight: concurrent
-	// requests for a range that another goroutine was already
-	// fetching.
-	CoalescedGets int64
-	// UpstreamGets and UpstreamBytes count the GET requests and bytes
-	// the cache actually forwarded to the wrapped store. They let
-	// callers meter request footprints even when no Instrumented
-	// store is underneath (e.g. the CLI's directory store).
-	UpstreamGets, UpstreamBytes int64
-}
-
-// Sub returns the counter deltas from an earlier snapshot, for
-// attributing cache activity to a single operation.
-func (s CacheStats) Sub(earlier CacheStats) CacheStats {
-	return CacheStats{
-		Hits:          s.Hits - earlier.Hits,
-		Misses:        s.Misses - earlier.Misses,
-		BytesSaved:    s.BytesSaved - earlier.BytesSaved,
-		Evictions:     s.Evictions - earlier.Evictions,
-		CoalescedGets: s.CoalescedGets - earlier.CoalescedGets,
-		UpstreamGets:  s.UpstreamGets - earlier.UpstreamGets,
-		UpstreamBytes: s.UpstreamBytes - earlier.UpstreamBytes,
-	}
-}
-
 // CacheOptions tune a CachedStore.
 type CacheOptions struct {
 	// MaxBytes is the cache's byte budget. <= 0 means
@@ -94,11 +59,9 @@ type CachedStore struct {
 	coalesceGap int64
 	c           *cache.Cache[rangeKey, []byte]
 
-	// Counters live in the registry ("cache.*" names); CacheStats is a
-	// view derived from its snapshot.
-	reg                        *obs.Registry
-	bytesSaved                 *obs.Counter
-	upstreamGets, upstreamByts *obs.Counter
+	// reg holds the cache's counters ("cache.*" names).
+	reg        *obs.Registry
+	bytesSaved *obs.Counter
 }
 
 // rangeKey is one cached read: Get is (key, 0, -1).
@@ -128,10 +91,8 @@ func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 			Evictions: reg.Counter("cache.evictions"),
 			Resident:  reg.Gauge("cache.bytes"),
 		}, nil),
-		reg:          reg,
-		bytesSaved:   reg.Counter("cache.bytes_saved"),
-		upstreamGets: reg.Counter("cache.upstream_gets"),
-		upstreamByts: reg.Counter("cache.upstream_bytes"),
+		reg:        reg,
+		bytesSaved: reg.Counter("cache.bytes_saved"),
 	}
 }
 
@@ -142,28 +103,8 @@ func (c *CachedStore) Inner() Store { return c.inner }
 // (negative means coalescing is disabled). FanGet consults it.
 func (c *CachedStore) CoalesceGap() int64 { return c.coalesceGap }
 
-// Stats returns a snapshot of the cache counters. It is a view over
-// the registry — CacheStatsFrom(c.Registry().Snapshot()).
-func (c *CachedStore) Stats() CacheStats {
-	return CacheStatsFrom(c.reg.Snapshot())
-}
-
 // Registry returns the cache's metrics registry ("cache.*" names).
 func (c *CachedStore) Registry() *obs.Registry { return c.reg }
-
-// CacheStatsFrom derives the legacy CacheStats view from a registry
-// snapshot's "cache.*" counters.
-func CacheStatsFrom(s obs.Snapshot) CacheStats {
-	return CacheStats{
-		Hits:          s.Counter("cache.hits"),
-		Misses:        s.Counter("cache.misses"),
-		BytesSaved:    s.Counter("cache.bytes_saved"),
-		Evictions:     s.Counter("cache.evictions"),
-		CoalescedGets: s.Counter("cache.coalesced_gets"),
-		UpstreamGets:  s.Counter("cache.upstream_gets"),
-		UpstreamBytes: s.Counter("cache.upstream_bytes"),
-	}
-}
 
 // Flush drops every cached entry (counters are kept).
 func (c *CachedStore) Flush() { c.c.Flush() }
@@ -181,8 +122,6 @@ func (c *CachedStore) cachedGet(ctx context.Context, k rangeKey, fetch func(cont
 		if err != nil {
 			return nil, 0, err
 		}
-		c.upstreamGets.Inc()
-		c.upstreamByts.Add(int64(len(d)))
 		return d, int64(len(d)), nil
 	})
 	if hit {

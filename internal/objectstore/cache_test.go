@@ -49,9 +49,9 @@ func TestCachedStoreHitSkipsStoreAndLatency(t *testing.T) {
 	if metrics.Gets.Load() != coldGets {
 		t.Fatalf("cache hit issued a GET (%d -> %d)", coldGets, metrics.Gets.Load())
 	}
-	st := cached.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.BytesSaved != 5 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 5 bytes saved", st)
+	st := cached.Registry().Snapshot()
+	if st.Counter("cache.hits") != 1 || st.Counter("cache.misses") != 1 || st.Counter("cache.bytes_saved") != 5 {
+		t.Fatalf("counters = %v, want 1 hit / 1 miss / 5 bytes saved", st.Counters)
 	}
 }
 
@@ -66,8 +66,8 @@ func TestCachedStoreKeyedByRange(t *testing.T) {
 	if string(first) != "0123" || string(second) != "4567" {
 		t.Fatalf("got %q / %q", first, second)
 	}
-	if st := cached.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("distinct ranges must be distinct entries: %+v", st)
+	if st := cached.Registry().Snapshot(); st.Counter("cache.hits") != 0 || st.Counter("cache.misses") != 2 {
+		t.Fatalf("distinct ranges must be distinct entries: %v", st.Counters)
 	}
 	// Suffix range and full Get are their own entries too.
 	if got, err := cached.GetRange(ctx, "a", -3, 0); err != nil || string(got) != "789" {
@@ -79,8 +79,8 @@ func TestCachedStoreKeyedByRange(t *testing.T) {
 	if got, err := cached.GetRange(ctx, "a", -3, 0); err != nil || string(got) != "789" {
 		t.Fatalf("suffix rehit = %q, %v", got, err)
 	}
-	if st := cached.Stats(); st.Hits != 1 || st.Misses != 4 {
-		t.Fatalf("stats = %+v, want 1 hit / 4 misses", st)
+	if st := cached.Registry().Snapshot(); st.Counter("cache.hits") != 1 || st.Counter("cache.misses") != 4 {
+		t.Fatalf("counters = %v, want 1 hit / 4 misses", st.Counters)
 	}
 }
 
@@ -99,9 +99,8 @@ func TestCachedStoreLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := cached.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if got := cached.Registry().Snapshot().Counter("cache.evictions"); got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
 	}
 	// obj-0 was evicted; obj-4 is resident.
 	if _, err := cached.Get(ctx, "obj-0"); err != nil {
@@ -110,9 +109,8 @@ func TestCachedStoreLRUEviction(t *testing.T) {
 	if _, err := cached.Get(ctx, "obj-4"); err != nil {
 		t.Fatal(err)
 	}
-	st = cached.Stats()
-	if st.Hits != 1 || st.Misses != 6 {
-		t.Fatalf("stats = %+v, want obj-0 re-miss and obj-4 hit", st)
+	if st := cached.Registry().Snapshot(); st.Counter("cache.hits") != 1 || st.Counter("cache.misses") != 6 {
+		t.Fatalf("counters = %v, want obj-0 re-miss and obj-4 hit", st.Counters)
 	}
 }
 
@@ -207,7 +205,7 @@ func TestCachedStoreReadAcrossDeleteIsNotKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cached.GetRange(ctx, "a", 0, 6); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("read after delete = %v (stats %+v), want ErrNotFound", err, cached.Stats())
+		t.Fatalf("read after delete = %v (counters %v), want ErrNotFound", err, cached.Registry().Snapshot().Counters)
 	}
 }
 
@@ -256,11 +254,10 @@ func TestCachedStoreSingleflight(t *testing.T) {
 	// upstream GET.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := cached.Stats()
 		blocking.mu.Lock()
 		started := blocking.gets
 		blocking.mu.Unlock()
-		if started == 1 && st.CoalescedGets+1 >= 1 {
+		if started == 1 {
 			// One leader in flight. Give followers a moment to park.
 			time.Sleep(10 * time.Millisecond)
 			break
@@ -284,12 +281,12 @@ func TestCachedStoreSingleflight(t *testing.T) {
 	if upstream != 1 {
 		t.Fatalf("upstream GETs = %d, want 1 (singleflight)", upstream)
 	}
-	st := cached.Stats()
-	if st.Misses+st.CoalescedGets+st.Hits != readers {
-		t.Fatalf("stats don't account for all readers: %+v", st)
+	st := cached.Registry().Snapshot()
+	if st.Counter("cache.misses")+st.Counter("cache.coalesced_gets")+st.Counter("cache.hits") != readers {
+		t.Fatalf("counters don't account for all readers: %v", st.Counters)
 	}
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 leader", st.Misses)
+	if got := st.Counter("cache.misses"); got != 1 {
+		t.Fatalf("misses = %d, want 1 leader", got)
 	}
 }
 

@@ -162,8 +162,10 @@ type FaultStore struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	burstLeft int
-	counts    [numFaultKinds]int64
-	reg       *obs.Registry
+
+	// injected counts faults by kind, in reg under faultMetricNames.
+	reg      *obs.Registry
+	injected [numFaultKinds]*obs.Counter
 }
 
 // faultMetricNames maps a FaultKind to its registry counter name.
@@ -194,16 +196,19 @@ func NewFaultStore(inner Store, fault Fault) *FaultStore {
 // NewFaultStoreWithProfile wraps inner with the given fault profile.
 func NewFaultStoreWithProfile(inner Store, profile FaultProfile) *FaultStore {
 	profile = profile.withDefaults()
-	return &FaultStore{
+	s := &FaultStore{
 		inner:   inner,
 		profile: profile,
 		rng:     rand.New(rand.NewSource(profile.Seed)),
 		reg:     obs.NewRegistry(),
 	}
+	for kind, name := range faultMetricNames {
+		s.injected[kind] = s.reg.Counter(name)
+	}
+	return s
 }
 
-// Registry returns the store's metrics registry ("fault.*" names),
-// mirroring Counts.
+// Registry returns the store's metrics registry ("fault.*" names).
 func (s *FaultStore) Registry() *obs.Registry { return s.reg }
 
 // Inner returns the wrapped store, so chain-walking helpers (and the
@@ -211,16 +216,15 @@ func (s *FaultStore) Registry() *obs.Registry { return s.reg }
 // fault layer.
 func (s *FaultStore) Inner() Store { return s.inner }
 
-// Counts returns how many faults of each kind have been injected.
+// Counts returns how many faults of each kind have been injected: a
+// view over the "fault.*" counters.
 func (s *FaultStore) Counts() FaultCounts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return FaultCounts{
-		Transient:     s.counts[FaultTransient],
-		Throttles:     s.counts[FaultThrottle],
-		LatencySpikes: s.counts[FaultLatency],
-		Deadlines:     s.counts[FaultDeadline],
-		AmbiguousPuts: s.counts[FaultAmbiguousPut],
+		Transient:     s.injected[FaultTransient].Value(),
+		Throttles:     s.injected[FaultThrottle].Value(),
+		LatencySpikes: s.injected[FaultLatency].Value(),
+		Deadlines:     s.injected[FaultDeadline].Value(),
+		AmbiguousPuts: s.injected[FaultAmbiguousPut].Value(),
 	}
 }
 
@@ -259,10 +263,7 @@ func (s *FaultStore) decide(op Op, key string, conditional bool) FaultKind {
 	seq := s.seq.Add(1)
 	p := &s.profile
 	if p.Script != nil && p.Script(op, key, seq) {
-		s.mu.Lock()
-		s.counts[FaultTransient]++
-		s.mu.Unlock()
-		s.reg.Counter(faultMetricNames[FaultTransient]).Inc()
+		s.injected[FaultTransient].Inc()
 		return FaultTransient
 	}
 	if !p.opAllowed(op) {
@@ -272,8 +273,7 @@ func (s *FaultStore) decide(op Op, key string, conditional bool) FaultKind {
 	defer s.mu.Unlock()
 	if s.burstLeft > 0 {
 		s.burstLeft--
-		s.counts[FaultThrottle]++
-		s.reg.Counter(faultMetricNames[FaultThrottle]).Inc()
+		s.injected[FaultThrottle].Inc()
 		return FaultThrottle
 	}
 	kind := noFault
@@ -291,8 +291,7 @@ func (s *FaultStore) decide(op Op, key string, conditional bool) FaultKind {
 		kind = FaultAmbiguousPut
 	}
 	if kind != noFault {
-		s.counts[kind]++
-		s.reg.Counter(faultMetricNames[kind]).Inc()
+		s.injected[kind].Inc()
 	}
 	return kind
 }

@@ -161,8 +161,8 @@ func TestRetryRecoversFromTransients(t *testing.T) {
 	if err != nil || string(got) != "v" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if s := rs.Stats(); s.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", s.Retries)
+	if got := rs.Registry().Snapshot().Counter("retry.retries"); got != 2 {
+		t.Fatalf("retries = %d, want 2", got)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestRetryPermanentErrorsNotRetried(t *testing.T) {
 	if _, err := rs.GetRange(ctx, "k", 10, 1); !errors.Is(err, ErrInvalidRange) {
 		t.Fatalf("GetRange oob: %v", err)
 	}
-	if s := rs.Stats(); s.Retries != 0 {
-		t.Fatalf("Retries = %d, want 0", s.Retries)
+	if got := rs.Registry().Snapshot().Counter("retry.retries"); got != 0 {
+		t.Fatalf("retries = %d, want 0", got)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestRetryExhaustionSurfacesError(t *testing.T) {
 	if _, err := rs.Get(ctx, "k"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("exhausted retry must surface the fault: %v", err)
 	}
-	if s := rs.Stats(); s.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2 (3 attempts)", s.Retries)
+	if got := rs.Registry().Snapshot().Counter("retry.retries"); got != 2 {
+		t.Fatalf("retries = %d, want 2 (3 attempts)", got)
 	}
 }
 
@@ -204,9 +204,9 @@ func TestRetryThrottleWaitsFloor(t *testing.T) {
 	if err := rs.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	s := rs.Stats()
-	if s.ThrottleWaits != 1 || s.Retries != 1 {
-		t.Fatalf("stats = %+v, want 1 throttle wait", s)
+	s := rs.Registry().Snapshot()
+	if s.Counter("retry.throttle_waits") != 1 || s.Counter("retry.retries") != 1 {
+		t.Fatalf("counters = %v, want 1 throttle wait", s.Counters)
 	}
 	if sess.Elapsed() < 300*time.Millisecond {
 		t.Fatalf("throttle wait %v below floor", sess.Elapsed())
@@ -234,8 +234,8 @@ func TestRetryAmbiguousPutResolvedByReadBack(t *testing.T) {
 	if err := rs.PutIfAbsent(ctx, "log/0001", []byte("record")); err != nil {
 		t.Fatalf("ambiguous put must resolve to success: %v", err)
 	}
-	if s := rs.Stats(); s.AmbiguousResolved != 1 {
-		t.Fatalf("AmbiguousResolved = %d, want 1", s.AmbiguousResolved)
+	if got := rs.Registry().Snapshot().Counter("retry.ambiguous_resolved"); got != 1 {
+		t.Fatalf("ambiguous_resolved = %d, want 1", got)
 	}
 	// A competitor's bytes under the same key stay ErrExists.
 	inner.Put(ctx, "log/0002", []byte("theirs"))

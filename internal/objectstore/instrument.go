@@ -82,8 +82,9 @@ func (m LatencyModel) ListLatency(n int) time.Duration {
 	return time.Duration(pages) * m.ListTTFB
 }
 
-// Metrics accumulates request counts and byte volumes for a store.
-// All fields are updated atomically and may be read while in use.
+// Metrics accumulates request counts and byte volumes: the totals of
+// an Instrumented store, or one operation's tally (WithTally). All
+// fields are updated atomically and may be read while in use.
 type Metrics struct {
 	Gets         atomic.Int64
 	Puts         atomic.Int64
@@ -113,8 +114,9 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 }
 
-// Sub returns the counter deltas from an earlier snapshot, for
-// attributing request costs to a single operation.
+// Sub returns the counter deltas from an earlier snapshot: the
+// requests of a window, whoever issued them. One operation's own
+// requests are its tally (WithTally).
 func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 	return Snapshot{
 		Gets:         s.Gets - earlier.Gets,
@@ -132,22 +134,70 @@ func (s Snapshot) Requests() int64 {
 	return s.Gets + s.Puts + s.Lists + s.Deletes + s.Heads
 }
 
+// add counts one request of class op that moved n bytes.
+func (m *Metrics) add(op Op, n int64) {
+	switch op {
+	case OpGet:
+		m.Gets.Add(1)
+		m.BytesRead.Add(n)
+	case OpPut:
+		m.Puts.Add(1)
+		m.BytesWritten.Add(n)
+	case OpList:
+		m.Lists.Add(1)
+	case OpHead:
+		m.Heads.Add(1)
+	case OpDelete:
+		m.Deletes.Add(1)
+	}
+}
+
+// obsSnapshot renders the counts under the "store.*" names of a merged
+// metrics snapshot.
+func (s Snapshot) obsSnapshot() obs.Snapshot {
+	return obs.Snapshot{Counters: map[string]int64{
+		"store.gets":          s.Gets,
+		"store.puts":          s.Puts,
+		"store.lists":         s.Lists,
+		"store.deletes":       s.Deletes,
+		"store.heads":         s.Heads,
+		"store.bytes_read":    s.BytesRead,
+		"store.bytes_written": s.BytesWritten,
+	}}
+}
+
+// tallyKey carries the innermost tally open on a context.
+type tallyKey struct{}
+
+// tally is one Metrics opened on a context, linked to the tally that
+// was open where it was opened.
+type tally struct {
+	m     *Metrics
+	outer *tally
+}
+
+// WithTally returns a context under which every request an Instrumented
+// store serves is added to m as well as to every tally already open on
+// ctx, so a search inside a maintenance job counts on both. An
+// operation's tally holds exactly the requests it issued: a read served
+// by a cache, or fetched by another operation's flight it joined, lands
+// on none of its tallies.
+func WithTally(ctx context.Context, m *Metrics) context.Context {
+	outer, _ := ctx.Value(tallyKey{}).(*tally)
+	return context.WithValue(ctx, tallyKey{}, &tally{m: m, outer: outer})
+}
+
 // Instrumented wraps a Store with a latency model and metrics. Request
 // latency is charged to the simtime.Session carried in the operation's
 // context, so dependent request chains accumulate virtual time while
 // parallel fans overlap. Every request also becomes a "store.*" trace
-// span when the context carries a trace, and counts are mirrored into
-// an obs.Registry under "store.*" names. The legacy atomic Metrics
-// struct is kept deliberately alongside the registry: the chaos
-// harness asserts the two stay equal, catching accounting drift.
+// span when the context carries a trace. Each request is counted once,
+// in the store's Metrics, and added to every tally open on its context
+// (WithTally).
 type Instrumented struct {
 	inner   Store
 	model   LatencyModel
 	metrics *Metrics
-	reg     *obs.Registry
-
-	gets, puts, lists, deletes, heads *obs.Counter
-	bytesRead, bytesWritten           *obs.Counter
 }
 
 // Instrument wraps inner with the given latency model. The returned
@@ -155,20 +205,7 @@ type Instrumented struct {
 // operations.
 func Instrument(inner Store, model LatencyModel) (*Instrumented, *Metrics) {
 	m := &Metrics{}
-	reg := obs.NewRegistry()
-	return &Instrumented{
-		inner:        inner,
-		model:        model,
-		metrics:      m,
-		reg:          reg,
-		gets:         reg.Counter("store.gets"),
-		puts:         reg.Counter("store.puts"),
-		lists:        reg.Counter("store.lists"),
-		deletes:      reg.Counter("store.deletes"),
-		heads:        reg.Counter("store.heads"),
-		bytesRead:    reg.Counter("store.bytes_read"),
-		bytesWritten: reg.Counter("store.bytes_written"),
-	}, m
+	return &Instrumented{inner: inner, model: model, metrics: m}, m
 }
 
 // Inner returns the wrapped store.
@@ -180,17 +217,20 @@ func (s *Instrumented) Model() LatencyModel { return s.model }
 // Metrics returns the wrapper's shared counters.
 func (s *Instrumented) Metrics() *Metrics { return s.metrics }
 
-// Registry returns the wrapper's metrics registry ("store.*" names).
-func (s *Instrumented) Registry() *obs.Registry { return s.reg }
+// count adds one request of class op that moved n bytes to the store's
+// Metrics and to every tally open on ctx.
+func (s *Instrumented) count(ctx context.Context, op Op, n int64) {
+	s.metrics.add(op, n)
+	for t, _ := ctx.Value(tallyKey{}).(*tally); t != nil; t = t.outer {
+		t.m.add(op, n)
+	}
+}
 
 // Put implements Store.
 func (s *Instrumented) Put(ctx context.Context, key string, data []byte) error {
 	ctx, span := obs.Start(ctx, "store.put")
 	simtime.Charge(ctx, s.model.PutLatency(int64(len(data))))
-	s.metrics.Puts.Add(1)
-	s.metrics.BytesWritten.Add(int64(len(data)))
-	s.puts.Inc()
-	s.bytesWritten.Add(int64(len(data)))
+	s.count(ctx, OpPut, int64(len(data)))
 	err := s.inner.Put(ctx, key, data)
 	span.SetAttr("key", key)
 	span.SetAttr("bytes", len(data))
@@ -202,10 +242,7 @@ func (s *Instrumented) Put(ctx context.Context, key string, data []byte) error {
 func (s *Instrumented) PutIfAbsent(ctx context.Context, key string, data []byte) error {
 	ctx, span := obs.Start(ctx, "store.put")
 	simtime.Charge(ctx, s.model.PutLatency(int64(len(data))))
-	s.metrics.Puts.Add(1)
-	s.metrics.BytesWritten.Add(int64(len(data)))
-	s.puts.Inc()
-	s.bytesWritten.Add(int64(len(data)))
+	s.count(ctx, OpPut, int64(len(data)))
 	err := s.inner.PutIfAbsent(ctx, key, data)
 	span.SetAttr("key", key)
 	span.SetAttr("bytes", len(data))
@@ -219,10 +256,7 @@ func (s *Instrumented) Get(ctx context.Context, key string) ([]byte, error) {
 	ctx, span := obs.Start(ctx, "store.get")
 	data, err := s.inner.Get(ctx, key)
 	simtime.Charge(ctx, s.model.GetLatency(int64(len(data))))
-	s.metrics.Gets.Add(1)
-	s.metrics.BytesRead.Add(int64(len(data)))
-	s.gets.Inc()
-	s.bytesRead.Add(int64(len(data)))
+	s.count(ctx, OpGet, int64(len(data)))
 	span.SetAttr("key", key)
 	span.SetAttr("bytes", len(data))
 	span.End()
@@ -234,10 +268,7 @@ func (s *Instrumented) GetRange(ctx context.Context, key string, offset, length 
 	ctx, span := obs.Start(ctx, "store.get")
 	data, err := s.inner.GetRange(ctx, key, offset, length)
 	simtime.Charge(ctx, s.model.GetLatency(int64(len(data))))
-	s.metrics.Gets.Add(1)
-	s.metrics.BytesRead.Add(int64(len(data)))
-	s.gets.Inc()
-	s.bytesRead.Add(int64(len(data)))
+	s.count(ctx, OpGet, int64(len(data)))
 	span.SetAttr("key", key)
 	span.SetAttr("bytes", len(data))
 	span.End()
@@ -248,8 +279,7 @@ func (s *Instrumented) GetRange(ctx context.Context, key string, offset, length 
 func (s *Instrumented) Head(ctx context.Context, key string) (ObjectInfo, error) {
 	ctx, span := obs.Start(ctx, "store.head")
 	simtime.Charge(ctx, s.model.GetTTFB)
-	s.metrics.Heads.Add(1)
-	s.heads.Inc()
+	s.count(ctx, OpHead, 0)
 	info, err := s.inner.Head(ctx, key)
 	span.SetAttr("key", key)
 	span.End()
@@ -261,8 +291,7 @@ func (s *Instrumented) List(ctx context.Context, prefix string) ([]ObjectInfo, e
 	ctx, span := obs.Start(ctx, "store.list")
 	infos, err := s.inner.List(ctx, prefix)
 	simtime.Charge(ctx, s.model.ListLatency(len(infos)))
-	s.metrics.Lists.Add(1)
-	s.lists.Inc()
+	s.count(ctx, OpList, 0)
 	span.SetAttr("prefix", prefix)
 	span.SetAttr("entries", len(infos))
 	span.End()
@@ -273,26 +302,11 @@ func (s *Instrumented) List(ctx context.Context, prefix string) ([]ObjectInfo, e
 func (s *Instrumented) Delete(ctx context.Context, key string) error {
 	ctx, span := obs.Start(ctx, "store.delete")
 	simtime.Charge(ctx, s.model.PutTTFB)
-	s.metrics.Deletes.Add(1)
-	s.deletes.Inc()
+	s.count(ctx, OpDelete, 0)
 	err := s.inner.Delete(ctx, key)
 	span.SetAttr("key", key)
 	span.End()
 	return err
-}
-
-// MetricsFromSnapshot derives a legacy Snapshot view from a registry
-// snapshot's "store.*" counters.
-func MetricsFromSnapshot(s obs.Snapshot) Snapshot {
-	return Snapshot{
-		Gets:         s.Counter("store.gets"),
-		Puts:         s.Counter("store.puts"),
-		Lists:        s.Counter("store.lists"),
-		Deletes:      s.Counter("store.deletes"),
-		Heads:        s.Counter("store.heads"),
-		BytesRead:    s.Counter("store.bytes_read"),
-		BytesWritten: s.Counter("store.bytes_written"),
-	}
 }
 
 // RangeRequest names one byte range of one object for a parallel fan.

@@ -111,6 +111,47 @@ func TestSnapshotSub(t *testing.T) {
 	}
 }
 
+// TestWithTallyNests pins the per-operation tally: a request lands once
+// on the store's totals and once on every tally open on its context,
+// tallies opened under another count on both, requests outside a tally
+// land on none, and a cache hit lands nowhere.
+func TestWithTallyNests(t *testing.T) {
+	inst, total := Instrument(NewMemStore(nil), testModel())
+	cached := NewCachedStore(inst, CacheOptions{})
+	var outer, inner, other Metrics
+	octx := WithTally(context.Background(), &outer)
+	ictx := WithTally(octx, &inner)
+	if err := cached.Put(octx, "a", []byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cached.GetRange(ictx, "a", 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cached.GetRange(ictx, "a", 0, 4); err != nil { // hit
+		t.Fatal(err)
+	}
+	if _, err := inst.List(WithTally(context.Background(), &other), ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Head(context.Background(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  Snapshot
+		want Snapshot
+	}{
+		{"inner", inner.Snapshot(), Snapshot{Gets: 1, BytesRead: 4}},
+		{"outer", outer.Snapshot(), Snapshot{Gets: 1, BytesRead: 4, Puts: 1, BytesWritten: 6}},
+		{"other", other.Snapshot(), Snapshot{Lists: 1}},
+		{"total", total.Snapshot(), Snapshot{Gets: 1, BytesRead: 4, Puts: 1, BytesWritten: 6, Lists: 1, Heads: 1}},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s tally = %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestFanGetParallelLatency(t *testing.T) {
 	s, _ := Instrument(NewMemStore(nil), testModel())
 	ctx := context.Background()

@@ -74,28 +74,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// RetryStats counts a RetryStore's recovery work.
-type RetryStats struct {
-	// Retries is the number of repeated attempts (attempts beyond the
-	// first of each operation).
-	Retries int64
-	// ThrottleWaits is how many of those retries waited out a
-	// throttle (and so slept at least ThrottleFloor).
-	ThrottleWaits int64
-	// AmbiguousResolved is how many conditional puts were resolved by
-	// read-back after an ambiguous outcome.
-	AmbiguousResolved int64
-}
-
-// Sub returns a-b, for windowed deltas around one logical operation.
-func (a RetryStats) Sub(b RetryStats) RetryStats {
-	return RetryStats{
-		Retries:           a.Retries - b.Retries,
-		ThrottleWaits:     a.ThrottleWaits - b.ThrottleWaits,
-		AmbiguousResolved: a.AmbiguousResolved - b.AmbiguousResolved,
-	}
-}
-
 // errClass is the retry classification of an error.
 type errClass int
 
@@ -149,8 +127,9 @@ type RetryStore struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	// Counters live in the registry ("retry.*" names); RetryStats is a
-	// view derived from its snapshot.
+	// reg holds the recovery counters ("retry.*" names): repeated
+	// attempts, how many of them waited out a throttle, and ambiguous
+	// conditional puts resolved by read-back.
 	reg               *obs.Registry
 	retries           *obs.Counter
 	throttleWaits     *obs.Counter
@@ -176,24 +155,8 @@ func NewRetryStore(inner Store, policy RetryPolicy) *RetryStore {
 // Inner returns the wrapped store.
 func (s *RetryStore) Inner() Store { return s.inner }
 
-// Stats snapshots the store's cumulative retry counters. It is a view
-// over the registry — RetryStatsFrom(s.Registry().Snapshot()).
-func (s *RetryStore) Stats() RetryStats {
-	return RetryStatsFrom(s.reg.Snapshot())
-}
-
 // Registry returns the store's metrics registry ("retry.*" names).
 func (s *RetryStore) Registry() *obs.Registry { return s.reg }
-
-// RetryStatsFrom derives the legacy RetryStats view from a registry
-// snapshot's "retry.*" counters.
-func RetryStatsFrom(s obs.Snapshot) RetryStats {
-	return RetryStats{
-		Retries:           s.Counter("retry.retries"),
-		ThrottleWaits:     s.Counter("retry.throttle_waits"),
-		AmbiguousResolved: s.Counter("retry.ambiguous_resolved"),
-	}
-}
 
 // FindRetry returns the first RetryStore on the chain, or nil.
 func FindRetry(s Store) *RetryStore { return findLayer[*RetryStore](s) }

@@ -73,8 +73,9 @@ func NewStack(base Store, opts StackOptions) *Stack {
 	return s
 }
 
-// MetricsSnapshot merges every layer's registry into one snapshot
-// ("fault.*", "retry.*", "store.*", "cache.*" names).
+// MetricsSnapshot merges every present layer's counts into one
+// snapshot ("fault.*", "retry.*", "store.*", "cache.*" names). A Stack
+// literal naming only some layers is a valid view of them.
 func (s *Stack) MetricsSnapshot() obs.Snapshot {
 	var snaps []obs.Snapshot
 	if s.Fault != nil {
@@ -84,7 +85,7 @@ func (s *Stack) MetricsSnapshot() obs.Snapshot {
 		snaps = append(snaps, s.Retry.Registry().Snapshot())
 	}
 	if s.Instrumented != nil {
-		snaps = append(snaps, s.Instrumented.Registry().Snapshot())
+		snaps = append(snaps, s.Instrumented.Metrics().Snapshot().obsSnapshot())
 	}
 	if s.Cache != nil {
 		snaps = append(snaps, s.Cache.Registry().Snapshot())

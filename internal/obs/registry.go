@@ -279,9 +279,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is a point-in-time view over one or more registries. The
-// legacy per-wrapper snapshot structs (StoreMetrics Snapshot,
-// CacheStats, RetryStats) are derived views over it.
+// Snapshot is a point-in-time view over one or more registries.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`

@@ -1,6 +1,7 @@
 package parquet
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -47,6 +48,53 @@ func FuzzPageDecode(f *testing.F) {
 			// column's physical type; the only contract on corrupt
 			// input is error-not-panic.
 			decodePage(col, data)
+		}
+	})
+}
+
+// FuzzFileMeta feeds arbitrary bytes to the footer decoder as a whole
+// file: a bad magic, a length past the file or a body that is not a
+// footer must error, never panic, and a footer that decodes must
+// re-encode to one that decodes to the same bytes again.
+func FuzzFileMeta(f *testing.F) {
+	meta := &FileMeta{
+		Version: 1,
+		Schema:  MustSchema(Column{Name: "s", Type: TypeByteArray}),
+		NumRows: 3,
+		RowGroups: []RowGroupMeta{{NumRows: 3, Chunks: []ChunkMeta{
+			{Column: 0, Offset: 4, Size: 40, NumPages: 1, Min: []byte("a"), Max: []byte("c")},
+		}}},
+	}
+	valid, err := encodeFooter([]byte("RPQ1"), meta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[len(valid)-8:]) // the length with no body
+	f.Add([]byte{})
+	noSchema, err := encodeFooter(nil, &FileMeta{NumRows: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(noSchema)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, err := ParseFileMeta(data)
+		if err != nil {
+			return
+		}
+		enc, err := encodeFooter(nil, meta)
+		if err != nil {
+			t.Fatalf("decoded footer does not encode: %v", err)
+		}
+		back, err := ParseFileMeta(enc)
+		if err != nil {
+			t.Fatalf("re-encoded footer does not decode: %v", err)
+		}
+		again, err := encodeFooter(nil, back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("footer encoding is not stable across a round trip: %v", err)
 		}
 	})
 }

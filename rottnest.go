@@ -268,13 +268,9 @@ type (
 	StoreMetrics = objectstore.Metrics
 	// CacheOptions tune a cached store (byte budget, coalesce gap).
 	CacheOptions = objectstore.CacheOptions
-	// CacheStats snapshots read-cache counters.
-	CacheStats = objectstore.CacheStats
 	// RetryPolicy tunes the bounded-backoff retry layer (see
 	// Config.Retry and NewRetryStore).
 	RetryPolicy = objectstore.RetryPolicy
-	// RetryStats snapshots retry counters.
-	RetryStats = objectstore.RetryStats
 	// FaultProfile configures deterministic fault injection for chaos
 	// testing (see NewFaultStore).
 	FaultProfile = objectstore.FaultProfile
@@ -318,14 +314,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *TraceSpan) {
 // RenderTrace writes an indented, human-readable rendering of a span
 // tree — the text form of "EXPLAIN ANALYZE".
 func RenderTrace(w io.Writer, n *TraceNode) error { return obs.RenderText(w, n) }
-
-// CacheStatsFrom derives the legacy CacheStats view from a metrics
-// snapshot (the cache.* counters of Client.Metrics).
-func CacheStatsFrom(snap MetricsSnapshot) CacheStats { return objectstore.CacheStatsFrom(snap) }
-
-// RetryStatsFrom derives the legacy RetryStats view from a metrics
-// snapshot (the retry.* counters of Client.Metrics).
-func RetryStatsFrom(snap MetricsSnapshot) RetryStats { return objectstore.RetryStatsFrom(snap) }
 
 // Clock abstracts time for simulation; see NewVirtualClock.
 type Clock = simtime.Clock
