@@ -127,24 +127,33 @@ func (c *common) parse(args []string) error {
 	return nil
 }
 
-// open opens the table over the directory store, metered by a
-// zero-latency Instrumented layer so every request a search issues —
-// lake log, metadata, index and data reads alike — lands on its tally,
-// and the client over it.
-func (c *common) open(ctx context.Context) (*rottnest.Table, *rottnest.Client, error) {
+// stack is the store every subcommand reads through: the directory
+// store, metered by a zero-latency Instrumented layer so every request
+// a search issues — lake log, metadata, index and data reads alike —
+// lands on its tally, and under -retries retried below that meter.
+func (c *common) stack() (*rottnest.Stack, error) {
 	dir, err := rottnest.NewDirStore(*c.storeDir)
+	if err != nil {
+		return nil, err
+	}
+	layers := rottnest.StackOptions{Latency: &rottnest.LatencyModel{}, CacheBytes: -1}
+	if *c.retries {
+		layers.Retry = &rottnest.RetryPolicy{}
+	}
+	return rottnest.NewStack(dir, layers), nil
+}
+
+// open opens the table over the stack, and the client over it.
+func (c *common) open(ctx context.Context) (*rottnest.Table, *rottnest.Client, error) {
+	store, err := c.stack()
 	if err != nil {
 		return nil, nil, err
 	}
-	store := rottnest.NewStack(dir, rottnest.StackOptions{Latency: &rottnest.LatencyModel{}, CacheBytes: -1}).Store
 	table, err := rottnest.OpenTable(ctx, store, *c.table)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := rottnest.Config{
-		IndexDir: *c.indexDir,
-		Retry:    rottnest.RetryPolicy{Enabled: *c.retries},
-	}
+	cfg := rottnest.Config{IndexDir: *c.indexDir}
 	if *c.cold {
 		cfg.CacheBytes = -1
 		cfg.DecodedCacheBytes = -1
@@ -360,15 +369,14 @@ func cmdIngest(args []string) error {
 			specs = append(specs, rottnest.IndexSpec{Column: fields[0], Kind: kind})
 		}
 		opts := rottnest.SchedulerOptions{
+			Client: client,
 			Writer: w,
 			Specs:  specs,
-			Config: rottnest.Config{IndexDir: *c.indexDir},
 		}
 		if *adaptiveFlag {
 			ledger := rottnest.NewHeatLedger(rottnest.HeatLedgerOptions{})
 			client.SetHeatObserver(ledger)
 			pilot := rottnest.NewAutopilot(client, ledger, specs, rottnest.AutopilotOptions{})
-			opts.Client = client
 			opts.Adaptive = rottnest.NewAdaptivePolicy(rottnest.AdaptivePolicyOptions{
 				Ledger: ledger,
 				Pilot:  pilot,
@@ -591,7 +599,7 @@ func cmdSearch(args []string) error {
 // (router.plan → router.scatter{router.shard...} → router.merge).
 func runShardedSearch(c *common, explain, scored bool, shards, replicas int, do func(ctx context.Context, r *rottnest.ShardRouter, trace bool) (*rottnest.ShardResult, *rottnest.TraceNode, error)) error {
 	ctx := context.Background()
-	store, err := rottnest.NewDirStore(*c.storeDir)
+	store, err := c.stack()
 	if err != nil {
 		return err
 	}

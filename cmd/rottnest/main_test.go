@@ -42,7 +42,7 @@ func metered(t *testing.T, dir, column, substring string, k int) int64 {
 		t.Fatal(err)
 	}
 	stack := rottnest.NewStack(base, rottnest.StackOptions{Latency: &rottnest.LatencyModel{}, CacheBytes: -1})
-	table, err := rottnest.OpenTable(ctx, stack.Store, "lake")
+	table, err := rottnest.OpenTable(ctx, stack, "lake")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +123,17 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 	if served := metered(t, dir, "msg", "a", 3); reported == 0 || reported != served {
 		t.Fatalf("-cold reported %d GETs, the metering layer served %d", reported, served)
+	}
+	// ingest -maintain runs the scheduler on the command's one client,
+	// -cold and all, in both modes, and converges before it exits.
+	for _, mode := range [][]string{nil, {"-adaptive"}} {
+		out := captureStdout(t, func() {
+			run(cmdIngest, append([]string{"-store", dir, "-table", "lake", "-rows", "50", "-batches", "4",
+				"-seed", "9", "-maintain", "id:trie,msg:fm", "-cold"}, mode...)...)
+		})
+		if !strings.Contains(out, "; 0 rows unindexed") {
+			t.Fatalf("ingest -maintain %v did not converge:\n%s", mode, out)
+		}
 	}
 	run(cmdCompact, "-store", dir, "-table", "lake", "-column", "id", "-kind", "trie")
 	run(cmdLakeCompact, "-store", dir, "-table", "lake")

@@ -57,7 +57,7 @@ func Ablations(opts Options) (*AblationResult, error) {
 	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{
 		Latency:    &model,
 		CacheBytes: -1,
-	}).Store
+	})
 
 	// --- Componentization vs whole-file download (trie). ---
 	// Large enough that the whole index is throughput-bound to

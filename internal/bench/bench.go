@@ -68,14 +68,13 @@ func (o Options) scaleInt(full, quick int) int {
 	return full
 }
 
-// world bundles one simulated deployment: clock, instrumented store,
-// lake table, Rottnest client.
+// world bundles one simulated deployment: clock, store stack, lake
+// table, Rottnest client.
 type world struct {
-	clock   *simtime.VirtualClock
-	store   objectstore.Store
-	metrics *objectstore.Metrics
-	table   *lake.Table
-	client  *core.Client
+	clock  *simtime.VirtualClock
+	store  *objectstore.Stack
+	table  *lake.Table
+	client *core.Client
 
 	// trace/traceLabel make the next measured search record its span
 	// tree (see traced in trace.go).
@@ -83,41 +82,27 @@ type world struct {
 	traceLabel string
 }
 
-// newWorld builds a deployment. Optional wraps are applied to the
-// store chain above the instrumented layer (and below any cache), so
-// experiments can interpose fault injection or retry layers that both
-// the lake and the client traverse.
-func newWorld(schema *parquet.Schema, cfg core.Config, wraps ...func(objectstore.Store) objectstore.Store) (*world, error) {
-	return newWorldOn(objectstore.DefaultS3Model(), schema, cfg, wraps...)
+// newWorld builds a deployment on the paper's S3 latency model.
+func newWorld(schema *parquet.Schema, cfg core.Config) (*world, error) {
+	model := objectstore.DefaultS3Model()
+	return newWorldOn(objectstore.StackOptions{Latency: &model}, schema, cfg)
 }
 
-// newWorldOn is newWorld under a latency model other than the paper's
-// S3 measurements.
-func newWorldOn(model objectstore.LatencyModel, schema *parquet.Schema, cfg core.Config, wraps ...func(objectstore.Store) objectstore.Store) (*world, error) {
+// newWorldOn is newWorld over other store layers: a latency model other
+// than the paper's S3 measurements, or faults and retries. The lake and
+// the client both read through the one objectstore.NewStack it builds;
+// its cache is cfg.CacheBytes, and off unless that is positive.
+func newWorldOn(layers objectstore.StackOptions, schema *parquet.Schema, cfg core.Config) (*world, error) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
-	// Every layer — the metered latency model at the bottom, fault and
-	// retry wraps in the middle, any shared cache on top — composes
-	// through objectstore.NewStack, the one canonical code path for
-	// store chains (per-shard budgets in internal/shard use it too).
-	base := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{
-		Latency:    &model,
-		CacheBytes: -1,
-	})
-	metrics := base.Metrics
-	store := base.Store
-	for _, wrap := range wraps {
-		store = wrap(store)
-	}
-	// When an experiment asks for a warm deployment, share one cache
-	// between the lake and the client (NewClient joins it via
-	// FindCached), so snapshot log reads are accelerated too.
+	// When an experiment asks for a warm deployment, the lake and the
+	// client share one cache (NewClient joins the stack's), so snapshot
+	// log reads are accelerated too.
+	layers.CacheBytes = -1
 	if cfg.CacheBytes > 0 {
-		store = objectstore.NewStack(store, objectstore.StackOptions{
-			CacheBytes:  cfg.CacheBytes,
-			CoalesceGap: cfg.CoalesceGap,
-		}).Store
+		layers.CacheBytes = cfg.CacheBytes
 	}
+	store := objectstore.NewStack(objectstore.NewMemStore(clock), layers)
 	table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		return nil, err
@@ -146,11 +131,10 @@ func newWorldOn(model objectstore.LatencyModel, schema *parquet.Schema, cfg core
 	}
 	cfg.Clock = clock
 	return &world{
-		clock:   clock,
-		store:   store,
-		metrics: metrics,
-		table:   table,
-		client:  core.NewClient(table, cfg),
+		clock:  clock,
+		store:  store,
+		table:  table,
+		client: core.NewClient(table, cfg),
 	}, nil
 }
 
@@ -257,12 +241,18 @@ var uuidSchema = parquet.MustSchema(
 	parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
 )
 
-func newUUIDWorld(seed int64, batches, rowsPerBatch int, cfg core.Config, wraps ...func(objectstore.Store) objectstore.Store) (*uuidWorld, error) {
-	ctx := context.Background()
-	w, err := newWorld(uuidSchema, cfg, wraps...)
+func newUUIDWorld(seed int64, batches, rowsPerBatch int, cfg core.Config) (*uuidWorld, error) {
+	w, err := newWorld(uuidSchema, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return w.appendUUIDs(seed, batches, rowsPerBatch)
+}
+
+// appendUUIDs appends batches of rowsPerBatch keys drawn from seed, one
+// data file each.
+func (w *world) appendUUIDs(seed int64, batches, rowsPerBatch int) (*uuidWorld, error) {
+	ctx := context.Background()
 	gen := workload.NewUUIDGen(seed)
 	uw := &uuidWorld{world: w}
 	for b := 0; b < batches; b++ {

@@ -40,7 +40,8 @@ const depthUnit = time.Millisecond
 // unit is the number of round trips it could not overlap.
 func Maintenance(opts Options) (*BuildResult, error) {
 	ctx := context.Background()
-	w, err := newWorldOn(objectstore.LatencyModel{GetTTFB: depthUnit, PutTTFB: depthUnit, ListTTFB: depthUnit}, textSchema, core.Config{})
+	unit := objectstore.LatencyModel{GetTTFB: depthUnit, PutTTFB: depthUnit, ListTTFB: depthUnit}
+	w, err := newWorldOn(objectstore.StackOptions{Latency: &unit}, textSchema, core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -82,11 +83,11 @@ func Maintenance(opts Options) (*BuildResult, error) {
 
 // depthOf runs one call on a fresh session and returns its shape.
 func (w *world) depthOf(ctx context.Context, call string, fn func(context.Context) error) (MaintenanceDepth, error) {
-	before := w.metrics.Snapshot()
+	before := w.store.Metrics.Snapshot()
 	virtual, err := virtualOp(ctx, fn)
 	return MaintenanceDepth{
 		Call:   call,
-		Gets:   w.metrics.Snapshot().Sub(before).Gets,
+		Gets:   w.store.Metrics.Snapshot().Sub(before).Gets,
 		Levels: int64(virtual / depthUnit),
 	}, err
 }

@@ -32,7 +32,7 @@ type ChaosResult struct {
 
 // Chaos measures the retry layer's latency overhead under a seeded
 // fault storm: the same UUID deployment and query set run clean and
-// under a FaultStore+RetryStore chain; every query must still succeed.
+// over a stack of faults under retries; every query must still succeed.
 // The differential harness (internal/harness) proves the answers stay
 // byte-for-byte correct; this experiment prices the recovery.
 func Chaos(o Options) (*ChaosResult, error) {
@@ -65,22 +65,20 @@ func Chaos(o Options) (*ChaosResult, error) {
 		Deadline:      0.01,
 		AmbiguousPut:  0.10,
 	}
-	policy := objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8, Seed: o.Seed}
-	var stack *objectstore.Stack
-	storm, err := newUUIDWorld(o.Seed, batches, rows, core.Config{},
-		func(s objectstore.Store) objectstore.Store {
-			// Retry above faults so ingest and indexing survive the
-			// storm too; the client joins the same retry layer. Both
-			// layers come from objectstore.NewStack — the canonical
-			// composition path — with the cache disabled (the storm
-			// must pay for every read).
-			stack = objectstore.NewStack(s, objectstore.StackOptions{
-				Faults:     &profile,
-				Retry:      policy,
-				CacheBytes: -1,
-			})
-			return stack.Store
-		})
+	// Faults under retries under the S3 meter, all from one
+	// objectstore.NewStack: ingest, indexing and the client's searches
+	// all read through the retries, and the cache is off (the storm must
+	// pay for every read).
+	model := objectstore.DefaultS3Model()
+	w, err := newWorldOn(objectstore.StackOptions{
+		Faults:  &profile,
+		Retry:   &objectstore.RetryPolicy{MaxAttempts: 8, Seed: o.Seed},
+		Latency: &model,
+	}, uuidSchema, core.Config{})
+	if err != nil {
+		return nil, err
+	}
+	storm, err := w.appendUUIDs(o.Seed, batches, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +91,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 		return nil, err
 	}
 
-	recovery := stack.MetricsSnapshot()
+	recovery := storm.store.MetricsSnapshot()
 	res := &ChaosResult{
 		Queries:           nq,
 		CleanLatency:      cleanLat,
@@ -101,7 +99,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 		Retries:           recovery.Counter("retry.retries"),
 		ThrottleWaits:     recovery.Counter("retry.throttle_waits"),
 		AmbiguousResolved: recovery.Counter("retry.ambiguous_resolved"),
-		Faults:            stack.Fault.Counts(),
+		Faults:            storm.store.Fault.Counts(),
 	}
 	if cleanLat > 0 {
 		res.Overhead = float64(stormLat) / float64(cleanLat)

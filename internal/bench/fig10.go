@@ -37,7 +37,7 @@ func Fig10ReadGranularity(opts Options) (*Fig10Result, error) {
 	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{
 		Latency:    &model,
 		CacheBytes: -1,
-	}).Store
+	})
 
 	// One big incompressible object to read ranges from.
 	blob := make([]byte, 128<<20)
@@ -80,10 +80,7 @@ func Fig10ReadGranularity(opts Options) (*Fig10Result, error) {
 					maxBranch = branch.Elapsed()
 				}
 			}
-			total := maxBranch
-			if model := objectstore.DefaultS3Model(); conc > 1 && model.MaxGetRPSPerPrefix > 0 {
-				total += time.Duration(float64(conc) / model.MaxGetRPSPerPrefix * float64(time.Second))
-			}
+			total := maxBranch + model.QueueDelay(conc)
 			res.Granularity[conc][size] = total
 			fmt.Fprintf(out, "%-13s", total.Round(time.Millisecond))
 		}

@@ -102,7 +102,7 @@ func Ingest(o Options) (*IngestResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ackBefore := grouped.metrics.Snapshot()
+	ackBefore := grouped.store.Metrics.Snapshot()
 	for round := 0; round < res.BatchesPerProducer; round++ {
 		for p := 0; p < res.Producers; p++ {
 			if _, err := w.Append(ctx, ingestBatch(gen, res.RowsPerBatch)); err != nil {
@@ -113,7 +113,7 @@ func Ingest(o Options) (*IngestResult, error) {
 			return nil, err
 		}
 	}
-	acked := grouped.metrics.Snapshot().Sub(ackBefore)
+	acked := grouped.store.Metrics.Snapshot().Sub(ackBefore)
 	res.AckLists = float64(acked.Lists) / float64(totalBatches)
 	res.AckGets = float64(acked.Gets) / float64(totalBatches)
 	res.AckPuts = float64(acked.Puts) / float64(totalBatches)

@@ -145,7 +145,7 @@ func Multi(o Options) (*MultiResult, error) {
 		key, needle := mw.pair(i, rowsPerBatch)
 		k := key
 
-		before := mw.metrics.Snapshot()
+		before := mw.store.Metrics.Snapshot()
 		beforeReg := mw.client.Metrics()
 		cres, err := mw.client.SearchCompound(simtime.With(ctx, simtime.NewSession()), core.CompoundQuery{
 			Expr: core.And(
@@ -161,12 +161,12 @@ func Multi(o Options) (*MultiResult, error) {
 			return nil, fmt.Errorf("bench multi: compound query %d found nothing", i)
 		}
 		delta := mw.client.Metrics().Sub(beforeReg)
-		it.CompoundGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
+		it.CompoundGETs += float64(mw.store.Metrics.Snapshot().Sub(before).Gets)
 		it.CompoundPages += float64(cres.Stats.PagesProbed)
 		it.PagesCandidate += float64(delta.Counter("search.pages_candidate"))
 		it.PagesPruned += float64(delta.Counter("search.pages_pruned"))
 
-		before = mw.metrics.Snapshot()
+		before = mw.store.Metrics.Snapshot()
 		for _, q := range []core.Query{
 			{Column: "id", UUID: &k, K: 0, Snapshot: -1},
 			{Column: "body", Substring: []byte(needle), K: 0, Snapshot: -1},
@@ -177,7 +177,7 @@ func Multi(o Options) (*MultiResult, error) {
 			}
 			it.SeparatePages += float64(sres.Stats.PagesProbed)
 		}
-		it.SeparateGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
+		it.SeparateGETs += float64(mw.store.Metrics.Snapshot().Sub(before).Gets)
 	}
 	n := float64(nQueries)
 	it.CompoundGETs /= n

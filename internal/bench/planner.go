@@ -82,7 +82,7 @@ func Planner(o Options) (*PlannerResult, error) {
 	}
 	for r := 0; r < rounds; r++ {
 		beforeReg := mw.client.Metrics()
-		before := mw.metrics.Snapshot()
+		before := mw.store.Metrics.Snapshot()
 		cres, err := mw.client.SearchCompound(simtime.With(ctx, simtime.NewSession()), core.CompoundQuery{
 			Expr: core.Or(preds...), K: 0, Snapshot: -1, Output: "body",
 		})
@@ -95,10 +95,10 @@ func Planner(o Options) (*PlannerResult, error) {
 		delta := mw.client.Metrics().Sub(beforeReg)
 		sw.BatchedOccFetches += float64(delta.Counter("search.occ_fetched"))
 		sw.OccReused += float64(delta.Counter("search.occ_reused"))
-		sw.BatchedGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
+		sw.BatchedGETs += float64(mw.store.Metrics.Snapshot().Sub(before).Gets)
 
 		beforeReg = mw.client.Metrics()
-		before = mw.metrics.Snapshot()
+		before = mw.store.Metrics.Snapshot()
 		for _, needle := range mw.needles {
 			if _, err := mw.client.Search(simtime.With(ctx, simtime.NewSession()), core.Query{
 				Column: "body", Substring: []byte(needle), K: 0, Snapshot: -1,
@@ -108,7 +108,7 @@ func Planner(o Options) (*PlannerResult, error) {
 		}
 		delta = mw.client.Metrics().Sub(beforeReg)
 		sw.SingletonOccFetches += float64(delta.Counter("search.occ_fetched"))
-		sw.SingletonGETs += float64(mw.metrics.Snapshot().Sub(before).Gets)
+		sw.SingletonGETs += float64(mw.store.Metrics.Snapshot().Sub(before).Gets)
 	}
 	n := float64(rounds)
 	sw.BatchedOccFetches /= n
@@ -146,7 +146,7 @@ func Planner(o Options) (*PlannerResult, error) {
 			K: 0, Snapshot: -1, Output: "body",
 		}
 		beforeReg := ow.client.Metrics()
-		before := ow.metrics.Snapshot()
+		before := ow.store.Metrics.Snapshot()
 		cres, err := ow.client.SearchCompound(simtime.With(ctx, simtime.NewSession()), cq)
 		if err != nil {
 			return nil, err
@@ -158,9 +158,9 @@ func Planner(o Options) (*PlannerResult, error) {
 			or.ShortCircuited++
 		}
 		or.LeavesSkipped += float64(ow.client.Metrics().Sub(beforeReg).Counter("search.leaves_skipped"))
-		or.OrderedGETs += float64(ow.metrics.Snapshot().Sub(before).Gets)
+		or.OrderedGETs += float64(ow.store.Metrics.Snapshot().Sub(before).Gets)
 
-		before = ow.metrics.Snapshot()
+		before = ow.store.Metrics.Snapshot()
 		ures, err := unordered.SearchCompound(simtime.With(ctx, simtime.NewSession()), cq)
 		if err != nil {
 			return nil, err
@@ -168,7 +168,7 @@ func Planner(o Options) (*PlannerResult, error) {
 		if len(ures.Matches) != 0 {
 			return nil, fmt.Errorf("bench planner: unordered miss query %d found matches", r)
 		}
-		or.UnorderedGETs += float64(ow.metrics.Snapshot().Sub(before).Gets)
+		or.UnorderedGETs += float64(ow.store.Metrics.Snapshot().Sub(before).Gets)
 	}
 	or.LeavesSkipped /= n
 	or.OrderedGETs /= n

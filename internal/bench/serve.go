@@ -65,12 +65,12 @@ func serveWorkload(ctx context.Context, name string, o Options, clients, perClie
 				}
 			}
 		}
-		before, primed := w.metrics.Snapshot(), w.client.Metrics()
+		before, primed := w.store.Metrics.Snapshot(), w.client.Metrics()
 		err = zipfStream(ctx, clients, perClient, len(universe), o.Seed, func(ctx context.Context, _, q int) error {
 			_, err := w.client.Search(ctx, universe[q])
 			return err
 		})
-		gets := w.metrics.Snapshot().Sub(before).Gets
+		gets := w.store.Metrics.Snapshot().Sub(before).Gets
 		return float64(gets) / float64(r.Queries), w.client.Metrics().Sub(primed), err
 	}
 

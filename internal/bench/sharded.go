@@ -204,7 +204,7 @@ func Sharded(o Options) (*ShardedResult, error) {
 		return objectstore.NewStack(s, objectstore.StackOptions{
 			Faults:     &profile,
 			CacheBytes: -1,
-		}).Store
+		})
 	}
 	for _, hedge := range []bool{false, true} {
 		op := baseOpts

@@ -72,14 +72,14 @@ func Throughput(opts Options) (*ThroughputResult, error) {
 		if _, err := a.world.indexAndCompact(ctx, a.column, a.kind); err != nil {
 			return nil, err
 		}
-		before := a.world.metrics.Snapshot()
+		before := a.world.store.Metrics.Snapshot()
 		for _, q := range a.queries {
 			session := simtime.NewSession()
 			if _, err := a.world.client.Search(simtime.With(ctx, session), q); err != nil {
 				return nil, err
 			}
 		}
-		delta := a.world.metrics.Snapshot().Sub(before)
+		delta := a.world.store.Metrics.Snapshot().Sub(before)
 		perQuery := (delta.Gets + delta.Lists + delta.Heads) / int64(len(a.queries))
 		if perQuery < 1 {
 			perQuery = 1

@@ -81,7 +81,7 @@ func TestCacheSurvivesCompactAndVacuum(t *testing.T) {
 
 	// The vacuumed objects were cache-resident; the cached store must
 	// not resurrect them.
-	cached := objectstore.FindCached(e.cli.store)
+	cached := e.cli.store.Cache
 	if cached == nil {
 		t.Fatal("client has no cached store")
 	}
@@ -374,7 +374,8 @@ func TestLakeVacuumDropsDataFilePages(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	hooked := &getHookStore{Store: objectstore.NewMemStore(clock)}
-	store, _ := objectstore.Instrument(hooked, objectstore.DefaultS3Model())
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(hooked, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +439,7 @@ func TestLakeVacuumDropsDataFilePages(t *testing.T) {
 		if n := e.cli.objc.Invalidate(key); n != 0 {
 			t.Errorf("%d decoded pages of vacuumed %s are resident", n, path)
 		}
-		if n := e.cli.cache.Invalidate(key); n != 0 {
+		if n := e.cli.store.Cache.Invalidate(key); n != 0 {
 			t.Errorf("%d byte ranges of vacuumed %s are resident", n, path)
 		}
 	}

@@ -86,17 +86,13 @@ type Config struct {
 	// CacheBytes bounds the shared read cache the client layers over
 	// the table's store: component tails, index components, data
 	// pages, deletion vectors, and meta-log records are immutable, so
-	// repeated and concurrent searches reuse them without re-GETting.
-	// 0 means the 64 MiB default; negative disables the cache (and
-	// range coalescing with it). Ignored when the table's store is
-	// already a CachedStore — the client then joins that cache.
+	// repeated and concurrent searches reuse them without re-GETting,
+	// and a fan of nearby ranged GETs goes out as one request. 0 means
+	// the 64 MiB default; negative disables the cache (and range
+	// coalescing with it). Ignored when the table's store is an
+	// objectstore.Stack with a cache — the client then joins that
+	// cache.
 	CacheBytes int64
-	// CoalesceGap merges adjacent ranged GETs of the same object
-	// whose gap is at most this many bytes into one request (the
-	// latency model is flat until ~1 MiB, so nearby pages cost one
-	// TTFB instead of two). 0 means the 128 KiB default; negative
-	// disables coalescing.
-	CoalesceGap int64
 	// DecodedCacheBytes bounds the decoded-object cache holding
 	// per-query reconstruction results across queries: component
 	// reader directories, manifests, FM/trie/IVF-PQ open results
@@ -135,13 +131,6 @@ type Config struct {
 	// intersection is already empty). Results are identical either
 	// way; the flag exists for differential testing and benchmarks.
 	DisableANDOrdering bool
-	// Retry, when Enabled, layers bounded exponential-backoff retries
-	// (with read-back resolution of ambiguous conditional puts) under
-	// the client's read cache. Off by default: fault-free stores need
-	// no retries, and protocol tests inject faults expecting to see
-	// them surface. Ignored when the table's store already has a
-	// RetryStore in its chain — the client then shares it.
-	Retry objectstore.RetryPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -166,16 +155,12 @@ func (c Config) withDefaults() Config {
 // so any number of processes can run clients concurrently.
 type Client struct {
 	table *lake.Table
-	store objectstore.Store
+	// store is the table's store stack, plus the client's own read
+	// cache when the stack has none; Metrics reports its layers.
+	store *objectstore.Stack
 	clock simtime.Clock
 	cfg   Config
 	meta  *meta.Table
-	// cache is the read cache on the client's store chain (nil when
-	// disabled); inst is the instrumented store underneath, if any;
-	// retry is the retry layer, if enabled. Metrics reports all three.
-	cache *objectstore.CachedStore
-	inst  *objectstore.Instrumented
-	retry *objectstore.RetryStore
 	// objc caches decoded objects (readers, manifests, index opens,
 	// deletion vectors) across queries; plans caches planning rounds
 	// keyed by snapshot version. Both are nil when disabled.
@@ -212,32 +197,22 @@ type Client struct {
 // cfg.IndexDir on the table's object store. The world clock comes
 // from cfg.Clock (nil = real time).
 //
-// Unless cfg.CacheBytes is negative, the client's reads (index files,
+// The client reads through the table's store. When that store is an
+// objectstore.Stack, the client shares its layers: its retries cover
+// every request, lake log included, and its cache, if it has one, is
+// the client's — then lake snapshot reads share it too. Otherwise,
+// unless cfg.CacheBytes is negative, the client's reads (index files,
 // probed data pages, deletion vectors, metadata log) flow through a
-// shared LRU read cache with singleflight coalescing, layered over
-// the table's store. If the table was itself built on a CachedStore,
-// that cache is reused — then lake snapshot reads share it too.
+// read cache of its own, stacked over the table's store.
 func NewClient(table *lake.Table, cfg Config) *Client {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simtime.RealClock{}
 	}
 	cfg = cfg.withDefaults()
-	store := table.Store()
-	// Retries sit under the cache: hits never pay the retry loop, and
-	// every upstream request (including metadata commits) is protected.
-	retry := objectstore.FindRetry(store)
-	if retry == nil && cfg.Retry.Enabled {
-		retry = objectstore.NewRetryStore(store, cfg.Retry)
-		store = retry
-	}
-	cache := objectstore.FindCached(store)
-	if cache == nil && cfg.CacheBytes >= 0 {
-		cache = objectstore.NewCachedStore(store, objectstore.CacheOptions{
-			MaxBytes:    cfg.CacheBytes,
-			CoalesceGap: cfg.CoalesceGap,
-		})
-		store = cache
+	store, ok := table.Store().(*objectstore.Stack)
+	if !ok || (store.Cache == nil && cfg.CacheBytes >= 0) {
+		store = objectstore.NewStack(table.Store(), objectstore.StackOptions{CacheBytes: cfg.CacheBytes})
 	}
 	reg := obs.NewRegistry()
 	var objc *objcache.Cache
@@ -254,9 +229,6 @@ func NewClient(table *lake.Table, cfg Config) *Client {
 		clock:          clock,
 		cfg:            cfg,
 		meta:           meta.New(store, clock, cfg.IndexDir+"_meta/"),
-		cache:          cache,
-		inst:           objectstore.FindInstrumented(store),
-		retry:          retry,
 		objc:           objc,
 		plans:          plans,
 		reg:            reg,
@@ -295,16 +267,16 @@ func (c *Client) Meta() *meta.Table { return c.meta }
 // Table returns the underlying lake table.
 func (c *Client) Table() *lake.Table { return c.table }
 
-// Metrics returns one merged snapshot of every layer on the client's
-// store chain plus the client's own search counters: "store.*"
+// Metrics returns one merged snapshot of every layer of the client's
+// store stack plus the client's own search counters: "store.*"
 // (request/byte totals), "cache.*" (hit/miss/eviction), "retry.*"
-// (recovery work), "objcache.*" (decoded-object cache), and "search.*"
+// (recovery work), "fault.*" (injected faults), "objcache.*"
+// (decoded-object cache), and "search.*"
 // (query counts, pages probed, plan-cache activity, latency
 // histogram), plus any attached registries ("ingest.*" when a
 // writer/scheduler is wired in).
 func (c *Client) Metrics() obs.Snapshot {
-	layers := objectstore.Stack{Retry: c.retry, Instrumented: c.inst, Cache: c.cache}
-	snaps := []obs.Snapshot{layers.MetricsSnapshot(), c.reg.Snapshot()}
+	snaps := []obs.Snapshot{c.store.MetricsSnapshot(), c.reg.Snapshot()}
 	if c.objc != nil {
 		snaps = append(snaps, c.objc.Registry().Snapshot())
 	}

@@ -20,7 +20,7 @@ import (
 // shaped like the wall-clock benchmark's search world.
 type coldWorld struct {
 	clock   *simtime.VirtualClock
-	store   *objectstore.Instrumented
+	store   *objectstore.Stack
 	metrics *objectstore.Metrics
 	keys    [][16]byte
 	vecs    [][]float32
@@ -58,7 +58,9 @@ func newColdWorld(t *testing.T) *coldWorld {
 		text:      workload.NewTextGen(workload.DefaultTextConfig(1)),
 		vecGen:    workload.NewVectorGen(workload.VectorConfig{Seed: 7, Dim: coldDim, Clusters: 64, Spread: 0.18}),
 	}
-	w.store, w.metrics = objectstore.Instrument(objectstore.NewMemStore(w.clock), objectstore.DefaultS3Model())
+	model := objectstore.DefaultS3Model()
+	w.store = objectstore.NewStack(objectstore.NewMemStore(w.clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+	w.metrics = w.store.Metrics
 	var err error
 	if w.table, err = lake.CreateWith(ctx, w.store, "lake", coldSchema, lake.OpenOptions{Clock: w.clock}); err != nil {
 		t.Fatal(err)

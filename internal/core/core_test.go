@@ -17,12 +17,12 @@ import (
 )
 
 // env bundles a simulated world: clock, store, lake table, client.
-// The store is an instrumented MemStore, so searches run inside
-// simtime sessions accumulate realistic virtual latency.
+// The store is a MemStore metered on the S3 latency model, so searches
+// run inside simtime sessions accumulate realistic virtual latency.
 type env struct {
 	clock *simtime.VirtualClock
 	mem   *objectstore.MemStore
-	store *objectstore.Instrumented
+	store *objectstore.Stack
 	table *lake.Table
 	cli   *Client
 }
@@ -46,7 +46,8 @@ func newEnv(t testing.TB, schema *parquet.Schema, cfg Config) *env {
 	t.Helper()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	store, _ := objectstore.Instrument(mem, objectstore.DefaultS3Model())
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(mem, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)

@@ -405,13 +405,13 @@ func TestCompoundPlansShareUnitListings(t *testing.T) {
 		Expr:     And(PredUUID("id", keys[100]), Or(needle, PredSubstring("payload", []byte("payload-1")))),
 		Snapshot: -1, Output: "id",
 	}
-	before := e.store.Metrics().Snapshot()
+	before := e.store.Metrics.Snapshot()
 	missesBefore := e.cli.plans.misses.Value()
 	_, tr, err := e.cli.TraceCompound(ctx, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lists := e.store.Metrics().Snapshot().Sub(before).Lists; lists != 0 {
+	if lists := e.store.Metrics.Snapshot().Sub(before).Lists; lists != 0 {
 		t.Fatalf("novel tree over listed pairs issued %d LISTs, want 0", lists)
 	}
 	if e.cli.plans.misses.Value() != missesBefore {

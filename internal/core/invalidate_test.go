@@ -71,7 +71,8 @@ func newInvWorld(t *testing.T, schema *parquet.Schema) *invWorld {
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
 	hooked := &commitHookStore{Store: mem}
-	store, _ := objectstore.Instrument(hooked, objectstore.DefaultS3Model())
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(hooked, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +310,7 @@ func TestInvalidationEvents(t *testing.T) {
 				t.Fatalf("event killed %d objects; scenario not exercised", len(dead))
 			}
 			for _, key := range dead {
-				if n := w.cli.cache.Invalidate(key); n != 0 {
+				if n := w.cli.store.Cache.Invalidate(key); n != 0 {
 					t.Errorf("%d byte ranges of dead %s still cached", n, key)
 				}
 				if n := w.cli.objc.Invalidate(key); n != 0 {

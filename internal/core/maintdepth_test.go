@@ -44,7 +44,7 @@ func (w *coldWorld) maintain(t *testing.T, call func(ctx context.Context, cli *C
 // snapshot took 817 ms and one more replay per snapshot kept.
 func TestMaintenanceDepth(t *testing.T) {
 	w := newColdWorld(t)
-	model := w.store.Model()
+	model := w.store.Instrumented.Model()
 	const (
 		list = 60 * time.Millisecond
 		get  = 30 * time.Millisecond

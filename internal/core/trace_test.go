@@ -200,7 +200,7 @@ func TestClientMetricsSnapshot(t *testing.T) {
 	if snap.Counter("search.pages_probed") <= 0 {
 		t.Fatal("search.pages_probed did not advance")
 	}
-	m := e.store.Metrics().Snapshot()
+	m := e.store.Metrics.Snapshot()
 	if snap.Counter("store.gets") != m.Gets || snap.Counter("store.puts") != m.Puts || m.Gets == 0 {
 		t.Fatalf("store.* = %v, Instrumented counted %+v", snap.Counters, m)
 	}

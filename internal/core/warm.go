@@ -27,8 +27,8 @@ import (
 // ranges, decoded forms, memoized probes — and keeps loads of it that
 // are in flight from becoming resident.
 func (c *Client) objectGone(key string) {
-	if c.cache != nil {
-		c.cache.Invalidate(key)
+	if c.store.Cache != nil {
+		c.store.Cache.Invalidate(key)
 	}
 	c.objc.Invalidate(key)
 	c.batch.invalidateIndex(key)

@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
+	"rottnest/internal/component"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/postings"
 	"rottnest/internal/workload"
@@ -80,7 +82,7 @@ func TestReferenceBuildMatchesProduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ReferenceBuild(text, starts, refs, opts)
+		want, err := referenceBuild(text, starts, refs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,6 +90,81 @@ func TestReferenceBuildMatchesProduction(t *testing.T) {
 			t.Fatalf("opts %+v: production build bytes differ from the reference build", opts)
 		}
 	}
+}
+
+// referenceBuild constructs an FM-index file with the original serial
+// build path: prefix-doubling suffix array, serial BWT derivation,
+// per-block serial encoding, and a per-SA-entry binary search for the
+// position→page map. It is retained verbatim as the oracle for the
+// byte-identity differential test — Build must emit exactly these
+// bytes for any input.
+func referenceBuild(text []byte, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) ([]byte, error) {
+	opts = opts.withDefaults()
+	if err := validateBuildInput(text, pageStarts, refs); err != nil {
+		return nil, err
+	}
+	b := component.NewBuilder(component.KindFM)
+
+	full := make([]byte, 0, len(text)+1)
+	full = append(full, text...)
+	full = append(full, Sentinel)
+	sa := referenceSuffixArray(full)
+	n := len(full)
+	bwt := make([]byte, n)
+	for i, s := range sa {
+		if s == 0 {
+			bwt[i] = full[n-1]
+		} else {
+			bwt[i] = full[s-1]
+		}
+	}
+
+	base := b.NumComponents()
+
+	// BWT blocks + checkpoint deltas, one serial pass.
+	numBlocks := (n + opts.BlockSize - 1) / opts.BlockSize
+	checkDeltas := make([][256]uint32, numBlocks)
+	for blk := 0; blk < numBlocks; blk++ {
+		lo := blk * opts.BlockSize
+		hi := lo + opts.BlockSize
+		if hi > n {
+			hi = n
+		}
+		for _, c := range bwt[lo:hi] {
+			checkDeltas[blk][c]++
+		}
+		b.Add(bwt[lo:hi])
+	}
+
+	// Page-map blocks: page ordinal of SA[i], binary search per entry.
+	pageOf := func(pos int32) uint32 {
+		idx := sort.Search(len(pageStarts), func(j int) bool { return pageStarts[j] > int64(pos) }) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		return uint32(idx)
+	}
+	numPMBlocks := (n + opts.PageMapBlock - 1) / opts.PageMapBlock
+	bits := bitsFor(uint32(len(pageStarts)))
+	for blk := 0; blk < numPMBlocks; blk++ {
+		lo := blk * opts.PageMapBlock
+		hi := lo + opts.PageMapBlock
+		if hi > n {
+			hi = n
+		}
+		entries := make([]uint32, hi-lo)
+		for i := lo; i < hi; i++ {
+			pos := sa[i]
+			if int(pos) == n-1 {
+				pos = 0 // sentinel row; never queried
+			}
+			entries[i-lo] = pageOf(pos)
+		}
+		b.Add(packBits(nil, len(entries), bits, func(i int) uint32 { return entries[i] }))
+	}
+
+	b.Add(encodeRoot(n, base, opts, numBlocks, numPMBlocks, checkDeltas, pageStarts, refs, countPairs(full)))
+	return b.Finish()
 }
 
 // TestPosPageTableMatchesSearch holds pageOf to its definition — the

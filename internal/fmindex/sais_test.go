@@ -23,7 +23,7 @@ func sentinelize(b []byte) []byte {
 func checkSAISAgainstReference(t *testing.T, label string, text []byte) {
 	t.Helper()
 	got := buildSuffixArray(text)
-	want := ReferenceSuffixArray(text)
+	want := referenceSuffixArray(text)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s (n=%d): sa[%d] = %d, reference %d", label, len(text), i, got[i], want[i])
@@ -150,7 +150,7 @@ func BenchmarkSuffixArray(b *testing.B) {
 	for _, impl := range []struct {
 		name string
 		fn   func([]byte) []int32
-	}{{"sais", buildSuffixArray}, {"oracle", ReferenceSuffixArray}} {
+	}{{"sais", buildSuffixArray}, {"oracle", referenceSuffixArray}} {
 		b.Run(impl.name, func(b *testing.B) {
 			b.SetBytes(int64(len(full)))
 			b.ReportAllocs()
@@ -176,11 +176,111 @@ func FuzzSuffixArray(f *testing.F) {
 		}
 		text := sentinelize(data)
 		got := buildSuffixArray(text)
-		want := ReferenceSuffixArray(text)
+		want := referenceSuffixArray(text)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("sa[%d] = %d, reference %d (n=%d)", i, got[i], want[i], len(text))
 			}
 		}
 	})
+}
+
+// referenceSuffixArray computes the suffix array of text using prefix
+// doubling with radix (counting) sort, O(n log n). This is the
+// original builder, retained verbatim as the oracle for the SA-IS
+// differential tests (TestSAISMatchesReference, FuzzSuffixArray) and
+// BenchmarkSuffixArray's baseline; it lives in this file so that the
+// file carries its own oracle. The text handed in already carries its
+// unique smallest sentinel as the final byte, so all suffixes are
+// distinct.
+func referenceSuffixArray(text []byte) []int32 {
+	n := len(text)
+	sa := make([]int32, n)
+	if n == 0 {
+		return sa
+	}
+	rank := make([]int32, n)
+	tmp := make([]int32, n)
+	newRank := make([]int32, n)
+
+	// Initial pass: sort suffixes by first byte.
+	var cnt [257]int
+	for _, c := range text {
+		cnt[int(c)+1]++
+	}
+	for i := 1; i < 257; i++ {
+		cnt[i] += cnt[i-1]
+	}
+	pos := cnt
+	for i := 0; i < n; i++ {
+		c := text[i]
+		sa[pos[c]] = int32(i)
+		pos[c]++
+	}
+	rank[sa[0]] = 0
+	for i := 1; i < n; i++ {
+		rank[sa[i]] = rank[sa[i-1]]
+		if text[sa[i]] != text[sa[i-1]] {
+			rank[sa[i]]++
+		}
+	}
+
+	count := make([]int, n+1)
+	for k := 1; ; k <<= 1 {
+		if int(rank[sa[n-1]]) == n-1 {
+			break // all ranks distinct
+		}
+		// Order by second key (rank[i+k], absent = smallest): the
+		// suffixes with i+k >= n come first, then the rest in the
+		// order of the current sa scanned left to right.
+		idx := 0
+		for i := n - k; i < n; i++ {
+			tmp[idx] = int32(i)
+			idx++
+		}
+		for _, s := range sa {
+			if int(s) >= k {
+				tmp[idx] = s - int32(k)
+				idx++
+			}
+		}
+		// Stable counting sort by first key rank[i].
+		maxRank := int(rank[sa[n-1]]) + 1
+		for i := 0; i <= maxRank; i++ {
+			count[i] = 0
+		}
+		for i := 0; i < n; i++ {
+			count[rank[i]+1]++
+		}
+		for i := 1; i <= maxRank; i++ {
+			count[i] += count[i-1]
+		}
+		for _, s := range tmp {
+			sa[count[rank[s]]] = s
+			count[rank[s]]++
+		}
+		// Recompute ranks for the doubled prefix length.
+		newRank[sa[0]] = 0
+		for i := 1; i < n; i++ {
+			newRank[sa[i]] = newRank[sa[i-1]]
+			prev, cur := sa[i-1], sa[i]
+			same := rank[prev] == rank[cur]
+			if same {
+				pk, ck := int(prev)+k, int(cur)+k
+				switch {
+				case pk >= n && ck >= n:
+					// both empty second halves: equal
+				case pk >= n || ck >= n:
+					same = false
+				default:
+					same = rank[pk] == rank[ck]
+				}
+			}
+			if !same {
+				newRank[sa[i]]++
+			}
+		}
+		rank, newRank = newRank, rank
+	}
+	return sa
 }

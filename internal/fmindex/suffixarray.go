@@ -7,9 +7,8 @@ package fmindex
 // the induction relies on: the sentinel anchors the type
 // classification and makes all suffixes distinct.
 //
-// The previous prefix-doubling builder is retained as
-// ReferenceSuffixArray and serves as the differential-test and
-// benchmark oracle.
+// The previous prefix-doubling builder is retained in sais_test.go as
+// the differential-test and benchmark oracle.
 func buildSuffixArray(text []byte) []int32 {
 	sa := make([]int32, len(text))
 	sais(text, sa, 256, nil)

@@ -98,10 +98,10 @@ type Options struct {
 	// Profile is the fault profile injected under the retry layer.
 	// The zero profile runs fault-free.
 	Profile objectstore.FaultProfile
-	// Retry is the recovery policy. With Enabled false the run uses
-	// the faulty store directly, so injected faults surface as op
-	// errors — the configuration the meta-tests use.
-	Retry objectstore.RetryPolicy
+	// Retry is the recovery policy. Nil runs on the faulty store
+	// directly, so injected faults surface as op errors — the
+	// configuration the meta-tests use.
+	Retry *objectstore.RetryPolicy
 	// Adaptive (ModeIngest only) wires a heat ledger and adaptive
 	// policy into the scheduler: the query stream feeds the ledger and
 	// index jobs chase hot files first (possibly as partial hot-subset
@@ -118,7 +118,11 @@ func (o Options) withDefaults() Options {
 		o.OpsPerWorker = 20
 	}
 	o.Profile.Seed = o.Seed
-	o.Retry.Seed = o.Seed
+	if o.Retry != nil {
+		retry := *o.Retry
+		retry.Seed = o.Seed
+		o.Retry = &retry
+	}
 	return o
 }
 
@@ -270,7 +274,6 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	chain := w.stack.Store
 
 	switch opts.Mode {
 	case ModeText:
@@ -287,7 +290,7 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	defer cancel(nil)
 	stop, peak := make(chan struct{}), make(chan int)
 	go func() { peak <- watchGoroutines(stop, cancel) }()
-	err := w.run(ctx, chain)
+	err := w.run(ctx)
 	close(stop)
 	sum := &Summary{
 		PeakGoroutines:  <-peak,
@@ -323,8 +326,8 @@ func octx(ctx context.Context) context.Context {
 	return simtime.With(ctx, simtime.NewSession())
 }
 
-func (w *world) run(ctx context.Context, chain objectstore.Store) error {
-	table, err := lake.CreateWith(octx(ctx), chain, "lake", w.schema, lake.OpenOptions{Clock: w.clock})
+func (w *world) run(ctx context.Context) error {
+	table, err := lake.CreateWith(octx(ctx), w.stack, "lake", w.schema, lake.OpenOptions{Clock: w.clock})
 	if err != nil {
 		return fmt.Errorf("harness: create lake: %w", err)
 	}
@@ -336,10 +339,9 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 		// No read cache: every read must traverse the fault layer, so
 		// read-path recovery is exercised maximally.
 		CacheBytes: -1,
-		Retry:      w.opts.Retry,
 	})
 	// A second client with cost-based AND ordering disabled reads the
-	// same faulty chain: every compound differential also pins that the
+	// same faulty stack: every compound differential also pins that the
 	// staged (ordered / short-circuited) executor returns byte-identical
 	// rows to the unstaged one.
 	w.unordered = core.NewClient(table, core.Config{
@@ -347,7 +349,6 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 		IndexDir:           "rottnest",
 		Timeout:            time.Hour,
 		CacheBytes:         -1,
-		Retry:              w.opts.Retry,
 		DisableANDOrdering: true,
 	})
 	// The oracle reads the same bytes through a pristine handle on the
@@ -358,12 +359,12 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 	}
 	w.oracle = bruteforce.NewCluster(oracleTable, bruteforce.ClusterConfig{Workers: 4})
 
-	// ModeSharded: scatter-gather routers over the same faulty chain.
+	// ModeSharded: scatter-gather routers over the same faulty stack.
 	// Every differential search replays through each fan-out and must
 	// come back byte-identical (compareCompound). The two-shard router
 	// runs two replicas with hedging enabled so the hedge path sees
 	// faults too; worker caches are off so every shard read traverses
-	// the fault layer (the workers share the chain's retry layer).
+	// the fault layer (the workers share the stack's retry layer).
 	if w.opts.Mode == ModeSharded {
 		for _, o := range []shard.Options{
 			{Shards: 1},
@@ -374,7 +375,7 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 			o.Clock = w.clock
 			o.Timeout = time.Hour
 			o.CacheBytes = -1
-			r, err := shard.New(octx(ctx), chain, "lake", o)
+			r, err := shard.New(octx(ctx), w.stack, "lake", o)
 			if err != nil {
 				return fmt.Errorf("harness: shard router: %w", err)
 			}
@@ -383,7 +384,7 @@ func (w *world) run(ctx context.Context, chain objectstore.Store) error {
 	}
 
 	// ModeIngest: appends flow through the group-commit writer over the
-	// same faulty chain, and maintenance runs as scheduler steps. The
+	// same faulty stack, and maintenance runs as scheduler steps. The
 	// pause watermark sits above anything the run can accumulate —
 	// liveness must not depend on a worker stepping the scheduler while
 	// every other worker is blocked in Append — and the request budget
@@ -1054,7 +1055,7 @@ func (w *world) compareCompound(ctx context.Context, rng *rand.Rand, v int64) er
 	}
 	// ModeSharded: the same pinned query must come back byte-identical
 	// through every scatter-gather fan-out. The routers read through
-	// the same faulty chain, so per-shard recovery is exercised too,
+	// the same faulty stack, so per-shard recovery is exercised too,
 	// and each trace must be a well-formed scatter tree.
 	for _, r := range w.routers {
 		rres, rtree, err := r.TraceCompound(ctx, cq)

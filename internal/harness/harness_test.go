@@ -64,7 +64,7 @@ func TestDifferentialFaultWorkloads(t *testing.T) {
 				Seed:    seed,
 				Mode:    mode,
 				Profile: profileFor(seed),
-				Retry:   objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8},
+				Retry:   &objectstore.RetryPolicy{MaxAttempts: 8},
 			})
 			if err != nil {
 				t.Fatalf("run failed: %v\nsummary: %+v", err, sum)
@@ -97,7 +97,7 @@ func TestCompoundDifferentialWorkloads(t *testing.T) {
 				Seed:    seed,
 				Mode:    ModeCompound,
 				Profile: profileFor(seed),
-				Retry:   objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8},
+				Retry:   &objectstore.RetryPolicy{MaxAttempts: 8},
 			})
 			if err != nil {
 				t.Fatalf("run failed: %v\nsummary: %+v", err, sum)
@@ -130,7 +130,7 @@ func TestShardedDifferentialWorkloads(t *testing.T) {
 				Seed:    seed,
 				Mode:    ModeSharded,
 				Profile: profileFor(seed),
-				Retry:   objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8},
+				Retry:   &objectstore.RetryPolicy{MaxAttempts: 8},
 			})
 			if err != nil {
 				t.Fatalf("run failed: %v\nsummary: %+v", err, sum)
@@ -165,7 +165,7 @@ func TestIngestDifferentialWorkloads(t *testing.T) {
 				Seed:    seed,
 				Mode:    ModeIngest,
 				Profile: profileFor(seed),
-				Retry:   objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8},
+				Retry:   &objectstore.RetryPolicy{MaxAttempts: 8},
 			})
 			if err != nil {
 				t.Fatalf("run failed: %v\nsummary: %+v", err, sum)
@@ -206,7 +206,7 @@ func TestAdaptiveDifferentialWorkloads(t *testing.T) {
 				Mode:     ModeIngest,
 				Adaptive: true,
 				Profile:  profileFor(seed),
-				Retry:    objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8},
+				Retry:    &objectstore.RetryPolicy{MaxAttempts: 8},
 			})
 			if err != nil {
 				t.Fatalf("run failed: %v\nsummary: %+v", err, sum)
@@ -239,7 +239,7 @@ func TestHarnessFaultsActuallyFire(t *testing.T) {
 			Deadline:      0.03,
 			AmbiguousPut:  0.25,
 		},
-		Retry: objectstore.RetryPolicy{Enabled: true, MaxAttempts: 8},
+		Retry: &objectstore.RetryPolicy{MaxAttempts: 8},
 	})
 	if err != nil {
 		t.Fatalf("run failed: %v\nsummary: %+v", err, sum)
@@ -268,7 +268,6 @@ func TestHarnessSurfacesFaultsWithoutRetries(t *testing.T) {
 			Deadline:     0.05,
 			AmbiguousPut: 0.3,
 		},
-		Retry: objectstore.RetryPolicy{Enabled: false},
 	})
 	if err == nil {
 		t.Fatalf("faults with no retries must surface; run passed: %+v", sum)

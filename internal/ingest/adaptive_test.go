@@ -46,7 +46,7 @@ func TestSchedulerAdaptiveColdColumnNeverIndexed(t *testing.T) {
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	tbl, err := lake.CreateWith(ctx, stack.Store, "tbl", twoColSchema, lake.OpenOptions{Clock: clock})
+	tbl, err := lake.CreateWith(ctx, stack, "tbl", twoColSchema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

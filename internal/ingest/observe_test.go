@@ -132,7 +132,8 @@ func TestObserveIsOneListLevel(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	model := objectstore.DefaultS3Model()
-	store, metrics := objectstore.Instrument(objectstore.NewMemStore(clock), model)
+	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+	metrics := store.Metrics
 	tbl := newTestTable(t, store, clock)
 	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{

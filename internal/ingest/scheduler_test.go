@@ -26,7 +26,7 @@ func schedWorld(t *testing.T, opts SchedulerOptions) (*Writer, *Scheduler, *simt
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	tbl := newTestTable(t, stack.Store, clock)
+	tbl := newTestTable(t, stack, clock)
 	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
 	opts.Writer = w
 	opts.Clock = clock
@@ -210,7 +210,7 @@ func TestSchedulerRunRecoversFromBudgetStall(t *testing.T) {
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	tbl := newTestTable(t, stack.Store, clock)
+	tbl := newTestTable(t, stack, clock)
 	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Writer:          w,
@@ -513,7 +513,7 @@ func jobRequestsBeside(t *testing.T, foreground bool) int64 {
 	clock := simtime.NewVirtualClock()
 	gate := &uploadGate{Store: objectstore.NewMemStore(clock), held: make(chan struct{}), release: make(chan struct{})}
 	stack := objectstore.NewStack(gate, objectstore.StackOptions{Latency: &objectstore.LatencyModel{}, CacheBytes: -1})
-	tbl := newTestTable(t, stack.Store, clock)
+	tbl := newTestTable(t, stack, clock)
 	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Writer: w,
@@ -533,7 +533,7 @@ func jobRequestsBeside(t *testing.T, foreground bool) int64 {
 	}()
 	<-gate.held
 	if foreground {
-		fgTable, err := lake.OpenWith(ctx, stack.Store, "tbl", lake.OpenOptions{Clock: clock})
+		fgTable, err := lake.OpenWith(ctx, stack, "tbl", lake.OpenOptions{Clock: clock})
 		if err != nil {
 			t.Fatal(err)
 		}

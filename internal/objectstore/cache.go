@@ -7,27 +7,21 @@ import (
 	"rottnest/internal/obs"
 )
 
-// Cache sizing defaults.
-const (
-	// DefaultCacheBytes is the read cache's default byte budget.
-	DefaultCacheBytes = 64 << 20
-	// DefaultCoalesceGap is the default maximum gap between two
-	// ranged GETs of the same object that FanGet merges into one
-	// request. It sits well below the latency model's ~1 MiB flat
-	// window (Figure 10a of the paper), so merging costs near-zero
-	// extra latency while saving whole requests.
-	DefaultCoalesceGap = 128 << 10
-)
+// DefaultCacheBytes is the read cache's default byte budget.
+const DefaultCacheBytes = 64 << 20
+
+// coalesceGap is the largest gap between two ranged GETs of the same
+// object that FanGet merges into one request when it fans through a
+// cache. It sits well below the latency model's ~1 MiB flat window
+// (Figure 10a of the paper), so merging costs near-zero extra latency
+// while saving whole requests.
+const coalesceGap = 128 << 10
 
 // CacheOptions tune a CachedStore.
 type CacheOptions struct {
 	// MaxBytes is the cache's byte budget. <= 0 means
 	// DefaultCacheBytes.
 	MaxBytes int64
-	// CoalesceGap is the adjacent-range merge threshold used by
-	// FanGet when fanning requests through this store. 0 means
-	// DefaultCoalesceGap; negative disables coalescing.
-	CoalesceGap int64
 }
 
 // CachedStore wraps a Store with a concurrency-safe, size-bounded LRU
@@ -55,9 +49,8 @@ type CacheOptions struct {
 // Callers must treat returned byte slices as read-only: hits alias
 // the cached buffer.
 type CachedStore struct {
-	inner       Store
-	coalesceGap int64
-	c           *cache.Cache[rangeKey, []byte]
+	inner Store
+	c     *cache.Cache[rangeKey, []byte]
 
 	// reg holds the cache's counters ("cache.*" names).
 	reg        *obs.Registry
@@ -76,14 +69,9 @@ func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	gap := opts.CoalesceGap
-	if gap == 0 {
-		gap = DefaultCoalesceGap
-	}
 	reg := obs.NewRegistry()
 	return &CachedStore{
-		inner:       inner,
-		coalesceGap: gap,
+		inner: inner,
 		c: cache.New[rangeKey, []byte](maxBytes, cache.Metrics{
 			Hits:      reg.Counter("cache.hits"),
 			Misses:    reg.Counter("cache.misses"),
@@ -95,13 +83,6 @@ func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 		bytesSaved: reg.Counter("cache.bytes_saved"),
 	}
 }
-
-// Inner returns the wrapped store.
-func (c *CachedStore) Inner() Store { return c.inner }
-
-// CoalesceGap returns the adjacent-range merge threshold in bytes
-// (negative means coalescing is disabled). FanGet consults it.
-func (c *CachedStore) CoalesceGap() int64 { return c.coalesceGap }
 
 // Registry returns the cache's metrics registry ("cache.*" names).
 func (c *CachedStore) Registry() *obs.Registry { return c.reg }
@@ -181,30 +162,3 @@ func (c *CachedStore) Delete(ctx context.Context, key string) error {
 	c.Invalidate(key)
 	return nil
 }
-
-// InnerStore is implemented by store wrappers that expose the store
-// they wrap.
-type InnerStore interface{ Inner() Store }
-
-// findLayer walks a chain of store wrappers and returns the first
-// layer of type T, or the zero T.
-func findLayer[T Store](s Store) (zero T) {
-	for s != nil {
-		if t, ok := s.(T); ok {
-			return t
-		}
-		w, ok := s.(InnerStore)
-		if !ok {
-			break
-		}
-		s = w.Inner()
-	}
-	return zero
-}
-
-// FindInstrumented returns the first Instrumented store on the chain,
-// or nil.
-func FindInstrumented(s Store) *Instrumented { return findLayer[*Instrumented](s) }
-
-// FindCached returns the first CachedStore on the chain, or nil.
-func FindCached(s Store) *CachedStore { return findLayer[*CachedStore](s) }

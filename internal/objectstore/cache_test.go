@@ -292,8 +292,8 @@ func TestCachedStoreSingleflight(t *testing.T) {
 
 func TestFanGetCoalescesAdjacentRanges(t *testing.T) {
 	ctx := context.Background()
-	cached, metrics, _ := newCachedWorld(t, CacheOptions{CoalesceGap: 16})
-	data := make([]byte, 1000)
+	cached, metrics, _ := newCachedWorld(t, CacheOptions{})
+	data := make([]byte, 1<<20)
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
@@ -305,12 +305,12 @@ func TestFanGetCoalescesAdjacentRanges(t *testing.T) {
 	}
 
 	reqs := []RangeRequest{
-		{Key: "obj", Offset: 0, Length: 100},   // |
-		{Key: "obj", Offset: 110, Length: 50},  // | gap 10 <= 16: merge
-		{Key: "obj", Offset: 500, Length: 100}, // gap 340: separate
-		{Key: "other", Offset: 20, Length: 30}, // different key
-		{Key: "obj", Offset: 160, Length: 40},  // adjacent to second: merge
-		{Key: "obj", Offset: -24, Length: 0},   // suffix: never merged
+		{Key: "obj", Offset: 0, Length: 100},       // |
+		{Key: "obj", Offset: 100_000, Length: 50},  // | gap < 128 KiB: merge
+		{Key: "obj", Offset: 500_000, Length: 100}, // gap > 128 KiB: separate
+		{Key: "other", Offset: 20, Length: 30},     // different key
+		{Key: "obj", Offset: 100_050, Length: 40},  // adjacent to second: merge
+		{Key: "obj", Offset: -24, Length: 0},       // suffix: never merged
 	}
 	before := metrics.Gets.Load()
 	session := simtime.NewSession()
@@ -329,8 +329,8 @@ func TestFanGetCoalescesAdjacentRanges(t *testing.T) {
 			t.Fatalf("req %d: got %d bytes, want %d (first diff at content)", i, len(got[i]), len(want))
 		}
 	}
-	// 6 requests collapse into 4 GETs: [0,200) merged, [500,600),
-	// other, suffix.
+	// 6 requests collapse into 4 GETs: [0,100090) merged,
+	// [500000,500100), other, suffix.
 	if gets := metrics.Gets.Load() - before; gets != 4 {
 		t.Fatalf("issued %d GETs, want 4", gets)
 	}

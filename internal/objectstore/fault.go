@@ -211,11 +211,6 @@ func NewFaultStoreWithProfile(inner Store, profile FaultProfile) *FaultStore {
 // Registry returns the store's metrics registry ("fault.*" names).
 func (s *FaultStore) Registry() *obs.Registry { return s.reg }
 
-// Inner returns the wrapped store, so chain-walking helpers (and the
-// differential harness's pristine oracle handle) can reach below the
-// fault layer.
-func (s *FaultStore) Inner() Store { return s.inner }
-
 // Counts returns how many faults of each kind have been injected: a
 // view over the "fault.*" counters.
 func (s *FaultStore) Counts() FaultCounts {

@@ -151,12 +151,13 @@ func TestFaultOpsRestriction(t *testing.T) {
 
 func TestRetryRecoversFromTransients(t *testing.T) {
 	var fails atomic.Int64
-	fs := NewFaultStore(NewMemStore(nil), func(op Op, _ string, _ int64) bool {
+	mem := NewMemStore(nil)
+	fs := NewFaultStore(mem, func(op Op, _ string, _ int64) bool {
 		return op == OpGet && fails.Add(1) <= 2
 	})
 	rs := NewRetryStore(fs, RetryPolicy{Seed: 1})
 	ctx := simtime.With(context.Background(), simtime.NewSession())
-	fs.Inner().Put(ctx, "k", []byte("v"))
+	mem.Put(ctx, "k", []byte("v"))
 	got, err := rs.Get(ctx, "k")
 	if err != nil || string(got) != "v" {
 		t.Fatalf("Get = %q, %v", got, err)
@@ -293,24 +294,5 @@ func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 		if got := rs.backoff(i, false); got != w*time.Millisecond {
 			t.Fatalf("backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
-	}
-}
-
-func TestFindRetryWalksChain(t *testing.T) {
-	mem := NewMemStore(nil)
-	rs := NewRetryStore(mem, RetryPolicy{Seed: 1})
-	cached := NewCachedStore(rs, CacheOptions{})
-	if FindRetry(cached) != rs {
-		t.Fatal("FindRetry through CachedStore failed")
-	}
-	if FindRetry(mem) != nil {
-		t.Fatal("FindRetry on bare MemStore must be nil")
-	}
-	fs := NewFaultStore(mem, nil)
-	if FindRetry(fs) != nil {
-		t.Fatal("FindRetry through FaultStore with no retry must be nil")
-	}
-	if fs.Inner() != mem {
-		t.Fatal("FaultStore.Inner")
 	}
 }

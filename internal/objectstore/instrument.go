@@ -82,6 +82,17 @@ func (m LatencyModel) ListLatency(n int) time.Duration {
 	return time.Duration(pages) * m.ListTTFB
 }
 
+// QueueDelay returns the modelled delay of pushing a fan of n parallel
+// GETs against one prefix through the MaxGetRPSPerPrefix cap, the
+// throughput effect of Section VII-D3 of the paper. A single request,
+// or a model without a cap, queues for nothing.
+func (m LatencyModel) QueueDelay(n int) time.Duration {
+	if n <= 1 || m.MaxGetRPSPerPrefix <= 0 {
+		return 0
+	}
+	return time.Duration(float64(n) / m.MaxGetRPSPerPrefix * float64(time.Second))
+}
+
 // Metrics accumulates request counts and byte volumes: the totals of
 // an Instrumented store, or one operation's tally (WithTally). All
 // fields are updated atomically and may be read while in use.
@@ -208,9 +219,6 @@ func Instrument(inner Store, model LatencyModel) (*Instrumented, *Metrics) {
 	return &Instrumented{inner: inner, model: model, metrics: m}, m
 }
 
-// Inner returns the wrapped store.
-func (s *Instrumented) Inner() Store { return s.inner }
-
 // Model returns the latency model in effect.
 func (s *Instrumented) Model() LatencyModel { return s.model }
 
@@ -318,17 +326,15 @@ type RangeRequest struct {
 
 // FanGet fetches every requested range concurrently and returns the
 // results in request order. Virtual time advances by the slowest
-// request in the fan plus, when the store chain contains an
-// Instrumented store with a per-prefix RPS cap, the queueing delay of
-// pushing the issued requests through that cap — the throughput
-// effect discussed in Section VII-D3 of the paper.
+// request in the fan plus, when the store is a Stack with a meter, the
+// meter model's QueueDelay for the issued requests.
 //
-// When the store chain contains a CachedStore with a non-negative
-// coalesce gap, adjacent ranges of the same object whose gap is at
-// most that threshold are merged into one ranged GET and sliced back
-// afterwards: below the latency model's flat window extra bytes are
-// nearly free, while every merged request saves a full TTFB and a
-// unit of the per-prefix RPS budget.
+// When the store reads through a cache (a CachedStore, or a Stack with
+// one), adjacent ranges of the same object at most 128 KiB apart are
+// merged into one ranged GET and sliced back afterwards: below the
+// latency model's flat window extra bytes are nearly free, while every
+// merged request saves a full TTFB and a unit of the per-prefix RPS
+// budget. Any other store fans its requests as given.
 //
 // The first error encountered is returned, with results for the
 // remaining requests still populated where available.
@@ -340,8 +346,17 @@ func FanGet(ctx context.Context, store Store, reqs []RangeRequest) ([][]byte, er
 		return nil, err
 	}
 	gap := int64(-1)
-	if c := FindCached(store); c != nil {
-		gap = c.CoalesceGap()
+	var model LatencyModel
+	switch s := store.(type) {
+	case *Stack:
+		if s.Cache != nil {
+			gap = coalesceGap
+		}
+		if s.Instrumented != nil {
+			model = s.Instrumented.model
+		}
+	case *CachedStore:
+		gap = coalesceGap
 	}
 	issued, refs := coalesceRanges(reqs, gap)
 
@@ -365,10 +380,7 @@ func FanGet(ctx context.Context, store Store, reqs []RangeRequest) ([][]byte, er
 
 	if session != nil {
 		session.ParallelN(len(issued), len(issued), run)
-		if inst := FindInstrumented(store); inst != nil && inst.model.MaxGetRPSPerPrefix > 0 && len(issued) > 1 {
-			queue := time.Duration(float64(len(issued)) / inst.model.MaxGetRPSPerPrefix * float64(time.Second))
-			session.Add(queue)
-		}
+		session.Add(model.QueueDelay(len(issued)))
 	} else {
 		var wg sync.WaitGroup
 		for i := range issued {

@@ -153,7 +153,8 @@ func TestWithTallyNests(t *testing.T) {
 }
 
 func TestFanGetParallelLatency(t *testing.T) {
-	s, _ := Instrument(NewMemStore(nil), testModel())
+	model := testModel()
+	s := NewStack(NewMemStore(nil), StackOptions{Latency: &model, CacheBytes: -1})
 	ctx := context.Background()
 	for _, k := range []string{"a", "b", "c"} {
 		if err := s.Put(ctx, k, make([]byte, 1000)); err != nil {
@@ -187,7 +188,8 @@ func TestFanGetParallelLatency(t *testing.T) {
 }
 
 func TestFanGetThrottleQueueing(t *testing.T) {
-	s, _ := Instrument(NewMemStore(nil), testModel())
+	model := testModel()
+	s := NewStack(NewMemStore(nil), StackOptions{Latency: &model, CacheBytes: -1})
 	ctx := context.Background()
 	if err := s.Put(ctx, "k", make([]byte, 10000)); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestGetRangeEdgeParity(t *testing.T) {
 			return NewCachedStore(NewMemStore(simtime.NewVirtualClock()), CacheOptions{})
 		},
 		"retry": func() Store {
-			return NewRetryStore(NewMemStore(simtime.NewVirtualClock()), RetryPolicy{Enabled: true})
+			return NewRetryStore(NewMemStore(simtime.NewVirtualClock()), RetryPolicy{})
 		},
 		"fault-quiet": func() Store {
 			return NewFaultStoreWithProfile(NewMemStore(simtime.NewVirtualClock()), FaultProfile{})

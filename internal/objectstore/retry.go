@@ -13,13 +13,9 @@ import (
 )
 
 // RetryPolicy tunes a RetryStore: bounded exponential backoff with
-// jitter. The zero value is not usable directly — call withDefaults
-// via NewRetryStore, or use core.Config{Retry: {Enabled: true}} which
-// applies the defaults.
+// jitter. Zero fields take the documented defaults (NewRetryStore, or
+// StackOptions.Retry, applies them).
 type RetryPolicy struct {
-	// Enabled gates retry wrapping when the policy travels through
-	// core.Config. A RetryStore built explicitly always retries.
-	Enabled bool
 	// MaxAttempts bounds the tries per operation (first attempt
 	// included) that fail with non-throttle retryable errors.
 	// Defaults to 6.
@@ -152,14 +148,8 @@ func NewRetryStore(inner Store, policy RetryPolicy) *RetryStore {
 	}
 }
 
-// Inner returns the wrapped store.
-func (s *RetryStore) Inner() Store { return s.inner }
-
 // Registry returns the store's metrics registry ("retry.*" names).
 func (s *RetryStore) Registry() *obs.Registry { return s.reg }
-
-// FindRetry returns the first RetryStore on the chain, or nil.
-func FindRetry(s Store) *RetryStore { return findLayer[*RetryStore](s) }
 
 // backoff returns the jittered delay before retry number attempt
 // (0-based), with the throttle floor applied when throttled.

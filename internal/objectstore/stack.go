@@ -3,34 +3,34 @@ package objectstore
 import "rottnest/internal/obs"
 
 // StackOptions selects which wrapper layers NewStack composes around
-// a base store. The zero value yields an instrument-free, cache-on
-// stack only if CacheBytes is 0 — see each field.
+// a base store. The zero value yields a cache-only stack at the default
+// budget — see each field.
 type StackOptions struct {
 	// Faults, when non-nil, injects failures at the bottom of the
 	// stack (closest to the base store), so retries and caching see
 	// the same misbehaving substrate a real client would.
 	Faults *FaultProfile
-	// Retry wraps the fault layer when Retry.Enabled is true, so
-	// injected failures are retried before they surface.
-	Retry RetryPolicy
+	// Retry, when non-nil, wraps the fault layer, so injected failures
+	// are retried before they surface. Zero fields take the policy's
+	// defaults.
+	Retry *RetryPolicy
 	// Latency, when non-nil, adds an Instrumented layer charging the
 	// model's virtual latency and counting requests/bytes. Use a zero
 	// LatencyModel to meter requests without charging latency.
 	Latency *LatencyModel
 	// CacheBytes sizes the outermost read-cache layer: 0 means
 	// DefaultCacheBytes, negative disables the cache entirely —
-	// matching core.Config.CacheBytes.
+	// matching core.Config.CacheBytes. The cache coalesces adjacent
+	// ranged GETs of a fan (FanGet).
 	CacheBytes int64
-	// CoalesceGap is the cache's adjacent-range merge threshold
-	// (0 = DefaultCoalesceGap, negative disables coalescing).
-	CoalesceGap int64
 }
 
-// Stack is a composed store wrapper chain plus handles to each layer
-// (nil when the layer was not requested). Store is the outermost
-// layer — the one to hand to lake.Create/Open.
+// Stack is a composed store: the embedded Store is its outermost layer,
+// so a *Stack is itself the store to hand to lake.Create/Open, and the
+// other fields are handles to each layer (nil when the layer was not
+// requested). Base is the innermost store.
 type Stack struct {
-	Store        Store
+	Store
 	Base         Store
 	Fault        *FaultStore
 	Retry        *RetryStore
@@ -45,18 +45,28 @@ type Stack struct {
 //	base → fault → retry → instrument → cache
 //
 // Faults sit at the bottom so every layer above sees the misbehaving
-// substrate; retries sit directly above so recovery happens before
-// metering (a retried GET costs two metered requests, like on real
-// S3); instrumentation charges virtual latency and counts requests;
-// the cache is outermost so hits cost zero requests and zero latency.
+// substrate; retries sit directly above so recovery happens below
+// metering, which therefore counts each logical request once however
+// many attempts it took (the attempts show as "retry.retries");
+// instrumentation charges virtual latency and counts requests; the
+// cache is outermost so hits cost zero requests and zero latency.
+//
+// A base that is itself a *Stack is extended: the new stack keeps the
+// base's handles and adds the requested layers above its outermost
+// one, where a layer requested again takes over that layer's handle.
+// Any other base is opaque: layers a caller wrapped by hand have no
+// handle.
 func NewStack(base Store, opts StackOptions) *Stack {
-	s := &Stack{Base: base, Store: base}
+	s := &Stack{Store: base, Base: base}
+	if b, ok := base.(*Stack); ok {
+		*s = *b
+	}
 	if opts.Faults != nil {
 		s.Fault = NewFaultStoreWithProfile(s.Store, *opts.Faults)
 		s.Store = s.Fault
 	}
-	if opts.Retry.Enabled {
-		s.Retry = NewRetryStore(s.Store, opts.Retry)
+	if opts.Retry != nil {
+		s.Retry = NewRetryStore(s.Store, *opts.Retry)
 		s.Store = s.Retry
 	}
 	if opts.Latency != nil {
@@ -64,18 +74,14 @@ func NewStack(base Store, opts StackOptions) *Stack {
 		s.Store = s.Instrumented
 	}
 	if opts.CacheBytes >= 0 {
-		s.Cache = NewCachedStore(s.Store, CacheOptions{
-			MaxBytes:    opts.CacheBytes,
-			CoalesceGap: opts.CoalesceGap,
-		})
+		s.Cache = NewCachedStore(s.Store, CacheOptions{MaxBytes: opts.CacheBytes})
 		s.Store = s.Cache
 	}
 	return s
 }
 
 // MetricsSnapshot merges every present layer's counts into one
-// snapshot ("fault.*", "retry.*", "store.*", "cache.*" names). A Stack
-// literal naming only some layers is a valid view of them.
+// snapshot ("fault.*", "retry.*", "store.*", "cache.*" names).
 func (s *Stack) MetricsSnapshot() obs.Snapshot {
 	var snaps []obs.Snapshot
 	if s.Fault != nil {

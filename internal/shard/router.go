@@ -38,10 +38,11 @@ type Router struct {
 }
 
 // New builds a router over the table at root. store is the shared
-// substrate every worker reads through (typically the instrumented —
-// and, under test, faulty — chain); each worker layers its own
-// cache-budgeted objectstore.NewStack on top, so per-shard budgets
-// are set in exactly one code path.
+// substrate every worker reads through (typically an objectstore.Stack
+// with metering and, under test, faults and retries); each worker
+// extends it with its own cache-budgeted objectstore.NewStack, so
+// per-shard budgets are set in exactly one code path and every worker
+// client shares the substrate's layers.
 func New(ctx context.Context, store objectstore.Store, root string, opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	table, err := lake.OpenWith(ctx, store, root, lake.OpenOptions{Clock: opts.Clock})
@@ -69,12 +70,7 @@ func New(ctx context.Context, store objectstore.Store, root string, opts Options
 			if opts.ReplicaWrap != nil {
 				ws = opts.ReplicaWrap(s, rep, ws)
 			}
-			if byteBudget >= 0 {
-				ws = objectstore.NewStack(ws, objectstore.StackOptions{
-					CacheBytes:  byteBudget,
-					CoalesceGap: opts.CoalesceGap,
-				}).Store
-			}
+			ws = objectstore.NewStack(ws, objectstore.StackOptions{CacheBytes: byteBudget})
 			wt, err := lake.OpenWith(ctx, ws, root, lake.OpenOptions{Clock: opts.Clock})
 			if err != nil {
 				return nil, fmt.Errorf("shard: open worker table %d/%d: %w", s, rep, err)
@@ -85,7 +81,6 @@ func New(ctx context.Context, store objectstore.Store, root string, opts Options
 				Timeout:              opts.Timeout,
 				SearchWidth:          opts.SearchWidth,
 				CacheBytes:           -1, // the worker stack above carries the byte cache
-				CoalesceGap:          opts.CoalesceGap,
 				DecodedCacheBytes:    decodedBudget,
 				PlanCacheTTLVersions: opts.PlanCacheTTLVersions,
 				ProbeBatchBytes:      opts.ProbeBatchBytes,

@@ -24,13 +24,13 @@ var uuidSchema = parquet.MustSchema(
 	parquet.Column{Name: "payload", Type: parquet.TypeByteArray},
 )
 
-// testWorld is a small simulated deployment: an instrumented MemStore
+// testWorld is a small simulated deployment: a metered MemStore stack
 // holding a multi-file uuid table with a trie index, a single-node
 // client (the byte-identity reference), and helpers to build routers
 // over the same substrate.
 type testWorld struct {
 	clock *simtime.VirtualClock
-	store *objectstore.Instrumented
+	store *objectstore.Stack
 	table *lake.Table
 	cli   *core.Client
 	keys  [][16]byte
@@ -41,7 +41,8 @@ func newTestWorld(t testing.TB, batches, rowsPerBatch int) *testWorld {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	store, _ := objectstore.Instrument(mem, objectstore.DefaultS3Model())
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(mem, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +255,8 @@ func TestRouterEmptySnapshot(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	store, _ := objectstore.Instrument(mem, objectstore.DefaultS3Model())
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(mem, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	if _, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock}); err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,6 @@ type Options struct {
 	// objectstore.DefaultCacheBytes total; negative disables the
 	// per-worker byte caches entirely.
 	CacheBytes int64
-	// CoalesceGap is each worker cache's ranged-GET merge threshold
-	// (core.Config.CoalesceGap conventions).
-	CoalesceGap int64
 	// DecodedCacheBytes is the total decoded-object cache budget
 	// split across workers (0 = default total; negative disables).
 	DecodedCacheBytes int64
@@ -112,7 +109,9 @@ type Options struct {
 
 	// ReplicaWrap, when non-nil, wraps each worker's store before the
 	// worker's cache stack is layered on — the test and bench hook
-	// for per-replica fault or latency injection.
+	// for per-replica fault or latency injection. To keep the shared
+	// store's layers (its meter, its retries), return an
+	// objectstore.NewStack over it.
 	ReplicaWrap func(shard, replica int, s objectstore.Store) objectstore.Store
 }
 

@@ -18,9 +18,10 @@
 //
 // Object-store wrappers compose in one canonical order, innermost
 // first: base → fault → retry → instrument → cache (see NewStack).
-// The single-wrapper constructors are conveniences over that order;
-// handing NewStack's outermost Store to CreateTable and NewClient
-// gives every component the same substrate.
+// The returned *Stack is itself a Store: hand it to CreateTable or
+// OpenTable, and every client over the table shares its layers — the
+// lake log, metadata, index and data reads all go through the same
+// retries, meter and cache.
 //
 // # Observability
 //
@@ -266,19 +267,17 @@ type (
 	LatencyModel = objectstore.LatencyModel
 	// StoreMetrics meters requests and bytes.
 	StoreMetrics = objectstore.Metrics
-	// CacheOptions tune a cached store (byte budget, coalesce gap).
-	CacheOptions = objectstore.CacheOptions
-	// RetryPolicy tunes the bounded-backoff retry layer (see
-	// Config.Retry and NewRetryStore).
+	// RetryPolicy tunes the bounded-backoff retry layer
+	// (StackOptions.Retry).
 	RetryPolicy = objectstore.RetryPolicy
 	// FaultProfile configures deterministic fault injection for chaos
-	// testing (see NewFaultStore).
+	// testing (StackOptions.Faults).
 	FaultProfile = objectstore.FaultProfile
 	// FaultCounts reports injected faults by kind.
 	FaultCounts = objectstore.FaultCounts
 	// StackOptions selects the wrapper layers NewStack composes.
 	StackOptions = objectstore.StackOptions
-	// Stack is a composed wrapper chain with handles to each layer.
+	// Stack is a composed store with handles to each of its layers.
 	Stack = objectstore.Stack
 )
 
@@ -335,17 +334,18 @@ func NewMemStore() *objectstore.MemStore {
 // Each layer is optional (see StackOptions) but the order is fixed,
 // and it is the order every layer was designed for: faults sit at the
 // bottom so everything above sees the misbehaving substrate a real
-// client would; retries sit directly above the faults so recovery
-// happens before metering (a retried GET costs two metered requests,
-// exactly as on real S3); instrumentation charges the latency model's
-// virtual time and counts requests and bytes; the read cache is
-// outermost so hits cost zero requests and zero virtual latency.
+// client would; retries sit directly above the faults, below the
+// meter, so a request that took several attempts is metered once and
+// its extra attempts are counted as "retry.retries"; instrumentation
+// charges the latency model's virtual time and counts requests and
+// bytes; the read cache is outermost so hits cost zero requests and
+// zero virtual latency.
 //
-// The returned Stack exposes a handle to each constructed layer plus
-// MetricsSnapshot, which merges every layer's metric registry. The
-// single-wrapper constructors below (NewCachedStore, NewRetryStore,
-// NewFaultStore, NewSimulatedStore) are all thin wrappers over
-// NewStack.
+// The returned Stack is the store to open a table on. It carries a
+// handle to each constructed layer plus MetricsSnapshot, which merges
+// every layer's metrics; a Client over the table reports the same
+// layers in Client.Metrics. NewStack over a Stack extends it: the new
+// layers go on top and the base's handles are kept.
 func NewStack(base Store, opts StackOptions) *Stack {
 	return objectstore.NewStack(base, opts)
 }
@@ -357,60 +357,19 @@ func NewStack(base Store, opts StackOptions) *Stack {
 // virtual latency; cache hits are free (zero latency, zero requests).
 // The returned metrics meter the requests and bytes that actually
 // reach the simulated store. A client built over a table on this
-// store joins the same cache (see Config's CacheBytes), so lake
-// snapshot reads are accelerated too.
-func NewSimulatedStore() (Store, *simtime.VirtualClock, *StoreMetrics) {
+// store joins the same cache, so lake snapshot reads are accelerated
+// too.
+func NewSimulatedStore() (*Stack, *simtime.VirtualClock, *StoreMetrics) {
 	clock := simtime.NewVirtualClock()
 	model := objectstore.DefaultS3Model()
 	st := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model})
-	return st.Store, clock, st.Metrics
-}
-
-// NewCachedStore layers a size-bounded LRU read cache with
-// singleflight and adjacent-range GET coalescing over a store. Safe
-// for immutable-object workloads like Rottnest's lake and index files
-// (stale entries only arise from deletion, which invalidates). It is
-// the cache layer of NewStack, alone.
-func NewCachedStore(inner Store, opts CacheOptions) *objectstore.CachedStore {
-	max := opts.MaxBytes
-	if max < 0 {
-		max = 0 // CacheOptions: <= 0 means the default budget
-	}
-	return objectstore.NewStack(inner, objectstore.StackOptions{
-		CacheBytes:  max,
-		CoalesceGap: opts.CoalesceGap,
-	}).Cache
+	return st, clock, st.Metrics
 }
 
 // NewDirStore returns an object store backed by a local directory, so
 // lakes and indices persist across process runs.
 func NewDirStore(dir string) (Store, error) {
 	return objectstore.NewDirStore(dir)
-}
-
-// NewRetryStore layers bounded exponential-backoff-with-jitter
-// retries over a store, resolving ambiguous conditional puts by
-// read-back. Clients built over a table on this store share it (see
-// Config's Retry). It is the retry layer of NewStack, alone.
-func NewRetryStore(inner Store, policy RetryPolicy) *objectstore.RetryStore {
-	policy.Enabled = true
-	return objectstore.NewStack(inner, objectstore.StackOptions{
-		Retry:      policy,
-		CacheBytes: -1,
-	}).Retry
-}
-
-// NewFaultStore wraps a store with seeded, deterministic fault
-// injection for chaos testing: transient errors, throttle bursts,
-// latency spikes, request-deadline expirations, and ambiguous
-// conditional writes (see internal/harness for the differential
-// correctness harness built on it). It is the fault layer of
-// NewStack, alone.
-func NewFaultStore(inner Store, profile FaultProfile) *objectstore.FaultStore {
-	return objectstore.NewStack(inner, objectstore.StackOptions{
-		Faults:     &profile,
-		CacheBytes: -1,
-	}).Fault
 }
 
 // NewVirtualClock returns a manually advanced clock for simulations.
