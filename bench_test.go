@@ -134,17 +134,6 @@ func BenchmarkDistributionSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkServeColdVsWarm runs the serving experiment: concurrent
-// clients replaying a Zipf query mix with caches off, the byte cache
-// only, and every cache primed.
-func BenchmarkServeColdVsWarm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Serve(benchOpts(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchUnderFaults measures the retry layer's latency
 // overhead when a seeded fault storm hits the search path.
 func BenchmarkSearchUnderFaults(b *testing.B) {

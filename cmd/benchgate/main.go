@@ -14,14 +14,13 @@
 //   - 20 %, with a direction: a deterministic virtual-time figure
 //     quantity that has no wall-clock counterpart in benchmark/.
 //
-// The baseline side of a comparison (separate_*, singleton_*,
-// unordered_*, baseline_*, index_all_*) and ratios are never listed:
-// a baseline getting cheaper is not a regression. Latencies and rates
+// The baseline side of a comparison (index_all_*) and ratios are
+// never listed: a baseline getting cheaper is not a regression. Latencies and rates
 // that benchmark/ measures on the wall clock are not in the records.
 //
 // Usage:
 //
-//	benchgate BENCH_multi.json BENCH_adaptive.json ...
+//	benchgate BENCH_sharded.json BENCH_adaptive.json
 package main
 
 import (
@@ -53,22 +52,6 @@ var manifest = []struct {
 	file, path string
 	rule       rule
 }{
-	{"BENCH_build.json", "maintenance[*].maint_gets", exact},
-	{"BENCH_build.json", "maintenance[*].maint_levels", exact},
-	{"BENCH_ingest.json", "grouped_commit_rounds", exact},
-	{"BENCH_ingest.json", "ack_lists", exact},
-	{"BENCH_ingest.json", "ack_gets", exact},
-	{"BENCH_ingest.json", "ack_puts", exact},
-	{"BENCH_multi.json", "intersect.compound_gets", exact},
-	{"BENCH_multi.json", "intersect.compound_pages", exact},
-	{"BENCH_multi.json", "batch.coalesced_probe_runs", exact},
-	{"BENCH_planner.json", "superwalk.batched_occ_fetches", exact},
-	{"BENCH_planner.json", "superwalk.batched_gets", exact},
-	{"BENCH_planner.json", "ordering.ordered_gets", exact},
-	{"BENCH_serve.json", "workloads[*].cold_gets_per_query", exact},
-	{"BENCH_serve.json", "workloads[*].warm_gets_per_query", exact},
-	{"BENCH_serve.json", "workloads[*].byte_gets_per_query", exact},
-	{"BENCH_serve.json", "workloads[*].decoded_misses", exact},
 	{"BENCH_sharded.json", "router_plan_lists", exact},
 	{"BENCH_sharded.json", "router_plan_gets", exact},
 	{"BENCH_sharded.json", "scaling[*].qps", higher20},

@@ -7,28 +7,32 @@ import (
 )
 
 func TestGate(t *testing.T) {
-	// BENCH_ingest.json's ack_gets and grouped_commit_rounds are exact;
-	// BENCH_sharded.json's scaling[*].qps may fall 20 %, and
-	// BENCH_adaptive.json's adaptive_hot_lag_p50_ns may grow 20 %.
-	const ingest = `{"ack_lists": 0, "ack_gets": 0, "ack_puts": 1.125, "grouped_commit_rounds": 6, "baseline_commit_rounds": 48}`
-	const adaptive = `{"adaptive_maint_requests": 300, "adaptive_cold_index_entries": 0,
+	// BENCH_adaptive.json's adaptive_maint_requests and
+	// adaptive_cold_index_entries are exact and its
+	// adaptive_hot_lag_p50_ns may grow 20 %; BENCH_sharded.json's
+	// scaling[*].qps may fall 20 %.
+	const adaptive = `{"adaptive_maint_requests": 301, "index_all_maint_requests": 1248, "adaptive_cold_index_entries": 0,
 		"adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`
 	for _, c := range []struct {
 		name, file, old, cur string
 		pass                 bool
 	}{
-		{"exact count grows", "BENCH_ingest.json", ingest,
-			`{"ack_lists": 0, "ack_gets": 0, "ack_puts": 1.125, "grouped_commit_rounds": 7}`, false},
-		{"zero becomes one", "BENCH_ingest.json", ingest,
-			`{"ack_lists": 0, "ack_gets": 1, "ack_puts": 1.125, "grouped_commit_rounds": 6}`, false},
-		{"exact count shrinks", "BENCH_ingest.json", ingest,
-			`{"ack_lists": 0, "ack_gets": 0, "ack_puts": 1, "grouped_commit_rounds": 5}`, true},
-		{"listed key missing from the new record", "BENCH_ingest.json", ingest,
-			`{"ack_lists": 0, "ack_gets": 0, "grouped_commit_rounds": 6}`, false},
-		{"listed key missing from the baseline", "BENCH_ingest.json",
-			`{"ack_lists": 0, "ack_gets": 0, "grouped_commit_rounds": 6}`, ingest, false},
-		{"unlisted key moves", "BENCH_ingest.json", ingest,
-			`{"ack_lists": 0, "ack_gets": 0, "ack_puts": 1.125, "grouped_commit_rounds": 6, "baseline_commit_rounds": 96}`, true},
+		{"exact count grows", "BENCH_adaptive.json", adaptive,
+			`{"adaptive_maint_requests": 302, "adaptive_cold_index_entries": 0,
+				"adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`, false},
+		{"zero becomes one", "BENCH_adaptive.json", adaptive,
+			`{"adaptive_maint_requests": 301, "adaptive_cold_index_entries": 1,
+				"adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`, false},
+		{"exact count shrinks", "BENCH_adaptive.json", adaptive,
+			`{"adaptive_maint_requests": 300, "adaptive_cold_index_entries": 0,
+				"adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`, true},
+		{"listed key missing from the new record", "BENCH_adaptive.json", adaptive,
+			`{"adaptive_cold_index_entries": 0, "adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`, false},
+		{"listed key missing from the baseline", "BENCH_adaptive.json",
+			`{"adaptive_cold_index_entries": 0, "adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`, adaptive, false},
+		{"unlisted key moves", "BENCH_adaptive.json", adaptive,
+			`{"adaptive_maint_requests": 301, "index_all_maint_requests": 2496, "adaptive_cold_index_entries": 0,
+				"adaptive_hot_lag_p50_ns": 1000, "adaptive_hot_lag_p99_ns": 1000}`, true},
 		{"higher-better just inside", "BENCH_sharded.json",
 			`{"router_plan_lists": 1, "router_plan_gets": 0, "scaling": [{"qps": 100}, {"qps": 10}]}`,
 			`{"router_plan_lists": 1, "router_plan_gets": 0, "scaling": [{"qps": 80.1}, {"qps": 10}]}`, true},
@@ -36,10 +40,10 @@ func TestGate(t *testing.T) {
 			`{"router_plan_lists": 1, "router_plan_gets": 0, "scaling": [{"qps": 100}, {"qps": 10}]}`,
 			`{"router_plan_lists": 1, "router_plan_gets": 0, "scaling": [{"qps": 100}, {"qps": 7.9}]}`, false},
 		{"lower-better just inside", "BENCH_adaptive.json", adaptive,
-			`{"adaptive_maint_requests": 300, "adaptive_cold_index_entries": 0,
+			`{"adaptive_maint_requests": 301, "adaptive_cold_index_entries": 0,
 				"adaptive_hot_lag_p50_ns": 1199, "adaptive_hot_lag_p99_ns": 1000}`, true},
 		{"lower-better just outside", "BENCH_adaptive.json", adaptive,
-			`{"adaptive_maint_requests": 300, "adaptive_cold_index_entries": 0,
+			`{"adaptive_maint_requests": 301, "adaptive_cold_index_entries": 0,
 				"adaptive_hot_lag_p50_ns": 1201, "adaptive_hot_lag_p99_ns": 1000}`, false},
 		{"array element missing", "BENCH_sharded.json",
 			`{"router_plan_lists": 1, "router_plan_gets": 0, "scaling": [{"qps": 100}, {"qps": 10}]}`,

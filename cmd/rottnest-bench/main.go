@@ -10,8 +10,7 @@
 //	rottnest-bench [-quick] [-seed N] [-json FILE] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] <experiment|all>
 //
 // Experiments: fig7 fig8 fig9 fig10 fig11 fig12 fig13 latency lance
-// throughput ablation distribution serve multi chaos sharded build
-// planner ingest adaptive
+// throughput ablation distribution chaos sharded adaptive
 //
 // With -trace, experiments collect one exemplar span tree per search
 // site ("EXPLAIN ANALYZE" for the measured queries) and the map
@@ -52,13 +51,8 @@ var experiments = []struct {
 	{"throughput", "QPS caps from the per-prefix GET limit (VII-D3)", experiment(bench.Throughput)},
 	{"ablation", "design-choice ablations (componentization, block/page sizes, PQ M)", experiment(bench.Ablations)},
 	{"distribution", "data-distribution sensitivity: text entropy vs phase boundary (VII-D2)", experiment(bench.DistributionSensitivity)},
-	{"serve", "concurrent Zipf mix: GETs/query and cache hits with caches off, byte cache only, all caches", experiment(bench.Serve)},
-	{"multi", "multi-predicate plans: page-set intersection GETs vs separate searches, shared-probe batching", experiment(bench.Multi)},
 	{"chaos", "search latency overhead under a fault storm with retries on", experiment(bench.Chaos)},
 	{"sharded", "scatter-gather serving: QPS vs shard count, hedged-request p99 with a slow replica", experiment(bench.Sharded)},
-	{"build", "maintenance depth: GETs and dependent round trips of one Index and one FM Compact", experiment(bench.Maintenance)},
-	{"planner", "probe-side fast path: FM superwalk occ-fetch dedup, cost-based AND short-circuit", experiment(bench.Planner)},
-	{"ingest", "continuous ingestion: group-commit conditional-PUT amortization, requests per acked batch", experiment(bench.Ingest)},
 	{"adaptive", "workload-adaptive maintenance: heat-driven scheduling vs index-everything vs scan-only on a Zipf mix", experiment(bench.Adaptive)},
 }
 

@@ -233,6 +233,9 @@ func cmdGen(args []string) error {
 	if err := c.parse(args); err != nil {
 		return err
 	}
+	if *rows < 0 {
+		return fmt.Errorf("-rows must not be negative, got %d", *rows)
+	}
 	ctx := context.Background()
 	table, _, err := c.open(ctx)
 	if err != nil {
@@ -336,6 +339,9 @@ func cmdIngest(args []string) error {
 	adaptiveFlag := c.fs.Bool("adaptive", false, "with -maintain: heat-driven maintenance — hot columns index first, never-queried columns demote to the scan path (DESIGN.md §17)")
 	if err := c.parse(args); err != nil {
 		return err
+	}
+	if *rows < 0 {
+		return fmt.Errorf("-rows must not be negative, got %d", *rows)
 	}
 	ctx := context.Background()
 	table, client, err := c.open(ctx)

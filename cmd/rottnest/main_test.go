@@ -221,3 +221,19 @@ func TestCLIMaintainRejectsCompactAtOne(t *testing.T) {
 		t.Fatalf("-compact-at 1: err = %v, want a -compact-at error", err)
 	}
 }
+
+// TestCLIRejectsNegativeRows: gen and ingest refuse a negative -rows
+// with an error naming the flag, where they used to panic building the
+// batch.
+func TestCLIRejectsNegativeRows(t *testing.T) {
+	dir := t.TempDir()
+	if err := cmdCreate([]string{"-store", dir, "-schema", "id:uuid,msg:text"}); err != nil {
+		t.Fatal(err)
+	}
+	for name, cmd := range map[string]func([]string) error{"gen": cmdGen, "ingest": cmdIngest} {
+		err := cmd([]string{"-store", dir, "-rows", "-1"})
+		if err == nil || !strings.Contains(err.Error(), "-rows") {
+			t.Errorf("%s -rows -1: err = %v, want a -rows error", name, err)
+		}
+	}
+}

@@ -152,7 +152,7 @@ func clientRequests(c *core.Client) int64 {
 // maintenance regime.
 func adaptivePass(o Options, rounds, partitions, rowsPerBatch, queriesPerRound int, mode adaptiveMode) (*adaptivePassResult, error) {
 	ctx := context.Background()
-	w, err := newWorld(adaptiveSchema, core.Config{})
+	w, err := newWorld(adaptiveSchema)
 	if err != nil {
 		return nil, err
 	}

@@ -83,58 +83,40 @@ type world struct {
 }
 
 // newWorld builds a deployment on the paper's S3 latency model.
-func newWorld(schema *parquet.Schema, cfg core.Config) (*world, error) {
+func newWorld(schema *parquet.Schema) (*world, error) {
 	model := objectstore.DefaultS3Model()
-	return newWorldOn(objectstore.StackOptions{Latency: &model}, schema, cfg)
+	return newWorldOn(objectstore.StackOptions{Latency: &model}, schema)
 }
 
 // newWorldOn is newWorld over other store layers: a latency model other
 // than the paper's S3 measurements, or faults and retries. The lake and
-// the client both read through the one objectstore.NewStack it builds;
-// its cache is cfg.CacheBytes, and off unless that is positive.
-func newWorldOn(layers objectstore.StackOptions, schema *parquet.Schema, cfg core.Config) (*world, error) {
+// the client both read through the one objectstore.NewStack it builds.
+// Figure reproductions model the paper's uncached read path — every
+// GET pays the Figure 10a latency — so the stack has no cache and the
+// client's read, decoded-object and plan caches are off, and so is
+// probe batching, whose memo would change the GET shapes the figures
+// assert.
+func newWorldOn(layers objectstore.StackOptions, schema *parquet.Schema) (*world, error) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
-	// When an experiment asks for a warm deployment, the lake and the
-	// client share one cache (NewClient joins the stack's), so snapshot
-	// log reads are accelerated too.
 	layers.CacheBytes = -1
-	if cfg.CacheBytes > 0 {
-		layers.CacheBytes = cfg.CacheBytes
-	}
 	store := objectstore.NewStack(objectstore.NewMemStore(clock), layers)
 	table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.IndexDir == "" {
-		cfg.IndexDir = "rottnest"
-	}
-	// Figure reproductions model the paper's uncached read path: every
-	// GET pays the Figure 10a latency. Keep the client's read,
-	// decoded-object and plan caches off unless an experiment (Serve)
-	// asks for them explicitly.
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = -1
-	}
-	if cfg.DecodedCacheBytes == 0 {
-		cfg.DecodedCacheBytes = -1
-	}
-	if cfg.PlanCacheTTLVersions == 0 {
-		cfg.PlanCacheTTLVersions = -1
-	}
-	// Probe batching memoizes index probes, which would change the GET
-	// shapes the figures assert; experiments that measure coalescing
-	// (Multi) opt in explicitly.
-	if cfg.ProbeBatchBytes == 0 {
-		cfg.ProbeBatchBytes = -1
-	}
-	cfg.Clock = clock
 	return &world{
-		clock:  clock,
-		store:  store,
-		table:  table,
-		client: core.NewClient(table, cfg),
+		clock: clock,
+		store: store,
+		table: table,
+		client: core.NewClient(table, core.Config{
+			Clock:                clock,
+			IndexDir:             "rottnest",
+			CacheBytes:           -1,
+			DecodedCacheBytes:    -1,
+			PlanCacheTTLVersions: -1,
+			ProbeBatchBytes:      -1,
+		}),
 	}, nil
 }
 
@@ -241,8 +223,8 @@ var uuidSchema = parquet.MustSchema(
 	parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
 )
 
-func newUUIDWorld(seed int64, batches, rowsPerBatch int, cfg core.Config) (*uuidWorld, error) {
-	w, err := newWorld(uuidSchema, cfg)
+func newUUIDWorld(seed int64, batches, rowsPerBatch int) (*uuidWorld, error) {
+	w, err := newWorld(uuidSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -291,9 +273,9 @@ var textSchema = parquet.MustSchema(
 	parquet.Column{Name: "body", Type: parquet.TypeByteArray},
 )
 
-func newTextWorld(seed int64, batches, docsPerBatch int, cfg core.Config) (*textWorld, error) {
+func newTextWorld(seed int64, batches, docsPerBatch int) (*textWorld, error) {
 	ctx := context.Background()
-	w, err := newWorld(textSchema, cfg)
+	w, err := newWorld(textSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -339,16 +321,16 @@ func vectorSchema(dim int) *parquet.Schema {
 	)
 }
 
-func newVectorWorld(seed int64, n, dim, nQueries int, cfg core.Config) (*vectorWorld, error) {
-	return newVectorWorldSpread(seed, n, dim, nQueries, 64, 0.18, cfg)
+func newVectorWorld(seed int64, n, dim, nQueries int) (*vectorWorld, error) {
+	return newVectorWorldSpread(seed, n, dim, nQueries, 64, 0.18)
 }
 
 // newVectorWorldSpread controls the mixture difficulty: more clusters
 // and higher spread blur cell boundaries, so recall actually depends
 // on nprobe/refine (as with real embedding distributions).
-func newVectorWorldSpread(seed int64, n, dim, nQueries, clusters int, spread float64, cfg core.Config) (*vectorWorld, error) {
+func newVectorWorldSpread(seed int64, n, dim, nQueries, clusters int, spread float64) (*vectorWorld, error) {
 	ctx := context.Background()
-	w, err := newWorld(vectorSchema(dim), cfg)
+	w, err := newWorld(vectorSchema(dim))
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -325,59 +324,6 @@ func TestDistributionSensitivityShapes(t *testing.T) {
 	}
 }
 
-// serveQuick runs the serving experiment once per test binary: its
-// byte-cache pass and its all-caches pass are asserted by separate
-// tests below.
-var serveQuick = sync.OnceValues(func() (*ServeResult, error) {
-	return Serve(Options{Seed: 14, Quick: true})
-})
-
-func serveShapes(t *testing.T) []ServeWorkloadResult {
-	t.Helper()
-	skipUnderRace(t)
-	res, err := serveQuick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Workloads) != 3 {
-		t.Fatalf("workloads = %d", len(res.Workloads))
-	}
-	for _, w := range res.Workloads {
-		if w.ColdGETsPerQuery == 0 {
-			t.Fatalf("%s: cold pass issued no GETs", w.Workload)
-		}
-	}
-	return res.Workloads
-}
-
-// TestCacheWarmthShapes asserts serve's byte-cache-only pass.
-func TestCacheWarmthShapes(t *testing.T) {
-	for _, w := range serveShapes(t) {
-		// The byte cache alone must serve repeated queries' immutable
-		// objects — index tails and components, data pages, log records —
-		// and cut the GETs at least threefold.
-		if w.ByteGETsPerQuery > w.ColdGETsPerQuery/3 || w.ByteHits == 0 {
-			t.Fatalf("%s: byte-cache pass issued %.2f GETs/query against %.2f cold, %d hits",
-				w.Workload, w.ByteGETsPerQuery, w.ColdGETsPerQuery, w.ByteHits)
-		}
-	}
-}
-
-// TestServeShapes asserts serve's all-caches pass.
-func TestServeShapes(t *testing.T) {
-	for _, w := range serveShapes(t) {
-		// Every query in the measured stream repeats the primed
-		// universe, so the all-caches pass must issue zero GETs: no
-		// directory/manifest/header fetch, no page reads.
-		if w.WarmGETsPerQuery != 0 {
-			t.Fatalf("%s: warm pass issued %.2f GETs/query, want 0", w.Workload, w.WarmGETsPerQuery)
-		}
-		if w.DecodedHits == 0 || w.PlanHits == 0 {
-			t.Fatalf("%s: warm pass recorded no cache activity: %+v", w.Workload, w)
-		}
-	}
-}
-
 func TestChaosShapes(t *testing.T) {
 	skipUnderRace(t)
 	res, err := Chaos(Options{Seed: 5, Quick: true})
@@ -394,40 +340,6 @@ func TestChaosShapes(t *testing.T) {
 	// virtual time, so the storm pass cannot beat the clean pass.
 	if res.StormLatency < res.CleanLatency {
 		t.Fatalf("storm latency %v below clean %v", res.StormLatency, res.CleanLatency)
-	}
-}
-
-func TestMultiShapes(t *testing.T) {
-	skipUnderRace(t)
-	res, err := Multi(Options{Seed: 13, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := res.Intersect
-	// The tentpole bar: a compound AND plan probes each index once and
-	// fetches each surviving page once, so it must issue strictly fewer
-	// GETs and read strictly fewer pages than its predicates run as
-	// separate searches.
-	if it.CompoundGETs >= it.SeparateGETs {
-		t.Fatalf("compound plan issued %.1f GETs/query vs %.1f separate", it.CompoundGETs, it.SeparateGETs)
-	}
-	if it.CompoundPages >= it.SeparatePages {
-		t.Fatalf("compound plan read %.1f pages/query vs %.1f separate", it.CompoundPages, it.SeparatePages)
-	}
-	// The intersection must actually prune: candidates above survivors.
-	if it.PagesPruned <= 0 || it.PagesCandidate <= it.PagesPruned {
-		t.Fatalf("intersection pruned nothing: candidate %.1f, pruned %.1f", it.PagesCandidate, it.PagesPruned)
-	}
-	bt := res.Batch
-	// The batching bar: a Zipf stream of identical compound queries must
-	// coalesce probes, executing at least 2x fewer index probes than the
-	// independent baseline.
-	if bt.ProbesCoalesced == 0 {
-		t.Fatal("batched pass coalesced no probes")
-	}
-	if bt.ProbeSavings < 2 {
-		t.Fatalf("probe savings %.2fx < 2x (batched %d runs, independent %d)",
-			bt.ProbeSavings, bt.CoalescedProbeRuns, bt.IndependentProbeRuns)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rottnest/internal/component"
-	"rottnest/internal/core"
 	"rottnest/internal/objectstore"
 )
 
@@ -41,7 +40,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 	batches, rows := o.scaleInt(6, 3), o.scaleInt(1500, 500)
 	nq := o.scaleInt(40, 12)
 
-	clean, err := newUUIDWorld(o.Seed, batches, rows, core.Config{})
+	clean, err := newUUIDWorld(o.Seed, batches, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +73,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 		Faults:  &profile,
 		Retry:   &objectstore.RetryPolicy{MaxAttempts: 8, Seed: o.Seed},
 		Latency: &model,
-	}, uuidSchema, core.Config{})
+	}, uuidSchema)
 	if err != nil {
 		return nil, err
 	}

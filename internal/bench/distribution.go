@@ -57,7 +57,7 @@ func DistributionSensitivity(opts Options) (*DistributionResult, error) {
 	fmt.Fprintln(out, "# Distribution sensitivity (VII-D2): text entropy vs index ratio vs boundary")
 	fmt.Fprintf(out, "%-8s %-8s %-10s %-10s %-10s %-12s\n", "zipfS", "vocab", "raw MB", "index MB", "idx/raw", "boundary@10mo")
 	for _, cfg := range configs {
-		w, err := newWorld(textSchema, core.Config{})
+		w, err := newWorld(textSchema)
 		if err != nil {
 			return nil, err
 		}

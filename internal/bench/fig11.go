@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rottnest/internal/component"
-	"rottnest/internal/core"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
@@ -42,7 +41,7 @@ func Fig11InSitu(opts Options) (*Fig11Result, error) {
 	ctx := context.Background()
 	out := opts.out()
 
-	uw, err := newUUIDWorld(opts.Seed+5, opts.scaleInt(24, 8), opts.scaleInt(50000, 20000), core.Config{})
+	uw, err := newUUIDWorld(opts.Seed+5, opts.scaleInt(24, 8), opts.scaleInt(50000, 20000))
 	if err != nil {
 		return nil, err
 	}

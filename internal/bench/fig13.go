@@ -55,7 +55,7 @@ func Fig13Compaction(opts Options) (*Fig13Result, error) {
 			point.Batches = batches
 			switch app {
 			case "substring":
-				tw, err := newTextWorld(opts.Seed+6, batches, opts.scaleInt(400, 150), core.Config{})
+				tw, err := newTextWorld(opts.Seed+6, batches, opts.scaleInt(400, 150))
 				if err != nil {
 					return nil, err
 				}
@@ -91,7 +91,7 @@ func Fig13Compaction(opts Options) (*Fig13Result, error) {
 				}
 				res.Substring = append(res.Substring, point)
 			case "uuid":
-				uw, err := newUUIDWorld(opts.Seed+7, batches, opts.scaleInt(4000, 1500), core.Config{})
+				uw, err := newUUIDWorld(opts.Seed+7, batches, opts.scaleInt(4000, 1500))
 				if err != nil {
 					return nil, err
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rottnest/internal/component"
-	"rottnest/internal/core"
 	"rottnest/internal/tco"
 )
 
@@ -70,7 +69,7 @@ func derive(name string, rawBytes, indexBytes int64, buildTime, queryLatency tim
 // application.
 func measureUUIDApp(opts Options) (*AppMeasurement, error) {
 	ctx := context.Background()
-	uw, err := newUUIDWorld(opts.Seed, opts.scaleInt(24, 8), opts.scaleInt(50000, 20000), core.Config{})
+	uw, err := newUUIDWorld(opts.Seed, opts.scaleInt(24, 8), opts.scaleInt(50000, 20000))
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +98,7 @@ func measureUUIDApp(opts Options) (*AppMeasurement, error) {
 // substring application.
 func measureTextApp(opts Options) (*AppMeasurement, error) {
 	ctx := context.Background()
-	tw, err := newTextWorld(opts.Seed+1, opts.scaleInt(24, 8), opts.scaleInt(2000, 600), core.Config{})
+	tw, err := newTextWorld(opts.Seed+1, opts.scaleInt(24, 8), opts.scaleInt(2000, 600))
 	if err != nil {
 		return nil, err
 	}

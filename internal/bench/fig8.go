@@ -48,15 +48,15 @@ func Fig8Scaling(opts Options) (*Fig8Result, error) {
 
 	// Build the three application worlds.
 	batches := opts.scaleInt(64, 16)
-	uw, err := newUUIDWorld(opts.Seed, batches, opts.scaleInt(4000, 1000), core.Config{})
+	uw, err := newUUIDWorld(opts.Seed, batches, opts.scaleInt(4000, 1000))
 	if err != nil {
 		return nil, err
 	}
-	tw, err := newTextWorld(opts.Seed+1, batches, opts.scaleInt(1200, 300), core.Config{})
+	tw, err := newTextWorld(opts.Seed+1, batches, opts.scaleInt(1200, 300))
 	if err != nil {
 		return nil, err
 	}
-	vw, err := newVectorWorld(opts.Seed+2, opts.scaleInt(40000, 8000), 32, 10, core.Config{})
+	vw, err := newVectorWorld(opts.Seed+2, opts.scaleInt(40000, 8000), 32, 10)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rottnest/internal/component"
-	"rottnest/internal/core"
 	"rottnest/internal/tco"
 )
 
@@ -43,7 +42,7 @@ type Fig9Result struct {
 func Fig9VectorPhases(opts Options) (*Fig9Result, error) {
 	ctx := context.Background()
 	out := opts.out()
-	vw, err := newVectorWorldSpread(opts.Seed+3, opts.scaleInt(60000, 15000), 32, opts.scaleInt(25, 10), 512, 0.8, core.Config{})
+	vw, err := newVectorWorldSpread(opts.Seed+3, opts.scaleInt(60000, 15000), 32, opts.scaleInt(25, 10), 512, 0.8)
 	if err != nil {
 		return nil, err
 	}

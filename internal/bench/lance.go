@@ -35,7 +35,7 @@ func CustomFormatComparison(opts Options) (*CustomFormatResult, error) {
 	out := opts.out()
 	dim := 32
 	n := opts.scaleInt(60000, 15000)
-	vw, err := newVectorWorld(opts.Seed+4, n, dim, opts.scaleInt(20, 8), core.Config{})
+	vw, err := newVectorWorld(opts.Seed+4, n, dim, opts.scaleInt(20, 8))
 	if err != nil {
 		return nil, err
 	}

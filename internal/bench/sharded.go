@@ -63,7 +63,7 @@ type ShardedResult struct {
 // probe waves shrink as the shard count grows.
 func shardedWorld(seed int64, batches, rows int) (*uuidWorld, error) {
 	ctx := context.Background()
-	w, err := newWorld(uuidSchema, core.Config{})
+	w, err := newWorld(uuidSchema)
 	if err != nil {
 		return nil, err
 	}

@@ -37,15 +37,15 @@ func Throughput(opts Options) (*ThroughputResult, error) {
 		QueriesFor10Months: map[string]float64{},
 	}
 
-	uw, err := newUUIDWorld(opts.Seed+8, opts.scaleInt(16, 8), opts.scaleInt(20000, 8000), core.Config{})
+	uw, err := newUUIDWorld(opts.Seed+8, opts.scaleInt(16, 8), opts.scaleInt(20000, 8000))
 	if err != nil {
 		return nil, err
 	}
-	tw, err := newTextWorld(opts.Seed+9, opts.scaleInt(16, 8), opts.scaleInt(800, 300), core.Config{})
+	tw, err := newTextWorld(opts.Seed+9, opts.scaleInt(16, 8), opts.scaleInt(800, 300))
 	if err != nil {
 		return nil, err
 	}
-	vw, err := newVectorWorld(opts.Seed+10, opts.scaleInt(40000, 12000), 32, 4, core.Config{})
+	vw, err := newVectorWorld(opts.Seed+10, opts.scaleInt(40000, 12000), 32, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -129,7 +129,9 @@ type Config struct {
 	// AND children in the probe phase (cheap/selective children probed
 	// first, expensive ones skipped when the running page-set
 	// intersection is already empty). Results are identical either
-	// way; the flag exists for differential testing and benchmarks.
+	// way; the flag exists for differential testing — the harness's
+	// differential client — and for TestANDOrderingRequestCounts'
+	// unordered baseline.
 	DisableANDOrdering bool
 }
 

@@ -20,11 +20,12 @@ import (
 // The store is a MemStore metered on the S3 latency model, so searches
 // run inside simtime sessions accumulate realistic virtual latency.
 type env struct {
-	clock *simtime.VirtualClock
-	mem   *objectstore.MemStore
-	store *objectstore.Stack
-	table *lake.Table
-	cli   *Client
+	clock  *simtime.VirtualClock
+	mem    *objectstore.MemStore
+	store  *objectstore.Stack
+	table  *lake.Table
+	schema *parquet.Schema
+	cli    *Client
 }
 
 var uuidSchema = parquet.MustSchema(
@@ -44,10 +45,21 @@ func vecSchema(dim int) *parquet.Schema {
 
 func newEnv(t testing.TB, schema *parquet.Schema, cfg Config) *env {
 	t.Helper()
+	return newEnvOn(t, objectstore.DefaultS3Model(), schema, cfg)
+}
+
+// newEnvOn is newEnv on another latency model. The stack has no cache
+// unless cfg.CacheBytes is positive; then the lake and the client share
+// the stack's.
+func newEnvOn(t testing.TB, model objectstore.LatencyModel, schema *parquet.Schema, cfg Config) *env {
+	t.Helper()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	model := objectstore.DefaultS3Model()
-	store := objectstore.NewStack(mem, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+	layers := objectstore.StackOptions{Latency: &model, CacheBytes: -1}
+	if cfg.CacheBytes > 0 {
+		layers.CacheBytes = cfg.CacheBytes
+	}
+	store := objectstore.NewStack(mem, layers)
 	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +68,7 @@ func newEnv(t testing.TB, schema *parquet.Schema, cfg Config) *env {
 		cfg.IndexDir = "rottnest"
 	}
 	cfg.Clock = clock
-	return &env{clock: clock, mem: mem, store: store, table: table, cli: NewClient(table, cfg)}
+	return &env{clock: clock, mem: mem, store: store, table: table, schema: schema, cli: NewClient(table, cfg)}
 }
 
 // appendUUIDs appends a batch of uuid rows and returns the keys.
@@ -334,6 +346,40 @@ func TestSubstringIndexAndSearch(t *testing.T) {
 	}
 	if len(res.Matches) != 0 {
 		t.Fatal("phantom matches")
+	}
+}
+
+// TestIndexFMOverAnEmptyFile: a zero-row data file has no pages, so
+// an FM job over it alone indexes an empty text. The index covers the
+// file and finds nothing in it, and a later file indexes and merges
+// beside it.
+func TestIndexFMOverAnEmptyFile(t *testing.T) {
+	ctx := context.Background()
+	e := newEnv(t, textSchema, Config{})
+	e.appendDocs(t, nil)
+	entry, err := e.cli.Index(ctx, "body", component.KindFM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry == nil || len(entry.Files) != 1 {
+		t.Fatalf("index over the empty file = %+v, want one entry covering it", entry)
+	}
+	res, err := e.cli.Search(ctx, Query{Column: "body", Substring: []byte("a"), Snapshot: -1})
+	if err != nil || len(res.Matches) != 0 || res.Stats.CoveredFiles != 1 {
+		t.Fatalf("search over the empty index: %+v, %v; want no match, the file covered", res, err)
+	}
+
+	e.appendDocs(t, []string{"first needle", "second"})
+	if _, err := e.cli.Index(ctx, "body", component.KindFM); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.cli.Compact(ctx, "body", component.KindFM, CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = e.cli.Search(ctx, Query{Column: "body", Substring: []byte("needle"), Snapshot: -1})
+	if err != nil || len(res.Matches) != 1 || string(res.Matches[0].Value) != "first needle" ||
+		res.Stats.IndexFiles != 1 || res.Stats.CoveredFiles != 2 {
+		t.Fatalf("search after the merge: %+v, %v; want the one needle, both files under one index file", res, err)
 	}
 }
 

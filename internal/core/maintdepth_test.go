@@ -8,7 +8,9 @@ import (
 	"rottnest/internal/component"
 	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/workload"
 )
 
 // maintain runs one maintenance call the way a stateless job does — a
@@ -139,5 +141,46 @@ func TestMaintenanceDepth(t *testing.T) {
 		if want := sum(list, get, list); elapsed < want || elapsed >= want+5*time.Millisecond || reqs.Lists != 4 {
 			t.Errorf("vacuum keeping snapshots from %d: %v of virtual time and %d LISTs, want %v and 4", keep, elapsed, reqs.Lists, want)
 		}
+	}
+}
+
+// TestMaintenanceDepthUnitStore pins maintenance depth as counts, on a
+// store where every request costs one unit of virtual time and moves
+// bytes for free, so a call's virtual time over the unit is the number
+// of dependent round trips it waited through. One long-lived client
+// indexes three 1500-document files, each on its own; the last Index
+// call — one new file beside two covered ones — takes five levels:
+// the plan's LIST (the client's handles remember both logs, so no log
+// fan), the footer, the column chunks, the upload and the commit. The
+// FM Compact of the three sources takes six: the LIST, the source
+// tails, their manifests, every source's BWT blocks, the upload and
+// the commit. Before maintenance read in fans, each GET was a level of
+// its own: 15 and 56.
+func TestMaintenanceDepthUnitStore(t *testing.T) {
+	const unit = time.Millisecond
+	w := newExpWorld(t, objectstore.LatencyModel{GetTTFB: unit, PutTTFB: unit, ListTTFB: unit}, textSchema, Config{})
+	depth := func(call func(ctx context.Context) error) (getCount, levels int64) {
+		s := simtime.NewSession()
+		getCount = gets(t, func(ctx context.Context) error { return call(simtime.With(ctx, s)) })
+		return getCount, int64(s.Elapsed() / unit)
+	}
+	docs := workload.NewTextGen(workload.DefaultTextConfig(expSeed + 6))
+	var indexGETs, indexLevels int64
+	for i := 0; i < 3; i++ {
+		w.appendColumns(t, parquet.WriterOptions{RowGroupRows: 256, PageBytes: 32 << 10}, strBytes(docs.Docs(1500)))
+		indexGETs, indexLevels = depth(func(ctx context.Context) error {
+			_, err := w.cli.Index(ctx, "body", component.KindFM)
+			return err
+		})
+	}
+	if indexGETs != 7 || indexLevels != 5 {
+		t.Errorf("index: %d GETs over %d levels, want 7 over 5", indexGETs, indexLevels)
+	}
+	compactGETs, compactLevels := depth(func(ctx context.Context) error {
+		_, err := w.cli.Compact(ctx, "body", component.KindFM, CompactOptions{})
+		return err
+	})
+	if compactGETs != 50 || compactLevels != 6 {
+		t.Errorf("compact of three FM sources: %d GETs over %d levels, want 50 over 6", compactGETs, compactLevels)
 	}
 }

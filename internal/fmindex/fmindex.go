@@ -73,6 +73,7 @@ func (o BuildOptions) withDefaults() BuildOptions {
 // text offset at which indexed page i begins (pageStarts[0] must be
 // 0, strictly increasing), and refs[i] is the page's physical
 // location. Matches at positions within page i resolve to refs[i].
+// An empty text may have no pages: the index over it matches nothing.
 func Build(text []byte, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) ([]byte, error) {
 	b := component.NewBuilder(component.KindFM)
 	if err := BuildInto(b, text, pageStarts, refs, opts); err != nil {
@@ -117,10 +118,14 @@ func build(b *component.Builder, full []byte, sa []int32, pageStarts []int64, re
 
 // validateBuildInput checks the Build contract shared by the
 // production and reference builders: parallel page tables, strictly
-// increasing starts from 0, and sentinel-free text.
+// increasing starts from 0 (none for an empty text), and sentinel-free
+// text.
 func validateBuildInput(text []byte, pageStarts []int64, refs []postings.PageRef) error {
 	if len(pageStarts) != len(refs) {
 		return fmt.Errorf("fmindex: %d page starts but %d refs", len(pageStarts), len(refs))
+	}
+	if len(pageStarts) == 0 && len(text) == 0 {
+		return nil
 	}
 	if len(pageStarts) == 0 || pageStarts[0] != 0 {
 		return fmt.Errorf("fmindex: pageStarts must begin at 0")

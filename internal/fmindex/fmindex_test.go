@@ -253,6 +253,13 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build([]byte("abcd"), []int64{0, 2}, make([]postings.PageRef, 1), BuildOptions{}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
+	if _, err := Build([]byte("abcd"), nil, nil, BuildOptions{}); err == nil {
+		t.Fatal("text without pages accepted")
+	}
+	// An empty text needs no page: a zero-row data file indexes to it.
+	if _, err := Build(nil, nil, nil, BuildOptions{}); err != nil {
+		t.Fatalf("empty text without pages: %v", err)
+	}
 }
 
 func TestReconstructText(t *testing.T) {

@@ -233,3 +233,23 @@ func TestQuiesceGoesPastAStalledSpec(t *testing.T) {
 		t.Fatalf("status = %+v, %v; want one msg entry covering every file and no emb index", statuses, err)
 	}
 }
+
+// TestQuiesceCoversAnEmptyFile: a data file of zero rows is a file
+// like any other to the FM index job, so maintenance over a lake whose
+// only uncovered file is empty converges — one index job covers it —
+// instead of failing every step.
+func TestQuiesceCoversAnEmptyFile(t *testing.T) {
+	ctx := context.Background()
+	w, s, _ := schedWorld(t, SchedulerOptions{})
+	if _, err := w.table.Append(ctx, parquet.NewBatch(testSchema), parquet.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	quiesceWithin(t, ctx, s, 30*time.Second)
+	if got := jobCounts(s); got != [3]int64{1, 0, 0} {
+		t.Fatalf("index/compact/vacuum jobs = %v, want one index job", got)
+	}
+	statuses, err := s.cli.Status(ctx)
+	if err != nil || len(statuses) != 1 || statuses[0].CoveredFiles != 1 || statuses[0].UnindexedFiles != 0 {
+		t.Fatalf("status = %+v, %v; want the empty file covered", statuses, err)
+	}
+}

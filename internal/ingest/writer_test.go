@@ -11,6 +11,7 @@ import (
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/workload"
 )
 
 var testSchema = parquet.MustSchema(
@@ -166,6 +167,87 @@ func TestWriterGroupCommitOneRound(t *testing.T) {
 	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWriterGroupCommitRequestCounts pins the writer's requests on
+// the continuous-ingestion stream, on the S3 model: 8 producers
+// each commit 6 micro-batches of 128 keys (seed 13), once through a
+// lake append per batch and once through the writer, the producers
+// interleaving round-robin so every flush finds a full group. The
+// writer commits 6 rounds where the appends commit 48 — an 8x cut in
+// conditional PUTs on the log — and its 48 acks cost its long-lived
+// handle 54 requests: the 48 file PUTs and the 6 conditional ones, and
+// no read of the log.
+func TestWriterGroupCommitRequestCounts(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	const producers, rounds, rows = 8, 6, 128
+	stream := func(grouped bool) (commits int64, reqs objectstore.Snapshot) {
+		model := objectstore.DefaultS3Model()
+		store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+		tbl, err := lake.CreateWith(ctx, store, "lake", keySchema, lake.OpenOptions{Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWriter(tbl, WriterOptions{MaxBatchRows: rows, GroupCommitBatches: producers, Clock: clock, Manual: true})
+		keys := workload.NewUUIDGen(13)
+		before, err := tbl.Version(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m objectstore.Metrics
+		tctx := objectstore.WithTally(ctx, &m)
+		for r := 0; r < rounds; r++ {
+			for p := 0; p < producers; p++ {
+				if grouped {
+					_, err = w.Append(tctx, keyBatch(keys, rows))
+				} else {
+					_, err = tbl.Append(tctx, keyBatch(keys, rows), parquet.WriterOptions{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if grouped {
+				if err := w.Flush(tctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		after, err := tbl.Version(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after - before, m.Snapshot()
+	}
+	if perBatch, _ := stream(false); perBatch != producers*rounds {
+		t.Errorf("per-batch appends committed %d rounds, want one per batch (%d)", perBatch, producers*rounds)
+	}
+	grouped, reqs := stream(true)
+	if grouped != 6 {
+		t.Errorf("group commit of %d batches took %d rounds, want 6", producers*rounds, grouped)
+	}
+	if reqs.Lists != 0 || reqs.Gets != 0 || reqs.Puts != 54 {
+		t.Errorf("%d acked batches issued %d LISTs, %d GETs, %d PUTs; want 0, 0, 54",
+			producers*rounds, reqs.Lists, reqs.Gets, reqs.Puts)
+	}
+}
+
+var keySchema = parquet.MustSchema(parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16})
+
+// keyBatch is a micro-batch of the generator's next n keys.
+func keyBatch(gen *workload.UUIDGen, n int) *parquet.Batch {
+	b := parquet.NewBatch(keySchema)
+	ks := gen.Batch(n)
+	ids := make([][]byte, n)
+	for i := range ks {
+		ids[i] = ks[i][:]
+	}
+	b.Cols[0] = parquet.ColumnValues{Bytes: ids}
+	return b
 }
 
 // TestWriterCloseDrainsUnderFaults verifies Close resolves every
