@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-fig13 bench-sharded bench-adaptive benchgate vulncheck
+.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-fig13 vulncheck
 
 build:
 	$(GO) build ./...
@@ -9,16 +9,16 @@ test:
 	$(GO) test ./...
 
 # check is the PR gate: vet, formatting, the race detector over every
-# package, a short fuzz pass over the byte-level decoders, and the
-# three experiment records regenerated and held to their committed
-# baselines by benchgate. The experiment shape tests in internal/bench
-# skip themselves under -race (their thresholds mix in real wall-clock
-# CPU time, which race instrumentation inflates) and so does the FM
-# allocation budget in internal/fmindex (race builds empty sync.Pool at
-# random), so they get a separate plain run. Request counts of the
-# serving, multi-predicate, planner, maintenance and ingest workloads
-# are exact assertions of the race run (internal/core, internal/ingest),
-# not records.
+# package, a short fuzz pass over the byte-level decoders, and the one
+# regenerated record, BENCH_fig13.json (nothing compares it against the
+# committed copy: review its diff). The experiment shape tests in
+# internal/bench skip themselves under -race (their thresholds mix in
+# real wall-clock CPU time, which race instrumentation inflates) and so
+# does the FM allocation budget in internal/fmindex (race builds empty
+# sync.Pool at random), so they get a separate plain run. Request
+# counts of the serving, multi-predicate, planner, maintenance, ingest,
+# sharded and adaptive workloads are assertions of the race run
+# (internal/core, internal/ingest, internal/shard), not records.
 check:
 	$(GO) vet ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -30,9 +30,6 @@ check:
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-fig13
-	$(MAKE) bench-sharded
-	$(MAKE) bench-adaptive
-	$(MAKE) benchgate
 	$(MAKE) vulncheck
 
 # benchmark-test vets and tests the wall-clock benchmark. benchmark/
@@ -99,29 +96,6 @@ trace-smoke:
 # latency of the Compact call that merged them.
 bench-fig13:
 	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_fig13.json fig13
-
-# bench-sharded records the scatter-gather serving experiment:
-# aggregate QPS vs shard count, and hedged-request p50/p99 against a
-# latency-spiked replica at the same N x M x K point — and the requests
-# of one hot routed query's plan (router_plan_*), which benchgate holds
-# to "may not grow".
-bench-sharded:
-	$(GO) run ./cmd/rottnest-bench -quick -seed 13 -json BENCH_sharded.json sharded
-
-# bench-adaptive records the workload-adaptive maintenance
-# experiment: heat-driven scheduling vs index-everything vs scan-only
-# on the Zipf mix — maintenance store-request reduction, hot-partition
-# searchable lag, and steady-state query latency per regime.
-bench-adaptive:
-	$(GO) run ./cmd/rottnest-bench -quick -seed 21 -json BENCH_adaptive.json adaptive
-
-# benchgate fails check when a regenerated record regresses a field
-# its manifest (cmd/benchgate/main.go) names against the committed
-# baseline: a count that grows at all, or one of the few virtual figure
-# quantities that moves more than 20% the wrong way. A listed field
-# missing from either side fails; untracked files are skipped.
-benchgate:
-	$(GO) run ./cmd/benchgate BENCH_*.json
 
 # vulncheck runs govulncheck when it is installed; environments
 # without it (or without network access to the vuln DB) skip rather

@@ -10,7 +10,7 @@
 //	rottnest-bench [-quick] [-seed N] [-json FILE] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE] <experiment|all>
 //
 // Experiments: fig7 fig8 fig9 fig10 fig11 fig12 fig13 latency lance
-// throughput ablation distribution chaos sharded adaptive
+// throughput ablation distribution chaos
 //
 // With -trace, experiments collect one exemplar span tree per search
 // site ("EXPLAIN ANALYZE" for the measured queries) and the map
@@ -52,8 +52,6 @@ var experiments = []struct {
 	{"ablation", "design-choice ablations (componentization, block/page sizes, PQ M)", experiment(bench.Ablations)},
 	{"distribution", "data-distribution sensitivity: text entropy vs phase boundary (VII-D2)", experiment(bench.DistributionSensitivity)},
 	{"chaos", "search latency overhead under a fault storm with retries on", experiment(bench.Chaos)},
-	{"sharded", "scatter-gather serving: QPS vs shard count, hedged-request p99 with a slow replica", experiment(bench.Sharded)},
-	{"adaptive", "workload-adaptive maintenance: heat-driven scheduling vs index-everything vs scan-only on a Zipf mix", experiment(bench.Adaptive)},
 }
 
 func main() {

@@ -342,32 +342,3 @@ func TestChaosShapes(t *testing.T) {
 		t.Fatalf("storm latency %v below clean %v", res.StormLatency, res.CleanLatency)
 	}
 }
-
-func TestShardedShapes(t *testing.T) {
-	skipUnderRace(t)
-	res, err := Sharded(Options{Seed: 13, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Scaling) != 3 {
-		t.Fatalf("scaling points = %d", len(res.Scaling))
-	}
-	one, four := res.Scaling[0], res.Scaling[len(res.Scaling)-1]
-	// The scatter bar: aggregate QPS must grow with the shard count —
-	// each worker probes only its file range's index entries, so its
-	// wave-limited probe schedule shortens.
-	if four.QPS <= one.QPS {
-		t.Fatalf("QPS did not scale: %d shards %.2f vs 1 shard %.2f", four.Shards, four.QPS, one.QPS)
-	}
-	// The hedging bar: with one spiked replica, hedging must fire, win,
-	// and claw back the tail versus the same deployment without it.
-	if res.HedgeOn.Hedges == 0 || res.HedgeOn.HedgeWins == 0 {
-		t.Fatalf("hedging never fired/won: %+v", res.HedgeOn)
-	}
-	if res.HedgeOff.Hedges != 0 {
-		t.Fatalf("hedge-off pass hedged: %+v", res.HedgeOff)
-	}
-	if res.HedgeOn.P99 >= res.HedgeOff.P99 {
-		t.Fatalf("hedging did not improve p99: on %v vs off %v", res.HedgeOn.P99, res.HedgeOff.P99)
-	}
-}

@@ -108,13 +108,14 @@ func filterRanges(e *Expr, env *execEnv, cands []*leafCandSet, f lake.DataFile, 
 
 // survivors runs the filter tree for every searched file. A file maps
 // to the row ranges that can still match; a file the algebra emptied
-// is absent, and a file with no rows stays, harmlessly empty.
+// is absent, and so is a file with no rows, so no read is planned for
+// it.
 func (e *execEnv) survivors(cands []*leafCandSet) map[string][]postings.RowRange {
 	out := make(map[string][]postings.RowRange, len(e.searched))
 	for _, f := range e.searched {
 		leafIdx := 0
 		rows := filterRanges(e.shape.filter, e, cands, f, &leafIdx)
-		if len(rows) > 0 || f.Rows == 0 {
+		if len(rows) > 0 && f.Rows > 0 {
 			out[f.Path] = rows
 		}
 	}
@@ -122,8 +123,7 @@ func (e *execEnv) survivors(cands []*leafCandSet) map[string][]postings.RowRange
 }
 
 // anyRowAlive reports whether any searched file keeps a row under the
-// leaves probed so far. An empty file's whole-file range is not a
-// survivor.
+// leaves probed so far.
 func (e *execEnv) anyRowAlive(cands []*leafCandSet) bool {
 	for _, rows := range e.survivors(cands) {
 		if postings.RangesLen(rows) > 0 {
@@ -229,7 +229,7 @@ func (e *execEnv) rankedTargets(p *probed, span *obs.Span) (refine, scan []*file
 	}
 	sortTargets(refine)
 	for _, f := range e.searched {
-		if e.vecCovered[f.Path] {
+		if e.vecCovered[f.Path] || f.Rows == 0 {
 			continue
 		}
 		rows, ok := []postings.RowRange{{Lo: 0, Hi: f.Rows}}, true

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"rottnest/internal/component"
 	"rottnest/internal/insitu"
 	"rottnest/internal/lake"
 	"rottnest/internal/meta"
@@ -174,11 +175,17 @@ func (e *execEnv) fileCovered(path string) bool {
 	return e.shape.vector == nil || e.vecCovered[path]
 }
 
-// validateColumns checks every referenced column against the schema.
+// validateColumns checks every referenced column against the schema,
+// and a vector query's dimension against its column's, so the scan
+// path and the index reject a mismatch alike.
 func validateColumns(snap *lake.Snapshot, shape *planShape) error {
 	for _, u := range shape.units {
-		if _, _, err := kindForColumn(snap.Schema, u.column, u.kind); err != nil {
+		_, col, err := kindForColumn(snap.Schema, u.column, u.kind)
+		if err != nil {
 			return err
+		}
+		if vp := shape.vector; u.kind == component.KindIVFPQ && 4*len(vp.Vector) != col.TypeLen {
+			return fmt.Errorf("core: vector query has %d dims, column %q holds %d: %w", len(vp.Vector), u.column, col.TypeLen/4, ErrBadColumn)
 		}
 	}
 	return nil

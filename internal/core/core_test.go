@@ -383,6 +383,109 @@ func TestIndexFMOverAnEmptyFile(t *testing.T) {
 	}
 }
 
+// TestCoveredEmptyFileCostsNoRead: a zero-row data file under an index
+// adds no GET to a cold search. It has no rows to read, so no read is
+// planned for it: not even its footer.
+func TestCoveredEmptyFileCostsNoRead(t *testing.T) {
+	ctx := context.Background()
+	keys := workload.NewUUIDGen(5).Batch(300)
+	missing := workload.NewUUIDGen(6).Batch(1)[0]
+	cases := []struct {
+		name    string
+		schema  *parquet.Schema
+		kind    component.Kind
+		column  string
+		fill    func(t *testing.T, e *env, empty bool)
+		queries []Query
+	}{
+		{
+			name: "fm", schema: textSchema, kind: component.KindFM, column: "body",
+			fill: func(t *testing.T, e *env, empty bool) {
+				e.appendDocs(t, []string{"first needle", "second"})
+				if empty {
+					e.appendDocs(t, nil)
+				}
+			},
+			queries: []Query{
+				{Column: "body", Substring: []byte("needle"), Snapshot: -1},
+				{Column: "body", Substring: []byte("zzz"), Snapshot: -1},
+			},
+		},
+		{
+			name: "trie", schema: uuidSchema, kind: component.KindTrie, column: "id",
+			fill: func(t *testing.T, e *env, empty bool) {
+				gen := workload.NewUUIDGen(5)
+				e.appendUUIDs(t, gen, len(keys))
+				if empty {
+					e.appendUUIDs(t, gen, 0)
+				}
+			},
+			queries: []Query{uuidQuery(keys[7]), uuidQuery(missing)},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gets := func(empty bool) []int64 {
+				e := newEnv(t, tc.schema, coldConfig())
+				tc.fill(t, e, empty)
+				if _, err := e.cli.Index(ctx, tc.column, tc.kind); err != nil {
+					t.Fatal(err)
+				}
+				var out []int64
+				for _, q := range tc.queries {
+					res, err := e.cli.Search(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := map[bool]int{false: 1, true: 2}[empty]; res.Stats.CoveredFiles != want {
+						t.Fatalf("covered files = %d, want %d", res.Stats.CoveredFiles, want)
+					}
+					out = append(out, res.Stats.GETs)
+				}
+				return out
+			}
+			without, with := gets(false), gets(true)
+			for i := range tc.queries {
+				if with[i] != without[i] {
+					t.Errorf("query %d: %d GETs with the empty file, %d without", i, with[i], without[i])
+				}
+			}
+		})
+	}
+}
+
+// TestVectorQueryDimMustMatchColumn: a vector query of the wrong
+// dimension is rejected, with one error whether or not an IVF-PQ index
+// covers the column, so the scan path never cuts a long query to the
+// column's dimension or ranks rows for a short one.
+func TestVectorQueryDimMustMatchColumn(t *testing.T) {
+	ctx := context.Background()
+	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 3, Dim: 8, Clusters: 4, Spread: 0.2})
+	e := newEnv(t, vecSchema(8), coldConfig())
+	e.appendVectors(t, gen.Batch(1000))
+	queries := [][]float32{{0.1, 0.2}, make([]float32, 12)}
+	search := func() []string {
+		var msgs []string
+		for _, v := range queries {
+			_, err := e.cli.Search(ctx, Query{Column: "emb", Vector: v, K: 3, Snapshot: -1})
+			if !errors.Is(err, ErrBadColumn) {
+				t.Fatalf("%d-dim query on an 8-dim column: err = %v, want ErrBadColumn", len(v), err)
+			}
+			msgs = append(msgs, err.Error())
+		}
+		return msgs
+	}
+	scan := search()
+	if _, err := e.cli.Index(ctx, "emb", component.KindIVFPQ); err != nil {
+		t.Fatal(err)
+	}
+	for i, msg := range search() {
+		if msg != scan[i] {
+			t.Errorf("%d-dim query: %q with an index, %q without", len(queries[i]), msg, scan[i])
+		}
+	}
+}
+
 func TestVectorIndexAndSearch(t *testing.T) {
 	ctx := context.Background()
 	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 7, Dim: 16, Clusters: 16, Spread: 0.15})

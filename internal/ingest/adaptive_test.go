@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,8 +12,10 @@ import (
 	"rottnest/internal/core"
 	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/obs"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/workload"
 )
 
 var twoColSchema = parquet.MustSchema(
@@ -146,5 +149,239 @@ func TestSchedulerAdaptiveColdColumnNeverIndexed(t *testing.T) {
 	}
 	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// adaptiveColdCols are wide payload columns no query touches, beside
+// the two hot lookup columns ts and id: the usual lake shape, where
+// index-everything pays an FM build for every one of them.
+var adaptiveColdCols = []string{"note", "tag", "meta", "raw"}
+
+var adaptiveSchema = parquet.MustSchema(
+	parquet.Column{Name: "ts", Type: parquet.TypeInt64},
+	parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
+	parquet.Column{Name: "note", Type: parquet.TypeByteArray},
+	parquet.Column{Name: "tag", Type: parquet.TypeByteArray},
+	parquet.Column{Name: "meta", Type: parquet.TypeByteArray},
+	parquet.Column{Name: "raw", Type: parquet.TypeByteArray},
+)
+
+// adaptivePayloadBytes sizes a cold-column value, so an FM build reads
+// many pages per file.
+const adaptivePayloadBytes = 512
+
+// adaptivePayload is one cold-column value: a unique header padded to
+// adaptivePayloadBytes.
+func adaptivePayload(col string, round, part, row int) []byte {
+	v := make([]byte, 0, adaptivePayloadBytes)
+	v = append(v, fmt.Sprintf("%s-%d-%d-%d ", col, round, part, row)...)
+	for i := 0; len(v) < adaptivePayloadBytes; i++ {
+		v = append(v, byte('a'+(i+round*31+part*7+row)%26))
+	}
+	return v
+}
+
+// adaptiveRun is what one maintenance regime measured.
+type adaptiveRun struct {
+	maintRequests int64           // ingest.job_requests
+	coldEntries   int             // FM entries built for the cold columns
+	hotLags       []time.Duration // searchable lag of partition 0's files
+	steadyLats    []time.Duration // query latencies after the final drain
+}
+
+// runAdaptiveStream ingests 5 rounds × 4 partitions × 384 rows (seed
+// 21) through a writer that seals 64-row files, on the S3 model with
+// every cache and probe batching off. Each round flushes, runs 6
+// Zipf(1.4) point lookups filtered to one partition (partition 0 takes
+// most of them), then gives the scheduler 3 one-second ticks. A final
+// drain reaches steady state, and 18 more lookups measure the query
+// latency there. With adaptive set, a heat ledger taps the queries and
+// an autopilot, sized to the paper's 256e9-byte UUID corpus, steers
+// the scheduler; without it the scheduler keeps every spec fresh.
+func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
+	t.Helper()
+	const rounds, partitions, rowsPerBatch, queriesPerRound, fileRows = 5, 4, 384, 6, 64
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+	tbl, err := lake.CreateWith(ctx, store, "lake", adaptiveSchema, lake.OpenOptions{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := core.NewClient(tbl, core.Config{
+		Clock:                clock,
+		IndexDir:             "rottnest",
+		CacheBytes:           -1,
+		DecodedCacheBytes:    -1,
+		PlanCacheTTLVersions: -1,
+		ProbeBatchBytes:      -1,
+	})
+	gen := workload.NewUUIDGen(21)
+	rng := rand.New(rand.NewSource(21 + 11))
+	zipf := rand.NewZipf(rng, 1.4, 1, partitions-1)
+	filesPerPart := rowsPerBatch / fileRows
+	w := NewWriter(tbl, WriterOptions{
+		MaxBatchRows:       fileRows,
+		GroupCommitBatches: partitions * filesPerPart,
+		Parquet:            parquet.WriterOptions{RowGroupRows: 512, PageBytes: 4 << 10},
+		Clock:              clock,
+		Manual:             true,
+	})
+	specs := []core.IndexSpec{{Column: "id", Kind: component.KindTrie}}
+	for _, col := range adaptiveColdCols {
+		specs = append(specs, core.IndexSpec{Column: col, Kind: component.KindFM})
+	}
+	coveredLag := make(map[string]time.Duration)
+	opts := SchedulerOptions{
+		Client:         cli,
+		Writer:         w,
+		Specs:          specs,
+		Clock:          clock,
+		RequestsPerSec: 60,
+		// With many small files, probe cost tracks entry count, so both
+		// regimes compact early.
+		Policy:    core.MaintainPolicy{CompactWhenEntries: 4},
+		OnCovered: func(path string, _ int64, lag time.Duration) { coveredLag[path] = lag },
+	}
+	if adaptiveOn {
+		ledger := adaptive.NewLedger(adaptive.LedgerOptions{HalfLife: 30 * time.Second, Clock: clock})
+		cli.SetHeatObserver(ledger)
+		rowBytes := len(adaptiveColdCols)*adaptivePayloadBytes + 24
+		pilot := adaptive.NewAutopilot(cli, ledger, specs, adaptive.AutopilotOptions{
+			RefreshEvery: 10 * time.Second,
+			Clock:        clock,
+			ScaleFactor:  256e9 / float64(rounds*partitions*rowsPerBatch*rowBytes),
+		})
+		opts.Adaptive = adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Client: cli})
+	}
+	s := NewScheduler(tbl, opts)
+
+	keysByPart := make([][][16]byte, partitions)
+	lookup := func() time.Duration {
+		p := int(zipf.Uint64())
+		k := keysByPart[p][rng.Intn(len(keysByPart[p]))]
+		res, err := cli.Search(simtime.With(ctx, simtime.NewSession()), core.Query{
+			Column: "id", UUID: &k, K: 10, Snapshot: -1,
+			Partition: &core.PartitionFilter{Column: "ts", Min: int64(p), Max: int64(p)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 1 {
+			t.Fatalf("key matched %d times", len(res.Matches))
+		}
+		return res.Stats.Latency
+	}
+	var run adaptiveRun
+	for round := 0; round < rounds; round++ {
+		sctx := simtime.With(ctx, simtime.NewSession())
+		for p := 0; p < partitions; p++ {
+			for fb := 0; fb < filesPerPart; fb++ {
+				ks := gen.Batch(fileRows)
+				keysByPart[p] = append(keysByPart[p], ks...)
+				b := parquet.NewBatch(adaptiveSchema)
+				ts := make([]int64, fileRows)
+				ids := make([][]byte, fileRows)
+				for i := range ks {
+					ts[i] = int64(p)
+					ids[i] = ks[i][:]
+				}
+				b.Cols[0] = parquet.ColumnValues{Ints: ts}
+				b.Cols[1] = parquet.ColumnValues{Bytes: ids}
+				for c, col := range adaptiveColdCols {
+					vals := make([][]byte, fileRows)
+					for i := range vals {
+						vals[i] = adaptivePayload(col, round, p, fb*fileRows+i)
+					}
+					b.Cols[2+c] = parquet.ColumnValues{Bytes: vals}
+				}
+				if _, err := w.Append(sctx, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Flush(sctx); err != nil {
+			t.Fatal(err)
+		}
+		// Queries run before the round's maintenance, so the heat they
+		// leave steers the jobs that follow.
+		for q := 0; q < queriesPerRound; q++ {
+			lookup()
+		}
+		for tick := 0; tick < 3; tick++ {
+			clock.Advance(time.Second)
+			if _, err := s.Step(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	clock.Advance(time.Second)
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 3*queriesPerRound; q++ {
+		run.steadyLats = append(run.steadyLats, lookup())
+	}
+
+	snap, err := tbl.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range snap.Files {
+		st, ok := f.Stats["ts"]
+		if !ok || len(st.Min) == 0 || parquet.DecodeOrderableInt64(st.Min) != 0 {
+			continue
+		}
+		if lag, ok := coveredLag[f.Path]; ok {
+			run.hotLags = append(run.hotLags, lag)
+		}
+	}
+	for _, col := range adaptiveColdCols {
+		cold, err := cli.ListIndexes(ctx, col, component.KindFM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.coldEntries += len(cold)
+	}
+	run.maintRequests = s.Registry().Snapshot().Counter("ingest.job_requests")
+	return run
+}
+
+// TestAdaptiveMaintenance pins workload-adaptive maintenance against
+// index-everything on the same stream and query schedule (see
+// runAdaptiveStream). The autopilot demotes the four never-queried
+// payload columns, so adaptive builds none of their FM indexes: its
+// jobs cost 301 store requests, at least 2x fewer than
+// index-everything's, while the hot partition's searchable lag (2 s at
+// p50 and p99, each held within ±20 %) and the steady-state query
+// latency (within 1.10x at p50 and p99) are no worse.
+func TestAdaptiveMaintenance(t *testing.T) {
+	ad, all := runAdaptiveStream(t, true), runAdaptiveStream(t, false)
+	if ad.maintRequests != 301 {
+		t.Errorf("adaptive maintenance requests = %d, want 301", ad.maintRequests)
+	}
+	if ad.coldEntries != 0 {
+		t.Errorf("adaptive built %d cold-column index entries, want 0", ad.coldEntries)
+	}
+	if all.coldEntries == 0 {
+		t.Errorf("index-everything built no cold-column entries: the comparison is vacuous")
+	}
+	if all.maintRequests < 2*ad.maintRequests {
+		t.Errorf("maintenance requests: adaptive %d, index-everything %d; want at least 2x fewer", ad.maintRequests, all.maintRequests)
+	}
+	for _, q := range []float64{0.50, 0.99} {
+		if got, want := obs.Quantile(ad.hotLags, q), 2*time.Second; got < want*8/10 || got > want*12/10 {
+			t.Errorf("adaptive hot-lag p%.0f = %v, want %v ± 20%%", 100*q, got, want)
+		}
+		if got, base := obs.Quantile(ad.steadyLats, q), obs.Quantile(all.steadyLats, q); float64(got) > 1.10*float64(base) {
+			t.Errorf("adaptive query p%.0f = %v, above 1.10x index-everything's %v", 100*q, got, base)
+		}
+	}
+	if got, base := obs.Quantile(ad.hotLags, 0.50), obs.Quantile(all.hotLags, 0.50); got > base {
+		t.Errorf("adaptive hot-lag p50 = %v, worse than index-everything's %v", got, base)
 	}
 }
