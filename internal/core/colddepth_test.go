@@ -27,6 +27,8 @@ type coldWorld struct {
 	needle  string
 	// needleRow is a row of the first file holding the needle.
 	needleRow int
+	// docs is the first file's body column.
+	docs []string
 
 	// The generators and the handle files are appended through; the
 	// maintenance depth tests grow the lake with more of the same.
@@ -85,7 +87,7 @@ func (w *coldWorld) appendFile(t *testing.T) {
 	docs := w.text.Docs(coldRows)
 	if w.keys == nil {
 		docs = workload.PlantNeedle(docs, w.needle, []int{w.needleRow, 2 * coldRows / 3})
-		w.keys, w.vecs = keys, embs
+		w.keys, w.vecs, w.docs = keys, embs, docs
 	}
 	b := parquet.NewBatch(coldSchema)
 	cols := [3][][]byte{}
@@ -126,15 +128,17 @@ func (w *coldWorld) cold(t *testing.T, cq CompoundQuery) (*Result, time.Duration
 // level named. A level is one round trip nothing earlier could have
 // issued — 60 ms for the LIST, 30 ms for each GET fan — so the virtual
 // latency is their sum (plus the model's per-prefix queueing of a wide
-// fan, a millisecond at most). Which walk steps find their block
-// already fetched depends on the data; this world's needle takes three
-// of its four fetched steps to the store. What does not depend on the
-// data is the distance from the path that HEADed the log on open,
-// fetched the last BWT block for occ(c, n) and two more for the second
-// step, and listed the meta table once per (column, kind): one level
-// more for uuid and vector, three more for a substring and for
-// AND(uuid, substring), one HEAD more everywhere, and one LIST more per
-// extra distinct leaf.
+// fan, a millisecond at most). An FM probe predicts its walk from the
+// root's checkpoints and fetches the BWT blocks and page-map blocks it
+// predicts in one fan beside the manifest: a pattern whose prediction
+// completes costs one level after the FM tail however long it is,
+// where this world's needle once waited on three walk steps and the
+// page map. The misses pin what prediction costs when there is little
+// to find: a needle with a symbol the text lacks reads no block and
+// waits only on the manifest, a common word is one fan like the
+// needle, and an absent run of present symbols, which the checkpoints
+// cannot prove empty, pays one GET for the page-map block of the rows
+// its bounds allow, and no level.
 func TestColdPathDepth(t *testing.T) {
 	w := newColdWorld(t)
 	rng := rand.New(rand.NewSource(3))
@@ -143,7 +147,13 @@ func TestColdPathDepth(t *testing.T) {
 		vec[i] += float32(rng.NormFloat64() * 0.09)
 	}
 	needle := PredSubstring("body", []byte(w.needle))
-	walk := []string{"fm tail", "walk step", "walk step", "walk step", "page map"}
+	walk := func(fans int) []string {
+		out := []string{"fm tail"}
+		for range fans {
+			out = append(out, "walk fan")
+		}
+		return out
+	}
 	levels := func(parts ...[]string) []string {
 		out := []string{"LIST lake log + meta log", "log fans"}
 		for _, p := range parts {
@@ -151,23 +161,32 @@ func TestColdPathDepth(t *testing.T) {
 		}
 		return append(out, "data pages")
 	}
+	miss := func(last ...string) []string {
+		return append([]string{"LIST lake log + meta log", "log fans", "fm tail"}, last...)
+	}
 	for _, tc := range []struct {
 		name    string
 		expr    *Expr
 		output  string
 		levels  []string
 		gets    int64
+		bytes   int64
 		matches int
 	}{
-		{"uuid", PredUUID("id", w.keys[5]), "id", levels([]string{"trie tail"}), 8, 1},
-		{"substring", needle, "body", levels(walk), 14, 2},
-		{"vector", PredVector("emb", vec, 8, 40), "emb", levels([]string{"ivfpq tail"}), 9, 10},
+		{"uuid", PredUUID("id", w.keys[5]), "id", levels([]string{"trie tail"}), 8, 54_860, 1},
+		{"substring", needle, "body", levels(walk(1)), 12, 581_310, 2},
+		{"vector", PredVector("emb", vec, 8, 40), "emb", levels([]string{"ivfpq tail"}), 9, 571_200, 10},
 		{"and(uuid,substring)", And(PredUUID("id", w.keys[w.needleRow]), needle), "id",
-			levels([]string{"trie tail"}, walk), 16, 1},
+			levels([]string{"trie tail"}, walk(1)), 14, 634_135, 1},
 		// A third leaf on a column already planned is one more pattern in
 		// the same walk and nothing more in the plan.
 		{"and(uuid,substring,substring)", And(PredUUID("id", w.keys[w.needleRow]), needle, PredSubstring("body", []byte("Xq"))), "id",
-			levels([]string{"trie tail"}, walk), 16, 1},
+			levels([]string{"trie tail"}, walk(1)), 14, 634_135, 1},
+		{"substring miss", PredSubstring("body", []byte("Ndl9Xq")), "body", miss("manifest"), 8, 264_965, 0},
+		{"common word", PredSubstring("body", []byte("the")), "body", levels(walk(1)), 13, 805_350, 10},
+		{"absent run", PredSubstring("body", []byte("qqqq")), "body", miss("walk fan"), 10, 327_670, 0},
+		{"32-byte match", PredSubstring("body", []byte(w.docs[100][:32])), "body", levels(walk(5)), 19, 1_108_580, 1},
+		{"32-byte miss", PredSubstring("body", []byte(w.docs[100][:18]+w.docs[200][:14])), "body", miss("walk fan", "walk fan", "walk fan"), 12, 1_074_470, 0},
 	} {
 		res, elapsed, reqs := w.cold(t, CompoundQuery{Expr: tc.expr, K: 10, Snapshot: -1, Output: tc.output})
 		if len(res.Matches) != tc.matches {
@@ -175,6 +194,12 @@ func TestColdPathDepth(t *testing.T) {
 		}
 		if reqs.Heads != 0 || reqs.Lists != 2 || reqs.Gets != tc.gets {
 			t.Errorf("%s: issued %d HEADs, %d LISTs, %d GETs; want 0, 2, %d", tc.name, reqs.Heads, reqs.Lists, reqs.Gets, tc.gets)
+		}
+		// Object names are random, and the index files and log records
+		// that carry them compress a few bytes shorter or longer from
+		// run to run.
+		if d := reqs.BytesRead - tc.bytes; d < -512 || d > 512 {
+			t.Errorf("%s: read %d B, want %d ± 512", tc.name, reqs.BytesRead, tc.bytes)
 		}
 		want := 60*time.Millisecond + time.Duration(len(tc.levels)-1)*30*time.Millisecond
 		if elapsed < want || elapsed >= want+3*time.Millisecond {

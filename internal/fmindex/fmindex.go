@@ -17,13 +17,17 @@
 //     checkpoint deltas, and a sparse bigram table — how often every
 //     adjacent symbol pair occurs in the text.
 //
-// Backward search walks one BWT block access per pattern character —
-// an inherently depth-bound access pattern; componentization keeps
-// each step to a single ranged GET, which is why substring search
-// lands at a few seconds of object-store latency in the paper. The
-// first two steps need no block at all: suffixes sort by their first
-// two symbols, so the rows matching a pattern's last two characters
-// are a running sum over the root's bigram table.
+// Backward search reads one BWT block per bound per pattern character,
+// and each step's blocks depend on the step before — the depth-bound
+// access pattern that lands substring search at a few seconds of
+// object-store latency in the paper. Here the first two steps need no
+// block at all: suffixes sort by their first two symbols, so the rows
+// matching a pattern's last two characters are a running sum over the
+// root's bigram table. The rest are predicted: the root's per-block
+// checkpoints bound every later step's rows, so a step that fetches
+// also fetches the blocks the next steps can read, and the page-map
+// blocks of the matches, a few blocks per pattern at a time
+// (superwalk.go).
 package fmindex
 
 import (
@@ -555,6 +559,10 @@ func (ix *Index) reconstructInto(ctx context.Context, full []byte, lf []int32) e
 	return nil
 }
 
+// noRef is the file number of a page-table entry that resolves to no
+// ref: text a merge kept but whose file it dropped. Lookups skip it.
+const noRef = ^uint32(0)
+
 // Merge combines several FM-indices into one file by reconstructing
 // each source text from its BWT, concatenating, and rebuilding — the
 // compute-heavy compaction step of Section IV-C. fileMaps[i] rebases
@@ -599,12 +607,14 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 	for i, src := range sources {
 		starts, srcRefs := src.PageStartsAndRefs()
 		for j, s := range starts {
-			mapped, ok := fileMaps[i][srcRefs[j].File]
-			if !ok {
-				continue
+			ref := postings.PageRef{File: noRef}
+			if mapped, ok := fileMaps[i][srcRefs[j].File]; ok {
+				ref = postings.PageRef{File: mapped, Page: srcRefs[j].Page}
+			} else if len(refs) > 0 && refs[len(refs)-1].File == noRef {
+				continue // the previous entry already resolves to no ref
 			}
 			pageStarts = append(pageStarts, int64(offs[i])+s)
-			refs = append(refs, postings.PageRef{File: mapped, Page: srcRefs[j].Page})
+			refs = append(refs, ref)
 		}
 		full[offs[i+1]-1] = Separator
 	}
@@ -612,7 +622,7 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 	if len(pageStarts) == 0 || pageStarts[0] != 0 {
 		// Ensure a leading page entry so every position maps somewhere.
 		pageStarts = append([]int64{0}, pageStarts...)
-		refs = append([]postings.PageRef{{File: ^uint32(0), Page: 0}}, refs...)
+		refs = append([]postings.PageRef{{File: noRef}}, refs...)
 	}
 	return build(b, full, sa, pageStarts, refs, opts)
 }

@@ -323,6 +323,62 @@ func TestMergeEquivalentToLookupOnBoth(t *testing.T) {
 	}
 }
 
+// TestMergeDroppedFileResolvesToNoRef: text of a file the merge does
+// not map stays in the merged index but resolves to no ref, never to
+// the kept page before it, which here belongs to another file.
+func TestMergeDroppedFileResolvesToNoRef(t *testing.T) {
+	ctx := context.Background()
+	store := objectstore.NewMemStore(nil)
+	textA := []byte("alpha page one\x01alpha page two\x01a NEEDLE in file one\x01")
+	dataA, err := Build(textA, []int64{0, 15, 30}, []postings.PageRef{{File: 0, Page: 0}, {File: 0, Page: 1}, {File: 1, Page: 0}}, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(ctx, "a.index", dataA)
+	ixB, _, _ := buildTestIndex(t, store, "b.index", []string{"bravo text", "more bravo"}, 1, BuildOptions{})
+	rA, err := component.Open(ctx, store, "a.index", component.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixA, err := Open(ctx, rA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only A's file 0 and B's file 0 survive, as files 0 and 1.
+	merged, err := Merge(ctx, []*Index{ixA, ixB}, []map[uint32]uint32{{0: 0}, {0: 1}}, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(ctx, "m.index", merged)
+	rM, err := component.Open(ctx, store, "m.index", component.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixM, err := Open(ctx, rM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pattern string
+		want    []postings.PageRef
+	}{
+		{"NEEDLE", nil},
+		{"page two", []postings.PageRef{{File: 0, Page: 1}}},
+		{"more bravo", []postings.PageRef{{File: 1, Page: 1}}},
+	} {
+		got, err := ixM.Lookup(ctx, []byte(tc.pattern), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(tc.want) || (len(got) > 0 && got[0] != tc.want[0]) {
+			t.Errorf("Lookup(%q) in the merged index = %v, want %v", tc.pattern, got, tc.want)
+		}
+	}
+	if n, _ := ixM.Count(ctx, []byte("NEEDLE")); n != 1 {
+		t.Errorf("Count(NEEDLE) = %d, want 1: the dropped file's text stays indexed", n)
+	}
+}
+
 func TestBackwardSearchIsDepthBound(t *testing.T) {
 	// Each pattern character costs at most two block reads; with
 	// caching, a short pattern over a small index touches few
