@@ -164,13 +164,17 @@ func (c *Cache[K, V]) Finish(ctx context.Context, f *Flight[K, V], started time.
 		if cost < 0 {
 			cost = 0
 		}
-		if !f.stale && cost <= c.max/4 {
+		if !f.stale && c.Admits(cost) {
 			c.insertLocked(&entry[K, V]{key: f.key, tag: f.tag, val: v, cost: cost})
 		}
 	}
 	c.mu.Unlock()
 	f.wg.Done()
 }
+
+// Admits reports whether a value of the given cost can become
+// resident: one costing more than a quarter of the budget never does.
+func (c *Cache[K, V]) Admits(cost int64) bool { return cost <= c.max/4 }
 
 // Wait blocks until the flight finishes and returns its result,
 // charging ctx's session the load's virtual cost unless the load ran

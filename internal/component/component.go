@@ -192,7 +192,9 @@ func (b *Builder) NumComponents() int { return len(b.dir) }
 // Reader provides lazy access to a component file on an object store.
 // Opening performs one suffix-range GET; each Component call fetches
 // (and caches) only the requested component, satisfied from the
-// already-fetched tail when possible.
+// already-fetched tail when possible. A reader opened with TailBytes
+// at or above the file's size holds the whole file and never issues
+// another request.
 type Reader struct {
 	store objectstore.Store
 	key   string
@@ -211,11 +213,24 @@ type Reader struct {
 	cache map[int][]byte
 }
 
+// DefaultTailBytes is the speculative suffix read at open when
+// OpenOptions.TailBytes is unset: sized to capture the directory plus
+// a typical root component in one request.
+const DefaultTailBytes = 256 << 10
+
+// WholeFileBytes is the largest index file worth reading whole at
+// open. The paper's Fig 10a measures a GET's latency flat up to about
+// 1 MiB, so reading a file no larger whole costs what reading its
+// 256 KiB tail does: an opener that knows the file's size passes it as
+// TailBytes, and every component is then in the tail.
+const WholeFileBytes = 1 << 20
+
 // OpenOptions tune the reader.
 type OpenOptions struct {
-	// TailBytes is the size of the speculative suffix read at open.
-	// Defaults to 256 KiB, sized to capture the directory plus a
-	// typical root component in one request.
+	// TailBytes is the size of the speculative suffix read at open,
+	// DefaultTailBytes when zero or negative. A value at or above the
+	// file's size reads the whole file: suffix reads clamp at its
+	// start.
 	TailBytes int64
 
 	// NoRetain stops the reader from accumulating fetched component
@@ -232,7 +247,7 @@ type OpenOptions struct {
 func Open(ctx context.Context, store objectstore.Store, key string, opts OpenOptions) (*Reader, error) {
 	tailBytes := opts.TailBytes
 	if tailBytes <= 0 {
-		tailBytes = 256 << 10
+		tailBytes = DefaultTailBytes
 	}
 	tail, err := store.GetRange(ctx, key, -tailBytes, 0)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"rottnest/internal/component"
 	"rottnest/internal/lake"
+	"rottnest/internal/meta"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
@@ -78,6 +79,29 @@ func newColdWorld(t *testing.T) *coldWorld {
 	return w
 }
 
+// compactVectors appends ten more files, indexes their vectors and
+// merges all twelve files' IVF-PQ indexes into one file, which lies
+// between component.DefaultTailBytes and component.WholeFileBytes.
+func (w *coldWorld) compactVectors(t *testing.T) meta.IndexEntry {
+	t.Helper()
+	ctx := context.Background()
+	for range 10 {
+		w.appendFile(t)
+	}
+	cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock})
+	if _, err := cli.Index(ctx, "emb", component.KindIVFPQ); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := cli.Compact(ctx, "emb", component.KindIVFPQ, CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) != 1 || merged[0].SizeBytes <= component.DefaultTailBytes || merged[0].SizeBytes > component.WholeFileBytes {
+		t.Fatalf("compacted IVF-PQ index %+v, want one file of (256 KiB, 1 MiB]", merged)
+	}
+	return merged[0]
+}
+
 // appendFile appends the generators' next coldRows rows as one data
 // file; the first file carries the needle and keeps its keys and
 // vectors for the queries.
@@ -138,7 +162,10 @@ func (w *coldWorld) cold(t *testing.T, cq CompoundQuery) (*Result, time.Duration
 // waits only on the manifest, a common word is one fan like the
 // needle, and an absent run of present symbols, which the checkpoints
 // cannot prove empty, pays one GET for the page-map block of the rows
-// its bounds allow, and no level.
+// its bounds allow, and no level. An AND whose trie stage rules out
+// every file reads nothing of the FM index. An index file of at most
+// 1 MiB is read whole at open, so a vector query on an IVF-PQ file past
+// the 256 KiB tail waits on no manifest or list fan after it.
 func TestColdPathDepth(t *testing.T) {
 	w := newColdWorld(t)
 	rng := rand.New(rand.NewSource(3))
@@ -182,6 +209,10 @@ func TestColdPathDepth(t *testing.T) {
 		// the same walk and nothing more in the plan.
 		{"and(uuid,substring,substring)", And(PredUUID("id", w.keys[w.needleRow]), needle, PredSubstring("body", []byte("Xq"))), "id",
 			levels([]string{"trie tail"}, walk(1)), 14, 634_135, 1},
+		// An absent key rules out every file at the trie stage, so the
+		// FM index is never opened.
+		{"and(absent uuid,substring)", And(PredUUID("id", [16]byte{0xff, 1, 2, 3}), needle), "id",
+			[]string{"LIST lake log + meta log", "log fans", "trie tail"}, 7, 22_027, 0},
 		{"substring miss", PredSubstring("body", []byte("Ndl9Xq")), "body", miss("manifest"), 8, 264_965, 0},
 		{"common word", PredSubstring("body", []byte("the")), "body", levels(walk(1)), 13, 805_350, 10},
 		{"absent run", PredSubstring("body", []byte("qqqq")), "body", miss("walk fan"), 10, 327_670, 0},
@@ -205,6 +236,22 @@ func TestColdPathDepth(t *testing.T) {
 		if elapsed < want || elapsed >= want+3*time.Millisecond {
 			t.Errorf("%s: %v of virtual time, want %v: %d levels %q", tc.name, elapsed, want, len(tc.levels), tc.levels)
 		}
+	}
+
+	// An IVF-PQ file past the 256 KiB tail, like the wall-clock
+	// benchmark's: its manifest and the lists the query probes sit
+	// outside a tail read, and were one fan after it.
+	merged := w.compactVectors(t)
+	res, elapsed, reqs := w.cold(t, CompoundQuery{Expr: PredVector("emb", vec, 8, 40), K: 10, Snapshot: -1, Output: "emb"})
+	// The merge orders its file table by the sources' random names, so
+	// which data pages the candidates land on, and how a fan merges
+	// them, varies run to run: the row pins levels, not GETs or bytes.
+	if len(res.Matches) != 10 || reqs.Lists != 2 {
+		t.Errorf("vector over %d B of IVF-PQ: %d matches, %d LISTs; want 10, 2", merged.SizeBytes, len(res.Matches), reqs.Lists)
+	}
+	// LIST lake log + meta log, log fans, the whole IVF-PQ file, data pages.
+	if want := 60*time.Millisecond + 3*30*time.Millisecond; elapsed < want || elapsed >= want+3*time.Millisecond {
+		t.Errorf("vector over %d B of IVF-PQ: %v of virtual time, want %v", merged.SizeBytes, elapsed, want)
 	}
 }
 

@@ -104,7 +104,7 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	readers := make([]*component.Reader, len(bin))
 	manifests := make([]*Manifest, len(bin))
 	err := simtime.Fan(mctx, len(bin), c.cfg.SearchWidth, func(ctx context.Context, i int) (err error) {
-		if readers[i], err = c.openReader(ctx, bin[i].IndexKey); err != nil {
+		if readers[i], err = c.openReader(ctx, bin[i]); err != nil {
 			return fmt.Errorf("core: compact open %s: %w", bin[i].IndexKey, err)
 		}
 		manifests[i], err = c.manifest(ctx, readers[i])

@@ -152,10 +152,12 @@ func TestMaintenanceDepth(t *testing.T) {
 // call — one new file beside two covered ones — takes five levels:
 // the plan's LIST (the client's handles remember both logs, so no log
 // fan), the footer, the column chunks, the upload and the commit. The
-// FM Compact of the three sources takes six: the LIST, the source
-// tails, their manifests, every source's BWT blocks, the upload and
-// the commit. Before maintenance read in fans, each GET was a level of
-// its own: 15 and 56.
+// FM Compact of the three sources takes four: the LIST, the sources
+// read whole (each is under component.WholeFileBytes: the daemon's
+// small-file regime), the upload and the commit. Reading only each
+// source's 256 KiB tail left its manifest and its BWT blocks to two
+// more levels and 50 GETs; before maintenance read in fans, each GET
+// was a level of its own: 15 and 56.
 func TestMaintenanceDepthUnitStore(t *testing.T) {
 	const unit = time.Millisecond
 	w := newExpWorld(t, objectstore.LatencyModel{GetTTFB: unit, PutTTFB: unit, ListTTFB: unit}, textSchema, Config{})
@@ -180,7 +182,7 @@ func TestMaintenanceDepthUnitStore(t *testing.T) {
 		_, err := w.cli.Compact(ctx, "body", component.KindFM, CompactOptions{})
 		return err
 	})
-	if compactGETs != 50 || compactLevels != 6 {
-		t.Errorf("compact of three FM sources: %d GETs over %d levels, want 50 over 6", compactGETs, compactLevels)
+	if compactGETs != 3 || compactLevels != 4 {
+		t.Errorf("compact of three FM sources: %d GETs over %d levels, want 3 over 4", compactGETs, compactLevels)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"rottnest/internal/component"
 	"rottnest/internal/ivfpq"
 	"rottnest/internal/lake"
+	"rottnest/internal/meta"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/obs"
 	"rottnest/internal/parquet"
@@ -47,24 +48,24 @@ type vecCandidate struct {
 // result through the manifest into the phase output (called under the
 // phase lock once both landed).
 type probeJob struct {
-	key   string
-	kind  component.Kind
+	entry meta.IndexEntry
 	walk  func(ctx context.Context, r *component.Reader, span *obs.Span) error
 	merge func(m *Manifest)
 }
 
-// probeIndex opens one index file and fans the manifest fetch beside
-// the walk; a kind contributes only the walk, which goes through the
-// shared-probe batcher. An index object that is gone was vacuumed
-// after this search planned against it: the error names its key so the
-// replan excludes exactly that entry.
-func (c *Client) probeIndex(ctx context.Context, key string, kind component.Kind, walk func(ctx context.Context, r *component.Reader, span *obs.Span) error) (*Manifest, error) {
+// probeIndex opens the index file of the metadata row e and fans the
+// manifest fetch beside the walk; a kind contributes only the walk,
+// which goes through the shared-probe batcher. An index object that is
+// gone was vacuumed after this search planned against it: the error
+// names its key so the replan excludes exactly that entry.
+func (c *Client) probeIndex(ctx context.Context, e meta.IndexEntry, walk func(ctx context.Context, r *component.Reader, span *obs.Span) error) (*Manifest, error) {
 	ctx, span := obs.Start(ctx, "index.probe")
 	defer span.End()
+	key := e.IndexKey
 	span.SetAttr("index", key)
-	span.SetAttr("kind", kind.String())
+	span.SetAttr("kind", e.Kind.String())
 	var manifest *Manifest
-	r, err := c.openReader(ctx, key)
+	r, err := c.openReader(ctx, e)
 	if err == nil {
 		err = simtime.Fan(ctx, 2, c.cfg.SearchWidth, func(ctx context.Context, i int) (ferr error) {
 			if i == 0 {
@@ -184,8 +185,8 @@ func (c *Client) fmRunner(r *component.Reader) fmRunMany {
 
 // probePair is one (leaf, chosen index file) probe of the probe phase.
 type probePair struct {
-	leaf int
-	key  string
+	leaf  int
+	entry meta.IndexEntry
 }
 
 // exactJobs appends one job per index file named by the (leaf, index)
@@ -195,17 +196,17 @@ type probePair struct {
 // which keeps branch and wave order deterministic.
 func (c *Client) exactJobs(jobs []probeJob, env *execEnv, pairs []probePair, maxRows int, out *probed) []probeJob {
 	type group struct {
-		key    string
+		entry  meta.IndexEntry
 		leaves []int
 	}
 	groups := make([]group, 0, len(pairs))
 	at := make(map[string]int, len(pairs))
 	for _, p := range pairs {
-		g, ok := at[p.key]
+		g, ok := at[p.entry.IndexKey]
 		if !ok {
 			g = len(groups)
-			at[p.key] = g
-			groups = append(groups, group{key: p.key})
+			at[p.entry.IndexKey] = g
+			groups = append(groups, group{entry: p.entry})
 		}
 		groups[g].leaves = append(groups[g].leaves, p.leaf)
 	}
@@ -221,7 +222,7 @@ func (c *Client) exactJobs(jobs []probeJob, env *execEnv, pairs []probePair, max
 		}
 		var probes []exactProbe
 		jobs = append(jobs, probeJob{
-			key: g.key, kind: kind,
+			entry: g.entry,
 			walk: func(ctx context.Context, r *component.Reader, span *obs.Span) (err error) {
 				probes, err = exactKinds[kind].walk(c, ctx, r, reqs)
 				refs := 0
@@ -260,7 +261,7 @@ func (c *Client) rankerJobs(jobs []probeJob, env *execEnv, out *probed) []probeJ
 		shape := env.shape
 		var raw []ivfpq.Candidate
 		jobs = append(jobs, probeJob{
-			key: entry.IndexKey, kind: component.KindIVFPQ,
+			entry: entry,
 			walk: func(ctx context.Context, r *component.Reader, span *obs.Span) error {
 				v, err := c.batch.do(ctx, r.Key(), shape.vecProbe, func(ctx context.Context) (any, int64, error) {
 					c.probeRuns.Inc()
@@ -384,7 +385,7 @@ func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*prob
 	pairs := make([]probePair, 0, n)
 	for i, le := range env.leaves {
 		for _, e := range le.chosen {
-			pairs = append(pairs, probePair{leaf: i, key: e.IndexKey})
+			pairs = append(pairs, probePair{leaf: i, entry: e})
 		}
 	}
 	// The ranker's probes ride the first fan, ahead of the leaves'.
@@ -400,7 +401,7 @@ func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*prob
 	var mu sync.Mutex
 	run := func(jobs []probeJob) error {
 		return simtime.Fan(probeCtx, len(jobs), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
-			m, err := c.probeIndex(ctx, jobs[i].key, jobs[i].kind, jobs[i].walk)
+			m, err := c.probeIndex(ctx, jobs[i].entry, jobs[i].walk)
 			if err != nil {
 				return err
 			}

@@ -39,7 +39,7 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 	if old == nil {
 		return nil, nil // already compacted, vacuumed, or refined away
 	}
-	r, err := c.openReader(pctx, indexKey)
+	r, err := c.openReader(pctx, *old)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"rottnest/internal/fmindex"
 	"rottnest/internal/ivfpq"
 	"rottnest/internal/lake"
+	"rottnest/internal/meta"
 	"rottnest/internal/trie"
 )
 
@@ -62,13 +63,40 @@ func cached[T interface{ Footprint() int64 }](ctx context.Context, c *Client, ki
 }
 
 // openReader returns a (possibly shared) component reader for the
-// index object at key. Shared readers are opened with NoRetain so
-// posting payloads read through them do not accumulate; repeat-read
-// savings for payload bytes belong to the byte-level CachedStore.
-func (c *Client) openReader(ctx context.Context, key string) (*component.Reader, error) {
-	return cached(ctx, c, "reader", key, func(ctx context.Context) (*component.Reader, error) {
-		return component.Open(ctx, c.store, key, component.OpenOptions{NoRetain: c.objc != nil})
+// index file of the metadata row e. Shared readers are opened with
+// NoRetain so posting payloads read through them do not accumulate;
+// repeat-read savings for payload bytes belong to the byte-level
+// CachedStore. A file readsWhole admits is read in the open's one GET,
+// so its manifest, lists and blocks cost no further request; the row's
+// size only sizes that read, and a row that misstates it still opens
+// correctly (a short tail fetches what it misses, a long one clamps).
+func (c *Client) openReader(ctx context.Context, e meta.IndexEntry) (*component.Reader, error) {
+	return cached(ctx, c, "reader", e.IndexKey, func(ctx context.Context) (*component.Reader, error) {
+		opts := component.OpenOptions{NoRetain: c.objc != nil}
+		if c.readsWhole(e.SizeBytes) {
+			opts.TailBytes = e.SizeBytes
+		}
+		return component.Open(ctx, c.store, e.IndexKey, opts)
 	})
+}
+
+// readsWhole reports whether an index file of size bytes, past the
+// default tail that already holds a smaller one, opens with a read of
+// the whole file. It must lie in Fig 10a's flat region, and the cache
+// tier that keeps this client's opens must be able to keep it: a tier
+// that keeps the 256 KiB tail but not the file would make every repeat
+// open fetch the whole file where it hit the tail.
+func (c *Client) readsWhole(size int64) bool {
+	if size <= component.DefaultTailBytes || size > component.WholeFileBytes {
+		return false
+	}
+	switch {
+	case c.objc != nil:
+		return c.objc.Admits(size) // kept as a reader
+	case c.store.Cache != nil:
+		return c.store.Cache.Admits(size) // kept as bytes
+	}
+	return true // every open is cold
 }
 
 // manifest returns the (possibly shared) decoded manifest of the

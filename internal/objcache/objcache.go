@@ -91,6 +91,10 @@ func (c *Cache) Registry() *obs.Registry {
 	return c.reg
 }
 
+// Admits reports whether a decoded form of the given cost can become
+// resident. A nil cache admits nothing.
+func (c *Cache) Admits(cost int64) bool { return c != nil && c.c.Admits(cost) }
+
 // Bytes returns the current resident cost total.
 func (c *Cache) Bytes() int64 {
 	if c == nil {

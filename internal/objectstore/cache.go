@@ -95,6 +95,10 @@ func (c *CachedStore) Flush() { c.c.Flush() }
 // that the object was deleted behind the wrapper's back.
 func (c *CachedStore) Invalidate(key string) int { return c.c.Invalidate(key) }
 
+// Admits reports whether a read of n bytes can become resident. A nil
+// cache admits nothing.
+func (c *CachedStore) Admits(n int64) bool { return c != nil && c.c.Admits(n) }
+
 // cachedGet is the shared hit/singleflight/fill path of Get and
 // GetRange.
 func (c *CachedStore) cachedGet(ctx context.Context, k rangeKey, fetch func(context.Context) ([]byte, error)) ([]byte, error) {
