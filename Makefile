@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-fig13 vulncheck
+.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-fig13 vulncheck depth-table
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,15 @@ bench-alloc:
 	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges|DecodePage' -benchtime 50x ./internal/core ./internal/postings ./internal/parquet
 	$(GO) test -run '^$$' -bench 'IVFPQBuild|IVFPQMerge' -benchtime 3x ./internal/ivfpq
 	$(GO) test -run '^$$' -bench 'FMBuild|FMMerge|SuffixArray' -benchtime 3x ./internal/fmindex
+
+# depth-table prints the cold path's class table (DESIGN.md §18) as
+# TestColdPathDepth measures it: per world, client and query class, the
+# levels past the LIST, GETs, bytes and virtual milliseconds. Run it at
+# a change's parent and head to paste the table old -> new.
+depth-table:
+	@echo '| world, client | class | levels | GETs | bytes | ms |'
+	@echo '|---|---|---|---|---|---|'
+	@$(GO) test ./internal/core -run '^TestColdPathDepth$$' -count=1 -v | sed -n 's/^ *colddepth_test.go:[0-9]*: \(|.*\)$$/\1/p'
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,10 +129,27 @@ func (w *coldWorld) appendFile(t *testing.T) {
 	}
 }
 
+// indexEach appends n files and indexes the id and body columns after
+// each, so each column gains n index files; the first also covers any
+// files appended since the column was last indexed.
+func (w *coldWorld) indexEach(t *testing.T, n int) {
+	t.Helper()
+	ctx := context.Background()
+	cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock})
+	for range n {
+		w.appendFile(t)
+		for _, spec := range []IndexSpec{{"id", component.KindTrie}, {"body", component.KindFM}} {
+			if _, err := cli.Index(ctx, spec.Column, spec.Kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // cold runs one query the way a stateless searcher does — a fresh
-// table handle and a fresh default client — and returns its virtual
+// table handle and a fresh client of cfg — and returns its virtual
 // latency and the requests it issued.
-func (w *coldWorld) cold(t *testing.T, cq CompoundQuery) (*Result, time.Duration, objectstore.Snapshot) {
+func (w *coldWorld) cold(t *testing.T, cfg Config, cq CompoundQuery) (*Result, time.Duration, objectstore.Snapshot) {
 	t.Helper()
 	session := simtime.NewSession()
 	ctx := simtime.With(context.Background(), session)
@@ -140,32 +158,91 @@ func (w *coldWorld) cold(t *testing.T, cq CompoundQuery) (*Result, time.Duration
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewClient(table, Config{IndexDir: "rottnest", Clock: w.clock}).SearchCompound(ctx, cq)
+	cfg.IndexDir, cfg.Clock = "rottnest", w.clock
+	res, err := NewClient(table, cfg).SearchCompound(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, session.Elapsed(), w.metrics.Snapshot().Sub(before)
 }
 
-// TestColdPathDepth pins how deep a cold query is, per class: the
-// requests it issues and the dependent levels it waits through, each
-// level named. A level is one round trip nothing earlier could have
-// issued — 60 ms for the LIST, 30 ms for each GET fan — so the virtual
-// latency is their sum (plus the model's per-prefix queueing of a wide
-// fan, a millisecond at most). An FM probe predicts its walk from the
-// root's checkpoints and fetches the BWT blocks and page-map blocks it
-// predicts in one fan beside the manifest: a pattern whose prediction
-// completes costs one level after the FM tail however long it is,
-// where this world's needle once waited on three walk steps and the
-// page map. The misses pin what prediction costs when there is little
-// to find: a needle with a symbol the text lacks reads no block and
-// waits only on the manifest, a common word is one fan like the
-// needle, and an absent run of present symbols, which the checkpoints
-// cannot prove empty, pays one GET for the page-map block of the rows
-// its bounds allow, and no level. An AND whose trie stage rules out
-// every file reads nothing of the FM index. An index file of at most
-// 1 MiB is read whole at open, so a vector query on an IVF-PQ file past
-// the 256 KiB tail waits on no manifest or list fan after it.
+// depthRow is one class of the cold-path table: a query, the levels
+// it waits through, each named, and the requests and bytes it issues.
+type depthRow struct {
+	name    string
+	expr    *Expr
+	output  string
+	levels  []string
+	gets    int64
+	bytes   int64
+	matches int
+}
+
+// logDepth logs one row of the class table as a markdown table line
+// (make depth-table prints them): measured levels past the LIST, GETs,
+// bytes and virtual milliseconds.
+func logDepth(t *testing.T, table, name string, elapsed time.Duration, reqs objectstore.Snapshot) {
+	t.Helper()
+	t.Logf("| %s | %s | LIST + %d | %d | %d | %.1f |", table, name, (elapsed-60*time.Millisecond)/(30*time.Millisecond),
+		reqs.Gets, reqs.BytesRead, float64(elapsed)/float64(time.Millisecond))
+}
+
+// checkDepth runs each row cold on a client of cfg and checks it. A
+// level is one round trip nothing earlier could have issued — 60 ms
+// for the LIST, 30 ms for each GET fan — so the virtual latency is
+// their sum, plus under slack the model's per-prefix queueing of a
+// wide fan: under 3 ms on the one-file world, under 4 ms on a fan over
+// ten index files.
+func (w *coldWorld) checkDepth(t *testing.T, table string, cfg Config, slack time.Duration, rows []depthRow) {
+	t.Helper()
+	for _, tc := range rows {
+		res, elapsed, reqs := w.cold(t, cfg, CompoundQuery{Expr: tc.expr, K: 10, Snapshot: -1, Output: tc.output})
+		logDepth(t, table, tc.name, elapsed, reqs)
+		if len(res.Matches) != tc.matches {
+			t.Errorf("%s, %s: %d matches, want %d", table, tc.name, len(res.Matches), tc.matches)
+		}
+		if reqs.Heads != 0 || reqs.Lists != 2 || reqs.Gets != tc.gets {
+			t.Errorf("%s, %s: issued %d HEADs, %d LISTs, %d GETs; want 0, 2, %d", table, tc.name, reqs.Heads, reqs.Lists, reqs.Gets, tc.gets)
+		}
+		// Object names are random, and the index files and log records
+		// that carry them compress a few bytes shorter or longer from
+		// run to run.
+		if d := reqs.BytesRead - tc.bytes; d < -512 || d > 512 {
+			t.Errorf("%s, %s: read %d B, want %d ± 512", table, tc.name, reqs.BytesRead, tc.bytes)
+		}
+		want := 60*time.Millisecond + time.Duration(len(tc.levels)-1)*30*time.Millisecond
+		if elapsed < want || elapsed >= want+slack {
+			t.Errorf("%s, %s: %v of virtual time, want %v: %d levels %q", table, tc.name, elapsed, want, len(tc.levels), tc.levels)
+		}
+	}
+}
+
+// TestColdPathDepth is the cold path's class table (DESIGN.md §18): per
+// query class, the requests a cold query issues and the dependent
+// levels it waits through, each level named. Under -v it logs one
+// markdown line per row; make depth-table prints them.
+//
+// An FM probe predicts its walk from the root's checkpoints and fetches
+// the BWT blocks and page-map blocks it predicts in one fan beside the
+// manifest: a pattern whose prediction completes costs one level after
+// the FM tail however long it is, where this world's needle once
+// waited on three walk steps and the page map. The misses pin what
+// prediction costs when there is little to find: a needle with a
+// symbol the text lacks reads no block and waits only on the manifest,
+// a common word is one fan like the needle, and an absent run of
+// present symbols, which the checkpoints cannot prove empty, pays one
+// GET for the page-map block of the rows its bounds allow, and no
+// level. An index file of at most 1 MiB is read whole at open, so a
+// vector query on an IVF-PQ file past the 256 KiB tail waits on no
+// manifest or list fan after it.
+//
+// A staged AND's trie stage opens the FM files ahead in the free slots
+// of its last wave, so a matching AND waits on the FM walk, not on the
+// FM tail and then the walk, and an AND whose trie stage rules out
+// every file pays the FM tail it discards, and no level. The opens are
+// all or none: on a world of five trie and five FM files, a client of
+// width 2 has one free slot, opens nothing ahead, and its rows keep
+// the levels they had before the opens existed.
 func TestColdPathDepth(t *testing.T) {
 	w := newColdWorld(t)
 	rng := rand.New(rand.NewSource(3))
@@ -191,61 +268,53 @@ func TestColdPathDepth(t *testing.T) {
 	miss := func(last ...string) []string {
 		return append([]string{"LIST lake log + meta log", "log fans", "fm tail"}, last...)
 	}
-	for _, tc := range []struct {
-		name    string
-		expr    *Expr
-		output  string
-		levels  []string
-		gets    int64
-		bytes   int64
-		matches int
-	}{
+	and := PredUUID("id", w.keys[w.needleRow])
+	absent := PredUUID("id", [16]byte{0xff, 1, 2, 3})
+	// The selective AND: its uuid leaf hits one page of one file, its
+	// common word every page.
+	sel := 0
+	for !strings.Contains(w.docs[sel], "the") {
+		sel++
+	}
+	selective := And(PredUUID("id", w.keys[sel]), PredSubstring("body", []byte("the")))
+	trieThenWalk := levels([]string{"trie tail ‖ fm tail", "walk fan"})
+	shortCircuit := []string{"LIST lake log + meta log", "log fans", "trie tail ‖ fm tail"}
+	w.checkDepth(t, "default", Config{}, 3*time.Millisecond, []depthRow{
 		{"uuid", PredUUID("id", w.keys[5]), "id", levels([]string{"trie tail"}), 8, 54_860, 1},
 		{"substring", needle, "body", levels(walk(1)), 12, 581_310, 2},
-		{"vector", PredVector("emb", vec, 8, 40), "emb", levels([]string{"ivfpq tail"}), 9, 571_200, 10},
-		{"and(uuid,substring)", And(PredUUID("id", w.keys[w.needleRow]), needle), "id",
-			levels([]string{"trie tail"}, walk(1)), 14, 634_135, 1},
+		{"vector", PredVector("emb", vec, 8, 40), "emb", levels([]string{"ivfpq tail"}), 9, 610_910, 10},
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 14, 634_135, 1},
 		// A third leaf on a column already planned is one more pattern in
 		// the same walk and nothing more in the plan.
-		{"and(uuid,substring,substring)", And(PredUUID("id", w.keys[w.needleRow]), needle, PredSubstring("body", []byte("Xq"))), "id",
-			levels([]string{"trie tail"}, walk(1)), 14, 634_135, 1},
+		{"and(uuid,substring,substring)", And(and, needle, PredSubstring("body", []byte("Xq"))), "id", trieThenWalk, 14, 634_135, 1},
+		{"and(uuid,common word)", selective, "id", trieThenWalk, 13, 621_360, 1},
 		// An absent key rules out every file at the trie stage, so the
-		// FM index is never opened.
-		{"and(absent uuid,substring)", And(PredUUID("id", [16]byte{0xff, 1, 2, 3}), needle), "id",
-			[]string{"LIST lake log + meta log", "log fans", "trie tail"}, 7, 22_027, 0},
+		// FM file opened beside it is discarded, walked by no one.
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_185, 0},
+		// Both branches are probed in one fan.
+		{"or(uuid,substring)", Or(PredUUID("id", w.keys[5]), needle), "id", trieThenWalk, 13, 1_053_710, 3},
 		{"substring miss", PredSubstring("body", []byte("Ndl9Xq")), "body", miss("manifest"), 8, 264_965, 0},
 		{"common word", PredSubstring("body", []byte("the")), "body", levels(walk(1)), 13, 805_350, 10},
 		{"absent run", PredSubstring("body", []byte("qqqq")), "body", miss("walk fan"), 10, 327_670, 0},
 		{"32-byte match", PredSubstring("body", []byte(w.docs[100][:32])), "body", levels(walk(5)), 19, 1_108_580, 1},
 		{"32-byte miss", PredSubstring("body", []byte(w.docs[100][:18]+w.docs[200][:14])), "body", miss("walk fan", "walk fan", "walk fan"), 12, 1_074_470, 0},
-	} {
-		res, elapsed, reqs := w.cold(t, CompoundQuery{Expr: tc.expr, K: 10, Snapshot: -1, Output: tc.output})
-		if len(res.Matches) != tc.matches {
-			t.Errorf("%s: %d matches, want %d", tc.name, len(res.Matches), tc.matches)
-		}
-		if reqs.Heads != 0 || reqs.Lists != 2 || reqs.Gets != tc.gets {
-			t.Errorf("%s: issued %d HEADs, %d LISTs, %d GETs; want 0, 2, %d", tc.name, reqs.Heads, reqs.Lists, reqs.Gets, tc.gets)
-		}
-		// Object names are random, and the index files and log records
-		// that carry them compress a few bytes shorter or longer from
-		// run to run.
-		if d := reqs.BytesRead - tc.bytes; d < -512 || d > 512 {
-			t.Errorf("%s: read %d B, want %d ± 512", tc.name, reqs.BytesRead, tc.bytes)
-		}
-		want := 60*time.Millisecond + time.Duration(len(tc.levels)-1)*30*time.Millisecond
-		if elapsed < want || elapsed >= want+3*time.Millisecond {
-			t.Errorf("%s: %v of virtual time, want %v: %d levels %q", tc.name, elapsed, want, len(tc.levels), tc.levels)
-		}
-	}
+	})
+	// One free slot in the trie stage's only wave holds the one FM file.
+	w.checkDepth(t, "width 2", Config{SearchWidth: 2}, 3*time.Millisecond, []depthRow{
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 14, 634_135, 1},
+		{"and(uuid,common word)", selective, "id", trieThenWalk, 13, 621_360, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_185, 0},
+	})
 
 	// An IVF-PQ file past the 256 KiB tail, like the wall-clock
 	// benchmark's: its manifest and the lists the query probes sit
-	// outside a tail read, and were one fan after it.
+	// outside a tail read, and were one fan after it. Its rows pin
+	// levels, not GETs or bytes: the merge orders its file table by the
+	// sources' random names, so which data pages the candidates land
+	// on, and how a fan merges them, varies run to run.
 	merged := w.compactVectors(t)
-	res, elapsed, reqs := w.cold(t, CompoundQuery{Expr: PredVector("emb", vec, 8, 40), K: 10, Snapshot: -1, Output: "emb"})
-	// The merge orders its file table by the sources' random names, so
-	// which data pages the candidates land on, and how a fan merges
-	// them, varies run to run: the row pins levels, not GETs or bytes.
+	res, elapsed, reqs := w.cold(t, Config{}, CompoundQuery{Expr: PredVector("emb", vec, 8, 40), K: 10, Snapshot: -1, Output: "emb"})
+	logDepth(t, "12 files, IVF-PQ compacted", "vector", elapsed, reqs)
 	if len(res.Matches) != 10 || reqs.Lists != 2 {
 		t.Errorf("vector over %d B of IVF-PQ: %d matches, %d LISTs; want 10, 2", merged.SizeBytes, len(res.Matches), reqs.Lists)
 	}
@@ -253,6 +322,25 @@ func TestColdPathDepth(t *testing.T) {
 	if want := 60*time.Millisecond + 3*30*time.Millisecond; elapsed < want || elapsed >= want+3*time.Millisecond {
 		t.Errorf("vector over %d B of IVF-PQ: %v of virtual time, want %v", merged.SizeBytes, elapsed, want)
 	}
+
+	// Five trie and five FM index files. The default client's trie stage
+	// leaves 27 free slots, so it opens all five FM files ahead; a client
+	// of width 2 leaves one, so it opens none and waits, as before the
+	// opens existed, on three trie waves and three FM waves of two
+	// levels each.
+	w.indexEach(t, 4)
+	w.checkDepth(t, "5+5 index files", Config{}, 5*time.Millisecond, []depthRow{
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 50, 1_846_030, 1},
+		{"and(uuid,common word)", selective, "id", trieThenWalk, 54, 2_010_610, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 40, 1_491_190, 0},
+	})
+	trieWaves := []string{"trie tails 1–2", "trie tails 3–4", "trie tail 5"}
+	fmWaves := []string{"fm tails 1–2", "walk fans 1–2", "fm tails 3–4", "walk fans 3–4", "fm tail 5", "walk fan 5"}
+	w.checkDepth(t, "5+5 index files, width 2", Config{SearchWidth: 2}, 5*time.Millisecond, []depthRow{
+		{"and(uuid,substring)", And(and, needle), "id", levels(trieWaves, fmWaves), 50, 1_846_030, 1},
+		{"and(uuid,common word)", selective, "id", levels(trieWaves, fmWaves), 54, 2_010_610, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", append([]string{"LIST lake log + meta log", "log fans"}, trieWaves...), 35, 180_470, 0},
+	})
 }
 
 // TestMissingTableSurfacesAtFirstRead: opening is free, so a root with

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"rottnest/internal/component"
@@ -13,26 +14,33 @@ import (
 	"rottnest/internal/simtime"
 )
 
-// failKeyStore fails every ranged read of one object.
+// failKeyStore fails the ranged reads of one object: every one, or
+// with tails set only its suffix reads — the tail read of an open —
+// and with once set only the first of those.
 type failKeyStore struct {
 	objectstore.Store
-	key string
-	err error
+	key         string
+	err         error
+	tails, once bool
+	failed      atomic.Bool
 }
 
 func (s *failKeyStore) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	if key == s.key {
+	if key == s.key && (!s.tails || off < 0) && !(s.once && s.failed.Swap(true)) {
 		return nil, s.err
 	}
 	return s.Store.GetRange(ctx, key, off, n)
 }
 
 // TestStagedANDUnreadableStageB: what a staged AND's FM file holds
-// counts only if the FM stage runs. When the FM file cannot be read or
-// is gone, an AND the trie stage rules out still answers; one whose
-// trie stage matches fails on the read error, or replans around the
-// vanished file to the scan path — with the decoded-object cache on
-// and off.
+// counts only if the FM stage runs. The trie stage's fan opens the FM
+// file ahead, and an open that fails there is dropped. When the FM
+// file cannot be read, cannot be opened, or is gone, an AND the trie
+// stage rules out still answers; one whose trie stage matches fails on
+// the read error, or replans around the vanished file to the scan path
+// — as it did before the FM file was opened ahead. When only the early
+// open fails, the FM stage opens the file itself and answers. All of
+// it with the decoded-object cache on, off, and with every cache off.
 func TestStagedANDUnreadableStageB(t *testing.T) {
 	w := newColdWorld(t)
 	ctx := context.Background()
@@ -53,15 +61,16 @@ func TestStagedANDUnreadableStageB(t *testing.T) {
 		cfg.IndexDir, cfg.Clock = "rottnest", w.clock
 		return NewClient(table, cfg).SearchCompound(ctx, CompoundQuery{Expr: expr, K: 10, Snapshot: -1, Output: "id"})
 	}
-	configs := map[string]Config{"default": {}, "uncached": coldConfig()}
-	check := func(what string, store objectstore.Store, hitErr error) {
+	configs := map[string]Config{"default": {}, "no decoded cache": {DecodedCacheBytes: -1}, "uncached": coldConfig()}
+	// check runs each query on a store of its own.
+	check := func(what string, store func() objectstore.Store, hitErr error) {
 		t.Helper()
 		for name, cfg := range configs {
-			res, err := search(store, cfg, miss)
+			res, err := search(store(), cfg, miss)
 			if err != nil || len(res.Matches) != 0 || !res.Stats.ShortCircuited {
 				t.Errorf("%s, %s client: short-circuited AND returned %v, %v; want no matches, short-circuited", what, name, res, err)
 			}
-			res, err = search(store, cfg, hit)
+			res, err = search(store(), cfg, hit)
 			switch {
 			case hitErr != nil && !errors.Is(err, hitErr):
 				t.Errorf("%s, %s client: AND running its FM stage returned %v, want %v", what, name, err, hitErr)
@@ -72,12 +81,18 @@ func TestStagedANDUnreadableStageB(t *testing.T) {
 	}
 
 	injected := errors.New("injected FM read failure")
-	check("FM reads failing", &failKeyStore{Store: w.store, key: fmKey, err: injected}, injected)
+	check("FM reads failing", func() objectstore.Store { return &failKeyStore{Store: w.store, key: fmKey, err: injected} }, injected)
+	check("FM tail reads failing", func() objectstore.Store {
+		return &failKeyStore{Store: w.store, key: fmKey, err: injected, tails: true}
+	}, injected)
+	check("the early FM open failing", func() objectstore.Store {
+		return &failKeyStore{Store: w.store, key: fmKey, err: injected, tails: true, once: true}
+	}, nil)
 
 	if err := w.store.Delete(ctx, fmKey); err != nil {
 		t.Fatal(err)
 	}
-	check("FM object vacuumed", w.store, nil)
+	check("FM object vacuumed", func() objectstore.Store { return w.store }, nil)
 }
 
 // TestOpenReaderMisstatedSize: the metadata row's size only sizes the
@@ -189,4 +204,42 @@ func components(ctx context.Context, r *component.Reader) ([][]byte, error) {
 		return nil, fmt.Errorf("%s: %w", r.Key(), err)
 	}
 	return out, nil
+}
+
+// TestOpenAheadNeedsAWaitingCheapStage: a staged AND opens its FM file
+// ahead only when its trie stage waits on the store, since a stage that
+// waits on nothing takes no level for the open to ride. Each client
+// keeps the trie file but not the FM file, in its one cache: a decoded
+// cache keeps the trie reader, a byte cache the trie's open read. The
+// first short-circuited AND waits on the trie tail and pays the FM tail
+// beside it. After it the trie file opens from memory, so neither its
+// repeat (the trie probe memoized) nor an AND on another absent key
+// (the trie walked afresh, in memory) opens anything or issues a GET.
+func TestOpenAheadNeedsAWaitingCheapStage(t *testing.T) {
+	w := newColdWorld(t)
+	miss := func(key byte) CompoundQuery {
+		return CompoundQuery{Expr: And(PredUUID("id", [16]byte{0xff, key, 2, 3}), PredSubstring("body", []byte(w.needle))), K: 10, Snapshot: -1, Output: "id"}
+	}
+	for _, cc := range []struct {
+		name                          string
+		cacheBytes, decodedCacheBytes int64
+		want                          []int64
+	}{
+		{"decoded cache", -1, 512 << 10, []int64{5, 0, 0}},
+		{"byte cache", 512 << 10, -1, []int64{5, 0, 0}},
+	} {
+		cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock, CacheBytes: cc.cacheBytes, DecodedCacheBytes: cc.decodedCacheBytes})
+		for i, key := range []byte{1, 1, 2} {
+			n := gets(t, func(ctx context.Context) error {
+				res, err := cli.SearchCompound(session(ctx), miss(key))
+				if err == nil && (len(res.Matches) != 0 || !res.Stats.ShortCircuited) {
+					err = fmt.Errorf("%d matches, short-circuited %v; want none, true", len(res.Matches), res.Stats.ShortCircuited)
+				}
+				return err
+			})
+			if n != cc.want[i] {
+				t.Errorf("%s: short-circuited AND %d issued %d GETs, want %d", cc.name, i+1, n, cc.want[i])
+			}
+		}
+	}
 }

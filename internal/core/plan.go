@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rottnest/internal/component"
@@ -512,11 +513,20 @@ func compileLeaf(p *Pred) (*leafPlan, error) {
 }
 
 // vectorProbeKey is the batcher key of one normalized vector probe.
+// It spells each component as eight lowercase hex digits of its bits.
 func vectorProbeKey(vec []float32, nprobe, maxCands int) string {
-	var b []byte
-	b = append(b, fmt.Sprintf("v:%d:%d:", nprobe, maxCands)...)
+	const digits = "0123456789abcdef"
+	b := make([]byte, 0, 24+8*len(vec))
+	b = append(b, "v:"...)
+	b = strconv.AppendInt(b, int64(nprobe), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(maxCands), 10)
+	b = append(b, ':')
 	for _, f := range vec {
-		b = append(b, fmt.Sprintf("%08x", math.Float32bits(f))...)
+		bits := math.Float32bits(f)
+		for shift := 28; shift >= 0; shift -= 4 {
+			b = append(b, digits[bits>>shift&0xf])
+		}
 	}
 	return string(b)
 }

@@ -538,3 +538,62 @@ func TestMultipleAppendsAcrossGroupBoundary(t *testing.T) {
 		colsEqual(t, col, vals, want.Cols[ci])
 	}
 }
+
+// TestIncompressiblePageStoredRaw: a page the codec cannot shrink by an
+// eighth — random ids — is written with CodecNone, a text page is
+// written with flate, and both read back through the page path and
+// the chunk path.
+func TestIncompressiblePageStoredRaw(t *testing.T) {
+	ctx := context.Background()
+	store := objectstore.NewMemStore(nil)
+	schema := MustSchema(
+		Column{Name: "id", Type: TypeFixedLenByteArray, TypeLen: 16},
+		Column{Name: "body", Type: TypeByteArray},
+	)
+	rng := rand.New(rand.NewSource(5))
+	b := NewBatch(schema)
+	const n = 2048
+	ids, bodies := make([][]byte, n), make([][]byte, n)
+	for i := range n {
+		ids[i] = make([]byte, 16)
+		rng.Read(ids[i])
+		bodies[i] = []byte(fmt.Sprintf("the quick brown fox %d jumps over the lazy dog", i%37))
+	}
+	b.Cols[0], b.Cols[1] = ColumnValues{Bytes: ids}, ColumnValues{Bytes: bodies}
+	_, tables, err := WriteFile(ctx, store, "f.rpq", b, WriterOptions{RowGroupRows: n, PageBytes: 64 << 10, DisableDict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, want := range []Codec{CodecNone, CodecFlate} {
+		col := schema.Columns[ci]
+		pages, err := ReadPages(ctx, store, "f.rpq", col, tables[ci])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all ColumnValues
+		for pi, p := range pages {
+			raw, err := store.GetRange(ctx, "f.rpq", p.Info.Offset, p.Info.Size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _, err := parsePageHeader(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Codec != want {
+				t.Errorf("column %s page %d: codec %d (%d of %d B), want %d", col.Name, pi, h.Codec, h.CompressedSize, h.UncompressedSize, want)
+			}
+			all = all.Append(p.Values)
+		}
+		colsEqual(t, col, all, b.Cols[ci])
+		meta, err := ReadFileMeta(ctx, store, "f.rpq")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk, err := ReadColumnChunk(ctx, store, "f.rpq", meta, 0, ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		colsEqual(t, col, chunk, b.Cols[ci])
+	}
+}

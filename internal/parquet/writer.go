@@ -175,16 +175,23 @@ func (w *FileWriter) writePage(ci int, col Column, vals ColumnValues, firstRow i
 	if err != nil {
 		return err
 	}
-	compressed, err := compressPage(w.opts.Codec, body)
+	codec := w.opts.Codec
+	compressed, err := compressPage(codec, body)
 	if err != nil {
 		return err
+	}
+	// A page the codec cannot shrink by an eighth is stored as is: the
+	// few bytes saved are not worth inflating it on every read. The
+	// header carries the codec per page, so readers need no change.
+	if len(compressed) > len(body)-len(body)/8 {
+		codec, compressed = CodecNone, body
 	}
 	h := pageHeader{
 		NumValues:        uint32(vals.Len()),
 		UncompressedSize: uint32(len(body)),
 		CompressedSize:   uint32(len(compressed)),
 		Encoding:         enc,
-		Codec:            w.opts.Codec,
+		Codec:            codec,
 	}
 	if !w.opts.DisableStats {
 		var ps statAcc
