@@ -45,15 +45,16 @@ benchmark-test:
 # and read planner on synthetic candidate sets, the range operations,
 # one 64 KiB page through the page decoder per codec and shape, and
 # IVF-PQ and FM builds and three-source merges at the wall-clock
-# benchmark's sizes, with SA-IS beside its oracle (three iterations:
-# the large ones take a second or two each). Nothing is gated here —
+# benchmark's sizes, with SA-IS beside its oracle and alone on 10 MiB,
+# and one source's BWT inversion beside the serial walk (three
+# iterations: the large ones take a second or two each). Nothing is gated here —
 # the FM build's bytes per text byte are, by TestFMAllocBudget; a PR
 # that claims an allocation change quotes these numbers at its parent
 # and at its head.
 bench-alloc:
 	$(GO) test -run '^$$' -bench 'WarmSearch|FilterRanges|PlanReads|UnionRanges|IntersectRanges|DecodePage' -benchtime 50x ./internal/core ./internal/postings ./internal/parquet
 	$(GO) test -run '^$$' -bench 'IVFPQBuild|IVFPQMerge' -benchtime 3x ./internal/ivfpq
-	$(GO) test -run '^$$' -bench 'FMBuild|FMMerge|SuffixArray' -benchtime 3x ./internal/fmindex
+	$(GO) test -run '^$$' -bench 'FMBuild|FMMerge|SuffixArray|BWTInvert' -benchtime 3x ./internal/fmindex
 
 # depth-table prints the cold path's class table (DESIGN.md §18) as
 # TestColdPathDepth measures it: per world, client and query class, the
@@ -67,8 +68,8 @@ depth-table:
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must
 # error, never panic, the SA-IS builder must agree with its
-# prefix-doubling oracle, and the pruned nearest-centroid search with
-# the exhaustive scan. -run pins each invocation to its own seed
+# prefix-doubling oracle, the BWT inversion with the serial walk, and
+# the pruned nearest-centroid search with the exhaustive scan. -run pins each invocation to its own seed
 # corpus: fuzz builds carry coverage instrumentation, which would skew
 # the timing-sensitive shape tests (they run uninstrumented above).
 fuzz-smoke:
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageDecode -run '^FuzzPageDecode$$' -fuzztime=10s ./internal/parquet/
 	$(GO) test -fuzz=FuzzFMIndexOpen -run '^FuzzFMIndexOpen$$' -fuzztime=10s ./internal/fmindex/
 	$(GO) test -fuzz=FuzzSuffixArray -run '^FuzzSuffixArray$$' -fuzztime=10s ./internal/fmindex/
+	$(GO) test -fuzz=FuzzBWTInvert -run '^FuzzBWTInvert$$' -fuzztime=10s ./internal/fmindex/
 	$(GO) test -fuzz=FuzzCache -run '^FuzzCache$$' -fuzztime=10s ./internal/cache/
 	$(GO) test -fuzz=FuzzPredicateParser -run '^FuzzPredicateParser$$' -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzShardMerge -run '^FuzzShardMerge$$' -fuzztime=10s ./internal/shard/

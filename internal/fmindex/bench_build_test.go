@@ -3,6 +3,7 @@ package fmindex
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -36,10 +37,35 @@ func benchInput(seed int64, docs int) ([]byte, []int64, []postings.PageRef) {
 	return text, starts, refs
 }
 
+// tinyValueInput is a column of n one-byte values, each followed by a
+// separator, a page every 4,096 values: the text whose many short
+// documents a merge's per-document costs would show on.
+func tinyValueInput(seed int64, n int) ([]byte, []int64, []postings.PageRef) {
+	rng := rand.New(rand.NewSource(seed))
+	var text []byte
+	var starts []int64
+	var refs []postings.PageRef
+	for i := 0; i < n; i++ {
+		if i%4096 == 0 {
+			starts = append(starts, int64(len(text)))
+			refs = append(refs, postings.PageRef{File: 0, Page: uint32(len(refs))})
+		}
+		text = append(text, byte('a'+rng.Intn(26)), Separator)
+	}
+	return text, starts, refs
+}
+
 // benchSources builds three indices of docs documents each and opens
 // them the way core's compaction does (readers keep no fetched bytes),
 // returning them with their file maps and total text bytes.
 func benchSources(tb testing.TB, docs int) ([]*Index, []map[uint32]uint32, int) {
+	return openSources(tb, func(i int) ([]byte, []int64, []postings.PageRef) {
+		return benchInput(int64(20+i), docs)
+	})
+}
+
+// openSources builds and opens three indices over input(0..2).
+func openSources(tb testing.TB, input func(i int) ([]byte, []int64, []postings.PageRef)) ([]*Index, []map[uint32]uint32, int) {
 	tb.Helper()
 	ctx := context.Background()
 	store := objectstore.NewMemStore(nil)
@@ -47,7 +73,7 @@ func benchSources(tb testing.TB, docs int) ([]*Index, []map[uint32]uint32, int) 
 	var fileMaps []map[uint32]uint32
 	total := 0
 	for i := 0; i < 3; i++ {
-		text, starts, refs := benchInput(int64(20+i), docs)
+		text, starts, refs := input(i)
 		total += len(text)
 		data, err := Build(text, starts, refs, BuildOptions{})
 		if err != nil {
@@ -114,10 +140,10 @@ func allocPerByte(t *testing.T, textBytes int, fn func() error) float64 {
 
 // TestFMAllocBudget holds the build path to its memory budget as a
 // count: bytes allocated per text byte. A build keeps the text (Build
-// copies it: 1), its suffix array (4), the type bits (1/8 and a third
-// of that again down the recursion) and the output twice (compressed
+// copies it: 1), its suffix array (4) and the output twice (compressed
 // batches, then the file: 2 x 1.3); everything else is scratch sized by
-// GOMAXPROCS. A merge adds each source's BWT (1) and stored bytes.
+// GOMAXPROCS. A merge adds each source's BWT (1), the inversion's
+// per-segment tables (1/8) and stored bytes.
 // Measured when the budget was set, parent -> head: 3.4 MB build
 // 32.8 -> 9.5 B/B, three-source merge 43.4 -> 10.1, and the 150 KB
 // build (ingest_live's job size, where the fixed costs of a build
@@ -147,13 +173,24 @@ func TestFMAllocBudget(t *testing.T) {
 			t.Errorf("build of %d text bytes allocated %.1f B/B, budget %.0f", size, got, c.ceiling)
 		}
 	}
-	sources, fileMaps, total := benchSources(t, benchDocs)
-	got := allocPerByte(t, total, func() (err error) {
-		benchSink, err = Merge(context.Background(), sources, fileMaps, BuildOptions{})
-		return err
-	})
-	t.Logf("merge of %d text bytes: %.1f B/B (ceiling 20)", total, got)
-	if got > 20 {
-		t.Errorf("merge of %d text bytes allocated %.1f B/B, budget 20", total, got)
+	// A merge of the benchmark's sources, and one of three columns of
+	// 256Ki one-byte values, where a table kept per document or per
+	// separator would show.
+	for _, m := range []struct {
+		what  string
+		input func(i int) ([]byte, []int64, []postings.PageRef)
+	}{
+		{"documents", func(i int) ([]byte, []int64, []postings.PageRef) { return benchInput(int64(20+i), benchDocs) }},
+		{"one-byte values", func(i int) ([]byte, []int64, []postings.PageRef) { return tinyValueInput(int64(30+i), 1<<18) }},
+	} {
+		sources, fileMaps, total := openSources(t, m.input)
+		got := allocPerByte(t, total, func() (err error) {
+			benchSink, err = Merge(context.Background(), sources, fileMaps, BuildOptions{})
+			return err
+		})
+		t.Logf("merge of %d text bytes of %s: %.1f B/B (ceiling 20)", total, m.what, got)
+		if got > 20 {
+			t.Errorf("merge of %d text bytes of %s allocated %.1f B/B, budget 20", total, m.what, got)
+		}
 	}
 }

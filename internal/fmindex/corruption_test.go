@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -54,4 +55,77 @@ func TestCorruptedFMIndexNeverPanics(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestMergeRejectsCorruptBWT swaps two adjacent, differing bytes of a
+// source's BWT block. The block's symbol counts, and so its root
+// checkpoints, still agree, and the index opens; but LF now splits
+// into two cycles, so the bytes are the transform of no text. The
+// merge must fail on it, before it writes anything, rather than build
+// an index over garbage.
+func TestMergeRejectsCorruptBWT(t *testing.T) {
+	ctx := context.Background()
+	store := objectstore.NewMemStore(nil)
+	open := func(key string, data []byte) *Index {
+		t.Helper()
+		if err := store.Put(ctx, key, data); err != nil {
+			t.Fatal(err)
+		}
+		r, err := component.Open(ctx, store, key, component.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Open(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	opts := BuildOptions{BlockSize: 2048, PageMapBlock: 2048}
+	var sources []*Index
+	for i := 0; i < 2; i++ {
+		text, starts, refs := benchInput(int64(40+i), 60)
+		data, err := Build(text, starts, refs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, open(fmt.Sprintf("src-%d.index", i), data))
+	}
+
+	// Rewrite source 0 with one swap in its second BWT block.
+	src := sources[0]
+	b := component.NewBuilder(component.KindFM)
+	for id := 0; id < src.r.NumComponents(); id++ {
+		comp, err := src.r.Component(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == src.base+1 {
+			comp = append([]byte(nil), comp...)
+			i := 0
+			for comp[i] == comp[i+1] {
+				i++
+			}
+			comp[i], comp[i+1] = comp[i+1], comp[i]
+		}
+		b.Add(comp)
+	}
+	data, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources[0] = open("corrupt.index", data)
+
+	if _, err := sources[0].ReconstructText(ctx); err == nil {
+		t.Fatal("ReconstructText inverted a BWT whose LF is two cycles")
+	}
+	out := component.NewBuilder(component.KindFM)
+	err = MergeInto(ctx, out, sources, []map[uint32]uint32{{0: 0}, {0: 1}}, opts)
+	if err == nil {
+		t.Fatal("MergeInto merged a source whose BWT is not one LF cycle")
+	}
+	if out.NumComponents() != 0 {
+		t.Fatalf("failed merge added %d components", out.NumComponents())
+	}
+	t.Log(err)
 }

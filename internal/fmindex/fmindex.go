@@ -99,14 +99,14 @@ func BuildInto(b *component.Builder, text []byte, pageStarts []int64, refs []pos
 
 // BuildTerminatedInto is BuildInto over text that already ends with
 // its Sentinel, which is read in place: a build keeps that buffer, its
-// suffix array (4 bytes per text byte), the suffix type bits and the
-// builder's output, and nothing else that grows with the text.
+// suffix array (4 bytes per text byte) and the builder's output, and
+// nothing else that grows with the text.
 func BuildTerminatedInto(b *component.Builder, full []byte, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) error {
 	return build(b, full, make([]int32, len(full)), pageStarts, refs, opts)
 }
 
 // build is the one build path: full is the text with its sentinel and
-// sa the len(full) slots its suffix array is computed into.
+// sa the len(full) zeroed slots its suffix array is computed into.
 func build(b *component.Builder, full []byte, sa []int32, pageStarts []int64, refs []postings.PageRef, opts BuildOptions) error {
 	opts = opts.withDefaults()
 	if len(full) == 0 || full[len(full)-1] != Sentinel {
@@ -115,7 +115,7 @@ func build(b *component.Builder, full []byte, sa []int32, pageStarts []int64, re
 	if err := validateBuildInput(full[:len(full)-1], pageStarts, refs); err != nil {
 		return err
 	}
-	sais(full, sa, 256, nil)
+	sortSuffixes(full, sa)
 	appendIndexComponents(b, full, sa, pageStarts, refs, opts)
 	return nil
 }
@@ -555,7 +555,9 @@ func (ix *Index) reconstructInto(ctx context.Context, full []byte, lf []int32) e
 	if err := ix.r.ComponentsInto(ctx, ids, bwt); err != nil {
 		return err
 	}
-	invertBWT(full, bwt, lf)
+	if err := invertBWT(full, bwt, lf); err != nil {
+		return fmt.Errorf("fmindex: %s: %w", ix.r.Key(), err)
+	}
 	return nil
 }
 
@@ -602,6 +604,7 @@ func MergeInto(ctx context.Context, b *component.Builder, sources []*Index, file
 	if err != nil {
 		return err
 	}
+	clear(sa) // the inversions' scratch; the suffix sort wants it zeroed
 	var pageStarts []int64
 	var refs []postings.PageRef
 	for i, src := range sources {

@@ -73,8 +73,8 @@ func TestBWTInvertRoundTrip(t *testing.T) {
 			bwt[i] = text[(int(pos)+len(text)-1)%len(text)]
 		}
 		got := make([]byte, len(text))
-		invertBWT(got, bwt, make([]int32, len(text)))
-		return bytes.Equal(got, text)
+		err := invertBWT(got, bwt, make([]int32, len(text)))
+		return err == nil && bytes.Equal(got, text)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

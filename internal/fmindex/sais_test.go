@@ -142,8 +142,10 @@ func TestSAISInPlaceRecursion(t *testing.T) {
 }
 
 // BenchmarkSuffixArray reports SA-IS beside its prefix-doubling oracle
-// on 1 MB of the benchmark corpus, time and allocations. The ratio is
-// a property of the host and is read here, not asserted by a test.
+// on 1 MB of the benchmark corpus, time and allocations, and SA-IS
+// alone on 10 MiB, the size of a build_compact merge, where cache
+// misses dominate and the implementation matters most. The ratio is a
+// property of the host and is read here, not asserted by a test.
 func BenchmarkSuffixArray(b *testing.B) {
 	text, _, _ := benchInput(13, 1672)
 	full := append(text, Sentinel)
@@ -159,6 +161,16 @@ func BenchmarkSuffixArray(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sais-10MiB", func(b *testing.B) {
+		text, _, _ := benchInput(13, 17000)
+		full := append(text[:10<<20:10<<20], Sentinel)
+		b.SetBytes(int64(len(full)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buildSuffixArray(full)
+		}
+	})
 }
 
 // FuzzSuffixArray fuzzes SA-IS against the prefix-doubling oracle on
