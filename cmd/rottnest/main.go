@@ -110,7 +110,7 @@ func newCommon(name string) *common {
 		table:    fs.String("table", "lake", "table key prefix"),
 		indexDir: fs.String("index-dir", "", "index key prefix (default <table>-index)"),
 		retries:  fs.Bool("retries", false, "retry transient store failures with bounded backoff"),
-		cold:     fs.Bool("cold", false, "disable the byte, decoded-object, and plan caches (cold read path)"),
+		cold:     fs.Bool("cold", false, "disable the byte, decoded-object, probe and plan caches (cold read path)"),
 	}
 }
 

@@ -42,21 +42,22 @@ func (d Decision) String() string {
 	}
 }
 
+// horizonMonths is the operating horizon the phase diagram is
+// evaluated over.
+const horizonMonths = 1
+
+// indexBytesPerSec models one worker's index-build throughput.
+const indexBytesPerSec = 64 << 20
+
 // AutopilotOptions configure an Autopilot.
 type AutopilotOptions struct {
 	// Pricing is the cost model; defaults to tco.DefaultPricing().
 	Pricing tco.Pricing
-	// HorizonMonths is the operating horizon the phase diagram is
-	// evaluated over. Defaults to 1.
-	HorizonMonths float64
 	// ScanBytesPerSec models one worker's brute-force scan
 	// throughput. Defaults to 1 GiB/s.
 	ScanBytesPerSec float64
 	// BruteForceWorkers is the scan cluster size. Defaults to 8.
 	BruteForceWorkers int
-	// IndexBytesPerSec models one worker's index-build throughput.
-	// Defaults to 64 MiB/s.
-	IndexBytesPerSec float64
 	// RefreshEvery rate-limits Refresh; calls inside the window are
 	// no-ops. Defaults to 30s. Negative refreshes on every call.
 	RefreshEvery time.Duration
@@ -75,17 +76,11 @@ func (o AutopilotOptions) withDefaults() AutopilotOptions {
 	if o.Pricing == (tco.Pricing{}) {
 		o.Pricing = tco.DefaultPricing()
 	}
-	if o.HorizonMonths <= 0 {
-		o.HorizonMonths = 1
-	}
 	if o.ScanBytesPerSec <= 0 {
 		o.ScanBytesPerSec = 1 << 30
 	}
 	if o.BruteForceWorkers <= 0 {
 		o.BruteForceWorkers = 8
-	}
-	if o.IndexBytesPerSec <= 0 {
-		o.IndexBytesPerSec = 64 << 20
 	}
 	if o.RefreshEvery == 0 {
 		o.RefreshEvery = 30 * time.Second
@@ -193,15 +188,15 @@ func (a *Autopilot) Refresh(ctx context.Context) error {
 			RawBytes:               rawBytes,
 			IndexBytes:             ib,
 			CopyBytes:              rawBytes + ib,
-			IndexSeconds:           float64(rawBytes) / a.opts.IndexBytesPerSec,
+			IndexSeconds:           float64(rawBytes) / indexBytesPerSec,
 			RottnestQuerySeconds:   lat.Seconds(),
 			BruteForceWorkers:      a.opts.BruteForceWorkers,
 			BruteForceQuerySeconds: float64(rawBytes) / a.opts.ScanBytesPerSec / float64(a.opts.BruteForceWorkers),
 			ScaleFactor:            a.opts.ScaleFactor,
 		}
 		const secondsPerMonth = 730 * 3600
-		queries := a.ledger.QueryRate(col) * secondsPerMonth * a.opts.HorizonMonths
-		switch m.Params().Best(a.opts.HorizonMonths, queries) {
+		queries := a.ledger.QueryRate(col) * secondsPerMonth * horizonMonths
+		switch m.Params().Best(horizonMonths, queries) {
 		case tco.BruteForce:
 			decisions[col] = DecideScan
 		case tco.CopyData:

@@ -79,19 +79,20 @@ type PolicyOptions struct {
 	// Client executes metadata listings for refinement planning.
 	// Required for PlanRefine.
 	Client *core.Client
-	// HotBatch caps how many hot files one index job covers. Defaults
-	// to 64.
-	HotBatch int
-	// Coarse is the cheap first-pass build for vector indexes.
-	// Defaults to a low-nlist, few-iteration configuration; set to an
-	// explicit zero value to disable coarse-first builds.
-	Coarse *ivfpq.BuildOptions
-	// RefineAfterProbes is how many new vector queries a column must
-	// see between refine passes. Defaults to 8.
-	RefineAfterProbes uint64
 	// Refine tunes the refinement pass itself.
 	Refine ivfpq.RefineOptions
 }
+
+// hotBatch caps how many hot files one index job covers.
+const hotBatch = 64
+
+// refineAfterProbes is how many new vector queries a column must see
+// between refine passes.
+const refineAfterProbes = 8
+
+// coarseBuild is the cheap first-pass build for vector indexes: a
+// low-nlist, few-iteration configuration that refinement improves.
+var coarseBuild = ivfpq.BuildOptions{NList: 32, KMeansIters: 4, TrainSample: 4096}
 
 // Policy is the heat-driven scheduler policy: hot partitions index
 // first (heat × rows), vector indexes build coarse then refine from
@@ -103,15 +104,6 @@ type Policy struct {
 
 // NewPolicy returns a policy over the ledger (and optional pilot).
 func NewPolicy(opts PolicyOptions) *Policy {
-	if opts.HotBatch <= 0 {
-		opts.HotBatch = 64
-	}
-	if opts.Coarse == nil {
-		opts.Coarse = &ivfpq.BuildOptions{NList: 32, KMeansIters: 4, TrainSample: 4096}
-	}
-	if opts.RefineAfterProbes == 0 {
-		opts.RefineAfterProbes = 8
-	}
 	return &Policy{opts: opts, lastRefine: make(map[string]uint64)}
 }
 
@@ -158,10 +150,11 @@ func (p *Policy) PlanIndex(cands []IndexCandidate) (IndexDecision, bool) {
 	cand := cands[best]
 	dec := IndexDecision{Spec: cand.Spec}
 	if cand.IndexSpec.Kind == component.KindIVFPQ {
-		dec.IVF = p.opts.Coarse
+		coarse := coarseBuild
+		dec.IVF = &coarse
 	}
 	// Hot subset: when some backlog files are hot, index the hottest
-	// HotBatch of them now and leave the cold tail for later jobs —
+	// hotBatch of them now and leave the cold tail for later jobs —
 	// time-to-searchable for hot data beats backlog completeness.
 	type hot struct {
 		path string
@@ -180,8 +173,8 @@ func (p *Policy) PlanIndex(cands []IndexCandidate) (IndexDecision, bool) {
 			}
 			return hots[a].path < hots[b].path
 		})
-		if len(hots) > p.opts.HotBatch {
-			hots = hots[:p.opts.HotBatch]
+		if len(hots) > hotBatch {
+			hots = hots[:hotBatch]
 		}
 		dec.Paths = make([]string, len(hots))
 		for i, h := range hots {
@@ -192,7 +185,7 @@ func (p *Policy) PlanIndex(cands []IndexCandidate) (IndexDecision, bool) {
 }
 
 // PlanRefine implements SchedulerPolicy: once a vector column has
-// accumulated RefineAfterProbes new queries since its last refine,
+// accumulated refineAfterProbes new queries since its last refine,
 // propose re-clustering the hottest cells of its largest index file.
 func (p *Policy) PlanRefine(ctx context.Context, specs []core.IndexSpec) (RefinePlan, bool) {
 	if p.opts.Client == nil {
@@ -203,7 +196,7 @@ func (p *Policy) PlanRefine(ctx context.Context, specs []core.IndexSpec) (Refine
 			continue
 		}
 		probes, nprobe, seen := p.opts.Ledger.Probes(spec.Column)
-		if len(probes) == 0 || seen-p.lastRefine[spec.Column] < p.opts.RefineAfterProbes {
+		if len(probes) == 0 || seen-p.lastRefine[spec.Column] < refineAfterProbes {
 			continue
 		}
 		entries, err := p.opts.Client.ListIndexes(ctx, spec.Column, spec.Kind)

@@ -112,7 +112,6 @@ func newWorldOn(layers objectstore.StackOptions, schema *parquet.Schema) (*world
 			CacheBytes:           -1,
 			DecodedCacheBytes:    -1,
 			PlanCacheTTLVersions: -1,
-			ProbeBatchBytes:      -1,
 		}),
 	}, nil
 }

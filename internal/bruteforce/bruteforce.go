@@ -19,40 +19,35 @@ import (
 	"rottnest/internal/simtime"
 )
 
+// spinUpBase is the fixed per-query task spin-up latency (driver
+// scheduling, task launch).
+const spinUpBase = 2 * time.Second
+
+// spinUpPerWorker adds scheduling latency per worker; it is what
+// bends the scaling curve at high worker counts.
+const spinUpPerWorker = 60 * time.Millisecond
+
+// stragglerFactor inflates the slowest worker's share, modelling
+// skew. It is typed so that stragglerFactor-1 is the float64
+// difference (0.1499…), not the exact 0.15 an untyped constant gives,
+// which would move brute-force latencies by a nanosecond.
+const stragglerFactor float64 = 1.15
+
 // ClusterConfig models a scan cluster.
 type ClusterConfig struct {
 	// Workers is the number of worker instances.
 	Workers int
-	// SpinUpBase is the fixed per-query task spin-up latency
-	// (driver scheduling, task launch). Defaults to 2s.
-	SpinUpBase time.Duration
-	// SpinUpPerWorker adds scheduling latency per worker; it is what
-	// bends the scaling curve at high worker counts. Defaults to
-	// 60ms.
-	SpinUpPerWorker time.Duration
 	// DecodeBps is each worker's decompress+scan throughput in
 	// bytes/second of file data. Defaults to 200 MB/s.
 	DecodeBps float64
-	// StragglerFactor inflates the slowest worker's share,
-	// modelling skew. Defaults to 1.15.
-	StragglerFactor float64
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.SpinUpBase <= 0 {
-		c.SpinUpBase = 2 * time.Second
-	}
-	if c.SpinUpPerWorker <= 0 {
-		c.SpinUpPerWorker = 60 * time.Millisecond
-	}
 	if c.DecodeBps <= 0 {
 		c.DecodeBps = 200e6
-	}
-	if c.StragglerFactor < 1 {
-		c.StragglerFactor = 1.15
 	}
 	return c
 }
@@ -121,7 +116,7 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 		}
 	}
 
-	spinUp := c.cfg.SpinUpBase + time.Duration(c.cfg.Workers)*c.cfg.SpinUpPerWorker
+	spinUp := spinUpBase + time.Duration(c.cfg.Workers)*spinUpPerWorker
 	session.Add(spinUp)
 
 	report := &Report{FilesScanned: len(snap.Files)}
@@ -208,8 +203,8 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 	// Straggler skew: the critical path is a bit worse than the
 	// ideal even partition.
 	work := session.Elapsed() - start - spinUp
-	if work > 0 && c.cfg.StragglerFactor > 1 {
-		session.Add(time.Duration(float64(work) * (c.cfg.StragglerFactor - 1)))
+	if work > 0 {
+		session.Add(time.Duration(float64(work) * (stragglerFactor - 1)))
 	}
 
 	var matches []insitu.Match

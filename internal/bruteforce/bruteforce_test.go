@@ -136,7 +136,7 @@ func TestScanUnknownColumn(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := ClusterConfig{}.withDefaults()
-	if c.Workers != 8 || c.DecodeBps <= 0 || c.StragglerFactor < 1 {
+	if c.Workers != 8 || c.DecodeBps <= 0 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	cluster := NewCluster(nil, ClusterConfig{Workers: 16})

@@ -10,9 +10,12 @@ import (
 	"rottnest/internal/simtime"
 )
 
-// DefaultProbeBatchBytes is the probe batcher's default memo budget,
-// used when Config.ProbeBatchBytes is zero.
-const DefaultProbeBatchBytes = 8 << 20
+// probeMemoBytes is the probe memo's budget. A client has a probe
+// batcher exactly when it has a decoded-object cache, but the memo is
+// not a kind inside that cache's budget: on a workload whose decoded
+// budget already evicts on every query, a memo sharing it keeps
+// almost nothing.
+const probeMemoBytes = 8 << 20
 
 // probeBatcher coalesces identical index probes across concurrent
 // queries and memoizes their results: the probe tier of the shared
@@ -47,14 +50,10 @@ type probeBatcher struct {
 
 type probeKey struct{ index, probe string }
 
-// newProbeBatcher returns a batcher with the given memo budget (<= 0
-// means the default).
-func newProbeBatcher(maxBytes int64, coalesced *obs.Counter) *probeBatcher {
-	if maxBytes <= 0 {
-		maxBytes = DefaultProbeBatchBytes
-	}
+// newProbeBatcher returns a batcher with a probeMemoBytes memo.
+func newProbeBatcher(coalesced *obs.Counter) *probeBatcher {
 	return &probeBatcher{
-		memo:      cache.New[probeKey, any](maxBytes, cache.Metrics{Hits: coalesced, Coalesced: coalesced}, nil),
+		memo:      cache.New[probeKey, any](probeMemoBytes, cache.Metrics{Hits: coalesced, Coalesced: coalesced}, nil),
 		coalesced: coalesced,
 		fqueues:   make(map[string]*fmQueue),
 	}

@@ -101,7 +101,8 @@ type Config struct {
 	// whatever the others leave free (they are evicted first). Where
 	// CacheBytes removes the repeat GET, this removes the repeat decode
 	// CPU and the request fan above it. 0 means the 64 MiB default;
-	// negative disables.
+	// negative disables it, and the shared-probe batcher (batch.go)
+	// with it.
 	// Invalidation is exact (vacuum/compact/append hooks), never
 	// TTL-based, so results are identical with the cache on or off.
 	DecodedCacheBytes int64
@@ -114,17 +115,6 @@ type Config struct {
 	// not freshness, is what keeps results exact). 0 means the
 	// default of 8; negative disables the plan cache.
 	PlanCacheTTLVersions int
-	// ProbeBatchBytes bounds the shared-probe batcher, which coalesces
-	// identical index probes across concurrent queries (singleflight)
-	// and memoizes recent probe results keyed by (index object,
-	// normalized probe). Under concurrent skewed workloads N clients
-	// asking the same question of the same immutable index pay one
-	// walk. 0 means the 8 MiB default; negative disables batching.
-	// Correctness does not depend on it: index objects are immutable
-	// under their keys, and the deleting paths (vacuum, stale-index
-	// replans) invalidate the batcher exactly as they do the decoded
-	// cache.
-	ProbeBatchBytes int64
 	// DisableANDOrdering turns off cost-based ordering of top-level
 	// AND children in the probe phase (cheap/selective children probed
 	// first, expensive ones skipped when the running page-set
@@ -169,7 +159,7 @@ type Client struct {
 	objc  *objcache.Cache
 	plans *planCache
 	// batch coalesces and memoizes index probes across concurrent
-	// queries (nil when disabled).
+	// queries; nil exactly when objc is.
 	batch *probeBatcher
 	// reg holds the client's own "search.*" metrics; Metrics() merges
 	// it with the store-layer registries and any attached extras.
@@ -246,8 +236,8 @@ func NewClient(table *lake.Table, cfg Config) *Client {
 		occReused:      reg.Counter("search.occ_reused"),
 		latencyHist:    reg.Histogram("search.latency_ns"),
 	}
-	if cfg.ProbeBatchBytes >= 0 {
-		c.batch = newProbeBatcher(cfg.ProbeBatchBytes, c.probeCoalesced)
+	if objc != nil {
+		c.batch = newProbeBatcher(c.probeCoalesced)
 	}
 	// Lake hooks keep the warm caches exact under mutation through
 	// this table handle: commits advance the plan cache's latest

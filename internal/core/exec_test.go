@@ -23,7 +23,6 @@ func coldConfig() Config {
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
 		PlanCacheTTLVersions: -1,
-		ProbeBatchBytes:      -1,
 	}
 }
 

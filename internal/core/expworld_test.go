@@ -29,7 +29,7 @@ const expSeed = 13
 // off unless cfg turns them on: the paper's uncached read path.
 func newExpWorld(t testing.TB, model objectstore.LatencyModel, schema *parquet.Schema, cfg Config) *env {
 	t.Helper()
-	for _, knob := range []*int64{&cfg.CacheBytes, &cfg.DecodedCacheBytes, &cfg.ProbeBatchBytes} {
+	for _, knob := range []*int64{&cfg.CacheBytes, &cfg.DecodedCacheBytes} {
 		if *knob == 0 {
 			*knob = -1
 		}

@@ -213,8 +213,10 @@ func components(ctx context.Context, r *component.Reader) ([][]byte, error) {
 // cache keeps the trie reader, a byte cache the trie's open read. The
 // first short-circuited AND waits on the trie tail and pays the FM tail
 // beside it. After it the trie file opens from memory, so neither its
-// repeat (the trie probe memoized) nor an AND on another absent key
-// (the trie walked afresh, in memory) opens anything or issues a GET.
+// repeat (the trie probe memoized on the decoded-cache client, whose
+// probe memo comes with that cache; walked afresh, in memory, on the
+// byte-cache client) nor an AND on another absent key (the trie walked
+// afresh) opens anything or issues a GET.
 func TestOpenAheadNeedsAWaitingCheapStage(t *testing.T) {
 	w := newColdWorld(t)
 	miss := func(key byte) CompoundQuery {

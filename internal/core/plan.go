@@ -133,11 +133,9 @@ type CompoundQuery struct {
 }
 
 // compound converts a single-predicate Query to its degenerate
-// compound form; Search plans every query through this path.
-func (q Query) compound() (CompoundQuery, error) {
-	if _, err := q.kind(); err != nil {
-		return CompoundQuery{}, err
-	}
+// compound form; Search plans every query through this path, so
+// compileShape validates it as it does every compound query.
+func (q Query) compound() CompoundQuery {
 	p := Pred{Column: q.Column, UUID: q.UUID, Substring: q.Substring, Regex: q.Regex,
 		Vector: q.Vector, NProbe: q.NProbe, Refine: q.Refine}
 	return CompoundQuery{
@@ -147,7 +145,7 @@ func (q Query) compound() (CompoundQuery, error) {
 		Partition: q.Partition,
 		FileRange: q.FileRange,
 		Output:    q.Column,
-	}, nil
+	}
 }
 
 // normalizeExpr returns a canonical copy of the tree: nested

@@ -157,12 +157,13 @@ func TestCompoundANDRequestCounts(t *testing.T) {
 // TestProbeBatchingRequestCounts pins the shared-probe batcher's index
 // walks under a concurrent stream: four clients run 16 Zipf-drawn
 // AND(uuid, substring) queries each over six distinct ones, and with
-// the batcher on every distinct probe runs once — concurrent ones
-// join its flight, later ones hit its memo. Without the batcher every
-// query walks both indexes.
+// the batcher on (it comes with the decoded-object cache) every
+// distinct probe runs once — concurrent ones join its flight, later
+// ones hit its memo. Without the batcher every query walks both
+// indexes.
 func TestProbeBatchingRequestCounts(t *testing.T) {
-	runs := func(batchBytes int64) (runs, coalesced int64) {
-		w := newPairWorld(t, expSeed, 3, 600, Config{ProbeBatchBytes: batchBytes})
+	runs := func(cfg Config) (runs, coalesced int64) {
+		w := newPairWorld(t, expSeed, 3, 600, cfg)
 		universe := make([]CompoundQuery, 6)
 		for i := range universe {
 			universe[i] = w.and(i)
@@ -177,8 +178,8 @@ func TestProbeBatchingRequestCounts(t *testing.T) {
 		delta := w.cli.Metrics().Sub(before)
 		return delta.Counter("search.probe_runs"), delta.Counter("search.probe_coalesced")
 	}
-	batched, coalesced := runs(DefaultProbeBatchBytes)
-	independent, _ := runs(-1)
+	batched, coalesced := runs(Config{DecodedCacheBytes: objcache.DefaultMaxBytes})
+	independent, _ := runs(Config{DecodedCacheBytes: -1})
 	if batched != 6 {
 		t.Errorf("batched stream ran %d probes, want 6", batched)
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
-	"rottnest/internal/component"
 	"rottnest/internal/insitu"
 	"rottnest/internal/objectstore"
 	"rottnest/internal/obs"
@@ -101,27 +99,6 @@ type PartitionFilter struct {
 	Max    int64
 }
 
-func (q Query) kind() (component.Kind, error) {
-	set := 0
-	var kind component.Kind
-	if q.UUID != nil {
-		set, kind = set+1, component.KindTrie
-	}
-	if q.Substring != nil {
-		set, kind = set+1, component.KindFM
-	}
-	if q.Regex != "" {
-		set, kind = set+1, component.KindFM
-	}
-	if q.Vector != nil {
-		set, kind = set+1, component.KindIVFPQ
-	}
-	if set != 1 {
-		return 0, fmt.Errorf("core: query must set exactly one of UUID, Substring, Regex, Vector (got %d)", set)
-	}
-	return kind, nil
-}
-
 // Stats summarizes a search's work.
 type Stats struct {
 	// IndexFiles is the number of index files queried.
@@ -191,11 +168,7 @@ type Result struct {
 // every search runs through the compound planner (SearchCompound), so
 // the two paths cannot drift.
 func (c *Client) Search(ctx context.Context, q Query) (*Result, error) {
-	cq, err := q.compound()
-	if err != nil {
-		return nil, err
-	}
-	return c.SearchCompound(ctx, cq)
+	return c.SearchCompound(ctx, q.compound())
 }
 
 // SearchCompound executes a compound boolean query as one plan: every

@@ -310,6 +310,13 @@ func TestSearchErrorPaths(t *testing.T) {
 	if _, err := e.cli.Search(ctx, Query{Column: "id", UUID: &k, K: 1, Snapshot: 999}); err == nil {
 		t.Fatal("missing snapshot accepted")
 	}
+	// Two predicates, and none.
+	if _, err := e.cli.Search(ctx, Query{Column: "id", UUID: &k, Substring: []byte("x"), K: 1, Snapshot: -1}); err == nil {
+		t.Fatal("query with UUID and Substring accepted")
+	}
+	if _, err := e.cli.Search(ctx, Query{Column: "id", K: 1, Snapshot: -1}); err == nil {
+		t.Fatal("query with no predicate accepted")
+	}
 }
 
 func TestCompactBinning(t *testing.T) {

@@ -490,9 +490,6 @@ func (ix *Index) pairRange(x, y byte) (sp, ep int64) {
 	return ix.pairRows[i], ix.pairRows[i+1]
 }
 
-// TextLen returns the indexed text length including the sentinel.
-func (ix *Index) TextLen() int { return ix.n }
-
 // NumPages returns the number of indexed pages.
 func (ix *Index) NumPages() int { return len(ix.refs) }
 

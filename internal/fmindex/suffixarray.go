@@ -16,12 +16,6 @@ func buildSuffixArray(text []byte) []int32 {
 	return sa
 }
 
-// SuffixArray exposes the production SA-IS builder for benchmarks and
-// diagnostics. text must end with a unique smallest sentinel byte.
-func SuffixArray(text []byte) []int32 {
-	return buildSuffixArray(text)
-}
-
 // sortSuffixes fills sa, which must be zeroed and as long as text,
 // with the suffix array of text. Beyond sa it allocates a 512-entry
 // table, and a larger one only for pathological texts (sais.go).

@@ -83,6 +83,9 @@ const (
 	ModeIngest
 )
 
+// opsPerWorker is each worker's op count.
+const opsPerWorker = 20
+
 // Options configures one harness run.
 type Options struct {
 	// Seed drives every random decision of the run: the workload
@@ -93,8 +96,6 @@ type Options struct {
 	Mode Mode
 	// Workers is the number of concurrent workers (default 3).
 	Workers int
-	// OpsPerWorker is each worker's op count (default 20).
-	OpsPerWorker int
 	// Profile is the fault profile injected under the retry layer.
 	// The zero profile runs fault-free.
 	Profile objectstore.FaultProfile
@@ -113,9 +114,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 3
-	}
-	if o.OpsPerWorker <= 0 {
-		o.OpsPerWorker = 20
 	}
 	o.Profile.Seed = o.Seed
 	if o.Retry != nil {
@@ -482,7 +480,7 @@ func (w *world) checkConservation(start objectstore.Snapshot) error {
 func (w *world) worker(ctx context.Context, id int) error {
 	rng := rand.New(rand.NewSource(w.opts.Seed*1000 + int64(id)))
 	lastVersion := int64(-1)
-	for i := 0; i < w.opts.OpsPerWorker; i++ {
+	for i := 0; i < opsPerWorker; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

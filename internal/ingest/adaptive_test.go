@@ -215,7 +215,6 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
 		PlanCacheTTLVersions: -1,
-		ProbeBatchBytes:      -1,
 	})
 	gen := workload.NewUUIDGen(21)
 	rng := rand.New(rand.NewSource(21 + 11))

@@ -24,7 +24,7 @@ type SchedulerOptions struct {
 	Config core.Config
 	// Writer, if set, is the ingest writer to pressure: the scheduler
 	// pauses it when unindexed rows pass PauseAboveRows and resumes
-	// it below ResumeBelowRows, and its group commits feed the
+	// it below half of that, and its group commits feed the
 	// freshness ledger.
 	Writer *Writer
 	// Specs name the indexes the scheduler keeps fresh. A data file
@@ -39,10 +39,9 @@ type SchedulerOptions struct {
 	// of the configured budget.
 	RequestsPerSec float64
 	// PauseAboveRows pauses the writer once this many acked rows are
-	// not yet index-covered. Default 1<<16. ResumeBelowRows lifts the
-	// pause; default PauseAboveRows/2.
-	PauseAboveRows  int64
-	ResumeBelowRows int64
+	// not yet index-covered, and lifts the pause below half of it.
+	// Default 1<<16.
+	PauseAboveRows int64
 	// Policy tunes the compact and vacuum jobs.
 	Policy core.MaintainPolicy
 	// Adaptive, if set, reorders the index backlog by query heat,
@@ -73,9 +72,6 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	}
 	if o.PauseAboveRows <= 0 {
 		o.PauseAboveRows = 1 << 16
-	}
-	if o.ResumeBelowRows <= 0 {
-		o.ResumeBelowRows = o.PauseAboveRows / 2
 	}
 	if o.TickEvery <= 0 {
 		o.TickEvery = 100 * time.Millisecond
@@ -122,7 +118,7 @@ type ledgerEntry struct {
 // Backpressure state machine:
 //
 //	flowing --(unindexed > PauseAboveRows)--> paused
-//	paused  --(unindexed < ResumeBelowRows)--> flowing
+//	paused  --(unindexed < PauseAboveRows/2)--> flowing
 //
 // In paused state the writer blocks producers while its committer
 // keeps draining, so the unindexed backlog is bounded by the pending
@@ -347,7 +343,7 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 		case unindexed > s.opts.PauseAboveRows && !w.Paused():
 			w.Pause()
 			s.pauses.Inc()
-		case unindexed < s.opts.ResumeBelowRows && w.Paused():
+		case unindexed < s.opts.PauseAboveRows/2 && w.Paused():
 			w.Resume()
 		}
 	}

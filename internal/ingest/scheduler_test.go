@@ -110,8 +110,7 @@ func TestSchedulerIndexesAndMeasuresLag(t *testing.T) {
 func TestSchedulerBackpressureWatermarks(t *testing.T) {
 	ctx := context.Background()
 	w, s, _ := schedWorld(t, SchedulerOptions{
-		PauseAboveRows:  4,
-		ResumeBelowRows: 2,
+		PauseAboveRows: 4,
 	})
 
 	ingestRows(t, ctx, w, "b", 6)
@@ -213,14 +212,13 @@ func TestSchedulerRunRecoversFromBudgetStall(t *testing.T) {
 	tbl := newTestTable(t, stack, clock)
 	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
-		Writer:          w,
-		Clock:           clock,
-		Config:          core.Config{IndexDir: "idx", Clock: clock},
-		Specs:           []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
-		RequestsPerSec:  500,
-		PauseAboveRows:  2,
-		ResumeBelowRows: 1,
-		TickEvery:       5 * time.Millisecond,
+		Writer:         w,
+		Clock:          clock,
+		Config:         core.Config{IndexDir: "idx", Clock: clock},
+		Specs:          []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
+		RequestsPerSec: 500,
+		PauseAboveRows: 2,
+		TickEvery:      5 * time.Millisecond,
 	})
 
 	// Commit a backlog past the pause watermark, then overdraw the
@@ -539,7 +537,7 @@ func jobRequestsBeside(t *testing.T, foreground bool) int64 {
 		}
 		fg := core.NewClient(fgTable, core.Config{
 			IndexDir: "idx", Clock: clock,
-			CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1, ProbeBatchBytes: -1,
+			CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1,
 		})
 		var fgRequests objectstore.Metrics
 		res, err := fg.Search(objectstore.WithTally(ctx, &fgRequests), core.Query{Column: "msg", Substring: []byte("fg-1"), Snapshot: -1})

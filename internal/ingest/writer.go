@@ -35,9 +35,6 @@ type WriterOptions struct {
 	// MaxBatchRows seals the staging micro-batch when it reaches this
 	// many rows. Default 1024.
 	MaxBatchRows int
-	// MaxBatchBytes seals the staging micro-batch when its estimated
-	// in-memory size reaches this many bytes. Default 1 MiB.
-	MaxBatchBytes int64
 	// MaxBatchAge seals the staging micro-batch when its oldest row
 	// has waited this long (by the writer's clock). Age is checked on
 	// Tick, so a caller (the scheduler's run loop, or a test driving
@@ -49,13 +46,9 @@ type WriterOptions struct {
 	GroupCommitBatches int
 	// MaxPendingRows bounds in-flight memory: Append blocks once this
 	// many rows are staged or awaiting commit. When the observed
-	// commit latency exceeds SlowCommit the effective bound halves,
+	// commit latency exceeds 2 s (slowCommit) the effective bound halves,
 	// pushing back on producers before the queue grows. Default 1<<16.
 	MaxPendingRows int
-	// SlowCommit is the commit-latency threshold (exponential moving
-	// average over group commits) above which the writer halves its
-	// pending budget. Default 2s.
-	SlowCommit time.Duration
 	// Parquet are the options for the staged data files.
 	Parquet parquet.WriterOptions
 	// Clock drives batch ages and commit-latency measurement. Nil
@@ -65,18 +58,20 @@ type WriterOptions struct {
 	// on Flush, Tick (age-sealed groups), or Close. Deterministic
 	// drivers (benchmarks, tests) use it to control grouping exactly.
 	Manual bool
-	// OnCommitted, if set, runs after every successful group commit
-	// with the files that landed. The scheduler uses it to feed its
-	// freshness ledger. It must not call back into the writer.
-	OnCommitted func(files []CommittedFile)
 }
+
+// maxBatchBytes seals the staging micro-batch when its estimated
+// in-memory size reaches this many bytes.
+const maxBatchBytes = 1 << 20
+
+// slowCommit is the commit-latency threshold (exponential moving
+// average over group commits) above which the writer halves its
+// pending budget.
+const slowCommit = 2 * time.Second
 
 func (o WriterOptions) withDefaults() WriterOptions {
 	if o.MaxBatchRows <= 0 {
 		o.MaxBatchRows = 1024
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 1 << 20
 	}
 	if o.MaxBatchAge <= 0 {
 		o.MaxBatchAge = 500 * time.Millisecond
@@ -86,9 +81,6 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	}
 	if o.MaxPendingRows <= 0 {
 		o.MaxPendingRows = 1 << 16
-	}
-	if o.SlowCommit <= 0 {
-		o.SlowCommit = 2 * time.Second
 	}
 	if o.Clock == nil {
 		o.Clock = simtime.RealClock{}
@@ -208,9 +200,6 @@ func NewWriter(table *lake.Table, opts WriterOptions) *Writer {
 		commitLatency: reg.Histogram("ingest.commit_latency_ns"),
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if opts.OnCommitted != nil {
-		w.committed = append(w.committed, opts.OnCommitted)
-	}
 	if opts.Manual {
 		close(w.done)
 	} else {
@@ -226,9 +215,8 @@ func (w *Writer) Registry() *obs.Registry { return w.reg }
 func (w *Writer) Table() *lake.Table { return w.table }
 
 // OnCommitted registers fn to run after every successful group
-// commit, alongside any hook set in the options. The scheduler uses
-// it to feed its freshness ledger. fn must not call back into the
-// writer.
+// commit with the files that landed. The scheduler uses it to feed
+// its freshness ledger. fn must not call back into the writer.
 func (w *Writer) OnCommitted(fn func([]CommittedFile)) {
 	w.hookMu.Lock()
 	w.committed = append(w.committed, fn)
@@ -250,7 +238,7 @@ func (w *Writer) fireCommitted(files []CommittedFile) {
 // latency rises).
 func (w *Writer) budgetLocked() int {
 	b := w.opts.MaxPendingRows
-	if w.commitEMA > w.opts.SlowCommit {
+	if w.commitEMA > slowCommit {
 		b /= 2
 	}
 	return b
@@ -313,7 +301,7 @@ func (w *Writer) Append(ctx context.Context, b *parquet.Batch) (*Ack, error) {
 	st.acks = append(st.acks, ack)
 	w.pending += rows
 	w.pendingGauge.Set(int64(w.pending))
-	if st.rows >= w.opts.MaxBatchRows || st.bytes >= w.opts.MaxBatchBytes {
+	if st.rows >= w.opts.MaxBatchRows || st.bytes >= maxBatchBytes {
 		w.sealLocked()
 	}
 	w.cond.Broadcast()

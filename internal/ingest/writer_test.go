@@ -370,6 +370,82 @@ func TestWriterBackpressure(t *testing.T) {
 	}
 }
 
+// slowStore advances the clock by delay inside every conditional PUT
+// (the commit primitive), so a group commit takes delay of the
+// writer's clock.
+type slowStore struct {
+	objectstore.Store
+	clock *simtime.VirtualClock
+	delay time.Duration
+}
+
+func (s *slowStore) PutIfAbsent(ctx context.Context, key string, data []byte) error {
+	s.clock.Advance(s.delay)
+	return s.Store.PutIfAbsent(ctx, key, data)
+}
+
+// TestWriterSlowCommitHalvesBudget pins the slow-commit backpressure:
+// once the commit-latency EMA passes 2 s the pending-row budget
+// halves, and it is restored only when fast commits bring the EMA
+// back under. The EMA weighs each new commit by 1/4: 3 s, then
+// 2.25 s, then 1.69 s.
+func TestWriterSlowCommitHalvesBudget(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	mem := objectstore.NewMemStore(clock)
+	newTestTable(t, mem, clock) // create "tbl" on the raw store
+	store := &slowStore{Store: mem, clock: clock}
+	tbl, err := lake.OpenWith(ctx, store, "tbl", lake.OpenOptions{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(tbl, WriterOptions{MaxPendingRows: 4, Clock: clock, Manual: true})
+	defer w.Close(ctx)
+
+	// commit lands one staged row in a commit that takes delay.
+	commit := func(delay time.Duration) {
+		t.Helper()
+		if _, err := w.Append(ctx, msgBatch("a")); err != nil {
+			t.Fatal(err)
+		}
+		store.delay = delay
+		if err := w.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// fits reports whether, with one row pending, an Append of two
+	// more gets in: 3 rows fit the full budget of 4, not a halved 2.
+	fits := func() bool {
+		t.Helper()
+		if _, err := w.Append(ctx, msgBatch("b")); err != nil {
+			t.Fatal(err)
+		}
+		short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer cancel()
+		_, err := w.Append(short, msgBatch("c", "d"))
+		if err != nil && err != context.DeadlineExceeded {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
+
+	if !fits() {
+		t.Fatal("append blocked before any commit")
+	}
+	commit(3 * time.Second) // EMA 3 s
+	if fits() {
+		t.Fatal("EMA 3 s: append of 3 pending rows went through, want the budget halved to 2")
+	}
+	commit(0) // EMA 2.25 s
+	if fits() {
+		t.Fatal("EMA 2.25 s: append of 3 pending rows went through, want the budget still halved")
+	}
+	commit(0) // EMA 1.69 s
+	if !fits() {
+		t.Fatal("EMA 1.69 s: append of 3 pending rows blocked, want the full budget of 4")
+	}
+}
+
 // TestWriterConcurrentProducers exercises the auto-mode committer
 // with many concurrent producers (the -race gate for the writer): all
 // acks resolve successfully and every row is visible exactly once.

@@ -47,16 +47,6 @@ func (d *DeletionVector) Len() int {
 	return len(d.rows)
 }
 
-// Union folds other's rows into d.
-func (d *DeletionVector) Union(other *DeletionVector) {
-	if other == nil {
-		return
-	}
-	for r := range other.rows {
-		d.rows[r] = struct{}{}
-	}
-}
-
 // Rows returns the deleted rows in ascending order.
 func (d *DeletionVector) Rows() []uint32 {
 	if d == nil {

@@ -18,14 +18,9 @@ import (
 type RetryPolicy struct {
 	// MaxAttempts bounds the tries per operation (first attempt
 	// included) that fail with non-throttle retryable errors.
-	// Defaults to 6.
+	// Defaults to 6. Tries consumed by throttles have their own,
+	// larger bound (throttleAttempts).
 	MaxAttempts int
-	// ThrottleAttempts separately bounds tries consumed by throttles
-	// (503 SlowDown). Throttling is correlated — a shedding store
-	// throttles whole windows of requests — so waiting it out needs a
-	// larger budget than generic transient errors. Defaults to
-	// 4*MaxAttempts.
-	ThrottleAttempts int
 	// BaseDelay is the backoff before the first retry. Defaults to
 	// 20ms.
 	BaseDelay time.Duration
@@ -49,9 +44,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 6
 	}
-	if p.ThrottleAttempts <= 0 {
-		p.ThrottleAttempts = 4 * p.MaxAttempts
-	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 20 * time.Millisecond
 	}
@@ -69,6 +61,12 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	return p
 }
+
+// throttleAttempts bounds the tries consumed by throttles (503
+// SlowDown). Throttling is correlated — a shedding store throttles
+// whole windows of requests — so waiting it out needs a larger budget
+// than generic transient errors.
+func (p RetryPolicy) throttleAttempts() int { return 4 * p.MaxAttempts }
 
 // errClass is the retry classification of an error.
 type errClass int
@@ -223,7 +221,7 @@ func (s *RetryStore) do(ctx context.Context, op func() error) error {
 		case class == classPermanent:
 			return err
 		case class == classThrottle:
-			if throttles++; throttles >= s.policy.ThrottleAttempts {
+			if throttles++; throttles >= s.policy.throttleAttempts() {
 				return err
 			}
 			s.throttleWaits.Add(1)
@@ -300,7 +298,7 @@ func (s *RetryStore) PutIfAbsent(ctx context.Context, key string, data []byte) e
 		// back off and try the put again.
 		throttled := classifyErr(err) == classThrottle
 		if throttled {
-			if throttles++; throttles >= s.policy.ThrottleAttempts {
+			if throttles++; throttles >= s.policy.throttleAttempts() {
 				return err
 			}
 			s.throttleWaits.Add(1)

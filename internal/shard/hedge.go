@@ -8,9 +8,13 @@ import (
 	"rottnest/internal/obs"
 )
 
+// minHedgeDelay floors the hedge deadline so cheap cache-hit queries
+// never hedge.
+const minHedgeDelay = time.Millisecond
+
 // hedger tracks one shard's recent primary-attempt latencies and
 // derives the hedge deadline: the configured percentile of the
-// sliding window, floored at MinDelay. With an empty window the
+// sliding window, floored at minHedgeDelay. With an empty window the
 // deadline is effectively infinite, so the first query on a cold
 // shard never hedges.
 type hedger struct {
@@ -40,12 +44,12 @@ func (h *hedger) observe(d time.Duration) {
 }
 
 // deadline returns the current hedge deadline: the window's
-// nearest-rank percentile (obs.Quantile), floored at MinDelay.
+// nearest-rank percentile (obs.Quantile), floored at minHedgeDelay.
 func (h *hedger) deadline() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.window) == 0 {
 		return math.MaxInt64
 	}
-	return max(obs.Quantile(h.window, h.opts.Percentile), h.opts.MinDelay)
+	return max(obs.Quantile(h.window, h.opts.Percentile), minHedgeDelay)
 }

@@ -126,8 +126,7 @@ func TestHedgeDeterminism(t *testing.T) {
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
 		PlanCacheTTLVersions: -1,
-		ProbeBatchBytes:      -1,
-		Hedge:                HedgeOptions{Enabled: true, Percentile: 0.5, MinDelay: time.Millisecond, Window: 8},
+		Hedge:                HedgeOptions{Enabled: true, Percentile: 0.5, Window: 8},
 		ReplicaWrap: func(shard, replica int, s objectstore.Store) objectstore.Store {
 			delay := fastDelay
 			if replica == 1 {

@@ -83,7 +83,6 @@ func New(ctx context.Context, store objectstore.Store, root string, opts Options
 				CacheBytes:           -1, // the worker stack above carries the byte cache
 				DecodedCacheBytes:    decodedBudget,
 				PlanCacheTTLVersions: opts.PlanCacheTTLVersions,
-				ProbeBatchBytes:      opts.ProbeBatchBytes,
 			})}
 		}
 		r.workers[s] = row

@@ -111,7 +111,6 @@ func TestShardedServing(t *testing.T) {
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
 		PlanCacheTTLVersions: -1,
-		ProbeBatchBytes:      -1,
 	})
 	gen := workload.NewUUIDGen(13)
 	var keys [][16]byte
@@ -145,7 +144,6 @@ func TestShardedServing(t *testing.T) {
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
 		PlanCacheTTLVersions: -1,
-		ProbeBatchBytes:      -1,
 	}
 
 	wantQPS := map[int]float64{1: 21.713, 2: 27.736, 4: 32.201}

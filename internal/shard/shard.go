@@ -38,9 +38,6 @@ type HedgeOptions struct {
 	// Percentile of the shard's sliding latency window used as the
 	// hedge deadline (0 < p < 1; default 0.9).
 	Percentile float64
-	// MinDelay floors the deadline so cheap cache-hit queries never
-	// hedge. Default 1ms.
-	MinDelay time.Duration
 	// Window is the sliding latency window length. Default 64.
 	Window int
 }
@@ -48,9 +45,6 @@ type HedgeOptions struct {
 func (h HedgeOptions) withDefaults() HedgeOptions {
 	if h.Percentile <= 0 || h.Percentile >= 1 {
 		h.Percentile = 0.9
-	}
-	if h.MinDelay <= 0 {
-		h.MinDelay = time.Millisecond
 	}
 	if h.Window <= 0 {
 		h.Window = 64
@@ -95,12 +89,12 @@ type Options struct {
 	// per-worker byte caches entirely.
 	CacheBytes int64
 	// DecodedCacheBytes is the total decoded-object cache budget
-	// split across workers (0 = default total; negative disables).
+	// split across workers (0 = default total; negative disables it,
+	// and each worker's probe batcher with it).
 	DecodedCacheBytes int64
-	// PlanCacheTTLVersions and ProbeBatchBytes are passed through to
-	// every worker's core.Config unchanged.
+	// PlanCacheTTLVersions is passed through to every worker's
+	// core.Config unchanged.
 	PlanCacheTTLVersions int
-	ProbeBatchBytes      int64
 
 	// Hedge tunes hedged replica requests.
 	Hedge HedgeOptions

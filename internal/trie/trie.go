@@ -86,14 +86,16 @@ func compareEntries(a, b *Entry) int {
 	return a.BitLen - b.BitLen
 }
 
+// extraBits is the number of bits indexed beyond each key's unique
+// prefix. The paper uses 8.
+const extraBits = 8
+
+// minBits floors the truncated path length so every path covers at
+// least the root lookup-table depth.
+const minBits = 16
+
 // BuildOptions tune trie construction.
 type BuildOptions struct {
-	// ExtraBits is the number of bits indexed beyond each key's
-	// unique prefix. The paper uses 8.
-	ExtraBits int
-	// MinBits floors the truncated path length so every path covers
-	// at least the root lookup-table depth.
-	MinBits int
 	// TargetComponentBytes bounds the serialized size of each leaf
 	// component. Defaults to 128 KiB — squarely in the flat region of
 	// the object-store latency curve.
@@ -101,12 +103,6 @@ type BuildOptions struct {
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
-	if o.ExtraBits <= 0 {
-		o.ExtraBits = 8
-	}
-	if o.MinBits < 16 {
-		o.MinBits = 16
-	}
 	if o.TargetComponentBytes <= 0 {
 		o.TargetComponentBytes = 128 << 10
 	}
@@ -192,7 +188,7 @@ func BuildInto(b *component.Builder, keys [][16]byte, refs []postings.PageRef, o
 		flats = append(flats, flat{key: keys[i], refs: []postings.PageRef{refs[i]}})
 	}
 
-	// Truncate each key to LCP+1+ExtraBits. Each entry reads only its
+	// Truncate each key to LCP+1+extraBits. Each entry reads only its
 	// immediate neighbours, so the pass parallelizes cleanly.
 	entries := make([]*Entry, len(flats))
 	parallel.ForEach(len(flats), func(i int) {
@@ -206,13 +202,7 @@ func BuildInto(b *component.Builder, keys [][16]byte, refs []postings.PageRef, o
 				lcp = l
 			}
 		}
-		bitLen := lcp + 1 + opts.ExtraBits
-		if bitLen < opts.MinBits {
-			bitLen = opts.MinBits
-		}
-		if bitLen > keyBits {
-			bitLen = keyBits
-		}
+		bitLen := min(max(lcp+1+extraBits, minBits), keyBits)
 		entries[i] = truncate(f.key, bitLen, f.refs)
 	})
 	serializeInto(b, entries, opts)

@@ -285,7 +285,7 @@ type (
 	// TraceNode is one node of a finished span tree, as returned by
 	// Client.Trace; it serializes to JSON and renders via RenderTrace.
 	TraceNode = obs.Node
-	// TraceSpan is a live span created by WithTrace or StartSpan.
+	// TraceSpan is a live span created by WithTrace.
 	TraceSpan = obs.Span
 	// MetricsSnapshot is a point-in-time view of every metric
 	// (counters, gauges, histograms), as returned by Client.Metrics.
@@ -301,18 +301,12 @@ func WithTrace(ctx context.Context, name string) (context.Context, *TraceSpan) {
 	return obs.WithTrace(ctx, name)
 }
 
-// StartSpan opens a child span under the trace carried by ctx; it is
-// a no-op (nil span, same ctx) when ctx carries no trace, so
-// libraries can call it unconditionally.
-func StartSpan(ctx context.Context, name string) (context.Context, *TraceSpan) {
-	return obs.Start(ctx, name)
-}
-
 // RenderTrace writes an indented, human-readable rendering of a span
 // tree — the text form of "EXPLAIN ANALYZE".
 func RenderTrace(w io.Writer, n *TraceNode) error { return obs.RenderText(w, n) }
 
-// Clock abstracts time for simulation; see NewVirtualClock.
+// Clock abstracts time for simulation; NewSimulatedStore returns a
+// virtual one.
 type Clock = simtime.Clock
 
 // Session tracks virtual latency of one logical operation.
@@ -370,9 +364,6 @@ func NewDirStore(dir string) (Store, error) {
 	return objectstore.NewDirStore(dir)
 }
 
-// NewVirtualClock returns a manually advanced clock for simulations.
-func NewVirtualClock() *simtime.VirtualClock { return simtime.NewVirtualClock() }
-
 // NewSession returns a fresh virtual-latency session.
 func NewSession() *Session { return simtime.NewSession() }
 
@@ -413,7 +404,8 @@ func OpenTableWith(ctx context.Context, store Store, root string, opts TableOpti
 
 // NewClient returns a Rottnest client over the table. The clock
 // driving timeouts and vacuum decisions comes from cfg.Clock; leave it
-// nil for the real wall clock, or set a VirtualClock for simulations.
+// nil for the real wall clock, or set NewSimulatedStore's virtual
+// clock for simulations.
 func NewClient(table *Table, cfg Config) *Client {
 	return core.NewClient(table, cfg)
 }
@@ -477,7 +469,7 @@ type (
 	// Autopilot evaluates the TCO phase diagram per column from live
 	// measurements and exposes index/scan/deep verdicts.
 	Autopilot = adaptive.Autopilot
-	// AutopilotOptions tune an Autopilot (pricing, horizon, refresh
+	// AutopilotOptions tune an Autopilot (pricing, scan model, refresh
 	// cadence, scale factor).
 	AutopilotOptions = adaptive.AutopilotOptions
 	// AdaptivePolicy plugs a HeatLedger and an Autopilot into a
@@ -486,7 +478,7 @@ type (
 	// vector indexes refine progressively under probe traffic.
 	AdaptivePolicy = adaptive.Policy
 	// AdaptivePolicyOptions wire an AdaptivePolicy (ledger, autopilot,
-	// client, hot-subset bounds).
+	// client, refinement).
 	AdaptivePolicyOptions = adaptive.PolicyOptions
 )
 
