@@ -11,6 +11,7 @@ package bruteforce
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"rottnest/internal/insitu"
@@ -147,15 +148,34 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 		file     int
 		group    int
 		firstRow int64
+		bytes    int64
 	}
 	var units []unit
 	for fi, meta := range metas {
 		var row int64
 		for gi, g := range meta.RowGroups {
-			units = append(units, unit{file: fi, group: gi, firstRow: row})
+			u := unit{file: fi, group: gi, firstRow: row}
+			for _, ci := range cis {
+				u.bytes += g.Chunks[ci].Size
+			}
+			units = append(units, u)
 			row += g.NumRows
 		}
 	}
+	// Largest units first, as Spark orders file splits before packing
+	// them, with ties by (path, row group): which units share a wave
+	// of workers then depends on the data alone, not on the order of
+	// the snapshot's file names.
+	sort.Slice(units, func(i, j int) bool {
+		a, b := units[i], units[j]
+		if a.bytes != b.bytes {
+			return a.bytes > b.bytes
+		}
+		if files[a.file].Path != files[b.file].Path {
+			return files[a.file].Path < files[b.file].Path
+		}
+		return a.group < b.group
+	})
 
 	outs := make([][]insitu.Match, len(units))
 	// With no session the scan still runs in parallel, just without
@@ -164,14 +184,12 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 		u := units[i]
 		f := files[u.file]
 		cols := make([][][]byte, len(cis))
-		var chunkBytes int64
 		for k, ci := range cis {
 			vals, err := parquet.ReadColumnChunk(ctx, c.table.Store(), c.table.Root()+f.Path, metas[u.file], u.group, ci)
 			if err != nil {
 				return err
 			}
 			cols[k] = vals.Bytes
-			chunkBytes += metas[u.file].RowGroups[u.group].Chunks[ci].Size
 		}
 		n := len(cols[0])
 		var ms []insitu.Match
@@ -194,7 +212,7 @@ func (c *Cluster) ScanColumns(ctx context.Context, snapshotVersion int64, column
 		}
 		outs[i] = ms
 		// Decode/compute cost on top of the store's transfer time.
-		simtime.Charge(ctx, time.Duration(float64(chunkBytes)/c.cfg.DecodeBps*float64(time.Second)))
+		simtime.Charge(ctx, time.Duration(float64(u.bytes)/c.cfg.DecodeBps*float64(time.Second)))
 		return nil
 	})
 	if err != nil {

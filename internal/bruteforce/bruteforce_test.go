@@ -126,6 +126,50 @@ func TestScalingShapeMatchesFig8(t *testing.T) {
 	}
 }
 
+// TestScanLatencyIndependentOfFileNames scans two tables of identical
+// content, whose files of different sizes get different random names,
+// at widths between one and the number of scan units and past it: the
+// latency must not depend on the order of the names.
+func TestScanLatencyIndependentOfFileNames(t *testing.T) {
+	build := func() *lake.Table {
+		ctx := context.Background()
+		clock := simtime.NewVirtualClock()
+		store, _ := objectstore.Instrument(objectstore.NewMemStore(clock), objectstore.DefaultS3Model())
+		table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := workload.NewTextGen(workload.DefaultTextConfig(1))
+		for _, n := range []int{60, 200, 110, 170, 80} {
+			b := parquet.NewBatch(schema)
+			b.Cols[0].Bytes = make([][]byte, n)
+			for i, d := range gen.Docs(n) {
+				b.Cols[0].Bytes[i] = []byte(d)
+			}
+			if _, err := table.Append(ctx, b, parquet.WriterOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return table
+	}
+	tables := []*lake.Table{build(), build()}
+	for _, workers := range []int{2, 3, 8} {
+		var latency [2]time.Duration
+		for i, table := range tables {
+			ctx := simtime.With(context.Background(), simtime.NewSession())
+			_, report, err := NewCluster(table, ClusterConfig{Workers: workers}).ScanColumns(ctx, -1, []string{"body"}, 0,
+				func([][]byte) (bool, float64) { return false, 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			latency[i] = report.Latency
+		}
+		if latency[0] != latency[1] {
+			t.Fatalf("%d workers: latency %v on one table, %v on its copy", workers, latency[0], latency[1])
+		}
+	}
+}
+
 func TestScanUnknownColumn(t *testing.T) {
 	table, _ := newLake(t, 1, 10)
 	cluster := NewCluster(table, ClusterConfig{})

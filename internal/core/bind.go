@@ -36,15 +36,10 @@ type execEnv struct {
 	// vector cover (ranked queries only).
 	vecEntries []meta.IndexEntry
 	vecCovered map[string]bool
-	// cols are the needed columns as read templates, in the
-	// deterministic order residual evaluation sees their values;
-	// colPos is the inverse. vecPos and output are the positions of
-	// the ranker's column (-1 for pure-filter plans) and of the column
-	// that populates Match.Value.
-	cols           []insitu.ColumnRead
-	colPos         map[string]int
-	vecPos, output int
-	stats          *Stats
+	// cols are the needed columns as read templates, in the order of
+	// shape.columns, the order the read stage's runs hold them.
+	cols  []insitu.ColumnRead
+	stats *Stats
 }
 
 // bind plans one round against a resolved snapshot and the listings of
@@ -75,8 +70,6 @@ func bind(cq CompoundQuery, shape *planShape, snap *lake.Snapshot, listings [][]
 		cq: cq, shape: shape, searched: searched,
 		active:     make(map[string]bool, len(searched)),
 		fileByPath: make(map[string]lake.DataFile, len(searched)),
-		colPos:     make(map[string]int),
-		vecPos:     -1,
 		stats:      &Stats{PrunedFiles: len(snap.Files) - len(searched)},
 	}
 	for _, f := range searched {
@@ -113,16 +106,6 @@ func bind(cq CompoundQuery, shape *planShape, snap *lake.Snapshot, listings [][]
 		}
 		return cv
 	}
-	addColumn := func(name string) int {
-		pos, ok := env.colPos[name]
-		if !ok {
-			pos = len(env.cols)
-			env.colPos[name] = pos
-			ci := snap.Schema.ColumnIndex(name)
-			env.cols = append(env.cols, insitu.ColumnRead{Name: name, Col: snap.Schema.Columns[ci], ColIdx: ci})
-		}
-		return pos
-	}
 	for i, lp := range shape.leaves {
 		le := &leafExec{plan: lp, covered: map[string]bool{}}
 		if lp.indexable {
@@ -130,14 +113,16 @@ func bind(cq CompoundQuery, shape *planShape, snap *lake.Snapshot, listings [][]
 			le.chosen, le.covered = cv.chosen, cv.covered
 		}
 		env.leaves = append(env.leaves, le)
-		addColumn(lp.pred.Column)
 	}
 	if shape.vector != nil {
 		cv := coverFor(len(shape.units) - 1)
 		env.vecEntries, env.vecCovered = cv.chosen, cv.covered
-		env.vecPos = addColumn(shape.vector.Column)
 	}
-	env.output = env.colPos[shape.output]
+	env.cols = make([]insitu.ColumnRead, len(shape.columns))
+	for i, name := range shape.columns {
+		ci := snap.Schema.ColumnIndex(name)
+		env.cols[i] = insitu.ColumnRead{Name: name, Col: snap.Schema.Columns[ci], ColIdx: ci}
+	}
 
 	// Snapshot partition stats. A file counts as covered when every
 	// leaf's cover (and the vector cover, for ranked queries) includes

@@ -265,12 +265,8 @@ func (a *inputAssembler) addFile(fi int, f ManifestFile, col parquet.ColumnValue
 	}
 }
 
-// decodeVector unpacks a little-endian float32 column value.
-func decodeVector(v []byte, dim int) []float32 {
-	return decodeVectorInto(make([]float32, dim), v)
-}
-
-// decodeVectorInto is decodeVector into out, cut to the floats v holds.
+// decodeVectorInto unpacks a little-endian float32 column value into
+// out, cut to the floats v holds.
 func decodeVectorInto(out []float32, v []byte) []float32 {
 	out = out[:min(len(out), len(v)/4)]
 	for i := range out {

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 
 	"rottnest/internal/component"
+	"rottnest/internal/insitu"
 )
 
 // Op is a compound-expression node type.
@@ -287,8 +288,15 @@ type planShape struct {
 	// units names the metadata listings the plan needs: one per exact
 	// leaf, then one for the vector leaf, so cached listings align.
 	units []probeUnit
-	// output is the column whose value populates Match.Value.
-	output string
+	// columns are the columns the read stage reads, in the order its
+	// runs hold them: the exact leaves' columns in leaf order, then the
+	// ranker's. vecPos and outPos are the positions of the ranker's
+	// column (-1 for pure-filter plans) and of the output column, whose
+	// value populates Match.Value.
+	columns        []string
+	vecPos, outPos int
+	// kernel is the filter tree and ranker compiled for the read stage.
+	kernel insitu.Kernel
 }
 
 // probeUnit names one metadata listing a plan needs.
@@ -319,8 +327,8 @@ type leafPlan struct {
 	// no usable literal): the leaf admits every row and is checked
 	// purely in situ.
 	indexable bool
-	// match re-checks the predicate against a raw value (exact).
-	match func(v []byte) bool
+	// re is a regex leaf's compiled expression, for the exact re-check.
+	re *regexp.Regexp
 }
 
 // firstLeafColumn returns the column of the first leaf in the tree as
@@ -409,10 +417,9 @@ func compileShape(cq CompoundQuery) (*planShape, error) {
 		return nil, fmt.Errorf("core: negative K")
 	}
 
-	shape := &planShape{root: root, filter: filter, vector: vector}
+	shape := &planShape{root: root, filter: filter, vector: vector, vecPos: -1}
 
 	// Compile the exact leaves in canonical order.
-	colSet := make(map[string]bool)
 	var compileLeaves func(e *Expr) error
 	compileLeaves = func(e *Expr) error {
 		if e.Op != OpLeaf {
@@ -428,7 +435,6 @@ func compileShape(cq CompoundQuery) (*planShape, error) {
 			return err
 		}
 		shape.leaves = append(shape.leaves, lp)
-		colSet[e.Pred.Column] = true
 		return nil
 	}
 	if filter != nil {
@@ -438,9 +444,10 @@ func compileShape(cq CompoundQuery) (*planShape, error) {
 	}
 	for _, lp := range shape.leaves {
 		shape.units = append(shape.units, probeUnit{column: lp.pred.Column, kind: lp.kind})
+		shape.addColumn(lp.pred.Column)
 	}
 	if vector != nil {
-		colSet[vector.Column] = true
+		shape.vecPos = shape.addColumn(vector.Column)
 		shape.units = append(shape.units, probeUnit{column: vector.Column, kind: component.KindIVFPQ})
 		shape.nprobe = defaultNProbe(vector.NProbe)
 		shape.refine = vector.Refine
@@ -468,11 +475,34 @@ func compileShape(cq CompoundQuery) (*planShape, error) {
 			output = firstLeafColumn(cq.Expr)
 		}
 	}
-	if !colSet[output] {
+	shape.outPos = shape.columnPos(output)
+	if shape.outPos < 0 {
 		return nil, fmt.Errorf("core: output column %q is not referenced by any predicate", output)
 	}
-	shape.output = output
+	shape.kernel = shape.compileKernel()
 	return shape, nil
+}
+
+// columnPos returns the position of the named column in s.columns, or
+// -1 when the plan reads no such column.
+func (s *planShape) columnPos(name string) int {
+	for i, c := range s.columns {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// addColumn returns the named column's position, appending it to
+// s.columns when new.
+func (s *planShape) addColumn(name string) int {
+	pos := s.columnPos(name)
+	if pos < 0 {
+		pos = len(s.columns)
+		s.columns = append(s.columns, name)
+	}
+	return pos
 }
 
 // compileLeaf builds the execution form of one exact leaf.
@@ -486,11 +516,8 @@ func compileLeaf(p *Pred) (*leafPlan, error) {
 	case p.UUID != nil:
 		key := *p.UUID
 		lp.pattern = key[:]
-		lp.match = func(v []byte) bool { return bytes.Equal(v, key[:]) }
 	case p.Substring != nil:
-		pat := p.Substring
-		lp.pattern = pat
-		lp.match = func(v []byte) bool { return bytes.Contains(v, pat) }
+		lp.pattern = p.Substring
 	case p.Regex != "":
 		lit, err := requiredLiteral(p.Regex)
 		if err != nil {
@@ -502,7 +529,7 @@ func compileLeaf(p *Pred) (*leafPlan, error) {
 		}
 		lp.pattern = lit
 		lp.indexable = len(lit) >= minRegexLiteral
-		lp.match = re.Match
+		lp.re = re
 	default:
 		return nil, fmt.Errorf("core: vector predicate %q cannot be a filter leaf", p.Column)
 	}

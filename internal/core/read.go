@@ -41,7 +41,7 @@ func (e *execEnv) planReads(f lake.DataFile, rows []postings.RowRange, tables ma
 	for i, cr := range e.cols {
 		table, known := tables[cr.Name]
 		switch {
-		case i == e.vecPos:
+		case i == e.shape.vecPos:
 			cr.Pages, cr.Scan = vecPages, vecPages == nil
 		case known:
 			for _, p := range table {
@@ -59,64 +59,54 @@ func (e *execEnv) planReads(f lake.DataFile, rows []postings.RowRange, tables ma
 	return t
 }
 
-// buildEval compiles the filter tree into one per-row check over the
-// residual values, in env.cols order. Every leaf re-checks its exact
-// predicate, so index false positives die here.
-func buildEval(e *Expr, env *execEnv) func(vals [][]byte) bool {
-	idx := 0
-	var build func(e *Expr) func([][]byte) bool
-	build = func(e *Expr) func([][]byte) bool {
-		if e.Op == OpLeaf {
-			le := env.leaves[idx]
-			idx++
-			pos := env.colPos[le.plan.pred.Column]
-			match := le.plan.match
-			return func(vals [][]byte) bool { return vals[pos] != nil && match(vals[pos]) }
-		}
-		kids := make([]func([][]byte) bool, len(e.Children))
-		for i, c := range e.Children {
-			kids[i] = build(c)
-		}
-		if e.Op == OpAnd {
-			return func(vals [][]byte) bool {
-				for _, k := range kids {
-					if !k(vals) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		return func(vals [][]byte) bool {
-			for _, k := range kids {
-				if k(vals) {
-					return true
+// compileKernel compiles the filter tree and the ranker into the read
+// stage's one kernel over s.columns. Every leaf re-checks its exact
+// predicate, so index false positives die here, and a ranked plan
+// scores the rows that survive by their exact distance.
+func (s *planShape) compileKernel() insitu.Kernel {
+	var filter insitu.Kernel
+	if s.filter != nil {
+		idx := 0
+		var build func(e *Expr) insitu.Kernel
+		build = func(e *Expr) insitu.Kernel {
+			if e.Op == OpLeaf {
+				lp := s.leaves[idx]
+				idx++
+				col := s.columnPos(lp.pred.Column)
+				switch {
+				case lp.pred.UUID != nil:
+					return insitu.UUIDKernel(col, *lp.pred.UUID)
+				case lp.pred.Substring != nil:
+					return insitu.SubstringKernel(col, lp.pred.Substring)
+				default:
+					return insitu.MatchKernel(col, lp.re.Match)
 				}
 			}
-			return false
+			kids := make([]insitu.Kernel, len(e.Children))
+			for i, c := range e.Children {
+				kids[i] = build(c)
+			}
+			if e.Op == OpAnd {
+				return insitu.AndKernel(kids...)
+			}
+			return insitu.OrKernel(kids...)
 		}
+		filter = build(s.filter)
 	}
-	return build(e)
-}
-
-// rowEval is the plan's per-row verdict: the filter tree's exact
-// re-check and, for a ranked plan, the exact distance as the score.
-func (e *execEnv) rowEval() insitu.RowEval {
-	check := func([][]byte) bool { return true }
-	if e.shape.filter != nil {
-		check = buildEval(e.shape.filter, e)
+	if s.vector == nil {
+		return filter
 	}
-	vp := e.shape.vector
-	if vp == nil {
-		return func(_ int64, vals [][]byte) (bool, float64) { return check(vals), 0 }
-	}
-	dim, vecPos := len(vp.Vector), e.vecPos
-	return func(_ int64, vals [][]byte) (bool, float64) {
-		if vals[vecPos] == nil || !check(vals) {
-			return false, 0
+	q := s.vector.Vector
+	return insitu.RankKernel(filter, s.vecPos, func(v []byte) float64 {
+		// Up to 64 dimensions decode into a buffer on the stack, so
+		// scoring a row allocates nothing at usual widths.
+		var buf [64]float32
+		x := buf[:]
+		if len(q) > len(x) {
+			x = make([]float32, len(q))
 		}
-		return true, float64(ivfpq.L2Sq(vp.Vector, decodeVector(vals[vecPos], dim)))
-	}
+		return float64(ivfpq.L2Sq(q, decodeVectorInto(x[:len(q)], v)))
+	})
 }
 
 // readPages is how a search turns page locations into values: every
@@ -162,8 +152,8 @@ func (c *Client) readPages(ctx context.Context, store objectstore.Store, key str
 }
 
 // evalTargets reads and evaluates targets in parallel under the named
-// phase span, one EvalPages pass per file.
-func (c *Client) evalTargets(ctx context.Context, env *execEnv, phase string, targets []*fileTarget, eval insitu.RowEval) ([]insitu.Match, error) {
+// phase span, one EvalPagesWith pass per file.
+func (c *Client) evalTargets(ctx context.Context, env *execEnv, phase string, targets []*fileTarget) ([]insitu.Match, error) {
 	ectx, span := obs.Start(ctx, phase)
 	defer span.End()
 	span.SetAttr("files", len(targets))
@@ -180,7 +170,7 @@ func (c *Client) evalTargets(ctx context.Context, env *execEnv, phase string, ta
 		if err != nil {
 			return err
 		}
-		outs[i], fetched[i], err = insitu.EvalPagesWith(ctx, c.readPages, c.store, c.table.Root()+t.file.Path, t.file.Path, t.cols, t.surviving, dv, eval, env.output)
+		outs[i], fetched[i], err = insitu.EvalPagesWith(ctx, c.readPages, c.store, c.table.Root()+t.file.Path, t.file.Path, t.cols, t.surviving, dv, env.shape.kernel, env.shape.outPos)
 		return err
 	})
 	if err != nil {
@@ -198,10 +188,10 @@ func (c *Client) evalTargets(ctx context.Context, env *execEnv, phase string, ta
 // cannot serve, order, and cut to K. A pure-filter plan scans only
 // while the page-driven results cannot satisfy the query (Section IV-B
 // step 3); a ranked plan must score all data, so it always scans.
-func (c *Client) finish(ctx context.Context, env *execEnv, matches []insitu.Match, scan []*fileTarget, eval insitu.RowEval) (*Result, error) {
+func (c *Client) finish(ctx context.Context, env *execEnv, matches []insitu.Match, scan []*fileTarget) (*Result, error) {
 	ranked := env.shape.vector != nil
 	if len(scan) > 0 && (ranked || env.cq.K <= 0 || len(matches) < env.cq.K) {
-		scanned, err := c.evalTargets(ctx, env, "search.scan", scan, eval)
+		scanned, err := c.evalTargets(ctx, env, "search.scan", scan)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +219,6 @@ func (c *Client) finish(ctx context.Context, env *execEnv, matches []insitu.Matc
 // under AND/OR): probe once per index file, intersect in memory, then
 // one single-pass read per surviving file.
 func (c *Client) execExact(ctx context.Context, env *execEnv) (*Result, error) {
-	eval := env.rowEval()
 	var scan []*fileTarget
 	pass := func(unbounded bool) ([]insitu.Match, bool, error) {
 		p, err := c.probe(ctx, env, unbounded)
@@ -245,7 +234,7 @@ func (c *Client) execExact(ctx context.Context, env *execEnv) (*Result, error) {
 		var pageDriven []*fileTarget
 		pageDriven, scan = env.exactTargets(p, span)
 		span.End()
-		matches, err := c.evalTargets(ctx, env, "search.read", pageDriven, eval)
+		matches, err := c.evalTargets(ctx, env, "search.read", pageDriven)
 		return matches, p.truncated, err
 	}
 	matches, truncated, err := pass(false)
@@ -257,7 +246,7 @@ func (c *Client) execExact(ctx context.Context, env *execEnv) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.finish(ctx, env, matches, scan, eval)
+	return c.finish(ctx, env, matches, scan)
 }
 
 // execVector runs ranked plans: IVF-PQ candidate generation and the
@@ -266,7 +255,6 @@ func (c *Client) execExact(ctx context.Context, env *execEnv) (*Result, error) {
 // admitted page once, and exhaustive scoring of files the vector cover
 // misses.
 func (c *Client) execVector(ctx context.Context, env *execEnv) (*Result, error) {
-	eval := env.rowEval()
 	p, err := c.probe(ctx, env, false)
 	if err != nil {
 		return nil, err
@@ -279,10 +267,10 @@ func (c *Client) execVector(ctx context.Context, env *execEnv) (*Result, error) 
 	span.End()
 	readCtx, readSpan := obs.Start(ctx, "search.read")
 	readSpan.SetAttr("candidates", kept)
-	matches, err := c.evalTargets(readCtx, env, "search.refine", refine, eval)
+	matches, err := c.evalTargets(readCtx, env, "search.refine", refine)
 	readSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	return c.finish(ctx, env, matches, scan, eval)
+	return c.finish(ctx, env, matches, scan)
 }

@@ -8,11 +8,12 @@ import (
 	"rottnest/internal/parquet"
 )
 
-// TestColValuesCursorMatchesBinarySearch checks the per-column page
-// cursor against the binary search it replaced: over page sets with
-// gaps, rows asked in ascending order with skips (the row loop), rows
-// in no order at all, and rows before, between and after the pages,
-// both return the same value.
+// TestColValuesCursorMatchesBinarySearch checks the run walker's
+// per-column page cursor against a binary search: over page sets with
+// gaps, runs started at rows in ascending order with skips (the run
+// loop), rows in no order at all, and rows before, between and after
+// the pages, both give the same value for every row the walker's span
+// covers.
 func TestColValuesCursorMatchesBinarySearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -38,18 +39,30 @@ func TestColValuesCursorMatchesBinarySearch(t *testing.T) {
 			return pages[i].Values.Bytes[row-pages[i].Info.FirstRow]
 		}
 		end := row + 5
+		// check asks the walker for the span at r and compares each
+		// row it covers with the search.
+		check := func(c *colValues, order string, r int64) {
+			vals, stop := c.span(r, end+2)
+			if stop <= r || stop > end+2 || (vals != nil && int64(len(vals)) != stop-r) {
+				t.Fatalf("trial %d %s row %d: span of %d values ends at %d", trial, order, r, len(vals), stop)
+			}
+			for q := r; q < stop; q++ {
+				var got []byte
+				if vals != nil {
+					got = vals[q-r]
+				}
+				if want := search(q); string(got) != string(want) || (got == nil) != (want == nil) {
+					t.Fatalf("trial %d %s span at %d, row %d = %v, want %v", trial, order, r, q, got, want)
+				}
+			}
+		}
 		ascending := &colValues{pages: pages}
 		for r := int64(-2); r < end; r += int64(1 + rng.Intn(3)) {
-			if got, want := ascending.at(r), search(r); string(got) != string(want) || (got == nil) != (want == nil) {
-				t.Fatalf("trial %d ascending row %d = %v, want %v", trial, r, got, want)
-			}
+			check(ascending, "ascending", r)
 		}
 		anyOrder := &colValues{pages: pages}
 		for i := 0; i < 60; i++ {
-			r := int64(rng.Intn(int(end)+4)) - 2
-			if got, want := anyOrder.at(r), search(r); string(got) != string(want) || (got == nil) != (want == nil) {
-				t.Fatalf("trial %d unordered row %d = %v, want %v", trial, r, got, want)
-			}
+			check(anyOrder, "unordered", int64(rng.Intn(int(end)+4))-2)
 		}
 	}
 }

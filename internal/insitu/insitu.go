@@ -46,16 +46,7 @@ func ProbePages(ctx context.Context, store objectstore.Store, key string, col pa
 	defer span.End()
 	span.SetAttr("path", path)
 	defer func() { span.SetAttr("matches", len(matches)) }()
-	// Dedup by ordinal, preserving ascending order. Sort a copy: the
-	// caller's slice (often a shared page table) must not be reordered.
-	pages = append([]parquet.PageInfo(nil), pages...)
-	sort.Slice(pages, func(i, j int) bool { return pages[i].Ordinal < pages[j].Ordinal })
-	uniq := pages[:1]
-	for _, p := range pages[1:] {
-		if p.Ordinal != uniq[len(uniq)-1].Ordinal {
-			uniq = append(uniq, p)
-		}
-	}
+	uniq := uniquePages(pages)
 	span.SetAttr("pages", len(uniq))
 	decoded, err := parquet.ReadPages(ctx, store, key, col, uniq)
 	if err != nil {
