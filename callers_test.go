@@ -1,11 +1,13 @@
 package rottnest_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"path"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,5 +64,134 @@ func TestInternalPackagesHaveCallers(t *testing.T) {
 		if !imported[pkg] && !exempt[pkg] {
 			t.Errorf("%s: no non-test file outside the package imports it", pkg)
 		}
+	}
+}
+
+// TestOneWorldClock keeps the world clock in one place, the object
+// store (objectstore.ClockOf): tables, clients, writers, schedulers,
+// routers and the autopilot all read time from their table's store.
+// It parses every Go file of the module and of benchmark/, tests
+// included, and fails on
+//   - an exported struct field of type simtime.Clock outside
+//     internal/simtime: an option that lets a caller name a second
+//     clock. adaptive.LedgerOptions.Clock is exempt: a ledger is built
+//     before any client or store, and its clock only decays its heat;
+//   - a struct type that embeds objectstore.Store with no Clock method
+//     in its package: the embedding hides the inner store's clock, so
+//     a table over the wrapper would silently run on the real clock.
+func TestOneWorldClock(t *testing.T) {
+	const (
+		objectstorePath = "rottnest/internal/objectstore"
+		simtimePath     = "rottnest/internal/simtime"
+	)
+	exempt := map[string]bool{"internal/adaptive.LedgerOptions.Clock": true}
+	type typeKey struct{ pkg, name string } // pkg: directory plus package clause
+	embeds := map[typeKey]string{}          // wrapper type → its position
+	clocked := map[typeKey]bool{}           // types with a Clock method
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		self := path.Join("rottnest", dir)
+		pkg := dir + ":" + f.Name.Name
+		// names maps each import's local name to its path, so
+		// isType(e, path, name) resolves a qualified type however the
+		// file imports its package.
+		names := map[string]string{}
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return err
+			}
+			local := path.Base(imp)
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			names[local] = imp
+		}
+		isType := func(e ast.Expr, pkgPath, name string) bool {
+			switch e := e.(type) {
+			case *ast.Ident:
+				return self == pkgPath && e.Name == name
+			case *ast.SelectorExpr:
+				x, ok := e.X.(*ast.Ident)
+				return ok && names[x.Name] == pkgPath && e.Sel.Name == name
+			}
+			return false
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv != nil && decl.Name.Name == "Clock" {
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						clocked[typeKey{pkg, id.Name}] = true
+					}
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						// The facade re-exports both types under the same names.
+						isStore := isType(field.Type, objectstorePath, "Store") || isType(field.Type, "rottnest", "Store")
+						isClock := isType(field.Type, simtimePath, "Clock") || isType(field.Type, "rottnest", "Clock")
+						if len(field.Names) == 0 && isStore {
+							embeds[typeKey{pkg, ts.Name.Name}] = fset.Position(field.Pos()).String()
+						}
+						if self == simtimePath || !isClock {
+							continue
+						}
+						for _, name := range field.Names {
+							id := dir + "." + ts.Name.Name + "." + name.Name
+							if name.IsExported() && !exempt[id] {
+								t.Errorf("%s: exported field %s names a clock beside its store's (objectstore.ClockOf)", fset.Position(name.Pos()), id)
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(embeds) == 0 {
+		t.Fatal("found no struct embedding objectstore.Store")
+	}
+	var missing []string
+	for k, pos := range embeds {
+		if !clocked[k] {
+			missing = append(missing, pos+": "+k.name)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s embeds objectstore.Store but has no Clock method forwarding its inner store's (objectstore.ClockOf)", m)
 	}
 }

@@ -25,17 +25,17 @@ const (
 
 func main() {
 	ctx := context.Background()
-	store, clock, _ := rottnest.NewSimulatedStore()
+	store, _, _ := rottnest.NewSimulatedStore()
 
 	schema := rottnest.MustSchema(
 		rottnest.Column{Name: "pod_id", Type: rottnest.TypeFixedLenByteArray, TypeLen: 16},
 		rottnest.Column{Name: "message", Type: rottnest.TypeByteArray},
 	)
-	table, err := rottnest.CreateTableWith(ctx, store, "lake/logs", schema, rottnest.TableOptions{Clock: clock})
+	table, err := rottnest.CreateTable(ctx, store, "lake/logs", schema)
 	if err != nil {
 		log.Fatal(err)
 	}
-	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/logs", Clock: clock})
+	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/logs"})
 
 	// Ingest + index loop: each batch is indexed as it lands, so the
 	// index accumulates one small file per batch.

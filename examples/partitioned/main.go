@@ -24,17 +24,17 @@ const (
 
 func main() {
 	ctx := context.Background()
-	store, clock, metrics := rottnest.NewSimulatedStore()
+	store, _, metrics := rottnest.NewSimulatedStore()
 
 	schema := rottnest.MustSchema(
 		rottnest.Column{Name: "ts", Type: rottnest.TypeInt64},
 		rottnest.Column{Name: "message", Type: rottnest.TypeByteArray},
 	)
-	table, err := rottnest.CreateTableWith(ctx, store, "lake/logs", schema, rottnest.TableOptions{Clock: clock})
+	table, err := rottnest.CreateTable(ctx, store, "lake/logs", schema)
 	if err != nil {
 		log.Fatal(err)
 	}
-	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/logs", Clock: clock})
+	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/logs"})
 
 	// Ingest + index, hour by hour.
 	text := workload.NewTextGen(workload.DefaultTextConfig(13))

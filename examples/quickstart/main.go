@@ -43,14 +43,14 @@ func main() {
 
 	// A simulated S3: strong read-after-write consistency, ~30ms
 	// GETs, metered requests.
-	store, clock, metrics := rottnest.NewSimulatedStore()
+	store, _, metrics := rottnest.NewSimulatedStore()
 
 	// The lake: one table with a UUID column and a payload column.
 	schema := rottnest.MustSchema(
 		rottnest.Column{Name: "event_id", Type: rottnest.TypeFixedLenByteArray, TypeLen: 16},
 		rottnest.Column{Name: "payload", Type: rottnest.TypeByteArray},
 	)
-	table, err := rottnest.CreateTableWith(ctx, store, "lake/events", schema, rottnest.TableOptions{Clock: clock})
+	table, err := rottnest.CreateTable(ctx, store, "lake/events", schema)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("lake: %d files, %d rows\n", len(snap.Files), snap.LiveRows())
 
 	// Build the Rottnest index (one call covers all new files).
-	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/events", Clock: clock})
+	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/events"})
 	entry, err := client.Index(ctx, "event_id", rottnest.KindTrie)
 	if err != nil {
 		log.Fatal(err)

@@ -23,13 +23,13 @@ const (
 
 func main() {
 	ctx := context.Background()
-	store, clock, _ := rottnest.NewSimulatedStore()
+	store, _, _ := rottnest.NewSimulatedStore()
 
 	schema := rottnest.MustSchema(
 		rottnest.Column{Name: "emb", Type: rottnest.TypeFixedLenByteArray, TypeLen: 4 * dim},
 		rottnest.Column{Name: "doc", Type: rottnest.TypeByteArray},
 	)
-	table, err := rottnest.CreateTableWith(ctx, store, "lake/corpus", schema, rottnest.TableOptions{Clock: clock})
+	table, err := rottnest.CreateTable(ctx, store, "lake/corpus", schema)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/corpus", Clock: clock})
+	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest/corpus"})
 	entry, err := client.Index(ctx, "emb", rottnest.KindIVFPQ)
 	if err != nil {
 		log.Fatal(err)

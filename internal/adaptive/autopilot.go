@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rottnest/internal/core"
-	"rottnest/internal/simtime"
 	"rottnest/internal/tco"
 )
 
@@ -67,9 +66,6 @@ type AutopilotOptions struct {
 	// bridges laptop measurements to dataset scale. Defaults to 1
 	// (decide at the measured size).
 	ScaleFactor float64
-	// Clock supplies time for the refresh window; defaults to the
-	// real clock.
-	Clock simtime.Clock
 }
 
 func (o AutopilotOptions) withDefaults() AutopilotOptions {
@@ -84,9 +80,6 @@ func (o AutopilotOptions) withDefaults() AutopilotOptions {
 	}
 	if o.RefreshEvery == 0 {
 		o.RefreshEvery = 30 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = simtime.RealClock{}
 	}
 	return o
 }
@@ -136,7 +129,7 @@ func (a *Autopilot) Decision(column string) Decision {
 // Refresh re-evaluates every column, rate-limited by RefreshEvery.
 func (a *Autopilot) Refresh(ctx context.Context) error {
 	a.mu.Lock()
-	now := a.opts.Clock.Now()
+	now := a.client.Table().Clock().Now()
 	if a.refreshed && a.opts.RefreshEvery > 0 && now.Sub(a.lastRefresh) < a.opts.RefreshEvery {
 		a.mu.Unlock()
 		return nil

@@ -65,10 +65,9 @@ func (o Options) scaleInt(full, quick int) int {
 	return full
 }
 
-// world bundles one simulated deployment: clock, store stack, lake
-// table, Rottnest client.
+// world bundles one simulated deployment: store stack (on its own
+// virtual clock), lake table, Rottnest client.
 type world struct {
-	clock  *simtime.VirtualClock
 	store  *objectstore.Stack
 	table  *lake.Table
 	client *core.Client
@@ -95,19 +94,16 @@ func newWorld(schema *parquet.Schema) (*world, error) {
 // assert.
 func newWorldOn(layers objectstore.StackOptions, schema *parquet.Schema) (*world, error) {
 	ctx := context.Background()
-	clock := simtime.NewVirtualClock()
 	layers.CacheBytes = -1
-	store := objectstore.NewStack(objectstore.NewMemStore(clock), layers)
-	table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{Clock: clock})
+	store := objectstore.NewStack(objectstore.NewMemStore(simtime.NewVirtualClock()), layers)
+	table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return &world{
-		clock: clock,
 		store: store,
 		table: table,
 		client: core.NewClient(table, core.Config{
-			Clock:                clock,
 			IndexDir:             "rottnest",
 			CacheBytes:           -1,
 			DecodedCacheBytes:    -1,

@@ -132,7 +132,7 @@ func Fig8Scaling(opts Options) (*Fig8Result, error) {
 	for _, a := range apps {
 		for _, s := range res.RottnestWorkers {
 			a.world.client = core.NewClient(a.world.table, core.Config{
-				IndexDir: "rottnest", SearchWidth: 32 * s, Clock: a.world.clock,
+				IndexDir: "rottnest", SearchWidth: 32 * s,
 			})
 			lat, err := a.world.searchLatency(ctx, a.queries)
 			if err != nil {

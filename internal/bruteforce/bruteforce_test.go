@@ -23,7 +23,7 @@ func newLake(t testing.TB, files, docsPerFile int) (*lake.Table, *simtime.Virtua
 	clock := simtime.NewVirtualClock()
 	inner := objectstore.NewMemStore(clock)
 	store, _ := objectstore.Instrument(inner, objectstore.DefaultS3Model())
-	table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestScanLatencyIndependentOfFileNames(t *testing.T) {
 		ctx := context.Background()
 		clock := simtime.NewVirtualClock()
 		store, _ := objectstore.Instrument(objectstore.NewMemStore(clock), objectstore.DefaultS3Model())
-		table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{Clock: clock})
+		table, err := lake.CreateWith(ctx, store, "lake", schema, lake.OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -349,6 +349,8 @@ type getHookStore struct {
 	hook func()
 }
 
+func (s *getHookStore) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
 func (s *getHookStore) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	data, err := s.Store.GetRange(ctx, key, off, n)
 	s.mu.Lock()
@@ -376,12 +378,12 @@ func TestLakeVacuumDropsDataFilePages(t *testing.T) {
 	hooked := &getHookStore{Store: objectstore.NewMemStore(clock)}
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(hooked, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &env{clock: clock, store: store, table: table,
-		cli: NewClient(table, Config{Clock: clock, IndexDir: "rottnest", Timeout: time.Hour})}
+		cli: NewClient(table, Config{IndexDir: "rottnest", Timeout: time.Hour})}
 	gen := workload.NewUUIDGen(41)
 	inFlight, inFlightPath := e.appendUUIDs(t, gen, 400)
 	resident, residentPath := e.appendUUIDs(t, gen, 400)

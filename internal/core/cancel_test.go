@@ -45,11 +45,11 @@ func TestSearchCanceledMidFlight(t *testing.T) {
 		}
 		return false // never inject a fault; the cancel is the event
 	})
-	table, err := lake.CreateWith(context.Background(), fs, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(context.Background(), fs, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(table, Config{Clock: clock, IndexDir: "rottnest"})
+	cli := NewClient(table, Config{IndexDir: "rottnest"})
 	e := &env{clock: clock, mem: mem, table: table, cli: cli}
 	gen := workload.NewUUIDGen(32)
 	keys, _ := e.appendUUIDs(t, gen, 512)

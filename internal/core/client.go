@@ -62,10 +62,6 @@ type Config struct {
 	// IndexDir is the key prefix (the paper's index_dir bucket) that
 	// holds index files and the metadata table.
 	IndexDir string
-	// Clock is the world clock stamping index timeouts and vacuum
-	// cutoffs. nil means the real wall clock; simulations pass the
-	// world's VirtualClock.
-	Clock simtime.Clock
 	// Timeout is the index timeout: index/compact operations abort
 	// rather than commit beyond it, and vacuum may physically delete
 	// uncommitted objects older than it (Section IV-C). Defaults to
@@ -186,8 +182,9 @@ type Client struct {
 }
 
 // NewClient returns a client over the table, storing its index under
-// cfg.IndexDir on the table's object store. The world clock comes
-// from cfg.Clock (nil = real time).
+// cfg.IndexDir on the table's object store. The world clock stamping
+// index timeouts and vacuum cutoffs is the table's (lake.Table.Clock),
+// which is its store's.
 //
 // The client reads through the table's store. When that store is an
 // objectstore.Stack, the client shares its layers: its retries cover
@@ -197,10 +194,6 @@ type Client struct {
 // probed data pages, deletion vectors, metadata log) flow through a
 // read cache of its own, stacked over the table's store.
 func NewClient(table *lake.Table, cfg Config) *Client {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simtime.RealClock{}
-	}
 	cfg = cfg.withDefaults()
 	store, ok := table.Store().(*objectstore.Stack)
 	if !ok || (store.Cache == nil && cfg.CacheBytes >= 0) {
@@ -218,9 +211,9 @@ func NewClient(table *lake.Table, cfg Config) *Client {
 	c := &Client{
 		table:          table,
 		store:          store,
-		clock:          clock,
+		clock:          table.Clock(),
 		cfg:            cfg,
-		meta:           meta.New(store, clock, cfg.IndexDir+"_meta/"),
+		meta:           meta.New(store, nil, cfg.IndexDir+"_meta/"),
 		objc:           objc,
 		plans:          plans,
 		reg:            reg,

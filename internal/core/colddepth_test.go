@@ -66,12 +66,12 @@ func newColdWorld(t *testing.T) *coldWorld {
 	w.store = objectstore.NewStack(objectstore.NewMemStore(w.clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	w.metrics = w.store.Metrics
 	var err error
-	if w.table, err = lake.CreateWith(ctx, w.store, "lake", coldSchema, lake.OpenOptions{Clock: w.clock}); err != nil {
+	if w.table, err = lake.CreateWith(ctx, w.store, "lake", coldSchema, lake.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	w.appendFile(t)
 	w.appendFile(t)
-	cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock})
+	cli := NewClient(w.table, Config{IndexDir: "rottnest"})
 	for _, spec := range []IndexSpec{{"id", component.KindTrie}, {"body", component.KindFM}, {"emb", component.KindIVFPQ}} {
 		if _, err := cli.Index(ctx, spec.Column, spec.Kind); err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func (w *coldWorld) compactVectors(t *testing.T) meta.IndexEntry {
 	for range 10 {
 		w.appendFile(t)
 	}
-	cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock})
+	cli := NewClient(w.table, Config{IndexDir: "rottnest"})
 	if _, err := cli.Index(ctx, "emb", component.KindIVFPQ); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func (w *coldWorld) appendFile(t *testing.T) {
 func (w *coldWorld) indexEach(t *testing.T, n int) {
 	t.Helper()
 	ctx := context.Background()
-	cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock})
+	cli := NewClient(w.table, Config{IndexDir: "rottnest"})
 	for range n {
 		w.appendFile(t)
 		for _, spec := range []IndexSpec{{"id", component.KindTrie}, {"body", component.KindFM}} {
@@ -154,11 +154,11 @@ func (w *coldWorld) cold(t *testing.T, cfg Config, cq CompoundQuery) (*Result, t
 	session := simtime.NewSession()
 	ctx := simtime.With(context.Background(), session)
 	before := w.metrics.Snapshot()
-	table, err := lake.OpenWith(ctx, w.store, "lake", lake.OpenOptions{Clock: w.clock})
+	table, err := lake.OpenWith(ctx, w.store, "lake", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.IndexDir, cfg.Clock = "rottnest", w.clock
+	cfg.IndexDir = "rottnest"
 	res, err := NewClient(table, cfg).SearchCompound(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
@@ -348,11 +348,11 @@ func TestColdPathDepth(t *testing.T) {
 func TestMissingTableSurfacesAtFirstRead(t *testing.T) {
 	w := newColdWorld(t)
 	ctx := context.Background()
-	table, err := lake.OpenWith(ctx, w.store, "nowhere", lake.OpenOptions{Clock: w.clock})
+	table, err := lake.OpenWith(ctx, w.store, "nowhere", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(table, Config{IndexDir: "rottnest", Clock: w.clock})
+	cli := NewClient(table, Config{IndexDir: "rottnest"})
 	if _, err := cli.SearchCompound(ctx, CompoundQuery{Expr: PredUUID("id", w.keys[0]), K: 1, Snapshot: -1}); !errors.Is(err, lake.ErrNoTable) {
 		t.Fatalf("search on a missing table: %v", err)
 	}

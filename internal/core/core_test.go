@@ -60,14 +60,13 @@ func newEnvOn(t testing.TB, model objectstore.LatencyModel, schema *parquet.Sche
 		layers.CacheBytes = cfg.CacheBytes
 	}
 	store := objectstore.NewStack(mem, layers)
-	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.IndexDir == "" {
 		cfg.IndexDir = "rottnest"
 	}
-	cfg.Clock = clock
 	return &env{clock: clock, mem: mem, store: store, table: table, schema: schema, cli: NewClient(table, cfg)}
 }
 
@@ -722,11 +721,11 @@ func TestFailedCommitLeavesOrphanNotCorruption(t *testing.T) {
 		fired = true
 		return true
 	})
-	table, err := lake.CreateWith(ctx, fs, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, fs, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(table, Config{Clock: clock, IndexDir: "rottnest"})
+	cli := NewClient(table, Config{IndexDir: "rottnest"})
 	gen := workload.NewUUIDGen(17)
 	keys := gen.Batch(50)
 	b := parquet.NewBatch(uuidSchema)

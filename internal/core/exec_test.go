@@ -37,6 +37,8 @@ type rangeRecorder struct {
 	ranges map[string]int
 }
 
+func (r *rangeRecorder) Clock() simtime.Clock { return objectstore.ClockOf(r.Store) }
+
 func (r *rangeRecorder) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	r.mu.Lock()
 	if r.armed && strings.HasPrefix(key, r.prefix) {
@@ -101,13 +103,12 @@ func TestCompoundANDFewerGETsThanSeparateSearches(t *testing.T) {
 	mem := objectstore.NewMemStore(clock)
 	rec := &rangeRecorder{Store: mem, prefix: "lake/"}
 	store, metrics := objectstore.Instrument(rec, objectstore.DefaultS3Model())
-	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := coldConfig()
 	cfg.IndexDir = "rottnest"
-	cfg.Clock = clock
 	cli := NewClient(table, cfg)
 
 	gen := workload.NewUUIDGen(31)
@@ -497,7 +498,7 @@ func TestVectorWithFilterPredicates(t *testing.T) {
 	// substring filters over the one FM index file ride one superwalk
 	// beside the IVF-PQ probe: two walks, not one per leaf.
 	coldClient := func() (*Client, func() int64) {
-		cli := NewClient(e.table, Config{Clock: e.clock, IndexDir: "rottnest"})
+		cli := NewClient(e.table, Config{IndexDir: "rottnest"})
 		return cli, func() int64 { return cli.Metrics().Counter("search.probe_runs") }
 	}
 	cli, probeRuns := coldClient()

@@ -25,6 +25,8 @@ type failKeyStore struct {
 	failed      atomic.Bool
 }
 
+func (s *failKeyStore) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
 func (s *failKeyStore) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	if key == s.key && (!s.tails || off < 0) && !(s.once && s.failed.Swap(true)) {
 		return nil, s.err
@@ -44,7 +46,7 @@ func (s *failKeyStore) GetRange(ctx context.Context, key string, off, n int64) (
 func TestStagedANDUnreadableStageB(t *testing.T) {
 	w := newColdWorld(t)
 	ctx := context.Background()
-	entries, err := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock}).ListIndexes(ctx, "body", component.KindFM)
+	entries, err := NewClient(w.table, Config{IndexDir: "rottnest"}).ListIndexes(ctx, "body", component.KindFM)
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("FM index rows %+v, %v", entries, err)
 	}
@@ -54,11 +56,11 @@ func TestStagedANDUnreadableStageB(t *testing.T) {
 	miss := And(PredUUID("id", [16]byte{0xff, 1, 2, 3}), needle)
 	search := func(store objectstore.Store, cfg Config, expr *Expr) (*Result, error) {
 		ctx := simtime.With(context.Background(), simtime.NewSession())
-		table, err := lake.OpenWith(ctx, store, "lake", lake.OpenOptions{Clock: w.clock})
+		table, err := lake.OpenWith(ctx, store, "lake", lake.OpenOptions{})
 		if err != nil {
 			return nil, err
 		}
-		cfg.IndexDir, cfg.Clock = "rottnest", w.clock
+		cfg.IndexDir = "rottnest"
 		return NewClient(table, cfg).SearchCompound(ctx, CompoundQuery{Expr: expr, K: 10, Snapshot: -1, Output: "id"})
 	}
 	configs := map[string]Config{"default": {}, "no decoded cache": {DecodedCacheBytes: -1}, "uncached": coldConfig()}
@@ -104,7 +106,7 @@ func TestOpenReaderMisstatedSize(t *testing.T) {
 	w := newColdWorld(t)
 	ctx := context.Background()
 	cfg := coldConfig()
-	cfg.IndexDir, cfg.Clock = "rottnest", w.clock
+	cfg.IndexDir = "rottnest"
 	cli := NewClient(w.table, cfg)
 	for _, spec := range []IndexSpec{{"id", component.KindTrie}, {"body", component.KindFM}, {"emb", component.KindIVFPQ}} {
 		entries, err := cli.ListIndexes(ctx, spec.Column, spec.Kind)
@@ -164,7 +166,7 @@ func TestOpenReaderKeptByACache(t *testing.T) {
 		{"byte cache too small", 2 * size, -1, false},
 		{"decoded cache too small", 4 * size, 2 * size, false},
 	} {
-		cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock, CacheBytes: tc.bytes, DecodedCacheBytes: tc.decoded})
+		cli := NewClient(w.table, Config{IndexDir: "rottnest", CacheBytes: tc.bytes, DecodedCacheBytes: tc.decoded})
 		var m objectstore.Metrics
 		if _, err := cli.openReader(objectstore.WithTally(ctx, &m), e); err != nil {
 			t.Fatal(err)
@@ -230,7 +232,7 @@ func TestOpenAheadNeedsAWaitingCheapStage(t *testing.T) {
 		{"decoded cache", -1, 512 << 10, []int64{5, 0, 0}},
 		{"byte cache", 512 << 10, -1, []int64{5, 0, 0}},
 	} {
-		cli := NewClient(w.table, Config{IndexDir: "rottnest", Clock: w.clock, CacheBytes: cc.cacheBytes, DecodedCacheBytes: cc.decodedCacheBytes})
+		cli := NewClient(w.table, Config{IndexDir: "rottnest", CacheBytes: cc.cacheBytes, DecodedCacheBytes: cc.decodedCacheBytes})
 		for i, key := range []byte{1, 1, 2} {
 			n := gets(t, func(ctx context.Context) error {
 				res, err := cli.SearchCompound(session(ctx), miss(key))

@@ -25,6 +25,8 @@ type commitHookStore struct {
 	uploadHook func()
 }
 
+func (s *commitHookStore) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
 func (s *commitHookStore) Put(ctx context.Context, key string, data []byte) error {
 	err := s.Store.Put(ctx, key, data)
 	if err == nil && s.uploadHook != nil && strings.HasSuffix(key, ".index") {
@@ -73,11 +75,11 @@ func newInvWorld(t *testing.T, schema *parquet.Schema) *invWorld {
 	hooked := &commitHookStore{Store: mem}
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(hooked, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(context.Background(), store, "lake", schema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(table, Config{Clock: clock, IndexDir: "rottnest", Timeout: time.Hour})
+	cli := NewClient(table, Config{IndexDir: "rottnest", Timeout: time.Hour})
 	return &invWorld{env: &env{clock: clock, mem: mem, store: store, table: table, cli: cli}, hooked: hooked}
 }
 

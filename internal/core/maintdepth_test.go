@@ -21,11 +21,11 @@ func (w *coldWorld) maintain(t *testing.T, call func(ctx context.Context, cli *C
 	session := simtime.NewSession()
 	ctx := simtime.With(context.Background(), session)
 	before := w.metrics.Snapshot()
-	table, err := lake.OpenWith(ctx, w.store, "lake", lake.OpenOptions{Clock: w.clock})
+	table, err := lake.OpenWith(ctx, w.store, "lake", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := call(ctx, NewClient(table, Config{IndexDir: "rottnest", Clock: w.clock})); err != nil {
+	if err := call(ctx, NewClient(table, Config{IndexDir: "rottnest"})); err != nil {
 		t.Fatal(err)
 	}
 	return session.Elapsed(), w.metrics.Snapshot().Sub(before)

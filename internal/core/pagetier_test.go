@@ -15,11 +15,11 @@ import (
 // serve opens the cold world's table under one long-lived client.
 func (w *coldWorld) serve(t *testing.T, cfg Config) (*lake.Table, *Client) {
 	t.Helper()
-	table, err := lake.OpenWith(context.Background(), w.store, "lake", lake.OpenOptions{Clock: w.clock})
+	table, err := lake.OpenWith(context.Background(), w.store, "lake", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.IndexDir, cfg.Clock = "rottnest", w.clock
+	cfg.IndexDir = "rottnest"
 	return table, NewClient(table, cfg)
 }
 

@@ -124,7 +124,7 @@ func TestRegexNeverMissesVsScan(t *testing.T) {
 	}
 	// Ground truth via the unindexed path: fresh client with an
 	// empty index dir forces a scan.
-	scanCli := NewClient(e.table, Config{Clock: e.clock, IndexDir: "empty-index"})
+	scanCli := NewClient(e.table, Config{IndexDir: "empty-index"})
 	scanned, err := scanCli.Search(ctx, Query{Column: "body", Regex: pattern, K: 0, Snapshot: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -242,7 +242,7 @@ func TestSuperwalkRequestCounts(t *testing.T) {
 func TestANDOrderingRequestCounts(t *testing.T) {
 	w := newPairWorld(t, expSeed+1, 8, 600, Config{})
 	cfg := coldConfig()
-	cfg.Clock, cfg.IndexDir, cfg.DisableANDOrdering = w.clock, "rottnest", true
+	cfg.IndexDir, cfg.DisableANDOrdering = "rottnest", true
 	unordered := NewClient(w.table, cfg)
 	miss := workload.NewUUIDGen(expSeed + 7919)
 	var orderedGETs, unorderedGETs, skipped int64

@@ -33,11 +33,11 @@ func TestRetriesCoverLakeLog(t *testing.T) {
 		return op == objectstore.OpList && strings.HasPrefix(key, "lake/_log/") && failed.CompareAndSwap(false, true)
 	}}
 	stack := objectstore.NewStack(e.mem, objectstore.StackOptions{Faults: failOnce, Retry: &objectstore.RetryPolicy{}})
-	table, err := lake.OpenWith(ctx, stack, "lake", lake.OpenOptions{Clock: e.clock})
+	table, err := lake.OpenWith(ctx, stack, "lake", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(table, Config{IndexDir: "rottnest", Clock: e.clock})
+	cli := NewClient(table, Config{IndexDir: "rottnest"})
 	res, err := cli.Search(simtime.With(ctx, simtime.NewSession()), uuidQuery(keys[7]))
 	if err != nil {
 		t.Fatalf("search over a failed lake-log LIST: %v", err)

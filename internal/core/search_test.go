@@ -166,7 +166,7 @@ func TestSearchWidthSerializesWaves(t *testing.T) {
 	if _, err := e.cli.Search(simtime.With(ctx, narrow), uuidQuery(keys[0])); err != nil {
 		t.Fatal(err)
 	}
-	wide := NewClient(e.table, Config{Clock: e.clock, IndexDir: "rottnest", SearchWidth: 64})
+	wide := NewClient(e.table, Config{IndexDir: "rottnest", SearchWidth: 64})
 	wideSession := simtime.NewSession()
 	if _, err := wide.Search(simtime.With(ctx, wideSession), uuidQuery(keys[0])); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestClientStatelessAcrossInstances(t *testing.T) {
 	if _, err := e.cli.Index(ctx, "id", component.KindTrie); err != nil {
 		t.Fatal(err)
 	}
-	other := NewClient(e.table, Config{Clock: e.clock, IndexDir: "rottnest"})
+	other := NewClient(e.table, Config{IndexDir: "rottnest"})
 	res, err := other.Search(ctx, uuidQuery(keys[11]))
 	if err != nil || len(res.Matches) != 1 {
 		t.Fatalf("second client: %d, %v", len(res.Matches), err)
@@ -464,7 +464,7 @@ func TestSearchManyConcurrentClients(t *testing.T) {
 	errs := make(chan error, searchers)
 	for s := 0; s < searchers; s++ {
 		go func(s int) {
-			cli := NewClient(e.table, Config{Clock: e.clock, IndexDir: "rottnest"})
+			cli := NewClient(e.table, Config{IndexDir: "rottnest"})
 			for i := 0; i < 10; i++ {
 				res, err := cli.Search(ctx, uuidQuery(keys[(s*37+i*11)%len(keys)]))
 				if err != nil {

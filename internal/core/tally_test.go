@@ -28,6 +28,8 @@ type holdStore struct {
 	release chan struct{}
 }
 
+func (h *holdStore) Clock() simtime.Clock { return objectstore.ClockOf(h.Store) }
+
 func (h *holdStore) arm(match string) {
 	h.mu.Lock()
 	h.match, h.held, h.release = match, make(chan struct{}), make(chan struct{})
@@ -61,7 +63,7 @@ func tallyWorld(t *testing.T, delay time.Duration) (*lake.Table, *holdStore, *ob
 	clock := simtime.NewVirtualClock()
 	hold := &holdStore{Store: objectstore.NewMemStore(clock), delay: delay}
 	inst, metrics := objectstore.Instrument(hold, objectstore.LatencyModel{})
-	table, err := lake.CreateWith(context.Background(), inst, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(context.Background(), inst, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func tallyWorld(t *testing.T, delay time.Duration) (*lake.Table, *holdStore, *ob
 		ks, _ := e.appendUUIDs(t, gen, 400)
 		keys = append(keys, ks...)
 	}
-	cli := NewClient(table, Config{IndexDir: "rottnest", Clock: clock})
+	cli := NewClient(table, Config{IndexDir: "rottnest"})
 	if _, err := cli.Index(context.Background(), "id", component.KindTrie); err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestWarmSearchesMatchColdUnderMutation(t *testing.T) {
 	ctx := context.Background()
 	e := newEnv(t, uuidSchema, Config{})
 	cold := NewClient(e.table, Config{
-		IndexDir: "rottnest", Clock: e.clock,
+		IndexDir:   "rottnest",
 		CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1,
 	})
 	gen := workload.NewUUIDGen(5)

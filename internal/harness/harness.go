@@ -325,13 +325,12 @@ func octx(ctx context.Context) context.Context {
 }
 
 func (w *world) run(ctx context.Context) error {
-	table, err := lake.CreateWith(octx(ctx), w.stack, "lake", w.schema, lake.OpenOptions{Clock: w.clock})
+	table, err := lake.CreateWith(octx(ctx), w.stack, "lake", w.schema, lake.OpenOptions{})
 	if err != nil {
 		return fmt.Errorf("harness: create lake: %w", err)
 	}
 	w.table = table
 	w.cli = core.NewClient(table, core.Config{
-		Clock:    w.clock,
 		IndexDir: "rottnest",
 		Timeout:  time.Hour,
 		// No read cache: every read must traverse the fault layer, so
@@ -343,7 +342,6 @@ func (w *world) run(ctx context.Context) error {
 	// staged (ordered / short-circuited) executor returns byte-identical
 	// rows to the unstaged one.
 	w.unordered = core.NewClient(table, core.Config{
-		Clock:              w.clock,
 		IndexDir:           "rottnest",
 		Timeout:            time.Hour,
 		CacheBytes:         -1,
@@ -351,7 +349,7 @@ func (w *world) run(ctx context.Context) error {
 	})
 	// The oracle reads the same bytes through a pristine handle on the
 	// base store: ground truth is never subject to injected faults.
-	oracleTable, err := lake.OpenWith(ctx, w.base, "lake", lake.OpenOptions{Clock: w.clock})
+	oracleTable, err := lake.OpenWith(ctx, w.base, "lake", lake.OpenOptions{})
 	if err != nil {
 		return fmt.Errorf("harness: open oracle: %w", err)
 	}
@@ -370,7 +368,6 @@ func (w *world) run(ctx context.Context) error {
 			{Shards: 5},
 		} {
 			o.IndexDir = "rottnest"
-			o.Clock = w.clock
 			o.Timeout = time.Hour
 			o.CacheBytes = -1
 			r, err := shard.New(octx(ctx), w.stack, "lake", o)
@@ -393,7 +390,6 @@ func (w *world) run(ctx context.Context) error {
 			MaxBatchRows:       64,
 			GroupCommitBatches: 4,
 			Parquet:            parquet.WriterOptions{RowGroupRows: 64, PageBytes: 1024},
-			Clock:              w.clock,
 		})
 		var policy adaptive.SchedulerPolicy
 		if w.opts.Adaptive {
@@ -411,7 +407,6 @@ func (w *world) run(ctx context.Context) error {
 			Client:         w.cli,
 			Writer:         w.writer,
 			Specs:          w.specs,
-			Clock:          w.clock,
 			RequestsPerSec: 1e9,
 			PauseAboveRows: 1 << 30,
 			Adaptive:       policy,
@@ -1143,7 +1138,7 @@ func (w *world) finale(ctx context.Context) error {
 	// left, compact and vacuum.
 	w.clock.Advance(2 * time.Hour)
 	tidy := ingest.NewScheduler(w.table, ingest.SchedulerOptions{
-		Client: w.cli, Specs: w.specs, Clock: w.clock,
+		Client: w.cli, Specs: w.specs,
 		Policy: core.MaintainPolicy{CompactWhenEntries: 2},
 	})
 	if err := tidy.Quiesce(fctx); err != nil {

@@ -49,11 +49,11 @@ func TestSchedulerAdaptiveColdColumnNeverIndexed(t *testing.T) {
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	tbl, err := lake.CreateWith(ctx, stack, "tbl", twoColSchema, lake.OpenOptions{Clock: clock})
+	tbl, err := lake.CreateWith(ctx, stack, "tbl", twoColSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := core.NewClient(tbl, core.Config{IndexDir: "idx", Clock: clock})
+	cli := core.NewClient(tbl, core.Config{IndexDir: "idx"})
 	specs := []core.IndexSpec{
 		{Column: "msg", Kind: component.KindFM},
 		{Column: "note", Kind: component.KindFM},
@@ -67,15 +67,13 @@ func TestSchedulerAdaptiveColdColumnNeverIndexed(t *testing.T) {
 	pilot := adaptive.NewAutopilot(cli, ledger, specs, adaptive.AutopilotOptions{
 		RefreshEvery:    -1,
 		ScanBytesPerSec: 1,
-		Clock:           clock,
 	})
 	policy := adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Client: cli})
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Client:   cli,
 		Writer:   w,
 		Specs:    specs,
-		Clock:    clock,
 		Adaptive: policy,
 	})
 
@@ -205,12 +203,11 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 	clock := simtime.NewVirtualClock()
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-	tbl, err := lake.CreateWith(ctx, store, "lake", adaptiveSchema, lake.OpenOptions{Clock: clock})
+	tbl, err := lake.CreateWith(ctx, store, "lake", adaptiveSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli := core.NewClient(tbl, core.Config{
-		Clock:                clock,
 		IndexDir:             "rottnest",
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
@@ -224,7 +221,6 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 		MaxBatchRows:       fileRows,
 		GroupCommitBatches: partitions * filesPerPart,
 		Parquet:            parquet.WriterOptions{RowGroupRows: 512, PageBytes: 4 << 10},
-		Clock:              clock,
 		Manual:             true,
 	})
 	specs := []core.IndexSpec{{Column: "id", Kind: component.KindTrie}}
@@ -236,7 +232,6 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 		Client:         cli,
 		Writer:         w,
 		Specs:          specs,
-		Clock:          clock,
 		RequestsPerSec: 60,
 		// With many small files, probe cost tracks entry count, so both
 		// regimes compact early.
@@ -249,7 +244,6 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 		rowBytes := len(adaptiveColdCols)*adaptivePayloadBytes + 24
 		pilot := adaptive.NewAutopilot(cli, ledger, specs, adaptive.AutopilotOptions{
 			RefreshEvery: 10 * time.Second,
-			Clock:        clock,
 			ScaleFactor:  256e9 / float64(rounds*partitions*rowsPerBatch*rowBytes),
 		})
 		opts.Adaptive = adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Client: cli})

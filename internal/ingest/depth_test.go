@@ -21,6 +21,8 @@ type logReads struct {
 	n      atomic.Int64
 }
 
+func (s *logReads) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
 func (s *logReads) List(ctx context.Context, prefix string) ([]objectstore.ObjectInfo, error) {
 	if strings.HasPrefix(prefix, s.prefix) {
 		s.n.Add(1)
@@ -55,11 +57,11 @@ func TestIngestDepth(t *testing.T) {
 	model := objectstore.DefaultS3Model()
 	inst, metrics := objectstore.Instrument(objectstore.NewMemStore(clock), model)
 	store := &logReads{Store: inst, prefix: "tbl/_log/"}
-	tbl := newTestTable(t, store, clock)
+	tbl := newTestTable(t, store)
 	var commits []int64
 	tbl.OnCommit(func(v int64) { commits = append(commits, v) })
-	cli := core.NewClient(tbl, core.Config{IndexDir: "idx", Clock: clock})
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, GroupCommitBatches: 4, Clock: clock, Manual: true})
+	cli := core.NewClient(tbl, core.Config{IndexDir: "idx"})
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, GroupCommitBatches: 4, Manual: true})
 
 	// measure runs fn on a fresh session and returns its virtual time
 	// and the requests it issued.
@@ -114,7 +116,7 @@ func TestIngestDepth(t *testing.T) {
 	// and the one record the handle has not seen say where the end moved
 	// to, the retry lands, and OnCommit fires once, for the version it
 	// landed at.
-	foreign, err := lake.OpenWith(ctx, inst, "tbl", lake.OpenOptions{Clock: clock})
+	foreign, err := lake.OpenWith(ctx, inst, "tbl", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestIngestDepth(t *testing.T) {
 
 	// A handle that has read nothing reads before it commits: a root
 	// with no table is ErrNoTable, and nothing is written there.
-	empty, _ := lake.OpenWith(ctx, inst, "nowhere", lake.OpenOptions{Clock: clock})
+	empty, _ := lake.OpenWith(ctx, inst, "nowhere", lake.OpenOptions{})
 	_, reqs = measure(func(ctx context.Context) {
 		if _, err := empty.CommitFiles(ctx, lake.PendingFile{Path: "data/x.rpq", Rows: 1}); !errors.Is(err, lake.ErrNoTable) {
 			t.Errorf("commit on an empty root: %v, want ErrNoTable", err)

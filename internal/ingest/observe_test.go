@@ -25,6 +25,8 @@ type listGate struct {
 	release             chan struct{}
 }
 
+func (g *listGate) Clock() simtime.Clock { return objectstore.ClockOf(g.Store) }
+
 func (g *listGate) arm() {
 	g.mu.Lock()
 	g.watchLake, g.holdMeta = true, true
@@ -65,14 +67,13 @@ func TestOnCoveredReportsFileCommittedDuringObserve(t *testing.T) {
 	clock := simtime.NewVirtualClock()
 	gate := &listGate{Store: objectstore.NewMemStore(clock),
 		lakeListed: make(chan struct{}), held: make(chan struct{}), release: make(chan struct{})}
-	tbl := newTestTable(t, gate, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	tbl := newTestTable(t, gate)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	var mu sync.Mutex
 	covered := make(map[string]int)
 	s := NewScheduler(tbl, SchedulerOptions{
 		Writer: w,
-		Clock:  clock,
-		Config: core.Config{IndexDir: "idx", Clock: clock},
+		Config: core.Config{IndexDir: "idx"},
 		Specs:  []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
 		OnCovered: func(path string, _ int64, _ time.Duration) {
 			mu.Lock()
@@ -134,12 +135,11 @@ func TestObserveIsOneListLevel(t *testing.T) {
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
 	metrics := store.Metrics
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Writer: w,
-		Clock:  clock,
-		Config: core.Config{IndexDir: "idx", Clock: clock, CacheBytes: -1},
+		Config: core.Config{IndexDir: "idx", CacheBytes: -1},
 		Specs:  []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
 	})
 	ingestRows(t, ctx, w, "a", 4)

@@ -97,14 +97,13 @@ func TestQuiesceToleratesBelowMinVectors(t *testing.T) {
 	const dim = 8
 	clock := simtime.NewVirtualClock()
 	schema := parquet.MustSchema(parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * dim})
-	tbl, err := lake.CreateWith(ctx, objectstore.NewMemStore(clock), "tbl", schema, lake.OpenOptions{Clock: clock})
+	tbl, err := lake.CreateWith(ctx, objectstore.NewMemStore(clock), "tbl", schema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewScheduler(tbl, SchedulerOptions{
-		Config: core.Config{IndexDir: "idx", Clock: clock, MinVectorRows: 500},
+		Config: core.Config{IndexDir: "idx", MinVectorRows: 500},
 		Specs:  []core.IndexSpec{{Column: "emb", Kind: component.KindIVFPQ}},
-		Clock:  clock,
 	})
 	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 72, Dim: dim, Clusters: 4})
 	appendVectors := func(n int) {
@@ -196,18 +195,17 @@ func TestQuiesceGoesPastAStalledSpec(t *testing.T) {
 		parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * dim},
 		parquet.Column{Name: "msg", Type: parquet.TypeByteArray},
 	)
-	tbl, err := lake.CreateWith(ctx, objectstore.NewMemStore(clock), "tbl", schema, lake.OpenOptions{Clock: clock})
+	tbl, err := lake.CreateWith(ctx, objectstore.NewMemStore(clock), "tbl", schema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewScheduler(tbl, SchedulerOptions{
-		Config: core.Config{IndexDir: "idx", Clock: clock, MinVectorRows: 500},
+		Config: core.Config{IndexDir: "idx", MinVectorRows: 500},
 		Specs: []core.IndexSpec{
 			{Column: "emb", Kind: component.KindIVFPQ},
 			{Column: "msg", Kind: component.KindFM},
 		},
 		Policy: core.MaintainPolicy{CompactWhenEntries: 2},
-		Clock:  clock,
 	})
 	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 72, Dim: dim, Clusters: 4})
 	for batch, want := range [][3]int64{{1, 0, 0}, {2, 1, 1}} {

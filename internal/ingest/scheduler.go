@@ -49,9 +49,6 @@ type SchedulerOptions struct {
 	// the TCO autopilot rules out (see internal/adaptive). Nil keeps
 	// the static largest-gap policy.
 	Adaptive adaptive.SchedulerPolicy
-	// Clock drives the budget refill and lag measurement. Nil means
-	// the real wall clock.
-	Clock simtime.Clock
 	// TickEvery paces Run's periodic wakeups: a real-time ticker that
 	// refills the budget, applies the writer's age bound, and drains
 	// whatever backlog is left once commits go quiet or the budget
@@ -75,9 +72,6 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	}
 	if o.TickEvery <= 0 {
 		o.TickEvery = 100 * time.Millisecond
-	}
-	if o.Clock == nil {
-		o.Clock = simtime.RealClock{}
 	}
 	switch {
 	case o.Policy.CompactWhenEntries <= 0:
@@ -162,17 +156,13 @@ func NewScheduler(table *lake.Table, opts SchedulerOptions) *Scheduler {
 	opts = opts.withDefaults()
 	cli := opts.Client
 	if cli == nil {
-		cfg := opts.Config
-		if cfg.Clock == nil {
-			cfg.Clock = opts.Clock
-		}
-		cli = core.NewClient(table, cfg)
+		cli = core.NewClient(table, opts.Config)
 	}
 	reg := obs.NewRegistry()
 	s := &Scheduler{
 		cli:       cli,
 		opts:      opts,
-		clock:     opts.Clock,
+		clock:     table.Clock(),
 		reg:       reg,
 		commits:   make(chan struct{}, 1),
 		ledger:    make(map[string]ledgerEntry),

@@ -26,12 +26,11 @@ func schedWorld(t *testing.T, opts SchedulerOptions) (*Writer, *Scheduler, *simt
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	tbl := newTestTable(t, stack, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	tbl := newTestTable(t, stack)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	opts.Writer = w
-	opts.Clock = clock
 	if opts.Config.IndexDir == "" {
-		opts.Config = core.Config{IndexDir: "idx", Clock: clock}
+		opts.Config = core.Config{IndexDir: "idx"}
 	}
 	if opts.Specs == nil {
 		opts.Specs = []core.IndexSpec{{Column: "msg", Kind: component.KindFM}}
@@ -209,12 +208,11 @@ func TestSchedulerRunRecoversFromBudgetStall(t *testing.T) {
 		Latency:    &objectstore.LatencyModel{},
 		CacheBytes: -1,
 	})
-	tbl := newTestTable(t, stack, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	tbl := newTestTable(t, stack)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Writer:         w,
-		Clock:          clock,
-		Config:         core.Config{IndexDir: "idx", Clock: clock},
+		Config:         core.Config{IndexDir: "idx"},
 		Specs:          []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
 		RequestsPerSec: 500,
 		PauseAboveRows: 2,
@@ -492,6 +490,8 @@ type uploadGate struct {
 	held, release chan struct{}
 }
 
+func (g *uploadGate) Clock() simtime.Clock { return objectstore.ClockOf(g.Store) }
+
 func (g *uploadGate) Put(ctx context.Context, key string, data []byte) error {
 	if strings.HasSuffix(key, ".index") {
 		g.once.Do(func() {
@@ -511,12 +511,11 @@ func jobRequestsBeside(t *testing.T, foreground bool) int64 {
 	clock := simtime.NewVirtualClock()
 	gate := &uploadGate{Store: objectstore.NewMemStore(clock), held: make(chan struct{}), release: make(chan struct{})}
 	stack := objectstore.NewStack(gate, objectstore.StackOptions{Latency: &objectstore.LatencyModel{}, CacheBytes: -1})
-	tbl := newTestTable(t, stack, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Clock: clock, Manual: true})
+	tbl := newTestTable(t, stack)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Writer: w,
-		Clock:  clock,
-		Config: core.Config{IndexDir: "idx", Clock: clock},
+		Config: core.Config{IndexDir: "idx"},
 		Specs:  []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
 	})
 	ingestRows(t, ctx, w, "fg", 4)
@@ -531,12 +530,12 @@ func jobRequestsBeside(t *testing.T, foreground bool) int64 {
 	}()
 	<-gate.held
 	if foreground {
-		fgTable, err := lake.OpenWith(ctx, stack, "tbl", lake.OpenOptions{Clock: clock})
+		fgTable, err := lake.OpenWith(ctx, stack, "tbl", lake.OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fg := core.NewClient(fgTable, core.Config{
-			IndexDir: "idx", Clock: clock,
+			IndexDir:   "idx",
 			CacheBytes: -1, DecodedCacheBytes: -1, PlanCacheTTLVersions: -1,
 		})
 		var fgRequests objectstore.Metrics

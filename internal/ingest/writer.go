@@ -35,12 +35,6 @@ type WriterOptions struct {
 	// MaxBatchRows seals the staging micro-batch when it reaches this
 	// many rows. Default 1024.
 	MaxBatchRows int
-	// MaxBatchAge seals the staging micro-batch when its oldest row
-	// has waited this long (by the writer's clock). Age is checked on
-	// Tick, so a caller (the scheduler's run loop, or a test driving
-	// a virtual clock) must tick the writer for the bound to fire.
-	// Default 500ms.
-	MaxBatchAge time.Duration
 	// GroupCommitBatches is the most sealed micro-batches one commit
 	// round may carry. Default 8.
 	GroupCommitBatches int
@@ -51,9 +45,6 @@ type WriterOptions struct {
 	MaxPendingRows int
 	// Parquet are the options for the staged data files.
 	Parquet parquet.WriterOptions
-	// Clock drives batch ages and commit-latency measurement. Nil
-	// means the real wall clock.
-	Clock simtime.Clock
 	// Manual disables the background committer: batches commit only
 	// on Flush, Tick (age-sealed groups), or Close. Deterministic
 	// drivers (benchmarks, tests) use it to control grouping exactly.
@@ -64,6 +55,12 @@ type WriterOptions struct {
 // in-memory size reaches this many bytes.
 const maxBatchBytes = 1 << 20
 
+// maxBatchAge seals the staging micro-batch when its oldest row has
+// waited this long by the table's clock. Age is checked on Tick, so a
+// caller (the scheduler's run loop, or a test driving a virtual clock)
+// must tick the writer for the bound to fire.
+const maxBatchAge = 500 * time.Millisecond
+
 // slowCommit is the commit-latency threshold (exponential moving
 // average over group commits) above which the writer halves its
 // pending budget.
@@ -73,17 +70,11 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	if o.MaxBatchRows <= 0 {
 		o.MaxBatchRows = 1024
 	}
-	if o.MaxBatchAge <= 0 {
-		o.MaxBatchAge = 500 * time.Millisecond
-	}
 	if o.GroupCommitBatches <= 0 {
 		o.GroupCommitBatches = 8
 	}
 	if o.MaxPendingRows <= 0 {
 		o.MaxPendingRows = 1 << 16
-	}
-	if o.Clock == nil {
-		o.Clock = simtime.RealClock{}
 	}
 	return o
 }
@@ -185,7 +176,7 @@ func NewWriter(table *lake.Table, opts WriterOptions) *Writer {
 	w := &Writer{
 		table:    table,
 		opts:     opts,
-		clock:    opts.Clock,
+		clock:    table.Clock(),
 		reg:      reg,
 		inflight: make(map[*microBatch]struct{}),
 		done:     make(chan struct{}),
@@ -333,12 +324,12 @@ func (w *Writer) sealLocked() {
 }
 
 // Tick applies the age bound: if the staging batch's oldest row has
-// waited MaxBatchAge, it seals (and, in manual mode, commits every
-// sealed group). Callers advance the writer's clock, then tick.
+// waited maxBatchAge, it seals (and, in manual mode, commits every
+// sealed group). Callers advance the table's clock, then tick.
 func (w *Writer) Tick(ctx context.Context) error {
 	w.mu.Lock()
 	if w.staging != nil && w.staging.rows > 0 &&
-		w.clock.Now().Sub(w.staging.born) >= w.opts.MaxBatchAge {
+		w.clock.Now().Sub(w.staging.born) >= maxBatchAge {
 		w.sealLocked()
 		w.cond.Broadcast()
 	}

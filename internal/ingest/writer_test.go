@@ -32,9 +32,9 @@ func msgBatch(msgs ...string) *parquet.Batch {
 	return b
 }
 
-func newTestTable(t *testing.T, store objectstore.Store, clock simtime.Clock) *lake.Table {
+func newTestTable(t *testing.T, store objectstore.Store) *lake.Table {
 	t.Helper()
-	tbl, err := lake.CreateWith(context.Background(), store, "tbl", testSchema, lake.OpenOptions{Clock: clock})
+	tbl, err := lake.CreateWith(context.Background(), store, "tbl", testSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestWriterSizeBoundSeals(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 4, Clock: clock, Manual: true})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 4, Manual: true})
 
 	var acks []*Ack
 	for i := 0; i < 10; i++ { // 2 rows each → seal every 2 appends
@@ -101,27 +101,27 @@ func TestWriterSizeBoundSeals(t *testing.T) {
 }
 
 // TestWriterAgeBoundSeals verifies the age trigger under a virtual
-// clock: a Tick before MaxBatchAge leaves rows staged, a Tick after
-// the age commits them (manual mode).
+// clock: a Tick before maxBatchAge leaves rows staged, a Tick at the
+// age commits them (manual mode).
 func TestWriterAgeBoundSeals(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchAge: time.Second, Clock: clock, Manual: true})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{Manual: true})
 
 	a, err := w.Append(ctx, msgBatch("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(500 * time.Millisecond)
+	clock.Advance(maxBatchAge - time.Millisecond)
 	if err := w.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := rowsAt(t, tbl); got != 0 {
 		t.Fatalf("young batch committed early: %d rows", got)
 	}
-	clock.Advance(600 * time.Millisecond)
+	clock.Advance(time.Millisecond)
 	if err := w.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestWriterGroupCommitOneRound(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 1, GroupCommitBatches: 8, Clock: clock, Manual: true})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 1, GroupCommitBatches: 8, Manual: true})
 
 	before, err := tbl.Version(ctx)
 	if err != nil {
@@ -185,11 +185,11 @@ func TestWriterGroupCommitRequestCounts(t *testing.T) {
 	stream := func(grouped bool) (commits int64, reqs objectstore.Snapshot) {
 		model := objectstore.DefaultS3Model()
 		store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-		tbl, err := lake.CreateWith(ctx, store, "lake", keySchema, lake.OpenOptions{Clock: clock})
+		tbl, err := lake.CreateWith(ctx, store, "lake", keySchema, lake.OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWriter(tbl, WriterOptions{MaxBatchRows: rows, GroupCommitBatches: producers, Clock: clock, Manual: true})
+		w := NewWriter(tbl, WriterOptions{MaxBatchRows: rows, GroupCommitBatches: producers, Manual: true})
 		keys := workload.NewUUIDGen(13)
 		before, err := tbl.Version(ctx)
 		if err != nil {
@@ -258,7 +258,7 @@ func TestWriterCloseDrainsUnderFaults(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	tbl0 := newTestTable(t, mem, clock)
+	tbl0 := newTestTable(t, mem)
 	_ = tbl0
 	for seed := int64(1); seed <= 5; seed++ {
 		faulty := objectstore.NewFaultStoreWithProfile(mem, objectstore.FaultProfile{
@@ -267,13 +267,13 @@ func TestWriterCloseDrainsUnderFaults(t *testing.T) {
 			AmbiguousPut: 0.3,
 		})
 		retry := objectstore.NewRetryStore(faulty, objectstore.RetryPolicy{})
-		tbl, err := lake.OpenWith(ctx, retry, "tbl", lake.OpenOptions{Clock: clock})
+		tbl, err := lake.OpenWith(ctx, retry, "tbl", lake.OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		liveBefore := rowsAt(t, tbl)
 
-		w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, GroupCommitBatches: 4, Clock: clock})
+		w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, GroupCommitBatches: 4})
 		var acks []*Ack
 		for i := 0; i < 12; i++ {
 			a, err := w.Append(ctx, msgBatch(fmt.Sprintf("s%d-%d", seed, i)))
@@ -314,8 +314,8 @@ func TestWriterBackpressure(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, MaxPendingRows: 4, Clock: clock, Manual: true})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, MaxPendingRows: 4, Manual: true})
 
 	for i := 0; i < 2; i++ {
 		if _, err := w.Append(ctx, msgBatch("a", "b")); err != nil {
@@ -379,6 +379,8 @@ type slowStore struct {
 	delay time.Duration
 }
 
+func (s *slowStore) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
 func (s *slowStore) PutIfAbsent(ctx context.Context, key string, data []byte) error {
 	s.clock.Advance(s.delay)
 	return s.Store.PutIfAbsent(ctx, key, data)
@@ -393,13 +395,13 @@ func TestWriterSlowCommitHalvesBudget(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	newTestTable(t, mem, clock) // create "tbl" on the raw store
+	newTestTable(t, mem) // create "tbl" on the raw store
 	store := &slowStore{Store: mem, clock: clock}
-	tbl, err := lake.OpenWith(ctx, store, "tbl", lake.OpenOptions{Clock: clock})
+	tbl, err := lake.OpenWith(ctx, store, "tbl", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(tbl, WriterOptions{MaxPendingRows: 4, Clock: clock, Manual: true})
+	w := NewWriter(tbl, WriterOptions{MaxPendingRows: 4, Manual: true})
 	defer w.Close(ctx)
 
 	// commit lands one staged row in a commit that takes delay.
@@ -453,8 +455,8 @@ func TestWriterConcurrentProducers(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 8, GroupCommitBatches: 4, Clock: clock})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 8, GroupCommitBatches: 4})
 
 	const producers, appends = 8, 20
 	var wg sync.WaitGroup
@@ -505,8 +507,8 @@ func TestWriterRejectsCrossProducerSchemaMismatch(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl := newTestTable(t, store, clock)
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 100, Clock: clock, Manual: true})
+	tbl := newTestTable(t, store)
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 100, Manual: true})
 
 	if _, err := w.Append(ctx, msgBatch("a")); err != nil {
 		t.Fatal(err)
@@ -537,6 +539,8 @@ type gateStore struct {
 	permits int
 	open    bool
 }
+
+func (g *gateStore) Clock() simtime.Clock { return objectstore.ClockOf(g.Store) }
 
 func newGateStore(inner objectstore.Store) *gateStore {
 	g := &gateStore{Store: inner}
@@ -581,13 +585,13 @@ func TestWriterFlushWaitsOnlyOnPriorRows(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	newTestTable(t, mem, clock) // create "tbl" on the raw store
+	newTestTable(t, mem) // create "tbl" on the raw store
 	gate := newGateStore(mem)
-	tbl, err := lake.OpenWith(ctx, gate, "tbl", lake.OpenOptions{Clock: clock})
+	tbl, err := lake.OpenWith(ctx, gate, "tbl", lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 1, GroupCommitBatches: 1, Clock: clock})
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 1, GroupCommitBatches: 1})
 
 	a1, err := w.Append(ctx, msgBatch("pre-1"))
 	if err != nil {

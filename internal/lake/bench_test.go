@@ -10,16 +10,15 @@ import (
 	"rottnest/internal/simtime"
 )
 
-func benchStore() (*simtime.VirtualClock, *objectstore.MemStore) {
-	clock := simtime.NewVirtualClock()
-	return clock, objectstore.NewMemStore(clock)
+func benchStore() *objectstore.MemStore {
+	return objectstore.NewMemStore(simtime.NewVirtualClock())
 }
 
 // BenchmarkAppendCommit measures the append + optimistic-commit path.
 func BenchmarkAppendCommit(b *testing.B) {
 	ctx := context.Background()
-	clock, store := benchStore()
-	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	store := benchStore()
+	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,8 +35,8 @@ func BenchmarkAppendCommit(b *testing.B) {
 // checkpointed log.
 func BenchmarkSnapshotReplay(b *testing.B) {
 	ctx := context.Background()
-	clock, store := benchStore()
-	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	store := benchStore()
+	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestCheckpointsBoundReplay(t *testing.T) {
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
 	store, metrics := objectstore.Instrument(mem, objectstore.DefaultS3Model())
-	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCheckpointsBoundReplay(t *testing.T) {
 
 	// A fresh handle's snapshot replays only the post-checkpoint suffix:
 	// one LIST + one checkpoint GET + (71-64) commit GETs.
-	fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+	fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{})
 	before := metrics.Snapshot()
 	snap, err := fresh.Snapshot(ctx)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 	if err := store.Put(ctx, txlog.CheckpointKey("tbl/_log/", 32), []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+	fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{})
 	snap, err := fresh.Snapshot(ctx)
 	if err != nil || snap.LiveRows() != 40 {
 		t.Fatalf("fallback snapshot: %v, %v", snap, err)
@@ -126,7 +126,7 @@ func TestSnapshotIsListPlusOneFan(t *testing.T) {
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
 	store, metrics := objectstore.Instrument(mem, objectstore.DefaultS3Model())
-	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	tbl, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSnapshotIsListPlusOneFan(t *testing.T) {
 		t.Helper()
 		session := simtime.NewSession()
 		before := metrics.Snapshot()
-		fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+		fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{})
 		snap, err := fresh.Snapshot(simtime.With(ctx, session))
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestOpenIssuesNoRequest(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store, metrics := objectstore.Instrument(objectstore.NewMemStore(clock), objectstore.DefaultS3Model())
-	tbl, err := OpenWith(ctx, store, "empty", OpenOptions{Clock: clock})
+	tbl, err := OpenWith(ctx, store, "empty", OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,18 +30,18 @@ func rememberingHandlesAgree(t *testing.T, seed int64) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	a, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	a, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+	b, _ := OpenWith(ctx, store, "tbl", OpenOptions{})
 	handles := []*Table{a, b}
 	rng := rand.New(rand.NewSource(seed))
 
 	head := int64(1)
 	check := func(v int64) {
 		t.Helper()
-		fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+		fresh, _ := OpenWith(ctx, store, "tbl", OpenOptions{})
 		want, err := fresh.SnapshotAt(ctx, v)
 		if err != nil {
 			t.Fatalf("fresh SnapshotAt(%d) at head %d: %v", v, head, err)

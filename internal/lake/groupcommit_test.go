@@ -137,11 +137,11 @@ func TestCommitResolvesAmbiguousPut(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	if _, err := CreateWith(ctx, mem, "tbl", tblSchema, OpenOptions{Clock: clock}); err != nil {
+	if _, err := CreateWith(ctx, mem, "tbl", tblSchema, OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	faulty := objectstore.NewFaultStoreWithProfile(mem, objectstore.FaultProfile{AmbiguousPut: 1.0})
-	tbl, err := OpenWith(ctx, faulty, "tbl", OpenOptions{Clock: clock})
+	tbl, err := OpenWith(ctx, faulty, "tbl", OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCommitCleanFailureFiresNoHook(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	if _, err := CreateWith(ctx, mem, "tbl", tblSchema, OpenOptions{Clock: clock}); err != nil {
+	if _, err := CreateWith(ctx, mem, "tbl", tblSchema, OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// The first conditional PUT through the faulty handle is the group
@@ -211,7 +211,7 @@ func TestCommitCleanFailureFiresNoHook(t *testing.T) {
 		conds++
 		return conds == 1
 	})
-	tbl, err := OpenWith(ctx, faulty, "tbl", OpenOptions{Clock: clock})
+	tbl, err := OpenWith(ctx, faulty, "tbl", OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func newTestTable(t *testing.T) (*Table, *objectstore.MemStore, *simtime.Virtual
 	t.Helper()
 	clock := simtime.NewVirtualClock()
 	store := objectstore.NewMemStore(clock)
-	tbl, err := CreateWith(context.Background(), store, "tbl", tblSchema, OpenOptions{Clock: clock})
+	tbl, err := CreateWith(context.Background(), store, "tbl", tblSchema, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,18 +48,22 @@ func TestCreateOpenAppendSnapshot(t *testing.T) {
 	ctx := context.Background()
 	tbl, store, clock := newTestTable(t)
 
-	if _, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{Clock: clock}); err == nil {
+	if _, err := CreateWith(ctx, store, "tbl", tblSchema, OpenOptions{}); err == nil {
 		t.Fatal("double create accepted")
 	}
-	reopened, err := OpenWith(ctx, store, "tbl", OpenOptions{Clock: clock})
+	reopened, err := OpenWith(ctx, store, "tbl", OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reopened.Root() != "tbl/" {
 		t.Fatalf("root = %q", reopened.Root())
 	}
+	// The table runs on its store's clock (objectstore.ClockOf).
+	if reopened.Clock() != simtime.Clock(clock) {
+		t.Fatalf("table clock %v is not the store's", reopened.Clock())
+	}
 	// Existence is reported by the first read, not by the open.
-	missing, err := OpenWith(ctx, store, "nope", OpenOptions{Clock: clock})
+	missing, err := OpenWith(ctx, store, "nope", OpenOptions{})
 	if err != nil {
 		t.Fatalf("open missing: %v", err)
 	}

@@ -137,13 +137,9 @@ func (t *Table) OnCommit(fn func(version int64)) { t.onCommit.add(fn) }
 // vectors) for deleted files.
 func (t *Table) OnVacuum(fn func(removed []string)) { t.onVacuum.add(fn) }
 
-// OpenOptions configure how a table handle is created or opened.
-type OpenOptions struct {
-	// Clock stamps commit timestamps and drives snapshot-age
-	// decisions. Nil means the real wall clock; simulations set a
-	// VirtualClock so lake time and store latency share one timeline.
-	Clock simtime.Clock
-}
+// OpenOptions configure how a table handle is created or opened. It
+// has no fields: the table's clock is its store's (Table.Clock).
+type OpenOptions struct{}
 
 // CreateWith initializes a new table at root with the given schema,
 // committing version 1 with the table metadata. It fails if a table
@@ -168,14 +164,10 @@ func CreateWith(ctx context.Context, store objectstore.Store, root string, schem
 // the existence check, and a root with no log surfaces there as
 // ErrNoTable.
 func OpenWith(ctx context.Context, store objectstore.Store, root string, opts OpenOptions) (*Table, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = simtime.RealClock{}
-	}
 	if root != "" && root[len(root)-1] != '/' {
 		root += "/"
 	}
-	return &Table{store: store, clock: clock, root: root, log: txlog.New(store, root+logDir, logFormat)}, nil
+	return &Table{store: store, clock: objectstore.ClockOf(store), root: root, log: txlog.New(store, root+logDir, logFormat)}, nil
 }
 
 // Root returns the table's key prefix.
@@ -183,6 +175,12 @@ func (t *Table) Root() string { return t.root }
 
 // Store returns the table's object store.
 func (t *Table) Store() objectstore.Store { return t.store }
+
+// Clock returns the world clock: the store's (objectstore.ClockOf). It
+// stamps commit timestamps and judges Vacuum's minAge, and every
+// client, writer, scheduler and router over the table reads time from
+// it, so a simulated world names its clock once, in its store.
+func (t *Table) Clock() simtime.Clock { return t.clock }
 
 // Version lists the log and returns the latest committed version.
 func (t *Table) Version(ctx context.Context) (int64, error) {

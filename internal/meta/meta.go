@@ -113,10 +113,11 @@ type Table struct {
 }
 
 // New returns a handle to the metadata table rooted at prefix
-// (created lazily on first commit).
+// (created lazily on first commit). A nil clock means the store's
+// (objectstore.ClockOf).
 func New(store objectstore.Store, clock simtime.Clock, prefix string) *Table {
 	if clock == nil {
-		clock = simtime.RealClock{}
+		clock = objectstore.ClockOf(store)
 	}
 	if prefix != "" && !strings.HasSuffix(prefix, "/") {
 		prefix += "/"

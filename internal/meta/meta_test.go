@@ -337,6 +337,8 @@ type alwaysTaken struct {
 	puts int
 }
 
+func (s *alwaysTaken) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
 func (s *alwaysTaken) PutIfAbsent(ctx context.Context, key string, data []byte) error {
 	s.puts++
 	return objectstore.ErrExists

@@ -5,6 +5,7 @@ import (
 
 	"rottnest/internal/cache"
 	"rottnest/internal/obs"
+	"rottnest/internal/simtime"
 )
 
 // DefaultCacheBytes is the read cache's default byte budget.
@@ -86,6 +87,9 @@ func NewCachedStore(inner Store, opts CacheOptions) *CachedStore {
 
 // Registry returns the cache's metrics registry ("cache.*" names).
 func (c *CachedStore) Registry() *obs.Registry { return c.reg }
+
+// Clock returns the inner store's clock (ClockOf).
+func (c *CachedStore) Clock() simtime.Clock { return ClockOf(c.inner) }
 
 // Flush drops every cached entry (counters are kept).
 func (c *CachedStore) Flush() { c.c.Flush() }

@@ -166,6 +166,8 @@ type gateStore struct {
 	release chan struct{}
 }
 
+func (g *gateStore) Clock() simtime.Clock { return ClockOf(g.Store) }
+
 func (g *gateStore) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
 	data, err := g.Store.GetRange(ctx, key, offset, length)
 	g.read <- struct{}{}
@@ -217,6 +219,8 @@ type blockingStore struct {
 	gets    int
 	release chan struct{}
 }
+
+func (b *blockingStore) Clock() simtime.Clock { return ClockOf(b.Store) }
 
 func (b *blockingStore) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
 	b.mu.Lock()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"rottnest/internal/simtime"
 )
 
 // TestFanGetPreCanceledContext checks a fan over an already-canceled
@@ -31,6 +33,8 @@ type parkedStore struct {
 	Store
 	entered chan struct{}
 }
+
+func (b *parkedStore) Clock() simtime.Clock { return ClockOf(b.Store) }
 
 func (b *parkedStore) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
 	select {

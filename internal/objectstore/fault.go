@@ -211,6 +211,9 @@ func NewFaultStoreWithProfile(inner Store, profile FaultProfile) *FaultStore {
 // Registry returns the store's metrics registry ("fault.*" names).
 func (s *FaultStore) Registry() *obs.Registry { return s.reg }
 
+// Clock returns the inner store's clock (ClockOf).
+func (s *FaultStore) Clock() simtime.Clock { return ClockOf(s.inner) }
+
 // Counts returns how many faults of each kind have been injected: a
 // view over the "fault.*" counters.
 func (s *FaultStore) Counts() FaultCounts {

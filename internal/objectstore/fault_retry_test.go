@@ -220,6 +220,8 @@ type onceThrottleStore struct {
 	fired atomic.Bool
 }
 
+func (s *onceThrottleStore) Clock() simtime.Clock { return ClockOf(s.Store) }
+
 func (s *onceThrottleStore) Put(ctx context.Context, key string, data []byte) error {
 	if !s.fired.Swap(true) {
 		return ErrThrottled

@@ -222,6 +222,9 @@ func Instrument(inner Store, model LatencyModel) (*Instrumented, *Metrics) {
 // Model returns the latency model in effect.
 func (s *Instrumented) Model() LatencyModel { return s.model }
 
+// Clock returns the inner store's clock (ClockOf).
+func (s *Instrumented) Clock() simtime.Clock { return ClockOf(s.inner) }
+
 // Metrics returns the wrapper's shared counters.
 func (s *Instrumented) Metrics() *Metrics { return s.metrics }
 

@@ -34,6 +34,9 @@ func NewMemStore(clock simtime.Clock) *MemStore {
 	return &MemStore{clock: clock, objects: make(map[string]memObject)}
 }
 
+// Clock returns the clock stamping the store's creation times.
+func (s *MemStore) Clock() simtime.Clock { return s.clock }
+
 // Put implements Store.
 func (s *MemStore) Put(ctx context.Context, key string, data []byte) error {
 	if err := ctx.Err(); err != nil {

@@ -149,6 +149,9 @@ func NewRetryStore(inner Store, policy RetryPolicy) *RetryStore {
 // Registry returns the store's metrics registry ("retry.*" names).
 func (s *RetryStore) Registry() *obs.Registry { return s.reg }
 
+// Clock returns the inner store's clock (ClockOf).
+func (s *RetryStore) Clock() simtime.Clock { return ClockOf(s.inner) }
+
 // backoff returns the jittered delay before retry number attempt
 // (0-based), with the throttle floor applied when throttled.
 func (s *RetryStore) backoff(attempt int, throttled bool) time.Duration {

@@ -1,6 +1,9 @@
 package objectstore
 
-import "rottnest/internal/obs"
+import (
+	"rottnest/internal/obs"
+	"rottnest/internal/simtime"
+)
 
 // StackOptions selects which wrapper layers NewStack composes around
 // a base store. The zero value yields a cache-only stack at the default
@@ -79,6 +82,10 @@ func NewStack(base Store, opts StackOptions) *Stack {
 	}
 	return s
 }
+
+// Clock returns the clock of the stack's store (ClockOf): the world
+// clock of every table and client opened on it.
+func (s *Stack) Clock() simtime.Clock { return ClockOf(s.Store) }
 
 // MetricsSnapshot merges every present layer's counts into one
 // snapshot ("fault.*", "retry.*", "store.*", "cache.*" names).

@@ -16,6 +16,8 @@ import (
 	"context"
 	"errors"
 	"time"
+
+	"rottnest/internal/simtime"
 )
 
 // Errors returned by Store implementations.
@@ -78,6 +80,20 @@ type Store interface {
 	// Delete removes the object at key. Deleting a missing key is
 	// not an error, matching S3 semantics.
 	Delete(ctx context.Context, key string) error
+}
+
+// ClockOf returns the clock that stamps s's object creation times: the
+// world clock, which vacuum compares those stamps against (Section
+// IV-C's single global clock). A MemStore has its own, every wrapper
+// in this package reports its inner store's, and any other store
+// (DirStore, a real bucket) is on the real clock. A wrapper defined
+// elsewhere must forward Clock too, or the world above it silently
+// falls back to real time.
+func ClockOf(s Store) simtime.Clock {
+	if c, ok := s.(interface{ Clock() simtime.Clock }); ok {
+		return c.Clock()
+	}
+	return simtime.RealClock{}
 }
 
 // resolveRange converts a (possibly negative) offset/length pair into a

@@ -44,9 +44,6 @@ type bucket struct {
 }
 
 func newAdmission(opts AdmissionOptions, clock simtime.Clock) *admission {
-	if clock == nil {
-		clock = simtime.RealClock{}
-	}
 	if opts.Burst <= 0 {
 		opts.Burst = opts.Rate
 		if opts.Burst < 1 {

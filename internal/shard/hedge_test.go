@@ -23,6 +23,8 @@ type hookStore struct {
 	hook  func(ctx context.Context)
 }
 
+func (h *hookStore) Clock() simtime.Clock { return objectstore.ClockOf(h.inner) }
+
 func (h *hookStore) Put(ctx context.Context, key string, data []byte) error {
 	h.hook(ctx)
 	return h.inner.Put(ctx, key, data)
@@ -89,11 +91,11 @@ func TestHedgeDeterminism(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
 	mem := objectstore.NewMemStore(clock)
-	table, err := lake.CreateWith(ctx, mem, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, mem, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	builder := core.NewClient(table, core.Config{IndexDir: "rottnest", Clock: clock})
+	builder := core.NewClient(table, core.Config{IndexDir: "rottnest"})
 	gen := workload.NewUUIDGen(3)
 	keys := gen.Batch(400)
 	batch := parquet.NewBatch(uuidSchema)
@@ -120,7 +122,6 @@ func TestHedgeDeterminism(t *testing.T) {
 		Shards:   1,
 		Replicas: 2,
 		IndexDir: "rottnest",
-		Clock:    clock,
 		// All caches off: both replicas repeat identical request
 		// sequences, so durations are exactly reproducible.
 		CacheBytes:           -1,

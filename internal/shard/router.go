@@ -45,7 +45,7 @@ type Router struct {
 // client shares the substrate's layers.
 func New(ctx context.Context, store objectstore.Store, root string, opts Options) (*Router, error) {
 	opts = opts.withDefaults()
-	table, err := lake.OpenWith(ctx, store, root, lake.OpenOptions{Clock: opts.Clock})
+	table, err := lake.OpenWith(ctx, store, root, lake.OpenOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("shard: open table: %w", err)
 	}
@@ -59,7 +59,7 @@ func New(ctx context.Context, store objectstore.Store, root string, opts Options
 		workers: make([][]*worker, opts.Shards),
 		seq:     make([]atomic.Uint64, opts.Shards),
 		hedgers: make([]*hedger, opts.Shards),
-		admit:   newAdmission(opts.Admission, opts.Clock),
+		admit:   newAdmission(opts.Admission, table.Clock()),
 		reg:     obs.NewRegistry(),
 	}
 	for s := 0; s < opts.Shards; s++ {
@@ -71,13 +71,12 @@ func New(ctx context.Context, store objectstore.Store, root string, opts Options
 				ws = opts.ReplicaWrap(s, rep, ws)
 			}
 			ws = objectstore.NewStack(ws, objectstore.StackOptions{CacheBytes: byteBudget})
-			wt, err := lake.OpenWith(ctx, ws, root, lake.OpenOptions{Clock: opts.Clock})
+			wt, err := lake.OpenWith(ctx, ws, root, lake.OpenOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("shard: open worker table %d/%d: %w", s, rep, err)
 			}
 			row[rep] = &worker{client: core.NewClient(wt, core.Config{
 				IndexDir:             opts.IndexDir,
-				Clock:                opts.Clock,
 				Timeout:              opts.Timeout,
 				SearchWidth:          opts.SearchWidth,
 				CacheBytes:           -1, // the worker stack above carries the byte cache

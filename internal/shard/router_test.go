@@ -43,12 +43,12 @@ func newTestWorld(t testing.TB, batches, rowsPerBatch int) *testWorld {
 	mem := objectstore.NewMemStore(clock)
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(mem, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := &testWorld{clock: clock, store: store, table: table}
-	w.cli = core.NewClient(table, core.Config{IndexDir: "rottnest", Clock: clock})
+	w.cli = core.NewClient(table, core.Config{IndexDir: "rottnest"})
 	gen := workload.NewUUIDGen(7)
 	for b := 0; b < batches; b++ {
 		keys := gen.Batch(rowsPerBatch)
@@ -76,7 +76,6 @@ func newTestWorld(t testing.TB, batches, rowsPerBatch int) *testWorld {
 func (w *testWorld) router(t testing.TB, opts Options) *Router {
 	t.Helper()
 	opts.IndexDir = "rottnest"
-	opts.Clock = w.clock
 	rt, err := New(context.Background(), w.store, "lake", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -257,10 +256,10 @@ func TestRouterEmptySnapshot(t *testing.T) {
 	mem := objectstore.NewMemStore(clock)
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(mem, objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-	if _, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{Clock: clock}); err != nil {
+	if _, err := lake.CreateWith(ctx, store, "lake", uuidSchema, lake.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(ctx, store, "lake", Options{Shards: 3, IndexDir: "rottnest", Clock: clock})
+	rt, err := New(ctx, store, "lake", Options{Shards: 3, IndexDir: "rottnest"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,12 +101,11 @@ func TestShardedServing(t *testing.T) {
 	clock := simtime.NewVirtualClock()
 	model := objectstore.DefaultS3Model()
 	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
-	table, err := lake.CreateWith(ctx, store, "lake", idSchema, lake.OpenOptions{Clock: clock})
+	table, err := lake.CreateWith(ctx, store, "lake", idSchema, lake.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli := core.NewClient(table, core.Config{
-		Clock:                clock,
 		IndexDir:             "rottnest",
 		CacheBytes:           -1,
 		DecodedCacheBytes:    -1,
@@ -138,7 +137,6 @@ func TestShardedServing(t *testing.T) {
 	const clients, perClient = 6, 10
 	base := Options{
 		IndexDir:             "rottnest",
-		Clock:                clock,
 		Timeout:              time.Hour,
 		SearchWidth:          2,
 		CacheBytes:           -1,

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"rottnest/internal/objectstore"
-	"rottnest/internal/simtime"
 )
 
 // ErrRateLimited is returned (wrapped, with the tenant name) when the
@@ -74,8 +73,6 @@ type Options struct {
 	// IndexDir is the key prefix holding index files and the
 	// metadata table, exactly as core.Config.IndexDir.
 	IndexDir string
-	// Clock is the world clock (nil = real wall clock).
-	Clock simtime.Clock
 	// Timeout is the per-worker index timeout (core.Config.Timeout).
 	Timeout time.Duration
 	// SearchWidth caps each worker's request fan-out

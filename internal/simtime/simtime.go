@@ -13,7 +13,12 @@
 // A Clock is the single global wall clock of a simulated world. Object
 // stores stamp object creation times from it, which the vacuum
 // protocol relies on ("modern object stores provide strong consistency,
-// and thus have a single global clock", Section IV-C of the paper).
+// and thus have a single global clock", Section IV-C of the paper). So
+// the store is the one place a world names its clock: a MemStore is
+// built on one, objectstore.ClockOf reads it through any wrapper, and
+// a lake table and everything above it (clients, ingest writers and
+// schedulers, shard routers, the autopilot) read time from the table's
+// store. A store without a clock of its own is on RealClock.
 package simtime
 
 import (
@@ -65,8 +70,9 @@ func (c *VirtualClock) Advance(d time.Duration) time.Time {
 	return c.now
 }
 
-// RealClock is a Clock backed by the machine's wall clock. It is used
-// when Rottnest runs against a directory-backed store outside of a
+// RealClock is a Clock backed by the machine's wall clock. It is the
+// clock of any store that has none of its own (objectstore.ClockOf), so
+// Rottnest runs on it against a directory-backed store outside of a
 // simulation (for example, from the CLI).
 type RealClock struct{}
 

@@ -306,7 +306,7 @@ func WithTrace(ctx context.Context, name string) (context.Context, *TraceSpan) {
 func RenderTrace(w io.Writer, n *TraceNode) error { return obs.RenderText(w, n) }
 
 // Clock abstracts time for simulation; NewSimulatedStore returns a
-// virtual one.
+// virtual one, and Table.Clock reports the one a table runs on.
 type Clock = simtime.Clock
 
 // Session tracks virtual latency of one logical operation.
@@ -345,6 +345,11 @@ func NewStack(base Store, opts StackOptions) *Stack {
 // NewSimulatedStore returns an in-memory object store stamped by a
 // fresh virtual clock, wrapped in the paper's S3 latency model and a
 // shared read cache (a NewStack with Latency and the default cache).
+// That clock is the world's: every table created or opened on the
+// store, and every client, writer and scheduler over such a table,
+// reads time from it, so the simulation names its clock only here.
+// Advance the returned clock to age objects past a client's Timeout or
+// a lake vacuum's minAge.
 // Operations run inside a Session (see WithSession) accumulate
 // virtual latency; cache hits are free (zero latency, zero requests).
 // The returned metrics meter the requests and bytes that actually
@@ -373,19 +378,11 @@ func WithSession(ctx context.Context, s *Session) context.Context {
 	return simtime.With(ctx, s)
 }
 
-// TableOptions configure CreateTableWith/OpenTableWith; the zero
-// value (real wall clock) is what CreateTable/OpenTable use.
-type TableOptions = lake.OpenOptions
-
-// CreateTable initializes a new lake table at root on the store.
+// CreateTable initializes a new lake table at root on the store. The
+// table's clock is the store's: NewSimulatedStore's virtual clock, or
+// the real clock on NewMemStore and NewDirStore.
 func CreateTable(ctx context.Context, store Store, root string, schema *Schema) (*Table, error) {
 	return lake.CreateWith(ctx, store, root, schema, lake.OpenOptions{})
-}
-
-// CreateTableWith is CreateTable with explicit options (simulations
-// set TableOptions.Clock so lake commits share the virtual timeline).
-func CreateTableWith(ctx context.Context, store Store, root string, schema *Schema, opts TableOptions) (*Table, error) {
-	return lake.CreateWith(ctx, store, root, schema, opts)
 }
 
 // OpenTable returns a handle to the lake table at root. It issues no
@@ -397,15 +394,9 @@ func OpenTable(ctx context.Context, store Store, root string) (*Table, error) {
 	return lake.OpenWith(ctx, store, root, lake.OpenOptions{})
 }
 
-// OpenTableWith is OpenTable with explicit options.
-func OpenTableWith(ctx context.Context, store Store, root string, opts TableOptions) (*Table, error) {
-	return lake.OpenWith(ctx, store, root, opts)
-}
-
 // NewClient returns a Rottnest client over the table. The clock
-// driving timeouts and vacuum decisions comes from cfg.Clock; leave it
-// nil for the real wall clock, or set NewSimulatedStore's virtual
-// clock for simulations.
+// driving timeouts and vacuum decisions is the table's, which is its
+// store's: on NewSimulatedStore, the virtual clock it returned.
 func NewClient(table *Table, cfg Config) *Client {
 	return core.NewClient(table, cfg)
 }

@@ -3,7 +3,9 @@ package rottnest_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"rottnest"
 	"rottnest/internal/workload"
@@ -14,14 +16,14 @@ import (
 // compaction, vacuum.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	store, clock, metrics := rottnest.NewSimulatedStore()
+	store, _, metrics := rottnest.NewSimulatedStore()
 
 	schema := rottnest.MustSchema(
 		rottnest.Column{Name: "id", Type: rottnest.TypeFixedLenByteArray, TypeLen: 16},
 		rottnest.Column{Name: "body", Type: rottnest.TypeByteArray},
 		rottnest.Column{Name: "emb", Type: rottnest.TypeFixedLenByteArray, TypeLen: 4 * 8},
 	)
-	table, err := rottnest.CreateTableWith(ctx, store, "lake", schema, rottnest.TableOptions{Clock: clock})
+	table, err := rottnest.CreateTable(ctx, store, "lake", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 	}
 
-	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "index", Clock: clock})
+	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "index"})
 	for _, spec := range []struct {
 		column string
 		kind   rottnest.IndexKind
@@ -120,6 +122,65 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if metrics.Snapshot().Requests() == 0 {
 		t.Fatal("metrics not flowing")
+	}
+}
+
+// TestSimulatedStoreClockIsTheWorldClock checks that a simulated world
+// names its clock once, in the store: a table and a client built with
+// no clock of their own judge object age by NewSimulatedStore's
+// virtual clock, so both vacuums keep an uncommitted upload until that
+// clock passes their age limit (Section IV-C's single global clock).
+func TestSimulatedStoreClockIsTheWorldClock(t *testing.T) {
+	ctx := context.Background()
+	store, clock, _ := rottnest.NewSimulatedStore()
+	schema := rottnest.MustSchema(rottnest.Column{Name: "body", Type: rottnest.TypeByteArray})
+	table, err := rottnest.CreateTable(ctx, store, "lake", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = time.Hour
+	client := rottnest.NewClient(table, rottnest.Config{IndexDir: "rottnest", Timeout: timeout})
+
+	// An index upload whose indexer has not committed it yet, and a data
+	// file a writer staged but never committed.
+	const inflight = "rottnest/files/inflight.index"
+	if err := store.Put(ctx, inflight, []byte("uncommitted index")); err != nil {
+		t.Fatal(err)
+	}
+	b := rottnest.NewBatch(schema)
+	b.Cols[0] = rottnest.ColumnValues{Bytes: [][]byte{[]byte("staged")}}
+	staged, err := table.WriteFile(ctx, b, rottnest.FileWriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, err := table.Version(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	vacuum := func() (index, data []string) {
+		t.Helper()
+		report, err := client.Vacuum(ctx, rottnest.VacuumOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err = table.Vacuum(ctx, version, timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report.RemovedObjects, data
+	}
+	clock.Advance(time.Minute)
+	if index, data := vacuum(); len(index)+len(data) != 0 {
+		t.Fatalf("a minute-old upload was vacuumed: index %v, data %v", index, data)
+	}
+	clock.Advance(timeout)
+	index, data := vacuum()
+	if want := []string{inflight}; !reflect.DeepEqual(index, want) {
+		t.Fatalf("Client.Vacuum past the timeout removed %v, want %v", index, want)
+	}
+	if want := []string{staged.Path}; !reflect.DeepEqual(data, want) {
+		t.Fatalf("Table.Vacuum past minAge removed %v, want %v", data, want)
 	}
 }
 
