@@ -78,16 +78,25 @@ func TestInternalPackagesHaveCallers(t *testing.T) {
 //     before any client or store, and its clock only decays its heat;
 //   - a struct type that embeds objectstore.Store with no Clock method
 //     in its package: the embedding hides the inner store's clock, so
-//     a table over the wrapper would silently run on the real clock.
+//     a table over the wrapper would silently run on the real clock;
+//   - a struct type that holds an objectstore.Store in a named field
+//     and gets GetRange and PutIfAbsent methods from its package — a
+//     store wrapper — with no Clock method, for the same reason.
+//     benchmark's delayStore is exempt: it wraps a directory store,
+//     which is on the real clock anyway.
 func TestOneWorldClock(t *testing.T) {
 	const (
 		objectstorePath = "rottnest/internal/objectstore"
 		simtimePath     = "rottnest/internal/simtime"
 	)
-	exempt := map[string]bool{"internal/adaptive.LedgerOptions.Clock": true}
-	type typeKey struct{ pkg, name string } // pkg: directory plus package clause
-	embeds := map[typeKey]string{}          // wrapper type → its position
-	clocked := map[typeKey]bool{}           // types with a Clock method
+	exempt := map[string]bool{
+		"internal/adaptive.LedgerOptions.Clock": true,
+		"benchmark.delayStore":                  true,
+	}
+	type typeKey struct{ pkg, name string }  // pkg: directory plus package clause
+	embeds := map[typeKey]string{}           // type embedding a Store → its position
+	holds := map[typeKey]string{}            // type holding a Store in a named field → its position
+	methods := map[typeKey]map[string]bool{} // type → its Clock, GetRange and PutIfAbsent methods
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -137,13 +146,17 @@ func TestOneWorldClock(t *testing.T) {
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				if decl.Recv != nil && decl.Name.Name == "Clock" {
+				if name := decl.Name.Name; decl.Recv != nil && (name == "Clock" || name == "GetRange" || name == "PutIfAbsent") {
 					recv := decl.Recv.List[0].Type
 					if star, ok := recv.(*ast.StarExpr); ok {
 						recv = star.X
 					}
 					if id, ok := recv.(*ast.Ident); ok {
-						clocked[typeKey{pkg, id.Name}] = true
+						k := typeKey{pkg, id.Name}
+						if methods[k] == nil {
+							methods[k] = map[string]bool{}
+						}
+						methods[k][name] = true
 					}
 				}
 			case *ast.GenDecl:
@@ -160,8 +173,12 @@ func TestOneWorldClock(t *testing.T) {
 						// The facade re-exports both types under the same names.
 						isStore := isType(field.Type, objectstorePath, "Store") || isType(field.Type, "rottnest", "Store")
 						isClock := isType(field.Type, simtimePath, "Clock") || isType(field.Type, "rottnest", "Clock")
-						if len(field.Names) == 0 && isStore {
-							embeds[typeKey{pkg, ts.Name.Name}] = fset.Position(field.Pos()).String()
+						if isStore && !exempt[dir+"."+ts.Name.Name] {
+							if len(field.Names) == 0 {
+								embeds[typeKey{pkg, ts.Name.Name}] = fset.Position(field.Pos()).String()
+							} else {
+								holds[typeKey{pkg, ts.Name.Name}] = fset.Position(field.Pos()).String()
+							}
 						}
 						if self == simtimePath || !isClock {
 							continue
@@ -186,12 +203,24 @@ func TestOneWorldClock(t *testing.T) {
 	}
 	var missing []string
 	for k, pos := range embeds {
-		if !clocked[k] {
-			missing = append(missing, pos+": "+k.name)
+		if !methods[k]["Clock"] {
+			missing = append(missing, pos+": "+k.name+" embeds objectstore.Store")
 		}
+	}
+	wrappers := 0
+	for k, pos := range holds {
+		if m := methods[k]; m["GetRange"] && m["PutIfAbsent"] {
+			wrappers++
+			if !m["Clock"] {
+				missing = append(missing, pos+": "+k.name+" wraps an objectstore.Store")
+			}
+		}
+	}
+	if wrappers == 0 {
+		t.Fatal("found no store wrapper holding objectstore.Store in a named field")
 	}
 	sort.Strings(missing)
 	for _, m := range missing {
-		t.Errorf("%s embeds objectstore.Store but has no Clock method forwarding its inner store's (objectstore.ClockOf)", m)
+		t.Errorf("%s but has no Clock method forwarding its inner store's (objectstore.ClockOf)", m)
 	}
 }

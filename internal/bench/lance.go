@@ -69,20 +69,16 @@ func CustomFormatComparison(opts Options) (*CustomFormatResult, error) {
 		// Resolve the table version and open the index concurrently,
 		// mirroring the parallel planning of the Rottnest search path.
 		var reader *component.Reader
-		var snapErr, openErr error
-		simtime.From(ctx).Parallel(
-			func(s *simtime.Session) {
-				_, snapErr = vw.table.Snapshot(simtime.With(ctx, s))
-			},
-			func(s *simtime.Session) {
-				reader, openErr = component.Open(simtime.With(ctx, s), vw.store, indexKey, component.OpenOptions{})
-			},
-		)
-		if snapErr != nil {
-			return snapErr
-		}
-		if openErr != nil {
-			return openErr
+		err := simtime.Fan(ctx, 2, 0, func(ctx context.Context, i int) (err error) {
+			if i == 0 {
+				_, err = vw.table.Snapshot(ctx)
+			} else {
+				reader, err = component.Open(ctx, vw.store, indexKey, component.OpenOptions{})
+			}
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		ivf, err := ivfpq.Open(ctx, reader)
 		if err != nil {

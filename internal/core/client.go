@@ -26,8 +26,6 @@ import (
 	"time"
 
 	"rottnest/internal/component"
-	"rottnest/internal/fmindex"
-	"rottnest/internal/ivfpq"
 	"rottnest/internal/lake"
 	"rottnest/internal/meta"
 	"rottnest/internal/objcache"
@@ -67,10 +65,6 @@ type Config struct {
 	// uncommitted objects older than it (Section IV-C). Defaults to
 	// one hour.
 	Timeout time.Duration
-	// Trie, FM, and IVF tune the per-kind index construction.
-	Trie trie.BuildOptions
-	FM   fmindex.BuildOptions
-	IVF  ivfpq.BuildOptions
 	// MinVectorRows is the minimum number of new rows worth a vector
 	// index file. Defaults to 64.
 	MinVectorRows int64

@@ -139,19 +139,19 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 			if err != nil {
 				return err
 			}
-			return trie.MergeInto(ctx, b, sources, fileMaps, c.cfg.Trie)
+			return trie.MergeInto(ctx, b, sources, fileMaps, trie.BuildOptions{})
 		case component.KindFM:
 			sources, err := openAll(ctx, readers, fmindex.Open)
 			if err != nil {
 				return err
 			}
-			return fmindex.MergeInto(ctx, b, sources, fileMaps, c.cfg.FM)
+			return fmindex.MergeInto(ctx, b, sources, fileMaps, fmindex.BuildOptions{})
 		case component.KindIVFPQ:
 			sources, err := openAll(ctx, readers, ivfpq.Open)
 			if err != nil {
 				return err
 			}
-			return ivfpq.MergeInto(ctx, b, sources, fileMaps, c.cfg.IVF)
+			return ivfpq.MergeInto(ctx, b, sources, fileMaps, ivfpq.BuildOptions{})
 		default:
 			return fmt.Errorf("core: unknown index kind %d", kind)
 		}

@@ -62,8 +62,8 @@ type IndexOptions struct {
 	// leaving the cold tail for later jobs. Files outside the snapshot
 	// or already covered are ignored.
 	Only []string
-	// IVF, when non-nil, overrides the client's IVF-PQ build options
-	// for this job — e.g. a coarse low-nlist first pass for fast
+	// IVF, when non-nil, replaces the default IVF-PQ build options for
+	// this job — e.g. a coarse low-nlist first pass for fast
 	// time-to-searchable, refined later from probe traffic.
 	IVF *ivfpq.BuildOptions
 }
@@ -183,11 +183,11 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 		*asm = inputAssembler{}
 		switch kind {
 		case component.KindTrie:
-			return trie.BuildInto(b, in.keys, in.pageRefs, c.cfg.Trie)
+			return trie.BuildInto(b, in.keys, in.pageRefs, trie.BuildOptions{})
 		case component.KindFM:
-			return fmindex.BuildTerminatedInto(b, append(in.text, fmindex.Sentinel), in.starts, in.pageRefs, c.cfg.FM)
+			return fmindex.BuildTerminatedInto(b, append(in.text, fmindex.Sentinel), in.starts, in.pageRefs, fmindex.BuildOptions{})
 		default:
-			ivfOpts := c.cfg.IVF
+			var ivfOpts ivfpq.BuildOptions
 			if opts.IVF != nil {
 				ivfOpts = *opts.IVF
 			}

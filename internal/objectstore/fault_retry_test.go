@@ -167,6 +167,66 @@ func TestRetryRecoversFromTransients(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffInsideFans pins where a retry's backoff goes: with
+// no session on the context a fanned GET sleeps it out on the real
+// clock, whether it runs through FanGet or on a simtime.Fan branch;
+// with a session the backoff is charged to virtual time and nothing
+// sleeps.
+func TestRetryBackoffInsideFans(t *testing.T) {
+	const base = 50 * time.Millisecond
+	fresh := func() *RetryStore {
+		mem := NewMemStore(nil)
+		if err := mem.Put(context.Background(), "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		return NewRetryStore(NewFaultStore(mem, FailNth(OpGet, 1)), RetryPolicy{Seed: 1, BaseDelay: base, Jitter: -1})
+	}
+	fans := []struct {
+		name string
+		get  func(ctx context.Context, rs *RetryStore) error
+	}{
+		{"FanGet", func(ctx context.Context, rs *RetryStore) error {
+			_, err := FanGet(ctx, rs, []RangeRequest{{Key: "k", Length: 1}})
+			return err
+		}},
+		{"Fan", func(ctx context.Context, rs *RetryStore) error {
+			return simtime.Fan(ctx, 2, 0, func(ctx context.Context, i int) error {
+				if i == 1 {
+					return nil
+				}
+				_, err := rs.GetRange(ctx, "k", 0, 1)
+				return err
+			})
+		}},
+	}
+	for _, f := range fans {
+		rs := fresh()
+		start := time.Now()
+		if err := f.get(context.Background(), rs); err != nil {
+			t.Fatalf("%s without a session: %v", f.name, err)
+		}
+		if wall := time.Since(start); wall < base {
+			t.Errorf("%s without a session took %v: the retry skipped its %v backoff", f.name, wall, base)
+		}
+
+		rs = fresh()
+		sess := simtime.NewSession()
+		start = time.Now()
+		if err := f.get(simtime.With(context.Background(), sess), rs); err != nil {
+			t.Fatalf("%s in a session: %v", f.name, err)
+		}
+		if wall := time.Since(start); wall >= base {
+			t.Errorf("%s in a session slept %v on the real clock", f.name, wall)
+		}
+		if sess.Elapsed() < base {
+			t.Errorf("%s in a session charged %v, want the %v backoff", f.name, sess.Elapsed(), base)
+		}
+		if got := rs.Registry().Snapshot().Counter("retry.retries"); got != 1 {
+			t.Errorf("%s in a session: retries = %d, want 1", f.name, got)
+		}
+	}
+}
+
 func TestRetryPermanentErrorsNotRetried(t *testing.T) {
 	rs := NewRetryStore(NewMemStore(nil), RetryPolicy{Seed: 1})
 	ctx := context.Background()

@@ -3,7 +3,6 @@ package objectstore
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -327,10 +326,12 @@ type RangeRequest struct {
 	Length int64
 }
 
-// FanGet fetches every requested range concurrently and returns the
-// results in request order. Virtual time advances by the slowest
-// request in the fan plus, when the store is a Stack with a meter, the
-// meter model's QueueDelay for the issued requests.
+// FanGet fetches every requested range concurrently, in one
+// simtime.Fan, and returns the results in request order. Virtual time
+// advances by the slowest request in the fan plus, when the store is a
+// Stack with a meter, the meter model's QueueDelay for the issued
+// requests; without a session each GET runs on the real clock, retry
+// backoff included.
 //
 // When the store reads through a cache (a CachedStore, or a Stack with
 // one), adjacent ranges of the same object at most 128 KiB apart are
@@ -363,38 +364,17 @@ func FanGet(ctx context.Context, store Store, reqs []RangeRequest) ([][]byte, er
 	}
 	issued, refs := coalesceRanges(reqs, gap)
 
-	session := simtime.From(ctx)
 	fetched := make([][]byte, len(issued))
 	errs := make([]error, len(issued))
-
-	run := func(i int, branch *simtime.Session) {
+	_ = simtime.Fan(ctx, len(issued), 0, func(bctx context.Context, i int) error { // errors are per request: errs
 		// Once the fan's context dies, remaining branches short-circuit
 		// instead of issuing their GETs.
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			fetched[i], errs[i] = store.GetRange(bctx, issued[i].Key, issued[i].Offset, issued[i].Length)
 		}
-		bctx := ctx
-		if branch != nil {
-			bctx = simtime.With(ctx, branch)
-		}
-		fetched[i], errs[i] = store.GetRange(bctx, issued[i].Key, issued[i].Offset, issued[i].Length)
-	}
-
-	if session != nil {
-		session.ParallelN(len(issued), len(issued), run)
-		session.Add(model.QueueDelay(len(issued)))
-	} else {
-		var wg sync.WaitGroup
-		for i := range issued {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				run(i, nil)
-			}(i)
-		}
-		wg.Wait()
-	}
+		return nil
+	})
+	simtime.Charge(ctx, model.QueueDelay(len(issued)))
 	results := make([][]byte, len(reqs))
 	var firstErr error
 	for i, ref := range refs {

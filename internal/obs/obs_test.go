@@ -227,17 +227,12 @@ func TestSpanParallelBranches(t *testing.T) {
 	ctx, root := WithTrace(ctx, "fan")
 
 	durations := []time.Duration{10 * time.Millisecond, 40 * time.Millisecond}
-	branches := make([]func(*simtime.Session), len(durations))
-	for i, d := range durations {
-		d := d
-		branches[i] = func(branch *simtime.Session) {
-			bctx := simtime.With(ctx, branch)
-			bctx, span := Start(bctx, "fan.branch")
-			simtime.Charge(bctx, d)
-			span.End()
-		}
-	}
-	sess.Parallel(branches...)
+	_ = simtime.Fan(ctx, len(durations), 0, func(bctx context.Context, i int) error {
+		bctx, span := Start(bctx, "fan.branch")
+		simtime.Charge(bctx, durations[i])
+		span.End()
+		return nil
+	})
 
 	root.End()
 	tree := root.Tree()

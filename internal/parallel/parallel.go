@@ -65,20 +65,3 @@ func ForEach(n int, fn func(i int)) {
 		}
 	})
 }
-
-// Do runs the given functions concurrently and waits for all of them.
-func Do(fns ...func()) {
-	if len(fns) == 1 {
-		fns[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	for _, fn := range fns {
-		wg.Add(1)
-		go func(fn func()) {
-			defer wg.Done()
-			fn()
-		}(fn)
-	}
-	wg.Wait()
-}

@@ -44,18 +44,6 @@ func TestForEachVisitsAll(t *testing.T) {
 
 // TestDoRunsAll checks Do waits for every function, including the
 // single-function inline path.
-func TestDoRunsAll(t *testing.T) {
-	var ran atomic.Int32
-	Do(func() { ran.Add(1) })
-	Do(func() { ran.Add(1) }, func() { ran.Add(1) }, func() { ran.Add(1) })
-	if got := ran.Load(); got != 4 {
-		t.Fatalf("ran %d functions, want 4", got)
-	}
-}
-
-// TestForWorkersDeterministicSlots checks the static-partition
-// contract the byte-determinism of the builds rests on: each index's
-// output lands in its own slot regardless of worker count.
 func TestForWorkersDeterministicSlots(t *testing.T) {
 	const n = 100
 	want := make([]int, n)

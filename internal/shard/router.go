@@ -233,49 +233,36 @@ func (r *Router) run(ctx context.Context, snapVer int64, isVector bool, k int, d
 	// session advances by the shard's (possibly hedged) latency, and
 	// the scatter phase costs the slowest shard.
 	var hedges, hedgeWins int64
-	type shardOut struct {
-		idx int
-		res *core.Result
-		err error
-	}
-	outs := make([]shardOut, len(scattered))
+	lists := make([][]insitu.Match, len(scattered))
 	sctx, scatterSpan := obs.Start(ctx, "router.scatter")
 	scatterSpan.SetAttr("shards", len(scattered))
-	branches := make([]func(*simtime.Session), len(scattered))
-	for bi, si := range scattered {
-		bi, si := bi, si
-		branches[bi] = func(bs *simtime.Session) {
-			bctx := simtime.With(sctx, bs)
-			shctx, span := obs.Start(bctx, "router.shard")
-			span.SetAttr("shard", si)
-			span.SetAttr("files", parts[si].Files)
-			res, hi, err := r.runShard(shctx, bs, si, ver, parts[si].Range, do)
-			if hi.hedged {
-				atomic.AddInt64(&hedges, 1)
-				span.SetAttr("hedged", true)
-				span.SetAttr("deadline_ns", int64(hi.deadline))
-				if hi.hedgeWon {
-					atomic.AddInt64(&hedgeWins, 1)
-					span.SetAttr("winner", "hedge")
-				} else {
-					span.SetAttr("winner", "primary")
-				}
+	err = simtime.Fan(sctx, len(scattered), 0, func(bctx context.Context, bi int) error {
+		si := scattered[bi]
+		shctx, span := obs.Start(bctx, "router.shard")
+		span.SetAttr("shard", si)
+		span.SetAttr("files", parts[si].Files)
+		res, hi, err := r.runShard(shctx, simtime.From(bctx), si, ver, parts[si].Range, do)
+		if hi.hedged {
+			atomic.AddInt64(&hedges, 1)
+			span.SetAttr("hedged", true)
+			span.SetAttr("deadline_ns", int64(hi.deadline))
+			if hi.hedgeWon {
+				atomic.AddInt64(&hedgeWins, 1)
+				span.SetAttr("winner", "hedge")
+			} else {
+				span.SetAttr("winner", "primary")
 			}
-			span.End()
-			outs[bi] = shardOut{si, res, err}
 		}
-	}
-	if len(branches) > 0 {
-		session.Parallel(branches...)
-	}
+		span.End()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
+		}
+		lists[bi] = res.Matches
+		return nil
+	})
 	scatterSpan.End()
-
-	lists := make([][]insitu.Match, 0, len(outs))
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("shard %d: %w", o.idx, o.err)
-		}
-		lists = append(lists, o.res.Matches)
+	if err != nil {
+		return nil, err
 	}
 
 	// Merge: in-memory, so the phase costs (virtually) nothing; it is
@@ -308,10 +295,11 @@ type hedgeInfo struct {
 
 // runShard executes one shard's query with hedged replica fan-out.
 // Replica attempts run on their own fresh sessions so their full
-// durations are known; the shard's branch session then advances by
-// the modeled outcome: the primary's duration when it beat the hedge
-// deadline, otherwise min(primary, deadline+hedge). The losing
-// attempt's context is cancelled.
+// durations are known; the shard's branch session (when the query
+// runs in one) then advances by the modeled outcome: the primary's
+// duration when it beat the hedge deadline, otherwise
+// min(primary, deadline+hedge). The losing attempt's context is
+// cancelled.
 func (r *Router) runShard(ctx context.Context, bs *simtime.Session, si int, ver int64, fr core.FileRange, do shardDo) (*core.Result, hedgeInfo, error) {
 	m := len(r.workers[si])
 	primary := int(r.seq[si].Add(1)-1) % m

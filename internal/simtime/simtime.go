@@ -7,8 +7,10 @@
 // overlap. Instead of sleeping, every logical operation (a search, an
 // indexing run, a brute-force scan) runs inside a Session that records
 // its position on a virtual timeline. Sequential work advances the
-// session; Parallel branches each start at the parent's current time
-// and the parent resumes at the latest branch finish time.
+// session; Fan is the one way to fan work out: its branches each start
+// at the parent's current time and the parent resumes at the latest
+// branch finish time. Outside a session nothing is accounted, and a
+// fan's branches run on the real clock.
 //
 // A Clock is the single global wall clock of a simulated world. Object
 // stores stamp object creation times from it, which the vacuum
@@ -84,8 +86,8 @@ func (RealClock) Advance(time.Duration) time.Time { return time.Now() }
 
 // A Session tracks the virtual elapsed time of one logical operation.
 // The zero value is ready to use. Sessions are safe for concurrent use,
-// though concurrent Add calls model independent work and callers who
-// need parallel semantics should use Parallel.
+// though concurrent Add calls on one session model sequential work:
+// overlapping work belongs on the branches of a Fan.
 type Session struct {
 	mu      sync.Mutex
 	elapsed time.Duration
@@ -127,82 +129,62 @@ func (s *Session) advanceTo(t time.Duration) {
 	s.mu.Unlock()
 }
 
-// Parallel runs the branch functions concurrently, each on a child
-// Session starting at the parent's current elapsed time. When all
-// branches return, the parent's timeline advances to the latest branch
-// finish time. Branches run on real goroutines, so the real work they
-// perform is also parallel.
-func (s *Session) Parallel(branches ...func(*Session)) {
-	if len(branches) == 0 {
-		return
-	}
-	start := s.Elapsed()
-	children := make([]*Session, len(branches))
-	var wg sync.WaitGroup
-	for i, fn := range branches {
-		children[i] = &Session{elapsed: start}
-		wg.Add(1)
-		go func(child *Session, fn func(*Session)) {
-			defer wg.Done()
-			fn(child)
-		}(children[i], fn)
-	}
-	wg.Wait()
-	end := start
-	for _, c := range children {
-		if e := c.Elapsed(); e > end {
-			end = e
-		}
-	}
-	s.advanceTo(end)
-}
-
-// ParallelN runs fn(i, child) for i in [0, n) with at most width
-// branches in flight at a time, modelling a worker pool: the virtual
-// timeline advances as if the n tasks were executed by width parallel
-// workers (each wave takes the max of its branch durations). If width
-// <= 0 it defaults to n.
-func (s *Session) ParallelN(n, width int, fn func(int, *Session)) {
+// Fan runs fn(ctx, i) for every i in [0, n) in waves of at most width
+// concurrent branches (width <= 0 means n), and returns the error of
+// the lowest failing index — the order a caller looping over
+// per-branch errors would find it. Every fn runs: Fan never skips a
+// branch, so a branch that must signal completion (or stop early on a
+// dead context) does so itself. A wave of one runs on the caller's
+// goroutine.
+//
+// With a session on ctx, each branch's context carries a child session
+// starting at the parent's elapsed time, and after each wave the
+// parent advances to the latest branch finish time: a wave costs its
+// slowest branch. Without a session the branches run on ctx unchanged,
+// so they stay on the real clock (a retry backoff inside one sleeps).
+func Fan(ctx context.Context, n, width int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	if width <= 0 || width > n {
 		width = n
 	}
-	for base := 0; base < n; base += width {
-		count := width
-		if base+count > n {
-			count = n - base
-		}
-		branches := make([]func(*Session), count)
-		for j := 0; j < count; j++ {
-			i := base + j
-			branches[j] = func(child *Session) { fn(i, child) }
-		}
-		s.Parallel(branches...)
-	}
-}
-
-// Fan runs fn(ctx, i) for i in [0, n) on the session ctx carries, at
-// most width at a time (ParallelN; width <= 0 means n), each call's
-// context carrying its own branch session, and returns the error of
-// the lowest failing index — the order a caller looping over
-// per-branch errors would find it. A fan of one runs on the caller's
-// goroutine, on a branch session like any other. Without a session
-// the branches still run concurrently, just without virtual-time
-// accounting.
-func Fan(ctx context.Context, n, width int, fn func(ctx context.Context, i int) error) error {
-	if n == 1 {
-		s := From(ctx)
-		child := &Session{elapsed: s.Elapsed()}
-		err := fn(With(ctx, child), 0)
-		s.advanceTo(child.Elapsed())
-		return err
-	}
+	parent := From(ctx)
 	errs := make([]error, n)
-	From(ctx).ParallelN(n, width, func(i int, child *Session) {
-		errs[i] = fn(With(ctx, child), i)
-	})
+	for base := 0; base < n; base += width {
+		count := min(width, n-base)
+		var kids []Session
+		if parent != nil {
+			kids = make([]Session, count)
+			start := parent.Elapsed()
+			for j := range kids {
+				kids[j].elapsed = start
+			}
+		}
+		branch := func(j int) {
+			bctx := ctx
+			if kids != nil {
+				bctx = With(ctx, &kids[j])
+			}
+			errs[base+j] = fn(bctx, base+j)
+		}
+		if count == 1 {
+			branch(0)
+		} else {
+			var wg sync.WaitGroup
+			wg.Add(count)
+			for j := 0; j < count; j++ {
+				go func() {
+					defer wg.Done()
+					branch(j)
+				}()
+			}
+			wg.Wait()
+		}
+		for j := range kids {
+			parent.advanceTo(kids[j].Elapsed())
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

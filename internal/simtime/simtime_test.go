@@ -66,14 +66,21 @@ func TestNilSessionIsSafe(t *testing.T) {
 	}
 }
 
+// charge returns a branch that adds the i-th duration to its session.
+func charge(ds ...time.Duration) func(ctx context.Context, i int) error {
+	return func(ctx context.Context, i int) error {
+		Charge(ctx, ds[i])
+		return nil
+	}
+}
+
 func TestParallelTakesMax(t *testing.T) {
 	s := NewSession()
 	s.Add(time.Millisecond)
-	s.Parallel(
-		func(b *Session) { b.Add(30 * time.Millisecond) },
-		func(b *Session) { b.Add(70 * time.Millisecond) },
-		func(b *Session) { b.Add(10 * time.Millisecond) },
-	)
+	ctx := With(context.Background(), s)
+	if err := Fan(ctx, 3, 0, charge(30*time.Millisecond, 70*time.Millisecond, 10*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Elapsed(); got != 71*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 71ms (1ms + max branch)", got)
 	}
@@ -81,16 +88,20 @@ func TestParallelTakesMax(t *testing.T) {
 
 func TestParallelNestedChains(t *testing.T) {
 	s := NewSession()
-	s.Parallel(
-		func(b *Session) {
-			b.Add(10 * time.Millisecond)
-			b.Parallel(
-				func(c *Session) { c.Add(20 * time.Millisecond) },
-				func(c *Session) { c.Add(5 * time.Millisecond) },
-			)
-		},
-		func(b *Session) { b.Add(25 * time.Millisecond) },
-	)
+	ctx := With(context.Background(), s)
+	// Branch 0 is a chain of 10ms then a fan of 20ms and 5ms; branch 1
+	// is 25ms. The outer fan costs its slowest branch, 30ms.
+	err := Fan(ctx, 2, 0, func(ctx context.Context, i int) error {
+		if i == 1 {
+			Charge(ctx, 25*time.Millisecond)
+			return nil
+		}
+		Charge(ctx, 10*time.Millisecond)
+		return Fan(ctx, 2, 0, charge(20*time.Millisecond, 5*time.Millisecond))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Elapsed(); got != 30*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 30ms", got)
 	}
@@ -98,8 +109,11 @@ func TestParallelNestedChains(t *testing.T) {
 
 func TestParallelNWorkerPoolWaves(t *testing.T) {
 	s := NewSession()
+	ctx := With(context.Background(), s)
 	// 6 tasks of 10ms each on 2 workers: 3 waves => 30ms.
-	s.ParallelN(6, 2, func(i int, b *Session) { b.Add(10 * time.Millisecond) })
+	if err := Fan(ctx, 6, 2, func(ctx context.Context, _ int) error { Charge(ctx, 10*time.Millisecond); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Elapsed(); got != 30*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 30ms", got)
 	}
@@ -107,7 +121,10 @@ func TestParallelNWorkerPoolWaves(t *testing.T) {
 
 func TestParallelNDefaultsWidth(t *testing.T) {
 	s := NewSession()
-	s.ParallelN(8, 0, func(i int, b *Session) { b.Add(10 * time.Millisecond) })
+	ctx := With(context.Background(), s)
+	if err := Fan(ctx, 8, 0, func(ctx context.Context, _ int) error { Charge(ctx, 10*time.Millisecond); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Elapsed(); got != 10*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 10ms (single wave)", got)
 	}
@@ -115,8 +132,12 @@ func TestParallelNDefaultsWidth(t *testing.T) {
 
 func TestParallelEmpty(t *testing.T) {
 	s := NewSession()
-	s.Parallel()
-	s.ParallelN(0, 4, func(int, *Session) { t.Fatal("must not run") })
+	ctx := With(context.Background(), s)
+	for _, width := range []int{0, 4} {
+		if err := Fan(ctx, 0, width, func(context.Context, int) error { t.Fatal("must not run"); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := s.Elapsed(); got != 0 {
 		t.Fatalf("Elapsed = %v", got)
 	}
@@ -179,12 +200,28 @@ func TestFanWavesBranchSessionsAndLowestError(t *testing.T) {
 		t.Fatalf("Elapsed = %v, want 35ms", got)
 	}
 
-	// No session, no branches: still runs (or not) without panicking.
-	ran := make([]bool, 3)
-	if err := Fan(context.Background(), 3, 0, func(_ context.Context, i int) error { ran[i] = true; return nil }); err != nil || !ran[0] || !ran[1] || !ran[2] {
-		t.Fatalf("sessionless fan: err=%v ran=%v", err, ran)
+	// Without a session every branch runs on the caller's context and
+	// gets no session of its own, a fan of one included.
+	for _, n := range []int{1, 3} {
+		ran := make([]bool, n)
+		err := Fan(context.Background(), n, 0, func(ctx context.Context, i int) error {
+			if From(ctx) != nil {
+				t.Errorf("sessionless fan of %d: branch %d got a session", n, i)
+			}
+			ran[i] = true
+			return nil
+		})
+		for i := range ran {
+			if !ran[i] {
+				t.Fatalf("sessionless fan of %d: branch %d did not run (err=%v)", n, i, err)
+			}
+		}
 	}
+	// No branches: nothing runs and nothing is charged.
 	if err := Fan(ctx, 0, 4, func(context.Context, int) error { t.Error("must not run"); return nil }); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Elapsed(); got != 35*time.Millisecond {
+		t.Fatalf("empty fan: Elapsed = %v, want 35ms", got)
 	}
 }
