@@ -69,9 +69,10 @@ depth-table:
 # one -fuzz pattern per package invocation): corrupted bytes must
 # error, never panic, the SA-IS builder must agree with its
 # prefix-doubling oracle, the BWT inversion with the serial walk, and
-# the pruned nearest-centroid search with the exhaustive scan, and the
-# in-situ run loop with the row loop. -run pins each invocation to its own seed
-# corpus: fuzz builds carry coverage instrumentation, which would skew
+# the pruned nearest-centroid search with the exhaustive scan, the
+# in-situ run loop with the row loop, and an index key's column segment
+# must stay one path segment that decodes back. -run pins each
+# invocation to its own seed corpus: fuzz builds carry coverage instrumentation, which would skew
 # the timing-sensitive shape tests (they run uninstrumented above).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTrieNodeDecode -run '^FuzzTrieNodeDecode$$' -fuzztime=10s ./internal/trie/
@@ -91,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeletionVector -run '^FuzzDeletionVector$$' -fuzztime=10s ./internal/lake/
 	$(GO) test -fuzz=FuzzFileMeta -run '^FuzzFileMeta$$' -fuzztime=10s ./internal/parquet/
 	$(GO) test -fuzz=FuzzEvalRuns -run '^FuzzEvalRuns$$' -fuzztime=10s ./internal/insitu/
+	$(GO) test -fuzz=FuzzIndexKey -run '^FuzzIndexKey$$' -fuzztime=10s ./internal/core/
 
 # trace-smoke proves the observability path end to end: quickstart
 # runs every lookup through Client.Trace, writes the span trees as

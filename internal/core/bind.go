@@ -40,6 +40,9 @@ type execEnv struct {
 	// shape.columns, the order the read stage's runs hold them.
 	cols  []insitu.ColumnRead
 	stats *Stats
+	// opened holds the readers of the index files resolve opened in
+	// the log fan, by key; the probe stage takes them directly.
+	opened map[string]*component.Reader
 }
 
 // bind plans one round against a resolved snapshot and the listings of

@@ -236,13 +236,16 @@ func (w *coldWorld) checkDepth(t *testing.T, table string, cfg Config, slack tim
 // vector query on an IVF-PQ file past the 256 KiB tail waits on no
 // manifest or list fan after it.
 //
-// A staged AND's trie stage opens the FM files ahead in the free slots
-// of its last wave, so a matching AND waits on the FM walk, not on the
-// FM tail and then the walk, and an AND whose trie stage rules out
-// every file pays the FM tail it discards, and no level. The opens are
-// all or none: on a world of five trie and five FM files, a client of
-// width 2 has one free slot, opens nothing ahead, and its rows keep
-// the levels they had before the opens existed.
+// The meta log's LIST covers the index directory, so a cold plan opens
+// the index files it predicts in the fan of the log records: every
+// class waits on its index tails there, not one level after. A staged
+// AND's FM files open there too, so a matching AND waits on the FM
+// walk, not on the FM tail and then the walk, and an AND whose trie
+// stage rules out every file pays the FM tail it discards, and no
+// level. The opens are all or none: on a world of five trie and five
+// FM files, a client of width 2 cannot open ten files in one wave,
+// opens nothing early, and its rows keep the levels they had before
+// the opens existed.
 func TestColdPathDepth(t *testing.T) {
 	w := newColdWorld(t)
 	rng := rand.New(rand.NewSource(3))
@@ -251,22 +254,16 @@ func TestColdPathDepth(t *testing.T) {
 		vec[i] += float32(rng.NormFloat64() * 0.09)
 	}
 	needle := PredSubstring("body", []byte(w.needle))
+	// opened names the levels of a plan that opens tails in its log fan.
+	opened := func(tails string, rest ...string) []string {
+		return append([]string{"LIST lake log + meta log", "log fans ‖ " + tails}, rest...)
+	}
 	walk := func(fans int) []string {
-		out := []string{"fm tail"}
+		out := []string{}
 		for range fans {
 			out = append(out, "walk fan")
 		}
-		return out
-	}
-	levels := func(parts ...[]string) []string {
-		out := []string{"LIST lake log + meta log", "log fans"}
-		for _, p := range parts {
-			out = append(out, p...)
-		}
 		return append(out, "data pages")
-	}
-	miss := func(last ...string) []string {
-		return append([]string{"LIST lake log + meta log", "log fans", "fm tail"}, last...)
 	}
 	and := PredUUID("id", w.keys[w.needleRow])
 	absent := PredUUID("id", [16]byte{0xff, 1, 2, 3})
@@ -277,33 +274,40 @@ func TestColdPathDepth(t *testing.T) {
 		sel++
 	}
 	selective := And(PredUUID("id", w.keys[sel]), PredSubstring("body", []byte("the")))
-	trieThenWalk := levels([]string{"trie tail ‖ fm tail", "walk fan"})
-	shortCircuit := []string{"LIST lake log + meta log", "log fans", "trie tail ‖ fm tail"}
+	trieThenWalk := opened("trie tail ‖ fm tail", walk(1)...)
+	shortCircuit := opened("trie tail ‖ fm tail")
 	w.checkDepth(t, "default", Config{}, 3*time.Millisecond, []depthRow{
-		{"uuid", PredUUID("id", w.keys[5]), "id", levels([]string{"trie tail"}), 8, 54_860, 1},
-		{"substring", needle, "body", levels(walk(1)), 12, 581_310, 2},
-		{"vector", PredVector("emb", vec, 8, 40), "emb", levels([]string{"ivfpq tail"}), 9, 610_910, 10},
-		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 14, 634_135, 1},
+		{"uuid", PredUUID("id", w.keys[5]), "id", opened("trie tail", "data pages"), 8, 54_950, 1},
+		{"substring", needle, "body", opened("fm tail", walk(1)...), 12, 581_390, 2},
+		{"vector", PredVector("emb", vec, 8, 40), "emb", opened("ivfpq tail", "data pages"), 9, 611_010, 10},
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 14, 634_215, 1},
 		// A third leaf on a column already planned is one more pattern in
 		// the same walk and nothing more in the plan.
-		{"and(uuid,substring,substring)", And(and, needle, PredSubstring("body", []byte("Xq"))), "id", trieThenWalk, 14, 634_135, 1},
-		{"and(uuid,common word)", selective, "id", trieThenWalk, 13, 621_360, 1},
+		{"and(uuid,substring,substring)", And(and, needle, PredSubstring("body", []byte("Xq"))), "id", trieThenWalk, 14, 634_215, 1},
+		{"and(uuid,common word)", selective, "id", trieThenWalk, 13, 621_450, 1},
 		// An absent key rules out every file at the trie stage, so the
 		// FM file opened beside it is discarded, walked by no one.
-		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_185, 0},
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_275, 0},
 		// Both branches are probed in one fan.
-		{"or(uuid,substring)", Or(PredUUID("id", w.keys[5]), needle), "id", trieThenWalk, 13, 1_053_710, 3},
-		{"substring miss", PredSubstring("body", []byte("Ndl9Xq")), "body", miss("manifest"), 8, 264_965, 0},
-		{"common word", PredSubstring("body", []byte("the")), "body", levels(walk(1)), 13, 805_350, 10},
-		{"absent run", PredSubstring("body", []byte("qqqq")), "body", miss("walk fan"), 10, 327_670, 0},
-		{"32-byte match", PredSubstring("body", []byte(w.docs[100][:32])), "body", levels(walk(5)), 19, 1_108_580, 1},
-		{"32-byte miss", PredSubstring("body", []byte(w.docs[100][:18]+w.docs[200][:14])), "body", miss("walk fan", "walk fan", "walk fan"), 12, 1_074_470, 0},
+		{"or(uuid,substring)", Or(PredUUID("id", w.keys[5]), needle), "id", trieThenWalk, 13, 1_053_800, 3},
+		{"substring miss", PredSubstring("body", []byte("Ndl9Xq")), "body", opened("fm tail", "manifest"), 8, 265_050, 0},
+		{"common word", PredSubstring("body", []byte("the")), "body", opened("fm tail", walk(1)...), 13, 805_430, 10},
+		{"absent run", PredSubstring("body", []byte("qqqq")), "body", opened("fm tail", "walk fan"), 10, 327_750, 0},
+		{"32-byte match", PredSubstring("body", []byte(w.docs[100][:32])), "body", opened("fm tail", walk(5)...), 19, 1_108_650, 1},
+		{"32-byte miss", PredSubstring("body", []byte(w.docs[100][:18]+w.docs[200][:14])), "body", opened("fm tail", "walk fan", "walk fan", "walk fan"), 12, 1_074_560, 0},
 	})
-	// One free slot in the trie stage's only wave holds the one FM file.
+	// A client with no cache keeps no reader it opens: the probe stage
+	// takes the log fan's readers directly, so no file opens twice.
+	w.checkDepth(t, "no caches", coldConfig(), 3*time.Millisecond, []depthRow{
+		{"uuid", PredUUID("id", w.keys[5]), "id", opened("trie tail", "data pages"), 8, 54_950, 1},
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 16, 490_500, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_275, 0},
+	})
+	// The two files the plan predicts fit one wave of two.
 	w.checkDepth(t, "width 2", Config{SearchWidth: 2}, 3*time.Millisecond, []depthRow{
-		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 14, 634_135, 1},
-		{"and(uuid,common word)", selective, "id", trieThenWalk, 13, 621_360, 1},
-		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_185, 0},
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 14, 634_215, 1},
+		{"and(uuid,common word)", selective, "id", trieThenWalk, 13, 621_450, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 8, 284_275, 0},
 	})
 
 	// An IVF-PQ file past the 256 KiB tail, like the wall-clock
@@ -318,29 +322,137 @@ func TestColdPathDepth(t *testing.T) {
 	if len(res.Matches) != 10 || reqs.Lists != 2 {
 		t.Errorf("vector over %d B of IVF-PQ: %d matches, %d LISTs; want 10, 2", merged.SizeBytes, len(res.Matches), reqs.Lists)
 	}
-	// LIST lake log + meta log, log fans, the whole IVF-PQ file, data pages.
-	if want := 60*time.Millisecond + 3*30*time.Millisecond; elapsed < want || elapsed >= want+3*time.Millisecond {
+	// LIST lake log + meta log, log fans ‖ the whole merged IVF-PQ file
+	// (its two sources, still named by the meta table, sort before it
+	// and stay shut), data pages.
+	if want := 60*time.Millisecond + 2*30*time.Millisecond; elapsed < want || elapsed >= want+3*time.Millisecond {
 		t.Errorf("vector over %d B of IVF-PQ: %v of virtual time, want %v", merged.SizeBytes, elapsed, want)
 	}
 
-	// Five trie and five FM index files. The default client's trie stage
-	// leaves 27 free slots, so it opens all five FM files ahead; a client
-	// of width 2 leaves one, so it opens none and waits, as before the
-	// opens existed, on three trie waves and three FM waves of two
-	// levels each.
+	// Five trie and five FM index files. The default client opens all
+	// ten in its log fan; a client of width 2 cannot, so it opens none
+	// and waits, as before the opens existed, on three trie waves and
+	// three FM waves of two levels each.
 	w.indexEach(t, 4)
 	w.checkDepth(t, "5+5 index files", Config{}, 5*time.Millisecond, []depthRow{
-		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 50, 1_846_030, 1},
-		{"and(uuid,common word)", selective, "id", trieThenWalk, 54, 2_010_610, 1},
-		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 40, 1_491_190, 0},
+		{"and(uuid,substring)", And(and, needle), "id", trieThenWalk, 50, 1_846_450, 1},
+		{"and(uuid,common word)", selective, "id", trieThenWalk, 54, 2_011_030, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", shortCircuit, 40, 1_491_620, 0},
 	})
-	trieWaves := []string{"trie tails 1–2", "trie tails 3–4", "trie tail 5"}
-	fmWaves := []string{"fm tails 1–2", "walk fans 1–2", "fm tails 3–4", "walk fans 3–4", "fm tail 5", "walk fan 5"}
+	logFans := []string{"LIST lake log + meta log", "log fans"}
+	trieWaves := append(logFans, "trie tails 1–2", "trie tails 3–4", "trie tail 5")
+	fmWaves := append(trieWaves, "fm tails 1–2", "walk fans 1–2", "fm tails 3–4", "walk fans 3–4", "fm tail 5", "walk fan 5", "data pages")
 	w.checkDepth(t, "5+5 index files, width 2", Config{SearchWidth: 2}, 5*time.Millisecond, []depthRow{
-		{"and(uuid,substring)", And(and, needle), "id", levels(trieWaves, fmWaves), 50, 1_846_030, 1},
-		{"and(uuid,common word)", selective, "id", levels(trieWaves, fmWaves), 54, 2_010_610, 1},
-		{"and(absent uuid,substring)", And(absent, needle), "id", append([]string{"LIST lake log + meta log", "log fans"}, trieWaves...), 35, 180_470, 0},
+		{"and(uuid,substring)", And(and, needle), "id", fmWaves, 50, 1_846_450, 1},
+		{"and(uuid,common word)", selective, "id", fmWaves, 54, 2_011_030, 1},
+		{"and(absent uuid,substring)", And(absent, needle), "id", trieWaves, 35, 180_900, 0},
 	})
+
+	// build_compact's shape: three index rounds per kind, each compacted
+	// and vacuumed, the sources' objects still listed inside the
+	// timeout. Only the merged files open in the log fan.
+	c := newColdWorld(t)
+	c.compactRounds(t, 2)
+	c.checkDepth(t, "3 rounds, compacted", Config{}, 4*time.Millisecond, []depthRow{
+		{"uuid", PredUUID("id", c.keys[5]), "id", opened("trie tail", "data pages"), 20, 78_990, 1},
+		{"substring", needle, "body", opened("fm tail", walk(1)...), 25, 551_150, 2},
+		{"and(uuid,substring)", And(PredUUID("id", c.keys[c.needleRow]), needle), "id", trieThenWalk, 27, 623_390, 1},
+	})
+	// The price of prediction: an index file uploaded and not yet
+	// committed sorts after the merge, opens beside it, and is dropped.
+	trie := c.upload(t, "id", component.KindTrie)
+	c.checkDepth(t, "3 rounds, compacted, trie uploaded", Config{}, 4*time.Millisecond, []depthRow{
+		{"uuid", PredUUID("id", c.keys[5]), "id", opened("trie tail ‖ uploaded trie tail", "data pages"), 21, 118_410, 1},
+	})
+	// A file named in the flat layout of older releases is never
+	// predicted: its unit opens after the log fan, as before.
+	c.flatten(t, trie)
+	c.checkDepth(t, "3 rounds, compacted, trie flat", Config{}, 4*time.Millisecond, []depthRow{
+		{"uuid", PredUUID("id", c.keys[5]), "id", append(logFans, "trie tail", "data pages"), 22, 79_480, 1},
+	})
+}
+
+// compactRounds gives every column rounds more index files, one data
+// file each, then compacts each (column, kind) unit into one file and
+// vacuums: the sources' rows go, their objects stay inside the
+// timeout.
+func (w *coldWorld) compactRounds(t *testing.T, rounds int) {
+	t.Helper()
+	ctx := context.Background()
+	cli := NewClient(w.table, Config{IndexDir: "rottnest"})
+	specs := []IndexSpec{{"id", component.KindTrie}, {"body", component.KindFM}, {"emb", component.KindIVFPQ}}
+	for range rounds {
+		w.appendFile(t)
+		for _, spec := range specs {
+			if _, err := cli.Index(ctx, spec.Column, spec.Kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, spec := range specs {
+		if merged, err := cli.Compact(ctx, spec.Column, spec.Kind, CompactOptions{}); err != nil || len(merged) != 1 {
+			t.Fatalf("compact %s: %+v, %v", spec.Column, merged, err)
+		}
+	}
+	report, err := cli.Vacuum(ctx, VacuumOptions{})
+	if err != nil || len(report.DroppedEntries) != 3*(rounds+1) || len(report.RemovedObjects) != 0 {
+		t.Fatalf("vacuum: %+v, %v; want %d rows dropped, no object removed", report, err, 3*(rounds+1))
+	}
+}
+
+// upload puts a copy of the unit's one committed index file under a
+// fresh key of the unit, as an index job does before it commits, and
+// returns the committed row.
+func (w *coldWorld) upload(t *testing.T, column string, kind component.Kind) meta.IndexEntry {
+	t.Helper()
+	ctx := context.Background()
+	cli := NewClient(w.table, Config{IndexDir: "rottnest"})
+	all, version, err := cli.meta.ListBeside(ctx, cli.meta.Root(), nil)
+	rows := meta.EntriesFor(all, column, kind)
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("%s rows %+v, %v", column, rows, err)
+	}
+	data, err := w.store.Get(ctx, rows[0].IndexKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.store.Put(ctx, cli.indexKey(column, kind, version, false), data); err != nil {
+		t.Fatal(err)
+	}
+	return rows[0]
+}
+
+// flatten moves the committed file of row under the flat key layout of
+// older releases (files/<random>.index) and, as a vacuum past the
+// timeout would, deletes every other object of its unit.
+func (w *coldWorld) flatten(t *testing.T, row meta.IndexEntry) {
+	t.Helper()
+	ctx := context.Background()
+	cli := NewClient(w.table, Config{IndexDir: "rottnest"})
+	data, err := w.store.Get(ctx, row.IndexKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := row
+	flat.IndexKey = cli.cfg.IndexDir + indexFilePrefix + "0123456789abcdef0123456789abcdef.index"
+	if err := w.store.Put(ctx, flat.IndexKey, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.meta.Insert(ctx, flat); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.meta.Delete(ctx, row.IndexKey); err != nil {
+		t.Fatal(err)
+	}
+	unit, err := w.store.List(ctx, cli.unitDir(row.Column, row.Kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range unit {
+		if err := w.store.Delete(ctx, info.Key); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestMissingTableSurfacesAtFirstRead: opening is free, so a root with

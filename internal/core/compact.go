@@ -46,12 +46,12 @@ func (c *Client) Compact(ctx context.Context, column string, kind component.Kind
 	start := c.clock.Now()
 	pctx, planSpan := obs.Start(ctx, "compact.plan")
 	defer planSpan.End()
-	entries, err := c.meta.ListFor(pctx, column, kind)
+	all, planned, err := c.meta.ListBeside(pctx, c.meta.Root(), nil)
 	if err != nil {
 		return nil, err
 	}
 	var small []meta.IndexEntry
-	for _, e := range entries {
+	for _, e := range meta.EntriesFor(all, column, kind) {
 		if opts.SmallerThanBytes <= 0 || e.SizeBytes < opts.SmallerThanBytes {
 			small = append(small, e)
 		}
@@ -76,7 +76,7 @@ func (c *Client) Compact(ctx context.Context, column string, kind component.Kind
 		if hi-lo < 2 {
 			break // a leftover single entry stays as-is
 		}
-		entry, err := c.mergeBin(ctx, column, kind, small[lo:hi], start)
+		entry, err := c.mergeBin(ctx, column, kind, small[lo:hi], start, planned)
 		if err != nil {
 			if errors.Is(err, objectstore.ErrNotFound) {
 				// A concurrent vacuum collected a source index after we
@@ -96,7 +96,7 @@ func (c *Client) Compact(ctx context.Context, column string, kind component.Kind
 // it. The merged file table is the union of the sources' manifests
 // (deduplicated by path); each source's posting refs are rebased onto
 // it.
-func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kind, bin []meta.IndexEntry, start time.Time) (*meta.IndexEntry, error) {
+func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kind, bin []meta.IndexEntry, start time.Time, planned int64) (*meta.IndexEntry, error) {
 	mctx, mergeSpan := obs.Start(ctx, "compact.merge")
 	defer mergeSpan.End()
 	mergeSpan.SetAttr("sources", len(bin))
@@ -132,7 +132,7 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	}
 	mergeSpan.End()
 
-	return c.publish(ctx, "compact", start, merged, func(ctx context.Context, b *component.Builder) error {
+	return c.publish(ctx, "compact", start, planned, merged, func(ctx context.Context, b *component.Builder) error {
 		switch kind {
 		case component.KindTrie:
 			sources, err := openAll(ctx, readers, trie.Open)

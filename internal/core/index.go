@@ -81,7 +81,7 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 	// not know.
 	pctx, planSpan := obs.Start(ctx, "index.plan")
 	defer planSpan.End()
-	snap, entries, err := c.PlanInputs(pctx, version)
+	snap, entries, planned, err := c.planInputs(pctx, version, nil)
 	if snap == nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 	}
 
 	manifest := &Manifest{Column: column, Kind: kind, Files: newFiles}
-	return c.publish(ctx, "index", start, manifest, func(_ context.Context, b *component.Builder) error {
+	return c.publish(ctx, "index", start, planned, manifest, func(_ context.Context, b *component.Builder) error {
 		// The assembled inputs are the build's to drop: nothing of them
 		// is held through the upload and commit that follow.
 		in := *asm

@@ -35,13 +35,14 @@ func (s *failKeyStore) GetRange(ctx context.Context, key string, off, n int64) (
 }
 
 // TestStagedANDUnreadableStageB: what a staged AND's FM file holds
-// counts only if the FM stage runs. The trie stage's fan opens the FM
-// file ahead, and an open that fails there is dropped. When the FM
-// file cannot be read, cannot be opened, or is gone, an AND the trie
-// stage rules out still answers; one whose trie stage matches fails on
-// the read error, or replans around the vanished file to the scan path
-// — as it did before the FM file was opened ahead. When only the early
-// open fails, the FM stage opens the file itself and answers. All of
+// counts only if the FM stage runs. The plan's log fan opens the FM
+// file ahead, and an open that fails there is dropped: an early open's
+// error is not the query's. When the FM file cannot be read, cannot be
+// opened, or is gone, an AND the trie stage rules out still answers;
+// one whose trie stage matches fails on the read error, or replans
+// around the vanished file to the scan path — as it did before the FM
+// file was opened ahead. When only the early open fails, the FM stage
+// opens the file itself and answers. All of
 // it with the decoded-object cache on, off, and with every cache off.
 func TestStagedANDUnreadableStageB(t *testing.T) {
 	w := newColdWorld(t)
@@ -208,18 +209,19 @@ func components(ctx context.Context, r *component.Reader) ([][]byte, error) {
 	return out, nil
 }
 
-// TestOpenAheadNeedsAWaitingCheapStage: a staged AND opens its FM file
-// ahead only when its trie stage waits on the store, since a stage that
-// waits on nothing takes no level for the open to ride. Each client
-// keeps the trie file but not the FM file, in its one cache: a decoded
-// cache keeps the trie reader, a byte cache the trie's open read. The
-// first short-circuited AND waits on the trie tail and pays the FM tail
-// beside it. After it the trie file opens from memory, so neither its
-// repeat (the trie probe memoized on the decoded-cache client, whose
-// probe memo comes with that cache; walked afresh, in memory, on the
-// byte-cache client) nor an AND on another absent key (the trie walked
-// afresh) opens anything or issues a GET.
-func TestOpenAheadNeedsAWaitingCheapStage(t *testing.T) {
+// TestOpenAheadNeedsAPlanMiss: index files open ahead of the probe
+// stage only in the log fan of a plan that misses the plan cache, so a
+// staged AND's FM file is opened ahead once, not on every query whose
+// trie stage rules it out. Each client keeps the trie file but not the
+// FM file, in its one cache: a decoded cache keeps the trie reader, a
+// byte cache the trie's open read. The first short-circuited AND
+// misses the plan cache and pays both tails in its log fan, the FM
+// tail discarded. Its repeat (the trie probe memoized on the
+// decoded-cache client, whose probe memo comes with that cache; walked
+// afresh, in memory, on the byte-cache client) and an AND on another
+// absent key (the trie walked afresh) plan from the cache, open
+// nothing and issue no GET.
+func TestOpenAheadNeedsAPlanMiss(t *testing.T) {
 	w := newColdWorld(t)
 	miss := func(key byte) CompoundQuery {
 		return CompoundQuery{Expr: And(PredUUID("id", [16]byte{0xff, key, 2, 3}), PredSubstring("body", []byte(w.needle))), K: 10, Snapshot: -1, Output: "id"}

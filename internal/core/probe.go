@@ -49,8 +49,8 @@ type vecCandidate struct {
 // phase lock once both landed).
 type probeJob struct {
 	entry meta.IndexEntry
-	// reader is the file's reader when an earlier stage opened it
-	// ahead; nil means probeIndex opens the file.
+	// reader is the file's reader when resolve opened it in the log
+	// fan (execEnv.opened); nil means probeIndex opens the file.
 	reader *component.Reader
 	walk   func(ctx context.Context, r *component.Reader, span *obs.Span) error
 	merge  func(m *Manifest)
@@ -229,7 +229,8 @@ func (c *Client) exactJobs(jobs []probeJob, env *execEnv, pairs []probePair, max
 		}
 		var probes []exactProbe
 		jobs = append(jobs, probeJob{
-			entry: g.entry,
+			entry:  g.entry,
+			reader: env.opened[g.entry.IndexKey],
 			walk: func(ctx context.Context, r *component.Reader, span *obs.Span) (err error) {
 				probes, err = exactKinds[kind].walk(c, ctx, r, reqs)
 				refs := 0
@@ -268,7 +269,8 @@ func (c *Client) rankerJobs(jobs []probeJob, env *execEnv, out *probed) []probeJ
 		shape := env.shape
 		var raw []ivfpq.Candidate
 		jobs = append(jobs, probeJob{
-			entry: entry,
+			entry:  entry,
+			reader: env.opened[entry.IndexKey],
 			walk: func(ctx context.Context, r *component.Reader, span *obs.Span) error {
 				v, err := c.batch.do(ctx, r.Key(), shape.vecProbe, func(ctx context.Context) (any, int64, error) {
 					c.probeRuns.Inc()
@@ -328,15 +330,11 @@ func countLeaves(e *Expr) int {
 // cheap stage already rules out every file. It returns, per leaf,
 // whether it belongs to the cheap stage, or nil when staging is a
 // no-op: ordering is worthwhile only with both a cheap child that can
-// prune and an expensive child to save. waits reports whether the
-// cheap stage's fan, the ranker's probes included, certainly waits on
-// the store: some file it probes does not open from memory. A walk's
-// own reads are not predicted, so a stage whose files all open from
-// memory counts as not waiting even when its walk reads a block.
-func (c *Client) stageAND(env *execEnv, maxRows int) (cheapLeaf []bool, waits bool) {
+// prune and an expensive child to save.
+func (c *Client) stageAND(env *execEnv, maxRows int) (cheapLeaf []bool) {
 	root := env.shape.filter
 	if c.cfg.DisableANDOrdering || root == nil || root.Op != OpAnd || len(env.leaves) < 2 {
-		return nil, false
+		return nil
 	}
 	cheapLeaf = make([]bool, len(env.leaves))
 	anyCheapPruning, anyExpensive := false, false
@@ -364,52 +362,18 @@ func (c *Client) stageAND(env *execEnv, maxRows int) (cheapLeaf []bool, waits bo
 		anyExpensive = anyExpensive || !cheap
 	}
 	if !anyCheapPruning || !anyExpensive {
-		return nil, false
-	}
-	for _, e := range env.vecEntries {
-		waits = waits || !c.opensInMemory(e)
-	}
-	for i, le := range env.leaves {
-		for _, e := range le.chosen {
-			waits = waits || (cheapLeaf[i] && !c.opensInMemory(e))
-		}
-	}
-	return cheapLeaf, waits
-}
-
-// openAhead returns the distinct index files of a staged AND's
-// expensive stage that a waiting cheap stage's fan of nA jobs opens
-// beside its own, or nil. An early open only reads the file's tail (or
-// the whole file, per readsWhole), so a matching AND's expensive stage
-// starts at its walk; a short-circuited one discards it. It adds
-// requests only where it removes a level, so it opens all or none:
-// every file must fit in the free slots of the cheap stage's last
-// wave, or the expensive stage would still wait on the rest.
-func (c *Client) openAhead(nA int, stageB []probePair) []meta.IndexEntry {
-	var ahead []meta.IndexEntry
-	seen := make(map[string]bool, len(stageB))
-	for _, p := range stageB {
-		if !seen[p.entry.IndexKey] {
-			seen[p.entry.IndexKey] = true
-			ahead = append(ahead, p.entry)
-		}
-	}
-	free := 0
-	if rem := nA % c.cfg.SearchWidth; rem != 0 {
-		free = c.cfg.SearchWidth - rem
-	}
-	if len(ahead) > free {
 		return nil
 	}
-	return ahead
+	return cheapLeaf
 }
 
 // probe runs the one "search.probe" phase: every (leaf, chosen index)
 // probe and, for a ranked plan, every IVF-PQ probe, fanned together.
 // Under a top-level AND the cost model may stage the fan, probing the
 // cheap children first and skipping the rest when their intersection
-// already rules out every file; the cheap stage's fan may open the
-// expensive stage's files ahead (openAhead).
+// already rules out every file. On a plan miss both stages' files were
+// opened in the log fan (resolve), so the expensive stage starts at its
+// walk.
 func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*probed, error) {
 	probeCtx, span := obs.Start(ctx, "search.probe")
 	defer span.End()
@@ -446,21 +410,8 @@ func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*prob
 	}
 
 	var mu sync.Mutex
-	var opened map[string]*component.Reader // by index key
-	// run fans the jobs and, after them in the same fan, opens the
-	// files of ahead. An early open that fails is dropped: the stage
-	// that probes the file opens it itself, and fails or replans there.
-	run := func(jobs []probeJob, ahead []meta.IndexEntry) error {
-		return simtime.Fan(probeCtx, len(jobs)+len(ahead), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
-			if i >= len(jobs) {
-				e := ahead[i-len(jobs)]
-				if r, err := c.openReader(ctx, e); err == nil {
-					mu.Lock()
-					opened[e.IndexKey] = r
-					mu.Unlock()
-				}
-				return nil
-			}
+	run := func(jobs []probeJob) error {
+		return simtime.Fan(probeCtx, len(jobs), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
 			m, err := c.probeIndex(ctx, jobs[i])
 			if err != nil {
 				return err
@@ -473,8 +424,7 @@ func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*prob
 	}
 
 	stageA, stageB := pairs, []probePair(nil)
-	cheapLeaf, waits := c.stageAND(env, maxRows)
-	if cheapLeaf != nil {
+	if cheapLeaf := c.stageAND(env, maxRows); cheapLeaf != nil {
 		stageA = nil
 		for _, p := range pairs {
 			if cheapLeaf[p.leaf] {
@@ -486,16 +436,7 @@ func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*prob
 		env.stats.OrderedAND = true
 		span.SetAttr("ordered", true)
 	}
-	jobsA := c.exactJobs(first, env, stageA, maxRows, out)
-	var ahead []meta.IndexEntry
-	if len(stageB) > 0 {
-		if waits {
-			ahead = c.openAhead(len(jobsA), stageB)
-		}
-		opened = make(map[string]*component.Reader, len(ahead))
-		span.SetAttr("opened_ahead", len(ahead))
-	}
-	if err := run(jobsA, ahead); err != nil {
+	if err := run(c.exactJobs(first, env, stageA, maxRows, out)); err != nil {
 		return nil, err
 	}
 	if len(stageB) > 0 {
@@ -505,11 +446,7 @@ func (c *Client) probe(ctx context.Context, env *execEnv, unbounded bool) (*prob
 			}
 		}
 		if env.anyRowAlive(out.cands) {
-			jobsB := c.exactJobs(nil, env, stageB, maxRows, out)
-			for i := range jobsB {
-				jobsB[i].reader = opened[jobsB[i].entry.IndexKey]
-			}
-			if err := run(jobsB, nil); err != nil {
+			if err := run(c.exactJobs(nil, env, stageB, maxRows, out)); err != nil {
 				return nil, err
 			}
 		} else {

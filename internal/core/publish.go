@@ -20,8 +20,10 @@ import (
 //
 //  1. Build: manifest as component 0, then whatever the caller's build
 //     adds, under "<op>.build".
-//  2. Upload under a fresh random key ("<op>.upload"). Upload precedes
-//     commit, so a metadata row never names a missing object.
+//  2. Upload under a fresh key ("<op>.upload", indexKey): the unit's
+//     directory, the metadata version planned is the build order, a
+//     random name. Upload precedes commit, so a metadata row never
+//     names a missing object.
 //  3. Timeout: an operation that began more than Config.Timeout ago
 //     (by the world clock, measured from start) must not commit —
 //     vacuum judges orphans by that same clock and may already be
@@ -43,8 +45,11 @@ import (
 //     row is gone, and it was not until step 4 — and return
 //     ErrTimeout; the caller retries cleanly.
 //
-// The entry's file list and row count are the manifest's.
-func (c *Client) publish(ctx context.Context, op string, start time.Time, manifest *Manifest, build func(context.Context, *component.Builder) error, replaces *meta.IndexEntry) (*meta.IndexEntry, error) {
+// The entry's file list and row count are the manifest's. planned is
+// the metadata version the operation planned against; every operation
+// but an index job (compact, refine) replaces entries, and its key
+// carries the merge mark.
+func (c *Client) publish(ctx context.Context, op string, start time.Time, planned int64, manifest *Manifest, build func(context.Context, *component.Builder) error, replaces *meta.IndexEntry) (*meta.IndexEntry, error) {
 	bctx, buildSpan := obs.Start(ctx, op+".build")
 	defer buildSpan.End()
 	manifestJSON, err := json.Marshal(manifest)
@@ -61,7 +66,7 @@ func (c *Client) publish(ctx context.Context, op string, start time.Time, manife
 		return nil, err
 	}
 	entry := meta.IndexEntry{
-		IndexKey:  c.cfg.IndexDir + indexFilePrefix + randomName() + ".index",
+		IndexKey:  c.indexKey(manifest.Column, manifest.Kind, planned, op != "index"),
 		Kind:      manifest.Kind,
 		Column:    manifest.Column,
 		Files:     make([]string, len(manifest.Files)),
@@ -117,11 +122,60 @@ func (c *Client) publish(ctx context.Context, op string, start time.Time, manife
 	return &entry, nil
 }
 
-// randomName returns a fresh hex name for an index file.
-func randomName() string {
+// Index keys (DESIGN.md §18) are
+//
+//	IndexDir/files/<column>/<kind>/<build>-<mark>-<random>.index
+//
+// so that one LIST of a unit's directory returns its files in build
+// order. build is the metadata version the operation planned against,
+// zero-padded to buildWidth digits; mark is markMerge on an output
+// that replaces entries, so a merge sorts after every index job of its
+// own version, and markBuild otherwise. A plan predicts from that
+// order which files it will probe (openPredicted); the metadata table
+// stays the only authority, and its rows carry full keys, so files
+// named in the older flat layout (files/<random>.index) open as any.
+const (
+	buildWidth = 20
+	markBuild  = '0'
+	markMerge  = '1'
+)
+
+// indexKey returns a fresh key for an index file of (column, kind).
+func (c *Client) indexKey(column string, kind component.Kind, planned int64, merge bool) string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(err) // crypto/rand does not fail on supported platforms
 	}
-	return hex.EncodeToString(b[:])
+	mark := markBuild
+	if merge {
+		mark = markMerge
+	}
+	return fmt.Sprintf("%s%0*d-%c-%s.index", c.unitDir(column, kind), buildWidth, planned, mark, hex.EncodeToString(b[:]))
+}
+
+// unitDir is the directory of the (column, kind) unit's index files.
+func (c *Client) unitDir(column string, kind component.Kind) string {
+	return c.cfg.IndexDir + indexFilePrefix + columnSegment(column) + "/" + kind.String() + "/"
+}
+
+// columnSegment encodes a column name as one key segment that every
+// store keeps as it is: bytes outside [A-Za-z0-9_-] become %XX, so the
+// segment holds no '/' and is never "." or "..", and the empty name is
+// a lone "%", which no escape produces. Distinct names never share a
+// segment.
+func columnSegment(column string) string {
+	if column == "" {
+		return "%"
+	}
+	const hexDigits = "0123456789ABCDEF"
+	var out []byte
+	for i := 0; i < len(column); i++ {
+		switch ch := column[i]; {
+		case 'a' <= ch && ch <= 'z', 'A' <= ch && ch <= 'Z', '0' <= ch && ch <= '9', ch == '_', ch == '-':
+			out = append(out, ch)
+		default:
+			out = append(out, '%', hexDigits[ch>>4], hexDigits[ch&15])
+		}
+	}
+	return string(out)
 }

@@ -25,10 +25,11 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 	start := c.clock.Now()
 	pctx, planSpan := obs.Start(ctx, "refine.plan")
 	defer planSpan.End()
-	entries, err := c.meta.ListFor(pctx, column, component.KindIVFPQ)
+	all, planned, err := c.meta.ListBeside(pctx, c.meta.Root(), nil)
 	if err != nil {
 		return nil, err
 	}
+	entries := meta.EntriesFor(all, column, component.KindIVFPQ)
 	var old *meta.IndexEntry
 	for i := range entries {
 		if entries[i].IndexKey == indexKey {
@@ -58,7 +59,7 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 	if len(cells) == 0 {
 		return nil, nil
 	}
-	return c.publish(ctx, "refine", start, man, func(ctx context.Context, b *component.Builder) error {
+	return c.publish(ctx, "refine", start, planned, man, func(ctx context.Context, b *component.Builder) error {
 		return ivfpq.RefineInto(ctx, b, ix, cells, opts)
 	}, old)
 }

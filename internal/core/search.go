@@ -273,7 +273,7 @@ func (c *Client) searchTree(ctx context.Context, cq CompoundQuery, shape *planSh
 func (c *Client) round(ctx context.Context, cq CompoundQuery, shape *planShape, version int64, excluded map[string]bool) (*Result, error) {
 	pctx, planSpan := obs.Start(ctx, "search.plan")
 	defer planSpan.End()
-	snap, listings, fromCache, err := c.resolve(pctx, shape, version, len(excluded) > 0)
+	snap, listings, opened, fromCache, err := c.resolve(pctx, shape, version, len(excluded) > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +284,7 @@ func (c *Client) round(ctx context.Context, cq CompoundQuery, shape *planShape, 
 	if err != nil {
 		return nil, err
 	}
+	env.opened = opened
 	planSpan.SetAttr("snapshot", snap.Version)
 	planSpan.SetAttr("index_files", env.stats.IndexFiles)
 	planSpan.SetAttr("covered_files", env.stats.CoveredFiles)

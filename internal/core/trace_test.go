@@ -13,8 +13,9 @@ import (
 // TestTraceGoldenTree pins the span taxonomy for the canonical
 // indexed search: the root's children are exactly the protocol
 // phases, in protocol order, and each phase contains the work it is
-// responsible for (index probes under probe, in-situ page reads under
-// read, store requests below both).
+// responsible for (the index file's open under plan, in the log fan;
+// index probes under probe, in-situ page reads under read; store
+// requests below the open and the reads).
 func TestTraceGoldenTree(t *testing.T) {
 	ctx := context.Background()
 	e := newEnv(t, uuidSchema, Config{})
@@ -65,13 +66,15 @@ func TestTraceGoldenTree(t *testing.T) {
 	if read.Find("insitu.probe") == nil {
 		t.Fatal("no insitu.probe span under search.read")
 	}
-	// Both IO phases bottom out in store requests.
-	if probe.Find("store.get") == nil || read.Find("store.get") == nil {
-		t.Fatal("phases did not record store.get spans")
+	// The plan opens the index file beside the log records; the small
+	// trie is read whole there, so its probe reads nothing more.
+	open := tree.Children[0].Find("index.open")
+	if open == nil || open.Find("store.get") == nil || read.Find("store.get") == nil {
+		t.Fatal("the index open and the read phase did not record store.get spans")
 	}
-	// The plan phase reads metadata, so it performs store work too.
-	if tree.Children[0].Find("store.get") == nil && tree.Children[0].Find("store.list") == nil {
-		t.Fatal("plan phase recorded no store requests")
+	// The plan phase lists the logs.
+	if tree.Children[0].Find("store.list") == nil {
+		t.Fatal("plan phase recorded no LIST")
 	}
 }
 

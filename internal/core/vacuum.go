@@ -68,10 +68,10 @@ func (c *Client) Vacuum(ctx context.Context, opts VacuumOptions) (*VacuumReport,
 		keep = math.MaxInt64 // latest only
 	}
 	var retained []*lake.Snapshot
-	entries, err := c.besideMeta(pctx, func(ctx context.Context) (err error) {
+	entries, _, err := c.besideMeta(pctx, func(ctx context.Context) (err error) {
 		retained, err = c.table.SnapshotsSince(ctx, keep)
 		return err
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -80,20 +80,6 @@ func (c *Client) openReader(ctx context.Context, e meta.IndexEntry) (*component.
 	})
 }
 
-// opensInMemory reports whether openReader of e issues no request:
-// the file's reader is resident in the decoded cache, or the one read
-// its open makes is resident in the byte cache. It only peeks.
-func (c *Client) opensInMemory(e meta.IndexEntry) bool {
-	if c.objc.Holds("reader", e.IndexKey) {
-		return true
-	}
-	tail := int64(component.DefaultTailBytes)
-	if c.readsWhole(e.SizeBytes) {
-		tail = e.SizeBytes
-	}
-	return c.store.Cache.Holds(e.IndexKey, -tail, 0)
-}
-
 // readsWhole reports whether an index file of size bytes, past the
 // default tail that already holds a smaller one, opens with a read of
 // the whole file. It must lie in Fig 10a's flat region, and the cache

@@ -130,9 +130,19 @@ func (t *Table) Root() string { return t.root }
 
 // List returns every live entry of the table, sorted by index key.
 func (t *Table) List(ctx context.Context) ([]IndexEntry, error) {
-	entries, _, err := t.log.Read(ctx, -1)
+	entries, _, err := t.ListBeside(ctx, t.root, nil)
+	return entries, err
+}
+
+// ListBeside is List with the log version the entries are at, from one
+// LIST of dir: the table's root, or a prefix of it that also holds
+// other objects. beside, when set, gets the objects that LIST found
+// outside the table and runs in the same fan as the log records the
+// listing fetches, unless the table is empty.
+func (t *Table) ListBeside(ctx context.Context, dir string, beside func(ctx context.Context, others []objectstore.ObjectInfo)) ([]IndexEntry, int64, error) {
+	entries, version, err := t.log.ReadBeside(ctx, dir, beside)
 	// The remembered set is shared; the caller's slice is its own.
-	return append(make([]IndexEntry, 0, len(entries)), entries...), err
+	return append(make([]IndexEntry, 0, len(entries)), entries...), version, err
 }
 
 // ListFor returns the live entries for one (column, kind) index.

@@ -415,3 +415,64 @@ func TestReplayFetchesOnlyWhatTheHandleHasNotSeen(t *testing.T) {
 	}
 	list(31, 33)
 }
+
+// TestListBesideIsOneFan: a listing whose LIST covers the table's
+// parent prefix lists the same entries at the log's version, hands
+// beside exactly the objects outside the table, and runs it in the
+// fan of the log records: reading those objects there costs no
+// level. An empty table runs no beside.
+func TestListBesideIsOneFan(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	mem := objectstore.NewMemStore(clock)
+	store, metrics := objectstore.Instrument(mem, objectstore.DefaultS3Model())
+	empty := New(store, clock, "ix/_meta")
+	if _, version, err := empty.ListBeside(ctx, "ix/", func(context.Context, []objectstore.ObjectInfo) {
+		t.Error("beside ran on an empty table")
+	}); err != nil || version != 0 {
+		t.Fatalf("empty table: version %d, %v", version, err)
+	}
+	others := []string{"ix/files/a/fm/1.index", "ix/files/b.index", "ix/readme"}
+	for _, key := range others {
+		if err := store.Put(ctx, key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := New(store, clock, "ix/_meta")
+	for i := 0; i < 5; i++ {
+		if err := tbl.Insert(ctx, entry(fmt.Sprintf("%03d.index", i), "id", component.KindTrie, "f")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := New(store, clock, "ix/_meta").List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := simtime.NewSession()
+	before := metrics.Snapshot()
+	var seen []string
+	got, version, err := New(store, clock, "ix/_meta").ListBeside(simtime.With(ctx, session), "ix/", func(ctx context.Context, listed []objectstore.ObjectInfo) {
+		reqs := make([]objectstore.RangeRequest, len(listed))
+		for i, info := range listed {
+			reqs[i] = objectstore.RangeRequest{Key: info.Key, Length: -1}
+			seen = append(seen, info.Key)
+		}
+		if _, err := objectstore.FanGet(ctx, store, reqs); err != nil {
+			t.Error(err)
+		}
+	})
+	reqs, elapsed := metrics.Snapshot().Sub(before), session.Elapsed()
+	if err != nil || version != 5 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ListBeside = %v at %d, %v; List = %v at 5", got, version, err, want)
+	}
+	if !reflect.DeepEqual(seen, others) {
+		t.Fatalf("beside got %v, want %v", seen, others)
+	}
+	// One LIST, then the five records beside the three other objects.
+	if reqs.Lists != 1 || reqs.Gets != 8 {
+		t.Fatalf("ListBeside issued %+v, want 1 LIST + 8 GETs", reqs)
+	}
+	if elapsed < 90*time.Millisecond || elapsed >= 95*time.Millisecond {
+		t.Fatalf("ListBeside took %v of virtual time, want LIST + one fan (90 ms)", elapsed)
+	}
+}

@@ -95,17 +95,6 @@ func (c *Cache) Registry() *obs.Registry {
 // resident. A nil cache admits nothing.
 func (c *Cache) Admits(cost int64) bool { return c != nil && c.c.Admits(cost) }
 
-// Holds reports whether the whole-object form kind of the object id
-// is resident, without touching LRU order or counters: cost models
-// ask, they do not consume. A nil cache holds nothing.
-func (c *Cache) Holds(kind, id string) bool {
-	if c == nil {
-		return false
-	}
-	_, ok := c.c.Peek(formKey{kind: kind, id: id})
-	return ok
-}
-
 // Bytes returns the current resident cost total.
 func (c *Cache) Bytes() int64 {
 	if c == nil {

@@ -103,17 +103,6 @@ func (c *CachedStore) Invalidate(key string) int { return c.c.Invalidate(key) }
 // cache admits nothing.
 func (c *CachedStore) Admits(n int64) bool { return c != nil && c.c.Admits(n) }
 
-// Holds reports whether GetRange(key, offset, length) would be served
-// from the cache, without touching LRU order or counters. A nil cache
-// holds nothing.
-func (c *CachedStore) Holds(key string, offset, length int64) bool {
-	if c == nil {
-		return false
-	}
-	_, ok := c.c.Peek(rangeKey{key, offset, length})
-	return ok
-}
-
 // cachedGet is the shared hit/singleflight/fill path of Get and
 // GetRange.
 func (c *CachedStore) cachedGet(ctx context.Context, k rangeKey, fetch func(context.Context) ([]byte, error)) ([]byte, error) {

@@ -194,8 +194,18 @@ func (s *DirStore) List(ctx context.Context, prefix string) ([]ObjectInfo, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Walk only the deepest directory the prefix names: every key under
+	// the prefix lies below it, and a prefix that ends mid-name filters
+	// its entries below.
+	start, err := s.path(prefix[:strings.LastIndex(prefix, "/")+1])
+	if err != nil {
+		return nil, err
+	}
 	var infos []ObjectInfo
-	err := filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(start, func(p string, d fs.DirEntry, err error) error {
+		if p == start && errors.Is(err, fs.ErrNotExist) {
+			return filepath.SkipDir // nothing stored under the prefix
+		}
 		if err != nil || d.IsDir() {
 			return err
 		}

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"rottnest/internal/objectstore"
+	"rottnest/internal/simtime"
 )
 
 // Errors returned by a log.
@@ -141,10 +142,12 @@ func (l *Log[S]) publish(st *state[S]) {
 }
 
 // listing is one LIST of the log: record versions with their keys, and
-// checkpoint versions, each ascending.
+// checkpoint versions, each ascending; and, when the LIST covered more
+// than the log, the objects outside its dir.
 type listing struct {
 	records, checkpoints []int64
 	keys                 []string
+	others               []objectstore.ObjectInfo
 }
 
 func (ls listing) head() int64 {
@@ -159,14 +162,17 @@ func (ls listing) has(version int64) bool {
 	return i < len(ls.records) && ls.records[i] == version
 }
 
-func (l *Log[S]) list(ctx context.Context) (listing, error) {
-	infos, err := l.store.List(ctx, l.dir)
+// list LISTs prefix, the log's dir or a prefix of it.
+func (l *Log[S]) list(ctx context.Context, prefix string) (listing, error) {
+	infos, err := l.store.List(ctx, prefix)
 	if err != nil {
 		return listing{}, fmt.Errorf("%s: list log: %w", l.f.Name, err)
 	}
 	ls := listing{records: make([]int64, 0, len(infos)), keys: make([]string, 0, len(infos))}
 	for _, info := range infos {
 		switch v, checkpoint, ok := ParseKey(l.dir, info.Key); {
+		case !strings.HasPrefix(info.Key, l.dir):
+			ls.others = append(ls.others, info)
 		case !ok:
 		case checkpoint:
 			ls.checkpoints = append(ls.checkpoints, v)
@@ -180,7 +186,7 @@ func (l *Log[S]) list(ctx context.Context) (listing, error) {
 
 // Head lists the log and returns its newest version, 0 when it is empty.
 func (l *Log[S]) Head(ctx context.Context) (int64, error) {
-	ls, err := l.list(ctx)
+	ls, err := l.list(ctx, l.dir)
 	return ls.head(), err
 }
 
@@ -193,14 +199,14 @@ func (l *Log[S]) apply(base *state[S], version int64, records [][]byte) (*state[
 }
 
 // replay returns the state at every listed version in [from, to], oldest
-// first, from one fan. It starts from the newest state at or below from
-// it can: rem, what the handle remembers — if the listing still holds the
-// record it stopped at; a log that lost it is not the log it remembers —
-// or the newest checkpoint when that is newer, fetched in the same fan
-// as the records above it (the LIST names both). A checkpoint that is
-// missing or does not parse costs a second fan, over the log from its
-// start.
-func (l *Log[S]) replay(ctx context.Context, ls listing, rem *state[S], from, to int64) ([]S, error) {
+// first, from one fan, which also runs beside when it is set. It starts
+// from the newest state at or below from it can: rem, what the handle
+// remembers — if the listing still holds the record it stopped at; a
+// log that lost it is not the log it remembers — or the newest
+// checkpoint when that is newer, fetched in the same fan as the records
+// above it (the LIST names both). A checkpoint that is missing or does
+// not parse costs a second fan, over the log from its start.
+func (l *Log[S]) replay(ctx context.Context, ls listing, rem *state[S], from, to int64, beside func(context.Context)) ([]S, error) {
 	base, cp := &state[S]{}, int64(0)
 	if i := sort.Search(len(ls.checkpoints), func(i int) bool { return ls.checkpoints[i] > from }); i > 0 {
 		cp = ls.checkpoints[i-1]
@@ -218,7 +224,20 @@ func (l *Log[S]) replay(ctx context.Context, ls listing, rem *state[S], from, to
 	for _, key := range ls.keys[lo:hi] {
 		reqs = append(reqs, objectstore.RangeRequest{Key: key, Length: -1})
 	}
-	bodies, err := objectstore.FanGet(ctx, l.store, reqs)
+	var bodies [][]byte
+	var err error
+	if beside == nil {
+		bodies, err = objectstore.FanGet(ctx, l.store, reqs)
+	} else {
+		err = simtime.Fan(ctx, 2, 0, func(ctx context.Context, i int) (err error) {
+			if i == 0 {
+				bodies, err = objectstore.FanGet(ctx, l.store, reqs)
+			} else {
+				beside(ctx)
+			}
+			return err
+		})
+	}
 	if err != nil {
 		err = fmt.Errorf("%s: read log: %w", l.f.Name, err)
 	} else if cp > 0 {
@@ -230,7 +249,7 @@ func (l *Log[S]) replay(ctx context.Context, ls listing, rem *state[S], from, to
 	}
 	if err != nil {
 		if cp > 0 {
-			return l.replay(ctx, listing{records: ls.records, keys: ls.keys}, &state[S]{}, from, to)
+			return l.replay(ctx, listing{records: ls.records, keys: ls.keys}, &state[S]{}, from, to, nil)
 		}
 		return nil, err
 	}
@@ -275,7 +294,7 @@ func (l *Log[S]) Read(ctx context.Context, version int64) (S, int64, error) {
 		for v := rem.version; v <= version; v++ {
 			known.records, known.keys = append(known.records, v), append(known.keys, RecordKey(l.dir, v))
 		}
-		states, err := l.replay(ctx, known, rem, version, version)
+		states, err := l.replay(ctx, known, rem, version, version, nil)
 		if err == nil {
 			return states[0], version, nil
 		}
@@ -283,7 +302,22 @@ func (l *Log[S]) Read(ctx context.Context, version int64) (S, int64, error) {
 			return none, 0, err
 		}
 	}
-	ls, err := l.list(ctx)
+	return l.read(ctx, version, l.dir, nil)
+}
+
+// ReadBeside is Read(ctx, -1) with its one LIST over prefix, the log's
+// dir or a prefix of it. beside, when set, gets the listed objects
+// outside the log's dir and runs in the same fan as the records the
+// read fetches; a LIST that finds the log empty runs no beside.
+func (l *Log[S]) ReadBeside(ctx context.Context, prefix string, beside func(ctx context.Context, others []objectstore.ObjectInfo)) (S, int64, error) {
+	return l.read(ctx, -1, prefix, beside)
+}
+
+// read is Read past the remembered state: one LIST of prefix, then one
+// fan that replays to version and runs beside.
+func (l *Log[S]) read(ctx context.Context, version int64, prefix string, beside func(context.Context, []objectstore.ObjectInfo)) (S, int64, error) {
+	var none S
+	ls, err := l.list(ctx, prefix)
 	if err != nil {
 		return none, 0, err
 	}
@@ -296,7 +330,11 @@ func (l *Log[S]) Read(ctx context.Context, version int64) (S, int64, error) {
 	if version == 0 {
 		return none, 0, nil
 	}
-	states, err := l.replay(ctx, ls, rem, version, version)
+	var fanBeside func(context.Context)
+	if beside != nil {
+		fanBeside = func(ctx context.Context) { beside(ctx, ls.others) }
+	}
+	states, err := l.replay(ctx, ls, l.replayed.Load(), version, version, fanBeside)
 	if err != nil {
 		return none, 0, err
 	}
@@ -307,11 +345,11 @@ func (l *Log[S]) Read(ctx context.Context, version int64) (S, int64, error) {
 // newest, oldest first, from one LIST and one fan; a from past the
 // newest means the newest only. An empty log returns none.
 func (l *Log[S]) ReadFrom(ctx context.Context, from int64) ([]S, error) {
-	ls, err := l.list(ctx)
+	ls, err := l.list(ctx, l.dir)
 	if err != nil || ls.head() == 0 {
 		return nil, err
 	}
-	return l.replay(ctx, ls, l.replayed.Load(), min(max(from, 1), ls.head()), ls.head())
+	return l.replay(ctx, ls, l.replayed.Load(), min(max(from, 1), ls.head()), ls.head(), nil)
 }
 
 // Commit appends the record encode returns for the next version. It
