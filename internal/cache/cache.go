@@ -1,11 +1,11 @@
 // Package cache is the one cache engine under every tier of
 // Rottnest's read path: a byte-budgeted LRU with a tag index, a
 // guard against inserting loads that were in flight across an
-// invalidation, and a singleflight whose followers pay the leader's
-// measured virtual cost. The byte cache (objectstore.CachedStore),
-// the decoded-object cache (objcache) and the probe memo
-// (core.probeBatcher) are typed instances that differ only in key,
-// value, budget and metric names.
+// invalidation, and a singleflight, of one key (Do) or of a batch
+// (DoMany), whose followers pay the leader's measured virtual cost.
+// The byte cache (objectstore.CachedStore), the decoded-object cache
+// (objcache) and the probe memo (core.probeBatcher) are typed
+// instances that differ only in key, value, budget and metric names.
 //
 // Eviction has one fixed rule beyond recency: an entry whose key the
 // tier declared yielding (New's yields) is evicted before any entry
@@ -38,7 +38,7 @@ import (
 type Metrics struct {
 	Hits          *obs.Counter // lookups answered from a resident entry
 	Misses        *obs.Counter // loads that ran and succeeded
-	Coalesced     *obs.Counter // Do calls answered by another caller's load
+	Coalesced     *obs.Counter // keys answered by another caller's load
 	Evictions     *obs.Counter // entries dropped to stay within the budget
 	Invalidations *obs.Counter // Invalidate calls
 	Resident      *obs.Gauge   // resident cost total
@@ -57,7 +57,7 @@ type Cache[K comparable, V any] struct {
 	lru     [2]list.List
 	items   map[K]*list.Element
 	tags    map[string]map[K]*list.Element
-	flights map[K]*Flight[K, V]
+	flights map[K]*flight[K, V]
 	bytes   int64
 }
 
@@ -69,9 +69,9 @@ type entry[K comparable, V any] struct {
 	class int // index into Cache.lru: 0 ordinary, 1 yielding
 }
 
-// Flight is one load in progress. The caller that Begin made its
-// leader must Finish it; everyone else Waits.
-type Flight[K comparable, V any] struct {
+// flight is one load in progress. The caller that beginLocked made its
+// leader finishes it; everyone else waits.
+type flight[K comparable, V any] struct {
 	wg  sync.WaitGroup
 	key K
 	tag string
@@ -97,7 +97,7 @@ func New[K comparable, V any](maxBytes int64, m Metrics, yields func(K) bool) *C
 		yields:  yields,
 		items:   make(map[K]*list.Element),
 		tags:    make(map[string]map[K]*list.Element),
-		flights: make(map[K]*Flight[K, V]),
+		flights: make(map[K]*flight[K, V]),
 	}
 }
 
@@ -113,48 +113,123 @@ func New[K comparable, V any](maxBytes int64, m Metrics, yields func(K) bool) *C
 // in model time, conservatively from the start), and a hit charges
 // nothing.
 func (c *Cache[K, V]) Do(ctx context.Context, k K, tag string, load func(ctx context.Context) (V, int64, error)) (v V, hit bool, err error) {
-	v, f, lead := c.Begin(k, tag)
+	c.mu.Lock()
+	v, f, lead := c.beginLocked(k, tag)
+	c.mu.Unlock()
 	switch {
 	case f == nil:
 		return v, true, nil
 	case !lead:
-		if v, err = c.Wait(ctx, f); err == nil {
+		if v, err = c.wait(ctx, f); err == nil {
 			c.m.Coalesced.Inc()
 		}
 		return v, false, err
 	}
 	started := simtime.From(ctx).Elapsed()
 	v, cost, err := load(ctx)
-	c.Finish(ctx, f, started, v, cost, err)
+	c.finish(ctx, f, started, v, cost, err)
 	return v, false, err
 }
 
-// Begin is the first half of Do, for callers that complete many
-// flights from one piece of work. A resident k returns its value and
-// a nil flight. Otherwise it returns the flight for k — joined if one
-// is in progress, else started with the caller as leader (lead true).
-func (c *Cache[K, V]) Begin(k K, tag string) (v V, f *Flight[K, V], lead bool) {
+// DoMany is Do for a batch of keys, all tagged tag, whose misses load
+// together: it returns the values for keys, in order. A resident key
+// is served from the cache and a key another caller is loading is
+// joined; load is called at most once, with the ascending indices of
+// the keys that were neither, and returns their values and costs in
+// that order. A key named twice loads once. Charging is Do's, with the
+// batch as the load: a follower of any key pays the whole load's
+// measured virtual duration.
+func (c *Cache[K, V]) DoMany(ctx context.Context, keys []K, tag string, load func(ctx context.Context, missing []int) ([]V, []int64, error)) ([]V, error) {
+	out := make([]V, len(keys))
+	var fs batchFlights[K, V]
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	for i, k := range keys {
+		v, f, lead := c.beginLocked(k, tag)
+		switch {
+		case f == nil:
+			out[i] = v
+		case lead:
+			fs.missing, fs.led = append(fs.missing, i), append(fs.led, f)
+		default:
+			fs.joinedAt, fs.joined = append(fs.joinedAt, i), append(fs.joined, f)
+		}
+	}
+	c.mu.Unlock()
+	if len(fs.led)+len(fs.joined) == 0 {
+		return out, nil
+	}
+	if err := c.settle(ctx, &fs, out, load); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// batchFlights are the flights a DoMany call leads, at the indices
+// missing, and joins, at joinedAt.
+type batchFlights[K comparable, V any] struct {
+	missing, joinedAt []int
+	led, joined       []*flight[K, V]
+}
+
+// settle runs DoMany's load for the flights it leads and finishes
+// them, then collects the flights it joined, filling out. It is apart
+// from DoMany so that an all-resident batch runs on a small frame: a
+// fan's fresh goroutine reads its pages through DoMany, and every byte
+// of stack above the map lookups can make it grow.
+func (c *Cache[K, V]) settle(ctx context.Context, fs *batchFlights[K, V], out []V, load func(ctx context.Context, missing []int) ([]V, []int64, error)) error {
+	if len(fs.led) > 0 {
+		started := simtime.From(ctx).Elapsed()
+		vals, costs, err := load(ctx, fs.missing)
+		for j, f := range fs.led {
+			var v V
+			var cost int64
+			if err == nil {
+				v, cost = vals[j], costs[j]
+				out[fs.missing[j]] = v
+			}
+			c.finish(ctx, f, started, v, cost, err)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	// Joined flights are collected after our own are finished: two
+	// callers that each lead a key the other wants would otherwise wait
+	// on each other, and a key named twice would wait on itself.
+	for j, f := range fs.joined {
+		v, err := c.wait(ctx, f)
+		if err != nil {
+			return err
+		}
+		c.m.Coalesced.Inc()
+		out[fs.joinedAt[j]] = v
+	}
+	return nil
+}
+
+// beginLocked starts or joins the flight for k; c.mu is held. A
+// resident k returns its value and a nil flight. Otherwise it returns
+// the flight for k — joined if one is in progress, else started with
+// the caller as leader (lead true), who must finish it.
+func (c *Cache[K, V]) beginLocked(k K, tag string) (v V, f *flight[K, V], lead bool) {
 	if v, ok := c.lookupLocked(k, true); ok {
 		return v, nil, false
 	}
 	if f, ok := c.flights[k]; ok {
 		return v, f, false
 	}
-	f = &Flight[K, V]{key: k, tag: tag}
+	f = &flight[K, V]{key: k, tag: tag}
 	f.wg.Add(1)
 	c.flights[k] = f
 	return v, f, true
 }
 
-// Finish completes a flight its leader (or whoever did the leader's
-// work) has the result for, releasing the waiters. The load ran on
-// ctx's session from virtual time started until now. A successful
-// value becomes resident unless its tag was invalidated meanwhile or
-// it costs more than a quarter of the budget (one oversized value
-// must not wipe the cache).
-func (c *Cache[K, V]) Finish(ctx context.Context, f *Flight[K, V], started time.Duration, v V, cost int64, err error) {
+// finish completes a flight with its load's result, releasing the
+// waiters. The load ran on ctx's session from virtual time started
+// until now. A successful value becomes resident unless its tag was
+// invalidated meanwhile or it costs more than a quarter of the budget
+// (one oversized value must not wipe the cache).
+func (c *Cache[K, V]) finish(ctx context.Context, f *flight[K, V], started time.Duration, v V, cost int64, err error) {
 	f.runner = simtime.From(ctx)
 	f.val, f.err, f.vcost = v, err, f.runner.Elapsed()-started
 	c.mu.Lock()
@@ -176,10 +251,10 @@ func (c *Cache[K, V]) Finish(ctx context.Context, f *Flight[K, V], started time.
 // resident: one costing more than a quarter of the budget never does.
 func (c *Cache[K, V]) Admits(cost int64) bool { return cost <= c.max/4 }
 
-// Wait blocks until the flight finishes and returns its result,
+// wait blocks until the flight finishes and returns its result,
 // charging ctx's session the load's virtual cost unless the load ran
 // on that very session.
-func (c *Cache[K, V]) Wait(ctx context.Context, f *Flight[K, V]) (V, error) {
+func (c *Cache[K, V]) wait(ctx context.Context, f *flight[K, V]) (V, error) {
 	f.wg.Wait()
 	if s := simtime.From(ctx); f.err == nil && s != f.runner {
 		s.Add(f.vcost)

@@ -235,17 +235,106 @@ func step(t *testing.T, r *rig, op, k int, cost int64, yield bool) {
 		if k == 0 {
 			c.Flush()
 			m.entries = nil
+		} else {
+			stepMany(t, r, k, cost)
 		}
 	}
 	checkAgainst(t, c, m)
 }
 
-// TestEngineMatchesModel drives random operation sequences against
-// the naive model: the budget is never exceeded, eviction is strictly
-// least-recently-used, tag invalidation drops all and only the tagged
-// entries, an invalidation during a load suppresses that insert,
-// oversized and failed loads are served but not kept, and Peek does
-// not promote. A third of the loads insert as yielding, so all of the
+// stepMany is step's DoMany: a batch of one to four keys from k,
+// stride cost%5 (so stride 0 names k every time), all tagged tagOf(k).
+// The batch's load fails when cost%8 is 7 and invalidates the tag
+// mid-load when it is 6. The model serves resident keys first, in
+// order, then inserts the loaded ones in batch order.
+func stepMany(t *testing.T, r *rig, k int, cost int64) {
+	t.Helper()
+	c, m := r.c, r.m
+	keys := make([]int, 1+cost%4)
+	for j := range keys {
+		keys[j] = (k + j*int(cost%5)) % modelKeys
+	}
+	tag := tagOf(k)
+	var want, loaded []int // want: per key, a model value or -1 for loaded
+	for _, key := range keys {
+		switch i := m.find(key); {
+		case i >= 0:
+			want = append(want, m.entries[i].val)
+			m.promote(i)
+		case slices.Contains(loaded, key):
+			want = append(want, -1)
+		default:
+			want = append(want, -1)
+			loaded = append(loaded, key)
+		}
+	}
+	base := r.next + 1
+	r.next += len(loaded)
+	boom := errors.New("boom")
+	calls := 0
+	evBefore := r.evictions.Value()
+	vals, err := c.DoMany(context.Background(), keys, tag, func(_ context.Context, missing []int) ([]int, []int64, error) {
+		calls++
+		var got []int
+		for _, i := range missing {
+			got = append(got, keys[i])
+		}
+		if !slices.Equal(got, loaded) {
+			t.Fatalf("DoMany(%v) loads %v, model %v", keys, got, loaded)
+		}
+		switch cost % 8 {
+		case 7:
+			return nil, nil, boom
+		case 6:
+			if n := c.Invalidate(tag); n != m.invalidate(tag) {
+				t.Fatalf("mid-load Invalidate dropped %d entries, model disagrees", n)
+			}
+		}
+		out, costs := make([]int, len(missing)), make([]int64, len(missing))
+		for j := range missing {
+			out[j], costs[j] = base+j, cost
+		}
+		return out, costs, nil
+	})
+	if wantCalls := min(1, len(loaded)); calls != wantCalls {
+		t.Fatalf("DoMany(%v) called load %d times, want %d", keys, calls, wantCalls)
+	}
+	wantEvicted := 0
+	if len(loaded) > 0 && cost%8 == 7 {
+		if !errors.Is(err, boom) {
+			t.Fatalf("DoMany(%v) = %v, want the load's error", keys, err)
+		}
+	} else {
+		if err != nil {
+			t.Fatalf("DoMany(%v) = %v", keys, err)
+		}
+		for j, key := range keys {
+			w := want[j]
+			if w < 0 {
+				w = base + slices.Index(loaded, key)
+			}
+			if vals[j] != w {
+				t.Fatalf("DoMany(%v)[%d] = %d, want %d", keys, j, vals[j], w)
+			}
+		}
+		for j, key := range loaded {
+			if cost%8 != 6 {
+				wantEvicted += m.insert(modelEntry{key: key, tag: tag, val: base + j, cost: cost, yield: r.yield})
+			}
+		}
+	}
+	if got := r.evictions.Value() - evBefore; got != int64(wantEvicted) {
+		t.Fatalf("DoMany(%v) evicted %d, model %d", keys, got, wantEvicted)
+	}
+}
+
+// TestEngineMatchesModel drives random operation sequences, single
+// loads and batches, against the naive model: the budget is never
+// exceeded, eviction is strictly least-recently-used, tag invalidation
+// drops all and only the tagged entries, an invalidation during a load
+// suppresses that insert, oversized and failed loads are served but
+// not kept, a batch loads only its missing keys, once each, and Peek
+// does not promote. A third of the loads insert as yielding, so all of the
 // above is checked for that class too, and with it the one rule that
 // sets it apart: no ordinary entry is evicted while a yielding one is
 // resident.
@@ -334,7 +423,7 @@ func TestYieldingEntriesDisplaceNothing(t *testing.T) {
 }
 
 // TestFlightsChargeTheLeadersCost checks the singleflight and its one
-// charging rule, first step by step through Begin/Wait/Finish, then
+// charging rule, first with batches that join a Do in flight, then
 // with N concurrent Do calls on one key (run under -race).
 func TestFlightsChargeTheLeadersCost(t *testing.T) {
 	const cost = 3 * time.Millisecond
@@ -343,46 +432,61 @@ func TestFlightsChargeTheLeadersCost(t *testing.T) {
 		return simtime.With(context.Background(), s), s
 	}
 
-	t.Run("begin-wait-finish", func(t *testing.T) {
+	t.Run("batches join a Do", func(t *testing.T) {
 		coalesced := &obs.Counter{}
 		c := New[string, string](1<<20, Metrics{Coalesced: coalesced}, nil)
-		leadCtx, leadSession := newCtx()
-		_, f, lead := c.Begin("k", "obj")
-		if f == nil || !lead {
-			t.Fatal("first Begin did not lead")
-		}
 		const followers = 4
+		// Each follower's batch leads its own key and joins "k"; its
+		// load runs after its batch has joined, and the leader's load
+		// returns only once every follower's has run.
+		leading, parked := make(chan struct{}), make(chan struct{}, followers)
+		leadCtx, leadSession := newCtx()
+		var led sync.WaitGroup
+		led.Add(1)
+		go func() {
+			defer led.Done()
+			v, hit, err := c.Do(leadCtx, "k", "obj", func(ctx context.Context) (string, int64, error) {
+				close(leading)
+				for i := 0; i < followers; i++ {
+					<-parked
+				}
+				simtime.Charge(ctx, cost)
+				return "v", 1, nil
+			})
+			if v != "v" || hit || err != nil {
+				t.Errorf("leader Do = %q, %v, %v", v, hit, err)
+			}
+		}()
+		<-leading
 		sessions := make([]*simtime.Session, followers)
 		var wg sync.WaitGroup
 		for i := range sessions {
-			_, joined, lead := c.Begin("k", "obj")
-			if joined != f || lead {
-				t.Fatal("second Begin did not join the flight in progress")
-			}
 			ctx, s := newCtx()
 			sessions[i] = s
+			own := fmt.Sprintf("own%d", i)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if v, err := c.Wait(ctx, joined); v != "v" || err != nil {
-					t.Errorf("Wait = %q, %v", v, err)
+				vals, err := c.DoMany(ctx, []string{own, "k"}, "obj", func(ctx context.Context, missing []int) ([]string, []int64, error) {
+					parked <- struct{}{}
+					return []string{own}, []int64{1}, nil
+				})
+				if err != nil || !slices.Equal(vals, []string{own, "v"}) {
+					t.Errorf("DoMany = %q, %v", vals, err)
 				}
 			}()
 		}
-		started := leadSession.Elapsed()
-		simtime.Charge(leadCtx, cost)
-		c.Finish(leadCtx, f, started, "v", 1, nil)
 		wg.Wait()
-		// The leader re-reading its own flight is not charged twice.
-		if v, err := c.Wait(leadCtx, f); v != "v" || err != nil {
-			t.Fatalf("leader Wait = %q, %v", v, err)
+		led.Wait()
+		if coalesced.Value() != followers {
+			t.Errorf("coalesced = %d, want %d", coalesced.Value(), followers)
 		}
 		for i, s := range append(sessions, leadSession) {
 			if s.Elapsed() != cost {
 				t.Errorf("session %d elapsed = %v, want %v", i, s.Elapsed(), cost)
 			}
 		}
-		if v, f, _ := c.Begin("k", "obj"); v != "v" || f != nil {
+		if v, ok := c.Peek("k"); v != "v" || !ok {
 			t.Fatal("finished flight's value is not resident")
 		}
 	})
@@ -439,4 +543,80 @@ func TestFlightsChargeTheLeadersCost(t *testing.T) {
 			t.Fatalf("%d sessions charged, want the leader and %d followers", charged, coalesced.Value())
 		}
 	})
+}
+
+// TestDoManyKeyNamedTwiceLoadsOnce: a batch that names a key twice
+// loads it once, serves it at both places, and charges its session the
+// load once: the session that ran the load is not a follower of it.
+func TestDoManyKeyNamedTwiceLoadsOnce(t *testing.T) {
+	const cost = 2 * time.Millisecond
+	s := simtime.NewSession()
+	ctx := simtime.With(context.Background(), s)
+	c := New[string, string](1<<20, Metrics{}, nil)
+	var loads [][]int
+	vals, err := c.DoMany(ctx, []string{"a", "b", "a"}, "obj", func(ctx context.Context, missing []int) ([]string, []int64, error) {
+		loads = append(loads, missing)
+		simtime.Charge(ctx, cost)
+		return []string{"A", "B"}, []int64{1, 1}, nil
+	})
+	if err != nil || !slices.Equal(vals, []string{"A", "B", "A"}) {
+		t.Fatalf("DoMany = %q, %v", vals, err)
+	}
+	if len(loads) != 1 || !slices.Equal(loads[0], []int{0, 1}) {
+		t.Fatalf("loads = %v, want one of [0 1]", loads)
+	}
+	if s.Elapsed() != cost {
+		t.Fatalf("elapsed = %v, want %v", s.Elapsed(), cost)
+	}
+}
+
+// TestDoManyCallersLeadingEachOthersKeys: caller A's batch leads "a"
+// and joins "b", which caller B leads, and B's load wants "a". Both
+// finish only if A finishes its own flight before it waits on the one
+// it joined; a DoMany that waits first deadlocks, and the deadline
+// fails the test.
+func TestDoManyCallersLeadingEachOthersKeys(t *testing.T) {
+	ctx := context.Background()
+	c := New[string, string](1<<20, Metrics{}, nil)
+	bLoading, aLoading := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 2)
+	go func() {
+		v, _, err := c.Do(ctx, "b", "obj", func(ctx context.Context) (string, int64, error) {
+			close(bLoading)
+			<-aLoading
+			a, _, err := c.Do(ctx, "a", "obj", func(context.Context) (string, int64, error) {
+				return "", 0, errors.New("B loaded a key A leads")
+			})
+			return "B+" + a, 1, err
+		})
+		if err == nil && v != "B+A" {
+			err = fmt.Errorf("B = %q", v)
+		}
+		done <- err
+	}()
+	<-bLoading
+	go func() {
+		vals, err := c.DoMany(ctx, []string{"a", "b"}, "obj", func(ctx context.Context, missing []int) ([]string, []int64, error) {
+			if !slices.Equal(missing, []int{0}) {
+				return nil, nil, fmt.Errorf("A loads %v, want [0]", missing)
+			}
+			close(aLoading)
+			return []string{"A"}, []int64{1}, nil
+		})
+		if err == nil && !slices.Equal(vals, []string{"A", "B+A"}) {
+			err = fmt.Errorf("A = %q", vals)
+		}
+		done <- err
+	}()
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("callers leading each other's keys did not finish: joined flights awaited before own flights finished")
+		}
+	}
 }

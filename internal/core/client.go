@@ -105,14 +105,6 @@ type Config struct {
 	// not freshness, is what keeps results exact). 0 means the
 	// default of 8; negative disables the plan cache.
 	PlanCacheTTLVersions int
-	// DisableANDOrdering turns off cost-based ordering of top-level
-	// AND children in the probe phase (cheap/selective children probed
-	// first, expensive ones skipped when the running page-set
-	// intersection is already empty). Results are identical either
-	// way; the flag exists for differential testing — the harness's
-	// differential client — and for TestANDOrderingRequestCounts'
-	// unordered baseline.
-	DisableANDOrdering bool
 }
 
 func (c Config) withDefaults() Config {

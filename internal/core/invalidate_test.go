@@ -322,9 +322,6 @@ func TestInvalidationEvents(t *testing.T) {
 					t.Errorf("%d probes of dead %s still memoized", n, key)
 				}
 			}
-			if n := len(w.cli.batch.fqueues); n != 0 {
-				t.Errorf("%d FM wave queues outlive their probes", n)
-			}
 		})
 	}
 }

@@ -101,14 +101,14 @@ type exactKind struct {
 	// shallow marks walks of fixed small depth (a trie descent), which
 	// the AND cost model treats as always cheap.
 	shallow bool
-	// walk resolves every request against the index file behind r,
-	// through the batcher.
-	walk func(c *Client, ctx context.Context, r *component.Reader, reqs []probeReq) ([]exactProbe, error)
+	// run answers, in one batch, the requests against the index file
+	// behind r that the probe memo could not.
+	run func(c *Client, ctx context.Context, r *component.Reader, reqs []probeReq) ([]exactProbe, error)
 }
 
 var exactKinds = map[component.Kind]exactKind{
-	component.KindTrie: {shallow: true, walk: (*Client).walkTrie},
-	component.KindFM:   {walk: (*Client).walkFM},
+	component.KindTrie: {shallow: true, run: (*Client).trieLookups},
+	component.KindFM:   {run: (*Client).fmSuperwalk},
 }
 
 // probeKey is the batcher key of the leaf's normalized probe: the
@@ -117,77 +117,75 @@ func (lp *leafPlan) probeKey(maxRows int) string {
 	return lp.probe + ":" + strconv.Itoa(maxRows)
 }
 
-// walkTrie looks each key up on its own branch: lookups are
-// independent descents, each coalesced and memoized by the batcher.
-func (c *Client) walkTrie(ctx context.Context, r *component.Reader, reqs []probeReq) ([]exactProbe, error) {
-	out := make([]exactProbe, len(reqs))
-	err := simtime.Fan(ctx, len(reqs), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
-		v, err := c.batch.do(ctx, r.Key(), reqs[i].probeKey, func(ctx context.Context) (any, int64, error) {
-			c.probeRuns.Inc()
-			ix, err := c.openTrie(ctx, r)
-			if err != nil {
-				return nil, 0, err
-			}
-			var key [16]byte
-			copy(key[:], reqs[i].pattern)
-			refs, err := ix.Lookup(ctx, key)
-			if err != nil {
-				return nil, 0, err
-			}
-			return exactProbe{refs: refs}, int64(len(refs)*8 + 96), nil
-		})
-		if err == nil {
-			out[i] = v.(exactProbe)
+// walkExact resolves every request against the index file behind r
+// into out, through the batcher: repeats come from the memo, probes
+// another query is running are joined, and the rest go to the kind's
+// batch runner together.
+func (c *Client) walkExact(ctx context.Context, kind exactKind, r *component.Reader, reqs []probeReq, out []exactProbe) error {
+	vs, err := c.batch.doMany(ctx, r.Key(), reqs, func(ctx context.Context, missing []int) ([]any, []int64, error) {
+		batch := make([]probeReq, len(missing))
+		for j, i := range missing {
+			batch[j] = reqs[i]
 		}
+		probes, err := kind.run(c, ctx, r, batch)
+		if err != nil {
+			return nil, nil, err
+		}
+		vals, costs := make([]any, len(probes)), make([]int64, len(probes))
+		for j, p := range probes {
+			vals[j], costs[j] = p, int64(len(p.refs)*8+96)
+		}
+		return vals, costs, nil
+	})
+	for i, v := range vs {
+		out[i] = v.(exactProbe)
+	}
+	return err
+}
+
+// trieLookups looks each key up on its own branch of one fan: lookups
+// are independent descents, one probe run each.
+func (c *Client) trieLookups(ctx context.Context, r *component.Reader, reqs []probeReq) ([]exactProbe, error) {
+	c.probeRuns.Add(int64(len(reqs)))
+	ix, err := c.openTrie(ctx, r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]exactProbe, len(reqs))
+	err = simtime.Fan(ctx, len(reqs), c.cfg.SearchWidth, func(ctx context.Context, i int) (err error) {
+		var key [16]byte
+		copy(key[:], reqs[i].pattern)
+		out[i].refs, err = ix.Lookup(ctx, key)
 		return err
 	})
 	return out, err
 }
 
-// walkFM resolves every pattern with one superwalk. FM probes always
-// route through the batcher's group path, even alone: a probe arriving
-// while another query's superwalk is in flight rides the next wave.
-func (c *Client) walkFM(ctx context.Context, r *component.Reader, reqs []probeReq) ([]exactProbe, error) {
-	vs, err := c.batch.doFMBatch(ctx, r.Key(), reqs, c.fmRunner(r))
+// fmSuperwalk resolves every pattern with one multi-pattern superwalk,
+// one probe run, with checkpoint-block fetches deduplicated across the
+// patterns.
+func (c *Client) fmSuperwalk(ctx context.Context, r *component.Reader, reqs []probeReq) ([]exactProbe, error) {
+	c.probeRuns.Inc()
+	ix, err := c.openFM(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]exactProbe, len(vs))
-	for i, v := range vs {
-		out[i] = v.(exactProbe)
+	patterns := make([][]byte, len(reqs))
+	bounds := make([]int, len(reqs))
+	for i, req := range reqs {
+		patterns[i], bounds[i] = req.pattern, req.maxRows
+	}
+	refs, trunc, stats, err := ix.LookupManyBounded(ctx, patterns, bounds)
+	if err != nil {
+		return nil, err
+	}
+	c.occFetched.Add(int64(stats.OccFetched))
+	c.occReused.Add(int64(stats.OccReused))
+	out := make([]exactProbe, len(reqs))
+	for i := range reqs {
+		out[i] = exactProbe{refs: refs[i], truncated: trunc[i]}
 	}
 	return out, nil
-}
-
-// fmRunner returns the batcher's runMany closure for the FM index
-// behind r: one multi-pattern superwalk resolving every pattern in the
-// wave, with checkpoint-block fetches deduplicated across them.
-func (c *Client) fmRunner(r *component.Reader) fmRunMany {
-	return func(bctx context.Context, reqs []probeReq) ([]any, []int64, error) {
-		c.probeRuns.Inc()
-		ix, err := c.openFM(bctx, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		patterns := make([][]byte, len(reqs))
-		bounds := make([]int, len(reqs))
-		for i, req := range reqs {
-			patterns[i], bounds[i] = req.pattern, req.maxRows
-		}
-		refs, trunc, stats, err := ix.LookupManyBounded(bctx, patterns, bounds)
-		if err != nil {
-			return nil, nil, err
-		}
-		c.occFetched.Add(int64(stats.OccFetched))
-		c.occReused.Add(int64(stats.OccReused))
-		vals := make([]any, len(reqs))
-		costs := make([]int64, len(reqs))
-		for i := range reqs {
-			vals[i] = exactProbe{refs: refs[i], truncated: trunc[i]}
-			costs[i] = int64(len(refs[i])*8 + 96)
-		}
-		return vals, costs, nil
-	}
 }
 
 // probePair is one (leaf, chosen index file) probe of the probe phase.
@@ -227,12 +225,12 @@ func (c *Client) exactJobs(jobs []probeJob, env *execEnv, pairs []probePair, max
 				out.cands[li] = newLeafCandSet()
 			}
 		}
-		var probes []exactProbe
+		probes := make([]exactProbe, len(reqs))
 		jobs = append(jobs, probeJob{
 			entry:  g.entry,
 			reader: env.opened[g.entry.IndexKey],
-			walk: func(ctx context.Context, r *component.Reader, span *obs.Span) (err error) {
-				probes, err = exactKinds[kind].walk(c, ctx, r, reqs)
+			walk: func(ctx context.Context, r *component.Reader, span *obs.Span) error {
+				err := c.walkExact(ctx, exactKinds[kind], r, reqs, probes)
 				refs := 0
 				for _, p := range probes {
 					refs += len(p.refs)
@@ -333,7 +331,7 @@ func countLeaves(e *Expr) int {
 // prune and an expensive child to save.
 func (c *Client) stageAND(env *execEnv, maxRows int) (cheapLeaf []bool) {
 	root := env.shape.filter
-	if c.cfg.DisableANDOrdering || root == nil || root.Op != OpAnd || len(env.leaves) < 2 {
+	if root == nil || root.Op != OpAnd || len(env.leaves) < 2 {
 		return nil
 	}
 	cheapLeaf = make([]bool, len(env.leaves))

@@ -237,15 +237,12 @@ func TestSuperwalkRequestCounts(t *testing.T) {
 // is skipped and the query short-circuits. Each pays two GETs on this
 // uncached client: the trie tail, and the FM tail its trie stage opens
 // ahead and discards, the price of a level off every matching AND.
-// The same queries on a client with ordering off probe both indexes
-// and issue more GETs.
+// The same queries with AND ordering switched off (a Config field,
+// since removed) probed both indexes and issued 44 GETs.
 func TestANDOrderingRequestCounts(t *testing.T) {
 	w := newPairWorld(t, expSeed+1, 8, 600, Config{})
-	cfg := coldConfig()
-	cfg.IndexDir, cfg.DisableANDOrdering = "rottnest", true
-	unordered := NewClient(w.table, cfg)
 	miss := workload.NewUUIDGen(expSeed + 7919)
-	var orderedGETs, unorderedGETs, skipped int64
+	var orderedGETs, skipped int64
 	for r := 0; r < 6; r++ {
 		cq := CompoundQuery{
 			Expr:     And(PredUUID("id", miss.Next()), PredSubstring("body", []byte(w.needles[r%len(w.needles)]))),
@@ -261,19 +258,11 @@ func TestANDOrderingRequestCounts(t *testing.T) {
 			return err
 		})
 		skipped += w.cli.Metrics().Sub(before).Counter("search.leaves_skipped")
-		unorderedGETs += gets(t, func(ctx context.Context) error {
-			res, err := unordered.SearchCompound(session(ctx), cq)
-			if err == nil && len(res.Matches) != 0 {
-				err = fmt.Errorf("unordered miss query %d found matches", r)
-			}
-			return err
-		})
 	}
 	if orderedGETs != 12 {
 		t.Errorf("ordered miss queries issued %d GETs, want 12", orderedGETs)
 	}
-	if skipped == 0 || orderedGETs >= unorderedGETs {
-		t.Errorf("ordered miss queries skipped %d leaves and issued %d GETs against %d unordered, want some skipped and fewer GETs",
-			skipped, orderedGETs, unorderedGETs)
+	if skipped == 0 {
+		t.Errorf("ordered miss queries skipped no leaves, want some skipped")
 	}
 }

@@ -163,7 +163,7 @@ func awaitJoin(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), "internal/cache.(*Cache[...]).Wait(") {
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), "internal/cache.(*Cache[...]).wait(") {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -194,17 +194,16 @@ func watchGoroutines(stop <-chan struct{}, cancel context.CancelCauseFunc) int {
 
 // world is the shared state of one run.
 type world struct {
-	opts      Options
-	clock     *simtime.VirtualClock
-	base      *objectstore.MemStore
-	stack     *objectstore.Stack
-	table     *lake.Table
-	cli       *core.Client
-	unordered *core.Client // cost-based AND ordering off: differential baseline
-	oracle    *bruteforce.Cluster
-	routers   []*shard.Router   // ModeSharded: 1-, 2-, and 5-shard fan-outs
-	writer    *ingest.Writer    // ModeIngest: the group-commit writer
-	sched     *ingest.Scheduler // ModeIngest: the maintenance scheduler
+	opts    Options
+	clock   *simtime.VirtualClock
+	base    *objectstore.MemStore
+	stack   *objectstore.Stack
+	table   *lake.Table
+	cli     *core.Client
+	oracle  *bruteforce.Cluster
+	routers []*shard.Router   // ModeSharded: 1-, 2-, and 5-shard fan-outs
+	writer  *ingest.Writer    // ModeIngest: the group-commit writer
+	sched   *ingest.Scheduler // ModeIngest: the maintenance scheduler
 
 	column string
 	kind   component.Kind
@@ -336,16 +335,6 @@ func (w *world) run(ctx context.Context) error {
 		// No read cache: every read must traverse the fault layer, so
 		// read-path recovery is exercised maximally.
 		CacheBytes: -1,
-	})
-	// A second client with cost-based AND ordering disabled reads the
-	// same faulty stack: every compound differential also pins that the
-	// staged (ordered / short-circuited) executor returns byte-identical
-	// rows to the unstaged one.
-	w.unordered = core.NewClient(table, core.Config{
-		IndexDir:           "rottnest",
-		Timeout:            time.Hour,
-		CacheBytes:         -1,
-		DisableANDOrdering: true,
 	})
 	// The oracle reads the same bytes through a pristine handle on the
 	// base store: ground truth is never subject to injected faults.
@@ -1032,19 +1021,6 @@ func (w *world) compareCompound(ctx context.Context, rng *rand.Rand, v int64) er
 	}
 	if err := diffMatches(res.Matches, want); err != nil {
 		return fmt.Errorf("compound differential mismatch at version %d (%s): %w", v, describeCompound(cq), err)
-	}
-	// The same pinned query through the ordering-disabled client must be
-	// byte-identical: cost-based AND staging (and its short-circuit) may
-	// only change probe order and count, never the rows.
-	ures, err := w.unordered.SearchCompound(ctx, cq)
-	if err != nil {
-		return fmt.Errorf("unordered compound search (%s): %w", describeCompound(cq), err)
-	}
-	if ures.Stats.OrderedAND || ures.Stats.ShortCircuited {
-		return fmt.Errorf("unordered client reported staged execution (%s)", describeCompound(cq))
-	}
-	if err := diffMatches(ures.Matches, want); err != nil {
-		return fmt.Errorf("ordered/unordered differential mismatch at version %d (%s): %w", v, describeCompound(cq), err)
 	}
 	// ModeSharded: the same pinned query must come back byte-identical
 	// through every scatter-gather fan-out. The routers read through

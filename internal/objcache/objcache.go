@@ -31,10 +31,10 @@ package objcache
 
 import (
 	"context"
+	"sync"
 
 	"rottnest/internal/cache"
 	"rottnest/internal/obs"
-	"rottnest/internal/simtime"
 )
 
 // KindPage is the kind of a decoded data page, keyed by its data
@@ -47,9 +47,8 @@ const DefaultMaxBytes = 64 << 20
 // Cache is a concurrency-safe decoded-object cache with singleflight
 // on decode and LRU eviction on a caller-supplied cost estimate.
 type Cache struct {
-	c         *cache.Cache[formKey, any]
-	reg       *obs.Registry
-	coalesced *obs.Counter
+	c   *cache.Cache[formKey, any]
+	reg *obs.Registry
 }
 
 // formKey names one decoded form of one object, or of the part of it
@@ -66,18 +65,16 @@ func New(maxBytes int64) *Cache {
 		maxBytes = DefaultMaxBytes
 	}
 	reg := obs.NewRegistry()
-	coalesced := reg.Counter("objcache.coalesced")
 	return &Cache{
 		c: cache.New[formKey, any](maxBytes, cache.Metrics{
 			Hits:          reg.Counter("objcache.hits"),
 			Misses:        reg.Counter("objcache.misses"),
-			Coalesced:     coalesced,
+			Coalesced:     reg.Counter("objcache.coalesced"),
 			Evictions:     reg.Counter("objcache.evictions"),
 			Invalidations: reg.Counter("objcache.invalidations"),
 			Resident:      reg.Gauge("objcache.bytes"),
 		}, func(k formKey) bool { return k.kind == KindPage }),
-		reg:       reg,
-		coalesced: coalesced,
+		reg: reg,
 	}
 }
 
@@ -125,12 +122,12 @@ func (c *Cache) Do(ctx context.Context, kind, id string, decode func(ctx context
 	return v, err
 }
 
-// DoMany returns the cached values for (kind, id, offs[i]), in order.
-// decode is called at most once, with the ascending indices into offs
-// that were neither resident nor being decoded by another caller, and
-// returns their values and cost estimates in that order; those decodes
-// are joined, and charged, as in Do. Nil-safe: a nil cache decodes
-// every index.
+// DoMany returns the cached values for (kind, id, offs[i]), in order,
+// through the engine's DoMany: decode is called at most once, with the
+// ascending indices into offs that were neither resident nor being
+// decoded by another caller, and returns their values and cost
+// estimates in that order; those decodes are joined, and charged, as
+// in Do. Nil-safe: a nil cache decodes every index.
 func (c *Cache) DoMany(ctx context.Context, kind, id string, offs []int64, decode func(ctx context.Context, missing []int) ([]any, []int64, error)) ([]any, error) {
 	if c == nil {
 		all := make([]int, len(offs))
@@ -140,49 +137,32 @@ func (c *Cache) DoMany(ctx context.Context, kind, id string, offs []int64, decod
 		vals, _, err := decode(ctx, all)
 		return vals, err
 	}
-	type flight = cache.Flight[formKey, any]
-	out := make([]any, len(offs))
-	var missing, joinedAt []int
-	var led, joined []*flight
-	for i, off := range offs {
-		v, f, lead := c.c.Begin(formKey{kind, id, off}, id)
-		switch {
-		case f == nil:
-			out[i] = v
-		case lead:
-			missing, led = append(missing, i), append(led, f)
-		default:
-			joinedAt, joined = append(joinedAt, i), append(joined, f)
-		}
+	keys := getKeys(kind, id, offs)
+	vals, err := c.c.DoMany(ctx, *keys, id, decode)
+	putKeys(keys)
+	return vals, err
+}
+
+// keyBufs recycles DoMany's key slices: a query reads its pages
+// through DoMany once per data file and column, and the engine keeps
+// no reference to the slice. The slice is filled and emptied outside
+// DoMany, whose frame lies on the stack of every page read: a fan's
+// fresh goroutine reads through it, and a deeper frame there makes
+// more of them grow their stacks.
+var keyBufs = sync.Pool{New: func() any { return new([]formKey) }}
+
+func getKeys(kind, id string, offs []int64) *[]formKey {
+	keys := keyBufs.Get().(*[]formKey)
+	for _, off := range offs {
+		*keys = append(*keys, formKey{kind, id, off})
 	}
-	if len(led) > 0 {
-		started := simtime.From(ctx).Elapsed()
-		vals, costs, err := decode(ctx, missing)
-		for j, f := range led {
-			var v any
-			var cost int64
-			if err == nil {
-				v, cost = vals[j], costs[j]
-				out[missing[j]] = v
-			}
-			c.c.Finish(ctx, f, started, v, cost, err)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Joined flights are collected after our own are finished: two
-	// callers that each lead a decode the other wants would otherwise
-	// wait on each other.
-	for j, f := range joined {
-		v, err := c.c.Wait(ctx, f)
-		if err != nil {
-			return nil, err
-		}
-		c.coalesced.Inc()
-		out[joinedAt[j]] = v
-	}
-	return out, nil
+	return keys
+}
+
+func putKeys(keys *[]formKey) {
+	clear(*keys)
+	*keys = (*keys)[:0]
+	keyBufs.Put(keys)
 }
 
 // Invalidate drops every decoded form of the object id and returns

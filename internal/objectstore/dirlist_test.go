@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -85,6 +87,74 @@ func TestDirStoreListSkipsStaging(t *testing.T) {
 		if err != nil || len(infos) != 1 || infos[0].Key != "a/b/c" {
 			t.Fatalf("List(%q) = %+v, %v; want a/b/c alone", prefix, infos, err)
 		}
+	}
+}
+
+// TestDirStoreListBesideDeletes: a LIST that runs while objects and
+// whole directories under its prefix are deleted never fails, and
+// returns only keys that were stored under the prefix. One goroutine
+// Puts and Deletes 64 keys a unit deep (files/c/k/<n>.index), another
+// creates and removes directories beside them, and 2,000 LISTs of the
+// prefix run meanwhile.
+func TestDirStoreListBesideDeletes(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	churn := func(f func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	churn(func(i int) error {
+		key := fmt.Sprintf("idx/files/c/k/%d.index", i%64)
+		if i%128 < 64 {
+			return s.Put(ctx, key, []byte(key))
+		}
+		return s.Delete(ctx, key)
+	})
+	churn(func(i int) error {
+		key := fmt.Sprintf("idx/files/d%d/k/x.index", i%4)
+		if err := s.Put(ctx, key, []byte(key)); err != nil {
+			return err
+		}
+		return os.RemoveAll(filepath.Join(s.Root(), "idx", "files", fmt.Sprintf("d%d", i%4)))
+	})
+	failed := 0
+	var first error
+	for range 2000 {
+		infos, err := s.List(ctx, "idx/")
+		if err != nil {
+			if failed++; first == nil {
+				first = err
+			}
+			continue
+		}
+		for _, info := range infos {
+			if !strings.HasPrefix(info.Key, "idx/files/") || !strings.HasSuffix(info.Key, ".index") || info.Size != int64(len(info.Key)) {
+				t.Errorf("List returned %+v, never stored", info)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if failed > 0 {
+		t.Fatalf("%d of 2000 LISTs failed beside deletes, first: %v", failed, first)
 	}
 }
 

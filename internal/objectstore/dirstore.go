@@ -202,9 +202,12 @@ func (s *DirStore) List(ctx context.Context, prefix string) ([]ObjectInfo, error
 		return nil, err
 	}
 	var infos []ObjectInfo
+	// A file or directory deleted between its directory's read and its
+	// visit is skipped, as an S3 LIST may omit an object deleted while
+	// it runs.
 	err = filepath.WalkDir(start, func(p string, d fs.DirEntry, err error) error {
-		if p == start && errors.Is(err, fs.ErrNotExist) {
-			return filepath.SkipDir // nothing stored under the prefix
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // nothing stored under the prefix, or deleted mid-walk
 		}
 		if err != nil || d.IsDir() {
 			return err
@@ -221,6 +224,9 @@ func (s *DirStore) List(ctx context.Context, prefix string) ([]ObjectInfo, error
 			return nil
 		}
 		fi, err := d.Info()
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
