@@ -132,7 +132,7 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 	}
 	mergeSpan.End()
 
-	return c.publish(ctx, "compact", start, planned, merged, func(ctx context.Context, b *component.Builder) error {
+	out, err := c.publish(ctx, "compact", start, planned, output{manifest: merged, build: func(ctx context.Context, b *component.Builder) error {
 		switch kind {
 		case component.KindTrie:
 			sources, err := openAll(ctx, readers, trie.Open)
@@ -155,7 +155,11 @@ func (c *Client) mergeBin(ctx context.Context, column string, kind component.Kin
 		default:
 			return fmt.Errorf("core: unknown index kind %d", kind)
 		}
-	}, nil)
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return &out[0], nil
 }
 
 // openAll opens every source index of a merge, side by side: a root

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"rottnest/internal/component"
 	"rottnest/internal/fmindex"
@@ -69,7 +70,35 @@ type IndexOptions struct {
 }
 
 // IndexWithOptions is IndexAt with per-job options; see IndexOptions.
+// It is IndexSpecs over the one spec.
 func (c *Client) IndexWithOptions(ctx context.Context, column string, kind component.Kind, opts IndexOptions) (*meta.IndexEntry, error) {
+	results, err := c.IndexSpecs(ctx, []IndexSpec{{Column: column, Kind: kind}}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return results[0].Entry, results[0].Err
+}
+
+// IndexResult is what one index job did for one of its specs.
+type IndexResult struct {
+	// Entry is the spec's new metadata row, or nil when every snapshot
+	// file was already covered or the spec was skipped.
+	Entry *meta.IndexEntry
+	// Err, when set, wraps ErrBelowMinRows: the spec's new rows were
+	// too few for an index file, and the job skipped it.
+	Err error
+}
+
+// IndexSpecs is Index over several (column, kind) indexes in one job:
+// one plan against the snapshot and the metadata table, one fan of
+// every spec's column scans, one build per spec, and one publish that
+// uploads the new index files side by side and lands their rows in one
+// metadata commit. results[i] is specs[i]'s. A vector spec whose new
+// rows are below MinVectorRows is skipped and reported in its result;
+// the other specs still commit. An error that aborts the job — a
+// failed plan or scan, a vanished input (ErrAborted), a timeout —
+// commits no row.
+func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOptions) ([]IndexResult, error) {
 	start := c.clock.Now()
 	version := opts.Version
 	if version <= 0 {
@@ -78,25 +107,23 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 
 	// Plan: the snapshot and the metadata table side by side, from the
 	// store — what has been indexed is exactly what a cached plan may
-	// not know.
+	// not know. Every spec's uncovered files come from this one read.
 	pctx, planSpan := obs.Start(ctx, "index.plan")
 	defer planSpan.End()
 	snap, entries, planned, err := c.planInputs(pctx, version, nil)
 	if snap == nil {
 		return nil, err
 	}
-	ci, col, kerr := kindForColumn(snap.Schema, column, kind)
-	if kerr != nil {
-		return nil, kerr
+	jobs := make([]specJob, len(specs))
+	for i, spec := range specs {
+		ci, col, kerr := kindForColumn(snap.Schema, spec.Column, spec.Kind)
+		if kerr != nil {
+			return nil, kerr
+		}
+		jobs[i] = specJob{spec: spec, column: ci, asm: &inputAssembler{kind: spec.Kind, vecDim: col.TypeLen / 4}}
 	}
 	if err != nil {
 		return nil, err
-	}
-	covered := make(map[string]bool)
-	for _, e := range meta.EntriesFor(entries, column, kind) {
-		for _, f := range e.Files {
-			covered[f] = true
-		}
 	}
 	var only map[string]bool
 	if opts.Only != nil {
@@ -105,95 +132,135 @@ func (c *Client) IndexWithOptions(ctx context.Context, column string, kind compo
 			only[p] = true
 		}
 	}
-	var newFiles []ManifestFile
-	for _, f := range snap.Files {
-		if covered[f.Path] || (only != nil && !only[f.Path]) {
-			continue
+	// scans names every (spec, file) column to read.
+	var scans []struct{ spec, file int }
+	for i := range jobs {
+		j := &jobs[i]
+		covered := make(map[string]bool)
+		for _, e := range meta.EntriesFor(entries, j.spec.Column, j.spec.Kind) {
+			for _, f := range e.Files {
+				covered[f] = true
+			}
 		}
-		newFiles = append(newFiles, ManifestFile{Path: f.Path, Rows: f.Rows})
+		for _, f := range snap.Files {
+			if covered[f.Path] || (only != nil && !only[f.Path]) {
+				continue
+			}
+			scans = append(scans, struct{ spec, file int }{i, len(j.files)})
+			j.files = append(j.files, ManifestFile{Path: f.Path, Rows: f.Rows})
+		}
 	}
-	planSpan.SetAttr("column", column)
-	planSpan.SetAttr("kind", kind.String())
-	planSpan.SetAttr("new_files", len(newFiles))
+	planSpan.SetAttr("specs", len(specs))
+	planSpan.SetAttr("new_files", len(scans))
 	planSpan.End() // idempotent: the defer covers the error returns above
-	if len(newFiles) == 0 {
-		return nil, nil
+	results := make([]IndexResult, len(specs))
+	if len(scans) == 0 {
+		return results, nil
 	}
 
 	// Index: scan the new files (internally parallel, as the paper
 	// notes the index API is) and build. Scanning is IO-bound and input
-	// assembly is CPU-bound, so the two are pipelined: a consumer
-	// goroutine flattens each file's values into the builder inputs —
-	// in file order, keeping the assembled inputs (and hence the index
-	// bytes) deterministic — as soon as that file's scan lands, while
-	// later scans are still in flight. Each file's column is released
-	// right after assembly, bounding peak memory to in-flight scans
-	// plus the growing input.
-	columns := make([]parquet.ColumnValues, len(newFiles))
-	scanned := make([]chan struct{}, len(newFiles))
-	for i := range scanned {
-		scanned[i] = make(chan struct{})
-	}
-	asm := &inputAssembler{kind: kind, vecDim: col.TypeLen / 4}
-	asmDone := make(chan struct{})
-	go func() {
-		defer close(asmDone)
-		for i := range newFiles {
-			<-scanned[i]
-			// A failed scan left no pages and no values, so it adds
-			// nothing; its error discards the inputs below.
-			asm.addFile(i, newFiles[i], columns[i])
-			columns[i] = parquet.ColumnValues{} // release the scanned values
+	// assembly is CPU-bound, so the two are pipelined: one consumer
+	// goroutine per spec flattens each file's values into that spec's
+	// builder inputs — in file order, keeping the assembled inputs (and
+	// hence the index bytes) deterministic — as soon as that file's
+	// scan lands, while later scans are still in flight. Each file's
+	// column is released right after assembly, bounding peak memory to
+	// in-flight scans plus the growing inputs.
+	var assembled sync.WaitGroup
+	for i := range jobs {
+		j := &jobs[i]
+		j.columns = make([]parquet.ColumnValues, len(j.files))
+		j.scanned = make([]chan struct{}, len(j.files))
+		for f := range j.scanned {
+			j.scanned[f] = make(chan struct{})
 		}
-	}()
+		assembled.Add(1)
+		go func() {
+			defer assembled.Done()
+			for f := range j.files {
+				<-j.scanned[f]
+				// A failed scan left no pages and no values, so it adds
+				// nothing; its error discards the inputs below.
+				j.asm.addFile(f, j.files[f], j.columns[f])
+				j.columns[f] = parquet.ColumnValues{} // release the scanned values
+			}
+		}()
+	}
 	scanCtx, scanSpan := obs.Start(ctx, "index.scan")
-	scanSpan.SetAttr("files", len(newFiles))
-	err = simtime.Fan(scanCtx, len(newFiles), c.cfg.SearchWidth, func(ctx context.Context, i int) error {
-		defer close(scanned[i])
-		vals, pages, _, err := parquet.ScanColumn(ctx, c.store, c.table.Root()+newFiles[i].Path, ci)
+	scanSpan.SetAttr("files", len(scans))
+	err = simtime.Fan(scanCtx, len(scans), c.cfg.SearchWidth, func(ctx context.Context, s int) error {
+		j, f := &jobs[scans[s].spec], scans[s].file
+		defer close(j.scanned[f])
+		file := &j.files[f]
+		vals, pages, _, err := parquet.ScanColumn(ctx, c.store, c.table.Root()+file.Path, j.column)
 		if errors.Is(err, objectstore.ErrNotFound) {
-			return fmt.Errorf("core: input %s vanished during indexing: %w", newFiles[i].Path, ErrAborted)
+			return fmt.Errorf("core: input %s vanished during indexing: %w", file.Path, ErrAborted)
 		}
 		if err != nil {
 			return err
 		}
-		newFiles[i].Pages = pages
-		newFiles[i].Rows = pages.TotalRows()
-		columns[i] = vals
+		file.Pages = pages
+		file.Rows = pages.TotalRows()
+		j.columns[f] = vals
 		return nil
 	})
-	<-asmDone
+	assembled.Wait()
 	scanSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	var totalRows int64
-	for i := range newFiles {
-		totalRows += newFiles[i].Rows
-	}
-	if kind == component.KindIVFPQ && totalRows < c.cfg.MinVectorRows {
-		return nil, fmt.Errorf("core: %d new rows < %d: %w", totalRows, c.cfg.MinVectorRows, ErrBelowMinRows)
-	}
 
-	manifest := &Manifest{Column: column, Kind: kind, Files: newFiles}
-	return c.publish(ctx, "index", start, planned, manifest, func(_ context.Context, b *component.Builder) error {
-		// The assembled inputs are the build's to drop: nothing of them
-		// is held through the upload and commit that follow.
-		in := *asm
-		*asm = inputAssembler{}
-		switch kind {
-		case component.KindTrie:
-			return trie.BuildInto(b, in.keys, in.pageRefs, trie.BuildOptions{})
-		case component.KindFM:
-			return fmindex.BuildTerminatedInto(b, append(in.text, fmindex.Sentinel), in.starts, in.pageRefs, fmindex.BuildOptions{})
-		default:
-			var ivfOpts ivfpq.BuildOptions
-			if opts.IVF != nil {
-				ivfOpts = *opts.IVF
-			}
-			return ivfpq.BuildInto(b, in.vecs, in.rowRefs, ivfOpts)
+	var outs []output
+	var outSpec []int // outs[k] is specs[outSpec[k]]'s
+	for i := range jobs {
+		j := &jobs[i]
+		if len(j.files) == 0 {
+			continue
 		}
-	}, nil)
+		var totalRows int64
+		for _, f := range j.files {
+			totalRows += f.Rows
+		}
+		if j.spec.Kind == component.KindIVFPQ && totalRows < c.cfg.MinVectorRows {
+			results[i].Err = fmt.Errorf("core: %d new rows < %d: %w", totalRows, c.cfg.MinVectorRows, ErrBelowMinRows)
+			continue
+		}
+		asm := j.asm
+		outs = append(outs, output{
+			manifest: &Manifest{Column: j.spec.Column, Kind: j.spec.Kind, Files: j.files},
+			build: func(_ context.Context, b *component.Builder) error {
+				// The assembled inputs are the build's to drop: nothing of
+				// them is held through the upload and commit that follow.
+				in := *asm
+				*asm = inputAssembler{}
+				return in.build(b, opts.IVF)
+			},
+		})
+		outSpec = append(outSpec, i)
+	}
+	if len(outs) == 0 {
+		return results, nil
+	}
+	published, err := c.publish(ctx, "index", start, planned, outs...)
+	if err != nil {
+		return nil, err
+	}
+	for k := range published {
+		results[outSpec[k]].Entry = &published[k]
+	}
+	return results, nil
+}
+
+// specJob is one spec's share of an index job: the column it reads,
+// its uncovered files and their scans, and its builder inputs.
+type specJob struct {
+	spec    IndexSpec
+	column  int
+	files   []ManifestFile
+	columns []parquet.ColumnValues
+	scanned []chan struct{}
+	asm     *inputAssembler
 }
 
 // inputAssembler incrementally flattens scanned columns into the
@@ -211,6 +278,23 @@ type inputAssembler struct {
 	pageRefs []postings.PageRef // trie + fm: page refs
 	vecs     [][]float32        // ivfpq: decoded vectors
 	rowRefs  []postings.RowRef  // ivfpq: row refs
+}
+
+// build writes the index file of the assembled inputs into b; ivf,
+// when non-nil, replaces the default IVF-PQ build options.
+func (a *inputAssembler) build(b *component.Builder, ivf *ivfpq.BuildOptions) error {
+	switch a.kind {
+	case component.KindTrie:
+		return trie.BuildInto(b, a.keys, a.pageRefs, trie.BuildOptions{})
+	case component.KindFM:
+		return fmindex.BuildTerminatedInto(b, append(a.text, fmindex.Sentinel), a.starts, a.pageRefs, fmindex.BuildOptions{})
+	default:
+		var opts ivfpq.BuildOptions
+		if ivf != nil {
+			opts = *ivf
+		}
+		return ivfpq.BuildInto(b, a.vecs, a.rowRefs, opts)
+	}
 }
 
 // addFile appends file fi's scanned column to the inputs. For trie,

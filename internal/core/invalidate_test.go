@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 // after the next index file upload lands, before that first check.
 type commitHookStore struct {
 	objectstore.Store
+	mu         sync.Mutex // an index job uploads its files side by side
 	hook       func()
 	uploadHook func()
 }
@@ -29,22 +31,38 @@ func (s *commitHookStore) Clock() simtime.Clock { return objectstore.ClockOf(s.S
 
 func (s *commitHookStore) Put(ctx context.Context, key string, data []byte) error {
 	err := s.Store.Put(ctx, key, data)
-	if err == nil && s.uploadHook != nil && strings.HasSuffix(key, ".index") {
-		hook := s.uploadHook
-		s.uploadHook = nil
-		hook()
+	if err == nil && strings.HasSuffix(key, ".index") {
+		s.take(&s.uploadHook)()
 	}
 	return err
 }
 
 func (s *commitHookStore) PutIfAbsent(ctx context.Context, key string, data []byte) error {
 	err := s.Store.PutIfAbsent(ctx, key, data)
-	if err == nil && s.hook != nil && strings.Contains(key, "_meta/") {
-		hook := s.hook
-		s.hook = nil
-		hook()
+	if err == nil && strings.Contains(key, "_meta/") {
+		s.take(&s.hook)()
 	}
 	return err
+}
+
+// take disarms the hook at h and returns it, or a no-op if none was
+// armed.
+func (s *commitHookStore) take(h *func()) func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hook := *h
+	*h = nil
+	if hook == nil {
+		return func() {}
+	}
+	return hook
+}
+
+// armed reports whether either hook is still waiting to fire.
+func (s *commitHookStore) armed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hook != nil || s.uploadHook != nil
 }
 
 // invWorld is an env whose metadata commits can be made to overrun the
@@ -80,7 +98,7 @@ func newInvWorld(t *testing.T, schema *parquet.Schema) *invWorld {
 		t.Fatal(err)
 	}
 	cli := NewClient(table, Config{IndexDir: "rottnest", Timeout: time.Hour})
-	return &invWorld{env: &env{clock: clock, mem: mem, store: store, table: table, cli: cli}, hooked: hooked}
+	return &invWorld{env: &env{clock: clock, mem: mem, store: store, table: table, schema: schema, cli: cli}, hooked: hooked}
 }
 
 // uuidWorld has two data files, each under its own trie index file,

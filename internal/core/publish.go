@@ -11,59 +11,138 @@ import (
 	"rottnest/internal/component"
 	"rottnest/internal/meta"
 	"rottnest/internal/obs"
+	"rottnest/internal/simtime"
 )
 
+// output is one index file a publish lands: its manifest (component
+// 0), what its build adds after it, and the row it replaces, if any.
+type output struct {
+	manifest *Manifest
+	build    func(context.Context, *component.Builder) error
+	replaces *meta.IndexEntry
+}
+
 // publish is the one commit protocol behind Index, Compact and
-// RefineVectorIndex (Sections IV-A and IV-C): everything that makes a
-// new index file visible, and everything that keeps the Existence
-// invariant while doing so.
+// RefineVectorIndex (Sections IV-A and IV-C): everything that makes
+// new index files visible, and everything that keeps the Existence
+// invariant while doing so. An index job lands one output per spec it
+// covers; a merge or a refinement lands one.
 //
-//  1. Build: manifest as component 0, then whatever the caller's build
-//     adds, under "<op>.build".
-//  2. Upload under a fresh key ("<op>.upload", indexKey): the unit's
-//     directory, the metadata version planned is the build order, a
-//     random name. Upload precedes commit, so a metadata row never
-//     names a missing object.
+//  1. Build each output in turn: manifest as component 0, then
+//     whatever its build adds, under "<op>.build". One at a time, so
+//     the job holds one build's working set, not all of them.
+//  2. Upload every output under a fresh key ("<op>.upload", indexKey),
+//     side by side: the unit's directory, the metadata version planned
+//     is the build order, a random name. Upload precedes commit, so a
+//     metadata row never names a missing object.
 //  3. Timeout: an operation that began more than Config.Timeout ago
 //     (by the world clock, measured from start) must not commit —
 //     vacuum judges orphans by that same clock and may already be
-//     collecting the upload. It aborts with ErrTimeout and leaves the
-//     upload for vacuum.
-//  4. Commit ("<op>.commit"): insert the new row and, when the file
-//     replaces another covering exactly the same data (refine), delete
-//     the replaced row in the same breath. Insert-then-delete keeps
-//     every file covered in both orders, but the old row must go:
-//     greedy cover selection breaks ties toward the earlier-listed
-//     entry, so leaving it would keep serving the replaced index
-//     forever. The metadata table changed without a lake commit, so
-//     cached plans are dropped.
+//     collecting the uploads. It aborts with ErrTimeout and leaves the
+//     uploads for vacuum.
+//  4. Commit ("<op>.commit"): insert every new row in one metadata
+//     commit and, when an output replaces another file covering
+//     exactly the same data (refine), delete the replaced rows in the
+//     same breath. Insert-then-delete keeps every file covered in both
+//     orders, but the old row must go: greedy cover selection breaks
+//     ties toward the earlier-listed entry, so leaving it would keep
+//     serving the replaced index forever. The metadata table changed
+//     without a lake commit, so cached plans are dropped, once.
 //  5. Re-check the timeout after commit: the clock can pass the
 //     deadline between step 3 and the insert, and any vacuum that
-//     collected the upload ran after the deadline, so the overshoot is
+//     collected an upload ran after the deadline, so the overshoot is
 //     always visible here. Roll back ("<op>.rollback") — restoring the
-//     replaced row first, whose object a vacuum only deletes after its
-//     row is gone, and it was not until step 4 — and return
+//     replaced rows first, whose objects a vacuum only deletes after
+//     their rows are gone, and they were not until step 4, then
+//     deleting every inserted row in one commit — and return
 //     ErrTimeout; the caller retries cleanly.
 //
-// The entry's file list and row count are the manifest's. planned is
-// the metadata version the operation planned against; every operation
-// but an index job (compact, refine) replaces entries, and its key
-// carries the merge mark.
-func (c *Client) publish(ctx context.Context, op string, start time.Time, planned int64, manifest *Manifest, build func(context.Context, *component.Builder) error, replaces *meta.IndexEntry) (*meta.IndexEntry, error) {
+// The entries are the outputs', in order; each one's file list and row
+// count are its manifest's. planned is the metadata version the
+// operation planned against; every operation but an index job
+// (compact, refine) replaces entries, and its keys carry the merge
+// mark.
+func (c *Client) publish(ctx context.Context, op string, start time.Time, planned int64, outs ...output) ([]meta.IndexEntry, error) {
+	entries := make([]meta.IndexEntry, len(outs))
+	data := make([][]byte, len(outs))
+	files := 0
+	for i, out := range outs {
+		var err error
+		if entries[i], data[i], err = c.buildOutput(ctx, op, planned, out); err != nil {
+			return nil, err
+		}
+		files += len(entries[i].Files)
+	}
+
+	err := simtime.Fan(ctx, len(outs), 0, func(ctx context.Context, i int) error {
+		uctx, uploadSpan := obs.Start(ctx, op+".upload")
+		defer uploadSpan.End()
+		uploadSpan.SetAttr("key", entries[i].IndexKey)
+		err := c.store.Put(uctx, entries[i].IndexKey, data[i])
+		data[i] = nil
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	if c.clock.Now().Sub(start) > c.cfg.Timeout {
+		return nil, fmt.Errorf("core: %s of %d files: %w", op, files, ErrTimeout)
+	}
+	var replaced []meta.IndexEntry
+	for _, out := range outs {
+		if out.replaces != nil {
+			replaced = append(replaced, *out.replaces)
+		}
+	}
+	cctx, commitSpan := obs.Start(ctx, op+".commit")
+	defer commitSpan.End()
+	if err := c.meta.Insert(cctx, entries...); err != nil {
+		return nil, err
+	}
+	if err := c.meta.Delete(cctx, indexKeys(replaced)...); err != nil {
+		return nil, err
+	}
+	c.metaChanged()
+	commitSpan.End()
+
+	if c.clock.Now().Sub(start) > c.cfg.Timeout {
+		rctx, rollbackSpan := obs.Start(ctx, op+".rollback")
+		defer rollbackSpan.End()
+		if err := c.meta.Insert(rctx, replaced...); err != nil {
+			return nil, err
+		}
+		if err := c.meta.Delete(rctx, indexKeys(entries)...); err != nil {
+			return nil, err
+		}
+		c.metaChanged()
+		return nil, fmt.Errorf("core: %s of %d files overran commit: %w", op, files, ErrTimeout)
+	}
+	now := c.clock.Now()
+	for i := range entries {
+		entries[i].CreatedAt = now
+	}
+	return entries, nil
+}
+
+// buildOutput builds one output of publish and returns its metadata
+// row, not yet committed, and the index file's bytes.
+func (c *Client) buildOutput(ctx context.Context, op string, planned int64, out output) (meta.IndexEntry, []byte, error) {
 	bctx, buildSpan := obs.Start(ctx, op+".build")
 	defer buildSpan.End()
+	manifest := out.manifest
 	manifestJSON, err := json.Marshal(manifest)
 	if err != nil {
-		return nil, fmt.Errorf("core: encode manifest: %w", err)
+		return meta.IndexEntry{}, nil, fmt.Errorf("core: encode manifest: %w", err)
 	}
 	builder := component.NewBuilder(manifest.Kind)
 	builder.Add(manifestJSON) // component 0
-	if err := build(bctx, builder); err != nil {
-		return nil, err
+	if err := out.build(bctx, builder); err != nil {
+		return meta.IndexEntry{}, nil, err
 	}
 	data, err := builder.Finish()
 	if err != nil {
-		return nil, err
+		return meta.IndexEntry{}, nil, err
 	}
 	entry := meta.IndexEntry{
 		IndexKey:  c.indexKey(manifest.Column, manifest.Kind, planned, op != "index"),
@@ -76,50 +155,19 @@ func (c *Client) publish(ctx context.Context, op string, start time.Time, planne
 		entry.Files[i] = f.Path
 		entry.Rows += f.Rows
 	}
+	buildSpan.SetAttr("column", manifest.Column)
 	buildSpan.SetAttr("rows", entry.Rows)
 	buildSpan.SetAttr("bytes", len(data))
-	buildSpan.End()
+	return entry, data, nil
+}
 
-	uctx, uploadSpan := obs.Start(ctx, op+".upload")
-	defer uploadSpan.End()
-	uploadSpan.SetAttr("key", entry.IndexKey)
-	if err := c.store.Put(uctx, entry.IndexKey, data); err != nil {
-		return nil, err
+// indexKeys returns the entries' index keys.
+func indexKeys(entries []meta.IndexEntry) []string {
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.IndexKey
 	}
-	uploadSpan.End()
-
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		return nil, fmt.Errorf("core: %s of %d files: %w", op, len(entry.Files), ErrTimeout)
-	}
-	cctx, commitSpan := obs.Start(ctx, op+".commit")
-	defer commitSpan.End()
-	if err := c.meta.Insert(cctx, entry); err != nil {
-		return nil, err
-	}
-	if replaces != nil {
-		if err := c.meta.Delete(cctx, replaces.IndexKey); err != nil {
-			return nil, err
-		}
-	}
-	c.metaChanged()
-	commitSpan.End()
-
-	if c.clock.Now().Sub(start) > c.cfg.Timeout {
-		rctx, rollbackSpan := obs.Start(ctx, op+".rollback")
-		defer rollbackSpan.End()
-		if replaces != nil {
-			if err := c.meta.Insert(rctx, *replaces); err != nil {
-				return nil, err
-			}
-		}
-		if err := c.meta.Delete(rctx, entry.IndexKey); err != nil {
-			return nil, err
-		}
-		c.metaChanged()
-		return nil, fmt.Errorf("core: %s of %d files overran commit: %w", op, len(entry.Files), ErrTimeout)
-	}
-	entry.CreatedAt = c.clock.Now()
-	return &entry, nil
+	return keys
 }
 
 // Index keys (DESIGN.md §18) are

@@ -10,13 +10,46 @@ import (
 
 	"rottnest/internal/component"
 	"rottnest/internal/ivfpq"
+	"rottnest/internal/parquet"
 	"rottnest/internal/workload"
 )
 
-// TestPublishTimeouts pins the one commit protocol through its three
-// callers on the virtual clock. When the index timeout passes before
+// threeSpecs is one index job's specs over threeSpecWorld's columns.
+var threeSpecs = []IndexSpec{
+	{Column: "id", Kind: component.KindTrie},
+	{Column: "body", Kind: component.KindFM},
+	{Column: "emb", Kind: component.KindIVFPQ},
+}
+
+// threeSpecWorld has one data file of uuid, text and vector columns,
+// none of them indexed.
+func threeSpecWorld(t *testing.T) *invWorld {
+	const rows, dim = 200, 8
+	w := newInvWorld(t, parquet.MustSchema(
+		parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
+		parquet.Column{Name: "body", Type: parquet.TypeByteArray},
+		parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * dim},
+	))
+	ids, bodies, vecs := make([][]byte, rows), make([][]byte, rows), make([][]byte, rows)
+	for i, k := range workload.NewUUIDGen(5).Batch(rows) {
+		ids[i] = k[:]
+	}
+	for i, d := range workload.NewTextGen(workload.DefaultTextConfig(6)).Docs(rows) {
+		bodies[i] = []byte(d)
+	}
+	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 7, Dim: dim, Clusters: 4, Spread: 0.2})
+	for i, v := range gen.Batch(rows) {
+		vecs[i] = workload.Float32sToBytes(v)
+	}
+	w.appendColumns(t, parquet.WriterOptions{}, ids, bodies, vecs)
+	return w
+}
+
+// TestPublishTimeouts pins the one commit protocol through its callers
+// on the virtual clock: an index job of one spec and of three, a
+// compaction and a refinement. When the index timeout passes before
 // the commit, the operation returns ErrTimeout having written no
-// metadata row, and its upload stays behind for vacuum. When it passes
+// metadata row, and its uploads stay behind for vacuum. When it passes
 // between the commit and the re-check, the operation rolls back: the
 // new row is gone, the row a refine replaced is back, and cached plans
 // were dropped twice (commit, rollback). Either way the metadata table
@@ -25,9 +58,10 @@ import (
 func TestPublishTimeouts(t *testing.T) {
 	ctx := context.Background()
 	ops := []struct {
-		name  string
-		world func(*testing.T) *invWorld
-		run   func(w *invWorld) (published bool, err error)
+		name    string
+		world   func(*testing.T) *invWorld
+		run     func(w *invWorld) (published bool, err error)
+		uploads int // index files the operation uploads
 	}{
 		{"index", func(t *testing.T) *invWorld {
 			w := uuidWorld(t)
@@ -36,11 +70,19 @@ func TestPublishTimeouts(t *testing.T) {
 		}, func(w *invWorld) (bool, error) {
 			e, err := w.cli.Index(ctx, "id", component.KindTrie)
 			return e != nil, err
-		}},
+		}, 1},
+		{"index three specs", threeSpecWorld, func(w *invWorld) (bool, error) {
+			results, err := w.cli.IndexSpecs(ctx, threeSpecs, IndexOptions{})
+			published := err == nil
+			for _, r := range results {
+				published = published && r.Entry != nil && r.Err == nil
+			}
+			return published, err
+		}, 3},
 		{"compact", uuidWorld, func(w *invWorld) (bool, error) {
 			merged, err := w.cli.Compact(ctx, "id", component.KindTrie, CompactOptions{})
 			return len(merged) == 1, err
-		}},
+		}, 1},
 		{"refine", vectorWorld, func(w *invWorld) (bool, error) {
 			old, err := w.cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
 			if err != nil || len(old) != 1 {
@@ -48,7 +90,7 @@ func TestPublishTimeouts(t *testing.T) {
 			}
 			e, err := w.cli.RefineVectorIndex(ctx, "emb", old[0].IndexKey, w.vecs, 4, ivfpq.RefineOptions{MaxCells: 4, Seed: 1})
 			return e != nil, err
-		}},
+		}, 1},
 	}
 	deadlines := []struct {
 		name     string
@@ -96,14 +138,14 @@ func TestPublishTimeouts(t *testing.T) {
 				if _, err := op.run(w); !errors.Is(err, ErrTimeout) {
 					t.Fatalf("err = %v, want ErrTimeout", err)
 				}
-				if w.hooked.hook != nil || w.hooked.uploadHook != nil {
+				if w.hooked.armed() {
 					t.Fatal("the armed delay never fired; scenario not exercised")
 				}
 				if got := rows(t, w); !reflect.DeepEqual(got, rowsBefore) {
 					t.Errorf("metadata rows = %v, want them as before the operation: %v", got, rowsBefore)
 				}
-				if got := uploads(t, w); got != uploadsBefore+1 {
-					t.Errorf("%d index objects in the bucket, want %d: the upload is left for vacuum", got, uploadsBefore+1)
+				if got, want := uploads(t, w), uploadsBefore+op.uploads; got != want {
+					t.Errorf("%d index objects in the bucket, want %d: the uploads are left for vacuum", got, want)
 				}
 				delta := w.cli.Metrics().Sub(before)
 				if got := delta.Counter("search.plan_cache_invalidations"); got != dl.wantMeta {

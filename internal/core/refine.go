@@ -59,9 +59,13 @@ func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey 
 	if len(cells) == 0 {
 		return nil, nil
 	}
-	return c.publish(ctx, "refine", start, planned, man, func(ctx context.Context, b *component.Builder) error {
+	out, err := c.publish(ctx, "refine", start, planned, output{manifest: man, build: func(ctx context.Context, b *component.Builder) error {
 		return ivfpq.RefineInto(ctx, b, ix, cells, opts)
-	}, old)
+	}, replaces: old})
+	if err != nil {
+		return nil, err
+	}
+	return &out[0], nil
 }
 
 // ListIndexes returns the committed metadata rows of the (column,

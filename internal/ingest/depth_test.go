@@ -3,15 +3,19 @@ package ingest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rottnest/internal/component"
 	"rottnest/internal/core"
 	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/workload"
 )
 
 // logReads counts the LISTs and GETs a store serves under one prefix.
@@ -148,6 +152,127 @@ func TestIngestDepth(t *testing.T) {
 	}
 	if infos, err := inst.List(ctx, "nowhere/"); err != nil || len(infos) != 0 {
 		t.Errorf("empty root now holds %v (%v)", infos, err)
+	}
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// specsDim is the vector width of specsSchema's emb column.
+const specsDim = 8
+
+// specsSchema has one column per index kind, and threeSpecs indexes
+// each of them.
+var (
+	specsSchema = parquet.MustSchema(
+		parquet.Column{Name: "id", Type: parquet.TypeFixedLenByteArray, TypeLen: 16},
+		parquet.Column{Name: "msg", Type: parquet.TypeByteArray},
+		parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * specsDim},
+	)
+	threeSpecs = []core.IndexSpec{
+		{Column: "id", Kind: component.KindTrie},
+		{Column: "msg", Kind: component.KindFM},
+		{Column: "emb", Kind: component.KindIVFPQ},
+	}
+)
+
+// specsRows returns n rows of specsSchema drawn from seed, msg tagged.
+func specsRows(seed int64, tag string, n int) *parquet.Batch {
+	b := parquet.NewBatch(specsSchema)
+	ids, msgs, vecs := make([][]byte, n), make([][]byte, n), make([][]byte, n)
+	for i, k := range workload.NewUUIDGen(seed).Batch(n) {
+		ids[i] = k[:]
+		msgs[i] = []byte(fmt.Sprintf("%s-%d", tag, i))
+	}
+	gen := workload.NewVectorGen(workload.VectorConfig{Seed: seed, Dim: specsDim, Clusters: 4, Spread: 0.2})
+	for i, v := range gen.Batch(n) {
+		vecs[i] = workload.Float32sToBytes(v)
+	}
+	b.Cols[0] = parquet.ColumnValues{Bytes: ids}
+	b.Cols[1] = parquet.ColumnValues{Bytes: msgs}
+	b.Cols[2] = parquet.ColumnValues{Bytes: vecs}
+	return b
+}
+
+// TestOneIndexJobCoversEverySpec pins the scheduler's index job in
+// virtual time on the S3 model: after one group commit, one Step
+// indexes all three specs against one plan — the step's observation
+// and the job's plan are one LIST level each, every spec's column scans
+// share the footer level and the chunk level, the three index files
+// upload in one PUT level and their rows land in one metadata commit,
+// which drops the querying client's cached plans once. The next step
+// sees every file covered: commit → covered by every spec is 320 ms of
+// virtual time. It was one spec per step: three jobs in series, each
+// with its own observation, plan, scans, upload and commit (14 LISTs
+// and 6 PUTs over four steps), three plan invalidations, and 840 ms.
+func TestOneIndexJobCoversEverySpec(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+	tbl, err := lake.CreateWith(ctx, store, "tbl", specsSchema, lake.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 64, GroupCommitBatches: 2, Manual: true})
+	var lags []time.Duration
+	s := NewScheduler(tbl, SchedulerOptions{
+		Writer:    w,
+		Config:    core.Config{IndexDir: "idx", CacheBytes: -1},
+		Specs:     threeSpecs,
+		OnCovered: func(_ string, _ int64, lag time.Duration) { lags = append(lags, lag) },
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := w.Append(ctx, specsRows(int64(i+1), fmt.Sprint("g", i), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	session := simtime.NewSession()
+	sctx := simtime.With(ctx, session)
+	before, plans := store.Metrics.Snapshot(), s.cli.Metrics()
+	if worked, err := s.Step(sctx); err != nil || !worked {
+		t.Fatalf("step: worked=%v err=%v", worked, err)
+	}
+	job := session.Elapsed()
+	reqs := store.Metrics.Snapshot().Sub(before)
+	entries, err := s.cli.Meta().List(ctx)
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("metadata rows after one step = %d (%v), want one per spec", len(entries), err)
+	}
+	var upload time.Duration // the slowest of the three uploads
+	for _, e := range entries {
+		if len(e.Files) != 2 {
+			t.Errorf("%s/%v covers %d files, want both", e.Column, e.Kind, len(e.Files))
+		}
+		upload = max(upload, model.PutLatency(e.SizeBytes))
+	}
+	// Two files × three specs, each scan a footer GET and a chunk GET.
+	if reqs.Lists != 4 || reqs.Gets != 12 || reqs.Puts != 4 || reqs.Deletes != 0 || reqs.Heads != 0 {
+		t.Errorf("step issued %d LISTs, %d GETs, %d PUTs, %d DELETEs, %d HEADs; want 4, 12, 4, 0, 0",
+			reqs.Lists, reqs.Gets, reqs.Puts, reqs.Deletes, reqs.Heads)
+	}
+	want := model.ListTTFB /* observe */ + model.ListTTFB /* plan */ + 2*model.GetTTFB /* footers, chunks */ + upload + model.PutTTFB /* commit */
+	if job < want || job >= want+5*time.Millisecond {
+		t.Errorf("step took %v of virtual time, want %v", job, want)
+	}
+	if got := s.cli.Metrics().Sub(plans).Counter("search.plan_cache_invalidations"); got != 1 {
+		t.Errorf("the job dropped cached plans %d times, want once", got)
+	}
+
+	// The next step's observation sees both files covered by every spec.
+	if worked, err := s.Step(sctx); err != nil || worked {
+		t.Fatalf("second step: worked=%v err=%v, want no job", worked, err)
+	}
+	if len(lags) != 2 {
+		t.Fatalf("OnCovered fired %d times, want once per file", len(lags))
+	}
+	t.Logf("commit → covered by every spec: %v of virtual time (%v of it the job)", session.Elapsed(), job)
+	if m := s.Registry().Snapshot(); m.Counter("ingest.jobs_index") != 1 {
+		t.Errorf("jobs_index = %d, want 1", m.Counter("ingest.jobs_index"))
 	}
 	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)

@@ -251,3 +251,69 @@ func TestQuiesceCoversAnEmptyFile(t *testing.T) {
 		t.Fatalf("status = %+v, %v; want the empty file covered", statuses, err)
 	}
 }
+
+// TestQuiesceStallsOneSpecOfAJob: one index job over a trie, an FM and
+// an IVF-PQ spec whose new rows are below MinVectorRows commits the
+// trie and FM rows and stalls the IVF-PQ spec alone, at that snapshot;
+// the steps that follow run no index job until the snapshot changes,
+// and then one job indexes every spec again, the stalled one over both
+// files.
+func TestQuiesceStallsOneSpecOfAJob(t *testing.T) {
+	ctx := context.Background()
+	clock := simtime.NewVirtualClock()
+	tbl, err := lake.CreateWith(ctx, objectstore.NewMemStore(clock), "tbl", specsSchema, lake.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(tbl, SchedulerOptions{
+		Config: core.Config{IndexDir: "idx", MinVectorRows: 500},
+		Specs:  threeSpecs,
+	})
+	entriesBy := func() map[string][]int {
+		t.Helper()
+		entries, err := s.cli.Meta().List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		by := make(map[string][]int)
+		for _, e := range entries {
+			by[e.Column] = append(by[e.Column], len(e.Files))
+		}
+		return by
+	}
+
+	if _, err := tbl.Append(ctx, specsRows(1, "small", 10), parquet.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	version, err := tbl.Version(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worked, err := s.Step(ctx); err != nil || !worked {
+		t.Fatalf("step: worked=%v err=%v, want the trie and FM rows committed", worked, err)
+	}
+	if got := entriesBy(); len(got["id"]) != 1 || len(got["msg"]) != 1 || len(got["emb"]) != 0 {
+		t.Fatalf("rows after the first job = %v, want one id and one msg row, no emb row", got)
+	}
+	if s.stalled[2] != version || len(s.stalled) != 1 {
+		t.Fatalf("stalled = %v, want only emb, at version %d", s.stalled, version)
+	}
+	quiesceWithin(t, ctx, s, 30*time.Second)
+	if got := jobCounts(s); got != [3]int64{1, 0, 0} {
+		t.Fatalf("at the stalled snapshot: index/compact/vacuum jobs = %v, want the one job", got)
+	}
+
+	if _, err := tbl.Append(ctx, specsRows(2, "large", 600), parquet.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	quiesceWithin(t, ctx, s, 30*time.Second)
+	if got := jobCounts(s); got != [3]int64{2, 0, 0} {
+		t.Fatalf("after the snapshot changed: index/compact/vacuum jobs = %v, want one more index job", got)
+	}
+	if got := entriesBy(); len(got["id"]) != 2 || len(got["msg"]) != 2 || len(got["emb"]) != 1 || got["emb"][0] != 2 {
+		t.Fatalf("rows = %v, want two id and two msg rows, and one emb row over both files", got)
+	}
+	if err := s.cli.CheckExistence(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

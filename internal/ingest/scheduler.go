@@ -87,11 +87,14 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 // indexEvery is the least time Run leaves between the starts of two
 // index jobs of one spec: files committed in between ride the next job,
 // so a steady stream makes one index file per spec per indexEvery
-// however fast a job runs. Without it the daemon indexes as often as
-// its planning is quick, and every query opens that many more, smaller
-// index files — the wall-clock ingest benchmark's opened IVF-PQ indexes
-// stopped fitting its decoded-object cache when planning lost its log
-// replays (DESIGN.md §20). Step and Quiesce do not wait for it.
+// however fast a job runs. The pace is kept per spec, but a static job
+// takes every spec that is due and stamps them all, so specs that
+// cover the same files stay in step: one job per indexEvery. Without
+// it the daemon indexes as often as its planning is quick, and every
+// query opens that many more, smaller index files — the wall-clock
+// ingest benchmark's opened IVF-PQ indexes stopped fitting its
+// decoded-object cache when planning lost its log replays (DESIGN.md
+// §20). Step and Quiesce do not wait for it.
 const indexEvery = 1500 * time.Millisecond
 
 // ledgerEntry tracks one committed-but-not-yet-covered data file.
@@ -458,6 +461,9 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool
 	if job == nil {
 		return false, false, nil
 	}
+	if err := ctx.Err(); err != nil {
+		return false, false, err // cancelled while observing: start no job
+	}
 	var spent objectstore.Metrics
 	jobErr := job(objectstore.WithTally(ctx, &spent))
 	s.charge(spent.Snapshot().Requests())
@@ -489,11 +495,12 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 		byKey[core.IndexSpec{Column: st.Column, Kind: st.Kind}] = st
 	}
 
-	// Index: the spec with the most uncovered files first — unless an
-	// adaptive policy is wired in, which reorders the backlog by heat
-	// so hot partitions become searchable before cold tails, and with
-	// no index job to run may schedule an IVF-PQ refinement. A spec
-	// with no entries at all (absent from statuses) has everything
+	// Index: one job over every spec with uncovered files, against
+	// one plan and one metadata commit — unless an adaptive policy is
+	// wired in, which reorders the backlog by heat so hot partitions
+	// become searchable before cold tails, picks one spec per job, and
+	// with no index job to run may schedule an IVF-PQ refinement. A
+	// spec with no entries at all (absent from statuses) has everything
 	// uncovered. Specs that stalled below the index's minimum row
 	// count wait for the snapshot to change before being retried.
 	if s.opts.Adaptive != nil {
@@ -501,14 +508,14 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 			return job, counter
 		}
 	} else {
-		best, bestGap := -1, 0
+		var due []int
 		for i := range s.opts.Specs {
-			if gap := len(cov.snapPaths) - len(cov.perSpec[i]); gap > bestGap && !s.waits(i, cov, paced) {
-				best, bestGap = i, gap
+			if len(cov.perSpec[i]) < len(cov.snapPaths) && !s.waits(i, cov, paced) {
+				due = append(due, i)
 			}
 		}
-		if best >= 0 {
-			return s.indexJob(best, cov, core.IndexOptions{}), s.jobsIndex
+		if len(due) > 0 {
+			return s.indexJob(due, cov, core.IndexOptions{}), s.jobsIndex
 		}
 	}
 	for i, spec := range s.opts.Specs {
@@ -582,24 +589,41 @@ func (s *Scheduler) unmergedAt(i, entries int) bool {
 	return ok && n == entries
 }
 
-// indexJob is the one index job, whichever policy chose spec i: it
-// notes the start for Run's pacing and indexes with opts. Too few new
-// rows for an index file stalls the spec at the observed snapshot —
-// scans cover the tail until more data commits — and defers the job.
-func (s *Scheduler) indexJob(i int, cov *coverage, opts core.IndexOptions) func(context.Context) error {
-	spec := s.opts.Specs[i]
+// indexJob is the one index job, whichever policy chose the specs:
+// it notes each spec's start for Run's pacing and indexes them all
+// with opts, in one plan and one commit. Too few new rows for an index
+// file stalls that spec at the observed snapshot — scans cover the
+// tail until more data commits — while the others commit; a job whose
+// every spec stalled is deferred.
+func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) func(context.Context) error {
+	specs := make([]core.IndexSpec, len(set))
+	for k, i := range set {
+		specs[k] = s.opts.Specs[i]
+	}
 	return func(ctx context.Context) error {
 		s.mu.Lock()
-		s.indexedAt[i] = s.clock.Now()
+		now := s.clock.Now()
+		for _, i := range set {
+			s.indexedAt[i] = now
+		}
 		s.mu.Unlock()
-		_, err := s.cli.IndexWithOptions(ctx, spec.Column, spec.Kind, opts)
-		if errors.Is(err, core.ErrBelowMinRows) {
-			s.mu.Lock()
-			s.stalled[i] = cov.snap.Version
-			s.mu.Unlock()
+		results, err := s.cli.IndexSpecs(ctx, specs, opts)
+		if err != nil {
+			return err
+		}
+		stalled := 0
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for k, r := range results {
+			if errors.Is(r.Err, core.ErrBelowMinRows) {
+				s.stalled[set[k]] = cov.snap.Version
+				stalled++
+			}
+		}
+		if stalled == len(set) {
 			return errDeferred
 		}
-		return err
+		return nil
 	}
 }
 
@@ -625,7 +649,7 @@ func (s *Scheduler) pickAdaptiveIndex(ctx context.Context, cov *coverage, paced 
 	if len(cands) > 0 {
 		if dec, ok := s.opts.Adaptive.PlanIndex(cands); ok {
 			opts := core.IndexOptions{Version: cov.snap.Version, Only: dec.Paths, IVF: dec.IVF}
-			return s.indexJob(dec.Spec, cov, opts), s.jobsIndex
+			return s.indexJob([]int{dec.Spec}, cov, opts), s.jobsIndex
 		}
 	}
 	if plan, ok := s.opts.Adaptive.PlanRefine(ctx, s.opts.Specs); ok {
@@ -673,16 +697,21 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 // tokens refill, the backlog indexes, and the writer resumes — even
 // when no further commits (and hence no commit wakeups) can occur. It
 // is the daemon entry point for real-clock deployments; virtual-clock
-// drivers call Step/Tick/Quiesce directly.
+// drivers call Step/Tick/Quiesce directly. Once ctx is done it starts
+// no step: a select picks at random among ready cases, so a pending
+// tick or commit wakeup can win over ctx.Done, and the context is
+// checked again after every wakeup and before every step.
 func (s *Scheduler) Run(ctx context.Context) error {
 	ticker := time.NewTicker(s.opts.TickEvery)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
 		case <-s.commits:
 		case <-ticker.C:
+		}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if w := s.opts.Writer; w != nil {
 			if err := w.Tick(ctx); err != nil && !errors.Is(err, ErrClosed) {
@@ -690,6 +719,9 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			}
 		}
 		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			worked, _, err := s.step(ctx, true)
 			if err != nil {
 				return err

@@ -13,6 +13,7 @@ import (
 	"rottnest/internal/core"
 	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
 )
 
@@ -479,6 +480,122 @@ func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
 	}
 	if err := w.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// afterCancel counts the requests issued once its cancelled flag is
+// set.
+type afterCancel struct {
+	objectstore.Store
+	mu        sync.Mutex
+	cancelled bool
+	n         int
+}
+
+func (s *afterCancel) Clock() simtime.Clock { return objectstore.ClockOf(s.Store) }
+
+func (s *afterCancel) request() {
+	s.mu.Lock()
+	if s.cancelled {
+		s.n++
+	}
+	s.mu.Unlock()
+}
+
+func (s *afterCancel) cancel(cancel context.CancelFunc) {
+	s.mu.Lock()
+	s.cancelled = true
+	s.mu.Unlock()
+	cancel()
+}
+
+func (s *afterCancel) issued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
+func (s *afterCancel) List(ctx context.Context, prefix string) ([]objectstore.ObjectInfo, error) {
+	s.request()
+	return s.Store.List(ctx, prefix)
+}
+
+func (s *afterCancel) Get(ctx context.Context, key string) ([]byte, error) {
+	s.request()
+	return s.Store.Get(ctx, key)
+}
+
+func (s *afterCancel) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
+	s.request()
+	return s.Store.GetRange(ctx, key, off, n)
+}
+
+func (s *afterCancel) Head(ctx context.Context, key string) (objectstore.ObjectInfo, error) {
+	s.request()
+	return s.Store.Head(ctx, key)
+}
+
+func (s *afterCancel) Put(ctx context.Context, key string, data []byte) error {
+	s.request()
+	return s.Store.Put(ctx, key, data)
+}
+
+func (s *afterCancel) PutIfAbsent(ctx context.Context, key string, data []byte) error {
+	s.request()
+	return s.Store.PutIfAbsent(ctx, key, data)
+}
+
+func (s *afterCancel) Delete(ctx context.Context, key string) error {
+	s.request()
+	return s.Store.Delete(ctx, key)
+}
+
+// TestRunIssuesNothingOnceCancelled: Run cancelled inside a step that
+// then finds nothing to do, with a commit wakeup and a tick pending,
+// returns context.Canceled and issues no further request. A select
+// picks at random among ready cases, so Run used to step again — an
+// observation LISTing with a cancelled context — two times in three;
+// twenty tries catch that.
+func TestRunIssuesNothingOnceCancelled(t *testing.T) {
+	for try := 0; try < 20; try++ {
+		store := &afterCancel{Store: objectstore.NewMemStore(simtime.NewVirtualClock())}
+		tbl := newTestTable(t, store)
+		held, release := make(chan struct{}), make(chan struct{})
+		s := NewScheduler(tbl, SchedulerOptions{
+			Config:    core.Config{IndexDir: "idx"},
+			Specs:     []core.IndexSpec{{Column: "msg", Kind: component.KindFM}},
+			TickEvery: time.Millisecond,
+			// The step's observation reports the file covered, and waits.
+			OnCovered: func(string, int64, time.Duration) {
+				close(held)
+				<-release
+			},
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		path, err := tbl.Append(ctx, msgBatch("x"), parquet.WriterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.cli.Index(ctx, "msg", component.KindFM); err != nil {
+			t.Fatal(err)
+		}
+		s.NoteCommitted([]CommittedFile{{Path: path, Rows: 1}})
+		runErr := make(chan error, 1)
+		go func() { runErr <- s.Run(ctx) }()
+		<-held
+		select {
+		case s.commits <- struct{}{}:
+		default:
+		}
+		time.Sleep(5 * time.Millisecond) // a tick is due too
+		store.cancel(cancel)
+		close(release)
+		if err := <-runErr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("try %d: Run returned %v, want context.Canceled", try, err)
+		}
+		if n := store.issued(); n != 0 {
+			t.Fatalf("try %d: Run issued %d requests after its context was cancelled", try, n)
+		}
 	}
 }
 

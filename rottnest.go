@@ -96,6 +96,11 @@ type (
 	IndexStatus = core.IndexStatus
 	// IndexSpec names one maintained (column, kind) index.
 	IndexSpec = core.IndexSpec
+	// IndexOptions shapes one index job (Client.IndexWithOptions,
+	// Client.IndexSpecs).
+	IndexOptions = core.IndexOptions
+	// IndexResult is what one Client.IndexSpecs job did for one spec.
+	IndexResult = core.IndexResult
 	// MaintainPolicy tunes the scheduler's compact and vacuum jobs.
 	MaintainPolicy = core.MaintainPolicy
 )
