@@ -336,7 +336,7 @@ func cmdIngest(args []string) error {
 	group := c.fs.Int("group", 8, "micro-batches per group commit")
 	seed := c.fs.Int64("seed", time.Now().UnixNano(), "generator seed")
 	maintain := c.fs.String("maintain", "", "run the maintenance scheduler daemon alongside ingest, keeping a comma-separated column:kind list fresh (e.g. id:trie,msg:fm)")
-	adaptiveFlag := c.fs.Bool("adaptive", false, "with -maintain: heat-driven maintenance — hot columns index first, never-queried columns demote to the scan path (DESIGN.md §17)")
+	adaptiveFlag := c.fs.Bool("adaptive", false, "with -maintain: heat-driven maintenance — an index job covers the hot files of a partly hot backlog first, never-queried columns demote to the scan path (DESIGN.md §17)")
 	if err := c.parse(args); err != nil {
 		return err
 	}
@@ -358,11 +358,12 @@ func cmdIngest(args []string) error {
 		Manual:             true, // commit on Flush/Close: deterministic CLI runs
 	})
 	var sched *rottnest.Scheduler
+	var specs []rottnest.IndexSpec
+	var pilot *rottnest.Autopilot
 	runDone := make(chan error, 1)
 	runCtx, stopRun := context.WithCancel(ctx)
 	defer stopRun()
 	if *maintain != "" {
-		var specs []rottnest.IndexSpec
 		for _, item := range strings.Split(*maintain, ",") {
 			fields := strings.SplitN(strings.TrimSpace(item), ":", 2)
 			if len(fields) != 2 || fields[0] == "" {
@@ -382,7 +383,7 @@ func cmdIngest(args []string) error {
 		if *adaptiveFlag {
 			ledger := rottnest.NewHeatLedger(rottnest.HeatLedgerOptions{})
 			client.SetHeatObserver(ledger)
-			pilot := rottnest.NewAutopilot(client, ledger, specs, rottnest.AutopilotOptions{})
+			pilot = rottnest.NewAutopilot(client, ledger, specs, rottnest.AutopilotOptions{})
 			opts.Adaptive = rottnest.NewAdaptivePolicy(rottnest.AdaptivePolicyOptions{
 				Ledger: ledger,
 				Pilot:  pilot,
@@ -429,6 +430,15 @@ func cmdIngest(args []string) error {
 		if err := quiesce(ctx, sched); err != nil {
 			return err
 		}
+	}
+	if pilot != nil {
+		// The verdicts the scheduler acted on: a column on the scan
+		// path gets no index job, so it has nothing to drop either.
+		fmt.Print("adaptive verdicts:")
+		for _, spec := range specs {
+			fmt.Printf(" %s=%v", spec.Column, pilot.Decision(spec.Column))
+		}
+		fmt.Println()
 	}
 	version, err := table.Version(ctx)
 	if err != nil {

@@ -16,29 +16,21 @@ type Decision int
 
 const (
 	// DecideIndex keeps the column on the lazy-indexing path
-	// (Rottnest wins the phase diagram, or no verdict yet).
+	// (Rottnest or copying the data wins the phase diagram, or no
+	// verdict yet).
 	DecideIndex Decision = iota
 	// DecideScan demotes the column to the scan path: index jobs are
 	// skipped and existing entries are dropped and flagged for
 	// vacuum. Never-queried columns always land here.
 	DecideScan
-	// DecideDeep promotes the column to deeper indexing (the
-	// copy-data region of the diagram — query traffic so hot that
-	// construction cost is irrelevant). The policy responds by
-	// skipping the coarse first pass and refining more aggressively.
-	DecideDeep
 )
 
 // String implements fmt.Stringer.
 func (d Decision) String() string {
-	switch d {
-	case DecideScan:
+	if d == DecideScan {
 		return "scan"
-	case DecideDeep:
-		return "deep"
-	default:
-		return "index"
 	}
+	return "index"
 }
 
 // horizonMonths is the operating horizon the phase diagram is
@@ -189,13 +181,8 @@ func (a *Autopilot) Refresh(ctx context.Context) error {
 		}
 		const secondsPerMonth = 730 * 3600
 		queries := a.ledger.QueryRate(col) * secondsPerMonth * horizonMonths
-		switch m.Params().Best(horizonMonths, queries) {
-		case tco.BruteForce:
+		if m.Params().Best(horizonMonths, queries) == tco.BruteForce {
 			decisions[col] = DecideScan
-		case tco.CopyData:
-			decisions[col] = DecideDeep
-		default:
-			decisions[col] = DecideIndex
 		}
 	}
 

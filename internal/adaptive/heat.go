@@ -1,9 +1,10 @@
 // Package adaptive closes the loop between serving and maintenance:
 // a decayed heat ledger taps the query stream (core.HeatObserver),
-// a policy reorders the ingest scheduler's backlog by heat ×
-// rows-unindexed and drives progressive IVF-PQ refinement, and a TCO
-// autopilot feeds live measurements into the paper's §VII phase
-// diagram to decide, per column, whether indexing pays off at all.
+// a policy shapes the ingest scheduler's index job by heat (hot files
+// of a partly hot backlog first) and drives progressive IVF-PQ
+// refinement, and a TCO autopilot feeds live measurements into the
+// paper's §VII phase diagram to decide, per column, whether indexing
+// pays off at all.
 package adaptive
 
 import (

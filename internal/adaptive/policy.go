@@ -9,33 +9,11 @@ import (
 	"rottnest/internal/ivfpq"
 )
 
-// BacklogFile is one unindexed file of an index backlog candidate.
-type BacklogFile struct {
-	Path string
-	Rows int64
-}
-
-// IndexCandidate is one (column, kind) spec with uncovered files, as
-// the scheduler sees its backlog.
+// IndexCandidate is one (column, kind) spec the scheduler's next index
+// job covers, with its uncovered snapshot files in path order.
 type IndexCandidate struct {
-	// Spec is the candidate's position in the scheduler's spec list.
-	Spec int
-	// IndexSpec identifies the index.
-	IndexSpec core.IndexSpec
-	// Uncovered lists the spec's unindexed snapshot files.
-	Uncovered []BacklogFile
-}
-
-// IndexDecision is a policy's choice of the next index job.
-type IndexDecision struct {
-	// Spec is the chosen candidate's Spec value.
-	Spec int
-	// Paths, when non-nil, restricts the job to these files (the hot
-	// subset); nil indexes the whole backlog.
-	Paths []string
-	// IVF, when non-nil, overrides the build options for vector
-	// indexes (the coarse first pass).
-	IVF *ivfpq.BuildOptions
+	core.IndexSpec
+	Uncovered []string
 }
 
 // RefinePlan is a policy's choice of a progressive-refinement job.
@@ -56,11 +34,11 @@ type SchedulerPolicy interface {
 	// DemotedToScan reports whether the spec's column should not be
 	// indexed at all (queries scan instead).
 	DemotedToScan(spec core.IndexSpec) bool
-	// PlanIndex picks the next index job from the backlog, or ok =
-	// false to decline: the scheduler then runs no index job this step
-	// and moves on to refinement, compaction and vacuum. Policy
-	// declines only on an empty backlog.
-	PlanIndex(cands []IndexCandidate) (IndexDecision, bool)
+	// PlanIndex shapes the scheduler's one index job over the due
+	// specs: which of each spec's uncovered files it covers
+	// (IndexOptions.Only) and how coarse its vector builds are
+	// (IndexOptions.IVF).
+	PlanIndex(cands []IndexCandidate) core.IndexOptions
 	// PlanRefine proposes a progressive IVF-PQ refinement job, or ok
 	// = false when probe traffic does not warrant one.
 	PlanRefine(ctx context.Context, specs []core.IndexSpec) (RefinePlan, bool)
@@ -73,8 +51,8 @@ type SchedulerPolicy interface {
 type PolicyOptions struct {
 	// Ledger is the heat ledger fed by the serving client. Required.
 	Ledger *Ledger
-	// Pilot, when set, supplies per-column scan/index/deep decisions;
-	// nil never demotes.
+	// Pilot, when set, supplies per-column scan/index decisions; nil
+	// never demotes.
 	Pilot *Autopilot
 	// Client executes metadata listings for refinement planning.
 	// Required for PlanRefine.
@@ -83,7 +61,7 @@ type PolicyOptions struct {
 	Refine ivfpq.RefineOptions
 }
 
-// hotBatch caps how many hot files one index job covers.
+// hotBatch caps how many hot files of one spec an index job covers.
 const hotBatch = 64
 
 // refineAfterProbes is how many new vector queries a column must see
@@ -94,9 +72,10 @@ const refineAfterProbes = 8
 // low-nlist, few-iteration configuration that refinement improves.
 var coarseBuild = ivfpq.BuildOptions{NList: 32, KMeansIters: 4, TrainSample: 4096}
 
-// Policy is the heat-driven scheduler policy: hot partitions index
-// first (heat × rows), vector indexes build coarse then refine from
-// probe traffic, and autopilot-demoted columns skip indexing.
+// Policy is the heat-driven scheduler policy: an index job covers the
+// hot files of a partly hot backlog first, vector indexes build coarse
+// then refine from probe traffic, and autopilot-demoted columns skip
+// indexing.
 type Policy struct {
 	opts       PolicyOptions
 	lastRefine map[string]uint64 // probesSeen at last proposed refine
@@ -123,65 +102,47 @@ func (p *Policy) DemotedToScan(spec core.IndexSpec) bool {
 	return p.opts.Pilot.Decision(spec.Column) == DecideScan
 }
 
-// PlanIndex implements SchedulerPolicy: candidates score by
-// Σ (heat+1) × rows over their backlog, so heat dominates (one
-// observation outweighs a million cold rows) but cold backlogs still
-// drain when nothing is hot. The winning candidate indexes its hot
-// files first when it has any.
-func (p *Policy) PlanIndex(cands []IndexCandidate) (IndexDecision, bool) {
-	best := -1
-	var bestScore uint64
-	for i, cand := range cands {
-		var score uint64
+// PlanIndex implements SchedulerPolicy. A vector spec builds the coarse
+// first pass. A spec whose backlog is partly hot covers its hottest
+// hotBatch hot files and leaves the cold tail for later jobs —
+// time-to-searchable for hot data beats backlog completeness; an
+// all-hot or all-cold backlog indexes whole.
+func (p *Policy) PlanIndex(cands []IndexCandidate) core.IndexOptions {
+	var opts core.IndexOptions
+	for _, cand := range cands {
+		if cand.Kind == component.KindIVFPQ {
+			coarse := coarseBuild
+			opts.IVF = &coarse
+		}
+		type hot struct {
+			path string
+			heat uint64
+		}
+		var hots []hot
 		for _, f := range cand.Uncovered {
-			rows := uint64(f.Rows)
-			if rows == 0 {
-				rows = 1
+			if h := p.opts.Ledger.Heat(cand.Column, f); h > 0 {
+				hots = append(hots, hot{path: f, heat: h})
 			}
-			score += (p.opts.Ledger.Heat(cand.IndexSpec.Column, f.Path) + 1) * rows
 		}
-		if best < 0 || score > bestScore {
-			best, bestScore = i, score
+		if len(hots) == 0 || len(hots) == len(cand.Uncovered) {
+			continue
 		}
-	}
-	if best < 0 {
-		return IndexDecision{}, false
-	}
-	cand := cands[best]
-	dec := IndexDecision{Spec: cand.Spec}
-	if cand.IndexSpec.Kind == component.KindIVFPQ {
-		coarse := coarseBuild
-		dec.IVF = &coarse
-	}
-	// Hot subset: when some backlog files are hot, index the hottest
-	// hotBatch of them now and leave the cold tail for later jobs —
-	// time-to-searchable for hot data beats backlog completeness.
-	type hot struct {
-		path string
-		heat uint64
-	}
-	var hots []hot
-	for _, f := range cand.Uncovered {
-		if h := p.opts.Ledger.Heat(cand.IndexSpec.Column, f.Path); h > 0 {
-			hots = append(hots, hot{path: f.Path, heat: h})
-		}
-	}
-	if len(hots) > 0 && len(hots) < len(cand.Uncovered) {
 		sort.Slice(hots, func(a, b int) bool {
 			if hots[a].heat != hots[b].heat {
 				return hots[a].heat > hots[b].heat
 			}
 			return hots[a].path < hots[b].path
 		})
-		if len(hots) > hotBatch {
-			hots = hots[:hotBatch]
+		paths := make([]string, min(len(hots), hotBatch))
+		for i := range paths {
+			paths[i] = hots[i].path
 		}
-		dec.Paths = make([]string, len(hots))
-		for i, h := range hots {
-			dec.Paths[i] = h.path
+		if opts.Only == nil {
+			opts.Only = make(map[core.IndexSpec][]string)
 		}
+		opts.Only[cand.IndexSpec] = paths
 	}
-	return dec, true
+	return opts
 }
 
 // PlanRefine implements SchedulerPolicy: once a vector column has

@@ -58,11 +58,12 @@ type IndexOptions struct {
 	// Version is the lake snapshot version to index against; <= 0
 	// means latest.
 	Version int64
-	// Only, when non-nil, restricts the job to uncovered files in the
-	// set — an adaptive policy uses it to index hot partitions first,
+	// Only restricts each spec it names to the uncovered files in its
+	// list — an adaptive policy uses it to index hot partitions first,
 	// leaving the cold tail for later jobs. Files outside the snapshot
-	// or already covered are ignored.
-	Only []string
+	// or already covered are ignored; a spec not named indexes its
+	// whole backlog.
+	Only map[IndexSpec][]string
 	// IVF, when non-nil, replaces the default IVF-PQ build options for
 	// this job — e.g. a coarse low-nlist first pass for fast
 	// time-to-searchable, refined later from probe traffic.
@@ -125,13 +126,6 @@ func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOp
 	if err != nil {
 		return nil, err
 	}
-	var only map[string]bool
-	if opts.Only != nil {
-		only = make(map[string]bool, len(opts.Only))
-		for _, p := range opts.Only {
-			only[p] = true
-		}
-	}
 	// scans names every (spec, file) column to read.
 	var scans []struct{ spec, file int }
 	for i := range jobs {
@@ -142,8 +136,9 @@ func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOp
 				covered[f] = true
 			}
 		}
+		only, named := opts.Only[j.spec]
 		for _, f := range snap.Files {
-			if covered[f.Path] || (only != nil && !only[f.Path]) {
+			if covered[f.Path] || (named && !slices.Contains(only, f.Path)) {
 				continue
 			}
 			scans = append(scans, struct{ spec, file int }{i, len(j.files)})

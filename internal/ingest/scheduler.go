@@ -44,10 +44,11 @@ type SchedulerOptions struct {
 	PauseAboveRows int64
 	// Policy tunes the compact and vacuum jobs.
 	Policy core.MaintainPolicy
-	// Adaptive, if set, reorders the index backlog by query heat,
-	// schedules progressive IVF-PQ refinement, and demotes columns
-	// the TCO autopilot rules out (see internal/adaptive). Nil keeps
-	// the static largest-gap policy.
+	// Adaptive, if set, shapes the index job by query heat (a partly
+	// hot backlog indexes its hot files first, vector specs build a
+	// coarse first pass), schedules progressive IVF-PQ refinement, and
+	// demotes columns the TCO autopilot rules out (see
+	// internal/adaptive). Nil indexes every spec's whole backlog.
 	Adaptive adaptive.SchedulerPolicy
 	// TickEvery paces Run's periodic wakeups: a real-time ticker that
 	// refills the budget, applies the writer's age bound, and drains
@@ -85,16 +86,13 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 }
 
 // indexEvery is the least time Run leaves between the starts of two
-// index jobs of one spec: files committed in between ride the next job,
-// so a steady stream makes one index file per spec per indexEvery
-// however fast a job runs. The pace is kept per spec, but a static job
-// takes every spec that is due and stamps them all, so specs that
-// cover the same files stay in step: one job per indexEvery. Without
-// it the daemon indexes as often as its planning is quick, and every
-// query opens that many more, smaller index files — the wall-clock
-// ingest benchmark's opened IVF-PQ indexes stopped fitting its
-// decoded-object cache when planning lost its log replays (DESIGN.md
-// §20). Step and Quiesce do not wait for it.
+// index jobs: files committed in between ride the next job, so a
+// steady stream makes one index file per spec per indexEvery however
+// fast a job runs. Without it the daemon indexes as often as its
+// planning is quick, and every query opens that many more, smaller
+// index files — the wall-clock ingest benchmark's opened IVF-PQ indexes
+// stopped fitting its decoded-object cache when planning lost its log
+// replays (DESIGN.md §20). Step and Quiesce do not wait for it.
 const indexEvery = 1500 * time.Millisecond
 
 // ledgerEntry tracks one committed-but-not-yet-covered data file.
@@ -130,9 +128,9 @@ type Scheduler struct {
 
 	mu         sync.Mutex
 	ledger     map[string]ledgerEntry
-	stalled    map[int]int64     // spec index → snapshot version it stalled at
-	unmerged   map[int]int       // spec index → its entry count when a compaction merged nothing
-	indexedAt  map[int]time.Time // spec index → start of its last index job
+	stalled    map[int]int64 // spec index → snapshot version it stalled at
+	unmerged   map[int]int   // spec index → its entry count when a compaction merged nothing
+	indexedAt  time.Time     // start of the last index job
 	tokens     float64
 	lastRefill time.Time
 	lastSeen   int64 // store requests observed at last refill
@@ -163,16 +161,15 @@ func NewScheduler(table *lake.Table, opts SchedulerOptions) *Scheduler {
 	}
 	reg := obs.NewRegistry()
 	s := &Scheduler{
-		cli:       cli,
-		opts:      opts,
-		clock:     table.Clock(),
-		reg:       reg,
-		commits:   make(chan struct{}, 1),
-		ledger:    make(map[string]ledgerEntry),
-		stalled:   make(map[int]int64),
-		unmerged:  make(map[int]int),
-		indexedAt: make(map[int]time.Time),
-		tokens:    opts.RequestsPerSec, // start with one second of burst
+		cli:      cli,
+		opts:     opts,
+		clock:    table.Clock(),
+		reg:      reg,
+		commits:  make(chan struct{}, 1),
+		ledger:   make(map[string]ledgerEntry),
+		stalled:  make(map[int]int64),
+		unmerged: make(map[int]int),
+		tokens:   opts.RequestsPerSec, // start with one second of burst
 
 		lagHist:       reg.Histogram("ingest.searchable_lag_ns"),
 		rowsUnindexed: reg.Gauge("ingest.rows_unindexed"),
@@ -427,11 +424,24 @@ func (s *Scheduler) Step(ctx context.Context) (bool, error) {
 	return worked, err
 }
 
-// step is Step; paced holds each spec's index jobs indexEvery apart.
-// deferred reports a job that ran, did nothing and set itself aside
+// step is Step; paced holds index jobs indexEvery apart. deferred
+// reports a job that ran, did nothing and set itself aside
 // (errDeferred).
 func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool, err error) {
 	s.steps.Inc()
+	// Adaptive policy housekeeping (autopilot refresh, which paces
+	// itself) is maintenance work: its Status and snapshot reads are
+	// charged to the budget, not mistaken for foreground traffic. It
+	// runs before the observation, so coverage and the picker act on
+	// this step's demotion verdicts.
+	if s.opts.Adaptive != nil {
+		var tick objectstore.Metrics
+		tickErr := s.opts.Adaptive.Tick(objectstore.WithTally(ctx, &tick))
+		s.charge(tick.Snapshot().Requests())
+		if tickErr != nil {
+			return false, false, tickErr
+		}
+	}
 	cov, err := s.observe(ctx)
 	if err != nil {
 		return false, false, err
@@ -443,18 +453,6 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool
 	if !ready {
 		s.budgetWaits.Inc()
 		return false, false, nil
-	}
-
-	// Adaptive policy housekeeping (autopilot refresh) is maintenance
-	// work: its Status and snapshot reads are charged to the budget, not
-	// mistaken for foreground traffic.
-	if s.opts.Adaptive != nil {
-		var tick objectstore.Metrics
-		tickErr := s.opts.Adaptive.Tick(objectstore.WithTally(ctx, &tick))
-		s.charge(tick.Snapshot().Requests())
-		if tickErr != nil {
-			return false, false, tickErr
-		}
 	}
 
 	job, counter := s.pickJob(ctx, cov, core.StatusOf(cov.snap, cov.entries), paced)
@@ -495,27 +493,29 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 		byKey[core.IndexSpec{Column: st.Column, Kind: st.Kind}] = st
 	}
 
-	// Index: one job over every spec with uncovered files, against
-	// one plan and one metadata commit — unless an adaptive policy is
-	// wired in, which reorders the backlog by heat so hot partitions
-	// become searchable before cold tails, picks one spec per job, and
-	// with no index job to run may schedule an IVF-PQ refinement. A
-	// spec with no entries at all (absent from statuses) has everything
-	// uncovered. Specs that stalled below the index's minimum row
-	// count wait for the snapshot to change before being retried.
-	if s.opts.Adaptive != nil {
-		if job, counter := s.pickAdaptiveIndex(ctx, cov, paced); job != nil {
-			return job, counter
-		}
-	} else {
-		var due []int
-		for i := range s.opts.Specs {
-			if len(cov.perSpec[i]) < len(cov.snapPaths) && !s.waits(i, cov, paced) {
-				due = append(due, i)
+	// Index: one job over every due spec, against one plan and one
+	// metadata commit. An adaptive policy shapes the job — hot files of
+	// a partly hot backlog first, coarse vector builds — and with no
+	// index job to run may schedule an IVF-PQ refinement.
+	if due := s.due(cov, paced); len(due) > 0 {
+		var opts core.IndexOptions
+		if s.opts.Adaptive != nil {
+			cands := make([]adaptive.IndexCandidate, len(due))
+			for k, i := range due {
+				cands[k].IndexSpec = s.opts.Specs[i]
+				for _, f := range cov.snap.Files {
+					if !cov.perSpec[i][f.Path] {
+						cands[k].Uncovered = append(cands[k].Uncovered, f.Path)
+					}
+				}
 			}
+			opts = s.opts.Adaptive.PlanIndex(cands)
 		}
-		if len(due) > 0 {
-			return s.indexJob(due, cov, core.IndexOptions{}), s.jobsIndex
+		return s.indexJob(due, cov, opts), s.jobsIndex
+	}
+	if s.opts.Adaptive != nil {
+		if job := s.refineJob(ctx); job != nil {
+			return job, s.jobsRefine
 		}
 	}
 	for i, spec := range s.opts.Specs {
@@ -569,15 +569,24 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 	return nil, nil
 }
 
-// waits reports whether spec i takes no index job at this step: it
-// stalled below the index's minimum row count at this snapshot, or —
-// paced, under Run — its last index job started less than indexEvery
-// ago.
-func (s *Scheduler) waits(i int, cov *coverage, paced bool) bool {
+// due lists the specs the index job takes at this step: those not
+// demoted, with uncovered files, and not stalled below the index's
+// minimum row count at this snapshot. Paced, under Run, no spec is due
+// until indexEvery after the last index job started.
+func (s *Scheduler) due(cov *coverage, paced bool) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stalledAt, stalled := s.stalled[i]
-	return (stalled && stalledAt == cov.snap.Version) || (paced && s.clock.Now().Sub(s.indexedAt[i]) < indexEvery)
+	if paced && s.clock.Now().Sub(s.indexedAt) < indexEvery {
+		return nil
+	}
+	var due []int
+	for i := range s.opts.Specs {
+		stalledAt, stalled := s.stalled[i]
+		if !cov.demoted[i] && len(cov.perSpec[i]) < len(cov.snapPaths) && !(stalled && stalledAt == cov.snap.Version) {
+			due = append(due, i)
+		}
+	}
+	return due
 }
 
 // unmergedAt reports whether spec i's last compaction merged nothing
@@ -589,12 +598,11 @@ func (s *Scheduler) unmergedAt(i, entries int) bool {
 	return ok && n == entries
 }
 
-// indexJob is the one index job, whichever policy chose the specs:
-// it notes each spec's start for Run's pacing and indexes them all
-// with opts, in one plan and one commit. Too few new rows for an index
-// file stalls that spec at the observed snapshot — scans cover the
-// tail until more data commits — while the others commit; a job whose
-// every spec stalled is deferred.
+// indexJob is the one index job: it notes its start for Run's pacing
+// and indexes every spec in the set with opts, in one plan and one
+// commit. Too few new rows for an index file stalls that spec at the
+// observed snapshot — scans cover the tail until more data commits —
+// while the others commit; a job whose every spec stalled is deferred.
 func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) func(context.Context) error {
 	specs := make([]core.IndexSpec, len(set))
 	for k, i := range set {
@@ -602,10 +610,7 @@ func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) f
 	}
 	return func(ctx context.Context) error {
 		s.mu.Lock()
-		now := s.clock.Now()
-		for _, i := range set {
-			s.indexedAt[i] = now
-		}
+		s.indexedAt = s.clock.Now()
 		s.mu.Unlock()
 		results, err := s.cli.IndexSpecs(ctx, specs, opts)
 		if err != nil {
@@ -627,44 +632,23 @@ func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) f
 	}
 }
 
-// pickAdaptiveIndex consults the adaptive policy for the next index
-// or refine job over the non-demoted backlog.
-func (s *Scheduler) pickAdaptiveIndex(ctx context.Context, cov *coverage, paced bool) (func(context.Context) error, *obs.Counter) {
-	var cands []adaptive.IndexCandidate
-	for i, spec := range s.opts.Specs {
-		if cov.demoted[i] || s.waits(i, cov, paced) {
-			continue
-		}
-		var uncovered []adaptive.BacklogFile
-		for _, f := range cov.snap.Files {
-			if !cov.perSpec[i][f.Path] {
-				uncovered = append(uncovered, adaptive.BacklogFile{Path: f.Path, Rows: f.Rows})
-			}
-		}
-		if len(uncovered) == 0 {
-			continue
-		}
-		cands = append(cands, adaptive.IndexCandidate{Spec: i, IndexSpec: spec, Uncovered: uncovered})
+// refineJob is the IVF-PQ refinement the adaptive policy proposes,
+// or nil.
+func (s *Scheduler) refineJob(ctx context.Context) func(context.Context) error {
+	plan, ok := s.opts.Adaptive.PlanRefine(ctx, s.opts.Specs)
+	if !ok {
+		return nil
 	}
-	if len(cands) > 0 {
-		if dec, ok := s.opts.Adaptive.PlanIndex(cands); ok {
-			opts := core.IndexOptions{Version: cov.snap.Version, Only: dec.Paths, IVF: dec.IVF}
-			return s.indexJob([]int{dec.Spec}, cov, opts), s.jobsIndex
+	return func(ctx context.Context) error {
+		entry, err := s.cli.RefineVectorIndex(ctx, plan.Column, plan.IndexKey, plan.Probes, plan.NProbe, plan.Opts)
+		if err != nil {
+			return err
 		}
+		if entry == nil {
+			return errNoProgress // entry gone, or no refinable cell
+		}
+		return nil
 	}
-	if plan, ok := s.opts.Adaptive.PlanRefine(ctx, s.opts.Specs); ok {
-		return func(ctx context.Context) error {
-			entry, err := s.cli.RefineVectorIndex(ctx, plan.Column, plan.IndexKey, plan.Probes, plan.NProbe, plan.Opts)
-			if err != nil {
-				return err
-			}
-			if entry == nil {
-				return errNoProgress // entry gone, or no refinable cell
-			}
-			return nil
-		}, s.jobsRefine
-	}
-	return nil, nil
 }
 
 // Quiesce steps until no job runs, bringing maintenance fully up to

@@ -463,15 +463,17 @@ type (
 	// HeatLedgerOptions tune a HeatLedger (half-life, capacity).
 	HeatLedgerOptions = adaptive.LedgerOptions
 	// Autopilot evaluates the TCO phase diagram per column from live
-	// measurements and exposes index/scan/deep verdicts.
+	// measurements and exposes index/scan verdicts.
 	Autopilot = adaptive.Autopilot
 	// AutopilotOptions tune an Autopilot (pricing, scan model, refresh
 	// cadence, scale factor).
 	AutopilotOptions = adaptive.AutopilotOptions
 	// AdaptivePolicy plugs a HeatLedger and an Autopilot into a
-	// Scheduler via SchedulerOptions.Adaptive: hot files are indexed
-	// first, never-queried columns are demoted to the scan path, and
-	// vector indexes refine progressively under probe traffic.
+	// Scheduler via SchedulerOptions.Adaptive: it shapes the
+	// scheduler's one index job (a partly hot backlog indexes its hot
+	// files first, vector indexes build a coarse first pass), demotes
+	// never-queried columns to the scan path, and refines vector
+	// indexes progressively under probe traffic.
 	AdaptivePolicy = adaptive.Policy
 	// AdaptivePolicyOptions wire an AdaptivePolicy (ledger, autopilot,
 	// client, refinement).
@@ -488,7 +490,7 @@ func NewHeatLedger(opts HeatLedgerOptions) *HeatLedger {
 // NewAutopilot returns a live TCO autopilot deciding over the given
 // specs' columns: each refresh feeds measured sizes and the ledger's
 // observed query rates into the phase diagram (tco.Params.Best) and
-// records an index, scan, or deep verdict per column.
+// records an index or scan verdict per column.
 func NewAutopilot(client *Client, ledger *HeatLedger, specs []IndexSpec, opts AutopilotOptions) *Autopilot {
 	return adaptive.NewAutopilot(client, ledger, specs, opts)
 }
