@@ -387,7 +387,6 @@ func cmdIngest(args []string) error {
 			opts.Adaptive = rottnest.NewAdaptivePolicy(rottnest.AdaptivePolicyOptions{
 				Ledger: ledger,
 				Pilot:  pilot,
-				Client: client,
 			})
 		}
 		sched = rottnest.NewScheduler(table, opts)

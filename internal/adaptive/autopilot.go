@@ -1,11 +1,11 @@
 package adaptive
 
 import (
-	"context"
 	"sync"
 	"time"
 
 	"rottnest/internal/core"
+	"rottnest/internal/lake"
 	"rottnest/internal/tco"
 )
 
@@ -94,8 +94,8 @@ type Autopilot struct {
 }
 
 // NewAutopilot returns an autopilot deciding over the given specs'
-// columns, reading live state from the client and query traffic from
-// the ledger.
+// columns, reading search latency from the client's metrics and query
+// traffic from the ledger; sizes come with each Refresh.
 func NewAutopilot(client *core.Client, ledger *Ledger, specs []core.IndexSpec, opts AutopilotOptions) *Autopilot {
 	return &Autopilot{
 		opts:      opts.withDefaults(),
@@ -118,27 +118,18 @@ func (a *Autopilot) Decision(column string) Decision {
 	return a.decisions[column]
 }
 
-// Refresh re-evaluates every column, rate-limited by RefreshEvery.
-func (a *Autopilot) Refresh(ctx context.Context) error {
+// Refresh re-evaluates every column from one observation — the time,
+// and the snapshot and index statuses read at it (core.StatusOf) —
+// rate-limited by RefreshEvery. It issues no request.
+func (a *Autopilot) Refresh(now time.Time, snap *lake.Snapshot, statuses []core.IndexStatus) {
 	a.mu.Lock()
-	now := a.client.Table().Clock().Now()
+	defer a.mu.Unlock()
 	if a.refreshed && a.opts.RefreshEvery > 0 && now.Sub(a.lastRefresh) < a.opts.RefreshEvery {
-		a.mu.Unlock()
-		return nil
-	}
-	a.mu.Unlock()
-
-	snap, err := a.client.Table().Snapshot(ctx)
-	if err != nil {
-		return err
+		return
 	}
 	var rawBytes int64
 	for _, f := range snap.Files {
 		rawBytes += f.Size
-	}
-	statuses, err := a.client.Status(ctx)
-	if err != nil {
-		return err
 	}
 	indexBytes := make(map[string]int64)
 	for _, st := range statuses {
@@ -185,11 +176,7 @@ func (a *Autopilot) Refresh(ctx context.Context) error {
 			decisions[col] = DecideScan
 		}
 	}
-
-	a.mu.Lock()
 	a.decisions = decisions
 	a.lastRefresh = now
 	a.refreshed = true
-	a.mu.Unlock()
-	return nil
 }

@@ -1,20 +1,15 @@
 package adaptive
 
 import (
-	"context"
 	"sort"
+	"time"
 
 	"rottnest/internal/component"
 	"rottnest/internal/core"
 	"rottnest/internal/ivfpq"
+	"rottnest/internal/lake"
+	"rottnest/internal/meta"
 )
-
-// IndexCandidate is one (column, kind) spec the scheduler's next index
-// job covers, with its uncovered snapshot files in path order.
-type IndexCandidate struct {
-	core.IndexSpec
-	Uncovered []string
-}
 
 // RefinePlan is a policy's choice of a progressive-refinement job.
 type RefinePlan struct {
@@ -25,28 +20,6 @@ type RefinePlan struct {
 	Opts     ivfpq.RefineOptions
 }
 
-// SchedulerPolicy is the hook the ingest scheduler consults before
-// choosing work. All methods must be safe for concurrent use.
-type SchedulerPolicy interface {
-	// Tick runs periodic policy work (autopilot refresh), metered by
-	// the scheduler as maintenance cost.
-	Tick(ctx context.Context) error
-	// DemotedToScan reports whether the spec's column should not be
-	// indexed at all (queries scan instead).
-	DemotedToScan(spec core.IndexSpec) bool
-	// PlanIndex shapes the scheduler's one index job over the due
-	// specs: which of each spec's uncovered files it covers
-	// (IndexOptions.Only) and how coarse its vector builds are
-	// (IndexOptions.IVF).
-	PlanIndex(cands []IndexCandidate) core.IndexOptions
-	// PlanRefine proposes a progressive IVF-PQ refinement job, or ok
-	// = false when probe traffic does not warrant one.
-	PlanRefine(ctx context.Context, specs []core.IndexSpec) (RefinePlan, bool)
-	// PlanDemote proposes dropping an existing index whose column the
-	// autopilot demoted, or ok = false.
-	PlanDemote(statuses []core.IndexStatus) (core.IndexSpec, bool)
-}
-
 // PolicyOptions configure a Policy.
 type PolicyOptions struct {
 	// Ledger is the heat ledger fed by the serving client. Required.
@@ -54,9 +27,6 @@ type PolicyOptions struct {
 	// Pilot, when set, supplies per-column scan/index decisions; nil
 	// never demotes.
 	Pilot *Autopilot
-	// Client executes metadata listings for refinement planning.
-	// Required for PlanRefine.
-	Client *core.Client
 	// Refine tunes the refinement pass itself.
 	Refine ivfpq.RefineOptions
 }
@@ -86,15 +56,25 @@ func NewPolicy(opts PolicyOptions) *Policy {
 	return &Policy{opts: opts, lastRefine: make(map[string]uint64)}
 }
 
-// Tick implements SchedulerPolicy.
-func (p *Policy) Tick(ctx context.Context) error {
-	if p.opts.Pilot == nil {
-		return nil
+// Observe takes one maintenance step's observation: the time, and the
+// snapshot and index statuses read at it (core.StatusOf). It refreshes
+// the autopilot's verdicts from them, as RefreshEvery paces it, and
+// reports for each status whether its column is demoted to the scan
+// path. It issues no request.
+func (p *Policy) Observe(now time.Time, snap *lake.Snapshot, statuses []core.IndexStatus) []bool {
+	if p.opts.Pilot != nil {
+		p.opts.Pilot.Refresh(now, snap, statuses)
 	}
-	return p.opts.Pilot.Refresh(ctx)
+	demoted := make([]bool, len(statuses))
+	for i, st := range statuses {
+		demoted[i] = p.DemotedToScan(core.IndexSpec{Column: st.Column, Kind: st.Kind})
+	}
+	return demoted
 }
 
-// DemotedToScan implements SchedulerPolicy.
+// DemotedToScan reports whether the spec's column should not be
+// indexed at all (queries scan instead), by the autopilot's last
+// verdicts.
 func (p *Policy) DemotedToScan(spec core.IndexSpec) bool {
 	if p.opts.Pilot == nil {
 		return false
@@ -102,15 +82,18 @@ func (p *Policy) DemotedToScan(spec core.IndexSpec) bool {
 	return p.opts.Pilot.Decision(spec.Column) == DecideScan
 }
 
-// PlanIndex implements SchedulerPolicy. A vector spec builds the coarse
-// first pass. A spec whose backlog is partly hot covers its hottest
-// hotBatch hot files and leaves the cold tail for later jobs —
-// time-to-searchable for hot data beats backlog completeness; an
-// all-hot or all-cold backlog indexes whole.
-func (p *Policy) PlanIndex(cands []IndexCandidate) core.IndexOptions {
+// PlanIndex shapes the scheduler's one index job over the due specs'
+// statuses: which of each one's uncovered files it covers
+// (IndexOptions.Only) and how coarse its vector builds are
+// (IndexOptions.IVF). A vector spec builds the coarse first pass. A
+// spec whose backlog is partly hot covers its hottest hotBatch hot
+// files and leaves the cold tail for later jobs — time-to-searchable
+// for hot data beats backlog completeness; an all-hot or all-cold
+// backlog indexes whole.
+func (p *Policy) PlanIndex(due []core.IndexStatus) core.IndexOptions {
 	var opts core.IndexOptions
-	for _, cand := range cands {
-		if cand.Kind == component.KindIVFPQ {
+	for _, st := range due {
+		if st.Kind == component.KindIVFPQ {
 			coarse := coarseBuild
 			opts.IVF = &coarse
 		}
@@ -119,12 +102,12 @@ func (p *Policy) PlanIndex(cands []IndexCandidate) core.IndexOptions {
 			heat uint64
 		}
 		var hots []hot
-		for _, f := range cand.Uncovered {
-			if h := p.opts.Ledger.Heat(cand.Column, f); h > 0 {
+		for _, f := range st.Uncovered {
+			if h := p.opts.Ledger.Heat(st.Column, f); h > 0 {
 				hots = append(hots, hot{path: f, heat: h})
 			}
 		}
-		if len(hots) == 0 || len(hots) == len(cand.Uncovered) {
+		if len(hots) == 0 || len(hots) == len(st.Uncovered) {
 			continue
 		}
 		sort.Slice(hots, func(a, b int) bool {
@@ -140,18 +123,17 @@ func (p *Policy) PlanIndex(cands []IndexCandidate) core.IndexOptions {
 		if opts.Only == nil {
 			opts.Only = make(map[core.IndexSpec][]string)
 		}
-		opts.Only[cand.IndexSpec] = paths
+		opts.Only[core.IndexSpec{Column: st.Column, Kind: st.Kind}] = paths
 	}
 	return opts
 }
 
-// PlanRefine implements SchedulerPolicy: once a vector column has
-// accumulated refineAfterProbes new queries since its last refine,
-// propose re-clustering the hottest cells of its largest index file.
-func (p *Policy) PlanRefine(ctx context.Context, specs []core.IndexSpec) (RefinePlan, bool) {
-	if p.opts.Client == nil {
-		return RefinePlan{}, false
-	}
+// PlanRefine proposes a progressive IVF-PQ refinement job over the
+// metadata entries the step observed, or ok = false when probe traffic
+// does not warrant one: once a vector column has accumulated
+// refineAfterProbes new queries since its last refine, it re-clusters
+// the hottest cells of the column's largest index file.
+func (p *Policy) PlanRefine(specs []core.IndexSpec, observed []meta.IndexEntry) (RefinePlan, bool) {
 	for _, spec := range specs {
 		if spec.Kind != component.KindIVFPQ || p.DemotedToScan(spec) {
 			continue
@@ -160,8 +142,8 @@ func (p *Policy) PlanRefine(ctx context.Context, specs []core.IndexSpec) (Refine
 		if len(probes) == 0 || seen-p.lastRefine[spec.Column] < refineAfterProbes {
 			continue
 		}
-		entries, err := p.opts.Client.ListIndexes(ctx, spec.Column, spec.Kind)
-		if err != nil || len(entries) == 0 {
+		entries := meta.EntriesFor(observed, spec.Column, spec.Kind)
+		if len(entries) == 0 {
 			continue
 		}
 		// Refine the entry covering the most rows: it serves the bulk
@@ -188,8 +170,9 @@ func (p *Policy) PlanRefine(ctx context.Context, specs []core.IndexSpec) (Refine
 	return RefinePlan{}, false
 }
 
-// PlanDemote implements SchedulerPolicy: a demoted column that still
-// owns index entries gets them dropped (and flagged for vacuum).
+// PlanDemote proposes dropping an existing index whose column the
+// autopilot demoted, or ok = false: a demoted column that still owns
+// index entries gets them dropped (and flagged for vacuum).
 // Entries are only dropped for never-queried columns — a column whose
 // operating point drifted back into the scan region merely stops
 // getting new index jobs, so a rate oscillating around the phase
@@ -206,5 +189,3 @@ func (p *Policy) PlanDemote(statuses []core.IndexStatus) (core.IndexSpec, bool) 
 	}
 	return core.IndexSpec{}, false
 }
-
-var _ SchedulerPolicy = (*Policy)(nil)

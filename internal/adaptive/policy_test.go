@@ -10,7 +10,13 @@ import (
 	"rottnest/internal/core"
 )
 
-// TestPlanIndexShapesOneJob: PlanIndex names each candidate whose
+// due is a spec's status with the uncovered files, as the scheduler
+// hands PlanIndex the statuses of its due specs.
+func due(spec core.IndexSpec, uncovered ...string) core.IndexStatus {
+	return core.IndexStatus{Column: spec.Column, Kind: spec.Kind, UnindexedFiles: len(uncovered), Uncovered: uncovered}
+}
+
+// TestPlanIndexShapesOneJob: PlanIndex names each spec whose
 // backlog is partly hot with its hot files, hottest first and path
 // breaking ties, at most hotBatch of them; it leaves an all-hot or
 // all-cold backlog unnamed (the job indexes it whole); and a vector
@@ -36,11 +42,11 @@ func TestPlanIndexShapesOneJob(t *testing.T) {
 	l.Record("hot", "x", 1)
 	l.Record("hot", "y", 2)
 
-	opts := p.PlanIndex([]IndexCandidate{
-		{IndexSpec: partly, Uncovered: []string{"a", "b", "c", "d", "e"}},
-		{IndexSpec: capped, Uncovered: many},
-		{IndexSpec: allHot, Uncovered: []string{"x", "y"}},
-		{IndexSpec: cold, Uncovered: []string{"p", "q"}},
+	opts := p.PlanIndex([]core.IndexStatus{
+		due(partly, "a", "b", "c", "d", "e"),
+		due(capped, many...),
+		due(allHot, "x", "y"),
+		due(cold, "p", "q"),
 	})
 	if got, want := opts.Only[partly], []string{"b", "c", "d"}; !slices.Equal(got, want) {
 		t.Errorf("partly hot backlog: Only = %v, want %v", got, want)
@@ -67,7 +73,7 @@ func TestPlanIndexShapesOneJob(t *testing.T) {
 	}
 
 	vec := core.IndexSpec{Column: "emb", Kind: component.KindIVFPQ}
-	opts = p.PlanIndex([]IndexCandidate{{IndexSpec: vec, Uncovered: []string{"v"}}})
+	opts = p.PlanIndex([]core.IndexStatus{due(vec, "v")})
 	if opts.IVF == nil || *opts.IVF != coarseBuild {
 		t.Errorf("vector candidate: IVF = %v, want the coarse build %+v", opts.IVF, coarseBuild)
 	}

@@ -40,22 +40,22 @@ type output struct {
 //     vacuum judges orphans by that same clock and may already be
 //     collecting the uploads. It aborts with ErrTimeout and leaves the
 //     uploads for vacuum.
-//  4. Commit ("<op>.commit"): insert every new row in one metadata
-//     commit and, when an output replaces another file covering
-//     exactly the same data (refine), delete the replaced rows in the
-//     same breath. Insert-then-delete keeps every file covered in both
-//     orders, but the old row must go: greedy cover selection breaks
-//     ties toward the earlier-listed entry, so leaving it would keep
-//     serving the replaced index forever. The metadata table changed
-//     without a lake commit, so cached plans are dropped, once.
+//  4. Commit ("<op>.commit"): one metadata record inserts every new
+//     row and, when an output replaces another file covering exactly
+//     the same data (refine), deletes the replaced rows (meta.Replace).
+//     The swap is atomic, and the old row must go: greedy cover
+//     selection breaks ties toward the earlier-listed entry, so leaving
+//     it would keep serving the replaced index forever. The metadata
+//     table changed without a lake commit, so cached plans are
+//     dropped, once.
 //  5. Re-check the timeout after commit: the clock can pass the
 //     deadline between step 3 and the insert, and any vacuum that
 //     collected an upload ran after the deadline, so the overshoot is
-//     always visible here. Roll back ("<op>.rollback") — restoring the
-//     replaced rows first, whose objects a vacuum only deletes after
-//     their rows are gone, and they were not until step 4, then
-//     deleting every inserted row in one commit — and return
-//     ErrTimeout; the caller retries cleanly.
+//     always visible here. Roll back ("<op>.rollback") — one record
+//     restores the replaced rows, whose objects a vacuum only deletes
+//     after their rows are gone, and they were not until step 4, and
+//     deletes every inserted row — and return ErrTimeout; the caller
+//     retries cleanly.
 //
 // The entries are the outputs', in order; each one's file list and row
 // count are its manifest's. planned is the metadata version the
@@ -97,10 +97,7 @@ func (c *Client) publish(ctx context.Context, op string, start time.Time, planne
 	}
 	cctx, commitSpan := obs.Start(ctx, op+".commit")
 	defer commitSpan.End()
-	if err := c.meta.Insert(cctx, entries...); err != nil {
-		return nil, err
-	}
-	if err := c.meta.Delete(cctx, indexKeys(replaced)...); err != nil {
+	if err := c.meta.Replace(cctx, entries, indexKeys(replaced)); err != nil {
 		return nil, err
 	}
 	c.metaChanged()
@@ -109,10 +106,7 @@ func (c *Client) publish(ctx context.Context, op string, start time.Time, planne
 	if c.clock.Now().Sub(start) > c.cfg.Timeout {
 		rctx, rollbackSpan := obs.Start(ctx, op+".rollback")
 		defer rollbackSpan.End()
-		if err := c.meta.Insert(rctx, replaced...); err != nil {
-			return nil, err
-		}
-		if err := c.meta.Delete(rctx, indexKeys(entries)...); err != nil {
+		if err := c.meta.Replace(rctx, replaced, indexKeys(entries)); err != nil {
 			return nil, err
 		}
 		c.metaChanged()

@@ -168,3 +168,40 @@ func TestPublishTimeouts(t *testing.T) {
 		}
 	}
 }
+
+// TestRefineCommitsOneRecord: a refinement swaps its new row for the one
+// it replaces in one metadata record, so no reader sees both rows or
+// neither, and the commit is one PUT: a refine issues two, the index
+// file's upload and that record. It committed the insert and the delete
+// as two records, one PUT after the other.
+func TestRefineCommitsOneRecord(t *testing.T) {
+	ctx := context.Background()
+	w := vectorWorld(t)
+	old, err := w.cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
+	if err != nil || len(old) != 1 {
+		t.Fatalf("vector index files = %d, %v; want one", len(old), err)
+	}
+	records := func() int {
+		t.Helper()
+		objs, err := w.mem.List(ctx, w.cli.Meta().Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(objs)
+	}
+	recordsBefore, before := records(), w.store.Metrics.Snapshot()
+	e, err := w.cli.RefineVectorIndex(ctx, "emb", old[0].IndexKey, w.vecs, 4, ivfpq.RefineOptions{MaxCells: 4, Seed: 1})
+	if err != nil || e == nil {
+		t.Fatalf("refine: entry %v, err %v", e, err)
+	}
+	if got := records() - recordsBefore; got != 1 {
+		t.Errorf("refine wrote %d metadata records, want 1", got)
+	}
+	if puts := w.store.Metrics.Snapshot().Sub(before).Puts; puts != 2 {
+		t.Errorf("refine issued %d PUTs, want 2: the index file and one metadata record", puts)
+	}
+	now, err := w.cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
+	if err != nil || len(now) != 1 || now[0].IndexKey != e.IndexKey {
+		t.Fatalf("rows after refine = %+v, %v; want only the refined one", now, err)
+	}
+}

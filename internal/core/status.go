@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"rottnest/internal/component"
 	"rottnest/internal/lake"
@@ -26,6 +28,8 @@ type IndexStatus struct {
 	// RedundantEntries counts index files the greedy cover would not
 	// pick — the fragmentation that compaction+vacuum removes.
 	RedundantEntries int
+	// Uncovered lists the UnindexedFiles' paths, in snapshot order.
+	Uncovered []string
 }
 
 // Status reports the state of every index against the latest
@@ -40,55 +44,55 @@ func (c *Client) Status(ctx context.Context) ([]IndexStatus, error) {
 }
 
 // StatusOf is Status for a caller that has already read the snapshot
-// and the metadata entries (PlanInputs).
-func StatusOf(snap *lake.Snapshot, entries []meta.IndexEntry) []IndexStatus {
+// and the metadata entries (PlanInputs). Each of specs gets a status,
+// in order, with or without entries; the other indexes the entries
+// name follow, by column and then kind.
+func StatusOf(snap *lake.Snapshot, entries []meta.IndexEntry, specs ...IndexSpec) []IndexStatus {
 	active := snap.Paths()
-
-	type groupKey struct {
-		column string
-		kind   component.Kind
-	}
-	groups := make(map[groupKey][]meta.IndexEntry)
+	groups := make(map[IndexSpec][]meta.IndexEntry)
 	for _, e := range entries {
-		k := groupKey{e.Column, e.Kind}
+		k := IndexSpec{e.Column, e.Kind}
 		groups[k] = append(groups[k], e)
 	}
-	var out []IndexStatus
-	for k, group := range groups {
-		st := IndexStatus{Column: k.column, Kind: k.kind, Entries: len(group)}
-		covered := make(map[string]bool)
+	var rest []IndexSpec
+	for k := range groups {
+		if !slices.Contains(specs, k) {
+			rest = append(rest, k)
+		}
+	}
+	slices.SortFunc(rest, func(a, b IndexSpec) int {
+		return cmp.Or(cmp.Compare(a.Column, b.Column), cmp.Compare(a.Kind, b.Kind))
+	})
+	out := make([]IndexStatus, 0, len(specs)+len(rest))
+	for _, k := range append(slices.Clone(specs), rest...) {
+		group := groups[k]
+		chosen, covered := coverEntries(group, active)
+		st := IndexStatus{
+			Column:           k.Column,
+			Kind:             k.Kind,
+			Entries:          len(group),
+			CoveredFiles:     len(covered),
+			RedundantEntries: len(group) - len(chosen),
+		}
 		stale := make(map[string]bool)
 		for _, e := range group {
 			st.IndexBytes += e.SizeBytes
 			for _, f := range e.Files {
-				if active[f] {
-					covered[f] = true
-				} else {
+				if !active[f] {
 					stale[f] = true
 				}
 			}
 		}
-		st.CoveredFiles = len(covered)
-		st.UnindexedFiles = len(snap.Files) - len(covered)
 		st.StaleRefs = len(stale)
-		chosen, _ := coverEntries(group, active)
-		st.RedundantEntries = len(group) - len(chosen)
+		for _, f := range snap.Files {
+			if !covered[f.Path] {
+				st.Uncovered = append(st.Uncovered, f.Path)
+			}
+		}
+		st.UnindexedFiles = len(st.Uncovered)
 		out = append(out, st)
 	}
-	sortStatuses(out)
 	return out
-}
-
-func sortStatuses(sts []IndexStatus) {
-	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0; j-- {
-			a, b := sts[j-1], sts[j]
-			if a.Column < b.Column || (a.Column == b.Column && a.Kind <= b.Kind) {
-				break
-			}
-			sts[j-1], sts[j] = b, a
-		}
-	}
 }
 
 // MaintainPolicy tunes the maintenance scheduler's compact and vacuum

@@ -380,7 +380,7 @@ func (w *world) run(ctx context.Context) error {
 			GroupCommitBatches: 4,
 			Parquet:            parquet.WriterOptions{RowGroupRows: 64, PageBytes: 1024},
 		})
-		var policy adaptive.SchedulerPolicy
+		var policy *adaptive.Policy
 		if w.opts.Adaptive {
 			// Heat-driven scheduling under the same faults: searches
 			// feed the ledger, index jobs chase hot files (sometimes as
@@ -390,7 +390,7 @@ func (w *world) run(ctx context.Context) error {
 			// and here every column is queried, so it could never fire.
 			ledger := adaptive.NewLedger(adaptive.LedgerOptions{Clock: w.clock})
 			w.cli.SetHeatObserver(ledger)
-			policy = adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Client: w.cli})
+			policy = adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger})
 		}
 		w.sched = ingest.NewScheduler(table, ingest.SchedulerOptions{
 			Client:         w.cli,

@@ -69,7 +69,7 @@ func TestSchedulerAdaptiveColdColumnNeverIndexed(t *testing.T) {
 		RefreshEvery:    -1,
 		ScanBytesPerSec: 1,
 	})
-	policy := adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Client: cli})
+	policy := adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot})
 	w := NewWriter(tbl, WriterOptions{MaxBatchRows: 2, Manual: true})
 	s := NewScheduler(tbl, SchedulerOptions{
 		Client:   cli,
@@ -173,7 +173,7 @@ func twoColWorld(t *testing.T, withPilot bool) (*objectstore.Stack, *Writer, *co
 	}
 	ledger := adaptive.NewLedger(adaptive.LedgerOptions{HalfLife: time.Minute, Clock: clock})
 	cli.SetHeatObserver(ledger)
-	popts := adaptive.PolicyOptions{Ledger: ledger, Client: cli}
+	popts := adaptive.PolicyOptions{Ledger: ledger}
 	if withPilot {
 		// As in TestSchedulerAdaptiveColdColumnNeverIndexed: a queried
 		// column stays indexed, a never-queried one is demoted.
@@ -373,7 +373,7 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 			RefreshEvery: 10 * time.Second,
 			ScaleFactor:  256e9 / float64(rounds*partitions*rowsPerBatch*rowBytes),
 		})
-		opts.Adaptive = adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Client: cli})
+		opts.Adaptive = adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot})
 	}
 	s := NewScheduler(tbl, opts)
 
@@ -475,19 +475,23 @@ func runAdaptiveStream(t *testing.T, adaptiveOn bool) adaptiveRun {
 // index-everything on the same stream and query schedule (see
 // runAdaptiveStream). The autopilot demotes the four never-queried
 // payload columns, so adaptive builds none of their FM indexes: its
-// jobs cost 311 store requests, at least 2x fewer than
+// jobs cost 305 store requests, at least 2x fewer than
 // index-everything's, while the hot partition's searchable lag (2 s at
 // p50 and p99, each held within ±20 %) and the steady-state query
 // latency (within 1.10x at p50 and p99) are no worse.
 func TestAdaptiveMaintenance(t *testing.T) {
 	ad, all := runAdaptiveStream(t, true), runAdaptiveStream(t, false)
+	t.Logf("maintenance requests: adaptive %d, index-everything %d", ad.maintRequests, all.maintRequests)
 	// 301 when an adaptive index job planned at the step's observed
 	// snapshot; it plans at the latest one, as every index job does, so
 	// each of its 10 jobs lists the lake log once more. Pinning it to
 	// the observation made a group commit that lands in between wait a
-	// whole paced cycle under Run.
-	if ad.maintRequests != 311 {
-		t.Errorf("adaptive maintenance requests = %d, want 311", ad.maintRequests)
+	// whole paced cycle under Run. 311 while the autopilot's two
+	// refreshes read the lake log and Status for themselves (3 LISTs
+	// each, billed to the jobs); they decide from the step's
+	// observation now, which is no job's request.
+	if ad.maintRequests != 305 {
+		t.Errorf("adaptive maintenance requests = %d, want 305", ad.maintRequests)
 	}
 	if ad.coldEntries != 0 {
 		t.Errorf("adaptive built %d cold-column index entries, want 0", ad.coldEntries)

@@ -7,10 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"rottnest/internal/adaptive"
 	"rottnest/internal/component"
 	"rottnest/internal/core"
+	"rottnest/internal/ivfpq"
+	"rottnest/internal/lake"
 	"rottnest/internal/objectstore"
+	"rottnest/internal/parquet"
 	"rottnest/internal/simtime"
+	"rottnest/internal/workload"
 )
 
 // listGate, once armed, tells when the next LIST of the lake log has
@@ -155,8 +160,8 @@ func TestObserveIsOneListLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := metrics.Snapshot().Sub(before)
-	if len(cov.snapPaths) != 4 || len(cov.perSpec[0]) != 2 {
-		t.Fatalf("observed %d files, %d covered; want 4 and 2", len(cov.snapPaths), len(cov.perSpec[0]))
+	if len(cov.snap.Files) != 4 || cov.statuses[0].CoveredFiles != 2 {
+		t.Fatalf("observed %d files, %d covered; want 4 and 2", len(cov.snap.Files), cov.statuses[0].CoveredFiles)
 	}
 	if reqs.Lists != 2 || reqs.Gets != 0 {
 		t.Errorf("observe issued %d LISTs and %d GETs, want 2 and 0", reqs.Lists, reqs.Gets)
@@ -165,6 +170,97 @@ func TestObserveIsOneListLevel(t *testing.T) {
 		t.Errorf("observe took %v of virtual time, want one LIST level (%v)", got, model.ListTTFB)
 	}
 	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStepDecidesFromItsObservation: an adaptive step with an autopilot
+// and a vector spec whose probe traffic warrants a refinement makes
+// every decision — the autopilot's verdicts, coverage, the job and the
+// refinement's plan — from its one observation, so all it issues before
+// the job starts is the observation's 2 LISTs, one LIST level on the S3
+// model. The autopilot's refresh read the lake log and then Status for
+// itself (3 LISTs, two levels more), and the refinement planner listed
+// the metadata table again (a LIST and a level more).
+func TestStepDecidesFromItsObservation(t *testing.T) {
+	ctx := context.Background()
+	const dim = 8
+	clock := simtime.NewVirtualClock()
+	model := objectstore.DefaultS3Model()
+	store := objectstore.NewStack(objectstore.NewMemStore(clock), objectstore.StackOptions{Latency: &model, CacheBytes: -1})
+	schema := parquet.MustSchema(parquet.Column{Name: "emb", Type: parquet.TypeFixedLenByteArray, TypeLen: 4 * dim})
+	tbl, err := lake.CreateWith(ctx, store, "tbl", schema, lake.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := core.NewClient(tbl, core.Config{IndexDir: "idx", CacheBytes: -1})
+	specs := []core.IndexSpec{{Column: "emb", Kind: component.KindIVFPQ}}
+	ledger := adaptive.NewLedger(adaptive.LedgerOptions{Clock: clock})
+	cli.SetHeatObserver(ledger)
+	// As in TestSchedulerAdaptiveColdColumnNeverIndexed: a queried
+	// column stays on the indexing path.
+	pilot := adaptive.NewAutopilot(cli, ledger, specs, adaptive.AutopilotOptions{RefreshEvery: -1, ScanBytesPerSec: 1})
+	s := NewScheduler(tbl, SchedulerOptions{
+		Client:   cli,
+		Specs:    specs,
+		Adaptive: adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Refine: ivfpq.RefineOptions{MaxCells: 4, Seed: 1}}),
+	})
+	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 72, Dim: dim, Clusters: 4})
+	b := parquet.NewBatch(schema)
+	vals := make([][]byte, 500)
+	for i, v := range gen.Batch(len(vals)) {
+		vals[i] = workload.Float32sToBytes(v)
+	}
+	b.Cols[0] = parquet.ColumnValues{Bytes: vals}
+	if _, err := tbl.Append(ctx, b, parquet.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	queries := gen.Queries(9)
+	search := func(q []float32) {
+		t.Helper()
+		if _, err := cli.Search(ctx, core.Query{Column: "emb", Vector: q, K: 5, Snapshot: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One query keeps the column on the indexing path; eight more are
+	// the probe traffic a refinement waits for.
+	search(queries[0])
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Registry().Snapshot().Counter("ingest.jobs_index"); got != 1 {
+		t.Fatalf("jobs_index = %d, want the vector index built", got)
+	}
+	for _, q := range queries[1:] {
+		search(q)
+	}
+
+	session := simtime.NewSession()
+	sctx := simtime.With(ctx, session)
+	before := store.Metrics.Snapshot()
+	cov, err := s.observe(sctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, counter := s.pickJob(cov, false)
+	reqs := store.Metrics.Snapshot().Sub(before)
+	if job == nil || counter != s.jobsRefine {
+		t.Fatalf("picked job %v of counter %p, want the refinement (%p)", job != nil, counter, s.jobsRefine)
+	}
+	if reqs.Lists != 2 || reqs.Gets != 0 || reqs.Puts != 0 {
+		t.Errorf("before the job: %d LISTs, %d GETs, %d PUTs; want the observation's 2 LISTs alone", reqs.Lists, reqs.Gets, reqs.Puts)
+	}
+	if got := session.Elapsed(); got < model.ListTTFB || got >= model.ListTTFB+5*time.Millisecond {
+		t.Errorf("before the job: %v of virtual time, want one LIST level (%v)", got, model.ListTTFB)
+	}
+	if err := job(ctx); err != nil {
+		t.Fatalf("refinement: %v", err)
+	}
+	entries, err := cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
+	if err != nil || len(entries) != 1 || entries[0].IndexKey == cov.entries[0].IndexKey {
+		t.Fatalf("vector rows after the refinement = %+v, %v; want one new row", entries, err)
+	}
+	if err := cli.CheckExistence(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

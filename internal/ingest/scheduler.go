@@ -48,8 +48,9 @@ type SchedulerOptions struct {
 	// hot backlog indexes its hot files first, vector specs build a
 	// coarse first pass), schedules progressive IVF-PQ refinement, and
 	// demotes columns the TCO autopilot rules out (see
-	// internal/adaptive). Nil indexes every spec's whole backlog.
-	Adaptive adaptive.SchedulerPolicy
+	// internal/adaptive), all from the step's one observation. Nil
+	// indexes every spec's whole backlog.
+	Adaptive *adaptive.Policy
 	// TickEvery paces Run's periodic wakeups: a real-time ticker that
 	// refills the budget, applies the writer's age bound, and drains
 	// whatever backlog is left once commits go quiet or the budget
@@ -229,20 +230,17 @@ func (s *Scheduler) unindexedRowsLocked() int64 {
 	return n
 }
 
-// coverage describes what one Step observed before picking a job.
+// coverage is what one Step observed, once, before it decides.
 type coverage struct {
-	// snap and entries are the plan inputs the step read, once. The
-	// snapshot's file list is in path order, so backlog candidates
-	// handed to an adaptive policy are deterministic.
+	// snap and entries are the plan inputs the step read.
 	snap    *lake.Snapshot
 	entries []meta.IndexEntry
-	// perSpec maps spec index → covered paths; snapPaths is the
-	// active file set of the observed snapshot.
-	perSpec   []map[string]bool
-	snapPaths map[string]bool
-	// demoted marks specs the adaptive policy routed to the scan
-	// path; they take no index jobs and do not hold up the freshness
-	// ledger.
+	// statuses are core.StatusOf over them: statuses[i] is spec i's,
+	// and the indexes no spec names follow.
+	statuses []core.IndexStatus
+	// demoted marks the statuses whose column the adaptive policy
+	// routed to the scan path; those specs take no index jobs and do
+	// not hold up the freshness ledger.
 	demoted []bool
 }
 
@@ -257,39 +255,45 @@ var errNoProgress = errors.New("ingest: job made no progress")
 // next step on, so Quiesce goes on to the jobs below it.
 var errDeferred = errors.New("ingest: job deferred")
 
-// observe reads the snapshot and meta entries once, side by side, and
-// resolves the freshness ledger: files now covered by every spec record
-// their searchable lag, files gone from the snapshot (compacted away)
-// are dropped, and the rows_unindexed gauge updates.
+// observe reads the snapshot and meta entries once, side by side,
+// derives the index statuses and the adaptive policy's verdicts from
+// that read, and resolves the freshness ledger: files now covered by
+// every spec record their searchable lag, files gone from the snapshot
+// (compacted away) are dropped, and the rows_unindexed gauge updates.
+// The read is the scheduler's own traffic, not foreground, but no job's:
+// it draws no tokens and is not in job_requests.
 func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
-	snap, entries, err := s.cli.PlanInputs(ctx, -1)
+	var read objectstore.Metrics
+	snap, entries, err := s.cli.PlanInputs(objectstore.WithTally(ctx, &read), -1)
+	s.mu.Lock()
+	s.ownCost += read.Snapshot().Requests()
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	cov := &coverage{snap: snap, entries: entries, snapPaths: snap.Paths()}
-	cov.perSpec = make([]map[string]bool, len(s.opts.Specs))
-	cov.demoted = make([]bool, len(s.opts.Specs))
-	if s.opts.Adaptive != nil {
-		for i, spec := range s.opts.Specs {
-			cov.demoted[i] = s.opts.Adaptive.DemotedToScan(spec)
-		}
-	}
-	for i, spec := range s.opts.Specs {
-		covered := make(map[string]bool)
-		for _, e := range entries {
-			if e.Column != spec.Column || e.Kind != spec.Kind {
-				continue
-			}
-			for _, f := range e.Files {
-				if cov.snapPaths[f] {
-					covered[f] = true
-				}
-			}
-		}
-		cov.perSpec[i] = covered
-	}
-
 	now := s.clock.Now()
+	cov := &coverage{snap: snap, entries: entries, statuses: core.StatusOf(snap, entries, s.opts.Specs...)}
+	if s.opts.Adaptive != nil {
+		cov.demoted = s.opts.Adaptive.Observe(now, snap, cov.statuses)
+	} else {
+		cov.demoted = make([]bool, len(cov.statuses))
+	}
+	// A file is searchable by index once every spec covers it. Demoted
+	// specs don't count: their columns serve from scans by decision, so
+	// a file is as searchable as it will ever get once the remaining
+	// specs cover it. With no specs nothing is ever "searchable by
+	// index", so the ledger drains only by compaction — callers should
+	// configure at least one spec.
+	uncovered := make(map[string]bool)
+	for i := range s.opts.Specs {
+		if !cov.demoted[i] {
+			for _, p := range cov.statuses[i].Uncovered {
+				uncovered[p] = true
+			}
+		}
+	}
+	active := snap.Paths()
+
 	type coveredFile struct {
 		path string
 		rows int64
@@ -298,7 +302,7 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 	var newlyCovered []coveredFile
 	s.mu.Lock()
 	for p, e := range s.ledger {
-		if !cov.snapPaths[p] {
+		if !active[p] {
 			// Compacted or removed: its surviving rows are tracked
 			// via the rewritten file's coverage, not this ledger row.
 			// A file committed after the snapshot was read is neither:
@@ -308,7 +312,7 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 			}
 			continue
 		}
-		if s.coveredByAll(cov, p) {
+		if len(s.opts.Specs) > 0 && !uncovered[p] {
 			lag := now.Sub(e.ackedAt)
 			s.lagHist.Observe(int64(lag))
 			newlyCovered = append(newlyCovered, coveredFile{path: p, rows: e.rows, lag: lag})
@@ -340,27 +344,6 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 	return cov, nil
 }
 
-// coveredByAll reports whether every non-demoted spec covers the
-// path. With no specs nothing is ever "searchable by index", so the
-// ledger drains only by compaction — callers should configure at
-// least one spec. Demoted specs don't count: their columns serve from
-// scans by decision, so a file is as searchable as it will ever get
-// once the remaining specs cover it.
-func (s *Scheduler) coveredByAll(cov *coverage, path string) bool {
-	if len(cov.perSpec) == 0 {
-		return false
-	}
-	for i, covered := range cov.perSpec {
-		if cov.demoted[i] {
-			continue
-		}
-		if !covered[path] {
-			return false
-		}
-	}
-	return true
-}
-
 // storeRequests sums the request counters of the client's store chain.
 func storeRequests(m obs.Snapshot) int64 {
 	return m.Counter("store.gets") + m.Counter("store.puts") +
@@ -369,8 +352,9 @@ func storeRequests(m obs.Snapshot) int64 {
 
 // refill tops up the token bucket: elapsed virtual time times the
 // budget rate, scaled down by observed foreground traffic (total
-// store requests minus the scheduler's own), floored at 10% of the
-// budget so maintenance always makes progress.
+// store requests minus the scheduler's own: its jobs and its
+// observations), floored at 10% of the budget so maintenance always
+// makes progress.
 func (s *Scheduler) refill() {
 	now := s.clock.Now()
 	total := storeRequests(s.cli.Metrics())
@@ -429,19 +413,6 @@ func (s *Scheduler) Step(ctx context.Context) (bool, error) {
 // (errDeferred).
 func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool, err error) {
 	s.steps.Inc()
-	// Adaptive policy housekeeping (autopilot refresh, which paces
-	// itself) is maintenance work: its Status and snapshot reads are
-	// charged to the budget, not mistaken for foreground traffic. It
-	// runs before the observation, so coverage and the picker act on
-	// this step's demotion verdicts.
-	if s.opts.Adaptive != nil {
-		var tick objectstore.Metrics
-		tickErr := s.opts.Adaptive.Tick(objectstore.WithTally(ctx, &tick))
-		s.charge(tick.Snapshot().Requests())
-		if tickErr != nil {
-			return false, false, tickErr
-		}
-	}
 	cov, err := s.observe(ctx)
 	if err != nil {
 		return false, false, err
@@ -455,7 +426,7 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool
 		return false, false, nil
 	}
 
-	job, counter := s.pickJob(ctx, cov, core.StatusOf(cov.snap, cov.entries), paced)
+	job, counter := s.pickJob(cov, paced)
 	if job == nil {
 		return false, false, nil
 	}
@@ -477,7 +448,8 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool
 	return true, false, nil
 }
 
-// pickJob chooses the highest-priority maintenance job, or nil.
+// pickJob chooses the highest-priority maintenance job, or nil, from
+// the step's observation alone: deciding issues no request.
 // Indexing fresh data outranks compaction, which outranks vacuum:
 // freshness first, then read amplification, then garbage. Compaction
 // triggers on the index's *effective* entry count (entries the greedy
@@ -486,13 +458,8 @@ func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool
 // compaction that merged nothing waits until the index's entry count
 // changes: Compact reads only those entries, and a new one is what can
 // give it a pair to merge.
-func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.IndexStatus, paced bool) (func(context.Context) error, *obs.Counter) {
+func (s *Scheduler) pickJob(cov *coverage, paced bool) (func(context.Context) error, *obs.Counter) {
 	policy := s.opts.Policy
-	byKey := make(map[core.IndexSpec]core.IndexStatus, len(statuses))
-	for _, st := range statuses {
-		byKey[core.IndexSpec{Column: st.Column, Kind: st.Kind}] = st
-	}
-
 	// Index: one job over every due spec, against one plan and one
 	// metadata commit. An adaptive policy shapes the job — hot files of
 	// a partly hot backlog first, coarse vector builds — and with no
@@ -500,21 +467,16 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 	if due := s.due(cov, paced); len(due) > 0 {
 		var opts core.IndexOptions
 		if s.opts.Adaptive != nil {
-			cands := make([]adaptive.IndexCandidate, len(due))
+			statuses := make([]core.IndexStatus, len(due))
 			for k, i := range due {
-				cands[k].IndexSpec = s.opts.Specs[i]
-				for _, f := range cov.snap.Files {
-					if !cov.perSpec[i][f.Path] {
-						cands[k].Uncovered = append(cands[k].Uncovered, f.Path)
-					}
-				}
+				statuses[k] = cov.statuses[i]
 			}
-			opts = s.opts.Adaptive.PlanIndex(cands)
+			opts = s.opts.Adaptive.PlanIndex(statuses)
 		}
 		return s.indexJob(due, cov, opts), s.jobsIndex
 	}
 	if s.opts.Adaptive != nil {
-		if job := s.refineJob(ctx); job != nil {
+		if job := s.refineJob(cov); job != nil {
 			return job, s.jobsRefine
 		}
 	}
@@ -522,8 +484,8 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 		if cov.demoted[i] {
 			continue
 		}
-		st, ok := byKey[spec]
-		if ok && st.Entries-st.RedundantEntries >= policy.CompactWhenEntries && !s.unmergedAt(i, st.Entries) {
+		st := cov.statuses[i]
+		if st.Entries-st.RedundantEntries >= policy.CompactWhenEntries && !s.unmergedAt(i, st.Entries) {
 			return func(ctx context.Context) error {
 				merged, err := s.cli.Compact(ctx, spec.Column, spec.Kind, policy.Compact)
 				if err == nil && len(merged) == 0 {
@@ -538,7 +500,7 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 			}, s.jobsCompact
 		}
 	}
-	for _, st := range statuses {
+	for _, st := range cov.statuses {
 		if st.StaleRefs > 0 || st.RedundantEntries > 0 {
 			return func(ctx context.Context) error {
 				report, err := s.cli.Vacuum(ctx, policy.Vacuum)
@@ -553,7 +515,7 @@ func (s *Scheduler) pickJob(ctx context.Context, cov *coverage, statuses []core.
 		}
 	}
 	if s.opts.Adaptive != nil {
-		if spec, ok := s.opts.Adaptive.PlanDemote(statuses); ok {
+		if spec, ok := s.opts.Adaptive.PlanDemote(cov.statuses); ok {
 			return func(ctx context.Context) error {
 				// Drop the rows, then vacuum in the same job so the
 				// orphaned index objects are collected (commit-then-
@@ -582,7 +544,7 @@ func (s *Scheduler) due(cov *coverage, paced bool) []int {
 	var due []int
 	for i := range s.opts.Specs {
 		stalledAt, stalled := s.stalled[i]
-		if !cov.demoted[i] && len(cov.perSpec[i]) < len(cov.snapPaths) && !(stalled && stalledAt == cov.snap.Version) {
+		if !cov.demoted[i] && len(cov.statuses[i].Uncovered) > 0 && !(stalled && stalledAt == cov.snap.Version) {
 			due = append(due, i)
 		}
 	}
@@ -632,10 +594,10 @@ func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) f
 	}
 }
 
-// refineJob is the IVF-PQ refinement the adaptive policy proposes,
-// or nil.
-func (s *Scheduler) refineJob(ctx context.Context) func(context.Context) error {
-	plan, ok := s.opts.Adaptive.PlanRefine(ctx, s.opts.Specs)
+// refineJob is the IVF-PQ refinement the adaptive policy proposes from
+// the observed entries, or nil.
+func (s *Scheduler) refineJob(cov *coverage) func(context.Context) error {
+	plan, ok := s.opts.Adaptive.PlanRefine(s.opts.Specs, cov.entries)
 	if !ok {
 		return nil
 	}

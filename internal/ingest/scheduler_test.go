@@ -320,6 +320,49 @@ func TestSchedulerRefillForegroundFloor(t *testing.T) {
 	}
 }
 
+// TestSchedulerObservationIsNotForeground: a step's observation is the
+// scheduler's own traffic, and no job's. Quiesce's steps share one
+// virtual instant, so the first step a second later still yields to
+// what the writer committed before it (4 PUTs: 96 tokens); with
+// nothing else touching the store, every step after an idle second
+// then refills the whole budget, and job_requests stays put. The
+// observation's two LISTs used to read as foreground traffic: those
+// steps refilled 90, then 98 of 100 tokens.
+func TestSchedulerObservationIsNotForeground(t *testing.T) {
+	ctx := context.Background()
+	w, s, clock := schedWorld(t, SchedulerOptions{RequestsPerSec: 100})
+	ingestRows(t, ctx, w, "a", 4)
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	jobRequests := s.Registry().Snapshot().Counter("ingest.job_requests")
+	for step := 0; step < 3; step++ {
+		s.mu.Lock()
+		s.tokens = 0
+		s.mu.Unlock()
+		clock.Advance(time.Second)
+		if worked, err := s.Step(ctx); err != nil || worked {
+			t.Fatalf("step %d: worked=%v err=%v, want an observation alone", step, worked, err)
+		}
+		s.mu.Lock()
+		tokens := s.tokens
+		s.mu.Unlock()
+		want := 100.0
+		if step == 0 {
+			want = 96
+		}
+		if tokens != want {
+			t.Errorf("step %d refilled %v tokens, want %v", step, tokens, want)
+		}
+	}
+	if got := s.Registry().Snapshot().Counter("ingest.job_requests"); got != jobRequests {
+		t.Errorf("job_requests went %d -> %d over observations alone", jobRequests, got)
+	}
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSchedulerBudgetTokensGauge verifies the live budget gauge: it
 // starts at the burst cap, goes negative when a job overdraws the
 // bucket (debt is visible, not clamped), and recovers with refill.
@@ -446,7 +489,7 @@ func TestSchedulerQuiesceEndsWithPartlyStaleIndexFile(t *testing.T) {
 func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		adaptive adaptive.SchedulerPolicy
+		adaptive *adaptive.Policy
 	}{
 		{"static", nil},
 		{"adaptive", adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: adaptive.NewLedger(adaptive.LedgerOptions{})})},

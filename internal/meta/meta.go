@@ -167,35 +167,35 @@ func EntriesFor(all []IndexEntry, column string, kind component.Kind) []IndexEnt
 	return out
 }
 
-// commit appends a record. A record says what to insert and delete,
-// not what the table held, so there is nothing to validate and the
-// log's blind next-slot PUT is the whole commit.
-func (t *Table) commit(ctx context.Context, inserts []IndexEntry, deletes []string) error {
+// Replace transactionally inserts entries, stamping CreatedAt, and
+// removes the entries with the given index keys (missing keys are
+// ignored), in one record: a swap that is never seen half done.
+func (t *Table) Replace(ctx context.Context, inserts []IndexEntry, deleteKeys []string) error {
+	if len(inserts) == 0 && len(deleteKeys) == 0 {
+		return nil
+	}
+	now := t.clock.Now()
+	for i := range inserts {
+		if inserts[i].CreatedAt.IsZero() {
+			inserts[i].CreatedAt = now
+		}
+	}
+	// A record says what to insert and delete, not what the table held,
+	// so there is nothing to validate and the log's blind next-slot PUT
+	// is the whole commit.
 	_, err := t.log.Commit(ctx, func(version int64) ([]byte, error) {
-		return json.Marshal(record{Version: version, Inserts: inserts, Deletes: deletes})
+		return json.Marshal(record{Version: version, Inserts: inserts, Deletes: deleteKeys})
 	}, nil)
 	return err
 }
 
 // Insert transactionally adds entries, stamping CreatedAt.
 func (t *Table) Insert(ctx context.Context, entries ...IndexEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	now := t.clock.Now()
-	for i := range entries {
-		if entries[i].CreatedAt.IsZero() {
-			entries[i].CreatedAt = now
-		}
-	}
-	return t.commit(ctx, entries, nil)
+	return t.Replace(ctx, entries, nil)
 }
 
 // Delete transactionally removes the entries with the given index
 // keys (missing keys are ignored, keeping Delete idempotent).
 func (t *Table) Delete(ctx context.Context, indexKeys ...string) error {
-	if len(indexKeys) == 0 {
-		return nil
-	}
-	return t.commit(ctx, nil, indexKeys)
+	return t.Replace(ctx, nil, indexKeys)
 }

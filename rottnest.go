@@ -476,7 +476,7 @@ type (
 	// indexes progressively under probe traffic.
 	AdaptivePolicy = adaptive.Policy
 	// AdaptivePolicyOptions wire an AdaptivePolicy (ledger, autopilot,
-	// client, refinement).
+	// refinement).
 	AdaptivePolicyOptions = adaptive.PolicyOptions
 )
 
