@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-fig13 vulncheck depth-table
+.PHONY: build test check benchmark-test bench-alloc fuzz-smoke trace-smoke bench-fig13 vulncheck depth-table maint-table
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,17 @@ depth-table:
 	@echo '| world, client | class | levels | GETs | bytes | ms |'
 	@echo '|---|---|---|---|---|---|'
 	@$(GO) test ./internal/core -run '^TestColdPathDepth$$' -count=1 -v | sed -n 's/^ *colddepth_test.go:[0-9]*: \(|.*\)$$/\1/p'
+
+# maint-table prints the maintenance depth table (DESIGN.md §19) as
+# TestMaintenanceDepth, TestOneIndexJobCoversEverySpec and
+# TestIngestDepth measure it on the S3 model: per test and operation,
+# the LISTs, GETs, PUTs, DELETEs and virtual milliseconds. Run it at a
+# change's parent and head to paste the table old -> new.
+maint-table:
+	@echo '| test | operation | LISTs | GETs | PUTs | DELETEs | ms |'
+	@echo '|---|---|---|---|---|---|---|'
+	@$(GO) test ./internal/core -run '^TestMaintenanceDepth$$' -count=1 -v | sed -n 's/^ *maintdepth_test.go:[0-9]*: \(|.*\)$$/\1/p'
+	@$(GO) test ./internal/ingest -run '^(TestOneIndexJobCoversEverySpec|TestIngestDepth)$$' -count=1 -v | sed -n 's/^ *depth_test.go:[0-9]*: \(|.*\)$$/\1/p'
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing allows
 # one -fuzz pattern per package invocation): corrupted bytes must

@@ -46,18 +46,15 @@ func (c *Client) Index(ctx context.Context, column string, kind component.Kind) 
 
 // IndexAt is Index against a specific lake snapshot version (data
 // lakes support time travel; the paper's index API takes a snapshot).
-// Version < 0 means latest.
+// Version <= 0 means latest.
 func (c *Client) IndexAt(ctx context.Context, column string, kind component.Kind, version int64) (*meta.IndexEntry, error) {
-	return c.IndexWithOptions(ctx, column, kind, IndexOptions{Version: version})
+	return c.indexOne(ctx, version, IndexSpec{Column: column, Kind: kind}, IndexOptions{})
 }
 
 // IndexOptions parameterizes one index job beyond the (column, kind)
 // pair, so a maintenance policy can shape what gets indexed and how
-// deep.
+// deep. The snapshot a job indexes is its Plan's.
 type IndexOptions struct {
-	// Version is the lake snapshot version to index against; <= 0
-	// means latest.
-	Version int64
 	// Only restricts each spec it names to the uncovered files in its
 	// list — an adaptive policy uses it to index hot partitions first,
 	// leaving the cold tail for later jobs. Files outside the snapshot
@@ -70,10 +67,34 @@ type IndexOptions struct {
 	IVF *ivfpq.BuildOptions
 }
 
-// IndexWithOptions is IndexAt with per-job options; see IndexOptions.
-// It is IndexSpecs over the one spec.
+// IndexWithOptions is Index with per-job options; see IndexOptions.
+// It reads a plan of the latest snapshot and runs IndexSpecs over the
+// one spec.
 func (c *Client) IndexWithOptions(ctx context.Context, column string, kind component.Kind, opts IndexOptions) (*meta.IndexEntry, error) {
-	results, err := c.IndexSpecs(ctx, []IndexSpec{{Column: column, Kind: kind}}, opts)
+	return c.indexOne(ctx, -1, IndexSpec{Column: column, Kind: kind}, opts)
+}
+
+// indexOne plans against the snapshot at version (<= 0: latest) — the
+// snapshot and the metadata table side by side, from the store: what
+// has been indexed is exactly what a cached plan may not know — and
+// runs the one spec's index job from that plan.
+func (c *Client) indexOne(ctx context.Context, version int64, spec IndexSpec, opts IndexOptions) (*meta.IndexEntry, error) {
+	if version <= 0 {
+		version = -1
+	}
+	pctx, planSpan := obs.Start(ctx, "index.plan")
+	plan, err := c.PlanInputs(pctx, version)
+	planSpan.End()
+	if err != nil {
+		if plan.Snapshot != nil {
+			// The listing failed: a schema error comes first.
+			if _, _, kerr := kindForColumn(plan.Snapshot.Schema, spec.Column, spec.Kind); kerr != nil {
+				return nil, kerr
+			}
+		}
+		return nil, err
+	}
+	results, err := c.IndexSpecs(ctx, plan, []IndexSpec{spec}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -90,48 +111,38 @@ type IndexResult struct {
 	Err error
 }
 
-// IndexSpecs is Index over several (column, kind) indexes in one job:
-// one plan against the snapshot and the metadata table, one fan of
-// every spec's column scans, one build per spec, and one publish that
-// uploads the new index files side by side and lands their rows in one
-// metadata commit. results[i] is specs[i]'s. A vector spec whose new
-// rows are below MinVectorRows is skipped and reported in its result;
-// the other specs still commit. An error that aborts the job — a
-// failed plan or scan, a vanished input (ErrAborted), a timeout —
-// commits no row.
-func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOptions) ([]IndexResult, error) {
+// IndexSpecs is Index over several (column, kind) indexes in one job,
+// planned from plan (PlanInputs): every spec's uncovered files come
+// from that one read, then one fan of every spec's column scans, one
+// build per spec, and one publish that uploads the new index files
+// side by side and lands their rows in one metadata commit. It reads
+// no log: the maintenance scheduler hands it the plan its step
+// observed, and Index reads one first. results[i] is specs[i]'s. A
+// vector spec whose new rows are below MinVectorRows is skipped and
+// reported in its result; the other specs still commit. An error that
+// aborts the job — a failed scan, a vanished input (ErrAborted), a
+// timeout — commits no row.
+func (c *Client) IndexSpecs(ctx context.Context, plan Plan, specs []IndexSpec, opts IndexOptions) ([]IndexResult, error) {
 	start := c.clock.Now()
-	version := opts.Version
-	if version <= 0 {
-		version = -1
-	}
-
-	// Plan: the snapshot and the metadata table side by side, from the
-	// store — what has been indexed is exactly what a cached plan may
-	// not know. Every spec's uncovered files come from this one read.
-	pctx, planSpan := obs.Start(ctx, "index.plan")
-	defer planSpan.End()
-	snap, entries, planned, err := c.planInputs(pctx, version, nil)
+	snap := plan.Snapshot
 	if snap == nil {
-		return nil, err
+		return nil, errors.New("core: index job without a planned snapshot")
 	}
 	jobs := make([]specJob, len(specs))
 	for i, spec := range specs {
-		ci, col, kerr := kindForColumn(snap.Schema, spec.Column, spec.Kind)
-		if kerr != nil {
-			return nil, kerr
+		ci, col, err := kindForColumn(snap.Schema, spec.Column, spec.Kind)
+		if err != nil {
+			return nil, err
 		}
 		jobs[i] = specJob{spec: spec, column: ci, asm: &inputAssembler{kind: spec.Kind, vecDim: col.TypeLen / 4}}
 	}
-	if err != nil {
-		return nil, err
-	}
-	// scans names every (spec, file) column to read.
+	// Plan: scans names every (spec, file) column to read — each
+	// spec's snapshot files that none of its planned entries covers.
 	var scans []struct{ spec, file int }
 	for i := range jobs {
 		j := &jobs[i]
 		covered := make(map[string]bool)
-		for _, e := range meta.EntriesFor(entries, j.spec.Column, j.spec.Kind) {
+		for _, e := range meta.EntriesFor(plan.Entries, j.spec.Column, j.spec.Kind) {
 			for _, f := range e.Files {
 				covered[f] = true
 			}
@@ -145,9 +156,6 @@ func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOp
 			j.files = append(j.files, ManifestFile{Path: f.Path, Rows: f.Rows})
 		}
 	}
-	planSpan.SetAttr("specs", len(specs))
-	planSpan.SetAttr("new_files", len(scans))
-	planSpan.End() // idempotent: the defer covers the error returns above
 	results := make([]IndexResult, len(specs))
 	if len(scans) == 0 {
 		return results, nil
@@ -183,8 +191,9 @@ func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOp
 		}()
 	}
 	scanCtx, scanSpan := obs.Start(ctx, "index.scan")
+	scanSpan.SetAttr("specs", len(specs))
 	scanSpan.SetAttr("files", len(scans))
-	err = simtime.Fan(scanCtx, len(scans), c.cfg.SearchWidth, func(ctx context.Context, s int) error {
+	err := simtime.Fan(scanCtx, len(scans), c.cfg.SearchWidth, func(ctx context.Context, s int) error {
 		j, f := &jobs[scans[s].spec], scans[s].file
 		defer close(j.scanned[f])
 		file := &j.files[f]
@@ -237,7 +246,7 @@ func (c *Client) IndexSpecs(ctx context.Context, specs []IndexSpec, opts IndexOp
 	if len(outs) == 0 {
 		return results, nil
 	}
-	published, err := c.publish(ctx, "index", start, planned, outs...)
+	published, err := c.publish(ctx, "index", start, plan.MetaVersion, outs...)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,11 @@ func TestIndexOnlyIsPerSpec(t *testing.T) {
 		t.Fatalf("first trie entry covers %v, want %v", first.Files, paths[:1])
 	}
 
-	results, err := e.cli.IndexSpecs(ctx, []IndexSpec{trie, fm}, IndexOptions{
+	plan, err := e.cli.PlanInputs(ctx, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := e.cli.IndexSpecs(ctx, plan, []IndexSpec{trie, fm}, IndexOptions{
 		Only: map[IndexSpec][]string{trie: {paths[2], paths[0], "data/not-in-the-snapshot.parquet"}},
 	})
 	if err != nil {

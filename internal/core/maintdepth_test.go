@@ -31,6 +31,13 @@ func (w *coldWorld) maintain(t *testing.T, call func(ctx context.Context, cli *C
 	return session.Elapsed(), w.metrics.Snapshot().Sub(before)
 }
 
+// logDepthRow logs one measured operation as a row of the table make
+// maint-table prints: its LISTs, GETs, PUTs, DELETEs and virtual ms.
+func logDepthRow(t *testing.T, op string, elapsed time.Duration, reqs objectstore.Snapshot) {
+	t.Helper()
+	t.Logf("| %s | %s | %d | %d | %d | %d | %.1f |", t.Name(), op, reqs.Lists, reqs.Gets, reqs.Puts, reqs.Deletes, float64(elapsed)/float64(time.Millisecond))
+}
+
 // TestMaintenanceDepth pins how deep a maintenance call is: the
 // requests it issues and the dependent levels it waits through, each
 // level named — 60 ms for a LIST, 30 ms for a GET fan, 40 ms for a PUT
@@ -60,6 +67,7 @@ func TestMaintenanceDepth(t *testing.T) {
 	}
 	check := func(name string, elapsed, want time.Duration, reqs, wantReqs objectstore.Snapshot) {
 		t.Helper()
+		logDepthRow(t, name, elapsed, reqs)
 		if elapsed < want || elapsed >= want+5*time.Millisecond {
 			t.Errorf("%s: %v of virtual time, want %v", name, elapsed, want)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"rottnest/internal/component"
 	"rottnest/internal/ivfpq"
+	"rottnest/internal/meta"
 	"rottnest/internal/parquet"
 	"rottnest/internal/workload"
 )
@@ -72,7 +73,11 @@ func TestPublishTimeouts(t *testing.T) {
 			return e != nil, err
 		}, 1},
 		{"index three specs", threeSpecWorld, func(w *invWorld) (bool, error) {
-			results, err := w.cli.IndexSpecs(ctx, threeSpecs, IndexOptions{})
+			plan, err := w.cli.PlanInputs(ctx, -1)
+			if err != nil {
+				return false, err
+			}
+			results, err := w.cli.IndexSpecs(ctx, plan, threeSpecs, IndexOptions{})
 			published := err == nil
 			for _, r := range results {
 				published = published && r.Entry != nil && r.Err == nil
@@ -203,5 +208,49 @@ func TestRefineCommitsOneRecord(t *testing.T) {
 	now, err := w.cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
 	if err != nil || len(now) != 1 || now[0].IndexKey != e.IndexKey {
 		t.Fatalf("rows after refine = %+v, %v; want only the refined one", now, err)
+	}
+}
+
+// TestRefineWithZeroOptions: RefineOptions' defaults apply before the
+// hot cells are picked, so a refinement with zero options splits at
+// most the default 8 cells and publishes one replacement row. The pick
+// read MaxCells before any default applied, and zero picked no cell:
+// a refinement with zero options published nothing.
+func TestRefineWithZeroOptions(t *testing.T) {
+	ctx := context.Background()
+	w := vectorWorld(t)
+	old, err := w.cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
+	if err != nil || len(old) != 1 {
+		t.Fatalf("vector index files = %d, %v; want one", len(old), err)
+	}
+	open := func(e meta.IndexEntry) *ivfpq.Index {
+		t.Helper()
+		r, err := w.cli.openReader(ctx, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := w.cli.openIVF(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	const nprobe = 4
+	before := open(old[0])
+	probes := workload.NewVectorGen(workload.VectorConfig{Seed: 9, Dim: 8, Clusters: 8, Spread: 0.2}).Queries(64)
+	if hot := ivfpq.HotCells(before, probes, nprobe, before.NumLists()); len(hot) <= 8 {
+		t.Fatalf("the probes hit %d refinable cells, want more than the default 8", len(hot))
+	}
+	e, err := w.cli.RefineVectorIndex(ctx, "emb", old[0].IndexKey, probes, nprobe, ivfpq.RefineOptions{})
+	if err != nil || e == nil {
+		t.Fatalf("refine with zero options: entry %v, err %v", e, err)
+	}
+	now, err := w.cli.ListIndexes(ctx, "emb", component.KindIVFPQ)
+	if err != nil || len(now) != 1 || now[0].IndexKey != e.IndexKey {
+		t.Fatalf("rows after refine = %+v, %v; want only the refined one", now, err)
+	}
+	// Each split cell becomes at most SplitFactor (4) cells.
+	if grown := open(now[0]).NumLists() - before.NumLists(); grown <= 0 || grown > 8*3 {
+		t.Errorf("refine grew %d cells into %d more, want 1 to %d: at most 8 cells split", before.NumLists(), grown, 8*3)
 	}
 }

@@ -23,6 +23,9 @@ import (
 // traffic identifies no refinable cell.
 func (c *Client) RefineVectorIndex(ctx context.Context, column string, indexKey string, probes [][]float32, nprobe int, opts ivfpq.RefineOptions) (*meta.IndexEntry, error) {
 	start := c.clock.Now()
+	// Defaults first: the hot-cell pick reads MaxCells, and zero would
+	// pick no cell.
+	opts = opts.WithDefaults()
 	pctx, planSpan := obs.Start(ctx, "refine.plan")
 	defer planSpan.End()
 	all, planned, err := c.meta.ListBeside(pctx, c.meta.Root(), nil)

@@ -38,9 +38,10 @@ func (c *Client) resolve(ctx context.Context, shape *planShape, version int64, r
 	if snap, listings, version = c.plans.lookup(version, shape.units, replan); snap != nil {
 		return snap, listings, nil, true, nil
 	}
-	snap, all, _, err := c.planInputs(ctx, version, func(ctx context.Context, listed []objectstore.ObjectInfo) {
+	plan, err := c.planInputs(ctx, version, func(ctx context.Context, listed []objectstore.ObjectInfo) {
 		opened = c.openPredicted(ctx, shape.units, listed)
 	})
+	snap, all := plan.Snapshot, plan.Entries
 	if err != nil {
 		if snap != nil {
 			// The listing failed: surface a schema error over it, as
@@ -61,28 +62,38 @@ func (c *Client) resolve(ctx context.Context, shape *planShape, version int64, r
 	return snap, listings, opened, false, nil
 }
 
+// Plan is one read of what planning needs: the lake snapshot and,
+// beside it, the metadata table's rows and the metadata version they
+// are at. An index job plans from one (IndexSpecs); the maintenance
+// scheduler reads one per step and both decides and indexes from it.
+// The snapshot is shared and must not be modified.
+type Plan struct {
+	Snapshot *lake.Snapshot
+	Entries  []meta.IndexEntry
+	// MetaVersion is the metadata log version Entries are at: the build
+	// order an index job's keys carry.
+	MetaVersion int64
+}
+
 // PlanInputs replays the lake log at version (< 0: latest) and the
 // metadata log from the store, side by side: they are independent
 // logs, so planning — a search's, every maintenance call's, the
 // scheduler's — is as deep as one of them. A failed listing still
 // returns the snapshot when that half succeeded, for the caller that
-// reports a schema error first. The snapshot is shared and must not be
-// modified.
-func (c *Client) PlanInputs(ctx context.Context, version int64) (snap *lake.Snapshot, entries []meta.IndexEntry, err error) {
-	snap, entries, _, err = c.planInputs(ctx, version, nil)
-	return snap, entries, err
+// reports a schema error first.
+func (c *Client) PlanInputs(ctx context.Context, version int64) (Plan, error) {
+	return c.planInputs(ctx, version, nil)
 }
 
-// planInputs is PlanInputs that also returns the metadata version the
-// entries are at. With early set, the metadata LIST covers the index
-// directory, and early gets the index files it names, in the fan of
-// the metadata log's records.
-func (c *Client) planInputs(ctx context.Context, version int64, early func(context.Context, []objectstore.ObjectInfo)) (snap *lake.Snapshot, entries []meta.IndexEntry, metaVersion int64, err error) {
-	entries, metaVersion, err = c.besideMeta(ctx, func(ctx context.Context) (err error) {
-		snap, err = c.table.SnapshotAt(ctx, version)
+// planInputs is PlanInputs whose metadata LIST, with early set, covers
+// the index directory: early gets the index files it names, in the fan
+// of the metadata log's records.
+func (c *Client) planInputs(ctx context.Context, version int64, early func(context.Context, []objectstore.ObjectInfo)) (plan Plan, err error) {
+	plan.Entries, plan.MetaVersion, err = c.besideMeta(ctx, func(ctx context.Context) (err error) {
+		plan.Snapshot, err = c.table.SnapshotAt(ctx, version)
 		return err
 	}, early)
-	return snap, entries, metaVersion, err
+	return plan, err
 }
 
 // besideMeta runs a read of the lake log beside the metadata listing,

@@ -36,11 +36,11 @@ type IndexStatus struct {
 // snapshot. Operators use it to decide when to run Index, Compact,
 // and Vacuum; ingest.Scheduler.Quiesce automates exactly that.
 func (c *Client) Status(ctx context.Context) ([]IndexStatus, error) {
-	snap, entries, err := c.PlanInputs(ctx, -1)
+	plan, err := c.PlanInputs(ctx, -1)
 	if err != nil {
 		return nil, err
 	}
-	return StatusOf(snap, entries), nil
+	return StatusOf(plan.Snapshot, plan.Entries), nil
 }
 
 // StatusOf is Status for a caller that has already read the snapshot

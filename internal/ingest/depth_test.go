@@ -48,6 +48,13 @@ func (s *logReads) Get(ctx context.Context, key string) ([]byte, error) {
 	return s.Store.Get(ctx, key)
 }
 
+// logDepthRow logs one measured operation as a row of the table make
+// maint-table prints: its LISTs, GETs, PUTs, DELETEs and virtual ms.
+func logDepthRow(t *testing.T, op string, elapsed time.Duration, reqs objectstore.Snapshot) {
+	t.Helper()
+	t.Logf("| %s | %s | %d | %d | %d | %d | %.1f |", t.Name(), op, reqs.Lists, reqs.Gets, reqs.Puts, reqs.Deletes, float64(elapsed)/float64(time.Millisecond))
+}
+
 // TestIngestDepth pins the write path at its data dependencies, in
 // virtual time on the S3 model, through one long-lived table handle —
 // the shape of a live ingest process. It fails on every count at the
@@ -92,6 +99,7 @@ func TestIngestDepth(t *testing.T) {
 	// the commit — and nothing else: the handle wrote the log's only
 	// record, so it knows the next slot.
 	elapsed, reqs := measure(group("one-"))
+	logDepthRow(t, "group commit of 4", elapsed, reqs)
 	if reqs.Puts != 5 || reqs.Lists != 0 || reqs.Gets != 0 || reqs.Heads != 0 {
 		t.Errorf("group of 4 issued %+v, want 5 PUTs and nothing else", reqs)
 	}
@@ -108,7 +116,8 @@ func TestIngestDepth(t *testing.T) {
 		}
 	}
 	before := store.n.Load()
-	measure(search)
+	elapsed, reqs = measure(search)
+	logDepthRow(t, "plan miss after own commit", elapsed, reqs)
 	if got := store.n.Load() - before; got != 0 {
 		t.Errorf("plan miss after the handle's own commit read the lake log %d times, want 0", got)
 	}
@@ -128,7 +137,8 @@ func TestIngestDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	commits = nil
-	_, reqs = measure(group("two-"))
+	elapsed, reqs = measure(group("two-"))
+	logDepthRow(t, "group behind a foreign commit", elapsed, reqs)
 	if reqs.Puts != 6 || reqs.Lists != 1 || reqs.Gets != 1 {
 		t.Errorf("group behind a foreign commit issued %+v, want 4 files + 2 conditional PUTs, 1 LIST, 1 GET", reqs)
 	}
@@ -142,11 +152,12 @@ func TestIngestDepth(t *testing.T) {
 	// A handle that has read nothing reads before it commits: a root
 	// with no table is ErrNoTable, and nothing is written there.
 	empty, _ := lake.OpenWith(ctx, inst, "nowhere", lake.OpenOptions{})
-	_, reqs = measure(func(ctx context.Context) {
+	elapsed, reqs = measure(func(ctx context.Context) {
 		if _, err := empty.CommitFiles(ctx, lake.PendingFile{Path: "data/x.rpq", Rows: 1}); !errors.Is(err, lake.ErrNoTable) {
 			t.Errorf("commit on an empty root: %v, want ErrNoTable", err)
 		}
 	})
+	logDepthRow(t, "commit on an empty root", elapsed, reqs)
 	if reqs.Puts != 0 || reqs.Lists != 1 {
 		t.Errorf("commit on an empty root issued %+v, want one LIST and no PUT", reqs)
 	}
@@ -196,15 +207,17 @@ func specsRows(seed int64, tag string, n int) *parquet.Batch {
 
 // TestOneIndexJobCoversEverySpec pins the scheduler's index job in
 // virtual time on the S3 model: after one group commit, one Step
-// indexes all three specs against one plan — the step's observation
-// and the job's plan are one LIST level each, every spec's column scans
-// share the footer level and the chunk level, the three index files
-// upload in one PUT level and their rows land in one metadata commit,
-// which drops the querying client's cached plans once. The next step
-// sees every file covered: commit → covered by every spec is 320 ms of
-// virtual time. It was one spec per step: three jobs in series, each
-// with its own observation, plan, scans, upload and commit (14 LISTs
-// and 6 PUTs over four steps), three plan invalidations, and 840 ms.
+// indexes all three specs from its one observation — one LIST level,
+// the plan the job indexes from — every spec's column scans share the
+// footer level and the chunk level, the three index files upload in
+// one PUT level and their rows land in one metadata commit, which
+// drops the querying client's cached plans once and reports both files
+// covered: commit → covered by every spec is 200 ms of virtual time.
+// The job planned again after the observation (4 LISTs, 260 ms), and
+// the next step's observation reported the files (320 ms). It was one
+// spec per step: three jobs in series, each with its own observation,
+// plan, scans, upload and commit (14 LISTs and 6 PUTs over four
+// steps), three plan invalidations, and 840 ms.
 func TestOneIndexJobCoversEverySpec(t *testing.T) {
 	ctx := context.Background()
 	clock := simtime.NewVirtualClock()
@@ -251,26 +264,32 @@ func TestOneIndexJobCoversEverySpec(t *testing.T) {
 		upload = max(upload, model.PutLatency(e.SizeBytes))
 	}
 	// Two files × three specs, each scan a footer GET and a chunk GET.
-	if reqs.Lists != 4 || reqs.Gets != 12 || reqs.Puts != 4 || reqs.Deletes != 0 || reqs.Heads != 0 {
-		t.Errorf("step issued %d LISTs, %d GETs, %d PUTs, %d DELETEs, %d HEADs; want 4, 12, 4, 0, 0",
+	if reqs.Lists != 2 || reqs.Gets != 12 || reqs.Puts != 4 || reqs.Deletes != 0 || reqs.Heads != 0 {
+		t.Errorf("step issued %d LISTs, %d GETs, %d PUTs, %d DELETEs, %d HEADs; want 2, 12, 4, 0, 0",
 			reqs.Lists, reqs.Gets, reqs.Puts, reqs.Deletes, reqs.Heads)
 	}
-	want := model.ListTTFB /* observe */ + model.ListTTFB /* plan */ + 2*model.GetTTFB /* footers, chunks */ + upload + model.PutTTFB /* commit */
+	want := model.ListTTFB /* observe: the plan */ + 2*model.GetTTFB /* footers, chunks */ + upload + model.PutTTFB /* commit */
 	if job < want || job >= want+5*time.Millisecond {
 		t.Errorf("step took %v of virtual time, want %v", job, want)
 	}
 	if got := s.cli.Metrics().Sub(plans).Counter("search.plan_cache_invalidations"); got != 1 {
 		t.Errorf("the job dropped cached plans %d times, want once", got)
 	}
+	// The job's commit reported both files covered by every spec.
+	if len(lags) != 2 {
+		t.Fatalf("OnCovered fired %d times at the job's commit, want once per file", len(lags))
+	}
+	t.Logf("commit → covered by every spec: %v of virtual time", job)
+	logDepthRow(t, "index job, 3 specs", job, reqs)
 
-	// The next step's observation sees both files covered by every spec.
+	// The next step's observation finds nothing to do and reports no
+	// file again.
 	if worked, err := s.Step(sctx); err != nil || worked {
 		t.Fatalf("second step: worked=%v err=%v, want no job", worked, err)
 	}
 	if len(lags) != 2 {
 		t.Fatalf("OnCovered fired %d times, want once per file", len(lags))
 	}
-	t.Logf("commit → covered by every spec: %v of virtual time (%v of it the job)", session.Elapsed(), job)
 	if m := s.Registry().Snapshot(); m.Counter("ingest.jobs_index") != 1 {
 		t.Errorf("jobs_index = %d, want 1", m.Counter("ingest.jobs_index"))
 	}

@@ -203,7 +203,7 @@ func TestStepDecidesFromItsObservation(t *testing.T) {
 	s := NewScheduler(tbl, SchedulerOptions{
 		Client:   cli,
 		Specs:    specs,
-		Adaptive: adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Refine: ivfpq.RefineOptions{MaxCells: 4, Seed: 1}}),
+		Adaptive: adaptive.NewPolicy(adaptive.PolicyOptions{Ledger: ledger, Pilot: pilot, Refine: ivfpq.RefineOptions{Seed: 1}}),
 	})
 	gen := workload.NewVectorGen(workload.VectorConfig{Seed: 72, Dim: dim, Clusters: 4})
 	b := parquet.NewBatch(schema)

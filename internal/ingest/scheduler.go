@@ -52,10 +52,11 @@ type SchedulerOptions struct {
 	// indexes every spec's whole backlog.
 	Adaptive *adaptive.Policy
 	// TickEvery paces Run's periodic wakeups: a real-time ticker that
-	// refills the budget, applies the writer's age bound, and drains
-	// whatever backlog is left once commits go quiet or the budget
-	// ran dry. Default 100ms. Virtual-clock drivers bypass Run and
-	// call Step/Tick directly.
+	// applies the writer's age bound and lets Run step again once the
+	// budget ran dry, the pace deadline passed under a virtual clock, or
+	// nothing was observed for a while (see Run). A wakeup reads the
+	// store only when it steps. Default 100ms. Virtual-clock drivers
+	// bypass Run and call Step/Tick directly.
 	TickEvery time.Duration
 	// OnCovered, if set, runs when a committed file becomes covered
 	// by every spec, with its exact searchable lag. Benchmarks use it
@@ -86,14 +87,15 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	return o
 }
 
-// indexEvery is the least time Run leaves between the starts of two
-// index jobs: files committed in between ride the next job, so a
-// steady stream makes one index file per spec per indexEvery however
-// fast a job runs. Without it the daemon indexes as often as its
-// planning is quick, and every query opens that many more, smaller
+// indexEvery is the least time Run leaves between the observations
+// two index jobs plan from: files committed in between ride the next
+// job, so a steady stream makes one index file per spec per indexEvery
+// however fast a job runs. Without it the daemon indexes as often as
+// its planning is quick, and every query opens that many more, smaller
 // index files — the wall-clock ingest benchmark's opened IVF-PQ indexes
 // stopped fitting its decoded-object cache when planning lost its log
-// replays (DESIGN.md §20). Step and Quiesce do not wait for it.
+// replays (DESIGN.md §20). It is also how long an idle Run goes
+// without reading the store. Step and Quiesce do not wait for it.
 const indexEvery = 1500 * time.Millisecond
 
 // ledgerEntry tracks one committed-but-not-yet-covered data file.
@@ -131,7 +133,8 @@ type Scheduler struct {
 	ledger     map[string]ledgerEntry
 	stalled    map[int]int64 // spec index → snapshot version it stalled at
 	unmerged   map[int]int   // spec index → its entry count when a compaction merged nothing
-	indexedAt  time.Time     // start of the last index job
+	indexedAt  time.Time     // start of the observation the last index job planned from
+	observedAt time.Time     // start of the last observation
 	tokens     float64
 	lastRefill time.Time
 	lastSeen   int64 // store requests observed at last refill
@@ -209,16 +212,22 @@ func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 // Client returns the client the scheduler maintains indexes with.
 func (s *Scheduler) Client() *core.Client { return s.cli }
 
-// NoteCommitted feeds committed files into the freshness ledger. The
-// writer calls it from its group-commit hook; callers appending
-// through other paths may call it directly to have those files
-// tracked for searchable lag.
+// NoteCommitted feeds committed files into the freshness ledger and
+// pauses the writer once the ledger's rows pass PauseAboveRows: the
+// ledger is in memory, so backpressure needs no step, and a Run that
+// is waiting out its pace cannot delay it. The writer calls it from its
+// group-commit hook; callers appending through other paths may call it
+// directly to have those files tracked for searchable lag.
 func (s *Scheduler) NoteCommitted(files []CommittedFile) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, f := range files {
 		s.ledger[f.Path] = ledgerEntry{rows: f.Rows, ackedAt: f.AckedAt, version: f.Version}
 	}
-	s.mu.Unlock()
+	if w := s.opts.Writer; w != nil && s.unindexedRowsLocked() > s.opts.PauseAboveRows && !w.Paused() {
+		w.Pause()
+		s.pauses.Inc()
+	}
 }
 
 // unindexedRowsLocked sums the ledger.
@@ -232,9 +241,15 @@ func (s *Scheduler) unindexedRowsLocked() int64 {
 
 // coverage is what one Step observed, once, before it decides.
 type coverage struct {
-	// snap and entries are the plan inputs the step read.
+	// at is when the observation started: an index job planned from it
+	// paces the next one from there.
+	at time.Time
+	// snap and entries are the plan inputs the step read, and planned
+	// the metadata version of entries: the step's index job plans from
+	// them.
 	snap    *lake.Snapshot
 	entries []meta.IndexEntry
+	planned int64
 	// statuses are core.StatusOf over them: statuses[i] is spec i's,
 	// and the indexes no spec names follow.
 	statuses []core.IndexStatus
@@ -242,6 +257,26 @@ type coverage struct {
 	// routed to the scan path; those specs take no index jobs and do
 	// not hold up the freshness ledger.
 	demoted []bool
+}
+
+// uncovered is the set of snapshot files some spec the step did not
+// demote leaves uncovered, past those indexed[i] now covers for spec
+// i. With no specs nothing is ever "searchable by index", so the
+// ledger drains only by compaction — callers should configure at least
+// one spec.
+func (c *coverage) uncovered(specs int, indexed map[int]map[string]bool) map[string]bool {
+	out := make(map[string]bool)
+	for i := 0; i < specs; i++ {
+		if c.demoted[i] {
+			continue
+		}
+		for _, p := range c.statuses[i].Uncovered {
+			if !indexed[i][p] {
+				out[p] = true
+			}
+		}
+	}
+	return out
 }
 
 // errNoProgress marks a scheduled job that intentionally did nothing
@@ -257,57 +292,61 @@ var errDeferred = errors.New("ingest: job deferred")
 
 // observe reads the snapshot and meta entries once, side by side,
 // derives the index statuses and the adaptive policy's verdicts from
-// that read, and resolves the freshness ledger: files now covered by
-// every spec record their searchable lag, files gone from the snapshot
-// (compacted away) are dropped, and the rows_unindexed gauge updates.
-// The read is the scheduler's own traffic, not foreground, but no job's:
-// it draws no tokens and is not in job_requests.
+// that read, and resolves the freshness ledger (cover): files it finds
+// covered — by another client's index, or once a spec is demoted —
+// record their searchable lag, and files gone from the snapshot
+// (compacted away) are dropped. Below half
+// of PauseAboveRows it resumes a paused writer. The read is the
+// scheduler's own traffic, not foreground, but no job's: it draws no
+// tokens and is not in job_requests.
 func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
+	at := s.clock.Now()
 	var read objectstore.Metrics
-	snap, entries, err := s.cli.PlanInputs(objectstore.WithTally(ctx, &read), -1)
+	plan, err := s.cli.PlanInputs(objectstore.WithTally(ctx, &read), -1)
 	s.mu.Lock()
 	s.ownCost += read.Snapshot().Requests()
+	s.observedAt = at
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	now := s.clock.Now()
-	cov := &coverage{snap: snap, entries: entries, statuses: core.StatusOf(snap, entries, s.opts.Specs...)}
+	cov := &coverage{at: at, snap: plan.Snapshot, entries: plan.Entries, planned: plan.MetaVersion,
+		statuses: core.StatusOf(plan.Snapshot, plan.Entries, s.opts.Specs...)}
 	if s.opts.Adaptive != nil {
-		cov.demoted = s.opts.Adaptive.Observe(now, snap, cov.statuses)
+		cov.demoted = s.opts.Adaptive.Observe(s.clock.Now(), plan.Snapshot, cov.statuses)
 	} else {
 		cov.demoted = make([]bool, len(cov.statuses))
 	}
 	// A file is searchable by index once every spec covers it. Demoted
 	// specs don't count: their columns serve from scans by decision, so
 	// a file is as searchable as it will ever get once the remaining
-	// specs cover it. With no specs nothing is ever "searchable by
-	// index", so the ledger drains only by compaction — callers should
-	// configure at least one spec.
-	uncovered := make(map[string]bool)
-	for i := range s.opts.Specs {
-		if !cov.demoted[i] {
-			for _, p := range cov.statuses[i].Uncovered {
-				uncovered[p] = true
-			}
-		}
-	}
-	active := snap.Paths()
+	// specs cover it.
+	s.cover(cov.snap, cov.uncovered(len(s.opts.Specs), nil), true)
+	return cov, nil
+}
 
+// cover resolves the freshness ledger against a snapshot and the files
+// still uncovered in it: a ledger file in the snapshot and not
+// uncovered records its searchable lag, fires OnCovered and leaves the
+// ledger, so no file is reported twice. With gone set, files missing
+// from a snapshot at or past their commit are dropped — compacted or
+// removed: their surviving rows are tracked via the rewritten file's
+// coverage, not this ledger row. A file committed after the snapshot
+// was read stays for the next observation. It updates rows_unindexed
+// and lifts a pause below half of PauseAboveRows.
+func (s *Scheduler) cover(snap *lake.Snapshot, uncovered map[string]bool, gone bool) {
+	now := s.clock.Now()
 	type coveredFile struct {
 		path string
 		rows int64
 		lag  time.Duration
 	}
 	var newlyCovered []coveredFile
+	active := snap.Paths()
 	s.mu.Lock()
 	for p, e := range s.ledger {
 		if !active[p] {
-			// Compacted or removed: its surviving rows are tracked
-			// via the rewritten file's coverage, not this ledger row.
-			// A file committed after the snapshot was read is neither:
-			// it stays for the next observation.
-			if e.version <= snap.Version {
+			if gone && e.version <= snap.Version {
 				delete(s.ledger, p)
 			}
 			continue
@@ -320,6 +359,9 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 		}
 	}
 	unindexed := s.unindexedRowsLocked()
+	if w := s.opts.Writer; w != nil && unindexed < s.opts.PauseAboveRows/2 && w.Paused() {
+		w.Resume()
+	}
 	s.mu.Unlock()
 	// Fire OnCovered outside s.mu: a callback that re-enters the
 	// scheduler (NoteCommitted, say) must not self-deadlock, and the
@@ -330,18 +372,6 @@ func (s *Scheduler) observe(ctx context.Context) (*coverage, error) {
 		}
 	}
 	s.rowsUnindexed.Set(unindexed)
-
-	// Backpressure state machine.
-	if w := s.opts.Writer; w != nil {
-		switch {
-		case unindexed > s.opts.PauseAboveRows && !w.Paused():
-			w.Pause()
-			s.pauses.Inc()
-		case unindexed < s.opts.PauseAboveRows/2 && w.Paused():
-			w.Resume()
-		}
-	}
-	return cov, nil
 }
 
 // storeRequests sums the request counters of the client's store chain.
@@ -404,48 +434,63 @@ func (s *Scheduler) charge(cost int64) {
 // reports whether a job ran. Tests and deterministic drivers call
 // Step directly; Run loops it.
 func (s *Scheduler) Step(ctx context.Context) (bool, error) {
-	worked, _, err := s.step(ctx, false)
-	return worked, err
+	out, err := s.step(ctx, false)
+	return out.worked, err
 }
 
-// step is Step; paced holds index jobs indexEvery apart. deferred
-// reports a job that ran, did nothing and set itself aside
-// (errDeferred).
-func (s *Scheduler) step(ctx context.Context, paced bool) (worked, deferred bool, err error) {
+// stepped is what one step did, and what it leaves for Run to wake to.
+type stepped struct {
+	// worked reports a job that ran; deferred, one that ran, did
+	// nothing and set itself aside (errDeferred).
+	worked, deferred bool
+	// dry reports a budget that was empty, so no job was picked.
+	dry bool
+	// due reports index work the observation found: a spec with
+	// uncovered files it may index. The pace, the budget or the job it
+	// ran may have left some of it.
+	due bool
+}
+
+// step is Step; paced holds index jobs indexEvery apart.
+func (s *Scheduler) step(ctx context.Context, paced bool) (stepped, error) {
 	s.steps.Inc()
 	cov, err := s.observe(ctx)
 	if err != nil {
-		return false, false, err
+		return stepped{}, err
 	}
+	out := stepped{due: len(s.due(cov)) > 0}
 	s.refill()
 	s.mu.Lock()
 	ready := s.tokens > 0
 	s.mu.Unlock()
 	if !ready {
 		s.budgetWaits.Inc()
-		return false, false, nil
+		out.dry = true
+		return out, nil
 	}
 
 	job, counter := s.pickJob(cov, paced)
 	if job == nil {
-		return false, false, nil
+		return out, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return false, false, err // cancelled while observing: start no job
+		return out, err // cancelled while observing: start no job
 	}
 	var spent objectstore.Metrics
 	jobErr := job(objectstore.WithTally(ctx, &spent))
 	s.charge(spent.Snapshot().Requests())
 	switch {
 	case errors.Is(jobErr, errDeferred):
-		return false, true, nil
+		out.deferred = true
+		return out, nil
 	case errors.Is(jobErr, errNoProgress):
-		return false, false, nil
+		return out, nil
 	case jobErr != nil:
-		return false, false, jobErr
+		return out, jobErr
 	}
 	counter.Inc()
-	return true, false, nil
+	out.worked = true
+	return out, nil
 }
 
 // pickJob chooses the highest-priority maintenance job, or nil, from
@@ -464,7 +509,7 @@ func (s *Scheduler) pickJob(cov *coverage, paced bool) (func(context.Context) er
 	// metadata commit. An adaptive policy shapes the job — hot files of
 	// a partly hot backlog first, coarse vector builds — and with no
 	// index job to run may schedule an IVF-PQ refinement.
-	if due := s.due(cov, paced); len(due) > 0 {
+	if due := s.due(cov); len(due) > 0 && !(paced && cov.at.Before(s.paceDeadline())) {
 		var opts core.IndexOptions
 		if s.opts.Adaptive != nil {
 			statuses := make([]core.IndexStatus, len(due))
@@ -533,14 +578,10 @@ func (s *Scheduler) pickJob(cov *coverage, paced bool) (func(context.Context) er
 
 // due lists the specs the index job takes at this step: those not
 // demoted, with uncovered files, and not stalled below the index's
-// minimum row count at this snapshot. Paced, under Run, no spec is due
-// until indexEvery after the last index job started.
-func (s *Scheduler) due(cov *coverage, paced bool) []int {
+// minimum row count at this snapshot.
+func (s *Scheduler) due(cov *coverage) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if paced && s.clock.Now().Sub(s.indexedAt) < indexEvery {
-		return nil
-	}
 	var due []int
 	for i := range s.opts.Specs {
 		stalledAt, stalled := s.stalled[i]
@@ -549,6 +590,14 @@ func (s *Scheduler) due(cov *coverage, paced bool) []int {
 		}
 	}
 	return due
+}
+
+// paceDeadline is when Run may next start an index job: indexEvery
+// after the observation the last one planned from.
+func (s *Scheduler) paceDeadline() time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.indexedAt.Add(indexEvery)
 }
 
 // unmergedAt reports whether spec i's last compaction merged nothing
@@ -560,11 +609,14 @@ func (s *Scheduler) unmergedAt(i, entries int) bool {
 	return ok && n == entries
 }
 
-// indexJob is the one index job: it notes its start for Run's pacing
-// and indexes every spec in the set with opts, in one plan and one
-// commit. Too few new rows for an index file stalls that spec at the
-// observed snapshot — scans cover the tail until more data commits —
-// while the others commit; a job whose every spec stalled is deferred.
+// indexJob is the one index job: it paces Run from the observation
+// it plans from, and indexes every spec in the set with opts from that
+// plan, in one commit. Too few new rows for an index file stalls that
+// spec at the observed snapshot — scans cover the tail until more data
+// commits — while the others commit; a job whose every spec stalled is
+// deferred. At its commit the job resolves the freshness ledger: a file
+// it leaves covered by every spec records its lag then, not at a later
+// observation, which a lake compaction rewriting the file could beat.
 func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) func(context.Context) error {
 	specs := make([]core.IndexSpec, len(set))
 	for k, i := range set {
@@ -572,24 +624,33 @@ func (s *Scheduler) indexJob(set []int, cov *coverage, opts core.IndexOptions) f
 	}
 	return func(ctx context.Context) error {
 		s.mu.Lock()
-		s.indexedAt = s.clock.Now()
+		s.indexedAt = cov.at
 		s.mu.Unlock()
-		results, err := s.cli.IndexSpecs(ctx, specs, opts)
+		plan := core.Plan{Snapshot: cov.snap, Entries: cov.entries, MetaVersion: cov.planned}
+		results, err := s.cli.IndexSpecs(ctx, plan, specs, opts)
 		if err != nil {
 			return err
 		}
+		indexed := make(map[int]map[string]bool, len(set))
 		stalled := 0
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		for k, r := range results {
 			if errors.Is(r.Err, core.ErrBelowMinRows) {
+				s.mu.Lock()
 				s.stalled[set[k]] = cov.snap.Version
+				s.mu.Unlock()
 				stalled++
+			}
+			if r.Entry != nil {
+				indexed[set[k]] = make(map[string]bool, len(r.Entry.Files))
+				for _, f := range r.Entry.Files {
+					indexed[set[k]][f] = true
+				}
 			}
 		}
 		if stalled == len(set) {
 			return errDeferred
 		}
+		s.cover(cov.snap, cov.uncovered(len(s.opts.Specs), indexed), false)
 		return nil
 	}
 }
@@ -624,37 +685,58 @@ func (s *Scheduler) Quiesce(ctx context.Context) error {
 			s.tokens = 1 // pacing is Run's job; Quiesce only converges
 		}
 		s.mu.Unlock()
-		worked, deferred, err := s.step(ctx, false)
+		out, err := s.step(ctx, false)
 		if err != nil {
 			return err
 		}
-		if !worked && !deferred {
+		if !out.worked && !out.deferred {
 			return nil
 		}
 	}
 }
 
-// Run loops the scheduler until ctx is done: each table commit wakes
-// it, and a real-time ticker (TickEvery) wakes it regardless, so a
-// pause in traffic still ticks the writer's age bound, refills the
-// budget, and drains the tail of committed-but-unindexed files. The
-// ticker is what makes backpressure safe: with it, a writer paused at
-// the high watermark while the budget is in debt is always revisited —
-// tokens refill, the backlog indexes, and the writer resumes — even
-// when no further commits (and hence no commit wakeups) can occur. It
-// is the daemon entry point for real-clock deployments; virtual-clock
-// drivers call Step/Tick/Quiesce directly. Once ctx is done it starts
-// no step: a select picks at random among ready cases, so a pending
-// tick or commit wakeup can win over ctx.Done, and the context is
-// checked again after every wakeup and before every step.
+// Run loops the scheduler until ctx is done. It wakes on each table
+// commit, on a real-time ticker (TickEvery) and at the pace deadline,
+// applies the writer's age bound at every wakeup, and reads the store
+// only when a step could pick a job, so an idle daemon costs one
+// observation per indexEvery, not one per tick. A wakeup steps when:
+//
+//   - a commit arrived, or the last observation found index work, and
+//     the pace deadline (indexEvery after the observation the last
+//     index job planned from) has passed — a timer fires at the
+//     deadline, so the job does not wait for the next tick;
+//   - the previous step ran a job: Run steps until one runs none;
+//   - the previous step found the budget dry: the ticker refills it,
+//     which is what makes backpressure safe — a writer paused while the
+//     budget is in debt is always revisited, tokens refill, the backlog
+//     indexes and the writer resumes, even when no further commits (and
+//     hence no commit wakeups) can occur;
+//   - nothing has been observed for indexEvery, which catches commits
+//     through other handles and vacuum's timeouts.
+//
+// It is the daemon entry point for real-clock deployments;
+// virtual-clock drivers call Step/Tick/Quiesce directly. Once ctx is
+// done it starts no step: a select picks at random among ready cases,
+// so a pending wakeup can win over ctx.Done, and the context is checked
+// again after every wakeup and before every step.
 func (s *Scheduler) Run(ctx context.Context) error {
 	ticker := time.NewTicker(s.opts.TickEvery)
 	defer ticker.Stop()
+	pace := time.NewTimer(indexEvery)
+	pace.Stop() // a wakeup with index work inside the pace arms it
+	defer pace.Stop()
+	var (
+		committed bool      // a commit wakeup since the last step began
+		last      stepped   // the previous step's outcome
+		armed     time.Time // the deadline pace is set for
+	)
 	for {
 		select {
 		case <-ctx.Done():
 		case <-s.commits:
+			committed = true
 		case <-ticker.C:
+		case <-pace.C:
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -664,15 +746,29 @@ func (s *Scheduler) Run(ctx context.Context) error {
 				return err
 			}
 		}
+		now, deadline := s.clock.Now(), s.paceDeadline()
+		s.mu.Lock()
+		idle := now.Sub(s.observedAt) >= indexEvery
+		s.mu.Unlock()
+		waiting := committed || last.due
+		if !last.dry && !idle && !(waiting && !now.Before(deadline)) {
+			if waiting && !armed.Equal(deadline) {
+				pace.Reset(deadline.Sub(now))
+				armed = deadline
+			}
+			continue
+		}
+		committed = false
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			worked, _, err := s.step(ctx, true)
+			out, err := s.step(ctx, true)
 			if err != nil {
 				return err
 			}
-			if !worked {
+			last = out
+			if !out.worked {
 				break
 			}
 		}

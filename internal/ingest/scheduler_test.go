@@ -78,7 +78,8 @@ func TestSchedulerIndexesAndMeasuresLag(t *testing.T) {
 		t.Fatal("first step scheduled no job despite unindexed files")
 	}
 	// The index job ran in the same step that first observed the
-	// backlog; the next step observes the new coverage.
+	// backlog, and reported the coverage at its commit; the next step
+	// reports nothing again.
 	if _, err := s.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +146,38 @@ func TestSchedulerBackpressureWatermarks(t *testing.T) {
 	}
 	if w.Paused() {
 		t.Fatal("writer still paused after backlog cleared")
+	}
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupCommitPausesTheWriter: the group commit that takes the
+// ledger past PauseAboveRows pauses the writer there, with no step in
+// between — the ledger is in memory. Only a step's observation paused
+// it, so a Run waiting out its pace left the writer flowing for up to
+// indexEvery past the watermark. The step whose job covers the backlog
+// resumes it.
+func TestGroupCommitPausesTheWriter(t *testing.T) {
+	ctx := context.Background()
+	w, s, _ := schedWorld(t, SchedulerOptions{PauseAboveRows: 4})
+	counter := func(name string) int64 { return s.Registry().Snapshot().Counter(name) }
+	ingestRows(t, ctx, w, "a", 4)
+	if w.Paused() {
+		t.Fatal("writer paused at the watermark, want only above it")
+	}
+	ingestRows(t, ctx, w, "b", 2)
+	if !w.Paused() {
+		t.Fatal("the commit past the watermark left the writer flowing")
+	}
+	if steps, pauses := counter("ingest.sched_steps"), counter("ingest.sched_pauses"); steps != 0 || pauses != 1 {
+		t.Fatalf("sched_steps = %d, sched_pauses = %d; want 0 and 1", steps, pauses)
+	}
+	if worked, err := s.Step(ctx); err != nil || !worked {
+		t.Fatalf("index step: worked=%v err=%v", worked, err)
+	}
+	if w.Paused() {
+		t.Fatal("writer still paused after the job covered the backlog")
 	}
 	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -480,12 +513,16 @@ func TestSchedulerQuiesceEndsWithPartlyStaleIndexFile(t *testing.T) {
 	}
 }
 
-// TestRunSpacesIndexJobsOfOneSpec: under Run index jobs start at least
-// indexEvery apart (by the scheduler's clock), so files committed in
-// between share one index file; Step and Quiesce do not wait. Before,
-// Run indexed as often as a job was quick. The pace is one timestamp,
-// whichever policy shapes the job, so the adaptive policy is held to
-// it too.
+// TestRunSpacesIndexJobsOfOneSpec: under Run an index job plans from
+// an observation at least indexEvery after the one the last job planned
+// from (by the scheduler's clock), so files committed in between share
+// one index file; Step and Quiesce do not wait. Commits inside the pace
+// wake Run but read nothing — no step can index them yet — and the
+// second job runs once the clock passes the deadline. Run used to
+// observe (2 LISTs) on every commit and every tick inside the pace; and
+// before the pace, it indexed as often as a job was quick. The pace is
+// one timestamp, whichever policy shapes the job, so the adaptive
+// policy is held to it too.
 func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -499,23 +536,37 @@ func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
 			defer cancel()
 			w, s, clock := schedWorld(t, SchedulerOptions{TickEvery: time.Millisecond, Adaptive: tc.adaptive})
 			counter := func(name string) int64 { return s.Registry().Snapshot().Counter(name) }
+			lists := func() int64 { return s.cli.Metrics().Counter("store.lists") }
 			waitFor := func(what string, cond func() bool) {
 				t.Helper()
 				for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
-						t.Fatalf("timed out waiting for %s (jobs_index %d)", what, counter("ingest.jobs_index"))
+						t.Fatalf("timed out waiting for %s (jobs_index %d, steps %d)", what, counter("ingest.jobs_index"), counter("ingest.sched_steps"))
 					}
 				}
 			}
+			ingestRows(t, ctx, w, "a", 2)
+			start := lists()
 			runErr := make(chan error, 1)
 			go func() { runErr <- s.Run(ctx) }()
 
-			ingestRows(t, ctx, w, "a", 2)
-			waitFor("the first index job", func() bool { return counter("ingest.jobs_index") == 1 })
+			// The first wakeup has observed nothing yet: it steps, indexes,
+			// and steps once more to find nothing left — two observations.
+			waitFor("the first index job and the step after it", func() bool {
+				return counter("ingest.jobs_index") == 1 && lists()-start == 4
+			})
+			steps := counter("ingest.sched_steps")
+			before := lists()
 			ingestRows(t, ctx, w, "b", 2)
 			ingestRows(t, ctx, w, "c", 2)
-			steps := counter("ingest.sched_steps")
-			waitFor("ten more steps", func() bool { return counter("ingest.sched_steps") >= steps+10 })
+			time.Sleep(20 * time.Millisecond) // twenty ticks, two commit wakeups
+			// Every read of the scheduler's is a step's observation, LISTs
+			// first. (A commit's GETs are the writer's: Run's wakeups apply
+			// its age bound, which can commit beside the test's Flush.)
+			if inPace := lists() - before; inPace != 0 || counter("ingest.sched_steps") != steps {
+				t.Fatalf("inside the pace Run stepped %d times and read %d LISTs; want neither",
+					counter("ingest.sched_steps")-steps, inPace)
+			}
 			if got := counter("ingest.jobs_index"); got != 1 {
 				t.Fatalf("jobs_index = %d within indexEvery of the first job, want 1", got)
 			}
@@ -536,6 +587,45 @@ func TestRunSpacesIndexJobsOfOneSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestIdleRunCost: a Run with nothing to do reads the store once per
+// indexEvery — one observation, 2 LISTs — however often it ticks. It
+// observed on every tick: at a 1 ms tick, 2 LISTs a millisecond.
+func TestIdleRunCost(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, s, clock := schedWorld(t, SchedulerOptions{TickEvery: time.Millisecond})
+	ingestRows(t, ctx, w, "a", 2)
+	if err := s.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	metrics := s.cli.Metrics
+	before := metrics()
+	runErr := make(chan error, 1)
+	go func() { runErr <- s.Run(ctx) }()
+	// Five indexEvery of scheduler time in steps of a tenth, a few ticks
+	// of real time each.
+	const periods = 5
+	for i := 0; i < 10*periods; i++ {
+		clock.Advance(indexEvery / 10)
+		time.Sleep(3 * time.Millisecond)
+	}
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v", err)
+	}
+	lists := metrics().Sub(before).Counter("store.lists")
+	t.Logf("an idle Run over %d indexEvery: %d LISTs", periods, lists)
+	if lists < 2 || lists > 2*(periods+1) {
+		t.Errorf("an idle Run over %d indexEvery issued %d LISTs, want 2 to %d", periods, lists, 2*(periods+1))
+	}
+	if got := s.Registry().Snapshot().Counter("ingest.jobs_index"); got != 1 {
+		t.Errorf("jobs_index = %d, want the one Quiesce ran", got)
+	}
+	if err := w.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -207,7 +207,9 @@ func (w *Writer) Table() *lake.Table { return w.table }
 
 // OnCommitted registers fn to run after every successful group
 // commit with the files that landed. The scheduler uses it to feed
-// its freshness ledger. fn must not call back into the writer.
+// its freshness ledger and to pause the writer past its watermark. fn
+// runs without the writer's lock: it may Pause the writer, but must not
+// append, flush or close through it.
 func (w *Writer) OnCommitted(fn func([]CommittedFile)) {
 	w.hookMu.Lock()
 	w.committed = append(w.committed, fn)

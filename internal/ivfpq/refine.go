@@ -28,7 +28,8 @@ type RefineOptions struct {
 	Seed int64
 }
 
-func (o RefineOptions) withDefaults() RefineOptions {
+// WithDefaults returns o with every unset field at its default.
+func (o RefineOptions) WithDefaults() RefineOptions {
 	if o.SplitFactor <= 1 {
 		o.SplitFactor = 4
 	}
@@ -221,7 +222,7 @@ func (ix *Index) reconstruct(v []float32, li int, code []byte) {
 // improves at equal nprobe because each probe now covers a tighter
 // region. Cells not in split are carried over unchanged.
 func RefineInto(ctx context.Context, b *component.Builder, ix *Index, split []int, opts RefineOptions) error {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	splitSet := make(map[int]bool, len(split))
 	for _, li := range split {
 		if li < 0 || li >= len(ix.lists) {

@@ -101,6 +101,9 @@ type (
 	IndexOptions = core.IndexOptions
 	// IndexResult is what one Client.IndexSpecs job did for one spec.
 	IndexResult = core.IndexResult
+	// Plan is one read of an index job's inputs (Client.PlanInputs),
+	// the argument of Client.IndexSpecs.
+	Plan = core.Plan
 	// MaintainPolicy tunes the scheduler's compact and vacuum jobs.
 	MaintainPolicy = core.MaintainPolicy
 )
